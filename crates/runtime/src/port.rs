@@ -48,6 +48,15 @@ pub enum RejectCause {
 }
 
 impl RejectCause {
+    /// Every cause, in discriminant order (`cause as usize` indexes it).
+    pub(crate) const ALL: [RejectCause; 5] = [
+        RejectCause::ReadPorts,
+        RejectCause::WritePorts,
+        RejectCause::Busy,
+        RejectCause::Width,
+        RejectCause::Downstream,
+    ];
+
     /// Stable label used in stats maps and reports.
     pub fn label(self) -> &'static str {
         match self {

@@ -25,6 +25,15 @@ pub enum IssueClass {
 }
 
 impl IssueClass {
+    /// Every class, in discriminant order (`class as usize` indexes it).
+    pub(crate) const ALL: [IssueClass; 5] = [
+        IssueClass::Load,
+        IssueClass::Store,
+        IssueClass::Float,
+        IssueClass::Int,
+        IssueClass::Other,
+    ];
+
     /// Short stable label.
     pub fn label(self) -> &'static str {
         match self {

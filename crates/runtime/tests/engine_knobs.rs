@@ -393,3 +393,81 @@ fn fu_jitter_slows_the_run_but_keeps_it_correct() {
     };
     assert!(run(1.0) > run(0.0));
 }
+
+/// A port wrapper that breaks the completion contract in one of two ways.
+struct LyingPort {
+    inner: SimpleMem,
+    /// Complete a token the engine never issued (once, on the first poll).
+    fabricate: Option<u64>,
+    /// Strip the payload from load completions.
+    drop_load_data: bool,
+}
+
+impl salam_runtime::MemPort for LyingPort {
+    fn begin_cycle(&mut self) {
+        self.inner.begin_cycle();
+    }
+    fn try_issue(&mut self, a: salam_runtime::MemAccess) -> Result<(), salam_runtime::Rejection> {
+        self.inner.try_issue(a)
+    }
+    fn poll(&mut self) -> Vec<salam_runtime::MemCompletion> {
+        let mut out = self.inner.poll();
+        if self.drop_load_data {
+            for c in &mut out {
+                c.data = None;
+            }
+        }
+        if let Some(token) = self.fabricate.take() {
+            out.push(salam_runtime::MemCompletion { token, data: None });
+        }
+        out
+    }
+}
+
+fn run_against(port: &mut LyingPort) -> salam_runtime::SimError {
+    let f = serial_fmul_loop();
+    let profile = HardwareProfile::default_40nm();
+    let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
+    port.inner.memory_mut().write_f64_slice(0x1000, &[1.5; 4]);
+    let mut e = Engine::new(
+        f,
+        cdfg,
+        profile,
+        EngineConfig::default(),
+        vec![RtVal::P(0x1000), RtVal::I(4)],
+    );
+    e.try_run_to_completion(port)
+        .expect_err("a port that breaks the contract must fail the run")
+}
+
+#[test]
+fn a_fabricated_completion_token_is_a_typed_error() {
+    for token in [0, 7_000, u64::MAX] {
+        let err = run_against(&mut LyingPort {
+            inner: SimpleMem::new(1, 4, 4),
+            fabricate: Some(token),
+            drop_load_data: false,
+        });
+        let salam_runtime::SimError::KernelFault { kernel, detail, .. } = &err else {
+            panic!("expected KernelFault, got {err:?}");
+        };
+        assert_eq!(kernel, "serial");
+        assert!(detail.contains(&format!("token {token}")), "{detail}");
+    }
+}
+
+#[test]
+fn a_load_completion_without_data_is_a_typed_error() {
+    let err = run_against(&mut LyingPort {
+        inner: SimpleMem::new(1, 4, 4),
+        fabricate: None,
+        drop_load_data: true,
+    });
+    let salam_runtime::SimError::KernelFault { detail, .. } = &err else {
+        panic!("expected KernelFault, got {err:?}");
+    };
+    assert!(
+        detail.contains("token 1") && detail.contains("no data"),
+        "{detail}"
+    );
+}
