@@ -158,43 +158,48 @@ fn handle_connection(
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
     apply_timeouts(&stream, core.config())?;
+    // Replies are small and the client waits for each one: never hold a
+    // segment back for coalescing.
+    stream.set_nodelay(true)?;
     let max_line = core.config().max_line_bytes.max(1);
     let mut reader = BufReader::new(stream.try_clone()?);
     let first = match read_bounded_line(&mut reader, max_line)? {
         BoundedLine::Eof => return Ok(()),
-        BoundedLine::Overflow => {
-            let mut stream = stream;
-            let msg = wire::err_json("bad-request", "request line exceeds the size limit");
-            stream.write_all(msg.as_bytes())?;
-            stream.write_all(b"\n")?;
-            return stream.flush();
-        }
+        BoundedLine::Overflow => return reject_oversize(&stream),
         BoundedLine::Line(line) => line,
     };
     if first.starts_with("GET ") || first.starts_with("POST ") {
         return handle_http(core, stream, reader, &first, stop);
     }
-    let mut stream = stream;
     let mut line = first;
     loop {
-        let response = respond(core, line.trim(), stop);
-        stream.write_all(response.as_bytes())?;
-        stream.write_all(b"\n")?;
-        stream.flush()?;
+        write_line(&stream, &respond(core, line.trim(), stop))?;
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
         line = match read_bounded_line(&mut reader, max_line)? {
             BoundedLine::Eof => return Ok(()),
-            BoundedLine::Overflow => {
-                let msg = wire::err_json("bad-request", "request line exceeds the size limit");
-                stream.write_all(msg.as_bytes())?;
-                stream.write_all(b"\n")?;
-                return stream.flush();
-            }
+            BoundedLine::Overflow => return reject_oversize(&stream),
             BoundedLine::Line(l) => l,
         };
     }
+}
+
+/// Answers a request line over the size limit; the caller then closes.
+fn reject_oversize(stream: &TcpStream) -> std::io::Result<()> {
+    let msg = wire::err_json("bad-request", "request line exceeds the size limit");
+    write_line(stream, &msg)
+}
+
+/// Sends one reply line — body and newline in a single write, so the
+/// reply leaves as one segment instead of a body the peer's delayed ACK
+/// holds the newline behind (≈ 40 ms per round trip on Linux).
+fn write_line(mut stream: &TcpStream, reply: &str) -> std::io::Result<()> {
+    let mut framed = String::with_capacity(reply.len() + 1);
+    framed.push_str(reply);
+    framed.push('\n');
+    stream.write_all(framed.as_bytes())?;
+    stream.flush()
 }
 
 /// Executes one native-protocol request and renders the response line.

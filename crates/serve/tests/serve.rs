@@ -749,12 +749,35 @@ fn traced_jobs_return_a_chrome_trace() {
 }
 
 fn send_line(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
+    // One segment per request, like any sensible client: a split write
+    // would stall on the server's delayed ACK.
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     stream.flush().unwrap();
     let mut response = String::new();
     reader.read_line(&mut response).unwrap();
     response
+}
+
+/// Each reply must leave as one segment on a no-delay socket: split into
+/// body + newline, Nagle holds the newline until the client's delayed ACK
+/// (≈ 40 ms on Linux), which made 50 round trips take over two seconds.
+#[test]
+fn line_protocol_round_trips_are_not_held_back_by_nagle() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let started = std::time::Instant::now();
+    for _ in 0..50 {
+        let r = send_line(&mut stream, &mut reader, r#"{"op":"stats"}"#);
+        assert!(r.contains("\"stats\""), "{r}");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "50 stats round trips took {took:?}"
+    );
+    drop((stream, reader));
+    server.shutdown();
 }
 
 #[test]
