@@ -57,6 +57,7 @@ impl VaddRig {
         }
     }
 
+    /// One full run; returns the dynamic instructions it issued.
     fn run_once(&self, trace: Option<&SharedTrace>) -> u64 {
         let mut mem = SimpleMem::new(1, 4, 4);
         mem.memory_mut()
@@ -78,18 +79,23 @@ impl VaddRig {
         if let Some(t) = trace {
             e.set_trace(t.clone());
         }
-        e.run_to_completion(&mut mem)
+        e.run_to_completion(&mut mem);
+        e.stats().total_issued()
     }
 }
 
 /// Dynamic-instruction throughput of the engine on a streaming kernel.
 fn bench_engine_throughput(rig: &VaddRig) {
-    let m = microbench::run("engine/vadd_256_elements", || black_box(rig.run_once(None)));
-    let dyn_insts = rig.n as f64 * 10.0; // ~10 dynamic ops per iteration
+    let mut dyn_insts = 0;
+    let m = microbench::run("engine/vadd_256_elements", || {
+        dyn_insts = rig.run_once(None);
+        black_box(dyn_insts)
+    });
     println!(
-        "{:<44} {:>12.0} dyn-inst/s",
+        "{:<44} {:>12.0} dyn-inst/s   ({:.1} host ns / dyn-inst)",
         "engine/vadd_256_elements (throughput)",
-        m.per_sec() * dyn_insts
+        m.per_sec() * dyn_insts as f64,
+        m.ns_per_iter() / dyn_insts as f64
     );
 }
 
