@@ -53,10 +53,11 @@ fn main() {
     println!(
         "\nNote: the preprocessing advantage reproduces directly. The paper's 697x\n\
          simulation speedup measures gem5-Aladdin's trace-I/O and DDDG-building\n\
-         overheads; our from-scratch Aladdin baseline has none of those, so both\n\
-         simulators here run at comparable speed. The structural advantage that\n\
-         remains is memory: Aladdin must materialize the whole dynamic trace\n\
-         (column 'ala trace KB'), while the SALAM engine holds only its fixed\n\
-         reservation window (~tens of KB regardless of trace length)."
+         overheads; our from-scratch Aladdin baseline has none of those, so the\n\
+         engine's lead here is only what its event-driven scheduler buys. On\n\
+         memory: Aladdin must materialize the whole dynamic trace (column\n\
+         'ala trace KB') before it can start, while the engine's scheduling\n\
+         state is bounded by the ops in flight — but it keeps ~75 bytes of\n\
+         history per dynamic instruction until the run ends."
     );
 }

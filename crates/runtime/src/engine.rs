@@ -41,7 +41,8 @@ pub const CANCEL_BATCH: u64 = 1024;
 /// edges, ordering window) is bounded by the ops in flight, but a single
 /// invocation running billions of dynamic instructions will accumulate
 /// gigabytes of per-instruction history; split such workloads into multiple
-/// invocations. One invocation is limited to 2^32 - 2 dynamic instructions.
+/// invocations. One invocation is limited to 2^32 dynamic instructions (or
+/// operands), past which it ends in a [`SimError::KernelFault`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Accelerator clock period in picoseconds (energy accounting).
@@ -216,9 +217,8 @@ struct StaticOp {
     eval: Eval,
     /// `FuKind` index, or [`NO_FU`].
     fu: u8,
-    is_load: bool,
+    /// Memory ops (`Eval::Mem`): store rather than load.
     is_store: bool,
-    is_term: bool,
     has_result: bool,
     /// Operands that are instruction results (register-file reads at
     /// issue); a phi reads at most the one incoming edge it takes.
@@ -241,6 +241,10 @@ impl StaticOp {
         self.is_store as u32
     }
 
+    fn is_term(&self) -> bool {
+        matches!(self.eval, Eval::Br | Eval::CondBr | Eval::Ret)
+    }
+
     /// Resource class for attribution: the FU name for compute ops, the
     /// issue-class label for everything else.
     fn res_class(&self) -> &'static str {
@@ -252,7 +256,7 @@ impl StaticOp {
 }
 
 /// One dynamic instruction: an entry of the uid-indexed slab.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DynOp {
     /// `InstId` index of the static instruction.
     inst: u32,
@@ -279,6 +283,9 @@ struct DynOp {
     tspan: SpanId,
     value: Option<RtVal>,
 }
+
+// The `EngineConfig` memory note quotes this size.
+const _: () = assert!(std::mem::size_of::<DynOp>() == 64);
 
 /// Consumer-list node: `consumer` waits for the list owner to commit.
 /// Freed nodes are chained through `next` from `Engine::free_edge`.
@@ -366,26 +373,32 @@ fn stall_mix_index(mix: StallMix) -> usize {
 /// accounting.
 #[derive(Debug, Default)]
 struct IssueFlags {
-    issued: u64,
+    /// Classes that issued at least one op.
     classes: [bool; IssueClass::ALL.len()],
-    /// A dependence-free op could not launch — the paper's notion of a
-    /// stall — and what kind of op it was.
-    blocked_any: bool,
-    blocked_mix: StallMix,
+    /// Kinds of dependence-free ops that could not launch — the paper's
+    /// notion of a stall. The compute bit is only ever set by FU parking,
+    /// so it doubles as the FU-limit attribution cause.
+    blocked: StallMix,
     port_rejected: bool,
-    /// Attribution causes: a ready op hit an FU pool limit / a memory
-    /// limit (outstanding cap or port reject) this cycle.
-    fu_blocked: bool,
+    /// Attribution cause: a ready memory op hit an outstanding cap or a
+    /// port reject this cycle.
     mem_limit_blocked: bool,
 }
 
 impl IssueFlags {
+    fn issued(&self) -> bool {
+        self.classes.contains(&true)
+    }
+
+    fn stalled(&self) -> bool {
+        self.blocked != StallMix::default()
+    }
+
     fn block_mem(&mut self, is_store: bool) {
-        self.blocked_any = true;
         if is_store {
-            self.blocked_mix.store = true;
+            self.blocked.store = true;
         } else {
-            self.blocked_mix.load = true;
+            self.blocked.load = true;
         }
     }
 }
@@ -820,9 +833,15 @@ impl Engine {
             if len as usize > room && self.resv_count > 0 {
                 break;
             }
-            // Uids stay below the `ORDER_OK` / `NIL` sentinel.
-            if self.dyn_ops.len() + len as usize >= u32::MAX as usize {
-                return Err(self.kernel_fault("dynamic instruction limit (2^32 - 2) exceeded"));
+            // Uids stay below the `ORDER_OK` sentinel and operand offsets
+            // within `u32` (a block has at most `templates.len()` operands).
+            const LIMIT: usize = u32::MAX as usize;
+            if self.dyn_ops.len() + len as usize >= LIMIT
+                || self.operand_uids.len() + self.templates.len() > LIMIT
+            {
+                return Err(self.kernel_fault(
+                    "more than 2^32 dynamic instructions or operands in one invocation",
+                ));
             }
             self.pending_fetch.pop_front();
             let group = self.import_seq;
@@ -1200,12 +1219,10 @@ impl Engine {
             (0, 0)
         };
         let meta = salam_obs::DepMeta {
-            kind: if sop.is_store {
-                salam_obs::OpKind::Store
-            } else if sop.is_load {
-                salam_obs::OpKind::Load
-            } else {
-                salam_obs::OpKind::Compute
+            kind: match (sop.eval, sop.is_store) {
+                (Eval::Mem, true) => salam_obs::OpKind::Store,
+                (Eval::Mem, false) => salam_obs::OpKind::Load,
+                _ => salam_obs::OpKind::Compute,
             },
             latency: rec.latency,
             inst: d.inst,
@@ -1253,17 +1270,16 @@ impl Engine {
             if let Ok(pos) = window.binary_search(&uid) {
                 window.remove(pos);
             }
-            if sop.is_load {
+            if !sop.is_store {
                 let ty = &self.func.inst(InstId::from_raw(inst)).ty;
-                let value = match completion.data.as_deref().map(|b| decode_scalar(ty, b)) {
-                    Some(Some(v)) => v,
-                    Some(None) => return Err(self.kernel_fault(format!("cannot load {ty}"))),
-                    None => {
-                        return Err(self.kernel_fault(format!(
-                            "load completion for token {} carries no data",
-                            completion.token
-                        )))
-                    }
+                let Some(bytes) = completion.data.as_deref() else {
+                    return Err(self.kernel_fault(format!(
+                        "load completion for token {} carries no data",
+                        completion.token
+                    )));
+                };
+                let Some(value) = decode_scalar(ty, bytes) else {
+                    return Err(self.kernel_fault(format!("cannot load {ty}")));
                 };
                 self.stats.reg_write_pj += sop.reg_write_pj;
                 self.dyn_ops[uid as usize].value = Some(value);
@@ -1360,11 +1376,7 @@ impl Engine {
         self.ready = waiting;
         self.ready_scratch = carried;
         // Parked ops are ready ops blocked on a saturated FU kind.
-        if self.parked > 0 {
-            flags.blocked_any = true;
-            flags.blocked_mix.compute = true;
-            flags.fu_blocked = true;
-        }
+        flags.blocked.compute = self.parked > 0;
         Ok(flags)
     }
 
@@ -1493,7 +1505,7 @@ impl Engine {
             }
         }
         self.register_issue(uid, sop, flags);
-        if sop.is_term {
+        if sop.is_term() {
             self.handle_terminator(uid, sop)?;
             // "Terminators trigger the reservation queue to load the
             // next basic block immediately after evaluation" — import
@@ -1540,7 +1552,6 @@ impl Engine {
         d.flags |= ISSUED;
         self.tallies.issued[sop.class as usize] += 1;
         flags.classes[sop.class as usize] = true;
-        flags.issued += 1;
         // Register-file read energy for non-immediate operands, one add
         // per operand so the sum rounds as it always has.
         let reads = if sop.eval == Eval::Phi {
@@ -1583,7 +1594,7 @@ impl Engine {
                 };
                 refs.get(if c != 0 { 0 } else { 1 }).copied()
             }
-            // `is_term` ops are exactly br / condbr / ret.
+            // The third terminator: ret.
             _ => {
                 self.fetch_stopped = true;
                 self.ret_value = match sop.opnd_len {
@@ -1613,9 +1624,9 @@ impl Engine {
         // strict priority — progress beats any stall cause, resource limits
         // beat waiting, waiting beats dependence, dependence beats drain.
         // One charge per step keeps `attribution.total() == cycles` exact.
-        let cycle_class = if flags.issued > 0 {
+        let cycle_class = if flags.issued() {
             CycleClass::Compute
-        } else if flags.fu_blocked {
+        } else if flags.blocked.compute {
             CycleClass::FuLimit
         } else if flags.port_rejected || flags.mem_limit_blocked {
             CycleClass::MemPort
@@ -1630,7 +1641,7 @@ impl Engine {
         for (sum, &busy) in self.tallies.fu_busy_sum.iter_mut().zip(&self.fu_busy) {
             *sum += busy as u64;
         }
-        if flags.issued > 0 {
+        if flags.issued() {
             let ld = flags.classes[IssueClass::Load as usize];
             let st = flags.classes[IssueClass::Store as usize];
             match (ld, st) {
@@ -1646,9 +1657,9 @@ impl Engine {
         // A cycle counts as *stalled* (the paper's Fig. 14 definition) when
         // a dependency-free operation could not launch — resource or
         // bandwidth pressure — regardless of whether other ops issued.
-        if flags.blocked_any {
+        if flags.stalled() {
             self.stats.stall_cycles += 1;
-            let mut mix = flags.blocked_mix;
+            let mut mix = flags.blocked;
             mix.compute |= self.compute_inflight > 0;
             mix.store |= self.outstanding_writes > 0;
             mix.load |= self.outstanding_reads > 0;
@@ -1657,7 +1668,7 @@ impl Engine {
                 let name = format!("stall:{}", mix.label());
                 self.trace.instant(t.sched, &name, self.trace_ts(cycle));
             }
-        } else if flags.issued > 0 {
+        } else if flags.issued() {
             self.stats.new_exec_cycles += 1;
         }
         if flags.port_rejected {
@@ -1674,7 +1685,7 @@ impl Engine {
                 .counter(t.sched, "mem_outstanding", ts, mem_outstanding as f64);
         }
 
-        self.check_liveness(progressed || flags.issued > 0)?;
+        self.check_liveness(progressed || flags.issued())?;
         self.cycle += 1;
         self.done = self.fetch_stopped
             && self.pending_fetch.is_empty()
@@ -1688,7 +1699,7 @@ impl Engine {
     fn record_timeline(&mut self, flags: &IssueFlags) {
         let mut rec = CycleRecord {
             mem_outstanding: (self.outstanding_reads + self.outstanding_writes) as u32,
-            stalled: flags.blocked_any,
+            stalled: flags.stalled(),
             ..Default::default()
         };
         // One entry per class that issued, not per op.
@@ -1818,15 +1829,13 @@ fn static_op(
             }
         });
     }
-    let is_load = inst.op == Opcode::Load;
-    let is_store = inst.op == Opcode::Store;
-    let access_size = if is_store {
-        let stored = inst.operands.first();
-        stored.map_or(0, |&v| func.value_type(v).size_bytes() as u32)
-    } else if is_load {
-        inst.ty.size_bytes() as u32
-    } else {
-        0
+    let access_size = match inst.op {
+        Opcode::Store => {
+            let stored = inst.operands.first();
+            stored.map_or(0, |&v| func.value_type(v).size_bytes() as u32)
+        }
+        Opcode::Load => inst.ty.size_bytes() as u32,
+        _ => 0,
     };
     StaticOp {
         class: classify(&inst.op),
@@ -1839,9 +1848,7 @@ fn static_op(
             _ => Eval::Pure,
         },
         fu: sop.fu.map_or(NO_FU, |k| k as u8),
-        is_load,
-        is_store,
-        is_term: inst.op.is_terminator(),
+        is_store: inst.op == Opcode::Store,
         has_result: inst.has_result(),
         inst_operands,
         latency: sop.latency,

@@ -173,7 +173,7 @@ fn handle_connection(
     }
     let mut line = first;
     loop {
-        write_line(&stream, &respond(core, line.trim(), stop))?;
+        write_line(&stream, respond(core, line.trim(), stop))?;
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
@@ -188,17 +188,15 @@ fn handle_connection(
 /// Answers a request line over the size limit; the caller then closes.
 fn reject_oversize(stream: &TcpStream) -> std::io::Result<()> {
     let msg = wire::err_json("bad-request", "request line exceeds the size limit");
-    write_line(stream, &msg)
+    write_line(stream, msg)
 }
 
 /// Sends one reply line — body and newline in a single write, so the
 /// reply leaves as one segment instead of a body the peer's delayed ACK
 /// holds the newline behind (≈ 40 ms per round trip on Linux).
-fn write_line(mut stream: &TcpStream, reply: &str) -> std::io::Result<()> {
-    let mut framed = String::with_capacity(reply.len() + 1);
-    framed.push_str(reply);
-    framed.push('\n');
-    stream.write_all(framed.as_bytes())?;
+fn write_line(mut stream: &TcpStream, mut reply: String) -> std::io::Result<()> {
+    reply.push('\n');
+    stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
 

@@ -11,6 +11,13 @@ run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo build --workspace --release --offline
 run cargo test --workspace -q --offline
+# The benchmark package is a workspace of its own, out of reach of
+# `--workspace`: its smoke tests run all four workloads against the report
+# digests in benchmark/golden.json, so a change that moves any simulated
+# result fails here (next to tests/engine_golden.rs, which the line above
+# already runs).
+run env CARGO_TARGET_DIR=target/benchmark \
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # DSE smoke sweep: 2 kernels x 4 points on 2 workers, twice against a
 # scratch cache. The first run simulates everything; the second must be
