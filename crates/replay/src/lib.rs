@@ -27,7 +27,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
 use hw_profile::FuKind;
@@ -149,46 +150,63 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// One recorded op, resolved into the scheduler's working form.
-struct ROp {
-    uid: u64,
-    kind: OpKind,
-    fu: Option<FuKind>,
-    latency: u64,
-    group: u32,
-    ctrl: u64,
-    addr_dep: u64,
-    addr: u64,
-    size: u32,
+const N_FU: usize = FuKind::ALL.len();
+/// FU index of an op that occupies no functional unit.
+const NO_FU: u8 = N_FU as u8;
+
+/// One recorded op in the scheduler's working form, read-only during a run.
+#[derive(Clone, Copy)]
+enum ROp {
+    Compute {
+        latency: u32,
+        /// `FuKind as u8`, or [`NO_FU`].
+        fu: u8,
+        /// Terminator whose issue unlocks a block import.
+        fetches_a_group: bool,
+    },
+    Mem {
+        addr: u64,
+        size: u32,
+        store: bool,
+        /// The address has no producer (immediate or argument pointer).
+        addr_known: bool,
+    },
 }
 
-/// A block-import group: contiguous uid range plus the terminator uid that
-/// fetched it (0 for the entry group).
+const _: () = assert!(std::mem::size_of::<ROp>() == 16);
+
+/// A block-import group: contiguous op-index range plus the uid of the
+/// terminator that fetched it (0 for the entry group).
 struct Group {
-    start: usize,
-    len: usize,
-    ctrl: u64,
+    start: u32,
+    len: u32,
+    ctrl: u32,
 }
+
+/// Marks a consumer-adjacency entry as the *address* edge of a memory op:
+/// the producer's commit resolves the consumer's address (publishing its
+/// span) instead of retiring one of its data dependences.
+const ADDR_EDGE: u32 = 1 << 31;
 
 /// A validated stream resolved into the scheduler's working form, ready to
 /// be re-scheduled many times. Building this once per kernel and replaying
 /// it per sweep point amortizes all per-op resolution (uid checks, FU
 /// lookup, group shaping, consumer adjacency) across the whole sweep.
 pub struct Prepared {
+    /// Ops by index (`uid - 1`).
     ops: Vec<ROp>,
     groups: Vec<Group>,
     /// Per-op producer count (the initial dependence counters).
     dep_count: Vec<u32>,
-    /// Consumer adjacency in CSR form, indexed by producer uid:
-    /// `cons_adj[cons_off[uid]..cons_off[uid + 1]]`.
+    /// Consumer adjacency in CSR form, indexed by producer op index:
+    /// `cons_adj[cons_off[i]..cons_off[i + 1]]` holds consumer op indices,
+    /// address edges tagged with [`ADDR_EDGE`].
     cons_off: Vec<u32>,
     cons_adj: Vec<u32>,
-    /// Ops whose issue can unlock a block import (group terminators).
-    fetches_a_group: Vec<bool>,
-    /// uid → position in the stream's commit-ordered op list.
-    stream_pos: Vec<usize>,
-    /// Per-op FU index (`FuKind as u8`), 15 = no FU.
-    fuidx: Vec<u8>,
+    /// Uid of the first op of each FU kind (0 = kind unused).
+    fu_first_uid: [u32; N_FU],
+    /// Longest compute latency in the stream (sizes the commit wheel).
+    max_latency: u32,
 }
 
 impl Prepared {
@@ -199,48 +217,171 @@ impl Prepared {
     /// [`ReplayError::BadStream`] when the stream lacks replay metadata or
     /// is structurally inconsistent.
     pub fn new(stream: &DepStream) -> Result<Self, ReplayError> {
-        let (ops, groups) = prepare(stream)?;
-        let n = ops.len();
-        let at = |uid: u64| -> usize { (uid - 1) as usize };
+        let bad = |m: String| Err(ReplayError::BadStream(m));
+        let sops = stream.ops();
+        let n = sops.len();
+        if n == 0 {
+            return bad("empty stream".into());
+        }
+        if n >= ADDR_EDGE as usize {
+            return bad(format!("{n} ops exceed the replayable {}", ADDR_EDGE - 1));
+        }
+        // uid → position in the stream's commit-ordered op list; n distinct
+        // uids in 1..=n are exactly the dense range.
+        let mut pos = vec![u32::MAX; n];
+        for (p, op) in sops.iter().enumerate() {
+            if op.uid == 0 || op.uid > n as u64 {
+                return bad(format!("uid {} outside dense range 1..={n}", op.uid));
+            }
+            let slot = &mut pos[(op.uid - 1) as usize];
+            if *slot != u32::MAX {
+                return bad(format!("duplicate uid {}", op.uid));
+            }
+            *slot = p as u32;
+        }
+        // Each interned class resolves once: its FU kind, and whether it
+        // names a memory issue class.
+        let classes: Vec<(u8, bool)> = stream
+            .classes()
+            .iter()
+            .map(|c| {
+                let fu = FuKind::from_name(c).map_or(NO_FU, |k| k as u8);
+                (fu, c == "load" || c == "store")
+            })
+            .collect();
 
-        let mut fetches_a_group = vec![false; n];
-        for g in &groups {
-            if g.ctrl != 0 {
-                fetches_a_group[at(g.ctrl)] = true;
+        let mut ops = Vec::with_capacity(n);
+        let mut groups: Vec<Group> = Vec::new();
+        let mut dep_count = Vec::with_capacity(n);
+        let mut cons_off = vec![0u32; n + 1];
+        let mut fu_first_uid = [0u32; N_FU];
+        let mut max_latency = 0;
+        for (i, &p) in pos.iter().enumerate() {
+            let op = &sops[p as usize];
+            let (uid, m) = (op.uid, &op.meta);
+            let (fu, mem_class) = classes
+                .get(op.class as usize)
+                .copied()
+                .unwrap_or((NO_FU, false));
+            // Memory ops carry their kind in the metadata; a stream recorded
+            // without metadata (legacy `record`) would classify them as
+            // Compute — catch that here instead of mis-replaying.
+            if mem_class && m.kind == OpKind::Compute {
+                return bad("stream lacks replay metadata (recorded without record_meta?)".into());
             }
-        }
-        let mut stream_pos = vec![0usize; n];
-        let mut dep_count = vec![0u32; n];
-        let mut cons_off: Vec<u32> = vec![0; n + 2];
-        for (i, op) in stream.ops().iter().enumerate() {
-            stream_pos[at(op.uid)] = i;
-            dep_count[at(op.uid)] = op.deps.len() as u32;
             for &d in &op.deps {
-                cons_off[d as usize + 1] += 1;
+                if d == 0 || d > n as u64 {
+                    return bad(format!("dep {d} of uid {uid} outside dense range"));
+                }
+                cons_off[d as usize] += 1;
+            }
+            dep_count.push(op.deps.len() as u32);
+            if m.addr_dep >= uid {
+                return bad(format!(
+                    "addr_dep {} of uid {uid} is not an earlier uid",
+                    m.addr_dep
+                ));
+            }
+
+            // Groups: contiguous, nondecreasing runs in uid order, each
+            // fetched by one earlier terminator.
+            let count = groups.len();
+            match groups.last_mut() {
+                Some(g) if m.group as usize == count - 1 => {
+                    if m.ctrl != g.ctrl as u64 {
+                        return bad(format!("group {} has mixed ctrl uids", count - 1));
+                    }
+                    g.len += 1;
+                }
+                _ if m.group as usize == count => {
+                    if count == 0 && m.ctrl != 0 {
+                        return bad("entry group has a nonzero ctrl uid".into());
+                    }
+                    if m.ctrl > i as u64 {
+                        return bad(format!(
+                            "group {count} fetched by a later/own uid {}",
+                            m.ctrl
+                        ));
+                    }
+                    groups.push(Group {
+                        start: i as u32,
+                        len: 1,
+                        ctrl: m.ctrl as u32,
+                    });
+                }
+                _ => {
+                    return bad(format!(
+                        "group {} out of order at uid {uid} (expected {} or {count})",
+                        m.group,
+                        count.saturating_sub(1),
+                    ))
+                }
+            }
+
+            ops.push(match m.kind {
+                OpKind::Compute => {
+                    if fu != NO_FU && fu_first_uid[fu as usize] == 0 {
+                        fu_first_uid[fu as usize] = uid as u32;
+                    }
+                    max_latency = max_latency.max(m.latency);
+                    ROp::Compute {
+                        latency: m.latency,
+                        fu,
+                        fetches_a_group: false,
+                    }
+                }
+                kind => {
+                    if m.addr_dep != 0 {
+                        cons_off[m.addr_dep as usize] += 1;
+                    }
+                    ROp::Mem {
+                        addr: m.addr,
+                        size: m.size,
+                        store: kind == OpKind::Store,
+                        addr_known: m.addr_dep == 0,
+                    }
+                }
+            });
+        }
+        for g in &groups {
+            if let Some(ROp::Compute {
+                fetches_a_group, ..
+            }) = (g.ctrl as usize).checked_sub(1).map(|c| &mut ops[c])
+            {
+                *fetches_a_group = true;
             }
         }
-        for i in 1..cons_off.len() {
+
+        // Counts sit one slot above their producer's index, so the prefix
+        // sum leaves `cons_off[i]` at the start of producer `i`'s run.
+        for i in 1..=n {
             cons_off[i] += cons_off[i - 1];
         }
-        let mut cons_adj: Vec<u32> = vec![0; cons_off[n + 1] as usize];
-        let mut fill: Vec<u32> = cons_off[..=n].to_vec();
-        for op in stream.ops() {
+        let mut cons_adj = vec![0u32; cons_off[n] as usize];
+        let mut fill = cons_off.clone();
+        let mut edge = |producer_uid: u64, entry: u32| {
+            let slot = &mut fill[producer_uid as usize - 1];
+            cons_adj[*slot as usize] = entry;
+            *slot += 1;
+        };
+        for (i, &p) in pos.iter().enumerate() {
+            let op = &sops[p as usize];
             for &d in &op.deps {
-                cons_adj[fill[d as usize] as usize] = op.uid as u32;
-                fill[d as usize] += 1;
+                edge(d, i as u32);
+            }
+            if op.meta.kind != OpKind::Compute && op.meta.addr_dep != 0 {
+                edge(op.meta.addr_dep, i as u32 | ADDR_EDGE);
             }
         }
 
-        let fuidx = ops.iter().map(|o| o.fu.map_or(15u8, |k| k as u8)).collect();
         Ok(Prepared {
             ops,
             groups,
             dep_count,
             cons_off,
             cons_adj,
-            fetches_a_group,
-            stream_pos,
-            fuidx,
+            fu_first_uid,
+            max_latency,
         })
     }
 }
@@ -271,6 +412,604 @@ pub fn replay_prepared(prep: &Prepared, cfg: &ReplayConfig) -> Result<ReplayOutc
     run(prep, None, cfg)
 }
 
+// Per-op state bits.
+const COMMITTED: u8 = 1;
+const ISSUED: u8 = 1 << 1;
+/// In the reservation window (or already issued out of it).
+const IMPORTED: u8 = 1 << 2;
+/// Memory ops: the address producer has committed (or there is none).
+const ADDR_READY: u8 = 1 << 3;
+/// Memory ops: the span is visible in the ordering window.
+const PUBLISHED: u8 = 1 << 4;
+
+/// `blocker` memo value of a memory op proven ordered. Monotonic: the
+/// scanned set only shrinks and spans are write-once, so a passed check
+/// can never regress.
+const ORDER_OK: u32 = u32::MAX;
+
+// Memory lanes, indexed by `store as usize`.
+const LOAD: usize = 0;
+const STORE: usize = 1;
+
+/// The ready loads (or stores) and the resources they contend for. Memory
+/// ops never wake anything within a pass and consult only their own lane's
+/// ports and cap plus the ordering window, which no issue changes; compute
+/// ops consult none of these. So the engine's one in-order walk splits
+/// into a compute walk and one walk per lane that issue exactly the same
+/// ops — as long as every memory op older than a fetching terminator is
+/// visited before that terminator's inline import counts the room left in
+/// the reservation window.
+#[derive(Default)]
+struct MemLane {
+    /// Dependence-free, imported, unissued ops that became ready since the
+    /// lane last visited them.
+    woken: BinaryHeap<Reverse<u32>>,
+    /// Ready ops the last pass left order-, cap- or port-blocked, in uid
+    /// order; `next` is this pass's cursor into it and `waiting` collects
+    /// this pass's blocked ops.
+    carried: Vec<u32>,
+    next: usize,
+    waiting: Vec<u32>,
+    /// Ops issued this pass (the SPM ports used).
+    issued: u32,
+    /// This pass met the outstanding cap or ran out of ports: every ordered
+    /// op behind would meet the same limit and raise the same flags.
+    saturated: bool,
+    /// Accesses in flight.
+    outstanding: usize,
+    /// Ordering window: imported accesses in uid order; committed ones
+    /// leave from the front and are skipped elsewhere.
+    window: VecDeque<u32>,
+}
+
+/// Longest latency the wheel's ring covers; anything longer waits in the
+/// wheel's overflow list.
+const WHEEL_SPAN: u64 = 1023;
+
+/// Issued ops waiting for their commit cycle, bucketed by it (the shape of
+/// the engine's `CommitWheel`, DESIGN.md §5.1). The ring covers
+/// [`WHEEL_SPAN`] cycles at most; `far` holds the rare longer wait and is
+/// scanned linearly.
+struct Wheel {
+    slots: Vec<Vec<u32>>,
+    far: Vec<(u64, u32)>,
+}
+
+impl Wheel {
+    fn new(max_latency: u64) -> Self {
+        let len = (max_latency.min(WHEEL_SPAN) as usize + 1).next_power_of_two();
+        Wheel {
+            slots: vec![Vec::new(); len],
+            far: Vec::new(),
+        }
+    }
+
+    fn slot(&self, cycle: u64) -> usize {
+        (cycle & (self.slots.len() as u64 - 1)) as usize
+    }
+
+    fn push(&mut self, now: u64, at: u64, idx: u32) {
+        if at - now < self.slots.len() as u64 {
+            let s = self.slot(at);
+            self.slots[s].push(idx);
+        } else {
+            self.far.push((at, idx));
+        }
+    }
+
+    /// Swaps the ops due at `cycle` into the empty `due`.
+    fn take_due(&mut self, cycle: u64, due: &mut Vec<u32>) {
+        let s = self.slot(cycle);
+        std::mem::swap(&mut self.slots[s], due);
+        if !self.far.is_empty() {
+            self.far.retain(|&(at, idx)| {
+                if at == cycle {
+                    due.push(idx);
+                }
+                at != cycle
+            });
+        }
+    }
+
+    /// The earliest pending commit at or after `from`. Every ring entry is
+    /// due within one lap, so the first nonempty slot names its cycle.
+    fn next_event(&self, from: u64) -> Option<u64> {
+        let ring =
+            (from..from + self.slots.len() as u64).find(|&c| !self.slots[self.slot(c)].is_empty());
+        let far = self.far.iter().map(|&(at, _)| at).min();
+        match (ring, far) {
+            (Some(r), Some(f)) => Some(r.min(f)),
+            (r, f) => r.or(f),
+        }
+    }
+}
+
+/// Whether `[a, a + a_size)` and `[b, b + b_size)` overlap; an end past
+/// `u64::MAX` lies beyond every address.
+fn overlaps(a: u64, a_size: u32, b: u64, b_size: u32) -> bool {
+    let before_end =
+        |x: u64, start: u64, size: u32| start.checked_add(size as u64).map_or(true, |end| x < end);
+    before_end(b, a, a_size) && before_end(a, b, b_size)
+}
+
+/// What one issue pass saw, for the cycle's stall and attribution
+/// accounting.
+#[derive(Default)]
+struct Flags {
+    blocked_any: bool,
+    mem_limit_blocked: bool,
+    port_rejected: bool,
+}
+
+/// The event-driven list scheduler: the dynamic side of DESIGN.md §5.1
+/// driven by recorded values. A cycle costs O(ops woken + ops ready).
+struct Sched<'a> {
+    prep: &'a Prepared,
+    cfg: &'a ReplayConfig,
+    cycle: u64,
+    /// One state byte per op.
+    state: Vec<u8>,
+    /// Uncommitted data producers per op; a commit decrements its
+    /// consumers through the prepared CSR adjacency.
+    remaining: Vec<u32>,
+    /// Ordering memo per memory op: 0 = unknown, [`ORDER_OK`], or 1 + the
+    /// index of the window entry that blocked the last scan — re-checked
+    /// alone while it is still uncommitted and still conflicting.
+    blocker: Vec<u32>,
+    /// Dependence-free, imported, unissued compute ops. Everything woken
+    /// mid-pass carries a higher uid than the op that woke it, so the
+    /// min-heap walk is the engine's in-order scan.
+    ready_compute: BinaryHeap<Reverse<u32>>,
+    lanes: [MemLane; 2],
+    fu_pool: [u32; N_FU],
+    fu_busy: [u32; N_FU],
+    /// Busy-FU cycle integral per kind, charged whole at issue: a unit is
+    /// held from issue to release whether or not the cycles between are
+    /// stepped or skipped.
+    busy_sum: [u64; N_FU],
+    /// Ready ops parked on a saturated FU kind until one of its units
+    /// releases. A nonzero parked count is by construction an FU-blocked
+    /// stall.
+    fu_wait: [Vec<u32>; N_FU],
+    parked: usize,
+    /// Pipelined mode: FU kinds issued last cycle, released this cycle.
+    pipelined_release: Vec<u8>,
+    wheel: Wheel,
+    compute_inflight: usize,
+    /// Memory ops whose address resolved since the last publish phase.
+    to_publish: Vec<u32>,
+    resv_count: usize,
+    next_group: usize,
+    committed: usize,
+    /// (issue, commit) per op; empty unless the retimed stream is wanted.
+    times: Vec<(u64, u64)>,
+}
+
+impl<'a> Sched<'a> {
+    fn new(prep: &'a Prepared, cfg: &'a ReplayConfig, fu_pool: [u32; N_FU], retime: bool) -> Self {
+        let n = prep.ops.len();
+        Sched {
+            prep,
+            cfg,
+            cycle: 0,
+            state: vec![0; n],
+            remaining: prep.dep_count.clone(),
+            blocker: vec![0; n],
+            ready_compute: BinaryHeap::new(),
+            lanes: Default::default(),
+            fu_pool,
+            fu_busy: [0; N_FU],
+            busy_sum: [0; N_FU],
+            fu_wait: Default::default(),
+            parked: 0,
+            pipelined_release: Vec::new(),
+            wheel: Wheel::new(cfg.mem_latency.max(prep.max_latency as u64).max(1)),
+            compute_inflight: 0,
+            to_publish: Vec::new(),
+            resv_count: 0,
+            next_group: 0,
+            committed: 0,
+            times: if retime { vec![(0, 0); n] } else { Vec::new() },
+        }
+    }
+
+    fn wake(&mut self, idx: u32) {
+        let ready = match self.prep.ops[idx as usize] {
+            ROp::Mem { store, .. } => &mut self.lanes[store as usize].woken,
+            ROp::Compute { .. } => &mut self.ready_compute,
+        };
+        ready.push(Reverse(idx));
+    }
+
+    /// Commits one op: retires its consumers' dependence counters (waking
+    /// in-window consumers whose last producer this was) and resolves the
+    /// address of the memory ops it feeds.
+    fn commit(&mut self, idx: u32) {
+        let i = idx as usize;
+        self.state[i] |= COMMITTED;
+        self.committed += 1;
+        if let Some(t) = self.times.get_mut(i) {
+            t.1 = self.cycle;
+        }
+        let prep = self.prep;
+        for &c in &prep.cons_adj[prep.cons_off[i] as usize..prep.cons_off[i + 1] as usize] {
+            let r = (c & !ADDR_EDGE) as usize;
+            if c & ADDR_EDGE != 0 {
+                self.state[r] |= ADDR_READY;
+                if self.state[r] & IMPORTED != 0 {
+                    self.to_publish.push(r as u32);
+                }
+            } else {
+                self.remaining[r] -= 1;
+                if self.remaining[r] == 0 && self.state[r] & IMPORTED != 0 {
+                    self.wake(r as u32);
+                }
+            }
+        }
+    }
+
+    /// Phases 1–2: memory completions, compute commits and FU releases
+    /// (one cycle after issue when pipelined, at commit otherwise); ops
+    /// parked on a kind that released a unit become ready again.
+    fn retire_due(&mut self, due: &mut Vec<u32>) {
+        let mut freed: u16 = 0;
+        for fu in self.pipelined_release.drain(..) {
+            self.fu_busy[fu as usize] -= 1;
+            freed |= 1 << fu;
+        }
+        self.wheel.take_due(self.cycle, due);
+        for &idx in due.iter() {
+            match self.prep.ops[idx as usize] {
+                ROp::Compute { fu, .. } => {
+                    if fu != NO_FU && !self.cfg.pipelined_fus {
+                        self.fu_busy[fu as usize] -= 1;
+                        freed |= 1 << fu;
+                    }
+                    self.compute_inflight -= 1;
+                }
+                ROp::Mem { store, .. } => self.lanes[store as usize].outstanding -= 1,
+            }
+            self.commit(idx);
+        }
+        due.clear();
+        for lane in &mut self.lanes {
+            while lane
+                .window
+                .front()
+                .is_some_and(|&f| self.state[f as usize] & COMMITTED != 0)
+            {
+                lane.window.pop_front();
+            }
+        }
+        while freed != 0 {
+            let fu = freed.trailing_zeros() as usize;
+            freed &= freed - 1;
+            self.parked -= self.fu_wait[fu].len();
+            self.ready_compute
+                .extend(self.fu_wait[fu].drain(..).map(Reverse));
+        }
+    }
+
+    /// Imports groups while the window has room (a group larger than the
+    /// whole window is admitted into an empty one), in group order, gated
+    /// on the fetching terminator having issued.
+    fn import(&mut self) -> bool {
+        let prep = self.prep;
+        let mut any = false;
+        while let Some(g) = prep.groups.get(self.next_group) {
+            if g.ctrl != 0 && self.state[g.ctrl as usize - 1] & ISSUED == 0 {
+                break;
+            }
+            let room = self.cfg.reservation_entries.saturating_sub(self.resv_count);
+            if g.len as usize > room && self.resv_count > 0 {
+                break;
+            }
+            for idx in g.start..g.start + g.len {
+                let i = idx as usize;
+                if let ROp::Mem {
+                    store, addr_known, ..
+                } = prep.ops[i]
+                {
+                    self.lanes[store as usize].window.push_back(idx);
+                    if addr_known || self.state[i] & ADDR_READY != 0 {
+                        self.state[i] |= ADDR_READY;
+                        self.to_publish.push(idx);
+                    }
+                }
+                self.state[i] |= IMPORTED;
+                if self.remaining[i] == 0 {
+                    self.wake(idx);
+                }
+            }
+            self.resv_count += g.len as usize;
+            self.next_group += 1;
+            any = true;
+        }
+        any
+    }
+
+    /// Phase 4a: spans become visible in the ordering window at the first
+    /// top-of-cycle after their address resolved — only for ops still
+    /// waiting in the reservation window, exactly like the engine. An op
+    /// that issued in the cycle its address resolved never publishes: it
+    /// orders younger conflicting accesses as "unknown address" until it
+    /// commits.
+    fn publish(&mut self) {
+        for idx in self.to_publish.drain(..) {
+            let s = &mut self.state[idx as usize];
+            if *s & ISSUED == 0 {
+                *s |= PUBLISHED;
+            }
+        }
+    }
+
+    /// Phase 4b: every ready compute op either issues or parks on its
+    /// saturated FU kind; the memory lanes follow, except that a fetching
+    /// terminator lets the older memory ops go first. Returns the ops
+    /// issued; sets `imported` when a terminator's issue pulled in the
+    /// next block.
+    fn issue_ready(&mut self, flags: &mut Flags, imported: &mut bool) -> u64 {
+        let mut issued = 0;
+        while let Some(Reverse(idx)) = self.ready_compute.pop() {
+            let i = idx as usize;
+            let ROp::Compute {
+                latency,
+                fu,
+                fetches_a_group,
+            } = self.prep.ops[i]
+            else {
+                unreachable!("wake files memory ops under their lanes");
+            };
+            // A saturated kind parks the op until one of its units
+            // releases — nothing else can unblock it.
+            if fu != NO_FU && self.fu_busy[fu as usize] >= self.fu_pool[fu as usize] {
+                self.fu_wait[fu as usize].push(idx);
+                self.parked += 1;
+                continue;
+            }
+            self.state[i] |= ISSUED;
+            self.resv_count -= 1;
+            issued += 1;
+            if let Some(t) = self.times.get_mut(i) {
+                t.0 = self.cycle;
+            }
+            // A terminator's issue unlocks the next group's import, inline,
+            // so the new block can begin issuing this same cycle. Only
+            // terminators re-check the fetch gate — room freed by ordinary
+            // issues is picked up at the next top-of-cycle import, exactly
+            // like the engine.
+            if fetches_a_group {
+                self.issue_mem(LOAD, idx, flags);
+                self.issue_mem(STORE, idx, flags);
+                *imported |= self.import();
+            }
+            if latency == 0 {
+                // Chained op: commits within the issue cycle; a chained FU
+                // op holds its unit for this one cycle.
+                if fu != NO_FU {
+                    self.busy_sum[fu as usize] += 1;
+                }
+                self.commit(idx);
+                continue;
+            }
+            if fu != NO_FU {
+                self.fu_busy[fu as usize] += 1;
+                if self.cfg.pipelined_fus {
+                    self.pipelined_release.push(fu);
+                    self.busy_sum[fu as usize] += 1;
+                } else {
+                    self.busy_sum[fu as usize] += latency as u64;
+                }
+            }
+            self.compute_inflight += 1;
+            self.wheel
+                .push(self.cycle, self.cycle + latency as u64, idx);
+        }
+        for l in [LOAD, STORE] {
+            self.issue_mem(l, u32::MAX, flags);
+            let lane = &mut self.lanes[l];
+            issued += lane.issued as u64;
+            lane.waiting.extend_from_slice(&lane.carried[lane.next..]);
+            std::mem::swap(&mut lane.carried, &mut lane.waiting);
+            lane.waiting.clear();
+            (lane.next, lane.issued, lane.saturated) = (0, 0, false);
+        }
+        issued
+    }
+
+    /// Memory ordering against every older conflicting (or unpublished)
+    /// access in the window: store↔load, load↔store, store↔store. The
+    /// memoised blocker is re-checked first — while it is still in the
+    /// window and still conflicts, a scan would fail at or before it.
+    fn order_ok(&mut self, idx: u32, addr: u64, size: u32, store: bool) -> bool {
+        let conflicts = |older: u32| -> bool {
+            let s = self.state[older as usize];
+            if s & COMMITTED != 0 {
+                return false; // left the window
+            }
+            match self.prep.ops[older as usize] {
+                ROp::Mem {
+                    addr: a, size: sz, ..
+                } if s & PUBLISHED != 0 => overlaps(a, sz, addr, size),
+                _ => true, // older access with unknown address
+            }
+        };
+        let b = self.blocker[idx as usize];
+        if b == ORDER_OK {
+            return true;
+        }
+        if b != 0 && conflicts(b - 1) {
+            return false;
+        }
+        let first_conflict = |window: &VecDeque<u32>| {
+            window
+                .iter()
+                .take_while(|&&older| older < idx)
+                .find(|&&older| conflicts(older))
+                .copied()
+        };
+        let hit = first_conflict(&self.lanes[STORE].window).or_else(|| {
+            store
+                .then(|| first_conflict(&self.lanes[LOAD].window))
+                .flatten()
+        });
+        self.blocker[idx as usize] = hit.map_or(ORDER_OK, |h| h + 1);
+        hit.is_none()
+    }
+
+    /// One memory lane's ready accesses older than `below`, in uid order,
+    /// against the ordering window, the outstanding cap and the lane's SPM
+    /// ports.
+    fn issue_mem(&mut self, l: usize, below: u32, flags: &mut Flags) {
+        let (cap, ports) = if l == STORE {
+            (self.cfg.max_outstanding_writes, self.cfg.spm_write_ports)
+        } else {
+            (self.cfg.max_outstanding_reads, self.cfg.spm_read_ports)
+        };
+        while !self.lanes[l].saturated {
+            let lane = &self.lanes[l];
+            let woken = lane.woken.peek().map(|&Reverse(w)| w);
+            let idx = match (lane.carried.get(lane.next).copied(), woken) {
+                (Some(c), Some(w)) if w < c => w,
+                (Some(c), _) => c,
+                (None, Some(w)) => w,
+                (None, None) => break,
+            };
+            if idx >= below {
+                break;
+            }
+            let i = idx as usize;
+            let ROp::Mem {
+                addr, size, store, ..
+            } = self.prep.ops[i]
+            else {
+                unreachable!("wake files compute ops under ready_compute");
+            };
+            let ordered = self.state[i] & ADDR_READY != 0 && self.order_ok(idx, addr, size, store);
+            let lane = &mut self.lanes[l];
+            if ordered && (lane.outstanding >= cap || lane.issued == ports) {
+                flags.blocked_any = true;
+                flags.mem_limit_blocked = true;
+                flags.port_rejected |= lane.outstanding < cap;
+                lane.saturated = true;
+                break;
+            }
+            if woken == Some(idx) {
+                lane.woken.pop();
+            } else {
+                lane.next += 1;
+            }
+            if !ordered {
+                flags.blocked_any = true;
+                lane.waiting.push(idx);
+                continue;
+            }
+            lane.outstanding += 1;
+            lane.issued += 1;
+            self.state[i] |= ISSUED;
+            self.resv_count -= 1;
+            if let Some(t) = self.times.get_mut(i) {
+                t.0 = self.cycle;
+            }
+            let at = self.cycle.saturating_add(self.cfg.mem_latency.max(1));
+            self.wheel.push(self.cycle, at, idx);
+        }
+    }
+
+    /// Runs the schedule to the drain point.
+    fn run(&mut self) -> Result<ReplayOutcome, ReplayError> {
+        let mut class_cycles = [0u64; CycleClass::ALL.len()];
+        let mut stall_cycles = 0u64;
+        let mut new_exec_cycles = 0u64;
+        let mut port_reject_cycles = 0u64;
+        let mut due = Vec::new();
+        loop {
+            if self.cycle > self.cfg.max_cycles {
+                return Err(ReplayError::CycleLimit {
+                    limit: self.cfg.max_cycles,
+                });
+            }
+            self.retire_due(&mut due);
+            let mut imported = self.import();
+            self.publish();
+            let mut flags = Flags::default();
+            let issued = self.issue_ready(&mut flags, &mut imported);
+
+            // Cycle bookkeeping: attribution by the engine's exact priority.
+            let fu_blocked = self.parked > 0;
+            let blocked_any = flags.blocked_any || fu_blocked;
+            let mem_inflight = self.lanes[LOAD].outstanding + self.lanes[STORE].outstanding;
+            let class = if issued > 0 {
+                CycleClass::Compute
+            } else if fu_blocked {
+                CycleClass::FuLimit
+            } else if flags.mem_limit_blocked {
+                CycleClass::MemPort
+            } else if mem_inflight > 0 {
+                CycleClass::DmaWait
+            } else if self.resv_count > 0 || self.compute_inflight > 0 {
+                CycleClass::DepStall
+            } else {
+                CycleClass::Control
+            };
+            class_cycles[class as usize] += 1;
+            if blocked_any {
+                stall_cycles += 1;
+            } else if issued > 0 {
+                new_exec_cycles += 1;
+            }
+            port_reject_cycles += flags.port_rejected as u64;
+
+            self.cycle += 1;
+            if self.next_group == self.prep.groups.len()
+                && self.resv_count == 0
+                && self.compute_inflight == 0
+                && mem_inflight == 0
+            {
+                break;
+            }
+
+            // Fast-forward: with nothing issued and nothing imported this
+            // cycle, the whole scheduler state is frozen until the next
+            // commit — every intervening cycle charges the same class, so
+            // jump there in one step.
+            if issued == 0 && !imported {
+                let Some(event) = self.wheel.next_event(self.cycle) else {
+                    return Err(ReplayError::Deadlock {
+                        cycle: self.cycle,
+                        committed: self.committed,
+                        total: self.prep.ops.len(),
+                    });
+                };
+                let gap = event - self.cycle;
+                class_cycles[class as usize] += gap;
+                if blocked_any {
+                    stall_cycles += gap;
+                }
+                self.cycle = event;
+            }
+        }
+
+        let mut attribution = Attribution::default();
+        for class in CycleClass::ALL {
+            attribution.add(class, class_cycles[class as usize]);
+        }
+        Ok(ReplayOutcome {
+            cycles: self.cycle,
+            attribution,
+            fu_busy_cycle_sum: FuKind::ALL
+                .into_iter()
+                .map(|k| (k, self.busy_sum[k as usize]))
+                .filter(|&(_, busy)| busy > 0)
+                .collect(),
+            stall_cycles,
+            new_exec_cycles,
+            port_reject_cycles,
+            retimed: None,
+        })
+    }
+}
+
 fn run(
     prep: &Prepared,
     retime_src: Option<&DepStream>,
@@ -286,586 +1025,48 @@ fn run(
             "zero-sized resource in config".into(),
         ));
     }
-    let ops = &prep.ops;
-    let groups = &prep.groups;
-    let (cons_off, cons_adj) = (&prep.cons_off, &prep.cons_adj);
-    let fetches_a_group = &prep.fetches_a_group;
-    let n = ops.len();
-
-    // uid → op index (uids are dense from 1, so a vector suffices).
-    let at = |uid: u64| -> usize { (uid - 1) as usize };
-
-    let mut committed = vec![false; n];
-    let mut issued = vec![false; n];
-    // Reservation-window occupancy. Issue candidates live in `ready`
-    // (imported, all deps committed, not yet issued), kept sorted by uid
-    // so the pass visits them in the engine's in-order sequence without
-    // touching dep-blocked entries at all.
-    let mut resv_count = 0usize;
-    let mut in_resv = vec![false; n];
-    let mut ready: Vec<usize> = Vec::new();
-    // Dependence bookkeeping in O(edges) total: each op counts its
-    // uncommitted producers; a commit decrements every consumer's counter
-    // through the prepared CSR adjacency (instead of re-scanning dep
-    // lists every cycle).
-    let mut remaining: Vec<u32> = prep.dep_count.clone();
-    // (op index, commit cycle, fu release cycle, fu already released)
-    let mut compute_q: Vec<(usize, u64, u64, bool)> = Vec::new();
-    // (op index, commit cycle)
-    let mut mem_inflight: Vec<(usize, u64)> = Vec::new();
-    // Memory ordering window, decomposed for cheap scans: the uid list
-    // stays sorted (groups import in uid order), spans/presence are
-    // indexed by op, and each waiting mem op caches the uid that blocked
-    // it last — re-checking one entry instead of re-scanning the window
-    // while nothing relevant has changed.
-    let mut win_uids: Vec<u64> = Vec::new();
-    let mut in_win = vec![false; n];
-    let mut win_span: Vec<Option<(u64, u32)>> = vec![None; n];
-    // Ordering-check memo per mem op: 0 = unknown, `u64::MAX` = proven
-    // ordered (monotonic — the scanned set only shrinks and spans are
-    // write-once, so a pass can never regress), anything else = the uid
-    // that blocked the last scan.
-    const ORDER_OK: u64 = u64::MAX;
-    let mut blocker = vec![0u64; n];
-    // Mem ops in the reservation window whose span is not yet published.
-    let mut unpublished: Vec<usize> = Vec::new();
-    // FU bookkeeping on flat arrays (FuKind has 15 unit variants);
-    // index 15 is the "no FU" sentinel.
-    let fuidx = &prep.fuidx;
-    let mut fu_pool = [0u32; 15];
+    let mut fu_pool = [0u32; N_FU];
     for (&k, &v) in &cfg.fu_pool {
         fu_pool[k as usize] = v;
     }
     // An FU-classed op with a zero pool could never issue; refuse up
     // front instead of deadlocking mid-replay.
-    for (i, &f) in fuidx.iter().enumerate() {
-        if f < 15 && fu_pool[f as usize] == 0 {
+    for k in FuKind::ALL {
+        let uid = prep.fu_first_uid[k as usize];
+        if uid != 0 && fu_pool[k as usize] == 0 {
             return Err(ReplayError::BadStream(format!(
-                "op uid {} needs FU kind {} but the config allocates none",
-                ops[i].uid,
-                FuKind::ALL[f as usize].name()
+                "op uid {uid} needs FU kind {} but the config allocates none",
+                k.name()
             )));
         }
     }
-    let mut fu_busy = [0u32; 15];
-    let mut busy_sum = [0u64; 15];
-    // Ready ops whose FU is saturated are parked per kind instead of
-    // being revisited every cycle: saturation can only end when a unit of
-    // that kind releases, so the queue merges back into `ready` exactly
-    // then. A nonzero parked count is by construction an FU-blocked
-    // stall, so the per-cycle flags are unchanged.
-    let mut fu_wait: [Vec<usize>; 15] = Default::default();
-    let mut parked = 0usize;
-    let mut outstanding_reads = 0usize;
-    let mut outstanding_writes = 0usize;
-    let mut next_group = 0usize;
-
-    let mut cycle = 0u64;
-    let mut attribution = Attribution::default();
-    let mut stall_cycles = 0u64;
-    let mut new_exec_cycles = 0u64;
-    let mut port_reject_cycles = 0u64;
-    let mut committed_count = 0usize;
-    // (issue, commit) per op, for the retimed stream.
-    let mut times: Vec<(u64, u64)> = vec![(0, 0); n];
-
-    // Inserts an op into the ready list at its uid position. Newly ready
-    // ops always carry a higher uid than the op whose commit or import
-    // unblocked them, so mid-pass insertions land ahead of the cursor and
-    // are visited in this same pass — exactly the old full-scan order.
-    macro_rules! mark_ready {
-        ($idx:expr) => {{
-            let i_ = $idx;
-            let pos = ready.partition_point(|&r| ops[r].uid < ops[i_].uid);
-            ready.insert(pos, i_);
-        }};
-    }
-
-    // Commits one op: marks it, retires its consumers' dependence
-    // counters (promoting in-window consumers whose last producer this
-    // was), and stamps the retimed commit cycle.
-    macro_rules! commit_op {
-        ($idx:expr) => {{
-            let idx_ = $idx;
-            committed[idx_] = true;
-            committed_count += 1;
-            times[idx_].1 = cycle;
-            let u_ = ops[idx_].uid as usize;
-            for &c in &cons_adj[cons_off[u_] as usize..cons_off[u_ + 1] as usize] {
-                let r_ = (c - 1) as usize;
-                remaining[r_] -= 1;
-                if remaining[r_] == 0 && in_resv[r_] {
-                    mark_ready!(r_);
-                }
-            }
-        }};
-    }
-
-    // Import groups while the window has room (a group larger than the
-    // whole window is admitted into an empty one), in group order, gated
-    // on the fetching terminator having issued.
-    macro_rules! import_ready {
-        () => {{
-            let mut any = false;
-            while next_group < groups.len() {
-                let g = &groups[next_group];
-                if g.ctrl != 0 && !issued[at(g.ctrl)] {
-                    break;
-                }
-                let used = resv_count.min(cfg.reservation_entries);
-                let room = cfg.reservation_entries - used;
-                if g.len > room && resv_count > 0 {
-                    break;
-                }
-                for i in g.start..g.start + g.len {
-                    if ops[i].kind != OpKind::Compute {
-                        // Groups import in uid order, so the sorted uid
-                        // list stays sorted by appending.
-                        win_uids.push(ops[i].uid);
-                        in_win[i] = true;
-                        unpublished.push(i);
-                    }
-                    in_resv[i] = true;
-                    if remaining[i] == 0 {
-                        mark_ready!(i);
-                    }
-                }
-                resv_count += g.len;
-                next_group += 1;
-                any = true;
-            }
-            any
-        }};
-    }
-
-    let producer_ready = |uid: u64, committed: &[bool]| uid == 0 || committed[at(uid)];
-
-    loop {
-        if cycle > cfg.max_cycles {
-            return Err(ReplayError::CycleLimit {
-                limit: cfg.max_cycles,
-            });
-        }
-
-        // 1. Memory completions commit first.
-        let mut i = 0;
-        while i < mem_inflight.len() {
-            let (idx, commit_at) = mem_inflight[i];
-            if commit_at <= cycle {
-                mem_inflight.swap_remove(i);
-                commit_op!(idx);
-                if let Ok(p) = win_uids.binary_search(&ops[idx].uid) {
-                    win_uids.remove(p);
-                }
-                in_win[idx] = false;
-                if ops[idx].kind == OpKind::Store {
-                    outstanding_writes -= 1;
-                } else {
-                    outstanding_reads -= 1;
-                }
-            } else {
-                i += 1;
-            }
-        }
-
-        // 2. Compute commits; FUs release at their release cycle (one
-        //    cycle after issue when pipelined, at commit otherwise).
-        let mut q = 0;
-        let mut freed: u16 = 0;
-        while q < compute_q.len() {
-            let (idx, commit_at, fu_release_at, released) = compute_q[q];
-            if fu_release_at <= cycle && !released {
-                let f = fuidx[idx] as usize;
-                if f < 15 {
-                    fu_busy[f] -= 1;
-                    freed |= 1 << f;
-                }
-                compute_q[q].3 = true;
-            }
-            if commit_at <= cycle {
-                commit_op!(idx);
-                compute_q.swap_remove(q);
-            } else {
-                q += 1;
-            }
-        }
-        // Unpark every op whose FU kind released at least one unit.
-        while freed != 0 {
-            let f = freed.trailing_zeros() as usize;
-            freed &= freed - 1;
-            parked -= fu_wait[f].len();
-            while let Some(i) = fu_wait[f].pop() {
-                mark_ready!(i);
-            }
-        }
-
-        // 3. Top-of-cycle block import.
-        let mut imported = import_ready!();
-
-        // 4a. Publish memory spans to the ordering window once the
-        //     address producer has committed — only for ops still waiting
-        //     in the reservation window, exactly like the engine. Issued
-        //     ops leave the list without publishing (their window entry
-        //     stays unresolved until the access commits).
-        let mut u = 0;
-        while u < unpublished.len() {
-            let idx = unpublished[u];
-            if issued[idx] {
-                unpublished.swap_remove(u);
-                continue;
-            }
-            if producer_ready(ops[idx].addr_dep, &committed) {
-                win_span[idx] = Some((ops[idx].addr, ops[idx].size));
-                unpublished.swap_remove(u);
-                continue;
-            }
-            u += 1;
-        }
-
-        // 4b. In-order issue pass with the engine's resource checks.
-        let mut issued_this_cycle = 0u64;
-        let mut blocked_any = false;
-        let mut fu_blocked = false;
-        let mut mem_limit_blocked = false;
-        let mut port_rejected = false;
-        let mut read_budget = cfg.spm_read_ports;
-        let mut write_budget = cfg.spm_write_ports;
-        let mut idx_pos = 0usize;
-        while idx_pos < ready.len() {
-            let idx = ready[idx_pos];
-            debug_assert_eq!(remaining[idx], 0);
-            // FU pool availability. A saturated kind parks the op until
-            // one of its units releases — nothing else can unblock it.
-            let f = fuidx[idx] as usize;
-            if f < 15 && fu_busy[f] >= fu_pool[f] {
-                ready.remove(idx_pos);
-                fu_wait[f].push(idx);
-                parked += 1;
-                blocked_any = true;
-                fu_blocked = true;
-                continue;
-            }
-            if ops[idx].kind != OpKind::Compute {
-                let o = &ops[idx];
-                let is_store = o.kind == OpKind::Store;
-                // Address resolvable + memory ordering against every older
-                // conflicting (or unresolved) access in the window. The
-                // cached blocker is re-checked first: while it is still in
-                // the window and still conflicts, the full scan would fail
-                // at or before it, so the op stays blocked in O(1).
-                let conflicts = |r: usize| -> bool {
-                    if !(ops[r].kind == OpKind::Store || is_store) {
-                        return false;
-                    }
-                    match win_span[r] {
-                        None => true,
-                        Some((a, s)) => o.addr < a + s as u64 && a < o.addr + o.size as u64,
-                    }
-                };
-                let order_ok = producer_ready(o.addr_dep, &committed)
-                    && (blocker[idx] == ORDER_OK || {
-                        let b = blocker[idx];
-                        if b != 0 && in_win[at(b)] && conflicts(at(b)) {
-                            false
-                        } else {
-                            let mut hit = 0u64;
-                            for &uid in &win_uids {
-                                if uid >= o.uid {
-                                    break;
-                                }
-                                if conflicts(at(uid)) {
-                                    hit = uid;
-                                    break;
-                                }
-                            }
-                            blocker[idx] = if hit == 0 { ORDER_OK } else { hit };
-                            hit == 0
-                        }
-                    });
-                if !order_ok {
-                    blocked_any = true;
-                    idx_pos += 1;
-                    continue;
-                }
-                let limit_ok = if is_store {
-                    outstanding_writes < cfg.max_outstanding_writes
-                } else {
-                    outstanding_reads < cfg.max_outstanding_reads
-                };
-                if !limit_ok {
-                    blocked_any = true;
-                    mem_limit_blocked = true;
-                    idx_pos += 1;
-                    continue;
-                }
-                let budget = if is_store {
-                    &mut write_budget
-                } else {
-                    &mut read_budget
-                };
-                if *budget == 0 {
-                    // SPM port reject.
-                    blocked_any = true;
-                    mem_limit_blocked = true;
-                    port_rejected = true;
-                    idx_pos += 1;
-                    continue;
-                }
-                *budget -= 1;
-                ready.remove(idx_pos);
-                in_resv[idx] = false;
-                resv_count -= 1;
-                issued[idx] = true;
-                times[idx].0 = cycle;
-                if is_store {
-                    outstanding_writes += 1;
-                } else {
-                    outstanding_reads += 1;
-                }
-                mem_inflight.push((idx, cycle + cfg.mem_latency.max(1)));
-                issued_this_cycle += 1;
-                continue;
-            }
-
-            // Compute / control issue.
-            ready.remove(idx_pos);
-            in_resv[idx] = false;
-            resv_count -= 1;
-            issued[idx] = true;
-            times[idx].0 = cycle;
-            issued_this_cycle += 1;
-            // A terminator's issue unlocks the next group's import, inline,
-            // so the new block can begin issuing this same cycle. Only
-            // terminators re-check the fetch gate — room freed by ordinary
-            // issues is picked up at the next top-of-cycle import, exactly
-            // like the engine.
-            if fetches_a_group[idx] && import_ready!() {
-                imported = true;
-            }
-            if ops[idx].latency == 0 {
-                // Chained op: commits within the issue cycle; a chained FU
-                // op holds its unit for this one cycle.
-                if fuidx[idx] < 15 {
-                    busy_sum[fuidx[idx] as usize] += 1;
-                }
-                commit_op!(idx);
-            } else {
-                if fuidx[idx] < 15 {
-                    fu_busy[fuidx[idx] as usize] += 1;
-                }
-                let commit_at = cycle + ops[idx].latency;
-                let fu_release_at = if cfg.pipelined_fus {
-                    cycle + 1
-                } else {
-                    commit_at
-                };
-                compute_q.push((idx, commit_at, fu_release_at, false));
-            }
-        }
-
-        // Parked ops are ready ops blocked on a saturated FU — exactly
-        // what the per-visit flags used to record.
-        if parked > 0 {
-            blocked_any = true;
-            fu_blocked = true;
-        }
-
-        // 5. Cycle bookkeeping: attribution by the engine's exact priority.
-        let cycle_class = if issued_this_cycle > 0 {
-            CycleClass::Compute
-        } else if fu_blocked {
-            CycleClass::FuLimit
-        } else if port_rejected || mem_limit_blocked {
-            CycleClass::MemPort
-        } else if !mem_inflight.is_empty() {
-            CycleClass::DmaWait
-        } else if resv_count > 0 || !compute_q.is_empty() {
-            CycleClass::DepStall
-        } else {
-            CycleClass::Control
-        };
-        attribution.charge(cycle_class);
-        for (sum, &busy) in busy_sum.iter_mut().zip(&fu_busy) {
-            *sum += busy as u64;
-        }
-        if blocked_any {
-            stall_cycles += 1;
-        } else if issued_this_cycle > 0 {
-            new_exec_cycles += 1;
-        }
-        if port_rejected {
-            port_reject_cycles += 1;
-        }
-
-        cycle += 1;
-        let drained = next_group == groups.len()
-            && resv_count == 0
-            && compute_q.is_empty()
-            && mem_inflight.is_empty();
-        if drained {
-            break;
-        }
-
-        // Fast-forward: with nothing issued and nothing imported this
-        // cycle, the whole scheduler state is frozen until the next commit
-        // or FU-release event — every intervening cycle charges the same
-        // class and the same busy integral, so jump there in one step.
-        if issued_this_cycle == 0 && !imported {
-            let next_event = compute_q
-                .iter()
-                .flat_map(|&(_, c, r, released)| {
-                    [Some(c), (!released).then_some(r)].into_iter().flatten()
-                })
-                .chain(mem_inflight.iter().map(|&(_, c)| c))
-                .min();
-            match next_event {
-                Some(e) if e > cycle => {
-                    let gap = e - cycle;
-                    attribution.add(cycle_class, gap);
-                    for (sum, &busy) in busy_sum.iter_mut().zip(&fu_busy) {
-                        *sum += busy as u64 * gap;
-                    }
-                    if blocked_any {
-                        stall_cycles += gap;
-                    }
-                    cycle = e;
-                }
-                Some(_) => {}
-                None => {
-                    return Err(ReplayError::Deadlock {
-                        cycle,
-                        committed: committed_count,
-                        total: n,
-                    })
-                }
-            }
-        }
-    }
+    let retime_src = retime_src.filter(|_| cfg.want_retimed);
+    let mut sched = Sched::new(prep, cfg, fu_pool, retime_src.is_some());
+    let mut outcome = sched.run()?;
 
     // Retimed stream: identical ops/deps/metadata, replayed issue/commit,
     // appended in commit order (uid-stable within a cycle) so critical-path
     // analysis works on replayed points just like on simulated ones.
-    let retimed = retime_src.filter(|_| cfg.want_retimed).map(|stream| {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (times[i].1, ops[i].uid));
+    outcome.retimed = retime_src.map(|stream| {
+        let times = &sched.times;
+        let mut by_uid: Vec<&salam_obs::DepOp> = stream.ops().iter().collect();
+        by_uid.sort_unstable_by_key(|op| (times[(op.uid - 1) as usize].1, op.uid));
         let mut retimed = DepStream::new();
-        for i in order {
-            let src = &stream.ops()[prep.stream_pos[i]];
+        for src in by_uid {
+            let (issue, commit) = times[(src.uid - 1) as usize];
             retimed.record_meta(
                 src.uid,
                 stream.name(src.name),
                 stream.class(src.class),
-                times[i].0,
-                times[i].1,
+                issue,
+                commit,
                 src.deps.clone(),
                 src.meta,
             );
         }
         retimed
     });
-
-    let mut fu_busy_cycle_sum: HashMap<FuKind, u64> = HashMap::new();
-    for k in FuKind::ALL {
-        if busy_sum[k as usize] > 0 {
-            fu_busy_cycle_sum.insert(k, busy_sum[k as usize]);
-        }
-    }
-
-    Ok(ReplayOutcome {
-        cycles: cycle,
-        attribution,
-        fu_busy_cycle_sum,
-        stall_cycles,
-        new_exec_cycles,
-        port_reject_cycles,
-        retimed,
-    })
-}
-
-/// Validates the stream and resolves it into uid-ordered ops + groups.
-fn prepare(stream: &DepStream) -> Result<(Vec<ROp>, Vec<Group>), ReplayError> {
-    let bad = |m: String| Err(ReplayError::BadStream(m));
-    if stream.is_empty() {
-        return bad("empty stream".into());
-    }
-    let n = stream.len();
-    let mut ops: Vec<Option<ROp>> = Vec::new();
-    ops.resize_with(n, || None);
-    for op in stream.ops() {
-        if op.uid == 0 || op.uid > n as u64 {
-            return bad(format!("uid {} outside dense range 1..={n}", op.uid));
-        }
-        let slot = (op.uid - 1) as usize;
-        if ops[slot].is_some() {
-            return bad(format!("duplicate uid {}", op.uid));
-        }
-        let class = stream.class(op.class);
-        let fu = FuKind::from_name(class);
-        // Memory ops carry their kind in the metadata; a stream recorded
-        // without metadata (legacy `record`) would classify them as
-        // Compute — catch that here instead of mis-replaying.
-        if (class == "load" || class == "store") && op.meta.kind == OpKind::Compute {
-            return bad("stream lacks replay metadata (recorded without record_meta?)".into());
-        }
-        for &d in &op.deps {
-            if d == 0 || d > n as u64 {
-                return bad(format!("dep {d} of uid {} outside dense range", op.uid));
-            }
-        }
-        ops[slot] = Some(ROp {
-            uid: op.uid,
-            kind: op.meta.kind,
-            fu,
-            latency: op.meta.latency as u64,
-            group: op.meta.group,
-            ctrl: op.meta.ctrl,
-            addr_dep: op.meta.addr_dep,
-            addr: op.meta.addr,
-            size: op.meta.size,
-        });
-    }
-    let ops: Vec<ROp> = ops
-        .into_iter()
-        .enumerate()
-        .map(|(i, o)| o.ok_or_else(|| ReplayError::BadStream(format!("missing uid {}", i + 1))))
-        .collect::<Result<_, _>>()?;
-
-    // Groups: contiguous, nondecreasing runs in uid order.
-    let mut groups: Vec<Group> = Vec::new();
-    for (i, o) in ops.iter().enumerate() {
-        let count = groups.len();
-        if !groups.is_empty() && o.group as usize == count - 1 {
-            groups.last_mut().expect("nonempty").len += 1;
-        } else if o.group as usize == count {
-            groups.push(Group {
-                start: i,
-                len: 1,
-                ctrl: 0,
-            });
-        } else {
-            return bad(format!(
-                "group {} out of order at uid {} (expected {} or {})",
-                o.group,
-                o.uid,
-                count.saturating_sub(1),
-                count
-            ));
-        }
-    }
-    for (gi, g) in groups.iter_mut().enumerate() {
-        let ctrl = ops[g.start].ctrl;
-        if ops[g.start..g.start + g.len].iter().any(|o| o.ctrl != ctrl) {
-            return bad(format!("group {gi} has mixed ctrl uids"));
-        }
-        if gi == 0 && ctrl != 0 {
-            return bad("entry group has a nonzero ctrl uid".into());
-        }
-        if ctrl as usize > g.start {
-            return bad(format!("group {gi} fetched by a later/own uid {ctrl}"));
-        }
-        g.ctrl = ctrl;
-    }
-    Ok((ops, groups))
+    Ok(outcome)
 }
 
 #[cfg(test)]
