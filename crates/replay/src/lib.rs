@@ -27,8 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use hw_profile::FuKind;
@@ -415,12 +414,10 @@ pub fn replay_prepared(prep: &Prepared, cfg: &ReplayConfig) -> Result<ReplayOutc
 // Per-op state bits.
 const COMMITTED: u8 = 1;
 const ISSUED: u8 = 1 << 1;
-/// In the reservation window (or already issued out of it).
-const IMPORTED: u8 = 1 << 2;
 /// Memory ops: the address producer has committed (or there is none).
-const ADDR_READY: u8 = 1 << 3;
+const ADDR_READY: u8 = 1 << 2;
 /// Memory ops: the span is visible in the ordering window.
-const PUBLISHED: u8 = 1 << 4;
+const PUBLISHED: u8 = 1 << 3;
 
 /// `blocker` memo value of a memory op proven ordered. Monotonic: the
 /// scanned set only shrinks and spans are write-once, so a passed check
@@ -431,35 +428,35 @@ const ORDER_OK: u32 = u32::MAX;
 const LOAD: usize = 0;
 const STORE: usize = 1;
 
-/// The ready loads (or stores) and the resources they contend for. Memory
-/// ops never wake anything within a pass and consult only their own lane's
-/// ports and cap plus the ordering window, which no issue changes; compute
-/// ops consult none of these. So the engine's one in-order walk splits
-/// into a compute walk and one walk per lane that issue exactly the same
-/// ops — as long as every memory op older than a fetching terminator is
-/// visited before that terminator's inline import counts the room left in
-/// the reservation window.
-#[derive(Default)]
+/// What the loads (or the stores) contend for.
 struct MemLane {
-    /// Dependence-free, imported, unissued ops that became ready since the
-    /// lane last visited them.
-    woken: BinaryHeap<Reverse<u32>>,
-    /// Ready ops the last pass left order-, cap- or port-blocked, in uid
-    /// order; `next` is this pass's cursor into it and `waiting` collects
-    /// this pass's blocked ops.
-    carried: Vec<u32>,
-    next: usize,
-    waiting: Vec<u32>,
-    /// Ops issued this pass (the SPM ports used).
-    issued: u32,
-    /// This pass met the outstanding cap or ran out of ports: every ordered
-    /// op behind would meet the same limit and raise the same flags.
-    saturated: bool,
+    /// Outstanding-access cap and SPM ports per cycle.
+    cap: usize,
+    ports: u32,
     /// Accesses in flight.
     outstanding: usize,
+    /// Ops issued this pass (the ports used).
+    issued: u32,
+    /// This pass met the cap or ran out of ports: every ordered op behind
+    /// would meet the same limit and raise the same flags, so the rest of
+    /// the lane is skipped unvisited.
+    saturated: bool,
     /// Ordering window: imported accesses in uid order; committed ones
     /// leave from the front and are skipped elsewhere.
     window: VecDeque<u32>,
+}
+
+impl MemLane {
+    fn new(cap: usize, ports: u32) -> Self {
+        MemLane {
+            cap,
+            ports,
+            outstanding: 0,
+            issued: 0,
+            saturated: false,
+            window: VecDeque::new(),
+        }
+    }
 }
 
 /// Longest latency the wheel's ring covers; anything longer waits in the
@@ -556,10 +553,19 @@ struct Sched<'a> {
     /// index of the window entry that blocked the last scan — re-checked
     /// alone while it is still uncommitted and still conflicting.
     blocker: Vec<u32>,
-    /// Dependence-free, imported, unissued compute ops. Everything woken
-    /// mid-pass carries a higher uid than the op that woke it, so the
-    /// min-heap walk is the engine's in-order scan.
-    ready_compute: BinaryHeap<Reverse<u32>>,
+    /// The ready set, one bit per op: imported, dependence-free, unissued
+    /// and not parked. A pass walks the set bits upwards from `ready_lo`
+    /// (no set bit lies in a word below it) — the engine's in-order scan
+    /// without the dependence-blocked entries.
+    ready: Vec<u64>,
+    ready_lo: usize,
+    /// The op a pass is visiting (0 between passes). A wake behind it — a
+    /// consumer recorded with a lower uid than its producer, which the
+    /// engine never emits — has the pass walk again.
+    cursor: u32,
+    woken_behind: bool,
+    /// Ops `0..imported` have entered the reservation window.
+    imported: u32,
     lanes: [MemLane; 2],
     fu_pool: [u32; N_FU],
     fu_busy: [u32; N_FU],
@@ -568,8 +574,8 @@ struct Sched<'a> {
     /// stepped or skipped.
     busy_sum: [u64; N_FU],
     /// Ready ops parked on a saturated FU kind until one of its units
-    /// releases. A nonzero parked count is by construction an FU-blocked
-    /// stall.
+    /// releases — nothing else can unblock them. A nonzero parked count is
+    /// by construction an FU-blocked stall.
     fu_wait: [Vec<u32>; N_FU],
     parked: usize,
     /// Pipelined mode: FU kinds issued last cycle, released this cycle.
@@ -595,8 +601,15 @@ impl<'a> Sched<'a> {
             state: vec![0; n],
             remaining: prep.dep_count.clone(),
             blocker: vec![0; n],
-            ready_compute: BinaryHeap::new(),
-            lanes: Default::default(),
+            ready: vec![0; n.div_ceil(64)],
+            ready_lo: 0,
+            cursor: 0,
+            woken_behind: false,
+            imported: 0,
+            lanes: [
+                MemLane::new(cfg.max_outstanding_reads, cfg.spm_read_ports),
+                MemLane::new(cfg.max_outstanding_writes, cfg.spm_write_ports),
+            ],
             fu_pool,
             fu_busy: [0; N_FU],
             busy_sum: [0; N_FU],
@@ -613,12 +626,12 @@ impl<'a> Sched<'a> {
         }
     }
 
+    /// Enters an imported, dependence-free op into the ready set.
     fn wake(&mut self, idx: u32) {
-        let ready = match self.prep.ops[idx as usize] {
-            ROp::Mem { store, .. } => &mut self.lanes[store as usize].woken,
-            ROp::Compute { .. } => &mut self.ready_compute,
-        };
-        ready.push(Reverse(idx));
+        let word = idx as usize / 64;
+        self.ready[word] |= 1 << (idx % 64);
+        self.ready_lo = self.ready_lo.min(word);
+        self.woken_behind |= idx < self.cursor;
     }
 
     /// Commits one op: retires its consumers' dependence counters (waking
@@ -633,16 +646,16 @@ impl<'a> Sched<'a> {
         }
         let prep = self.prep;
         for &c in &prep.cons_adj[prep.cons_off[i] as usize..prep.cons_off[i + 1] as usize] {
-            let r = (c & !ADDR_EDGE) as usize;
+            let r = c & !ADDR_EDGE;
             if c & ADDR_EDGE != 0 {
-                self.state[r] |= ADDR_READY;
-                if self.state[r] & IMPORTED != 0 {
-                    self.to_publish.push(r as u32);
+                self.state[r as usize] |= ADDR_READY;
+                if r < self.imported {
+                    self.to_publish.push(r);
                 }
             } else {
-                self.remaining[r] -= 1;
-                if self.remaining[r] == 0 && self.state[r] & IMPORTED != 0 {
-                    self.wake(r as u32);
+                self.remaining[r as usize] -= 1;
+                if self.remaining[r as usize] == 0 && r < self.imported {
+                    self.wake(r);
                 }
             }
         }
@@ -685,8 +698,10 @@ impl<'a> Sched<'a> {
             let fu = freed.trailing_zeros() as usize;
             freed &= freed - 1;
             self.parked -= self.fu_wait[fu].len();
-            self.ready_compute
-                .extend(self.fu_wait[fu].drain(..).map(Reverse));
+            for k in 0..self.fu_wait[fu].len() {
+                self.wake(self.fu_wait[fu][k]);
+            }
+            self.fu_wait[fu].clear();
         }
     }
 
@@ -704,7 +719,8 @@ impl<'a> Sched<'a> {
             if g.len as usize > room && self.resv_count > 0 {
                 break;
             }
-            for idx in g.start..g.start + g.len {
+            self.imported = g.start + g.len;
+            for idx in g.start..self.imported {
                 let i = idx as usize;
                 if let ROp::Mem {
                     store, addr_known, ..
@@ -716,7 +732,6 @@ impl<'a> Sched<'a> {
                         self.to_publish.push(idx);
                     }
                 }
-                self.state[i] |= IMPORTED;
                 if self.remaining[i] == 0 {
                     self.wake(idx);
                 }
@@ -743,78 +758,130 @@ impl<'a> Sched<'a> {
         }
     }
 
-    /// Phase 4b: every ready compute op either issues or parks on its
-    /// saturated FU kind; the memory lanes follow, except that a fetching
-    /// terminator lets the older memory ops go first. Returns the ops
-    /// issued; sets `imported` when a terminator's issue pulled in the
-    /// next block.
+    /// Phase 4b: offers every ready op to the datapath, oldest first. Ops
+    /// woken mid-pass (zero-latency chaining, a block imported behind a
+    /// terminator) carry a higher uid than the op that woke them, so the
+    /// walk reaches them in this same pass. Returns the ops issued; sets
+    /// `imported` when a terminator's issue pulled in the next block.
     fn issue_ready(&mut self, flags: &mut Flags, imported: &mut bool) -> u64 {
         let mut issued = 0;
-        while let Some(Reverse(idx)) = self.ready_compute.pop() {
-            let i = idx as usize;
-            let ROp::Compute {
+        loop {
+            let mut word = std::mem::replace(&mut self.ready_lo, usize::MAX);
+            let mut lowest_left = usize::MAX;
+            while word < (self.imported as usize).div_ceil(64) {
+                let mut unvisited = !0u64;
+                loop {
+                    let bits = self.ready[word] & unvisited;
+                    if bits == 0 {
+                        break;
+                    }
+                    let bit = bits.trailing_zeros();
+                    unvisited = (!1u64) << bit;
+                    self.cursor = (word * 64) as u32 + bit;
+                    issued += self.offer(self.cursor, flags, imported) as u64;
+                }
+                if self.ready[word] != 0 {
+                    lowest_left = lowest_left.min(word);
+                }
+                word += 1;
+            }
+            self.cursor = 0;
+            self.ready_lo = self.ready_lo.min(lowest_left);
+            if !std::mem::take(&mut self.woken_behind) {
+                break;
+            }
+        }
+        for lane in &mut self.lanes {
+            (lane.issued, lane.saturated) = (0, false);
+        }
+        issued
+    }
+
+    /// Offers one ready op to the datapath; true when it issued. An op that
+    /// issues or parks leaves the ready set, a blocked memory op stays.
+    fn offer(&mut self, idx: u32, flags: &mut Flags, imported: &mut bool) -> bool {
+        let i = idx as usize;
+        match self.prep.ops[i] {
+            ROp::Compute {
                 latency,
                 fu,
                 fetches_a_group,
-            } = self.prep.ops[i]
-            else {
-                unreachable!("wake files memory ops under their lanes");
-            };
-            // A saturated kind parks the op until one of its units
-            // releases — nothing else can unblock it.
-            if fu != NO_FU && self.fu_busy[fu as usize] >= self.fu_pool[fu as usize] {
-                self.fu_wait[fu as usize].push(idx);
-                self.parked += 1;
-                continue;
-            }
-            self.state[i] |= ISSUED;
-            self.resv_count -= 1;
-            issued += 1;
-            if let Some(t) = self.times.get_mut(i) {
-                t.0 = self.cycle;
-            }
-            // A terminator's issue unlocks the next group's import, inline,
-            // so the new block can begin issuing this same cycle. Only
-            // terminators re-check the fetch gate — room freed by ordinary
-            // issues is picked up at the next top-of-cycle import, exactly
-            // like the engine.
-            if fetches_a_group {
-                self.issue_mem(LOAD, idx, flags);
-                self.issue_mem(STORE, idx, flags);
-                *imported |= self.import();
-            }
-            if latency == 0 {
-                // Chained op: commits within the issue cycle; a chained FU
-                // op holds its unit for this one cycle.
+            } => {
+                self.ready[i / 64] &= !(1 << (idx % 64));
+                // Units release only between passes, so a saturated kind
+                // stays saturated for the rest of this one.
+                if fu != NO_FU && self.fu_busy[fu as usize] >= self.fu_pool[fu as usize] {
+                    self.fu_wait[fu as usize].push(idx);
+                    self.parked += 1;
+                    return false;
+                }
+                self.state[i] |= ISSUED;
+                self.resv_count -= 1;
+                if let Some(t) = self.times.get_mut(i) {
+                    t.0 = self.cycle;
+                }
+                // A terminator's issue unlocks the next group's import,
+                // inline, so the new block can begin issuing this same
+                // cycle. Only terminators re-check the fetch gate — room
+                // freed by ordinary issues is picked up at the next
+                // top-of-cycle import, exactly like the engine.
+                if fetches_a_group {
+                    *imported |= self.import();
+                }
+                if latency == 0 {
+                    // Chained op: commits within the issue cycle; a chained
+                    // FU op holds its unit for this one cycle.
+                    if fu != NO_FU {
+                        self.busy_sum[fu as usize] += 1;
+                    }
+                    self.commit(idx);
+                    return true;
+                }
                 if fu != NO_FU {
-                    self.busy_sum[fu as usize] += 1;
+                    self.fu_busy[fu as usize] += 1;
+                    if self.cfg.pipelined_fus {
+                        self.pipelined_release.push(fu);
+                        self.busy_sum[fu as usize] += 1;
+                    } else {
+                        self.busy_sum[fu as usize] += latency as u64;
+                    }
                 }
-                self.commit(idx);
-                continue;
+                self.compute_inflight += 1;
+                self.wheel
+                    .push(self.cycle, self.cycle + latency as u64, idx);
+                true
             }
-            if fu != NO_FU {
-                self.fu_busy[fu as usize] += 1;
-                if self.cfg.pipelined_fus {
-                    self.pipelined_release.push(fu);
-                    self.busy_sum[fu as usize] += 1;
-                } else {
-                    self.busy_sum[fu as usize] += latency as u64;
+            ROp::Mem {
+                addr, size, store, ..
+            } => {
+                if self.lanes[store as usize].saturated {
+                    return false;
                 }
+                if self.state[i] & ADDR_READY == 0 || !self.order_ok(idx, addr, size, store) {
+                    flags.blocked_any = true;
+                    return false;
+                }
+                let lane = &mut self.lanes[store as usize];
+                if lane.outstanding >= lane.cap || lane.issued == lane.ports {
+                    flags.blocked_any = true;
+                    flags.mem_limit_blocked = true;
+                    flags.port_rejected |= lane.outstanding < lane.cap;
+                    lane.saturated = true;
+                    return false;
+                }
+                lane.outstanding += 1;
+                lane.issued += 1;
+                self.ready[i / 64] &= !(1 << (idx % 64));
+                self.state[i] |= ISSUED;
+                self.resv_count -= 1;
+                if let Some(t) = self.times.get_mut(i) {
+                    t.0 = self.cycle;
+                }
+                let at = self.cycle.saturating_add(self.cfg.mem_latency.max(1));
+                self.wheel.push(self.cycle, at, idx);
+                true
             }
-            self.compute_inflight += 1;
-            self.wheel
-                .push(self.cycle, self.cycle + latency as u64, idx);
         }
-        for l in [LOAD, STORE] {
-            self.issue_mem(l, u32::MAX, flags);
-            let lane = &mut self.lanes[l];
-            issued += lane.issued as u64;
-            lane.waiting.extend_from_slice(&lane.carried[lane.next..]);
-            std::mem::swap(&mut lane.carried, &mut lane.waiting);
-            lane.waiting.clear();
-            (lane.next, lane.issued, lane.saturated) = (0, 0, false);
-        }
-        issued
     }
 
     /// Memory ordering against every older conflicting (or unpublished)
@@ -855,65 +922,6 @@ impl<'a> Sched<'a> {
         });
         self.blocker[idx as usize] = hit.map_or(ORDER_OK, |h| h + 1);
         hit.is_none()
-    }
-
-    /// One memory lane's ready accesses older than `below`, in uid order,
-    /// against the ordering window, the outstanding cap and the lane's SPM
-    /// ports.
-    fn issue_mem(&mut self, l: usize, below: u32, flags: &mut Flags) {
-        let (cap, ports) = if l == STORE {
-            (self.cfg.max_outstanding_writes, self.cfg.spm_write_ports)
-        } else {
-            (self.cfg.max_outstanding_reads, self.cfg.spm_read_ports)
-        };
-        while !self.lanes[l].saturated {
-            let lane = &self.lanes[l];
-            let woken = lane.woken.peek().map(|&Reverse(w)| w);
-            let idx = match (lane.carried.get(lane.next).copied(), woken) {
-                (Some(c), Some(w)) if w < c => w,
-                (Some(c), _) => c,
-                (None, Some(w)) => w,
-                (None, None) => break,
-            };
-            if idx >= below {
-                break;
-            }
-            let i = idx as usize;
-            let ROp::Mem {
-                addr, size, store, ..
-            } = self.prep.ops[i]
-            else {
-                unreachable!("wake files compute ops under ready_compute");
-            };
-            let ordered = self.state[i] & ADDR_READY != 0 && self.order_ok(idx, addr, size, store);
-            let lane = &mut self.lanes[l];
-            if ordered && (lane.outstanding >= cap || lane.issued == ports) {
-                flags.blocked_any = true;
-                flags.mem_limit_blocked = true;
-                flags.port_rejected |= lane.outstanding < cap;
-                lane.saturated = true;
-                break;
-            }
-            if woken == Some(idx) {
-                lane.woken.pop();
-            } else {
-                lane.next += 1;
-            }
-            if !ordered {
-                flags.blocked_any = true;
-                lane.waiting.push(idx);
-                continue;
-            }
-            lane.outstanding += 1;
-            lane.issued += 1;
-            self.state[i] |= ISSUED;
-            self.resv_count -= 1;
-            if let Some(t) = self.times.get_mut(i) {
-                t.0 = self.cycle;
-            }
-            let at = self.cycle.saturating_add(self.cfg.mem_latency.max(1));
-            self.wheel.push(self.cycle, at, idx);
-        }
     }
 
     /// Runs the schedule to the drain point.
