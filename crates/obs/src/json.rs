@@ -95,32 +95,27 @@ pub fn escape(s: &str) -> String {
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
+    let mut r = Reader::new(text);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
+/// A cursor over JSON text. [`parse`] builds a [`Value`] tree with it; a
+/// decoder that knows the shape of its document — megabytes of numeric
+/// rows, say — drives it directly and never materialises the tree. Every
+/// method skips leading whitespace.
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            bytes: text.as_bytes(),
+            pos: 0,
         }
     }
 
@@ -128,24 +123,57 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
+    /// The next byte after any whitespace.
+    fn token(&mut self) -> Option<u8> {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
+        }
+        self.peek()
+    }
+
+    /// Consumes the byte `b`, or fails naming what stood there instead.
+    pub fn expect(&mut self, b: u8) -> Result<(), String> {
+        match self.token() {
+            Some(found) if found == b => {
+                self.pos += 1;
+                Ok(())
+            }
+            found => Err(format!(
                 "expected '{}' at byte {}, found {:?}",
                 b as char,
                 self.pos,
-                self.peek().map(|c| c as char)
-            ))
+                found.map(|c| c as char)
+            )),
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+    /// Succeeds when only whitespace is left.
+    pub fn finish(&mut self) -> Result<(), String> {
+        match self.token() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing garbage at byte {}", self.pos)),
+        }
+    }
+
+    /// Reads any JSON value as a tree.
+    pub fn value(&mut self) -> Result<Value, String> {
+        match self.token() {
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|r, key| {
+                    fields.push((key, r.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r, _| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -168,28 +196,26 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    /// Reads an object, calling `field` with each key in source order;
+    /// `field` must consume the key's value.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, String) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.token() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(fields));
+            return Ok(());
         }
         loop {
-            self.skip_ws();
             let key = self.string()?;
-            self.skip_ws();
             self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
+            field(self, key)?;
+            match self.token() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(fields));
+                    return Ok(());
                 }
                 other => {
                     return Err(format!(
@@ -202,23 +228,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    /// Reads an array, calling `item` with each element's index; `item`
+    /// must consume the element.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self, usize) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.token() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(());
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
+        for index in 0.. {
+            item(self, index)?;
+            match self.token() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    break;
                 }
                 other => {
                     return Err(format!(
@@ -229,9 +256,34 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+        Ok(())
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads a number written as plain decimal digits, exactly: no sign,
+    /// fraction or exponent, and no rounding through `f64`.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        self.token();
+        let start = self.pos;
+        let mut v = 0u64;
+        while let Some(d) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            v = v
+                .checked_mul(10)
+                .and_then(|v| v.checked_add((d - b'0') as u64))
+                .ok_or_else(|| format!("number at byte {start} exceeds 64 bits"))?;
+            self.pos += 1;
+        }
+        let stray = self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| matches!(b, b'.' | b'e' | b'E' | b'-' | b'+'));
+        if self.pos == start || stray {
+            return Err(format!("expected a non-negative integer at byte {start}"));
+        }
+        Ok(v)
+    }
+
+    /// Reads a string, decoding its escapes.
+    pub fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {

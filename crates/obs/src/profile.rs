@@ -9,6 +9,7 @@
 //! one record per committed dynamic op with interned name/class strings and
 //! producer uids, cheap enough to keep for whole MachSuite runs.
 
+use crate::json::Reader;
 use crate::trace::{TraceRecorder, TraceSink};
 
 /// Where a single engine cycle went. Exactly one class per cycle.
@@ -313,54 +314,50 @@ impl DepStream {
     /// anything whose version *or* column list differs, so event-schema
     /// changes fail loudly instead of mis-replaying.
     pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let strings = |table: &[String]| {
-            table
-                .iter()
-                .map(|s| format!("\"{}\"", esc(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let columns = DEPSTREAM_COLUMNS
-            .iter()
-            .map(|c| format!("\"{c}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "\"format_version\": {DEPSTREAM_FORMAT_VERSION},\n"
-        ));
-        out.push_str(&format!("\"columns\": [{columns}],\n"));
-        out.push_str(&format!("\"names\": [{}],\n", strings(&self.names)));
-        out.push_str(&format!("\"classes\": [{}],\n", strings(&self.classes)));
+        use std::fmt::Write as _;
+        fn strings(out: &mut String, key: &str, table: &[impl AsRef<str>]) {
+            let _ = write!(out, "\"{key}\": [");
+            for (i, s) in table.iter().enumerate() {
+                let sep = if i > 0 { ", " } else { "" };
+                let esc = s.as_ref().replace('\\', "\\\\").replace('"', "\\\"");
+                let _ = write!(out, "{sep}\"{esc}\"");
+            }
+            out.push_str("],\n");
+        }
+        // A row is ~45 bytes on the recorded MachSuite streams.
+        let mut out = String::with_capacity(256 + self.ops.len() * 64);
+        let _ = writeln!(out, "{{\n\"format_version\": {DEPSTREAM_FORMAT_VERSION},");
+        strings(&mut out, "columns", &DEPSTREAM_COLUMNS);
+        strings(&mut out, "names", &self.names);
+        strings(&mut out, "classes", &self.classes);
         out.push_str("\"ops\": [");
         for (i, op) in self.ops.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let deps = op
-                .deps
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "\n[{},{},{},{},{},{},{},{},{},{},{},{},{},[{deps}]]",
+            let m = &op.meta;
+            let _ = write!(
+                out,
+                "\n[{},{},{},{},{},{},{},{},{},{},{},{},{},[",
                 op.uid,
                 op.name,
                 op.class,
                 op.issue,
                 op.commit,
-                op.meta.kind.as_u8(),
-                op.meta.latency,
-                op.meta.inst,
-                op.meta.group,
-                op.meta.ctrl,
-                op.meta.addr_dep,
-                op.meta.addr,
-                op.meta.size,
-            ));
+                m.kind.as_u8(),
+                m.latency,
+                m.inst,
+                m.group,
+                m.ctrl,
+                m.addr_dep,
+                m.addr,
+                m.size,
+            );
+            for (k, d) in op.deps.iter().enumerate() {
+                let sep = if k > 0 { "," } else { "" };
+                let _ = write!(out, "{sep}{d}");
+            }
+            out.push_str("]]");
         }
         out.push_str("\n]\n}\n");
         out
@@ -376,8 +373,87 @@ impl DepStream {
     /// is malformed. Version/schema mismatches are *always* errors — a
     /// stream from another schema must never be silently replayed.
     pub fn from_json(text: &str) -> Result<DepStream, String> {
-        let v = crate::json::parse(text).map_err(|e| format!("depstream: bad JSON: {e}"))?;
-        DepStream::from_json_value(&v)
+        let mut r = Reader::new(text);
+        let stream = DepStream::read_json(&mut r)?;
+        r.finish().map_err(|e| format!("depstream: {e}"))?;
+        Ok(stream)
+    }
+
+    /// [`DepStream::from_json`] at a cursor — for containers (the DSE
+    /// result cache) that embed a stream inside a larger document. Rows
+    /// decode straight into [`DepOp`]s: a recorded stream runs to megabytes
+    /// of numeric cells, and a [`crate::json::Value`] tree of them costs
+    /// several times the stream itself.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`DepStream::from_json`]. The version and the
+    /// column schema must precede the rows they describe.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<DepStream, String> {
+        let mut stream = DepStream::new();
+        let (mut version_ok, mut columns_ok) = (false, false);
+        let mut tables = [false; 3];
+        let strings = |r: &mut Reader<'_>, key: &str| -> Result<Vec<String>, String> {
+            let mut table = Vec::new();
+            r.array(|r, _| Ok(table.push(r.string()?)))
+                .map_err(|e| format!("non-string entry in {key}: {e}"))?;
+            Ok(table)
+        };
+        r.object(|r, key| {
+            match key.as_str() {
+                "format_version" => {
+                    let version = r.value()?.as_f64();
+                    if version != Some(DEPSTREAM_FORMAT_VERSION as f64) {
+                        return Err(format!(
+                            "format_version {} but this build reads \
+                             {DEPSTREAM_FORMAT_VERSION} — refusing to replay a stream \
+                             from a different event schema",
+                            version.map_or("?".to_string(), |v| v.to_string())
+                        ));
+                    }
+                    version_ok = true;
+                }
+                "columns" => {
+                    let columns = strings(r, "columns")?;
+                    if columns != DEPSTREAM_COLUMNS {
+                        return Err(format!(
+                            "column schema {columns:?} differs from \
+                             {DEPSTREAM_COLUMNS:?} — refusing to replay"
+                        ));
+                    }
+                    columns_ok = true;
+                }
+                "names" => (stream.names, tables[0]) = (strings(r, "names")?, true),
+                "classes" => (stream.classes, tables[1]) = (strings(r, "classes")?, true),
+                "ops" => {
+                    if !version_ok {
+                        return Err("missing format_version field".into());
+                    }
+                    if !columns_ok {
+                        return Err("missing columns field".into());
+                    }
+                    r.array(|r, row| {
+                        let op = read_row(r).map_err(|(col, e)| {
+                            format!("op row {row} column {}: {e}", DEPSTREAM_COLUMNS[col])
+                        })?;
+                        Ok(stream.ops.push(op))
+                    })?;
+                    tables[2] = true;
+                }
+                _ => drop(r.value()?),
+            }
+            Ok(())
+        })
+        .map_err(|e| format!("depstream: {e}"))?;
+        for (key, seen) in ["names table", "classes table", "ops array"]
+            .into_iter()
+            .zip(tables)
+        {
+            if !seen {
+                return Err(format!("depstream: missing {key}"));
+            }
+        }
+        Ok(stream)
     }
 
     /// [`DepStream::from_json`] on an already-parsed JSON value — for
@@ -502,6 +578,54 @@ pub const DEPSTREAM_COLUMNS: [&str; 14] = [
     "uid", "name", "class", "issue", "commit", "kind", "latency", "inst", "group", "ctrl",
     "addr_dep", "addr", "size", "deps",
 ];
+
+/// Reads one op row, cell by cell in [`DEPSTREAM_COLUMNS`] order; an error
+/// carries the index of the offending column.
+fn read_row(r: &mut Reader<'_>) -> Result<DepOp, (usize, String)> {
+    const U32: u64 = u32::MAX as u64;
+    let mut col = 0;
+    // The next numeric cell, bounded by the width of its field.
+    let mut cell = |r: &mut Reader<'_>, max: u64| -> Result<u64, (usize, String)> {
+        let (at, open) = (col, if col == 0 { b'[' } else { b',' });
+        col += 1;
+        match r.expect(open).and_then(|()| r.u64()) {
+            Ok(v) if v <= max => Ok(v),
+            Ok(v) => Err((at, format!("{v} is out of range (at most {max})"))),
+            Err(e) => Err((at, e)),
+        }
+    };
+    let uid = cell(r, u64::MAX)?;
+    let name = cell(r, U32)? as u32;
+    let class = cell(r, U32)? as u32;
+    let issue = cell(r, u64::MAX)?;
+    let commit = cell(r, u64::MAX)?;
+    let kind = cell(r, u8::MAX as u64)?;
+    let kind = OpKind::from_u8(kind as u8).ok_or_else(|| (5, format!("unknown kind {kind}")))?;
+    let meta = DepMeta {
+        kind,
+        latency: cell(r, U32)? as u32,
+        inst: cell(r, U32)? as u32,
+        group: cell(r, U32)? as u32,
+        ctrl: cell(r, u64::MAX)?,
+        addr_dep: cell(r, u64::MAX)?,
+        addr: cell(r, u64::MAX)?,
+        size: cell(r, U32)? as u32,
+    };
+    let mut deps = Vec::new();
+    r.expect(b',')
+        .and_then(|()| r.array(|r, _| Ok(deps.push(r.u64()?))))
+        .and_then(|()| r.expect(b']'))
+        .map_err(|e| (13, e))?;
+    Ok(DepOp {
+        uid,
+        name,
+        class,
+        issue,
+        commit,
+        deps,
+        meta,
+    })
+}
 
 fn intern(table: &mut Vec<String>, s: &str) -> u32 {
     if let Some(i) = table.iter().position(|t| t == s) {
