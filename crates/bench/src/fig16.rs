@@ -466,7 +466,8 @@ impl CachePayload for Fig16Record {
         )
     }
 
-    fn payload_from_json(v: &salam_obs::json::Value) -> Result<Self, String> {
+    fn payload_from_json(r: &mut salam_obs::json::Reader<'_>) -> Result<Self, String> {
+        let v = r.value()?;
         let num = |key: &str| -> Result<f64, String> {
             v.get(key)
                 .and_then(|x| x.as_f64())
@@ -553,8 +554,8 @@ mod tests {
             verified: true,
         };
         let text = rec.payload_to_json();
-        let v = salam_obs::json::parse(&text).unwrap();
-        let back = Fig16Record::payload_from_json(&v).unwrap();
+        let back =
+            Fig16Record::payload_from_json(&mut salam_obs::json::Reader::new(&text)).unwrap();
         assert_eq!(back, rec);
         assert_eq!(back.payload_to_json(), text);
     }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use crate::fnv::{fnv1a64, fnv1a64_from, hex64, splitmix_finalize};
 use salam::RunReport;
-use salam_obs::json::{self, escape, Value};
+use salam_obs::json::{escape, Reader, Value};
 
 /// Bumped whenever the entry format or any payload serialization changes
 /// incompatibly; old entries then read as misses, never as wrong results.
@@ -24,17 +24,19 @@ use salam_obs::json::{self, escape, Value};
 pub const CACHE_FORMAT_VERSION: u64 = 3;
 
 /// A value that can live in the cache: serializes to a JSON object and
-/// parses back from the entry's embedded payload value.
+/// parses back from the entry's embedded payload.
 pub trait CachePayload: Sized {
     /// The payload as a standalone JSON object text.
     fn payload_to_json(&self) -> String;
 
-    /// Parses the payload from the entry's already-parsed JSON.
+    /// Reads the payload at the cursor, once the entry's header has been
+    /// checked. Small payloads take `r.value()` and pick it apart; a
+    /// payload that runs to megabytes decodes straight from the text.
     ///
     /// # Errors
     ///
     /// Any message marks the entry corrupt (the point is re-simulated).
-    fn payload_from_json(v: &Value) -> Result<Self, String>;
+    fn payload_from_json(r: &mut Reader<'_>) -> Result<Self, String>;
 }
 
 impl CachePayload for RunReport {
@@ -42,8 +44,8 @@ impl CachePayload for RunReport {
         self.to_json()
     }
 
-    fn payload_from_json(v: &Value) -> Result<Self, String> {
-        RunReport::from_json_value(v)
+    fn payload_from_json(r: &mut Reader<'_>) -> Result<Self, String> {
+        RunReport::from_json_value(&r.value()?)
     }
 }
 
@@ -199,8 +201,27 @@ impl ResultCache {
         }
     }
 
+    /// Checks the header fields — everything `store` writes ahead of the
+    /// payload — and only then decodes the payload, in the same pass over
+    /// the text.
     fn validate<T: CachePayload>(id: &CacheId, text: &str) -> Result<T, String> {
-        let v = json::parse(text)?;
+        let mut r = Reader::new(text);
+        let mut header = Vec::new();
+        let mut payload = None;
+        r.object(|r, key| {
+            if key == "payload" {
+                Self::check_header(id, &Value::Object(std::mem::take(&mut header)))?;
+                payload = Some(T::payload_from_json(r)?);
+            } else {
+                header.push((key, r.value()?));
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        payload.ok_or_else(|| "missing 'payload'".to_string())
+    }
+
+    fn check_header(id: &CacheId, v: &Value) -> Result<(), String> {
         let field = |key: &str| -> Result<&Value, String> {
             v.get(key).ok_or_else(|| format!("missing '{key}'"))
         };
@@ -219,7 +240,7 @@ impl ResultCache {
         if field("canon_check")?.as_str() != Some(id.canon_check_hex().as_str()) {
             return Err("canonical-config check-hash mismatch".into());
         }
-        T::payload_from_json(field("payload")?)
+        Ok(())
     }
 
     /// Writes (or overwrites) the entry for `id` atomically.

@@ -262,8 +262,9 @@ mod tests {
             format!("{{\"cycles\": {}}}", self.0)
         }
 
-        fn payload_from_json(v: &salam_obs::json::Value) -> Result<Self, String> {
-            v.get("cycles")
+        fn payload_from_json(r: &mut salam_obs::json::Reader<'_>) -> Result<Self, String> {
+            r.value()?
+                .get("cycles")
                 .and_then(salam_obs::json::Value::as_f64)
                 .map(|c| Cycles(c as u64))
                 .ok_or_else(|| "missing cycles".into())

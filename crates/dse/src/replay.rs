@@ -33,7 +33,7 @@ use machsuite::BuiltKernel;
 use salam::standalone::{run_kernel, try_run_kernel_profiled, StandaloneConfig};
 use salam::RunReport;
 use salam_cdfg::{FuConstraints, StaticCdfg};
-use salam_obs::json::Value;
+use salam_obs::json::{Reader, Value};
 use salam_obs::DepStream;
 use salam_replay::{ReplayConfig, ReplayOutcome};
 use salam_verify::{static_lower_bound, BoundConfig};
@@ -255,10 +255,20 @@ impl CachePayload for ReplayBaseline {
         )
     }
 
-    fn payload_from_json(v: &Value) -> Result<Self, String> {
-        let report = RunReport::from_json_value(v.get("report").ok_or("missing 'report'")?)?;
-        let trace = DepStream::from_json_value(v.get("trace").ok_or("missing 'trace'")?)?;
-        Ok(ReplayBaseline { report, trace })
+    fn payload_from_json(r: &mut Reader<'_>) -> Result<Self, String> {
+        let (mut report, mut trace) = (None, None);
+        r.object(|r, key| {
+            match key.as_str() {
+                "report" => report = Some(RunReport::from_json_value(&r.value()?)?),
+                "trace" => trace = Some(DepStream::read_json(r)?),
+                _ => drop(r.value()?),
+            }
+            Ok(())
+        })?;
+        Ok(ReplayBaseline {
+            report: report.ok_or("missing 'report'")?,
+            trace: trace.ok_or("missing 'trace'")?,
+        })
     }
 }
 
@@ -291,7 +301,8 @@ impl CachePayload for ReplayedPoint {
         )
     }
 
-    fn payload_from_json(v: &Value) -> Result<Self, String> {
+    fn payload_from_json(r: &mut Reader<'_>) -> Result<Self, String> {
+        let v = &r.value()?;
         let engine = match v.get("engine").and_then(Value::as_str) {
             Some("replay") => EngineKind::Replay,
             Some("sim-fallback") => EngineKind::SimFallback,
@@ -352,9 +363,10 @@ impl SweepJob for BaselineJob {
 
 /// One kernel's sweep-wide replay state, built once after the baseline is
 /// recorded (or cache-loaded) and shared by every point of that kernel:
-/// the resolved scheduler form of the trace and the dynamic trip counts —
-/// neither depends on the point's configuration.
+/// the built kernel, the resolved scheduler form of the trace and the
+/// dynamic trip counts — none depends on the point's configuration.
 struct PreparedBaseline {
+    kernel: BuiltKernel,
     report: RunReport,
     prepared: salam_replay::Prepared,
     trips: HashMap<salam_ir::BlockId, u64>,
@@ -389,7 +401,7 @@ impl SweepJob for ReplayPointJob {
     }
 
     fn run(&self) -> ReplayedPoint {
-        let kernel = self.kernel.build();
+        let kernel = &self.baseline.kernel;
         let cfg = &self.config;
         let t_replay = Instant::now();
         let cdfg = StaticCdfg::elaborate(&kernel.func, &cfg.profile, &cfg.constraints);
@@ -438,7 +450,7 @@ impl SweepJob for ReplayPointJob {
             // Replay error or a cycle count below the provable floor: the
             // analytic model is wrong for this point — full sim takes over.
             _ => {
-                let report = run_kernel(&kernel, cfg);
+                let report = run_kernel(kernel, cfg);
                 return ReplayedPoint {
                     engine: EngineKind::SimFallback,
                     report,
@@ -448,11 +460,11 @@ impl SweepJob for ReplayPointJob {
                 };
             }
         };
-        let report = synthesize_report(&kernel, cfg, &cdfg, &self.baseline.report, outcome);
+        let report = synthesize_report(kernel, cfg, &cdfg, &self.baseline.report, outcome);
         let replay_wall = t_replay.elapsed();
         let (err_pct, speedup) = if self.check {
             let t_sim = Instant::now();
-            let sim = run_kernel(&kernel, cfg);
+            let sim = run_kernel(kernel, cfg);
             let sim_wall = t_sim.elapsed();
             let err =
                 (report.cycles as f64 - sim.cycles as f64).abs() / sim.cycles.max(1) as f64 * 100.0;
@@ -626,11 +638,13 @@ pub fn run_replay_sweep(
     for (job, outcome) in baseline_jobs.iter().zip(&baseline_run.outcomes) {
         if let Some(b) = outcome.payload() {
             if let Ok(prepared) = salam_replay::Prepared::new(&b.trace) {
-                let trips = trips_from_trace(&job.kernel.build().func, &b.trace);
+                let kernel = job.kernel.build();
+                let trips = trips_from_trace(&kernel.func, &b.trace);
                 baselines.insert(
                     job.kernel.id.clone(),
                     (
                         Arc::new(PreparedBaseline {
+                            kernel,
                             report: b.report.clone(),
                             prepared,
                             trips,
@@ -894,8 +908,7 @@ mod tests {
             trace,
         };
         let text = b.payload_to_json();
-        let v = salam_obs::json::parse(&text).expect("valid JSON");
-        let back = ReplayBaseline::payload_from_json(&v).expect("parses back");
+        let back = ReplayBaseline::payload_from_json(&mut Reader::new(&text)).expect("parses back");
         assert_eq!(back.report.to_json(), b.report.to_json());
         assert_eq!(back.trace, b.trace);
 
@@ -907,8 +920,7 @@ mod tests {
             speedup: None,
         };
         let text = p.payload_to_json();
-        let v = salam_obs::json::parse(&text).expect("valid JSON");
-        let back = ReplayedPoint::payload_from_json(&v).expect("parses back");
+        let back = ReplayedPoint::payload_from_json(&mut Reader::new(&text)).expect("parses back");
         assert_eq!(back.engine, EngineKind::Replay);
         assert_eq!(back.bound, 42);
         assert_eq!(back.err_pct, Some(1.5));

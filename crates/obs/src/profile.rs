@@ -455,118 +455,6 @@ impl DepStream {
         }
         Ok(stream)
     }
-
-    /// [`DepStream::from_json`] on an already-parsed JSON value — for
-    /// containers (the DSE result cache) that embed a stream inside a
-    /// larger document and parse the whole document once.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DepStream::from_json`].
-    pub fn from_json_value(v: &crate::json::Value) -> Result<DepStream, String> {
-        let version = v
-            .get("format_version")
-            .and_then(|x| x.as_f64())
-            .ok_or("depstream: missing format_version field")?;
-        if version != DEPSTREAM_FORMAT_VERSION as f64 {
-            return Err(format!(
-                "depstream: format_version {version} but this build reads \
-                 {DEPSTREAM_FORMAT_VERSION} — refusing to replay a stream \
-                 from a different event schema"
-            ));
-        }
-        let columns: Vec<&str> = v
-            .get("columns")
-            .and_then(|x| x.as_array())
-            .ok_or("depstream: missing columns field")?
-            .iter()
-            .map(|c| c.as_str().unwrap_or("?"))
-            .collect();
-        if columns != DEPSTREAM_COLUMNS {
-            return Err(format!(
-                "depstream: column schema {columns:?} differs from \
-                 {DEPSTREAM_COLUMNS:?} — refusing to replay"
-            ));
-        }
-        let strings = |key: &str| -> Result<Vec<String>, String> {
-            v.get(key)
-                .and_then(|x| x.as_array())
-                .ok_or_else(|| format!("depstream: missing {key} table"))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("depstream: non-string entry in {key}"))
-                })
-                .collect()
-        };
-        let names = strings("names")?;
-        let classes = strings("classes")?;
-        let rows = v
-            .get("ops")
-            .and_then(|x| x.as_array())
-            .ok_or("depstream: missing ops array")?;
-        let mut ops = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let cells = row
-                .as_array()
-                .ok_or_else(|| format!("depstream: op row {i} is not an array"))?;
-            if cells.len() != DEPSTREAM_COLUMNS.len() {
-                return Err(format!(
-                    "depstream: op row {i} has {} cells, expected {}",
-                    cells.len(),
-                    DEPSTREAM_COLUMNS.len()
-                ));
-            }
-            let num = |j: usize| -> Result<u64, String> {
-                cells[j]
-                    .as_f64()
-                    .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-                    .map(|f| f as u64)
-                    .ok_or_else(|| {
-                        format!(
-                            "depstream: op row {i} column {} is not a non-negative integer",
-                            DEPSTREAM_COLUMNS[j]
-                        )
-                    })
-            };
-            let kind = OpKind::from_u8(num(5)? as u8)
-                .ok_or_else(|| format!("depstream: op row {i} has unknown kind"))?;
-            let deps = cells[13]
-                .as_array()
-                .ok_or_else(|| format!("depstream: op row {i} deps is not an array"))?
-                .iter()
-                .map(|d| {
-                    d.as_f64()
-                        .map(|f| f as u64)
-                        .ok_or_else(|| format!("depstream: op row {i} has a non-numeric dep"))
-                })
-                .collect::<Result<Vec<u64>, String>>()?;
-            ops.push(DepOp {
-                uid: num(0)?,
-                name: num(1)? as u32,
-                class: num(2)? as u32,
-                issue: num(3)?,
-                commit: num(4)?,
-                deps,
-                meta: DepMeta {
-                    kind,
-                    latency: num(6)? as u32,
-                    inst: num(7)? as u32,
-                    group: num(8)? as u32,
-                    ctrl: num(9)?,
-                    addr_dep: num(10)?,
-                    addr: num(11)?,
-                    size: num(12)? as u32,
-                },
-            });
-        }
-        Ok(DepStream {
-            names,
-            classes,
-            ops,
-        })
-    }
 }
 
 /// Version stamp of the [`DepStream`] on-disk format. Bump on **any**
