@@ -150,6 +150,11 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 const N_FU: usize = FuKind::ALL.len();
+/// Resource lanes: one per FU kind, then the load and the store side of
+/// the memory interface.
+const N_LANES: usize = N_FU + 2;
+const LOAD: usize = N_FU;
+const STORE: usize = N_FU + 1;
 /// FU index of an op that occupies no functional unit.
 const NO_FU: u8 = N_FU as u8;
 
@@ -204,6 +209,10 @@ pub struct Prepared {
     cons_adj: Vec<u32>,
     /// Uid of the first op of each FU kind (0 = kind unused).
     fu_first_uid: [u32; N_FU],
+    /// Per resource lane (the FU kinds, then loads, then stores): one bit
+    /// per op that contends for it, in the ready set's layout. Empty for a
+    /// lane no op uses.
+    lane_ops: [Vec<u64>; N_LANES],
     /// Longest compute latency in the stream (sizes the commit wheel).
     max_latency: u32,
 }
@@ -254,6 +263,7 @@ impl Prepared {
         let mut dep_count = Vec::with_capacity(n);
         let mut cons_off = vec![0u32; n + 1];
         let mut fu_first_uid = [0u32; N_FU];
+        let mut lane_ops: [Vec<u64>; N_LANES] = Default::default();
         let mut max_latency = 0;
         for (i, &p) in pos.iter().enumerate() {
             let op = &sops[p as usize];
@@ -317,6 +327,18 @@ impl Prepared {
                 }
             }
 
+            let lane = match m.kind {
+                OpKind::Compute if fu == NO_FU => N_LANES,
+                OpKind::Compute => fu as usize,
+                OpKind::Load => LOAD,
+                OpKind::Store => STORE,
+            };
+            if let Some(mask) = lane_ops.get_mut(lane) {
+                if mask.is_empty() {
+                    mask.resize(n.div_ceil(64), 0);
+                }
+                mask[i / 64] |= 1 << (i % 64);
+            }
             ops.push(match m.kind {
                 OpKind::Compute => {
                     if fu != NO_FU && fu_first_uid[fu as usize] == 0 {
@@ -380,6 +402,7 @@ impl Prepared {
             cons_off,
             cons_adj,
             fu_first_uid,
+            lane_ops,
             max_latency,
         })
     }
@@ -424,10 +447,6 @@ const PUBLISHED: u8 = 1 << 3;
 /// can never regress.
 const ORDER_OK: u32 = u32::MAX;
 
-// Memory lanes, indexed by `store as usize`.
-const LOAD: usize = 0;
-const STORE: usize = 1;
-
 /// What the loads (or the stores) contend for.
 struct MemLane {
     /// Outstanding-access cap and SPM ports per cycle.
@@ -437,10 +456,6 @@ struct MemLane {
     outstanding: usize,
     /// Ops issued this pass (the ports used).
     issued: u32,
-    /// This pass met the cap or ran out of ports: every ordered op behind
-    /// would meet the same limit and raise the same flags, so the rest of
-    /// the lane is skipped unvisited.
-    saturated: bool,
     /// Ordering window: imported accesses in uid order; committed ones
     /// leave from the front and are skipped elsewhere.
     window: VecDeque<u32>,
@@ -453,7 +468,6 @@ impl MemLane {
             ports,
             outstanding: 0,
             issued: 0,
-            saturated: false,
             window: VecDeque::new(),
         }
     }
@@ -533,6 +547,8 @@ fn overlaps(a: u64, a_size: u32, b: u64, b_size: u32) -> bool {
 /// accounting.
 #[derive(Default)]
 struct Flags {
+    /// A ready op waits for a unit of a saturated FU kind.
+    fu_blocked: bool,
     blocked_any: bool,
     mem_limit_blocked: bool,
     port_rejected: bool,
@@ -553,12 +569,20 @@ struct Sched<'a> {
     /// index of the window entry that blocked the last scan — re-checked
     /// alone while it is still uncommitted and still conflicting.
     blocker: Vec<u32>,
-    /// The ready set, one bit per op: imported, dependence-free, unissued
-    /// and not parked. A pass walks the set bits upwards from `ready_lo`
-    /// (no set bit lies in a word below it) — the engine's in-order scan
-    /// without the dependence-blocked entries.
+    /// The ready set, one bit per op: imported, dependence-free and
+    /// unissued. A pass walks the set bits upwards from `ready_lo` (no set
+    /// bit lies in a word below it) — the engine's in-order scan without
+    /// the dependence-blocked entries.
     ready: Vec<u64>,
     ready_lo: usize,
+    /// Lanes no op can issue on for the rest of this pass: FU kinds with
+    /// every unit busy (units release only between passes) and memory
+    /// sides that met their cap or ran out of ports. The walk masks their
+    /// ops out of the ready set instead of visiting them — the engine's
+    /// FU parking, kept in place. Every ordered memory op behind the one
+    /// that saturated its side would meet the same limit and raise the
+    /// same flags.
+    saturated: u32,
     /// The op a pass is visiting (0 between passes). A wake behind it — a
     /// consumer recorded with a lower uid than its producer, which the
     /// engine never emits — has the pass walk again.
@@ -566,18 +590,14 @@ struct Sched<'a> {
     woken_behind: bool,
     /// Ops `0..imported` have entered the reservation window.
     imported: u32,
-    lanes: [MemLane; 2],
+    /// The load and the store side, indexed by `store as usize`.
+    mem: [MemLane; 2],
     fu_pool: [u32; N_FU],
     fu_busy: [u32; N_FU],
     /// Busy-FU cycle integral per kind, charged whole at issue: a unit is
     /// held from issue to release whether or not the cycles between are
     /// stepped or skipped.
     busy_sum: [u64; N_FU],
-    /// Ready ops parked on a saturated FU kind until one of its units
-    /// releases — nothing else can unblock them. A nonzero parked count is
-    /// by construction an FU-blocked stall.
-    fu_wait: [Vec<u32>; N_FU],
-    parked: usize,
     /// Pipelined mode: FU kinds issued last cycle, released this cycle.
     pipelined_release: Vec<u8>,
     wheel: Wheel,
@@ -603,18 +623,17 @@ impl<'a> Sched<'a> {
             blocker: vec![0; n],
             ready: vec![0; n.div_ceil(64)],
             ready_lo: 0,
+            saturated: 0,
             cursor: 0,
             woken_behind: false,
             imported: 0,
-            lanes: [
+            mem: [
                 MemLane::new(cfg.max_outstanding_reads, cfg.spm_read_ports),
                 MemLane::new(cfg.max_outstanding_writes, cfg.spm_write_ports),
             ],
             fu_pool,
             fu_busy: [0; N_FU],
             busy_sum: [0; N_FU],
-            fu_wait: Default::default(),
-            parked: 0,
             pipelined_release: Vec::new(),
             wheel: Wheel::new(cfg.mem_latency.max(prep.max_latency as u64).max(1)),
             compute_inflight: 0,
@@ -662,13 +681,11 @@ impl<'a> Sched<'a> {
     }
 
     /// Phases 1–2: memory completions, compute commits and FU releases
-    /// (one cycle after issue when pipelined, at commit otherwise); ops
-    /// parked on a kind that released a unit become ready again.
+    /// (one cycle after issue when pipelined, at commit otherwise).
     fn retire_due(&mut self, due: &mut Vec<u32>) {
-        let mut freed: u16 = 0;
         for fu in self.pipelined_release.drain(..) {
             self.fu_busy[fu as usize] -= 1;
-            freed |= 1 << fu;
+            self.saturated &= !(1 << fu);
         }
         self.wheel.take_due(self.cycle, due);
         for &idx in due.iter() {
@@ -676,16 +693,16 @@ impl<'a> Sched<'a> {
                 ROp::Compute { fu, .. } => {
                     if fu != NO_FU && !self.cfg.pipelined_fus {
                         self.fu_busy[fu as usize] -= 1;
-                        freed |= 1 << fu;
+                        self.saturated &= !(1 << fu);
                     }
                     self.compute_inflight -= 1;
                 }
-                ROp::Mem { store, .. } => self.lanes[store as usize].outstanding -= 1,
+                ROp::Mem { store, .. } => self.mem[store as usize].outstanding -= 1,
             }
             self.commit(idx);
         }
         due.clear();
-        for lane in &mut self.lanes {
+        for lane in &mut self.mem {
             while lane
                 .window
                 .front()
@@ -693,15 +710,6 @@ impl<'a> Sched<'a> {
             {
                 lane.window.pop_front();
             }
-        }
-        while freed != 0 {
-            let fu = freed.trailing_zeros() as usize;
-            freed &= freed - 1;
-            self.parked -= self.fu_wait[fu].len();
-            for k in 0..self.fu_wait[fu].len() {
-                self.wake(self.fu_wait[fu][k]);
-            }
-            self.fu_wait[fu].clear();
         }
     }
 
@@ -726,7 +734,7 @@ impl<'a> Sched<'a> {
                     store, addr_known, ..
                 } = prep.ops[i]
                 {
-                    self.lanes[store as usize].window.push_back(idx);
+                    self.mem[store as usize].window.push_back(idx);
                     if addr_known || self.state[i] & ADDR_READY != 0 {
                         self.state[i] |= ADDR_READY;
                         self.to_publish.push(idx);
@@ -758,20 +766,36 @@ impl<'a> Sched<'a> {
         }
     }
 
+    /// The ops of `word` that contend for one of `lanes`.
+    fn lane_ops(&self, word: usize, mut lanes: u32) -> u64 {
+        let mut ops = 0;
+        while lanes != 0 {
+            ops |= self.prep.lane_ops[lanes.trailing_zeros() as usize][word];
+            lanes &= lanes - 1;
+        }
+        ops
+    }
+
     /// Phase 4b: offers every ready op to the datapath, oldest first. Ops
     /// woken mid-pass (zero-latency chaining, a block imported behind a
     /// terminator) carry a higher uid than the op that woke them, so the
     /// walk reaches them in this same pass. Returns the ops issued; sets
     /// `imported` when a terminator's issue pulled in the next block.
     fn issue_ready(&mut self, flags: &mut Flags, imported: &mut bool) -> u64 {
+        const FU_LANES: u32 = (1 << N_FU) - 1;
         let mut issued = 0;
         loop {
             let mut word = std::mem::replace(&mut self.ready_lo, usize::MAX);
             let mut lowest_left = usize::MAX;
             while word < (self.imported as usize).div_ceil(64) {
                 let mut unvisited = !0u64;
+                let (mut masked_for, mut masked) = (0, 0);
                 loop {
-                    let bits = self.ready[word] & unvisited;
+                    if masked_for != self.saturated {
+                        masked_for = self.saturated;
+                        masked = self.lane_ops(word, masked_for);
+                    }
+                    let bits = self.ready[word] & unvisited & !masked;
                     if bits == 0 {
                         break;
                     }
@@ -780,8 +804,10 @@ impl<'a> Sched<'a> {
                     self.cursor = (word * 64) as u32 + bit;
                     issued += self.offer(self.cursor, flags, imported) as u64;
                 }
-                if self.ready[word] != 0 {
+                let left = self.ready[word];
+                if left != 0 {
                     lowest_left = lowest_left.min(word);
+                    flags.fu_blocked |= left & self.lane_ops(word, self.saturated & FU_LANES) != 0;
                 }
                 word += 1;
             }
@@ -791,14 +817,15 @@ impl<'a> Sched<'a> {
                 break;
             }
         }
-        for lane in &mut self.lanes {
-            (lane.issued, lane.saturated) = (0, false);
+        for lane in &mut self.mem {
+            lane.issued = 0;
         }
+        self.saturated &= FU_LANES;
         issued
     }
 
-    /// Offers one ready op to the datapath; true when it issued. An op that
-    /// issues or parks leaves the ready set, a blocked memory op stays.
+    /// Offers one ready op of an unsaturated lane to the datapath; true
+    /// when it issued and left the ready set.
     fn offer(&mut self, idx: u32, flags: &mut Flags, imported: &mut bool) -> bool {
         let i = idx as usize;
         match self.prep.ops[i] {
@@ -808,13 +835,6 @@ impl<'a> Sched<'a> {
                 fetches_a_group,
             } => {
                 self.ready[i / 64] &= !(1 << (idx % 64));
-                // Units release only between passes, so a saturated kind
-                // stays saturated for the rest of this one.
-                if fu != NO_FU && self.fu_busy[fu as usize] >= self.fu_pool[fu as usize] {
-                    self.fu_wait[fu as usize].push(idx);
-                    self.parked += 1;
-                    return false;
-                }
                 self.state[i] |= ISSUED;
                 self.resv_count -= 1;
                 if let Some(t) = self.times.get_mut(i) {
@@ -838,12 +858,16 @@ impl<'a> Sched<'a> {
                     return true;
                 }
                 if fu != NO_FU {
-                    self.fu_busy[fu as usize] += 1;
+                    let f = fu as usize;
+                    self.fu_busy[f] += 1;
+                    if self.fu_busy[f] >= self.fu_pool[f] {
+                        self.saturated |= 1 << fu;
+                    }
                     if self.cfg.pipelined_fus {
                         self.pipelined_release.push(fu);
-                        self.busy_sum[fu as usize] += 1;
+                        self.busy_sum[f] += 1;
                     } else {
-                        self.busy_sum[fu as usize] += latency as u64;
+                        self.busy_sum[f] += latency as u64;
                     }
                 }
                 self.compute_inflight += 1;
@@ -854,19 +878,16 @@ impl<'a> Sched<'a> {
             ROp::Mem {
                 addr, size, store, ..
             } => {
-                if self.lanes[store as usize].saturated {
-                    return false;
-                }
                 if self.state[i] & ADDR_READY == 0 || !self.order_ok(idx, addr, size, store) {
                     flags.blocked_any = true;
                     return false;
                 }
-                let lane = &mut self.lanes[store as usize];
+                let lane = &mut self.mem[store as usize];
                 if lane.outstanding >= lane.cap || lane.issued == lane.ports {
                     flags.blocked_any = true;
                     flags.mem_limit_blocked = true;
                     flags.port_rejected |= lane.outstanding < lane.cap;
-                    lane.saturated = true;
+                    self.saturated |= 1 << (LOAD + store as usize);
                     return false;
                 }
                 lane.outstanding += 1;
@@ -915,11 +936,8 @@ impl<'a> Sched<'a> {
                 .find(|&&older| conflicts(older))
                 .copied()
         };
-        let hit = first_conflict(&self.lanes[STORE].window).or_else(|| {
-            store
-                .then(|| first_conflict(&self.lanes[LOAD].window))
-                .flatten()
-        });
+        let hit = first_conflict(&self.mem[1].window)
+            .or_else(|| store.then(|| first_conflict(&self.mem[0].window)).flatten());
         self.blocker[idx as usize] = hit.map_or(ORDER_OK, |h| h + 1);
         hit.is_none()
     }
@@ -944,9 +962,9 @@ impl<'a> Sched<'a> {
             let issued = self.issue_ready(&mut flags, &mut imported);
 
             // Cycle bookkeeping: attribution by the engine's exact priority.
-            let fu_blocked = self.parked > 0;
+            let fu_blocked = flags.fu_blocked;
             let blocked_any = flags.blocked_any || fu_blocked;
-            let mem_inflight = self.lanes[LOAD].outstanding + self.lanes[STORE].outstanding;
+            let mem_inflight = self.mem[0].outstanding + self.mem[1].outstanding;
             let class = if issued > 0 {
                 CycleClass::Compute
             } else if fu_blocked {
