@@ -478,55 +478,68 @@ impl MemLane {
 const WHEEL_SPAN: u64 = 1023;
 
 /// Issued ops waiting for their commit cycle, bucketed by it (the shape of
-/// the engine's `CommitWheel`, DESIGN.md §5.1). The ring covers
-/// [`WHEEL_SPAN`] cycles at most; `far` holds the rare longer wait and is
-/// scanned linearly.
+/// the engine's `CommitWheel`, DESIGN.md §5.1): each ring slot heads a list
+/// threaded through `next`, so an op enters and leaves in two stores. The
+/// ring covers [`WHEEL_SPAN`] cycles at most; `far` holds the rare longer
+/// wait and is scanned linearly.
 struct Wheel {
-    slots: Vec<Vec<u32>>,
+    /// Per slot: 1 + the index of the list's first op, 0 when empty.
+    heads: Vec<u32>,
+    /// Per op: the rest of its slot's list, in the encoding of `heads`.
+    next: Vec<u32>,
     far: Vec<(u64, u32)>,
 }
 
 impl Wheel {
-    fn new(max_latency: u64) -> Self {
+    fn new(max_latency: u64, ops: usize) -> Self {
         let len = (max_latency.min(WHEEL_SPAN) as usize + 1).next_power_of_two();
         Wheel {
-            slots: vec![Vec::new(); len],
+            heads: vec![0; len],
+            next: vec![0; ops],
             far: Vec::new(),
         }
     }
 
     fn slot(&self, cycle: u64) -> usize {
-        (cycle & (self.slots.len() as u64 - 1)) as usize
+        (cycle & (self.heads.len() as u64 - 1)) as usize
     }
 
     fn push(&mut self, now: u64, at: u64, idx: u32) {
-        if at - now < self.slots.len() as u64 {
+        if at - now < self.heads.len() as u64 {
             let s = self.slot(at);
-            self.slots[s].push(idx);
+            self.next[idx as usize] = std::mem::replace(&mut self.heads[s], idx + 1);
         } else {
             self.far.push((at, idx));
         }
     }
 
-    /// Swaps the ops due at `cycle` into the empty `due`.
-    fn take_due(&mut self, cycle: u64, due: &mut Vec<u32>) {
+    /// Detaches the list of the ops due at `cycle`; walk it with
+    /// [`Wheel::pop`].
+    fn take_due(&mut self, cycle: u64) -> u32 {
         let s = self.slot(cycle);
-        std::mem::swap(&mut self.slots[s], due);
+        let mut due = std::mem::take(&mut self.heads[s]);
         if !self.far.is_empty() {
+            let next = &mut self.next;
             self.far.retain(|&(at, idx)| {
                 if at == cycle {
-                    due.push(idx);
+                    next[idx as usize] = std::mem::replace(&mut due, idx + 1);
                 }
                 at != cycle
             });
         }
+        due
+    }
+
+    /// The first op of a detached list and the rest of the list.
+    fn pop(&self, list: u32) -> Option<(u32, u32)> {
+        let idx = list.checked_sub(1)?;
+        Some((idx, self.next[idx as usize]))
     }
 
     /// The earliest pending commit at or after `from`. Every ring entry is
     /// due within one lap, so the first nonempty slot names its cycle.
     fn next_event(&self, from: u64) -> Option<u64> {
-        let ring =
-            (from..from + self.slots.len() as u64).find(|&c| !self.slots[self.slot(c)].is_empty());
+        let ring = (from..from + self.heads.len() as u64).find(|&c| self.heads[self.slot(c)] != 0);
         let far = self.far.iter().map(|&(at, _)| at).min();
         match (ring, far) {
             (Some(r), Some(f)) => Some(r.min(f)),
@@ -635,7 +648,7 @@ impl<'a> Sched<'a> {
             fu_busy: [0; N_FU],
             busy_sum: [0; N_FU],
             pipelined_release: Vec::new(),
-            wheel: Wheel::new(cfg.mem_latency.max(prep.max_latency as u64).max(1)),
+            wheel: Wheel::new(cfg.mem_latency.max(prep.max_latency as u64).max(1), n),
             compute_inflight: 0,
             to_publish: Vec::new(),
             resv_count: 0,
@@ -682,13 +695,16 @@ impl<'a> Sched<'a> {
 
     /// Phases 1–2: memory completions, compute commits and FU releases
     /// (one cycle after issue when pipelined, at commit otherwise).
-    fn retire_due(&mut self, due: &mut Vec<u32>) {
-        for fu in self.pipelined_release.drain(..) {
+    fn retire_due(&mut self) {
+        for k in 0..self.pipelined_release.len() {
+            let fu = self.pipelined_release[k];
             self.fu_busy[fu as usize] -= 1;
             self.saturated &= !(1 << fu);
         }
-        self.wheel.take_due(self.cycle, due);
-        for &idx in due.iter() {
+        self.pipelined_release.clear();
+        let mut due = self.wheel.take_due(self.cycle);
+        while let Some((idx, rest)) = self.wheel.pop(due) {
+            due = rest;
             match self.prep.ops[idx as usize] {
                 ROp::Compute { fu, .. } => {
                     if fu != NO_FU && !self.cfg.pipelined_fus {
@@ -701,7 +717,6 @@ impl<'a> Sched<'a> {
             }
             self.commit(idx);
         }
-        due.clear();
         for lane in &mut self.mem {
             while lane
                 .window
@@ -758,12 +773,13 @@ impl<'a> Sched<'a> {
     /// orders younger conflicting accesses as "unknown address" until it
     /// commits.
     fn publish(&mut self) {
-        for idx in self.to_publish.drain(..) {
+        for &idx in &self.to_publish {
             let s = &mut self.state[idx as usize];
             if *s & ISSUED == 0 {
                 *s |= PUBLISHED;
             }
         }
+        self.to_publish.clear();
     }
 
     /// The ops of `word` that contend for one of `lanes`.
@@ -807,7 +823,10 @@ impl<'a> Sched<'a> {
                 let left = self.ready[word];
                 if left != 0 {
                     lowest_left = lowest_left.min(word);
-                    flags.fu_blocked |= left & self.lane_ops(word, self.saturated & FU_LANES) != 0;
+                    if !flags.fu_blocked && self.saturated & FU_LANES != 0 {
+                        let starved = self.lane_ops(word, self.saturated & FU_LANES);
+                        flags.fu_blocked = left & starved != 0;
+                    }
                 }
                 word += 1;
             }
@@ -948,14 +967,13 @@ impl<'a> Sched<'a> {
         let mut stall_cycles = 0u64;
         let mut new_exec_cycles = 0u64;
         let mut port_reject_cycles = 0u64;
-        let mut due = Vec::new();
         loop {
             if self.cycle > self.cfg.max_cycles {
                 return Err(ReplayError::CycleLimit {
                     limit: self.cfg.max_cycles,
                 });
             }
-            self.retire_due(&mut due);
+            self.retire_due();
             let mut imported = self.import();
             self.publish();
             let mut flags = Flags::default();
