@@ -209,10 +209,9 @@ pub struct Prepared {
     cons_adj: Vec<u32>,
     /// Uid of the first op of each FU kind (0 = kind unused).
     fu_first_uid: [u32; N_FU],
-    /// Per resource lane (the FU kinds, then loads, then stores): one bit
-    /// per op that contends for it, in the ready set's layout. Empty for a
-    /// lane no op uses.
-    lane_ops: [Vec<u64>; N_LANES],
+    /// Per word of the ready set, per resource lane (the FU kinds, then
+    /// loads, then stores): the ops of that word that contend for the lane.
+    lane_ops: Vec<[u64; N_LANES]>,
     /// Longest compute latency in the stream (sizes the commit wheel).
     max_latency: u32,
 }
@@ -263,7 +262,7 @@ impl Prepared {
         let mut dep_count = Vec::with_capacity(n);
         let mut cons_off = vec![0u32; n + 1];
         let mut fu_first_uid = [0u32; N_FU];
-        let mut lane_ops: [Vec<u64>; N_LANES] = Default::default();
+        let mut lane_ops = vec![[0u64; N_LANES]; n.div_ceil(64)];
         let mut max_latency = 0;
         for (i, &p) in pos.iter().enumerate() {
             let op = &sops[p as usize];
@@ -333,11 +332,8 @@ impl Prepared {
                 OpKind::Load => LOAD,
                 OpKind::Store => STORE,
             };
-            if let Some(mask) = lane_ops.get_mut(lane) {
-                if mask.is_empty() {
-                    mask.resize(n.div_ceil(64), 0);
-                }
-                mask[i / 64] |= 1 << (i % 64);
+            if let Some(mask) = lane_ops[i / 64].get_mut(lane) {
+                *mask |= 1 << (i % 64);
             }
             ops.push(match m.kind {
                 OpKind::Compute => {
@@ -784,9 +780,10 @@ impl<'a> Sched<'a> {
 
     /// The ops of `word` that contend for one of `lanes`.
     fn lane_ops(&self, word: usize, mut lanes: u32) -> u64 {
+        let by_lane = &self.prep.lane_ops[word];
         let mut ops = 0;
         while lanes != 0 {
-            ops |= self.prep.lane_ops[lanes.trailing_zeros() as usize][word];
+            ops |= by_lane[lanes.trailing_zeros() as usize];
             lanes &= lanes - 1;
         }
         ops
