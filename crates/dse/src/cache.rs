@@ -221,26 +221,21 @@ impl ResultCache {
         payload.ok_or_else(|| "missing 'payload'".to_string())
     }
 
-    fn check_header(id: &CacheId, v: &Value) -> Result<(), String> {
-        let field = |key: &str| -> Result<&Value, String> {
-            v.get(key).ok_or_else(|| format!("missing '{key}'"))
-        };
-        if field("version")?.as_f64() != Some(CACHE_FORMAT_VERSION as f64) {
-            return Err("format version mismatch".into());
+    fn check_header(id: &CacheId, header: &Value) -> Result<(), String> {
+        let expected = [
+            ("version", Value::Number(CACHE_FORMAT_VERSION as f64)),
+            ("key", Value::String(id.key_hex())),
+            ("domain", Value::String(id.domain.clone())),
+            ("canon_len", Value::Number(id.canon.len() as f64)),
+            ("canon_check", Value::String(id.canon_check_hex())),
+        ];
+        match expected
+            .iter()
+            .find(|(key, want)| header.get(key) != Some(want))
+        {
+            Some((key, _)) => Err(format!("'{key}' missing or not this entry's")),
+            None => Ok(()),
         }
-        if field("key")?.as_str() != Some(id.key_hex().as_str()) {
-            return Err("key mismatch".into());
-        }
-        if field("domain")?.as_str() != Some(id.domain.as_str()) {
-            return Err("domain mismatch".into());
-        }
-        if field("canon_len")?.as_f64() != Some(id.canon.len() as f64) {
-            return Err("canonical-config length mismatch".into());
-        }
-        if field("canon_check")?.as_str() != Some(id.canon_check_hex().as_str()) {
-            return Err("canonical-config check-hash mismatch".into());
-        }
-        Ok(())
     }
 
     /// Writes (or overwrites) the entry for `id` atomically.

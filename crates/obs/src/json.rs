@@ -203,29 +203,15 @@ impl<'a> Reader<'a> {
         mut field: impl FnMut(&mut Self, String) -> Result<(), String>,
     ) -> Result<(), String> {
         self.expect(b'{')?;
-        if self.token() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
+        let mut more = self.token() != Some(b'}');
+        while more {
             let key = self.string()?;
             self.expect(b':')?;
             field(self, key)?;
-            match self.token() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
+            more = self.token() == Some(b',');
+            self.pos += more as usize;
         }
+        self.expect(b'}')
     }
 
     /// Reads an array, calling `item` with each element's index; `item`
@@ -235,28 +221,15 @@ impl<'a> Reader<'a> {
         mut item: impl FnMut(&mut Self, usize) -> Result<(), String>,
     ) -> Result<(), String> {
         self.expect(b'[')?;
-        if self.token() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        for index in 0.. {
+        let mut more = self.token() != Some(b']');
+        let mut index = 0;
+        while more {
             item(self, index)?;
-            match self.token() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    break;
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
+            index += 1;
+            more = self.token() == Some(b',');
+            self.pos += more as usize;
         }
-        Ok(())
+        self.expect(b']')
     }
 
     /// Reads a number written as plain decimal digits, exactly: no sign,

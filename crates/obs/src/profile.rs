@@ -678,6 +678,33 @@ mod tests {
             .contains("column schema"));
     }
 
+    /// A cell its field cannot hold is an error naming the row and the
+    /// column — `kind = 256` used to wrap to Compute and a dep of `-3.5` to
+    /// uid 0 — and what a field can hold is read exactly, past 2^53 too.
+    #[test]
+    fn depstream_rows_reject_cells_their_field_cannot_hold() {
+        let mut s = DepStream::new();
+        s.record(1, "add", "int_adder", 0, 1, vec![]);
+        s.record(2, "add", "int_adder", 1, 2, vec![1]);
+        let json = s.to_json();
+        let row = "[2,0,0,1,2,0,0,0,0,0,0,0,0,[1]]";
+        assert!(json.contains(row));
+        for (bad_row, column) in [
+            ("[2,0,0,1,2,256,0,0,0,0,0,0,0,[1]]", "kind"),
+            ("[2,0,0,1,2,3,0,0,0,0,0,0,0,[1]]", "kind"),
+            ("[2,4294967296,0,1,2,0,0,0,0,0,0,0,0,[1]]", "name"),
+            ("[2,0,0,1,2,0,0,0,0,0,0,0,0,[-3.5]]", "deps"),
+            ("[2,0,0,1,2,0,0,0,0,0,0,0,0,[1e0]]", "deps"),
+            ("[2.0,0,0,1,2,0,0,0,0,0,0,0,0,[1]]", "uid"),
+        ] {
+            let err = DepStream::from_json(&json.replace(row, bad_row)).unwrap_err();
+            assert!(err.contains(&format!("op row 1 column {column}")), "{err}");
+        }
+        let top = json.replace(row, "[2,0,0,1,2,0,0,0,0,0,0,18446744073709551615,0,[1]]");
+        let back = DepStream::from_json(&top).unwrap();
+        assert_eq!(back.ops()[1].meta.addr, u64::MAX);
+    }
+
     #[test]
     fn depstream_to_trace_spans_every_op_and_draws_path_edges() {
         let mut s = DepStream::new();

@@ -340,6 +340,9 @@ impl Prepared {
                     if fu != NO_FU && fu_first_uid[fu as usize] == 0 {
                         fu_first_uid[fu as usize] = uid as u32;
                     }
+                    if m.latency as u64 > MAX_LATENCY {
+                        return bad(format!("latency {} of uid {uid} is absurd", m.latency));
+                    }
                     max_latency = max_latency.max(m.latency);
                     ROp::Compute {
                         latency: m.latency,
@@ -443,56 +446,38 @@ const PUBLISHED: u8 = 1 << 3;
 /// can never regress.
 const ORDER_OK: u32 = u32::MAX;
 
-/// What the loads (or the stores) contend for.
+/// The load (or the store) side of the memory interface.
+#[derive(Default)]
 struct MemLane {
-    /// Outstanding-access cap and SPM ports per cycle.
-    cap: usize,
-    ports: u32,
-    /// Accesses in flight.
+    /// Accesses in flight, against the outstanding cap.
     outstanding: usize,
-    /// Ops issued this pass (the ports used).
+    /// Ops issued this pass, against the SPM ports.
     issued: u32,
     /// Ordering window: imported accesses in uid order; committed ones
     /// leave from the front and are skipped elsewhere.
     window: VecDeque<u32>,
 }
 
-impl MemLane {
-    fn new(cap: usize, ports: u32) -> Self {
-        MemLane {
-            cap,
-            ports,
-            outstanding: 0,
-            issued: 0,
-            window: VecDeque::new(),
-        }
-    }
-}
-
-/// Longest latency the wheel's ring covers; anything longer waits in the
-/// wheel's overflow list.
-const WHEEL_SPAN: u64 = 1023;
+/// Longest op or memory latency a stream or a config may ask for: the
+/// commit wheel's ring has to span it.
+const MAX_LATENCY: u64 = 1 << 16;
 
 /// Issued ops waiting for their commit cycle, bucketed by it (the shape of
 /// the engine's `CommitWheel`, DESIGN.md §5.1): each ring slot heads a list
 /// threaded through `next`, so an op enters and leaves in two stores. The
-/// ring covers [`WHEEL_SPAN`] cycles at most; `far` holds the rare longer
-/// wait and is scanned linearly.
+/// ring spans the longest latency, so a slot only ever holds one cycle's ops.
 struct Wheel {
     /// Per slot: 1 + the index of the list's first op, 0 when empty.
     heads: Vec<u32>,
     /// Per op: the rest of its slot's list, in the encoding of `heads`.
     next: Vec<u32>,
-    far: Vec<(u64, u32)>,
 }
 
 impl Wheel {
     fn new(max_latency: u64, ops: usize) -> Self {
-        let len = (max_latency.min(WHEEL_SPAN) as usize + 1).next_power_of_two();
         Wheel {
-            heads: vec![0; len],
+            heads: vec![0; (max_latency as usize + 1).next_power_of_two()],
             next: vec![0; ops],
-            far: Vec::new(),
         }
     }
 
@@ -500,30 +485,16 @@ impl Wheel {
         (cycle & (self.heads.len() as u64 - 1)) as usize
     }
 
-    fn push(&mut self, now: u64, at: u64, idx: u32) {
-        if at - now < self.heads.len() as u64 {
-            let s = self.slot(at);
-            self.next[idx as usize] = std::mem::replace(&mut self.heads[s], idx + 1);
-        } else {
-            self.far.push((at, idx));
-        }
+    fn push(&mut self, at: u64, idx: u32) {
+        let s = self.slot(at);
+        self.next[idx as usize] = std::mem::replace(&mut self.heads[s], idx + 1);
     }
 
     /// Detaches the list of the ops due at `cycle`; walk it with
     /// [`Wheel::pop`].
     fn take_due(&mut self, cycle: u64) -> u32 {
         let s = self.slot(cycle);
-        let mut due = std::mem::take(&mut self.heads[s]);
-        if !self.far.is_empty() {
-            let next = &mut self.next;
-            self.far.retain(|&(at, idx)| {
-                if at == cycle {
-                    next[idx as usize] = std::mem::replace(&mut due, idx + 1);
-                }
-                at != cycle
-            });
-        }
-        due
+        std::mem::take(&mut self.heads[s])
     }
 
     /// The first op of a detached list and the rest of the list.
@@ -532,15 +503,10 @@ impl Wheel {
         Some((idx, self.next[idx as usize]))
     }
 
-    /// The earliest pending commit at or after `from`. Every ring entry is
-    /// due within one lap, so the first nonempty slot names its cycle.
+    /// The earliest pending commit at or after `from`: every entry is due
+    /// within one lap, so the first nonempty slot names its cycle.
     fn next_event(&self, from: u64) -> Option<u64> {
-        let ring = (from..from + self.heads.len() as u64).find(|&c| self.heads[self.slot(c)] != 0);
-        let far = self.far.iter().map(|&(at, _)| at).min();
-        match (ring, far) {
-            (Some(r), Some(f)) => Some(r.min(f)),
-            (r, f) => r.or(f),
-        }
+        (from..from + self.heads.len() as u64).find(|&c| self.heads[self.slot(c)] != 0)
     }
 }
 
@@ -636,10 +602,7 @@ impl<'a> Sched<'a> {
             cursor: 0,
             woken_behind: false,
             imported: 0,
-            mem: [
-                MemLane::new(cfg.max_outstanding_reads, cfg.spm_read_ports),
-                MemLane::new(cfg.max_outstanding_writes, cfg.spm_write_ports),
-            ],
+            mem: Default::default(),
             fu_pool,
             fu_busy: [0; N_FU],
             busy_sum: [0; N_FU],
@@ -887,8 +850,7 @@ impl<'a> Sched<'a> {
                     }
                 }
                 self.compute_inflight += 1;
-                self.wheel
-                    .push(self.cycle, self.cycle + latency as u64, idx);
+                self.wheel.push(self.cycle + latency as u64, idx);
                 true
             }
             ROp::Mem {
@@ -898,11 +860,15 @@ impl<'a> Sched<'a> {
                     flags.blocked_any = true;
                     return false;
                 }
+                let (cap, ports) = match store {
+                    true => (self.cfg.max_outstanding_writes, self.cfg.spm_write_ports),
+                    false => (self.cfg.max_outstanding_reads, self.cfg.spm_read_ports),
+                };
                 let lane = &mut self.mem[store as usize];
-                if lane.outstanding >= lane.cap || lane.issued == lane.ports {
+                if lane.outstanding >= cap || lane.issued == ports {
                     flags.blocked_any = true;
                     flags.mem_limit_blocked = true;
-                    flags.port_rejected |= lane.outstanding < lane.cap;
+                    flags.port_rejected |= lane.outstanding < cap;
                     self.saturated |= 1 << (LOAD + store as usize);
                     return false;
                 }
@@ -914,8 +880,8 @@ impl<'a> Sched<'a> {
                 if let Some(t) = self.times.get_mut(i) {
                     t.0 = self.cycle;
                 }
-                let at = self.cycle.saturating_add(self.cfg.mem_latency.max(1));
-                self.wheel.push(self.cycle, at, idx);
+                self.wheel
+                    .push(self.cycle + self.cfg.mem_latency.max(1), idx);
                 true
             }
         }
@@ -1061,9 +1027,10 @@ fn run(
         || cfg.max_outstanding_writes == 0
         || cfg.spm_read_ports == 0
         || cfg.spm_write_ports == 0
+        || cfg.mem_latency > MAX_LATENCY
     {
         return Err(ReplayError::BadStream(
-            "zero-sized resource in config".into(),
+            "zero-sized resource or absurd memory latency in config".into(),
         ));
     }
     let mut fu_pool = [0u32; N_FU];
@@ -1115,56 +1082,57 @@ mod tests {
     use super::*;
     use salam_obs::DepMeta;
 
-    fn meta(kind: OpKind, latency: u32, group: u32, ctrl: u64) -> DepMeta {
-        DepMeta {
-            kind,
+    /// Appends a compute op of `class` to group `group`, fetched by `ctrl`.
+    fn alu(
+        s: &mut DepStream,
+        uid: u64,
+        class: &str,
+        latency: u32,
+        deps: &[u64],
+        group: (u32, u64),
+    ) {
+        let meta = DepMeta {
             latency,
-            group,
-            ctrl,
+            group: group.0,
+            ctrl: group.1,
             ..DepMeta::default()
+        };
+        s.record_meta(uid, class, class, 0, 0, deps.to_vec(), meta);
+    }
+
+    /// Appends an 8-byte access to `addr` in the entry group.
+    fn access(s: &mut DepStream, uid: u64, kind: OpKind, addr: u64, addr_dep: u64) {
+        let class = if kind == OpKind::Store {
+            "store"
+        } else {
+            "load"
+        };
+        let meta = DepMeta {
+            kind,
+            latency: 1,
+            addr,
+            size: 8,
+            addr_dep,
+            ..DepMeta::default()
+        };
+        s.record_meta(uid, class, class, 0, 0, vec![], meta);
+    }
+
+    fn adders(n: u32) -> ReplayConfig {
+        ReplayConfig {
+            fu_pool: [(FuKind::IntAdder, n)].into_iter().collect(),
+            ..ReplayConfig::default()
         }
     }
 
-    fn pool(entries: &[(FuKind, u32)]) -> HashMap<FuKind, u32> {
-        entries.iter().copied().collect()
-    }
-
-    /// add(1) → add(2) → add(3), one-cycle adder each, unlimited pool.
+    /// add(1) → add(2) → ret, one-cycle adder each.
     #[test]
     fn serial_chain_takes_latency_sum_plus_drain() {
         let mut s = DepStream::new();
-        s.record_meta(
-            1,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 1, 0, 0),
-        );
-        s.record_meta(
-            2,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![1],
-            meta(OpKind::Compute, 1, 0, 0),
-        );
-        s.record_meta(
-            3,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![2],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
-        let cfg = ReplayConfig {
-            fu_pool: pool(&[(FuKind::IntAdder, 4)]),
-            ..ReplayConfig::default()
-        };
-        let out = replay(&s, &cfg).unwrap();
+        alu(&mut s, 1, "int_adder", 1, &[], (0, 0));
+        alu(&mut s, 2, "int_adder", 1, &[1], (0, 0));
+        alu(&mut s, 3, "other", 0, &[2], (0, 0));
+        let out = replay(&s, &adders(4)).unwrap();
         // c0: issue add1; c1: add1 commits, issue add2; c2: add2 commits,
         // ret issues+chains. Total = 3 cycles.
         assert_eq!(out.cycles, 3);
@@ -1175,108 +1143,33 @@ mod tests {
     /// Two independent adds on a single adder serialize; two adders don't.
     #[test]
     fn fu_pool_limit_serializes_and_charges_fu_limit() {
-        let build = || {
-            let mut s = DepStream::new();
-            s.record_meta(
-                1,
-                "add",
-                "int_adder",
-                0,
-                0,
-                vec![],
-                meta(OpKind::Compute, 3, 0, 0),
-            );
-            s.record_meta(
-                2,
-                "add",
-                "int_adder",
-                0,
-                0,
-                vec![],
-                meta(OpKind::Compute, 3, 0, 0),
-            );
-            s.record_meta(
-                3,
-                "ret",
-                "other",
-                0,
-                0,
-                vec![1, 2],
-                meta(OpKind::Compute, 0, 0, 0),
-            );
-            s
-        };
-        let wide = replay(
-            &build(),
-            &ReplayConfig {
-                fu_pool: pool(&[(FuKind::IntAdder, 2)]),
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap();
-        let narrow = replay(
-            &build(),
-            &ReplayConfig {
-                fu_pool: pool(&[(FuKind::IntAdder, 1)]),
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap();
+        let mut s = DepStream::new();
+        alu(&mut s, 1, "int_adder", 3, &[], (0, 0));
+        alu(&mut s, 2, "int_adder", 3, &[], (0, 0));
+        alu(&mut s, 3, "other", 0, &[1, 2], (0, 0));
+        let wide = replay(&s, &adders(2)).unwrap();
+        let narrow = replay(&s, &adders(1)).unwrap();
         assert!(narrow.cycles > wide.cycles);
         assert!(narrow.attribution.get(CycleClass::FuLimit) > 0);
         assert_eq!(wide.attribution.get(CycleClass::FuLimit), 0);
         assert_eq!(narrow.attribution.total(), narrow.cycles);
+        assert_eq!(narrow.fu_busy_cycle_sum[&FuKind::IntAdder], 6);
     }
 
     /// Four independent loads: 2 read ports take 2 issue cycles, 1 port 4.
     #[test]
     fn read_port_width_gates_parallel_loads() {
-        let build = || {
-            let mut s = DepStream::new();
-            for uid in 1..=4u64 {
-                s.record_meta(
-                    uid,
-                    "load",
-                    "load",
-                    0,
-                    0,
-                    vec![],
-                    DepMeta {
-                        kind: OpKind::Load,
-                        latency: 1,
-                        addr: uid * 8,
-                        size: 8,
-                        ..DepMeta::default()
-                    },
-                );
-            }
-            s.record_meta(
-                5,
-                "ret",
-                "other",
-                0,
-                0,
-                vec![1, 2, 3, 4],
-                meta(OpKind::Compute, 0, 0, 0),
-            );
-            s
+        let mut s = DepStream::new();
+        for uid in 1..=4 {
+            access(&mut s, uid, OpKind::Load, uid * 8, 0);
+        }
+        alu(&mut s, 5, "other", 0, &[1, 2, 3, 4], (0, 0));
+        let ports = |spm_read_ports| ReplayConfig {
+            spm_read_ports,
+            ..ReplayConfig::default()
         };
-        let two = replay(
-            &build(),
-            &ReplayConfig {
-                spm_read_ports: 2,
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap();
-        let one = replay(
-            &build(),
-            &ReplayConfig {
-                spm_read_ports: 1,
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap();
+        let two = replay(&s, &ports(2)).unwrap();
+        let one = replay(&s, &ports(1)).unwrap();
         assert!(one.cycles > two.cycles);
         assert!(one.port_reject_cycles > 0);
     }
@@ -1286,166 +1179,73 @@ mod tests {
     #[test]
     fn outstanding_cap_charges_mem_port() {
         let mut s = DepStream::new();
-        for uid in 1..=2u64 {
-            s.record_meta(
-                uid,
-                "load",
-                "load",
-                0,
-                0,
-                vec![],
-                DepMeta {
-                    kind: OpKind::Load,
-                    latency: 1,
-                    addr: uid * 8,
-                    size: 8,
-                    ..DepMeta::default()
-                },
-            );
-        }
-        s.record_meta(
-            3,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![1, 2],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
-        let out = replay(
-            &s,
-            &ReplayConfig {
-                max_outstanding_reads: 1,
-                mem_latency: 3,
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap();
+        access(&mut s, 1, OpKind::Load, 8, 0);
+        access(&mut s, 2, OpKind::Load, 16, 0);
+        alu(&mut s, 3, "other", 0, &[1, 2], (0, 0));
+        let cfg = ReplayConfig {
+            max_outstanding_reads: 1,
+            mem_latency: 3,
+            ..ReplayConfig::default()
+        };
+        let out = replay(&s, &cfg).unwrap();
         assert!(out.attribution.get(CycleClass::MemPort) > 0);
+        assert_eq!(out.port_reject_cycles, 0);
         assert_eq!(out.attribution.total(), out.cycles);
     }
 
     /// Store→load to the same address must respect memory ordering.
     #[test]
     fn store_load_conflict_orders_and_mem_latency_retimes() {
-        let build = || {
-            let mut s = DepStream::new();
-            s.record_meta(
-                1,
-                "store",
-                "store",
-                0,
-                0,
-                vec![],
-                DepMeta {
-                    kind: OpKind::Store,
-                    latency: 1,
-                    addr: 64,
-                    size: 8,
-                    ..DepMeta::default()
-                },
-            );
-            s.record_meta(
-                2,
-                "load",
-                "load",
-                0,
-                0,
-                vec![],
-                DepMeta {
-                    kind: OpKind::Load,
-                    latency: 1,
-                    addr: 64,
-                    size: 8,
-                    ..DepMeta::default()
-                },
-            );
-            s.record_meta(
-                3,
-                "ret",
-                "other",
-                0,
-                0,
-                vec![2],
-                meta(OpKind::Compute, 0, 0, 0),
-            );
-            s
+        let mut s = DepStream::new();
+        access(&mut s, 1, OpKind::Store, 64, 0);
+        access(&mut s, 2, OpKind::Load, 64, 0);
+        alu(&mut s, 3, "other", 0, &[2], (0, 0));
+        let latency = |mem_latency| ReplayConfig {
+            mem_latency,
+            ..ReplayConfig::default()
         };
-        let lat1 = replay(&build(), &ReplayConfig::default()).unwrap();
-        let lat4 = replay(
-            &build(),
-            &ReplayConfig {
-                mem_latency: 4,
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap();
+        let lat1 = replay(&s, &latency(1)).unwrap();
+        let lat4 = replay(&s, &latency(4)).unwrap();
         // Load cannot issue until the store commits: latency on the
         // serialized pair is paid twice.
         assert_eq!(lat4.cycles - lat1.cycles, 2 * 3);
         assert!(lat4.attribution.get(CycleClass::DmaWait) > 0);
     }
 
+    /// Spans that end past `u64::MAX` still order against each other; the
+    /// comparison must not overflow.
+    #[test]
+    fn spans_at_the_top_of_the_address_space_conflict_without_overflow() {
+        let mut s = DepStream::new();
+        access(&mut s, 1, OpKind::Store, u64::MAX - 3, 0);
+        access(&mut s, 2, OpKind::Load, u64::MAX, 0);
+        access(&mut s, 3, OpKind::Load, 0, 0);
+        alu(&mut s, 4, "other", 0, &[1, 2, 3], (0, 0));
+        let out = replay(&s, &ReplayConfig::default()).unwrap();
+        let issue = |uid| {
+            let retimed = out.retimed.as_ref().unwrap();
+            retimed.ops().iter().find(|o| o.uid == uid).unwrap().issue
+        };
+        assert_eq!((issue(1), issue(3)), (0, 0));
+        assert_eq!(issue(2), 1, "waits for the overlapping store to commit");
+    }
+
     /// Block-import gating: group 1 cannot start before its terminator.
     #[test]
     fn group_import_waits_for_its_terminator() {
         let mut s = DepStream::new();
-        s.record_meta(
-            1,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 5, 0, 0),
-        );
-        s.record_meta(
-            2,
-            "br",
-            "other",
-            0,
-            0,
-            vec![1],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
-        s.record_meta(
-            3,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 1, 1, 2),
-        );
-        s.record_meta(
-            4,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![3],
-            meta(OpKind::Compute, 0, 1, 2),
-        );
-        let out = replay(
-            &s,
-            &ReplayConfig {
-                fu_pool: pool(&[(FuKind::IntAdder, 4)]),
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap();
+        alu(&mut s, 1, "int_adder", 5, &[], (0, 0));
+        alu(&mut s, 2, "other", 0, &[1], (0, 0));
+        alu(&mut s, 3, "int_adder", 1, &[], (1, 2));
+        alu(&mut s, 4, "other", 0, &[3], (1, 2));
+        let out = replay(&s, &adders(4)).unwrap();
         // c0: add1 issues (5 cycles); c1–c4 frozen (fast-forwarded);
         // c5: add1 commits, br issues+chains, group 1 imports inline,
         // add3 issues; c6: add3 commits, ret chains. Total 7.
         assert_eq!(out.cycles, 7);
-        let retimed: Vec<(u64, u64)> = out
-            .retimed
-            .expect("retimed is on by default")
-            .ops()
-            .iter()
-            .map(|o| (o.uid, o.issue))
-            .collect();
-        assert!(retimed.contains(&(3, 5)), "{retimed:?}");
+        let retimed = out.retimed.expect("retimed is on by default");
+        let issued: Vec<(u64, u64)> = retimed.ops().iter().map(|o| (o.uid, o.issue)).collect();
+        assert!(issued.contains(&(3, 5)), "{issued:?}");
     }
 
     #[test]
@@ -1457,20 +1257,25 @@ mod tests {
         assert!(err.to_string().contains("metadata"), "{err}");
     }
 
+    /// An address producer must be an earlier op — `addr_dep` used to index
+    /// the commit table unchecked.
+    #[test]
+    fn addr_dep_outside_the_earlier_uids_is_a_bad_stream() {
+        for addr_dep in [1, 99] {
+            let mut s = DepStream::new();
+            access(&mut s, 1, OpKind::Load, 64, addr_dep);
+            let err = replay(&s, &ReplayConfig::default()).unwrap_err();
+            assert!(matches!(err, ReplayError::BadStream(_)), "{err}");
+            assert!(err.to_string().contains("addr_dep"), "{err}");
+        }
+    }
+
     #[test]
     fn impossible_constraints_are_rejected_up_front() {
         let mut s = DepStream::new();
         // An FU class with no pool entry could never issue; replay refuses
         // before scheduling instead of deadlocking mid-run.
-        s.record_meta(
-            1,
-            "fmul",
-            "fp_mul_dp",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 4, 0, 0),
-        );
+        alu(&mut s, 1, "fp_mul_dp", 4, &[], (0, 0));
         let err = replay(&s, &ReplayConfig::default()).unwrap_err();
         assert!(matches!(err, ReplayError::BadStream(_)), "{err}");
         assert!(err.to_string().contains("fp_mul_dp"), "{err}");
@@ -1479,64 +1284,18 @@ mod tests {
     #[test]
     fn retimed_stream_keeps_ops_and_attribution_totals_match() {
         let mut s = DepStream::new();
-        s.record_meta(
-            1,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 1, 0, 0),
-        );
-        s.record_meta(
-            2,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![1],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
-        let out = replay(
-            &s,
-            &ReplayConfig {
-                fu_pool: pool(&[(FuKind::IntAdder, 1)]),
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap();
+        alu(&mut s, 1, "int_adder", 1, &[], (0, 0));
+        alu(&mut s, 2, "other", 0, &[1], (0, 0));
+        let out = replay(&s, &adders(1)).unwrap();
         assert_eq!(out.retimed.as_ref().expect("on by default").len(), s.len());
         assert_eq!(out.attribution.total(), out.cycles);
 
         // Sweeps that only need cycles can skip building the stream.
-        let mut s2 = DepStream::new();
-        s2.record_meta(
-            1,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 1, 0, 0),
-        );
-        s2.record_meta(
-            2,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![1],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
-        let lean = replay(
-            &s2,
-            &ReplayConfig {
-                fu_pool: pool(&[(FuKind::IntAdder, 1)]),
-                want_retimed: false,
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap();
+        let lean_cfg = ReplayConfig {
+            want_retimed: false,
+            ..adders(1)
+        };
+        let lean = replay(&s, &lean_cfg).unwrap();
         assert_eq!(lean.cycles, out.cycles);
         assert!(lean.retimed.is_none());
     }
