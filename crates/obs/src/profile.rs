@@ -395,7 +395,7 @@ impl DepStream {
         let mut tables = [false; 3];
         let strings = |r: &mut Reader<'_>, key: &str| -> Result<Vec<String>, String> {
             let mut table = Vec::new();
-            r.array(|r, _| Ok(table.push(r.string()?)))
+            r.array(|r, _| r.string().map(|s| table.push(s)))
                 .map_err(|e| format!("non-string entry in {key}: {e}"))?;
             Ok(table)
         };
@@ -436,7 +436,8 @@ impl DepStream {
                         let op = read_row(r).map_err(|(col, e)| {
                             format!("op row {row} column {}: {e}", DEPSTREAM_COLUMNS[col])
                         })?;
-                        Ok(stream.ops.push(op))
+                        stream.ops.push(op);
+                        Ok(())
                     })?;
                     tables[2] = true;
                 }
@@ -501,7 +502,7 @@ fn read_row(r: &mut Reader<'_>) -> Result<DepOp, (usize, String)> {
     };
     let mut deps = Vec::new();
     r.expect(b',')
-        .and_then(|()| r.array(|r, _| Ok(deps.push(r.u64()?))))
+        .and_then(|()| r.array(|r, _| r.u64().map(|d| deps.push(d))))
         .and_then(|()| r.expect(b']'))
         .map_err(|e| (13, e))?;
     Ok(DepOp {

@@ -514,7 +514,7 @@ impl Wheel {
 /// `u64::MAX` lies beyond every address.
 fn overlaps(a: u64, a_size: u32, b: u64, b_size: u32) -> bool {
     let before_end =
-        |x: u64, start: u64, size: u32| start.checked_add(size as u64).map_or(true, |end| x < end);
+        |x: u64, start: u64, size: u32| start.checked_add(size as u64).is_none_or(|end| x < end);
     before_end(b, a, a_size) && before_end(a, b, b_size)
 }
 

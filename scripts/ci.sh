@@ -150,8 +150,8 @@ esac
 
 # Trace-replay smoke: every MachSuite kernel over a replay-safe grid in
 # check mode — each eligible point is both replayed and fully simulated,
-# so the ≤2% error and >1x median-speedup gates are measured, not
-# projected; a replayed point undercutting the static lower bound counts
+# so the ≤2% error and ≥1.5x per-kernel median-speedup gates are measured,
+# not projected; a replayed point undercutting the static lower bound counts
 # as a fallback and fails the binary. The benchmark JSON lands in
 # REPLAY_BENCH_OUT when set (the workflow uploads it as an artifact).
 echo "+ replay_smoke (trace-replay accuracy/speedup gate)"
