@@ -319,8 +319,7 @@ impl DepStream {
             let _ = write!(out, "\"{key}\": [");
             for (i, s) in table.iter().enumerate() {
                 let sep = if i > 0 { ", " } else { "" };
-                let esc = s.as_ref().replace('\\', "\\\\").replace('"', "\\\"");
-                let _ = write!(out, "{sep}\"{esc}\"");
+                let _ = write!(out, "{sep}\"{}\"", crate::json::escape(s.as_ref()));
             }
             out.push_str("],\n");
         }
@@ -390,9 +389,8 @@ impl DepStream {
     /// Same contract as [`DepStream::from_json`]. The version and the
     /// column schema must precede the rows they describe.
     pub fn read_json(r: &mut Reader<'_>) -> Result<DepStream, String> {
-        let mut stream = DepStream::new();
         let (mut version_ok, mut columns_ok) = (false, false);
-        let mut tables = [false; 3];
+        let (mut names, mut classes, mut ops) = (None, None, None);
         let strings = |r: &mut Reader<'_>, key: &str| -> Result<Vec<String>, String> {
             let mut table = Vec::new();
             r.array(|r, _| r.string().map(|s| table.push(s)))
@@ -423,8 +421,8 @@ impl DepStream {
                     }
                     columns_ok = true;
                 }
-                "names" => (stream.names, tables[0]) = (strings(r, "names")?, true),
-                "classes" => (stream.classes, tables[1]) = (strings(r, "classes")?, true),
+                "names" => names = Some(strings(r, "names")?),
+                "classes" => classes = Some(strings(r, "classes")?),
                 "ops" => {
                     if !version_ok {
                         return Err("missing format_version field".into());
@@ -432,29 +430,26 @@ impl DepStream {
                     if !columns_ok {
                         return Err("missing columns field".into());
                     }
+                    let mut rows = Vec::new();
                     r.array(|r, row| {
                         let op = read_row(r).map_err(|(col, e)| {
                             format!("op row {row} column {}: {e}", DEPSTREAM_COLUMNS[col])
                         })?;
-                        stream.ops.push(op);
+                        rows.push(op);
                         Ok(())
                     })?;
-                    tables[2] = true;
+                    ops = Some(rows);
                 }
                 _ => drop(r.value()?),
             }
             Ok(())
         })
         .map_err(|e| format!("depstream: {e}"))?;
-        for (key, seen) in ["names table", "classes table", "ops array"]
-            .into_iter()
-            .zip(tables)
-        {
-            if !seen {
-                return Err(format!("depstream: missing {key}"));
-            }
-        }
-        Ok(stream)
+        Ok(DepStream {
+            names: names.ok_or("depstream: missing names table")?,
+            classes: classes.ok_or("depstream: missing classes table")?,
+            ops: ops.ok_or("depstream: missing ops array")?,
+        })
     }
 }
 

@@ -943,12 +943,11 @@ impl<'a> Sched<'a> {
             let issued = self.issue_ready(&mut flags, &mut imported);
 
             // Cycle bookkeeping: attribution by the engine's exact priority.
-            let fu_blocked = flags.fu_blocked;
-            let blocked_any = flags.blocked_any || fu_blocked;
+            let blocked_any = flags.blocked_any || flags.fu_blocked;
             let mem_inflight = self.mem[0].outstanding + self.mem[1].outstanding;
             let class = if issued > 0 {
                 CycleClass::Compute
-            } else if fu_blocked {
+            } else if flags.fu_blocked {
                 CycleClass::FuLimit
             } else if flags.mem_limit_blocked {
                 CycleClass::MemPort
