@@ -6,15 +6,18 @@
 //! (`salam_obs::det`), so the cases are identical on every platform and
 //! the suite needs no crates.io dependencies.
 
+use std::collections::{BTreeMap, HashMap};
+
 use salam_obs::det::{check_cases, SplitMix64};
 
-use hw_profile::HardwareProfile;
+use hw_profile::{FuKind, HardwareProfile};
 use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_ir::interp::{run_function, NullObserver, RtVal, SparseMemory};
 use salam_ir::{
     parse_module, FloatPredicate, Function, FunctionBuilder, IntPredicate, Module, Type,
 };
-use salam_runtime::{Engine, EngineConfig, SimpleMem};
+use salam_replay::ReplayConfig;
+use salam_runtime::{Engine, EngineConfig, EngineStats, SimpleMem};
 
 /// One step of a random straight-line computation over two value pools.
 #[derive(Debug, Clone)]
@@ -246,4 +249,256 @@ fn engine_is_deterministic() {
         assert!(floats_eq(&a.1, &b.1));
         assert_eq!(a.2, b.2);
     });
+}
+
+// ---- engine vs replay on generated looped kernels ----------------------------
+
+/// One statement of a generated loop body: `a|b[(iv·k+c) mod 16]` → an
+/// integer op against the running value → optional float detour →
+/// `a[(iv·k'+c') mod 16]`, the store optionally behind a data-dependent
+/// branch. Loads and stores alias across statements and iterations.
+#[derive(Debug, Clone)]
+struct Stmt {
+    load_b: bool,
+    load_at: (i64, i64),
+    op: usize,
+    float_detour: bool,
+    store_at: (i64, i64),
+    guarded: bool,
+}
+
+/// An outer loop of `outer` trips, optionally around an inner one.
+#[derive(Debug, Clone)]
+struct LoopKernel {
+    outer: i64,
+    inner: Option<i64>,
+    stmts: Vec<Stmt>,
+}
+
+fn gen_loop_kernel(g: &mut SplitMix64) -> LoopKernel {
+    let at = |g: &mut SplitMix64| (g.range_i64(0, 4), g.range_i64(0, 16));
+    LoopKernel {
+        outer: g.range_i64(2, 7),
+        inner: g.gen_bool(0.5).then(|| g.range_i64(1, 5)),
+        stmts: (0..g.range_usize(1, 6))
+            .map(|_| Stmt {
+                load_b: g.gen_bool(0.5),
+                load_at: at(g),
+                op: g.range_usize(0, 5),
+                float_detour: g.gen_bool(0.3),
+                store_at: at(g),
+                guarded: g.gen_bool(0.3),
+            })
+            .collect(),
+    }
+}
+
+/// `base[(iv·k+c) mod 16]` as an `i64` element pointer.
+fn elem_ptr(
+    fb: &mut FunctionBuilder,
+    base: salam_ir::ValueId,
+    iv: salam_ir::ValueId,
+    (k, c): (i64, i64),
+) -> salam_ir::ValueId {
+    let (k, c, mask) = (fb.i64c(k), fb.i64c(c), fb.i64c(15));
+    let scaled = fb.mul(iv, k, "scaled");
+    let off = fb.add(scaled, c, "off");
+    let idx = fb.and(off, mask, "idx");
+    fb.gep1(Type::I64, base, idx, "p")
+}
+
+fn emit_stmts(
+    fb: &mut FunctionBuilder,
+    stmts: &[Stmt],
+    a: salam_ir::ValueId,
+    b: salam_ir::ValueId,
+    iv: salam_ir::ValueId,
+) {
+    let mut acc = iv;
+    for s in stmts {
+        let p = elem_ptr(fb, if s.load_b { b } else { a }, iv, s.load_at);
+        let x = fb.load(Type::I64, p, "x");
+        let mut y = match s.op {
+            0 => fb.add(x, acc, "y"),
+            1 => fb.mul(x, acc, "y"),
+            2 => fb.sub(x, acc, "y"),
+            3 => fb.xor(x, acc, "y"),
+            _ => {
+                let c = fb.icmp(IntPredicate::Slt, x, acc, "c");
+                fb.select(c, x, acc, "y")
+            }
+        };
+        if s.float_detour {
+            // Keep the detour exact: small magnitudes survive the round trip.
+            let mask = fb.i64c(0xFFFF);
+            let small = fb.and(y, mask, "small");
+            let f = fb.sitofp(small, Type::F64, "f");
+            let half = fb.f64c(0.5);
+            let m = fb.fmul(f, half, "m");
+            y = fb.fptosi(m, Type::I64, "yi");
+        }
+        acc = y;
+        let q = elem_ptr(fb, a, iv, s.store_at);
+        if s.guarded {
+            let then_b = fb.add_block("guard.then");
+            let join = fb.add_block("guard.join");
+            let one = fb.i64c(1);
+            let low = fb.and(y, one, "low");
+            let zero = fb.i64c(0);
+            let odd = fb.icmp(IntPredicate::Ne, low, zero, "odd");
+            fb.cond_br(odd, then_b, join);
+            fb.position_at(then_b);
+            fb.store(y, q);
+            fb.br(join);
+            fb.position_at(join);
+        } else {
+            fb.store(y, q);
+        }
+    }
+}
+
+fn build_loop_kernel(k: &LoopKernel) -> Function {
+    let mut fb = FunctionBuilder::new("rand_loops", &[("a", Type::Ptr), ("b", Type::Ptr)]);
+    let (a, b) = (fb.arg(0), fb.arg(1));
+    let zero = fb.i64c(0);
+    let outer = fb.i64c(k.outer);
+    fb.counted_loop("i", zero, outer, |fb, i| match k.inner {
+        None => emit_stmts(fb, &k.stmts, a, b, i),
+        Some(trips) => {
+            let inner = fb.i64c(trips);
+            fb.counted_loop("j", zero, inner, |fb, j| {
+                let iv = fb.add(i, j, "ij");
+                emit_stmts(fb, &k.stmts, a, b, iv);
+            });
+        }
+    });
+    fb.ret();
+    fb.finish()
+}
+
+/// One design point over the knobs replay re-models.
+#[derive(Debug, Clone)]
+struct Point {
+    read_ports: u32,
+    write_ports: u32,
+    spm_latency: u64,
+    engine: EngineConfig,
+    caps: Vec<(FuKind, u32)>,
+}
+
+impl Default for Point {
+    /// The recording configuration.
+    fn default() -> Self {
+        Point {
+            read_ports: 2,
+            write_ports: 2,
+            spm_latency: 1,
+            engine: EngineConfig::default(),
+            caps: Vec::new(),
+        }
+    }
+}
+
+/// A random point; the two FU caps fall on kinds the kernel uses.
+fn gen_point(g: &mut SplitMix64, used: &[FuKind]) -> Point {
+    Point {
+        read_ports: g.range_u64(1, 4) as u32,
+        write_ports: g.range_u64(1, 4) as u32,
+        spm_latency: g.range_u64(1, 6),
+        engine: EngineConfig {
+            max_outstanding_reads: g.range_usize(1, 6),
+            max_outstanding_writes: g.range_usize(1, 6),
+            reservation_entries: g.range_usize(4, 201),
+            pipelined_fus: g.gen_bool(0.5),
+            ..EngineConfig::default()
+        },
+        caps: (0..2)
+            .map(|_| (*g.choose(used), g.range_u64(1, 3) as u32))
+            .collect(),
+    }
+}
+
+/// Runs `f` on the engine at `point` (arrays of 16 `i64` behind the first
+/// two arguments, when they are in range); returns the stats and the FU
+/// pool the point elaborated to.
+fn engine_run_at(
+    f: &Function,
+    args: &[RtVal],
+    point: &Point,
+    record: bool,
+) -> (EngineStats, HashMap<FuKind, u32>) {
+    let profile = HardwareProfile::default_40nm();
+    let mut constraints = FuConstraints::unconstrained();
+    for &(kind, n) in &point.caps {
+        constraints = constraints.with_limit(kind, n);
+    }
+    let cdfg = StaticCdfg::elaborate(f, &profile, &constraints);
+    let fu_pool = cdfg.fu_counts().collect();
+    let mut mem = SimpleMem::new(point.spm_latency, point.read_ports, point.write_ports);
+    for (i, arg) in args.iter().enumerate() {
+        if let RtVal::P(base @ 0..=0xFFFF_FFFF) = *arg {
+            let data: Vec<i64> = (0..16).map(|v| v * 37 + i as i64 * 11 - 100).collect();
+            mem.memory_mut().write_i64_slice(base, &data);
+        }
+    }
+    let cfg = EngineConfig {
+        record_depstream: record,
+        ..point.engine
+    };
+    let mut e = Engine::new(f.clone(), cdfg, profile, cfg, args.to_vec());
+    e.run_to_completion(&mut mem);
+    (e.stats().clone(), fu_pool)
+}
+
+/// Records `f`'s stream at the default point, then requires replaying it
+/// at each of `points` to agree with the engine's own run there on cycles,
+/// attribution, the stall counters and the FU busy integrals.
+fn assert_replay_matches_engine(f: &Function, args: &[RtVal], points: &[Point]) {
+    let (recorded, _) = engine_run_at(f, args, &Point::default(), true);
+    let stream = recorded.depstream.expect("recorded under record_depstream");
+    for point in points {
+        let (sim, fu_pool) = engine_run_at(f, args, point, false);
+        let cfg = ReplayConfig {
+            reservation_entries: point.engine.reservation_entries,
+            max_outstanding_reads: point.engine.max_outstanding_reads,
+            max_outstanding_writes: point.engine.max_outstanding_writes,
+            pipelined_fus: point.engine.pipelined_fus,
+            mem_latency: point.spm_latency,
+            spm_read_ports: point.read_ports,
+            spm_write_ports: point.write_ports,
+            fu_pool,
+            want_retimed: false,
+            ..ReplayConfig::default()
+        };
+        let out = salam_replay::replay(&stream, &cfg).expect("replayable");
+        assert_eq!(out.cycles, sim.cycles, "cycles at {point:?}");
+        assert_eq!(out.attribution, sim.attribution, "attribution at {point:?}");
+        assert_eq!(out.stall_cycles, sim.stall_cycles, "stalls at {point:?}");
+        assert_eq!(out.new_exec_cycles, sim.new_exec_cycles, "{point:?}");
+        assert_eq!(out.port_reject_cycles, sim.port_reject_cycles, "{point:?}");
+        let busy: BTreeMap<FuKind, u64> = out.fu_busy_cycle_sum.into_iter().collect();
+        assert_eq!(busy, sim.fu_busy_cycle_sum, "FU busy sums at {point:?}");
+    }
+}
+
+/// The second oracle for the scheduler (next to the nine-kernel goldens):
+/// on generated looped kernels with aliasing accesses, float detours and
+/// data-dependent branches, re-scheduling the recorded stream gives
+/// exactly what the engine computes at the same design point.
+#[test]
+fn replay_matches_engine_on_generated_kernels() {
+    check_cases(
+        "replay_matches_engine_on_generated_kernels",
+        300,
+        0xE5,
+        |g| {
+            let f = build_loop_kernel(&gen_loop_kernel(g));
+            salam_ir::verify_function(&f).unwrap();
+            let profile = HardwareProfile::default_40nm();
+            let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
+            let used: Vec<FuKind> = cdfg.fu_counts().map(|(k, _)| k).collect();
+            let points: Vec<Point> = (0..4).map(|_| gen_point(g, &used)).collect();
+            assert_replay_matches_engine(&f, &[RtVal::P(0x1000), RtVal::P(0x2000)], &points);
+        },
+    );
 }
