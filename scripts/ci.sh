@@ -330,4 +330,9 @@ case "$chaos" in
   *) echo "ci: chaos_smoke invariants not satisfied" >&2; exit 1 ;;
 esac
 
+# Code size, for the record (ROADMAP: net-negative LOC is a success
+# metric): shipped Rust lines, tests and comments excluded. No gate.
+echo "+ scripts/loc.sh"
+scripts/loc.sh | tail -n 1
+
 echo "ci: all checks passed"
