@@ -696,6 +696,21 @@ mod tests {
         assert!(matches!(try_run_kernel(&k, &cfg), Err(SimError::Config(_))));
     }
 
+    /// `BuiltKernel::args` is a public field nothing checks against the
+    /// function's parameters; the fallible entry points promise a typed
+    /// error, not the engine's old construction panic.
+    #[test]
+    fn argument_count_mismatch_is_a_kernel_fault() {
+        let mut k = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 });
+        k.args.pop();
+        match try_run_kernel(&k, &StandaloneConfig::default()) {
+            Err(SimError::KernelFault { detail, .. }) => {
+                assert!(detail.contains("argument count mismatch"), "{detail}")
+            }
+            other => panic!("expected a kernel fault, got {other:?}"),
+        }
+    }
+
     #[test]
     fn verify_gate_passes_clean_kernels_and_rejects_broken_ir() {
         use salam_ir::{FunctionBuilder, IntPredicate, Type};

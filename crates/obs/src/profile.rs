@@ -59,8 +59,10 @@ impl CycleClass {
         CycleClass::ALL.into_iter().find(|c| c.label() == s)
     }
 
+    /// Position in [`CycleClass::ALL`], which lists the classes in
+    /// declaration order.
     fn index(self) -> usize {
-        CycleClass::ALL.iter().position(|&c| c == self).unwrap()
+        self as usize
     }
 }
 
@@ -73,6 +75,7 @@ pub struct Attribution {
 
 impl Attribution {
     /// Charges one cycle to `class`.
+    #[inline]
     pub fn charge(&mut self, class: CycleClass) {
         self.counts[class.index()] += 1;
     }
@@ -555,6 +558,13 @@ pub fn depstream_to_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn class_index_is_its_position_in_all() {
+        for (i, class) in CycleClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i);
+        }
+    }
 
     #[test]
     fn attribution_total_is_sum_of_charges() {

@@ -1,28 +1,33 @@
-//! The runtime scheduler: reservation, compute and memory queues.
+//! The runtime engine: the live op source of the cycle model.
 //!
-//! Scheduling is event-driven: a cycle costs O(ops woken + ops ready), not
-//! O(reservation window). Everything static about an instruction is
-//! resolved once into a dense per-[`InstId`] table; dynamic instances live
-//! in a uid-indexed slab with a count of unmet dependences and a list of
-//! consumers, so a commit wakes exactly the ops it unblocks. The issue pass
-//! walks the dependence-free ops in uid order — the age order of the
-//! reservation queue — and nothing else. DESIGN.md §5.1 has the data
-//! structures and the argument that the walk order equals a full scan of
-//! the window.
+//! *When* a dynamic instruction issues and commits is decided by
+//! [`crate::sched`] — the reservation, compute and memory queues of the
+//! paper, event-driven, a cycle costing O(ops woken + ops ready). This
+//! module supplies *what* the instructions are: everything static about an
+//! instruction is resolved once into a dense per-[`InstId`] table; dynamic
+//! instances live in a uid-indexed slab with their value and a list of
+//! consumers, so a commit hands the scheduler exactly the ops it unblocks.
+//! Operands are resolved and blocks imported as control flow unfolds, ops
+//! evaluate with live values when the scheduler issues them, memory ops go
+//! through a [`MemPort`], and everything observable about the run (stats,
+//! timeline, trace spans, the dependence stream, watchdog) is recorded
+//! here. DESIGN.md §5.1 has the split.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use hw_profile::{FuKind, HardwareProfile};
 use salam_cdfg::StaticCdfg;
 use salam_fault::{FaultPlan, SimError, SiteRng, WatchdogSnapshot};
 use salam_ir::interp::{eval_pure, InterpError, RtVal};
 use salam_ir::{BlockId, Function, InstId, Opcode, Type, ValueId, ValueKind};
-use salam_obs::{CycleClass, SharedTrace, SpanId, TrackId};
+use salam_obs::{SharedTrace, SpanId, TrackId};
 use salam_resilience::CancelToken;
 use salam_telemetry::FlightRecorder;
 
-use crate::port::{MemAccess, MemPort, RejectCause};
+use crate::port::{MemAccess, MemCompletion, MemPort, RejectCause};
+use crate::sched::{
+    Cycle, IssueFlags, LaneMasks, Limits, MemIssue, OpSource, Sched, LOAD, NO_LANE, N_FU, STORE,
+};
 use crate::stats::{CycleRecord, EngineStats, IssueClass, StallMix};
 
 /// Cycles between cooperative-cancellation polls (power of two; the poll
@@ -33,12 +38,13 @@ pub const CANCEL_BATCH: u64 = 1024;
 /// Tunables of the runtime engine (the paper's "device config" scheduler
 /// options).
 ///
-/// Memory note: the engine keeps one 64-byte slab entry per dynamic
-/// instruction (value, dependence counter, consumer-list head, ordering
-/// memo) plus 4 bytes per SSA operand and 4 bytes per memory access, and
-/// never reclaims them — about 75 bytes per dynamic instruction for the
-/// whole run. The *scheduling* state (ready set, wakeup heap, consumer
-/// edges, ordering window) is bounded by the ops in flight, but a single
+/// Memory note: the engine keeps one 56-byte slab entry per dynamic
+/// instruction (value, consumer-list head, address) and the scheduler 15
+/// more bytes (state, dependence counter, ordering memo, wheel link, ready
+/// bit, lane masks), plus 4 bytes per SSA operand and 4 bytes per memory
+/// access, and never reclaims them — about 80 bytes per dynamic
+/// instruction for the whole run. The consumer edges, the ordering window
+/// and the commit wheel's ring are bounded by the ops in flight, but a single
 /// invocation running billions of dynamic instructions will accumulate
 /// gigabytes of per-instruction history; split such workloads into multiple
 /// invocations. One invocation is limited to 2^32 dynamic instructions (or
@@ -145,6 +151,17 @@ impl EngineConfig {
         }
         Ok(())
     }
+
+    /// The knobs the cycle model reads, next to the FU pool the CDFG
+    /// elaborated to.
+    fn limits(&self, fu_pool: [u32; N_FU]) -> Limits {
+        Limits {
+            reservation_entries: self.reservation_entries,
+            max_outstanding: [self.max_outstanding_reads, self.max_outstanding_writes],
+            pipelined_fus: self.pipelined_fus,
+            fu_pool,
+        }
+    }
 }
 
 /// The engine's own injection state: per-site decision streams for FU
@@ -165,23 +182,13 @@ struct TraceTracks {
     sched: TrackId,
 }
 
-const N_FU: usize = FuKind::ALL.len();
-/// `StaticOp::fu` of an op that occupies no functional unit.
-const NO_FU: u8 = N_FU as u8;
-/// End of a consumer list in `Engine::edges`.
+/// End of a consumer list in `Live::edges`.
 const NIL: u32 = u32::MAX;
-/// `DynOp::blocker` of a memory op proven ordered against every older
-/// access. Monotonic: the older accesses only leave the window or publish
-/// write-once spans, so a passed check can never regress.
-const ORDER_OK: u32 = u32::MAX;
 
-// `DynOp::flags` bits.
-const COMMITTED: u8 = 1;
-const ISSUED: u8 = 1 << 1;
-/// `DynOp::addr` holds the access address.
-const SPAN_KNOWN: u8 = 1 << 2;
-/// The span is visible to younger accesses in the ordering window.
-const PUBLISHED: u8 = 1 << 3;
+/// How an error travels inside the engine: boxed, so that the `Result`s
+/// of the per-op hooks stay a few words wide (a [`SimError`] is over a
+/// hundred bytes, and every `?` on the hot path would move it).
+type Fault = Box<SimError>;
 
 /// How an op produces its value at issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,21 +211,21 @@ enum OperandT {
     /// Result of the instruction with this `InstId` index; resolved to its
     /// latest dynamic instance at import.
     Inst(u32),
-    /// `undef`: a runtime fault if an imported op uses it.
+    /// `undef` (or an argument the caller did not pass): a runtime fault
+    /// if an imported op uses it.
     Undef,
 }
 
-/// Everything the scheduler needs to know about one static instruction,
+/// Everything the engine needs to know about one static instruction,
 /// resolved once in [`Engine::new`] so that importing a dynamic instance
 /// clones and allocates nothing.
 #[derive(Debug, Clone, Copy)]
 struct StaticOp {
     class: IssueClass,
     eval: Eval,
-    /// `FuKind` index, or [`NO_FU`].
-    fu: u8,
-    /// Memory ops (`Eval::Mem`): store rather than load.
-    is_store: bool,
+    /// Resource lane: the `FuKind` index, [`LOAD`], [`STORE`] or
+    /// [`NO_LANE`].
+    lane: u8,
     has_result: bool,
     /// Operands that are instruction results (register-file reads at
     /// issue); a phi reads at most the one incoming edge it takes.
@@ -226,7 +233,7 @@ struct StaticOp {
     latency: u32,
     /// Memory ops: bytes accessed.
     access_size: u32,
-    /// This op's slice of `Engine::templates`.
+    /// This op's slice of `Live::templates`.
     opnd_start: u32,
     opnd_len: u32,
     block: BlockId,
@@ -236,9 +243,13 @@ struct StaticOp {
 }
 
 impl StaticOp {
+    fn is_store(&self) -> bool {
+        self.lane == STORE
+    }
+
     /// Operand index of a memory op's pointer.
     fn ptr_idx(&self) -> u32 {
-        self.is_store as u32
+        self.is_store() as u32
     }
 
     fn is_term(&self) -> bool {
@@ -248,36 +259,32 @@ impl StaticOp {
     /// Resource class for attribution: the FU name for compute ops, the
     /// issue-class label for everything else.
     fn res_class(&self) -> &'static str {
-        match FuKind::ALL.get(self.fu as usize) {
+        match FuKind::ALL.get(self.lane as usize) {
             Some(k) => k.name(),
             None => self.class.label(),
         }
     }
 }
 
-/// One dynamic instruction: an entry of the uid-indexed slab.
+/// One dynamic instruction: an entry of the uid-indexed slab. What decides
+/// when it issues and commits (dependence counter, state bits, ordering
+/// memo) lives in the [`Sched`] under the same index.
 #[derive(Debug)]
 struct DynOp {
     /// `InstId` index of the static instruction.
     inst: u32,
-    /// Dependences still unmet: producers that have not committed plus,
-    /// under strict register hazards, readers that have not issued. The op
-    /// enters the ready set when this reaches zero.
-    pending: u32,
-    /// Head of this op's consumer list in `Engine::edges`.
+    /// Head of this op's consumer list in `Live::edges`.
     consumers: u32,
-    /// First dynamic operand in `Engine::operand_uids`.
+    /// First dynamic operand in `Live::operand_uids`.
     operands: u32,
     /// Memory ops: uid of the pointer-operand producer (0 when the address
     /// comes from an immediate or argument).
     addr_dep: u32,
-    /// Memory ops: ordering memo — 0 = unchecked, [`ORDER_OK`], or the uid
-    /// of the older access that blocked the last check.
-    blocker: u32,
     /// Phis: index of the taken incoming edge.
     phi_edge: u16,
-    flags: u8,
-    /// Memory ops: byte address, valid once `SPAN_KNOWN`.
+    /// `addr` holds the access address.
+    span_known: bool,
+    /// Memory ops: byte address, valid once `span_known`.
     addr: u64,
     /// Open trace span (issue → retire), invalid when tracing is off.
     tspan: SpanId,
@@ -285,10 +292,10 @@ struct DynOp {
 }
 
 // The `EngineConfig` memory note quotes this size.
-const _: () = assert!(std::mem::size_of::<DynOp>() == 64);
+const _: () = assert!(std::mem::size_of::<DynOp>() == 56);
 
 /// Consumer-list node: `consumer` waits for the list owner to commit.
-/// Freed nodes are chained through `next` from `Engine::free_edge`.
+/// Freed nodes are chained through `next` from `Live::free_edge`.
 #[derive(Debug, Clone, Copy)]
 struct Edge {
     consumer: u32,
@@ -311,46 +318,8 @@ struct DepRec {
     all_deps: Vec<u64>,
 }
 
-/// Issued compute ops waiting for their commit cycle, bucketed by it. The
-/// ring covers the longest static latency; a longer (jittered) latency
-/// simply stays in its bucket for another lap. Ops of one commit cycle
-/// come out in issue order, which is the order depstream records, trace
-/// events and the register-write energy sum depend on.
-#[derive(Debug)]
-struct CommitWheel {
-    slots: Vec<Vec<(u64, u32)>>,
-}
-
-impl CommitWheel {
-    fn new(max_latency: u32) -> Self {
-        let len = (max_latency as usize + 1).next_power_of_two();
-        CommitWheel {
-            slots: (0..len).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    fn slot(&mut self, cycle: u64) -> &mut Vec<(u64, u32)> {
-        let mask = self.slots.len() as u64 - 1;
-        &mut self.slots[(cycle & mask) as usize]
-    }
-
-    fn push(&mut self, commit_at: u64, uid: u32) {
-        self.slot(commit_at).push((commit_at, uid));
-    }
-
-    /// Moves the ops committing at `cycle` into `due`, in issue order.
-    fn take_due(&mut self, cycle: u64, due: &mut Vec<u32>) {
-        self.slot(cycle).retain(|&(at, uid)| {
-            if at == cycle {
-                due.push(uid);
-            }
-            at != cycle
-        });
-    }
-}
-
 /// Event counts of the hot path, on flat arrays indexed by `IssueClass`,
-/// `FuKind`, `StallMix` bits and `RejectCause`; folded into the public
+/// `StallMix` bits and `RejectCause`; folded into the public
 /// [`EngineStats`] maps when the run drains or fails.
 #[derive(Debug, Default)]
 struct Tallies {
@@ -358,7 +327,6 @@ struct Tallies {
     class_active: [u64; IssueClass::ALL.len()],
     /// Cycles issuing only loads, only stores, both.
     mem_mix: [u64; 3],
-    fu_busy_sum: [u64; N_FU],
     stall_mix: [u64; 8],
     reject: [u64; RejectCause::ALL.len()],
 }
@@ -369,55 +337,27 @@ fn stall_mix_index(mix: StallMix) -> usize {
     mix.load as usize | (mix.store as usize) << 1 | (mix.compute as usize) << 2
 }
 
-/// What one issue pass saw: feeds the cycle's stall and attribution
-/// accounting.
-#[derive(Debug, Default)]
-struct IssueFlags {
-    /// Classes that issued at least one op.
-    classes: [bool; IssueClass::ALL.len()],
-    /// Kinds of dependence-free ops that could not launch — the paper's
-    /// notion of a stall. The compute bit is only ever set by FU parking,
-    /// so it doubles as the FU-limit attribution cause.
-    blocked: StallMix,
-    port_rejected: bool,
-    /// Attribution cause: a ready memory op hit an outstanding cap or a
-    /// port reject this cycle.
-    mem_limit_blocked: bool,
-}
-
-impl IssueFlags {
-    fn issued(&self) -> bool {
-        self.classes.contains(&true)
-    }
-
-    fn stalled(&self) -> bool {
-        self.blocked != StallMix::default()
-    }
-
-    fn block_mem(&mut self, is_store: bool) {
-        if is_store {
-            self.blocked.store = true;
-        } else {
-            self.blocked.load = true;
-        }
-    }
-}
-
-/// Outcome of offering one ready op to the datapath.
-#[derive(Debug, PartialEq, Eq)]
-enum Visit {
-    /// Issued, or parked on a saturated FU kind: leaves the ready set.
-    Left,
-    /// Order-, cap- or port-blocked: offered again next cycle.
-    Waiting,
-}
-
 /// The dynamic LLVM runtime engine. See the [crate docs](crate) for an
 /// end-to-end example.
 #[derive(Debug)]
 pub struct Engine {
+    /// When every op issues and commits.
+    sched: Sched,
+    /// What the ops are and do.
+    live: Live,
+    done: bool,
+}
+
+/// The live op source behind the [`Sched`]: the static tables, the dynamic
+/// instances with their values and consumer edges, control flow, and all
+/// the engine observes about a run.
+#[derive(Debug)]
+struct Live {
     func: Function,
     cfg: EngineConfig,
+    /// Arguments the caller passed (checked against `func` at the first
+    /// step).
+    arg_count: usize,
 
     // Static tables, built once in `new`.
     ops: Vec<StaticOp>,
@@ -426,12 +366,12 @@ pub struct Engine {
     /// block `b`'s `(start, len)` in it.
     block_insts: Vec<u32>,
     block_span: Vec<(u32, u32)>,
-    fu_pool: [u32; N_FU],
     fu_energy_pj: [f64; N_FU],
 
     // Dynamic instructions, indexed by uid (dense and monotonic; slot 0 is
     // the already-committed "no producer" sentinel).
     dyn_ops: Vec<DynOp>,
+    lanes: LaneMasks,
     /// Producer uid of each dynamic operand (0 for immediates).
     operand_uids: Vec<u32>,
     edges: Vec<Edge>,
@@ -443,38 +383,11 @@ pub struct Engine {
     // for a reader to issue.
     readers_of: HashMap<u32, Vec<u32>>,
     issue_waiters: HashMap<u32, Vec<u32>>,
-
-    // Scheduler state.
-    /// Imported, not yet issued ops (the reservation queue's occupancy).
-    resv_count: usize,
-    /// Dependence-free ops the last issue pass left waiting, uid-sorted.
-    ready: Vec<u32>,
-    ready_scratch: Vec<u32>,
-    /// Ops that became dependence-free (or were unparked) since they were
-    /// last visited; merged into the issue pass oldest first.
-    woken: BinaryHeap<Reverse<u32>>,
-    /// Ready ops whose FU kind is saturated, parked until a unit of that
-    /// kind releases — nothing else can unblock them.
-    fu_wait: [Vec<u32>; N_FU],
-    parked: usize,
-    fu_busy: [u32; N_FU],
-    /// Pipelined FUs: kinds issued last cycle, released at the next one.
-    pipelined_release: Vec<u8>,
-    wheel: CommitWheel,
-    due_scratch: Vec<u32>,
-    compute_inflight: usize,
-    /// The memory-ordering window: imported, uncommitted accesses in uid
-    /// order. Loads only ever conflict with stores, hence two lists.
-    win_loads: VecDeque<u32>,
-    win_stores: VecDeque<u32>,
-    /// Memory ops whose address became resolvable since the last publish
-    /// phase.
-    to_publish: Vec<u32>,
     /// Uid behind each memory token (0 once completed); tokens are dense,
     /// so the next token is the length.
     token_uid: Vec<u32>,
-    outstanding_reads: usize,
-    outstanding_writes: usize,
+    /// This cycle's completions the scheduler has not asked for yet.
+    polled: std::vec::IntoIter<MemCompletion>,
 
     /// Blocks awaiting import: `(block, taken predecessor, uid of the
     /// terminator that scheduled the fetch — 0 for the entry block)`.
@@ -483,11 +396,13 @@ pub struct Engine {
     ret_value: Option<RtVal>,
     import_seq: u32,
 
+    /// The cycle being scheduled.
     cycle: u64,
+    /// Issue classes that launched an op this cycle.
+    classes: [bool; IssueClass::ALL.len()],
     last_progress: u64,
     stats: EngineStats,
     tallies: Tallies,
-    done: bool,
 
     trace: SharedTrace,
     trace_tracks: Option<TraceTracks>,
@@ -503,11 +418,9 @@ pub struct Engine {
 
 impl Engine {
     /// Creates an engine for one invocation of `func` with the given MMR-
-    /// programmed arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the argument count does not match the function signature.
+    /// programmed arguments. An argument count that does not match the
+    /// function signature surfaces as a [`SimError::KernelFault`] from the
+    /// first step.
     pub fn new(
         func: Function,
         cdfg: StaticCdfg,
@@ -515,7 +428,6 @@ impl Engine {
         cfg: EngineConfig,
         args: Vec<RtVal>,
     ) -> Self {
-        assert_eq!(args.len(), func.params.len(), "argument count mismatch");
         let mut stats = EngineStats::default();
         let mut fu_pool = [0u32; N_FU];
         let mut fu_energy_pj = [0.0; N_FU];
@@ -544,61 +456,49 @@ impl Engine {
 
         let sentinel = DynOp {
             inst: 0,
-            pending: 0,
             consumers: NIL,
             operands: 0,
             addr_dep: 0,
-            blocker: 0,
             phi_edge: 0,
-            flags: COMMITTED | ISSUED,
+            span_known: false,
             addr: 0,
             tspan: SpanId::INVALID,
             value: None,
         };
+        let mut sched = Sched::new(cfg.limits(fu_pool), max_latency);
+        sched.grow_retired();
+        let mut lanes = LaneMasks::default();
+        lanes.set(0, NO_LANE);
         let entry = func.entry();
-        Engine {
+        let live = Live {
             last_instance: vec![0; func.num_insts()],
             func,
             cfg,
+            arg_count: args.len(),
             ops,
             templates,
             block_insts,
             block_span,
-            fu_pool,
             fu_energy_pj,
             dyn_ops: vec![sentinel],
+            lanes,
             operand_uids: Vec::new(),
             edges: Vec::new(),
             free_edge: NIL,
             dep_recs: Vec::new(),
             readers_of: HashMap::new(),
             issue_waiters: HashMap::new(),
-            resv_count: 0,
-            ready: Vec::new(),
-            ready_scratch: Vec::new(),
-            woken: BinaryHeap::new(),
-            fu_wait: Default::default(),
-            parked: 0,
-            fu_busy: [0; N_FU],
-            pipelined_release: Vec::new(),
-            wheel: CommitWheel::new(max_latency),
-            due_scratch: Vec::new(),
-            compute_inflight: 0,
-            win_loads: VecDeque::new(),
-            win_stores: VecDeque::new(),
-            to_publish: Vec::new(),
             token_uid: vec![0],
-            outstanding_reads: 0,
-            outstanding_writes: 0,
+            polled: Vec::new().into_iter(),
             pending_fetch: VecDeque::from([(entry, None, 0)]),
             fetch_stopped: false,
             ret_value: None,
             import_seq: 0,
             cycle: 0,
+            classes: Default::default(),
             last_progress: 0,
             stats,
             tallies: Tallies::default(),
-            done: false,
             trace: SharedTrace::disabled(),
             trace_tracks: None,
             trace_offset_ps: 0,
@@ -606,6 +506,11 @@ impl Engine {
             flight_trace_id: 0,
             fault: None,
             cancel: CancelToken::none(),
+        };
+        Engine {
+            sched,
+            live,
+            done: false,
         }
     }
 
@@ -614,17 +519,18 @@ impl Engine {
     /// queue-depth samples go to `engine.<func>.sched`. A disabled handle
     /// (the default) keeps every hook down to a single branch.
     pub fn set_trace(&mut self, trace: SharedTrace) {
-        self.trace_tracks = trace.is_enabled().then(|| TraceTracks {
-            ops: trace.track(&format!("engine.{}.ops", self.func.name)),
-            sched: trace.track(&format!("engine.{}.sched", self.func.name)),
+        let name = &self.live.func.name;
+        self.live.trace_tracks = trace.is_enabled().then(|| TraceTracks {
+            ops: trace.track(&format!("engine.{name}.ops")),
+            sched: trace.track(&format!("engine.{name}.sched")),
         });
-        self.trace = trace;
+        self.live.trace = trace;
     }
 
     /// Offsets trace timestamps by `offset` picoseconds, so an engine
     /// embedded in a full-system simulation stamps absolute sim time.
     pub fn set_trace_offset_ps(&mut self, offset: u64) {
-        self.trace_offset_ps = offset;
+        self.live.trace_offset_ps = offset;
     }
 
     /// Attaches the serving layer's flight recorder; run starts/ends,
@@ -633,8 +539,8 @@ impl Engine {
     /// to a single branch — the recorder never observes or perturbs
     /// simulation state.
     pub fn set_flight(&mut self, flight: FlightRecorder, trace_id: u64) {
-        self.flight = flight;
-        self.flight_trace_id = trace_id;
+        self.live.flight = flight;
+        self.live.flight_trace_id = trace_id;
     }
 
     /// Attaches a cooperative cancel/deadline token. The engine polls it
@@ -643,7 +549,7 @@ impl Engine {
     /// run releases its worker within one cycle batch. The disabled token
     /// (the default) keeps the poll down to a single branch.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
+        self.live.cancel = cancel;
     }
 
     /// Attaches a fault-injection plan. The engine draws from per-site
@@ -652,7 +558,7 @@ impl Engine {
     /// of the plan and the executed instruction stream. A zero-rate plan
     /// installs the hooks but never fires and never consumes stream state.
     pub fn set_fault(&mut self, plan: &FaultPlan) {
-        self.fault = Some(EngineFault {
+        self.live.fault = Some(EngineFault {
             plan: *plan,
             flip: plan.site_rng("engine.fu_bitflip"),
             jitter: plan.site_rng("engine.fu_jitter"),
@@ -664,49 +570,12 @@ impl Engine {
     /// the engine's stats, so one report carries the whole campaign.
     pub fn merge_fault_counts(&mut self, counts: &salam_fault::FaultCounts) {
         for (kind, n) in counts {
-            *self.stats.fault_counts.entry(kind.clone()).or_insert(0) += n;
-        }
-    }
-
-    /// Counts one injected fault and emits a `fault:<kind>` trace instant.
-    fn note_fault(&mut self, kind: &str) {
-        *self.stats.fault_counts.entry(kind.to_string()).or_insert(0) += 1;
-        if let Some(t) = &self.trace_tracks {
-            self.trace
-                .instant(t.sched, &format!("fault:{kind}"), self.trace_ts(self.cycle));
-        }
-    }
-
-    /// The watchdog's view of the engine at deadlock-detection time.
-    fn watchdog_snapshot(&self) -> WatchdogSnapshot {
-        WatchdogSnapshot {
-            kernel: self.func.name.clone(),
-            cycle: self.cycle,
-            last_progress_cycle: self.last_progress,
-            reservation_occupancy: self.resv_count,
-            compute_occupancy: self.compute_inflight,
-            mem_outstanding: self.outstanding_reads + self.outstanding_writes,
-            pending_blocks: self.pending_fetch.len(),
-            dominant_reject_cause: self
+            *self
+                .live
                 .stats
-                .reject_causes
-                .iter()
-                .max_by(|(ka, va), (kb, vb)| va.cmp(vb).then_with(|| kb.cmp(ka)))
-                .map(|(k, _)| k.clone()),
-        }
-    }
-
-    #[inline]
-    fn trace_ts(&self, cycle: u64) -> u64 {
-        self.trace_offset_ps + cycle * self.cfg.clock_period_ps
-    }
-
-    /// A runtime fault of the modeled kernel at the current cycle.
-    fn kernel_fault(&self, detail: impl Into<String>) -> SimError {
-        SimError::KernelFault {
-            kernel: self.func.name.clone(),
-            cycle: self.cycle,
-            detail: detail.into(),
+                .fault_counts
+                .entry(kind.clone())
+                .or_insert(0) += n;
         }
     }
 
@@ -716,12 +585,12 @@ impl Engine {
     /// `fu_busy_cycle_sum`, `stall_breakdown`, `reject_causes`) are
     /// brought up to date when the run drains and on every error return.
     pub fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.live.stats
     }
 
     /// Cycles elapsed.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.sched.cycle()
     }
 
     /// Whether the invocation has completed.
@@ -731,7 +600,7 @@ impl Engine {
 
     /// The value returned by `ret`, if the function returned one.
     pub fn result(&self) -> Option<RtVal> {
-        self.ret_value
+        self.live.ret_value
     }
 
     /// Runs the engine to completion against `port`; returns final cycles.
@@ -759,45 +628,386 @@ impl Engine {
     /// * [`SimError::Deadlock`] with a [`WatchdogSnapshot`] if no queue
     ///   makes progress for `deadlock_cycles`.
     /// * [`SimError::KernelFault`] if the modeled kernel faults (division
-    ///   by zero, undef use, …) or the memory port breaks its contract.
+    ///   by zero, undef use, a wrong argument count, …) or the memory port
+    ///   breaks its contract.
     pub fn try_run_to_completion(&mut self, port: &mut dyn MemPort) -> Result<u64, SimError> {
-        self.cfg.validate()?;
-        if self.flight.is_enabled() {
-            self.flight.record(
-                self.flight_trace_id,
-                "engine",
-                format!("run-start kernel={}", self.func.name),
-            );
-        }
+        self.live.cfg.validate()?;
+        self.live
+            .flight_note(|name| format!("run-start kernel={name}"));
         loop {
             match self.try_step(port) {
                 Ok(true) => break,
                 Ok(false) => {}
                 Err(e) => {
-                    if self.flight.is_enabled() {
-                        self.flight.record(
-                            self.flight_trace_id,
-                            "engine",
-                            format!(
-                                "run-error kernel={} cycle={} kind={}: {e}",
-                                self.func.name,
-                                self.cycle,
-                                e.label()
-                            ),
-                        );
-                    }
+                    let cycle = self.cycle();
+                    self.live.flight_note(|name| {
+                        format!(
+                            "run-error kernel={name} cycle={cycle} kind={}: {e}",
+                            e.label()
+                        )
+                    });
                     return Err(e);
                 }
             }
         }
-        if self.flight.is_enabled() {
-            self.flight.record(
-                self.flight_trace_id,
-                "engine",
-                format!("run-end kernel={} cycles={}", self.func.name, self.cycle),
-            );
+        let cycles = self.cycle();
+        self.live
+            .flight_note(|name| format!("run-end kernel={name} cycles={cycles}"));
+        Ok(cycles)
+    }
+
+    /// Advances one accelerator cycle. Returns `true` once the invocation
+    /// has fully drained. Thin panicking wrapper over [`Engine::try_step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on deadlock or on a runtime fault in the modeled kernel
+    /// (e.g. division by zero, or an argument count that does not match
+    /// the function signature).
+    pub fn step(&mut self, port: &mut dyn MemPort) -> bool {
+        match self.try_step(port) {
+            Ok(done) => done,
+            Err(e) => panic!("{e}"),
         }
-        Ok(self.cycle)
+    }
+
+    /// Advances one accelerator cycle. Returns `Ok(true)` once the
+    /// invocation has fully drained.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Deadlock`] (with a populated [`WatchdogSnapshot`]) when
+    /// no queue has progressed for `deadlock_cycles`; [`SimError::KernelFault`]
+    /// when the modeled kernel faults (e.g. division by zero), was given
+    /// the wrong number of arguments, or the port completes a token it was
+    /// never given. After an error the engine is wedged: further steps
+    /// keep returning errors.
+    pub fn try_step(&mut self, port: &mut dyn MemPort) -> Result<bool, SimError> {
+        if self.done {
+            return Ok(true);
+        }
+        let params = self.live.func.params.len();
+        if self.live.arg_count != params {
+            return Err(*self.live.kernel_fault(format!(
+                "argument count mismatch: `{}` takes {params}, got {}",
+                self.live.func.name, self.live.arg_count
+            )));
+        }
+        self.live.cycle = self.sched.cycle();
+        self.live.classes = Default::default();
+        port.begin_cycle();
+        self.live.polled = port.poll().into_iter();
+        let outcome = match self.sched.step(&mut self.live, port) {
+            Ok(cycle) => Ok(cycle.done),
+            Err(fault) => Err(*fault),
+        };
+        if !matches!(outcome, Ok(false)) {
+            // Drained or wedged: the points where callers look at stats.
+            self.live.fold_tallies(&self.sched);
+        }
+        self.done = matches!(outcome, Ok(true));
+        outcome
+    }
+}
+
+impl OpSource for Live {
+    type Error = Fault;
+    /// The `MemPort` call sequence is part of the contract: `begin_cycle`
+    /// and `poll` before the step, then one `try_issue` per ready, ordered,
+    /// under-cap memory op, rejected attempts included.
+    type Port<'p> = dyn MemPort + 'p;
+
+    fn lane(&self, uid: u32) -> u8 {
+        self.ops[self.dyn_ops[uid as usize].inst as usize].lane
+    }
+
+    fn lanes(&self) -> &LaneMasks {
+        &self.lanes
+    }
+
+    /// Resolves the byte address of memory op `uid` from its pointer
+    /// operand on first use. Only called once that operand's producer
+    /// committed.
+    fn resolve_span(&mut self, uid: u32) -> Result<(), Fault> {
+        let d = &self.dyn_ops[uid as usize];
+        if d.span_known {
+            return Ok(());
+        }
+        let ptr_idx = self.ops[d.inst as usize].ptr_idx();
+        let RtVal::P(addr) = self.ready_operand(uid, ptr_idx)? else {
+            return Err(self.kernel_fault("memory access through a non-pointer value"));
+        };
+        let d = &mut self.dyn_ops[uid as usize];
+        d.addr = addr;
+        d.span_known = true;
+        Ok(())
+    }
+
+    fn span(&self, uid: u32) -> (u64, u32) {
+        let d = &self.dyn_ops[uid as usize];
+        (d.addr, self.ops[d.inst as usize].access_size)
+    }
+
+    fn next_completion(&mut self) -> Result<Option<u32>, Fault> {
+        let completion = self.polled.next();
+        completion.map(|c| self.complete(c)).transpose()
+    }
+
+    fn next_block(&self, _sched: &Sched) -> Option<usize> {
+        let &(block, ..) = self.pending_fetch.front()?;
+        Some(self.block_span[block.index()].1 as usize)
+    }
+
+    /// Imports the block at the front of the fetch queue (the scheduler
+    /// has checked the window has room for it).
+    fn import_block(&mut self, sched: &mut Sched) -> Result<(), Fault> {
+        let Some(&(block, pred, ctrl)) = self.pending_fetch.front() else {
+            return Ok(());
+        };
+        let (start, len) = self.block_span[block.index()];
+        // Uids stay below the scheduler's memo sentinels and operand
+        // offsets within `u32` (a block has at most `templates.len()`
+        // operands).
+        const LIMIT: usize = u32::MAX as usize;
+        if self.dyn_ops.len() + len as usize >= LIMIT
+            || self.operand_uids.len() + self.templates.len() > LIMIT
+        {
+            return Err(self.kernel_fault(
+                "more than 2^32 dynamic instructions or operands in one invocation",
+            ));
+        }
+        self.pending_fetch.pop_front();
+        sched.grow(len as usize);
+        let group = self.import_seq;
+        self.import_seq += 1;
+        for i in start..start + len {
+            self.import_op(self.block_insts[i as usize], pred, group, ctrl, sched)?;
+        }
+        Ok(())
+    }
+
+    fn fetch_done(&self) -> bool {
+        self.fetch_stopped && self.pending_fetch.is_empty()
+    }
+
+    /// Compute / control issue: evaluate, apply fault hooks, follow a
+    /// terminator. The value becomes architecturally visible to dependents
+    /// when the scheduler commits the op after the returned latency.
+    fn issue_compute(&mut self, uid: u32, sched: &mut Sched) -> Result<(u32, bool), Fault> {
+        let sop = self.ops[self.dyn_ops[uid as usize].inst as usize];
+        let mut value = self.eval_compute(uid, &sop)?;
+        let mut latency = sop.latency;
+        // Fault hooks: transient single-bit flips in the FU result and
+        // latency jitter, each from its own seeded site stream. Flips
+        // default to float results only — integer flips can corrupt
+        // loop counters into hangs the watchdog never sees.
+        let (mut flipped, mut jittered) = (false, false);
+        if let Some(f) = self.fault.as_mut() {
+            match value {
+                Some(RtVal::F(x)) if f.flip.roll(f.plan.fu_bitflip_rate) => {
+                    let bit = f.flip.bit(64);
+                    value = Some(RtVal::F(f64::from_bits(x.to_bits() ^ (1u64 << bit))));
+                    flipped = true;
+                }
+                Some(RtVal::I(x)) if f.plan.fu_flip_any && f.flip.roll(f.plan.fu_bitflip_rate) => {
+                    value = Some(RtVal::I(x ^ (1i64 << f.flip.bit(64))));
+                    flipped = true;
+                }
+                _ => {}
+            }
+            if latency > 0 && f.jitter.roll(f.plan.fu_jitter_rate) {
+                latency = latency.saturating_add(f.plan.fu_jitter_cycles);
+                jittered = true;
+            }
+        }
+        if flipped {
+            self.note_fault("fu_bitflip");
+        }
+        if jittered {
+            self.note_fault("fu_jitter");
+            if let Some(rec) = self.dep_recs.get_mut(uid as usize) {
+                rec.latency = latency;
+            }
+        }
+        self.register_issue(uid, &sop, sched);
+        if sop.is_term() {
+            self.handle_terminator(uid, &sop)?;
+        }
+        if let Some(energy_pj) = self.fu_energy_pj.get(sop.lane as usize) {
+            self.stats.fu_dynamic_pj += energy_pj;
+        }
+        self.dyn_ops[uid as usize].value = value;
+        Ok((latency, sop.is_term()))
+    }
+
+    /// A ready, ordered, under-cap memory op meets the port. Tokens are
+    /// dense and advance only on acceptance; a refusal does not speak for
+    /// the ops behind it, each gets its own attempt.
+    fn issue_mem(
+        &mut self,
+        uid: u32,
+        sched: &mut Sched,
+        port: &mut (dyn MemPort + '_),
+    ) -> Result<MemIssue, Fault> {
+        let d = &self.dyn_ops[uid as usize];
+        let sop = self.ops[d.inst as usize];
+        let (addr, size) = (d.addr, sop.access_size);
+        let access = MemAccess {
+            token: self.token_uid.len() as u64,
+            addr,
+            size,
+            is_write: sop.is_store(),
+            data: if sop.is_store() {
+                Some(self.store_bytes(uid)?)
+            } else {
+                None
+            },
+        };
+        if let Err(rejected) = port.try_issue(access) {
+            self.tallies.reject[rejected.cause as usize] += 1;
+            return Ok(MemIssue::Refused { saturates: false });
+        }
+        self.token_uid.push(uid);
+        self.register_issue(uid, &sop, sched);
+        if sop.is_store() {
+            self.stats.stores += 1;
+            self.stats.store_bytes += size as u64;
+        } else {
+            self.stats.loads += 1;
+            self.stats.load_bytes += size as u64;
+        }
+        Ok(MemIssue::Accepted(None))
+    }
+
+    /// Op `uid` commits: charges its register write, hands its consumers
+    /// to the scheduler (one that waited for its address gets a second,
+    /// address call), recycles their edges, then appends the depstream
+    /// record and closes the trace span.
+    fn retire(&mut self, uid: u32, _cycle: u64, mut consumer: impl FnMut(u32, bool)) {
+        let d = &mut self.dyn_ops[uid as usize];
+        let sop = &self.ops[d.inst as usize];
+        if sop.has_result {
+            self.stats.reg_write_pj += sop.reg_write_pj;
+        }
+        let mut e = std::mem::replace(&mut d.consumers, NIL);
+        while e != NIL {
+            let Edge { consumer: c, next } = self.edges[e as usize];
+            consumer(c, false);
+            if self.dyn_ops[c as usize].addr_dep == uid {
+                consumer(c, true);
+            }
+            self.edges[e as usize].next = self.free_edge;
+            self.free_edge = e;
+            e = next;
+        }
+        self.record_commit(uid);
+    }
+
+    /// The scheduler has charged the cycle: mirror its counters into the
+    /// public stats, update the activity statistics and the trace, then
+    /// check liveness.
+    fn end_cycle(&mut self, sched: &Sched, cycle: &Cycle) -> Result<(), Fault> {
+        let flags = cycle.flags;
+        let [reads, writes] = sched.outstanding();
+        if self.cfg.record_timeline {
+            self.record_timeline(sched, flags);
+        }
+        let counters = sched.counters();
+        self.stats.cycles += 1;
+        self.stats.attribution = counters.attribution;
+        self.stats.stall_cycles = counters.stall_cycles;
+        self.stats.new_exec_cycles = counters.new_exec_cycles;
+        self.stats.port_reject_cycles = counters.port_reject_cycles;
+        if flags.issued() {
+            let ld = self.classes[IssueClass::Load as usize];
+            let st = self.classes[IssueClass::Store as usize];
+            match (ld, st) {
+                (true, false) => self.tallies.mem_mix[0] += 1,
+                (false, true) => self.tallies.mem_mix[1] += 1,
+                (true, true) => self.tallies.mem_mix[2] += 1,
+                (false, false) => {}
+            }
+            for (n, &active) in self.tallies.class_active.iter_mut().zip(&self.classes) {
+                *n += active as u64;
+            }
+        }
+        if flags.stalled() {
+            let mut mix = flags.blocked();
+            mix.compute |= sched.compute_inflight() > 0;
+            mix.store |= writes > 0;
+            mix.load |= reads > 0;
+            self.tallies.stall_mix[stall_mix_index(mix)] += 1;
+            if let Some(t) = &self.trace_tracks {
+                let name = format!("stall:{}", mix.label());
+                self.trace
+                    .instant(t.sched, &name, self.trace_ts(self.cycle));
+            }
+        }
+        if let Some(t) = &self.trace_tracks {
+            let ts = self.trace_ts(self.cycle);
+            if flags.port_rejected() {
+                self.trace.instant(t.sched, "port_reject", ts);
+            }
+            let depth = sched.resv_count() as f64;
+            self.trace.counter(t.sched, "reservation_depth", ts, depth);
+            let outstanding = (reads + writes) as f64;
+            self.trace
+                .counter(t.sched, "mem_outstanding", ts, outstanding);
+        }
+        self.check_liveness(sched, cycle.retired || cycle.imported || flags.issued())
+    }
+}
+
+impl Live {
+    /// Counts one injected fault and emits a `fault:<kind>` trace instant.
+    fn note_fault(&mut self, kind: &str) {
+        *self.stats.fault_counts.entry(kind.to_string()).or_insert(0) += 1;
+        if let Some(t) = &self.trace_tracks {
+            self.trace
+                .instant(t.sched, &format!("fault:{kind}"), self.trace_ts(self.cycle));
+        }
+    }
+
+    /// Records a flight-recorder event about this run, built from the
+    /// kernel name only when the recorder is on.
+    fn flight_note(&self, event: impl FnOnce(&str) -> String) {
+        if self.flight.is_enabled() {
+            self.flight
+                .record(self.flight_trace_id, "engine", event(&self.func.name));
+        }
+    }
+
+    /// The watchdog's view of the engine at deadlock-detection time.
+    fn watchdog_snapshot(&self, sched: &Sched) -> WatchdogSnapshot {
+        WatchdogSnapshot {
+            kernel: self.func.name.clone(),
+            cycle: self.cycle,
+            last_progress_cycle: self.last_progress,
+            reservation_occupancy: sched.resv_count(),
+            compute_occupancy: sched.compute_inflight(),
+            mem_outstanding: sched.outstanding().iter().sum(),
+            pending_blocks: self.pending_fetch.len(),
+            dominant_reject_cause: self
+                .stats
+                .reject_causes
+                .iter()
+                .max_by(|(ka, va), (kb, vb)| va.cmp(vb).then_with(|| kb.cmp(ka)))
+                .map(|(k, _)| k.clone()),
+        }
+    }
+
+    #[inline]
+    fn trace_ts(&self, cycle: u64) -> u64 {
+        self.trace_offset_ps + cycle * self.cfg.clock_period_ps
+    }
+
+    /// A runtime fault of the modeled kernel at the current cycle.
+    fn kernel_fault(&self, detail: impl Into<String>) -> Fault {
+        Box::new(SimError::KernelFault {
+            kernel: self.func.name.clone(),
+            cycle: self.cycle,
+            detail: detail.into(),
+        })
     }
 
     // ---- import ------------------------------------------------------------
@@ -821,57 +1031,25 @@ impl Engine {
         self.dyn_ops[producer as usize].consumers = slot;
     }
 
-    /// Imports pending blocks while there is room. A block larger than the
-    /// whole window is admitted into an empty queue (blocks cannot be
-    /// split). Returns whether anything was imported.
-    fn import_blocks(&mut self) -> Result<bool, SimError> {
-        let mut any = false;
-        while let Some(&(block, pred, ctrl)) = self.pending_fetch.front() {
-            let used = self.resv_count.min(self.cfg.reservation_entries);
-            let room = self.cfg.reservation_entries - used;
-            let (start, len) = self.block_span[block.index()];
-            if len as usize > room && self.resv_count > 0 {
-                break;
-            }
-            // Uids stay below the `ORDER_OK` sentinel and operand offsets
-            // within `u32` (a block has at most `templates.len()` operands).
-            const LIMIT: usize = u32::MAX as usize;
-            if self.dyn_ops.len() + len as usize >= LIMIT
-                || self.operand_uids.len() + self.templates.len() > LIMIT
-            {
-                return Err(self.kernel_fault(
-                    "more than 2^32 dynamic instructions or operands in one invocation",
-                ));
-            }
-            self.pending_fetch.pop_front();
-            let group = self.import_seq;
-            self.import_seq += 1;
-            for i in start..start + len {
-                self.import_op(self.block_insts[i as usize], pred, group, ctrl)?;
-            }
-            any = true;
-        }
-        Ok(any)
-    }
-
     /// Creates the dynamic instance of `inst`: resolves its operands to the
     /// latest instances of their producers, registers with the uncommitted
-    /// ones as a consumer, and enters the ready set if none are.
+    /// ones as a consumer, and admits it to the reservation window.
     fn import_op(
         &mut self,
         inst: u32,
         pred: Option<BlockId>,
         group: u32,
         ctrl: u32,
-    ) -> Result<(), SimError> {
+        sched: &mut Sched,
+    ) -> Result<(), Fault> {
         let sop = self.ops[inst as usize];
         let uid = self.dyn_ops.len() as u32;
         let operands = self.operand_uids.len() as u32;
-        let (mut pending, phi_edge) = self.resolve_operands(uid, inst, &sop, pred)?;
+        let (mut pending, phi_edge) = self.resolve_operands(uid, inst, &sop, pred, sched)?;
         let mut hazard_deps = Vec::new();
         if sop.has_result {
             if self.cfg.strict_register_hazards {
-                hazard_deps = self.strict_hazards(uid, inst);
+                hazard_deps = self.strict_hazards(uid, inst, sched);
                 pending += hazard_deps.len() as u32;
             }
             self.last_instance[inst as usize] = uid;
@@ -896,36 +1074,24 @@ impl Engine {
 
         // The pointer-operand producer of a memory op gates when its
         // address can be published to the ordering window — recorded so
-        // replay can mirror publication timing.
-        let mut addr_dep = 0;
-        if sop.eval == Eval::Mem {
-            addr_dep = self.operand_uids[(operands + sop.ptr_idx()) as usize];
-            if sop.is_store {
-                self.win_stores.push_back(uid);
-            } else {
-                self.win_loads.push_back(uid);
-            }
-            if self.dyn_ops[addr_dep as usize].flags & COMMITTED != 0 {
-                self.to_publish.push(uid);
-            }
-        }
+        // replay publishes at the same time.
+        let addr_dep = match sop.eval {
+            Eval::Mem => self.operand_uids[(operands + sop.ptr_idx()) as usize],
+            _ => 0,
+        };
         self.dyn_ops.push(DynOp {
             inst,
-            pending,
             consumers: NIL,
             operands,
             addr_dep,
-            blocker: 0,
             phi_edge,
-            flags: 0,
+            span_known: false,
             addr: 0,
             tspan: SpanId::INVALID,
             value: None,
         });
-        self.resv_count += 1;
-        if pending == 0 {
-            self.woken.push(Reverse(uid));
-        }
+        self.lanes.set(uid, sop.lane);
+        sched.admit(sop.lane, pending, sched.committed(addr_dep));
         Ok(())
     }
 
@@ -938,7 +1104,8 @@ impl Engine {
         inst: u32,
         sop: &StaticOp,
         pred: Option<BlockId>,
-    ) -> Result<(u32, u16), SimError> {
+        sched: &Sched,
+    ) -> Result<(u32, u16), Fault> {
         let mut phi_edge = 0;
         let mut templates = sop.opnd_start..sop.opnd_start + sop.opnd_len;
         if sop.eval == Eval::Phi {
@@ -963,7 +1130,7 @@ impl Engine {
                     if self.cfg.strict_register_hazards {
                         self.readers_of.entry(src).or_default().push(uid);
                     }
-                    if self.dyn_ops[src as usize].flags & COMMITTED == 0 {
+                    if !sched.committed(src) {
                         self.add_edge(src, uid);
                         pending += 1;
                     }
@@ -979,18 +1146,18 @@ impl Engine {
     /// dynamic instance of this instruction must have committed) and WAR
     /// (everything reading the old value must have issued before the
     /// overwrite). Registers `uid` as waiting on each and returns them.
-    fn strict_hazards(&mut self, uid: u32, inst: u32) -> Vec<u64> {
+    fn strict_hazards(&mut self, uid: u32, inst: u32, sched: &Sched) -> Vec<u64> {
         let mut deps = Vec::new();
         let prev = self.last_instance[inst as usize];
         if prev == 0 {
             return deps;
         }
-        if self.dyn_ops[prev as usize].flags & COMMITTED == 0 {
+        if !sched.committed(prev) {
             self.add_edge(prev, uid);
             deps.push(prev as u64);
         }
         for &r in self.readers_of.get(&prev).map_or(&[][..], Vec::as_slice) {
-            if r != uid && self.dyn_ops[r as usize].flags & ISSUED == 0 {
+            if r != uid && !sched.issued(r) {
                 self.issue_waiters.entry(r).or_default().push(uid);
                 deps.push(r as u64);
             }
@@ -1000,11 +1167,10 @@ impl Engine {
 
     // ---- value plumbing ------------------------------------------------------
 
-    /// Value of dynamic operand `k` of `uid`, if its producer has committed
-    /// one. An op only issues once `pending` is zero, i.e. every producer
-    /// has committed, so a `None` here means malformed IR (an operand that
-    /// names a value-less instruction); callers turn it into a
-    /// [`SimError::KernelFault`].
+    /// Value of dynamic operand `k` of `uid`, if its producer has one. An
+    /// op only issues once every producer has committed, so a `None` here
+    /// means malformed IR (an operand that names a value-less
+    /// instruction); callers turn it into a [`SimError::KernelFault`].
     fn operand(&self, uid: u32, k: u32) -> Option<RtVal> {
         let d = &self.dyn_ops[uid as usize];
         let sop = &self.ops[d.inst as usize];
@@ -1017,17 +1183,12 @@ impl Engine {
             OperandT::Imm(v) => Some(v),
             OperandT::Undef => None,
             OperandT::Inst(_) => {
-                let p = &self.dyn_ops[self.operand_uids[(d.operands + k) as usize] as usize];
-                if p.flags & COMMITTED != 0 {
-                    p.value
-                } else {
-                    None
-                }
+                self.dyn_ops[self.operand_uids[(d.operands + k) as usize] as usize].value
             }
         }
     }
 
-    fn ready_operand(&self, uid: u32, k: u32) -> Result<RtVal, SimError> {
+    fn ready_operand(&self, uid: u32, k: u32) -> Result<RtVal, Fault> {
         self.operand(uid, k).ok_or_else(|| {
             let inst = self.dyn_ops[uid as usize].inst;
             let mnemonic = self.func.inst(InstId::from_raw(inst)).op.mnemonic();
@@ -1035,69 +1196,7 @@ impl Engine {
         })
     }
 
-    /// Byte address of memory op `uid`, resolved from its pointer operand
-    /// on first use. Only called once that operand's producer committed.
-    fn address_of(&mut self, uid: u32) -> Result<u64, SimError> {
-        let d = &self.dyn_ops[uid as usize];
-        if d.flags & SPAN_KNOWN != 0 {
-            return Ok(d.addr);
-        }
-        let ptr_idx = self.ops[d.inst as usize].ptr_idx();
-        let RtVal::P(addr) = self.ready_operand(uid, ptr_idx)? else {
-            return Err(self.kernel_fault("memory access through a non-pointer value"));
-        };
-        let d = &mut self.dyn_ops[uid as usize];
-        d.addr = addr;
-        d.flags |= SPAN_KNOWN;
-        Ok(addr)
-    }
-
-    /// Whether the in-window access `older` orders before an access to
-    /// `[addr, addr + size)` that conflicts with it by kind: it does while
-    /// its own address is unpublished or overlaps.
-    fn conflicts(&self, older: u32, addr: u64, size: u32) -> bool {
-        let r = &self.dyn_ops[older as usize];
-        if r.flags & COMMITTED != 0 {
-            return false; // left the window
-        }
-        if r.flags & PUBLISHED == 0 {
-            return true; // older access with unknown address
-        }
-        let r_size = self.ops[r.inst as usize].access_size;
-        addr < r.addr + r_size as u64 && r.addr < addr + size as u64
-    }
-
-    /// Memory ordering: an op may issue only when every older conflicting
-    /// (or unresolved) access in the window has committed. Only
-    /// store→load, load→store and store→store order; loads never conflict
-    /// with loads. The last blocker is re-checked first: while it is still
-    /// in the window and still conflicts, a scan would fail at or before
-    /// it.
-    fn mem_order_ok(&mut self, uid: u32, addr: u64, sop: &StaticOp) -> bool {
-        let blocker = self.dyn_ops[uid as usize].blocker;
-        if blocker == ORDER_OK {
-            return true;
-        }
-        if blocker != 0 && self.conflicts(blocker, addr, sop.access_size) {
-            return false;
-        }
-        let first_conflict = |window: &VecDeque<u32>| {
-            window
-                .iter()
-                .take_while(|&&older| older < uid)
-                .find(|&&older| self.conflicts(older, addr, sop.access_size))
-                .copied()
-        };
-        let hit = first_conflict(&self.win_stores).or_else(|| {
-            sop.is_store
-                .then(|| first_conflict(&self.win_loads))
-                .flatten()
-        });
-        self.dyn_ops[uid as usize].blocker = hit.unwrap_or(ORDER_OK);
-        hit.is_none()
-    }
-
-    fn store_bytes(&self, uid: u32) -> Result<Vec<u8>, SimError> {
+    fn store_bytes(&self, uid: u32) -> Result<Vec<u8>, Fault> {
         let inst = self
             .func
             .inst(InstId::from_raw(self.dyn_ops[uid as usize].inst));
@@ -1107,7 +1206,7 @@ impl Engine {
             .ok_or_else(|| self.kernel_fault(format!("cannot store {v:?} as {ty}")))
     }
 
-    fn eval_compute(&self, uid: u32, sop: &StaticOp) -> Result<Option<RtVal>, SimError> {
+    fn eval_compute(&self, uid: u32, sop: &StaticOp) -> Result<Option<RtVal>, Fault> {
         match sop.eval {
             Eval::Phi => self.ready_operand(uid, 0).map(Some),
             Eval::Br | Eval::CondBr | Eval::Mem => Ok(None),
@@ -1132,76 +1231,7 @@ impl Engine {
         }
     }
 
-    // ---- the cycle loop -------------------------------------------------------
-
-    /// Advances one accelerator cycle. Returns `true` once the invocation
-    /// has fully drained. Thin panicking wrapper over [`Engine::try_step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on deadlock or on a runtime fault in the modeled kernel
-    /// (e.g. division by zero).
-    pub fn step(&mut self, port: &mut dyn MemPort) -> bool {
-        match self.try_step(port) {
-            Ok(done) => done,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Advances one accelerator cycle. Returns `Ok(true)` once the
-    /// invocation has fully drained.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Deadlock`] (with a populated [`WatchdogSnapshot`]) when
-    /// no queue has progressed for `deadlock_cycles`; [`SimError::KernelFault`]
-    /// when the modeled kernel faults (e.g. division by zero) or the port
-    /// completes a token it was never given. After an error the engine is
-    /// wedged: further steps keep returning errors.
-    pub fn try_step(&mut self, port: &mut dyn MemPort) -> Result<bool, SimError> {
-        if self.done {
-            return Ok(true);
-        }
-        let outcome = self.step_cycle(port);
-        if !matches!(outcome, Ok(false)) {
-            // Drained or wedged: the points where callers look at stats.
-            self.fold_tallies();
-        }
-        outcome
-    }
-
-    fn step_cycle(&mut self, port: &mut dyn MemPort) -> Result<bool, SimError> {
-        port.begin_cycle();
-        let mut progressed = self.complete_mem(port)?;
-        progressed |= self.commit_compute();
-        progressed |= self.import_blocks()?;
-        self.publish_spans()?;
-        let flags = self.issue_ready(port)?;
-        self.account_cycle(&flags, progressed)
-    }
-
-    /// Marks `uid` committed and retires one dependence of each consumer:
-    /// those left with none enter the ready set, memory consumers that
-    /// waited for their address queue for publication.
-    fn commit(&mut self, uid: u32) {
-        let d = &mut self.dyn_ops[uid as usize];
-        d.flags |= COMMITTED;
-        let mut e = std::mem::replace(&mut d.consumers, NIL);
-        while e != NIL {
-            let Edge { consumer, next } = self.edges[e as usize];
-            let c = &mut self.dyn_ops[consumer as usize];
-            c.pending -= 1;
-            if c.pending == 0 {
-                self.woken.push(Reverse(consumer));
-            }
-            if c.addr_dep == uid {
-                self.to_publish.push(consumer);
-            }
-            self.edges[e as usize].next = self.free_edge;
-            self.free_edge = e;
-            e = next;
-        }
-    }
+    // ---- issue, commit and cycle bookkeeping ---------------------------------
 
     /// Appends the depstream record of the op committing this cycle and
     /// closes its trace span.
@@ -1213,15 +1243,15 @@ impl Engine {
         };
         let sop = &self.ops[d.inst as usize];
         let rec = &mut self.dep_recs[uid as usize];
-        let (addr, size) = if d.flags & SPAN_KNOWN != 0 {
+        let (addr, size) = if d.span_known {
             (d.addr, sop.access_size)
         } else {
             (0, 0)
         };
         let meta = salam_obs::DepMeta {
-            kind: match (sop.eval, sop.is_store) {
-                (Eval::Mem, true) => salam_obs::OpKind::Store,
-                (Eval::Mem, false) => salam_obs::OpKind::Load,
+            kind: match sop.lane {
+                STORE => salam_obs::OpKind::Store,
+                LOAD => salam_obs::OpKind::Load,
                 _ => salam_obs::OpKind::Compute,
             },
             latency: rec.latency,
@@ -1243,315 +1273,42 @@ impl Engine {
         );
     }
 
-    /// Phase 1: memory completions commit first (the asynchronous memory
-    /// queues of the paper).
-    fn complete_mem(&mut self, port: &mut dyn MemPort) -> Result<bool, SimError> {
-        let mut any = false;
-        for completion in port.poll() {
-            let slot = usize::try_from(completion.token)
-                .ok()
-                .and_then(|t| self.token_uid.get_mut(t));
-            let uid = slot.map_or(0, std::mem::take);
-            if uid == 0 {
+    /// A memory completion from the port: the uid behind its token, with
+    /// a load's value decoded into its slab entry.
+    fn complete(&mut self, completion: MemCompletion) -> Result<u32, Fault> {
+        let slot = usize::try_from(completion.token)
+            .ok()
+            .and_then(|t| self.token_uid.get_mut(t));
+        let uid = slot.map_or(0, std::mem::take);
+        if uid == 0 {
+            return Err(self.kernel_fault(format!(
+                "memory port completed token {} which is not outstanding",
+                completion.token
+            )));
+        }
+        let inst = self.dyn_ops[uid as usize].inst;
+        if !self.ops[inst as usize].is_store() {
+            let ty = &self.func.inst(InstId::from_raw(inst)).ty;
+            let Some(bytes) = completion.data.as_deref() else {
                 return Err(self.kernel_fault(format!(
-                    "memory port completed token {} which is not outstanding",
+                    "load completion for token {} carries no data",
                     completion.token
                 )));
-            }
-            let inst = self.dyn_ops[uid as usize].inst;
-            let sop = self.ops[inst as usize];
-            let window = if sop.is_store {
-                self.outstanding_writes -= 1;
-                &mut self.win_stores
-            } else {
-                self.outstanding_reads -= 1;
-                &mut self.win_loads
             };
-            if let Ok(pos) = window.binary_search(&uid) {
-                window.remove(pos);
-            }
-            if !sop.is_store {
-                let ty = &self.func.inst(InstId::from_raw(inst)).ty;
-                let Some(bytes) = completion.data.as_deref() else {
-                    return Err(self.kernel_fault(format!(
-                        "load completion for token {} carries no data",
-                        completion.token
-                    )));
-                };
-                let Some(value) = decode_scalar(ty, bytes) else {
-                    return Err(self.kernel_fault(format!("cannot load {ty}")));
-                };
-                self.stats.reg_write_pj += sop.reg_write_pj;
-                self.dyn_ops[uid as usize].value = Some(value);
-            }
-            self.commit(uid);
-            self.record_commit(uid);
-            any = true;
-        }
-        Ok(any)
-    }
-
-    /// Phase 2: compute commits and FU releases (one cycle after issue
-    /// when pipelined, at commit otherwise); ops parked on a kind that
-    /// released a unit become ready again.
-    fn commit_compute(&mut self) -> bool {
-        let mut freed: u16 = 0;
-        for fu in self.pipelined_release.drain(..) {
-            self.fu_busy[fu as usize] -= 1;
-            freed |= 1 << fu;
-        }
-        let mut due = std::mem::take(&mut self.due_scratch);
-        self.wheel.take_due(self.cycle, &mut due);
-        for &uid in &due {
-            let sop = self.ops[self.dyn_ops[uid as usize].inst as usize];
-            if sop.fu != NO_FU && !self.cfg.pipelined_fus {
-                self.fu_busy[sop.fu as usize] -= 1;
-                freed |= 1 << sop.fu;
-            }
-            if sop.has_result {
-                self.stats.reg_write_pj += sop.reg_write_pj;
-            }
-            self.commit(uid);
-            self.record_commit(uid);
-        }
-        let any = !due.is_empty();
-        self.compute_inflight -= due.len();
-        due.clear();
-        self.due_scratch = due;
-        while freed != 0 {
-            let fu = freed.trailing_zeros() as usize;
-            freed &= freed - 1;
-            self.parked -= self.fu_wait[fu].len();
-            self.woken.extend(self.fu_wait[fu].drain(..).map(Reverse));
-        }
-        any
-    }
-
-    /// Phase 4a: publish memory addresses as soon as pointer operands
-    /// resolve, independent of data readiness — a store whose value is
-    /// still in flight must not hide its (known) address from younger
-    /// loads. An op that issued in the cycle its address resolved never
-    /// publishes: it orders younger conflicting accesses as "unknown
-    /// address" until it commits.
-    fn publish_spans(&mut self) -> Result<(), SimError> {
-        for i in 0..self.to_publish.len() {
-            let uid = self.to_publish[i];
-            if self.dyn_ops[uid as usize].flags & (ISSUED | PUBLISHED) == 0 {
-                self.address_of(uid)?;
-                self.dyn_ops[uid as usize].flags |= PUBLISHED;
-            }
-        }
-        self.to_publish.clear();
-        Ok(())
-    }
-
-    /// Phase 4b: offer every dependence-free op to the datapath, oldest
-    /// first. Ops woken mid-pass (zero-latency chaining, a block imported
-    /// behind a terminator, an issue another op waited on) always carry a
-    /// higher uid than the op that woke them, so the merge reaches them in
-    /// this same pass.
-    fn issue_ready(&mut self, port: &mut dyn MemPort) -> Result<IssueFlags, SimError> {
-        let mut flags = IssueFlags::default();
-        let mut carried = std::mem::take(&mut self.ready);
-        let mut waiting = std::mem::take(&mut self.ready_scratch);
-        let mut next = 0;
-        loop {
-            let woken = self.woken.peek().map(|&Reverse(w)| w);
-            let uid = match (carried.get(next).copied(), woken) {
-                (Some(c), Some(w)) if w < c => w,
-                (Some(c), _) => c,
-                (None, Some(w)) => w,
-                (None, None) => break,
+            let Some(value) = decode_scalar(ty, bytes) else {
+                return Err(self.kernel_fault(format!("cannot load {ty}")));
             };
-            if woken == Some(uid) {
-                self.woken.pop();
-            } else {
-                next += 1;
-            }
-            if self.offer(uid, port, &mut flags)? == Visit::Waiting {
-                waiting.push(uid);
-            }
+            self.dyn_ops[uid as usize].value = Some(value);
         }
-        carried.clear();
-        self.ready = waiting;
-        self.ready_scratch = carried;
-        // Parked ops are ready ops blocked on a saturated FU kind.
-        flags.blocked.compute = self.parked > 0;
-        Ok(flags)
-    }
-
-    /// Offers one dependence-free op to the datapath.
-    fn offer(
-        &mut self,
-        uid: u32,
-        port: &mut dyn MemPort,
-        flags: &mut IssueFlags,
-    ) -> Result<Visit, SimError> {
-        let sop = self.ops[self.dyn_ops[uid as usize].inst as usize];
-        // Functional-unit pool availability (user-enforced reuse). Units
-        // only release between passes, so the op parks until one does.
-        if sop.fu != NO_FU && self.fu_busy[sop.fu as usize] >= self.fu_pool[sop.fu as usize] {
-            self.fu_wait[sop.fu as usize].push(uid);
-            self.parked += 1;
-            return Ok(Visit::Left);
-        }
-        if sop.eval == Eval::Mem {
-            return self.offer_mem(uid, &sop, port, flags);
-        }
-        self.issue_compute(uid, &sop, flags)?;
-        Ok(Visit::Left)
-    }
-
-    /// Ordering, outstanding-cap and port checks of a ready memory op. The
-    /// port sees one `try_issue` per ordered, under-cap op per cycle,
-    /// rejected attempts included.
-    fn offer_mem(
-        &mut self,
-        uid: u32,
-        sop: &StaticOp,
-        port: &mut dyn MemPort,
-        flags: &mut IssueFlags,
-    ) -> Result<Visit, SimError> {
-        let addr = self.address_of(uid)?;
-        if !self.mem_order_ok(uid, addr, sop) {
-            flags.block_mem(sop.is_store);
-            return Ok(Visit::Waiting);
-        }
-        let limit_ok = if sop.is_store {
-            self.outstanding_writes < self.cfg.max_outstanding_writes
-        } else {
-            self.outstanding_reads < self.cfg.max_outstanding_reads
-        };
-        if !limit_ok {
-            flags.block_mem(sop.is_store);
-            flags.mem_limit_blocked = true;
-            return Ok(Visit::Waiting);
-        }
-        let size = sop.access_size;
-        let access = MemAccess {
-            token: self.token_uid.len() as u64,
-            addr,
-            size,
-            is_write: sop.is_store,
-            data: if sop.is_store {
-                Some(self.store_bytes(uid)?)
-            } else {
-                None
-            },
-        };
-        if let Err(rejected) = port.try_issue(access) {
-            self.tallies.reject[rejected.cause as usize] += 1;
-            flags.port_rejected = true;
-            flags.mem_limit_blocked = true;
-            flags.block_mem(sop.is_store);
-            return Ok(Visit::Waiting);
-        }
-        self.token_uid.push(uid);
-        self.resv_count -= 1;
-        self.register_issue(uid, sop, flags);
-        if sop.is_store {
-            self.outstanding_writes += 1;
-            self.stats.stores += 1;
-            self.stats.store_bytes += size as u64;
-        } else {
-            self.outstanding_reads += 1;
-            self.stats.loads += 1;
-            self.stats.load_bytes += size as u64;
-        }
-        Ok(Visit::Left)
-    }
-
-    /// Compute / control issue: evaluate, apply fault hooks, then either
-    /// commit within the cycle (latency 0) or occupy the FU until commit.
-    fn issue_compute(
-        &mut self,
-        uid: u32,
-        sop: &StaticOp,
-        flags: &mut IssueFlags,
-    ) -> Result<(), SimError> {
-        self.resv_count -= 1;
-        let mut value = self.eval_compute(uid, sop)?;
-        let mut latency = sop.latency;
-        // Fault hooks: transient single-bit flips in the FU result and
-        // latency jitter, each from its own seeded site stream. Flips
-        // default to float results only — integer flips can corrupt
-        // loop counters into hangs the watchdog never sees.
-        let (mut flipped, mut jittered) = (false, false);
-        if let Some(f) = self.fault.as_mut() {
-            match value {
-                Some(RtVal::F(x)) if f.flip.roll(f.plan.fu_bitflip_rate) => {
-                    let bit = f.flip.bit(64);
-                    value = Some(RtVal::F(f64::from_bits(x.to_bits() ^ (1u64 << bit))));
-                    flipped = true;
-                }
-                Some(RtVal::I(x)) if f.plan.fu_flip_any && f.flip.roll(f.plan.fu_bitflip_rate) => {
-                    value = Some(RtVal::I(x ^ (1i64 << f.flip.bit(64))));
-                    flipped = true;
-                }
-                _ => {}
-            }
-            if latency > 0 && f.jitter.roll(f.plan.fu_jitter_rate) {
-                latency += f.plan.fu_jitter_cycles;
-                jittered = true;
-            }
-        }
-        if flipped {
-            self.note_fault("fu_bitflip");
-        }
-        if jittered {
-            self.note_fault("fu_jitter");
-            if let Some(rec) = self.dep_recs.get_mut(uid as usize) {
-                rec.latency = latency;
-            }
-        }
-        self.register_issue(uid, sop, flags);
-        if sop.is_term() {
-            self.handle_terminator(uid, sop)?;
-            // "Terminators trigger the reservation queue to load the
-            // next basic block immediately after evaluation" — import
-            // inline so the new block can begin issuing this cycle.
-            self.import_blocks()?;
-        }
-        let fu = sop.fu as usize;
-        if sop.fu != NO_FU {
-            if latency > 0 {
-                self.fu_busy[fu] += 1;
-            }
-            self.stats.fu_dynamic_pj += self.fu_energy_pj[fu];
-        }
-        self.dyn_ops[uid as usize].value = value;
-        if latency == 0 {
-            // Chainable op (mux, comparator, wiring): completes within
-            // this cycle, so dependents later in the queue can issue in
-            // the same cycle — HLS operator chaining. Its trace span has
-            // zero duration.
-            if sop.fu != NO_FU {
-                self.tallies.fu_busy_sum[fu] += 1;
-            }
-            if sop.has_result {
-                self.stats.reg_write_pj += sop.reg_write_pj;
-            }
-            self.commit(uid);
-            self.record_commit(uid);
-        } else {
-            // The value becomes architecturally visible to dependents
-            // when the op commits after its FU latency.
-            self.wheel.push(self.cycle + latency as u64, uid);
-            self.compute_inflight += 1;
-            if sop.fu != NO_FU && self.cfg.pipelined_fus {
-                self.pipelined_release.push(sop.fu);
-            }
-        }
-        Ok(())
+        Ok(uid)
     }
 
     /// Issue bookkeeping common to compute and memory ops.
-    fn register_issue(&mut self, uid: u32, sop: &StaticOp, flags: &mut IssueFlags) {
+    fn register_issue(&mut self, uid: u32, sop: &StaticOp, sched: &mut Sched) {
         let ts = self.trace_ts(self.cycle);
         let d = &mut self.dyn_ops[uid as usize];
-        d.flags |= ISSUED;
         self.tallies.issued[sop.class as usize] += 1;
-        flags.classes[sop.class as usize] = true;
+        self.classes[sop.class as usize] = true;
         // Register-file read energy for non-immediate operands, one add
         // per operand so the sum rounds as it always has.
         let reads = if sop.eval == Eval::Phi {
@@ -1569,19 +1326,16 @@ impl Engine {
         if let Some(rec) = self.dep_recs.get_mut(uid as usize) {
             rec.issue_cycle = self.cycle;
         }
-        // Strict hazards: ops that waited for this reader to issue.
+        // Strict hazards: ops that waited for this reader to issue. They
+        // were imported after it, so the walk still reaches them.
         if self.cfg.strict_register_hazards {
             for w in self.issue_waiters.remove(&uid).unwrap_or_default() {
-                let c = &mut self.dyn_ops[w as usize];
-                c.pending -= 1;
-                if c.pending == 0 {
-                    self.woken.push(Reverse(w));
-                }
+                sched.dep_met(w);
             }
         }
     }
 
-    fn handle_terminator(&mut self, uid: u32, sop: &StaticOp) -> Result<(), SimError> {
+    fn handle_terminator(&mut self, uid: u32, sop: &StaticOp) -> Result<(), Fault> {
         let refs = &self
             .func
             .inst(InstId::from_raw(self.dyn_ops[uid as usize].inst))
@@ -1611,120 +1365,36 @@ impl Engine {
         Ok(())
     }
 
-    /// Phase 5: charge the cycle to one attribution class, update the stall
-    /// and activity statistics, then check liveness and advance the clock.
-    fn account_cycle(&mut self, flags: &IssueFlags, progressed: bool) -> Result<bool, SimError> {
-        let cycle = self.cycle;
-        let mem_outstanding = self.outstanding_reads + self.outstanding_writes;
-        if self.cfg.record_timeline {
-            self.record_timeline(flags);
-        }
-        self.stats.cycles += 1;
-        // Cycle attribution: charge this cycle to exactly one class, by
-        // strict priority — progress beats any stall cause, resource limits
-        // beat waiting, waiting beats dependence, dependence beats drain.
-        // One charge per step keeps `attribution.total() == cycles` exact.
-        let cycle_class = if flags.issued() {
-            CycleClass::Compute
-        } else if flags.blocked.compute {
-            CycleClass::FuLimit
-        } else if flags.port_rejected || flags.mem_limit_blocked {
-            CycleClass::MemPort
-        } else if mem_outstanding > 0 {
-            CycleClass::DmaWait
-        } else if self.resv_count > 0 || self.compute_inflight > 0 {
-            CycleClass::DepStall
-        } else {
-            CycleClass::Control
-        };
-        self.stats.attribution.charge(cycle_class);
-        for (sum, &busy) in self.tallies.fu_busy_sum.iter_mut().zip(&self.fu_busy) {
-            *sum += busy as u64;
-        }
-        if flags.issued() {
-            let ld = flags.classes[IssueClass::Load as usize];
-            let st = flags.classes[IssueClass::Store as usize];
-            match (ld, st) {
-                (true, false) => self.tallies.mem_mix[0] += 1,
-                (false, true) => self.tallies.mem_mix[1] += 1,
-                (true, true) => self.tallies.mem_mix[2] += 1,
-                (false, false) => {}
-            }
-            for (n, &active) in self.tallies.class_active.iter_mut().zip(&flags.classes) {
-                *n += active as u64;
-            }
-        }
-        // A cycle counts as *stalled* (the paper's Fig. 14 definition) when
-        // a dependency-free operation could not launch — resource or
-        // bandwidth pressure — regardless of whether other ops issued.
-        if flags.stalled() {
-            self.stats.stall_cycles += 1;
-            let mut mix = flags.blocked;
-            mix.compute |= self.compute_inflight > 0;
-            mix.store |= self.outstanding_writes > 0;
-            mix.load |= self.outstanding_reads > 0;
-            self.tallies.stall_mix[stall_mix_index(mix)] += 1;
-            if let Some(t) = &self.trace_tracks {
-                let name = format!("stall:{}", mix.label());
-                self.trace.instant(t.sched, &name, self.trace_ts(cycle));
-            }
-        } else if flags.issued() {
-            self.stats.new_exec_cycles += 1;
-        }
-        if flags.port_rejected {
-            self.stats.port_reject_cycles += 1;
-        }
-        if let Some(t) = &self.trace_tracks {
-            let ts = self.trace_ts(cycle);
-            if flags.port_rejected {
-                self.trace.instant(t.sched, "port_reject", ts);
-            }
-            self.trace
-                .counter(t.sched, "reservation_depth", ts, self.resv_count as f64);
-            self.trace
-                .counter(t.sched, "mem_outstanding", ts, mem_outstanding as f64);
-        }
-
-        self.check_liveness(progressed || flags.issued())?;
-        self.cycle += 1;
-        self.done = self.fetch_stopped
-            && self.pending_fetch.is_empty()
-            && self.resv_count == 0
-            && self.compute_inflight == 0
-            && mem_outstanding == 0;
-        Ok(self.done)
-    }
-
     /// Appends this cycle to the activity log.
-    fn record_timeline(&mut self, flags: &IssueFlags) {
+    fn record_timeline(&mut self, sched: &Sched, flags: IssueFlags) {
         let mut rec = CycleRecord {
-            mem_outstanding: (self.outstanding_reads + self.outstanding_writes) as u32,
+            mem_outstanding: sched.outstanding().iter().sum::<usize>() as u32,
             stalled: flags.stalled(),
             ..Default::default()
         };
         // One entry per class that issued, not per op.
         for class in IssueClass::ALL {
-            if flags.classes[class as usize] {
+            if self.classes[class as usize] {
                 rec.issued.insert(class.label(), 1);
             }
         }
-        for k in FuKind::ALL {
-            if self.fu_busy[k as usize] > 0 {
-                rec.fu_busy.insert(k, self.fu_busy[k as usize]);
+        for (k, &busy) in FuKind::ALL.into_iter().zip(sched.fu_busy()) {
+            if busy > 0 {
+                rec.fu_busy.insert(k, busy);
             }
         }
         self.stats.timeline.push(rec);
     }
 
     /// Watchdog, cooperative cancellation and flight-recorder heartbeat.
-    fn check_liveness(&mut self, progressed: bool) -> Result<(), SimError> {
+    fn check_liveness(&mut self, sched: &Sched, progressed: bool) -> Result<(), Fault> {
         let cycle = self.cycle;
         if progressed {
             self.last_progress = cycle;
         } else if cycle - self.last_progress > self.cfg.deadlock_cycles {
             // The snapshot names the dominant reject cause from the map.
-            self.fold_tallies();
-            return Err(SimError::Deadlock(self.watchdog_snapshot()));
+            self.fold_tallies(sched);
+            return Err(SimError::Deadlock(self.watchdog_snapshot(sched)).into());
         }
 
         // Cooperative cancellation, polled once per cycle batch (including
@@ -1732,31 +1402,28 @@ impl Engine {
         // work). The disabled token keeps this to a single branch.
         if self.cancel.is_enabled() && cycle & (CANCEL_BATCH - 1) == 0 {
             if let Some(reason) = self.cancel.poll() {
-                return Err(SimError::Cancelled {
-                    kernel: self.func.name.clone(),
+                let timeout = reason.is_timeout();
+                let kernel = self.func.name.clone();
+                return Err(Box::new(SimError::Cancelled {
+                    kernel,
                     cycle,
-                    timeout: reason.is_timeout(),
-                });
+                    timeout,
+                }));
             }
         }
 
         // Coarse liveness heartbeat for the flight recorder: one event per
         // 65536 cycles, so even a wedged-but-not-yet-deadlocked run leaves
-        // a recent-history trail. The enabled check keeps the disabled
-        // path to a single branch.
-        if self.flight.is_enabled() && cycle & 0xFFFF == 0 && cycle > 0 {
-            self.flight.record(
-                self.flight_trace_id,
-                "engine",
+        // a recent-history trail.
+        if cycle & 0xFFFF == 0 && cycle > 0 {
+            self.flight_note(|name| {
                 format!(
-                    "heartbeat kernel={} cycle={} resv={} compute={} mem={}",
-                    self.func.name,
-                    cycle,
-                    self.resv_count,
-                    self.compute_inflight,
-                    self.outstanding_reads + self.outstanding_writes
-                ),
-            );
+                    "heartbeat kernel={name} cycle={cycle} resv={} compute={} mem={}",
+                    sched.resv_count(),
+                    sched.compute_inflight(),
+                    sched.outstanding().iter().sum::<usize>()
+                )
+            });
         }
         Ok(())
     }
@@ -1764,7 +1431,7 @@ impl Engine {
     /// Brings the public per-class maps up to date with the flat tallies.
     /// A key appears once its count is nonzero, exactly as if the maps had
     /// been updated event by event.
-    fn fold_tallies(&mut self) {
+    fn fold_tallies(&mut self, sched: &Sched) {
         let (t, s) = (&self.tallies, &mut self.stats);
         for class in IssueClass::ALL {
             let i = class as usize;
@@ -1781,9 +1448,9 @@ impl Engine {
                 s.mem_mix_cycles.insert(label, n);
             }
         }
-        for k in FuKind::ALL {
-            if t.fu_busy_sum[k as usize] > 0 {
-                s.fu_busy_cycle_sum.insert(k, t.fu_busy_sum[k as usize]);
+        for (k, busy) in FuKind::ALL.into_iter().zip(sched.fu_busy_integral()) {
+            if busy > 0 {
+                s.fu_busy_cycle_sum.insert(k, busy);
             }
         }
         for (bits, &n) in t.stall_mix.iter().enumerate() {
@@ -1821,7 +1488,9 @@ fn static_op(
     let mut inst_operands = 0;
     for &v in &inst.operands {
         templates.push(match func.value_kind(v) {
-            ValueKind::Arg(i) => OperandT::Imm(args[*i as usize]),
+            ValueKind::Arg(i) => args
+                .get(*i as usize)
+                .map_or(OperandT::Undef, |&v| OperandT::Imm(v)),
             ValueKind::Const(c) => const_rt(c).map_or(OperandT::Undef, OperandT::Imm),
             ValueKind::Inst(def) => {
                 inst_operands += 1;
@@ -1847,8 +1516,11 @@ fn static_op(
             Opcode::Load | Opcode::Store => Eval::Mem,
             _ => Eval::Pure,
         },
-        fu: sop.fu.map_or(NO_FU, |k| k as u8),
-        is_store: inst.op == Opcode::Store,
+        lane: match inst.op {
+            Opcode::Load => LOAD,
+            Opcode::Store => STORE,
+            _ => sop.fu.map_or(NO_LANE, |k| k as u8),
+        },
         has_result: inst.has_result(),
         inst_operands,
         latency: sop.latency,

@@ -60,6 +60,7 @@
 
 mod engine;
 mod port;
+pub mod sched;
 mod stats;
 
 pub use engine::{Engine, EngineConfig, CANCEL_BATCH};

@@ -180,6 +180,33 @@ fn store_to_load_ordering_respected() {
     assert_eq!(mem.memory_mut().read_f64_slice(0x100, 2), vec![1.5, 3.0]);
 }
 
+/// `store p; load p; store q`: the load waits for the store it overlaps
+/// wherever `p` lies — a span that ends past `u64::MAX` must still order
+/// (the overlap test used to overflow there: a debug panic, a dropped
+/// store→load order in release).
+#[test]
+fn ordering_holds_at_the_top_of_the_address_space() {
+    let mut fb = FunctionBuilder::new("st_ld_st", &[("p", Type::Ptr), ("q", Type::Ptr)]);
+    let (p, q) = (fb.arg(0), fb.arg(1));
+    let c = fb.i64c(7);
+    fb.store(c, p);
+    let x = fb.load(Type::I64, p, "x");
+    fb.store(x, q);
+    fb.ret();
+    let f = fb.finish();
+
+    let cycles_at = |p: u64| {
+        let mut mem = SimpleMem::new(3, 2, 2);
+        let args = vec![RtVal::P(p), RtVal::P(0x1000)];
+        let mut e = engine_for(&f, FuConstraints::unconstrained(), args);
+        let cycles = run(&mut e, &mut mem);
+        assert_eq!(mem.memory_mut().read_i64_slice(0x1000, 1), vec![7]);
+        cycles
+    };
+    assert_eq!(cycles_at(0x2000), 10);
+    assert_eq!(cycles_at(u64::MAX - 7), 10);
+}
+
 #[test]
 fn fewer_memory_ports_cause_stalls() {
     let f = fma_kernel();

@@ -189,13 +189,28 @@ fn timeline_records_every_cycle() {
     assert!(e2.stats().timeline.is_empty());
 }
 
+/// `Engine::new` cannot fail (its signature is pinned), so a wrong
+/// argument count is a typed fault from the first step — and the panic
+/// `step` documents.
 #[test]
-#[should_panic(expected = "argument count mismatch")]
-fn wrong_arity_is_rejected_at_construction() {
+fn wrong_arity_is_a_kernel_fault_at_the_first_step() {
     let f = serial_fmul_loop();
     let profile = HardwareProfile::default_40nm();
     let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
-    let _ = Engine::new(f, cdfg, profile, EngineConfig::default(), vec![RtVal::I(1)]);
+    let mut e = Engine::new(f, cdfg, profile, EngineConfig::default(), vec![RtVal::I(1)]);
+    let mut mem = SimpleMem::new(1, 2, 2);
+    for err in [
+        e.try_step(&mut mem).unwrap_err(),
+        e.try_run_to_completion(&mut mem).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, salam_runtime::SimError::KernelFault { .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("argument count mismatch"), "{err}");
+    }
+    let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.step(&mut mem)));
+    assert!(stepped.is_err(), "step() panics on a kernel fault");
 }
 
 #[test]

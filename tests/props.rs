@@ -481,6 +481,19 @@ fn assert_replay_matches_engine(f: &Function, args: &[RtVal], points: &[Point]) 
     }
 }
 
+/// `store p; load p; store q`, the kernel whose first two accesses end
+/// past `u64::MAX` when `p = u64::MAX - 7`.
+fn store_load_store_kernel() -> Function {
+    let mut fb = FunctionBuilder::new("st_ld_st", &[("p", Type::Ptr), ("q", Type::Ptr)]);
+    let (p, q) = (fb.arg(0), fb.arg(1));
+    let c = fb.i64c(7);
+    fb.store(c, p);
+    let x = fb.load(Type::I64, p, "x");
+    fb.store(x, q);
+    fb.ret();
+    fb.finish()
+}
+
 /// The second oracle for the scheduler (next to the nine-kernel goldens):
 /// on generated looped kernels with aliasing accesses, float detours and
 /// data-dependent branches, re-scheduling the recorded stream gives
@@ -501,4 +514,13 @@ fn replay_matches_engine_on_generated_kernels() {
             assert_replay_matches_engine(&f, &[RtVal::P(0x1000), RtVal::P(0x2000)], &points);
         },
     );
+    // One fixed case: spans at the top of the address space order the same
+    // way in the engine and in the replay of its own stream (the engine's
+    // overlap test used to overflow there).
+    let slow_spm = Point {
+        spm_latency: 3,
+        ..Point::default()
+    };
+    let top = [RtVal::P(u64::MAX - 7), RtVal::P(0x1000)];
+    assert_replay_matches_engine(&store_load_store_kernel(), &top, &[slow_spm]);
 }
