@@ -40,8 +40,8 @@ pub const CANCEL_BATCH: u64 = 1024;
 ///
 /// Memory note: the engine keeps one 56-byte slab entry per dynamic
 /// instruction (value, consumer-list head, address) and the scheduler 15
-/// more bytes (state, dependence counter, ordering memo, wheel link, ready
-/// bit, lane masks), plus 4 bytes per SSA operand and 4 bytes per memory
+/// more bytes (state, dependence counter and lane, wheel and waiter links,
+/// ready bit, lane masks), plus 4 bytes per SSA operand and 4 bytes per memory
 /// access, and never reclaims them — about 80 bytes per dynamic
 /// instruction for the whole run. The consumer edges, the ordering window
 /// and the commit wheel's ring are bounded by the ops in flight, but a single
@@ -267,8 +267,8 @@ impl StaticOp {
 }
 
 /// One dynamic instruction: an entry of the uid-indexed slab. What decides
-/// when it issues and commits (dependence counter, state bits, ordering
-/// memo) lives in the [`Sched`] under the same index.
+/// when it issues and commits (dependence counter, state bits, list links)
+/// lives in the [`Sched`] under the same index.
 #[derive(Debug)]
 struct DynOp {
     /// `InstId` index of the static instruction.
@@ -765,9 +765,9 @@ impl OpSource for Live {
             return Ok(());
         };
         let (start, len) = self.block_span[block.index()];
-        // Uids stay below the scheduler's memo sentinels and operand
-        // offsets within `u32` (a block has at most `templates.len()`
-        // operands).
+        // Uids leave room for the scheduler's `1 + index` list links and
+        // operand offsets stay within `u32` (a block has at most
+        // `templates.len()` operands).
         const LIMIT: usize = u32::MAX as usize;
         if self.dyn_ops.len() + len as usize >= LIMIT
             || self.operand_uids.len() + self.templates.len() > LIMIT

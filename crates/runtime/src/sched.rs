@@ -34,6 +34,10 @@ pub const NO_LANE: u8 = N_LANES as u8;
 
 const FU_LANES: u32 = (1 << N_FU) - 1;
 
+// The small non-generic helpers below are `#[inline]` because the generic
+// phases that call them are instantiated in `salam-replay`, which could not
+// inline them across the crate boundary otherwise.
+
 /// Most dependences one op can wait for.
 pub const MAX_DEPS: u32 = (1 << 24) - 1;
 
@@ -504,12 +508,10 @@ impl Sched {
     /// that importing a small block rarely touches the allocations).
     pub fn grow(&mut self, n: usize) {
         let needed = self.imported as usize + n;
-        if needed > self.state.len() {
-            self.grow_to(needed.next_multiple_of(1024));
+        if needed <= self.state.len() {
+            return;
         }
-    }
-
-    fn grow_to(&mut self, ops: usize) {
+        let ops = needed.next_multiple_of(1024);
         self.state.resize(ops, 0);
         self.waiters.resize(ops, 0);
         self.pending.resize(ops, 0);
@@ -693,18 +695,9 @@ impl Sched {
     /// An in-flight op leaves its queue and commits.
     fn retire<S: OpSource>(&mut self, i: u32, src: &mut S) {
         let lane = self.lane(i);
-        match mem_side(lane) {
-            Some(side) => {
-                self.mem[side].outstanding -= 1;
-                self.state[i as usize] |= COMMITTED;
-                let window = &mut self.mem[side].window;
-                while window
-                    .front()
-                    .is_some_and(|&f| self.state[f as usize] & COMMITTED != 0)
-                {
-                    window.pop_front();
-                }
-            }
+        let side = mem_side(lane);
+        match side {
+            Some(side) => self.mem[side].outstanding -= 1,
             None => {
                 self.compute_inflight -= 1;
                 if (lane as usize) < N_FU && !self.limits.pipelined_fus {
@@ -713,6 +706,15 @@ impl Sched {
             }
         }
         self.commit(i, src);
+        if let Some(side) = side {
+            let window = &mut self.mem[side].window;
+            while window
+                .front()
+                .is_some_and(|&f| self.state[f as usize] & COMMITTED != 0)
+            {
+                window.pop_front();
+            }
+        }
     }
 
     /// Phase 1: FU releases (one cycle after issue when pipelined, at
