@@ -463,7 +463,6 @@ struct Recorded<'a> {
     /// Accesses accepted this cycle: reads, then writes.
     ports_used: [u32; 2],
     next_group: usize,
-    committed: usize,
     /// (issue, commit) per op; empty unless the retimed stream is wanted.
     times: Vec<(u64, u64)>,
 }
@@ -551,7 +550,6 @@ impl OpSource for Recorded<'_> {
     }
 
     fn retire(&mut self, i: u32, cycle: u64, mut consumer: impl FnMut(u32, bool)) {
-        self.committed += 1;
         if let Some(t) = self.times.get_mut(i as usize) {
             t.1 = cycle;
         }
@@ -598,7 +596,6 @@ fn run(
         cfg,
         ports_used: [0; 2],
         next_group: 0,
-        committed: 0,
         times: vec![(0, 0); if retime_src.is_some() { n } else { 0 }],
     };
     let max_latency = cfg.mem_latency.max(prep.max_latency as u64) as u32;
@@ -622,7 +619,7 @@ fn run(
             let Some(event) = sched.next_commit_cycle() else {
                 return Err(ReplayError::Deadlock {
                     cycle: sched.cycle(),
-                    committed: src.committed,
+                    committed: (0..n as u32).filter(|&i| sched.committed(i)).count(),
                     total: n,
                 });
             };

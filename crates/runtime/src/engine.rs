@@ -282,6 +282,9 @@ struct DynOp {
     addr_dep: u32,
     /// Phis: index of the taken incoming edge.
     phi_edge: u16,
+    /// The static instruction's resource lane, at hand when the scheduler
+    /// asks for it.
+    lane: u8,
     /// `addr` holds the access address.
     span_known: bool,
     /// Memory ops: byte address, valid once `span_known`.
@@ -460,6 +463,7 @@ impl Engine {
             operands: 0,
             addr_dep: 0,
             phi_edge: 0,
+            lane: NO_LANE,
             span_known: false,
             addr: 0,
             tspan: SpanId::INVALID,
@@ -718,7 +722,7 @@ impl OpSource for Live {
     type Port<'p> = dyn MemPort + 'p;
 
     fn lane(&self, uid: u32) -> u8 {
-        self.ops[self.dyn_ops[uid as usize].inst as usize].lane
+        self.dyn_ops[uid as usize].lane
     }
 
     fn lanes(&self) -> &LaneMasks {
@@ -1085,6 +1089,7 @@ impl Live {
             operands,
             addr_dep,
             phi_edge,
+            lane: sop.lane,
             span_known: false,
             addr: 0,
             tspan: SpanId::INVALID,
