@@ -277,7 +277,7 @@ impl Prepared {
         let mut dep_count = Vec::with_capacity(n);
         let mut cons_off = vec![0u32; n + 1];
         let mut fu_first_uid = [0u32; N_FU];
-        let mut lanes = LaneMasks::with_ops(n);
+        let mut lanes = LaneMasks::default();
         let mut max_latency = 0;
         for (i, &p) in pos.iter().enumerate() {
             let op = &sops[p as usize];

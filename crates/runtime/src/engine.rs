@@ -469,7 +469,7 @@ impl Engine {
             tspan: SpanId::INVALID,
             value: None,
         };
-        let mut sched = Sched::new(cfg.limits(fu_pool), max_latency);
+        let mut sched = Sched::with_ops(cfg.limits(fu_pool), max_latency, &[]);
         sched.grow_retired();
         let mut lanes = LaneMasks::default();
         lanes.set(0, NO_LANE);

@@ -87,11 +87,6 @@ pub struct Limits {
 pub struct LaneMasks(Vec<[u64; N_LANES + 1]>);
 
 impl LaneMasks {
-    /// Masks for `n` ops, all on no lane yet.
-    pub fn with_ops(n: usize) -> Self {
-        LaneMasks(vec![[0; N_LANES + 1]; n.div_ceil(64)])
-    }
-
     /// Puts op `i` on `lane`.
     pub fn set(&mut self, i: u32, lane: u8) {
         let word = i as usize / 64;
@@ -155,8 +150,7 @@ pub trait OpSource {
     /// from [`Sched::step`] to [`OpSource::issue_mem`].
     type Port<'p>: ?Sized;
 
-    /// The resource lane op `i` was admitted on (asked when the op is
-    /// offered, just before the issue hook looks the op up anyway).
+    /// The resource lane op `i` was admitted on.
     fn lane(&self, i: u32) -> u8;
 
     /// The lane masks of every op admitted so far.
@@ -300,16 +294,6 @@ impl Wheel {
     }
 }
 
-/// The load (or the store) side of the memory interface.
-#[derive(Debug, Default)]
-struct MemSide {
-    /// Accesses in flight, against the outstanding cap.
-    outstanding: usize,
-    /// Ordering window: imported accesses in age order; committed ones
-    /// leave from the front and are skipped elsewhere.
-    window: VecDeque<u32>,
-}
-
 /// Whether `[a, a + a_size)` and `[b, b + b_size)` overlap; an end past
 /// `u64::MAX` lies beyond every address.
 #[inline]
@@ -445,8 +429,11 @@ pub struct Sched {
     imported: u32,
     /// Imported, not yet issued ops (the window's occupancy).
     resv_count: usize,
-    /// The load and the store side.
-    mem: [MemSide; 2],
+    /// Accesses in flight, against the outstanding caps: loads, then stores.
+    outstanding: [usize; 2],
+    /// The ordering window per side: imported accesses in age order;
+    /// committed ones leave from the front and are skipped elsewhere.
+    window: [VecDeque<u32>; 2],
     fu_busy: [u32; N_FU],
     /// Busy-unit cycle integral per kind as Σ release − Σ issue cycles
     /// (wrapping) over the units taken so far; see
@@ -472,15 +459,10 @@ pub struct Sched {
 }
 
 impl Sched {
-    /// A schedule whose ops arrive one [`Sched::grow`] at a time.
-    /// `max_latency` sizes the commit wheel; longer latencies still commit
-    /// on their cycle.
-    pub fn new(limits: Limits, max_latency: u32) -> Self {
-        Self::with_ops(limits, max_latency, &[])
-    }
-
-    /// A schedule over ops known up front, `deps[i]` the number of
-    /// dependences of op `i`. None has entered the window yet.
+    /// A schedule over the ops known up front (more can arrive a
+    /// [`Sched::grow`] at a time), `deps[i]` the number of dependences of op
+    /// `i`. None has entered the window yet. `max_latency` sizes the commit
+    /// wheel; longer latencies still commit on their cycle.
     pub fn with_ops(limits: Limits, max_latency: u32, deps: &[u32]) -> Self {
         let n = deps.len();
         let mut saturated = 0;
@@ -499,7 +481,8 @@ impl Sched {
             woken_behind: false,
             imported: 0,
             resv_count: 0,
-            mem: Default::default(),
+            outstanding: [0; 2],
+            window: Default::default(),
             fu_busy: [0; N_FU],
             busy_sum: [0; N_FU],
             pipelined_release: Vec::new(),
@@ -549,7 +532,7 @@ impl Sched {
         *pending += (lane as u32) << 24 | deps;
         let waits = *pending & MAX_DEPS != 0;
         if let Some(side) = mem_side(lane) {
-            self.mem[side].window.push_back(i);
+            self.window[side].push_back(i);
             let state = &mut self.state[i as usize];
             if addr_ready || *state & ADDR_READY != 0 {
                 *state |= ADDR_READY;
@@ -571,12 +554,6 @@ impl Sched {
             let lane = (*pending >> 24) as u8;
             self.wake(i, lane);
         }
-    }
-
-    /// The lane op `i` was admitted on.
-    #[inline]
-    fn lane(&self, i: u32) -> u8 {
-        (self.pending[i as usize] >> 24) as u8
     }
 
     /// Enters an imported, dependence-free op into the ready set.
@@ -619,7 +596,7 @@ impl Sched {
 
     /// Accesses in flight: reads, then writes.
     pub fn outstanding(&self) -> [usize; 2] {
-        [self.mem[0].outstanding, self.mem[1].outstanding]
+        self.outstanding
     }
 
     /// Busy units per FU kind.
@@ -687,7 +664,7 @@ impl Sched {
         let state = &mut self.state[i as usize];
         *state |= COMMITTED;
         if *state & WAITED_ON != 0 {
-            self.release_waiters(i);
+            self.release_waiters(i, src);
         }
         src.retire(i, self.cycle, |c, address_edge| {
             if address_edge {
@@ -704,10 +681,10 @@ impl Sched {
     /// An in-flight op leaves its queue and commits.
     #[inline(always)]
     fn retire<S: OpSource>(&mut self, i: u32, src: &mut S) {
-        let lane = self.lane(i);
+        let lane = src.lane(i);
         let side = mem_side(lane);
         match side {
-            Some(side) => self.mem[side].outstanding -= 1,
+            Some(side) => self.outstanding[side] -= 1,
             None => {
                 self.compute_inflight -= 1;
                 if (lane as usize) < N_FU && !self.limits.pipelined_fus {
@@ -717,7 +694,7 @@ impl Sched {
         }
         self.commit(i, src);
         if let Some(side) = side {
-            let window = &mut self.mem[side].window;
+            let window = &mut self.window[side];
             while window
                 .front()
                 .is_some_and(|&f| self.state[f as usize] & COMMITTED != 0)
@@ -784,7 +761,7 @@ impl Sched {
                 src.resolve_span(i)?;
                 self.state[i as usize] |= PUBLISHED;
                 if self.state[i as usize] & WAITED_ON != 0 {
-                    self.release_waiters(i);
+                    self.release_waiters(i, src);
                 }
             }
         }
@@ -917,7 +894,7 @@ impl Sched {
             }
             self.state[i as usize] |= ORDERED;
         }
-        if self.mem[side].outstanding >= self.limits.max_outstanding[side] {
+        if self.outstanding[side] >= self.limits.max_outstanding[side] {
             flags.0 |= blocked | IssueFlags::MEM_LIMIT_BLOCKED;
             self.saturated |= 1 << lane;
             return Ok(());
@@ -929,7 +906,7 @@ impl Sched {
             }
             MemIssue::Accepted(latency) => {
                 self.leave_window(i, flags);
-                self.mem[side].outstanding += 1;
+                self.outstanding[side] += 1;
                 if let Some(latency) = latency {
                     let at = self.cycle + latency.max(1) as u64;
                     self.wheel.push(self.cycle, at, i);
@@ -974,7 +951,7 @@ impl Sched {
         // Stores order against both sides, loads against stores only.
         let against = [1, 0].into_iter().take(1 + side);
         against.into_iter().find_map(|against| {
-            let older = self.mem[against].window.iter();
+            let older = self.window[against].iter();
             older
                 .take_while(|&&older| older < i)
                 .find(|&&older| self.conflicts(older, span, src))
@@ -995,12 +972,12 @@ impl Sched {
 
     /// `older` published or committed: the ops that waited for it are
     /// ready again and re-check their order at the next visit.
-    fn release_waiters(&mut self, older: u32) {
+    fn release_waiters<S: OpSource>(&mut self, older: u32, src: &S) {
         self.state[older as usize] &= !WAITED_ON;
         let mut waiters = std::mem::take(&mut self.waiters[older as usize]);
         while let Some((i, rest)) = self.wheel.pop(waiters) {
             waiters = rest;
-            let lane = self.lane(i);
+            let lane = src.lane(i);
             self.order_parked[(lane - LOAD) as usize] -= 1;
             self.wake(i, lane);
         }
@@ -1019,7 +996,7 @@ impl Sched {
         retired: bool,
         imported: bool,
     ) -> Result<Cycle, S::Error> {
-        let mem_outstanding = self.mem[0].outstanding + self.mem[1].outstanding;
+        let mem_outstanding = self.outstanding[0] + self.outstanding[1];
         let class = if flags.issued() {
             CycleClass::Compute
         } else if flags.has(IssueFlags::COMPUTE_BLOCKED) {
