@@ -10,7 +10,9 @@ use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_ir::interp::RtVal;
 use salam_ir::{FunctionBuilder, Type};
 use salam_obs::SharedTrace;
-use salam_runtime::{Engine, EngineConfig, SimpleMem};
+use salam_runtime::{
+    Engine, EngineConfig, MemAccess, MemCompletion, MemPort, RefusalScope, Rejection, SimpleMem,
+};
 
 fn vadd_kernel() -> salam_ir::Function {
     let mut fb = FunctionBuilder::new(
@@ -59,28 +61,89 @@ impl VaddRig {
 
     /// One full run; returns the dynamic instructions it issued.
     fn run_once(&self, trace: Option<&SharedTrace>) -> u64 {
-        let mut mem = SimpleMem::new(1, 4, 4);
+        let mut mem = self.memory(4);
+        let mut e = self.engine(EngineConfig::default());
+        if let Some(t) = trace {
+            e.set_trace(t.clone());
+        }
+        e.run_to_completion(&mut mem);
+        e.stats().total_issued()
+    }
+
+    /// One full run with a 512-entry window on a one-read, one-write port:
+    /// far more ready loads than the port takes a cycle. Returns the
+    /// dynamic instructions it issued and the port's call counts.
+    fn run_port_bound(&self) -> (u64, Calls<SimpleMem>) {
+        let mut port = Calls::new(self.memory(1));
+        let mut e = self.engine(EngineConfig {
+            reservation_entries: 512,
+            ..EngineConfig::default()
+        });
+        e.run_to_completion(&mut port);
+        (e.stats().total_issued(), port)
+    }
+
+    fn memory(&self, ports: u32) -> SimpleMem {
+        let mut mem = SimpleMem::new(1, ports, ports);
         mem.memory_mut()
             .write_f64_slice(0x1000, &vec![1.0; self.n as usize]);
         mem.memory_mut()
             .write_f64_slice(0x9000, &vec![2.0; self.n as usize]);
-        let mut e = Engine::new(
+        mem
+    }
+
+    fn engine(&self, cfg: EngineConfig) -> Engine {
+        Engine::new(
             self.f.clone(),
             self.cdfg.clone(),
             self.profile.clone(),
-            EngineConfig::default(),
+            cfg,
             vec![
                 RtVal::P(0x1000),
                 RtVal::P(0x9000),
                 RtVal::P(0x11000),
                 RtVal::I(self.n as i64),
             ],
-        );
-        if let Some(t) = trace {
-            e.set_trace(t.clone());
+        )
+    }
+}
+
+/// Forwards every call to the port it wraps — `refusal_scope` included —
+/// counting `try_issue` calls and accepted accesses.
+struct Calls<P> {
+    port: P,
+    calls: u64,
+    accepted: u64,
+}
+
+impl<P> Calls<P> {
+    fn new(port: P) -> Self {
+        Calls {
+            port,
+            calls: 0,
+            accepted: 0,
         }
-        e.run_to_completion(&mut mem);
-        e.stats().total_issued()
+    }
+}
+
+impl<P: MemPort> MemPort for Calls<P> {
+    fn begin_cycle(&mut self) {
+        self.port.begin_cycle();
+    }
+
+    fn try_issue(&mut self, access: MemAccess) -> Result<(), Rejection> {
+        self.calls += 1;
+        self.port.try_issue(access)?;
+        self.accepted += 1;
+        Ok(())
+    }
+
+    fn poll(&mut self) -> Vec<MemCompletion> {
+        self.port.poll()
+    }
+
+    fn refusal_scope(&self, rejected: &Rejection) -> RefusalScope {
+        self.port.refusal_scope(rejected)
     }
 }
 
@@ -96,6 +159,23 @@ fn bench_engine_throughput(rig: &VaddRig) {
         "engine/vadd_256_elements (throughput)",
         m.per_sec() * dyn_insts as f64,
         m.ns_per_iter() / dyn_insts as f64
+    );
+}
+
+/// The engine where the port is the bottleneck: the regime in which a
+/// refusal that speaks for its whole kind saves the retries behind it.
+fn bench_port_bound(rig: &VaddRig) {
+    let mut run = (0, Calls::new(SimpleMem::new(1, 1, 1)));
+    let m = microbench::run("engine/vadd_port_bound", || {
+        run = rig.run_port_bound();
+        black_box(run.0)
+    });
+    let (dyn_insts, port) = run;
+    println!(
+        "{:<44} {:>8.1} host ns / dyn-inst   {:.2} port calls / accepted access",
+        "engine/vadd_port_bound (1R/1W, 512 entries)",
+        m.ns_per_iter() / dyn_insts as f64,
+        port.calls as f64 / port.accepted as f64
     );
 }
 
@@ -160,6 +240,7 @@ fn bench_interpreter() {
 fn main() {
     let rig = VaddRig::new(256);
     bench_engine_throughput(&rig);
+    bench_port_bound(&rig);
     bench_tracing_overhead(&rig);
     bench_elaboration();
     bench_interpreter();

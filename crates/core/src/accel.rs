@@ -6,7 +6,9 @@ use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_ir::interp::RtVal;
 use salam_ir::{Function, Type};
 use salam_obs::SharedTrace;
-use salam_runtime::{Engine, EngineConfig, EngineStats, MemAccess, MemCompletion, MemPort};
+use salam_runtime::{
+    Engine, EngineConfig, EngineStats, MemAccess, MemCompletion, MemPort, RefusalScope,
+};
 use sim_core::{ClockDomain, CompId, Component, Ctx, Tick};
 
 /// `Custom` message tag announcing accelerator completion to subscribers.
@@ -118,6 +120,24 @@ impl MemPort for BufferPort {
 
     fn poll(&mut self) -> Vec<MemCompletion> {
         std::mem::take(&mut self.completions)
+    }
+
+    /// A spent master port refuses every access of its kind it serves —
+    /// the local range (`is_local`'s test) or the rest — until the next
+    /// cycle; both spent, or the global one with no local range, refuse
+    /// the kind.
+    fn refusal_scope(&self, rejected: &salam_runtime::Rejection) -> RefusalScope {
+        let spent = |(reads, writes): (u32, u32)| match rejected.access.is_write {
+            true => writes == 0,
+            false => reads == 0,
+        };
+        let (lo, hi) = self.local_range;
+        match (spent(self.local_left) || lo >= hi, spent(self.global_left)) {
+            (true, true) => RefusalScope::Kind,
+            (true, false) => RefusalScope::Within { lo, hi },
+            (false, true) => RefusalScope::Outside { lo, hi },
+            (false, false) => RefusalScope::Access,
+        }
     }
 }
 
@@ -501,6 +521,38 @@ mod tests {
         // Status register reads back DONE.
         let m = sim.component_as::<MmrBlock>(mmr).unwrap();
         assert_eq!(m.reg(0), 2);
+    }
+
+    #[test]
+    fn buffer_port_scopes_a_refusal_to_the_master_port_that_is_spent() {
+        let mut port = BufferPort {
+            local_range: (0x1000, 0x2000),
+            local_budget: (1, 1),
+            global_budget: (1, 1),
+            ..BufferPort::default()
+        };
+        let read = |token, addr| MemAccess {
+            token,
+            addr,
+            size: 4,
+            is_write: false,
+            data: None,
+        };
+        port.begin_cycle();
+        port.try_issue(read(1, 0x1000)).unwrap();
+        let local = port.try_issue(read(2, 0x1ffc)).unwrap_err();
+        assert_eq!(
+            port.refusal_scope(&local),
+            RefusalScope::Within {
+                lo: 0x1000,
+                hi: 0x2000
+            }
+        );
+        // The global port still takes a read this cycle.
+        port.try_issue(read(3, 0x2000)).unwrap();
+        let global = port.try_issue(read(4, 0x8000)).unwrap_err();
+        assert_eq!(port.refusal_scope(&global), RefusalScope::Kind);
+        assert_eq!(port.outgoing.len(), 2);
     }
 
     #[test]

@@ -493,6 +493,19 @@ impl salam_runtime::MemPort for HierarchyPort {
             })
             .collect()
     }
+
+    /// A spent budget refuses every access of its kind until the next
+    /// cycle.
+    fn refusal_scope(&self, rejected: &salam_runtime::Rejection) -> salam_runtime::RefusalScope {
+        let left = match rejected.access.is_write {
+            true => self.writes_left,
+            false => self.reads_left,
+        };
+        match left {
+            0 => salam_runtime::RefusalScope::Kind,
+            _ => salam_runtime::RefusalScope::Access,
+        }
+    }
 }
 
 /// Runs `kernel` against a cache + DRAM hierarchy instead of a private SPM.

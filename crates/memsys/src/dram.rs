@@ -145,23 +145,19 @@ impl Dram {
 
     fn try_issue(&mut self, ctx: &mut Ctx<'_, MemMsg>) {
         let now = ctx.now();
-        let mut next_retry: Option<Tick> = None;
-        let mut remaining: VecDeque<MemReq> = VecDeque::new();
-        while let Some(req) = self.queue.pop_front() {
+        while let Some(req) = self.queue.front() {
             let row = req.addr / self.cfg.row_bytes;
             let bank = (row % self.cfg.banks as u64) as usize;
             let ready = self.bank_free_at[bank].max(self.bus_free_at).max(now);
             if ready > now {
-                next_retry = Some(next_retry.map_or(ready, |t: Tick| t.min(ready)));
-                remaining.push_back(req);
-                // Preserve order behind the stalled request for same-bank
-                // accesses; allowing bank-level parallelism would need a
-                // scheduler — FR-FCFS is beyond what the experiments need.
-                while let Some(r) = self.queue.pop_front() {
-                    remaining.push_back(r);
-                }
+                // Everything waits behind the stalled head, in order, for
+                // same-bank accesses too; allowing bank-level parallelism
+                // would need a scheduler — FR-FCFS is beyond what the
+                // experiments need.
+                self.schedule_tick(ctx, ready);
                 break;
             }
+            let req = self.queue.pop_front().expect("the head was just read");
             let hit = self.open_row[bank] == Some(row);
             let access_cycles = if hit {
                 self.row_hits += 1;
@@ -214,10 +210,6 @@ impl Dram {
             }
             let resp_delay = total + self.cfg.clock.cycles(fault_cycles);
             ctx.send(req.reply_to, resp_delay, MemMsg::Resp(resp));
-        }
-        self.queue = remaining;
-        if let Some(t) = next_retry {
-            self.schedule_tick(ctx, t);
         }
     }
 }
@@ -316,6 +308,39 @@ mod tests {
         let c = sim.component_as::<Collector>(col).unwrap();
         assert_eq!(c.resps.len(), 2);
         assert!(c.resp_ticks[1] > c.resp_ticks[0]);
+    }
+
+    #[test]
+    fn a_one_bank_backlog_drains_in_order_at_row_timing() {
+        let cfg = DramConfig::default();
+        let mut sim: Simulation<MemMsg> = Simulation::new();
+        let dram = sim.add_component(Dram::new("d", cfg, 0, 1 << 16));
+        let col = sim.add_component(Collector::new());
+        // 512 four-byte reads posted at once, all to bank 0: runs of 64 to
+        // row 0, then row 8 (also bank 0), and so on, so every 64th misses.
+        let row_of = |k: u64| (k / 64 % 2) * cfg.banks as u64;
+        for k in 0..512u64 {
+            let addr = row_of(k) * cfg.row_bytes + (k % 64) * 4;
+            sim.post(dram, 0, MemMsg::Req(MemReq::read(k, addr, 4, col)));
+        }
+        sim.run();
+        let c = sim.component_as::<Collector>(col).unwrap();
+        let ids: Vec<u64> = c.resps.iter().map(|r| r.id).collect();
+        assert_eq!(ids, (0..512).collect::<Vec<_>>(), "FIFO behind the head");
+        // Each issues the tick the bank frees and completes one access
+        // plus one burst cycle later.
+        let mut at = 0;
+        for (k, &tick) in c.resp_ticks.iter().enumerate() {
+            let k = k as u64;
+            let hit = k > 0 && row_of(k) == row_of(k - 1);
+            let access = if hit {
+                cfg.row_hit_cycles
+            } else {
+                cfg.row_miss_cycles
+            };
+            at += (access + 1) * 1000;
+            assert_eq!(tick, at, "request {k}");
+        }
     }
 
     #[test]

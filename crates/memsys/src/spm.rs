@@ -284,8 +284,7 @@ impl Component<MemMsg> for Scratchpad {
                 let mut writes_left = self.cfg.write_ports;
                 let mut banks_used: Vec<u64> = Vec::new();
                 let mut serviced: Vec<MemReq> = Vec::new();
-                let mut rest: VecDeque<MemReq> = VecDeque::new();
-                while let Some(req) = self.queue.pop_front() {
+                while let Some(req) = self.queue.front() {
                     let budget = match req.op {
                         MemOp::Read => &mut reads_left,
                         MemOp::Write => &mut writes_left,
@@ -301,7 +300,7 @@ impl Component<MemMsg> for Scratchpad {
                     };
                     if *budget > 0 && bank_ok {
                         *budget -= 1;
-                        serviced.push(req);
+                        serviced.push(self.queue.pop_front().expect("the head was just read"));
                     } else {
                         // Attribute the reject to its cause so profiling can
                         // charge contention to the right component knob.
@@ -325,15 +324,11 @@ impl Component<MemMsg> for Scratchpad {
                                 self.trace.instant(t, cause, ctx.now());
                             }
                         }
-                        rest.push_back(req);
-                        // Keep order for everything behind the blocked one.
-                        while let Some(r) = self.queue.pop_front() {
-                            rest.push_back(r);
-                        }
+                        // The blocked head stays, and everything behind it
+                        // keeps its order.
                         break;
                     }
                 }
-                self.queue = rest;
                 for req in serviced {
                     self.service(req, ctx);
                 }

@@ -38,7 +38,7 @@ use salam_obs::{Attribution, DepStream, OpKind};
 use salam_runtime::sched::{
     LaneMasks, Limits, MemIssue, OpSource, Sched, LOAD, MAX_DEPS, NO_LANE, N_FU, STORE,
 };
-use salam_runtime::EngineConfig;
+use salam_runtime::{EngineConfig, RefusalScope};
 
 /// Resource constraints to re-schedule the recorded stream under.
 ///
@@ -535,12 +535,13 @@ impl OpSource for Recorded<'_> {
     }
 
     /// The SPM takes an access while its side has a port left this cycle;
-    /// once they are used up, every younger access of the side would be
-    /// refused as well.
+    /// once they are used up, every access of the side is refused until
+    /// the next cycle — the `Kind` scope of `SimpleMem`. (Counted retries
+    /// need no bookkeeping here: replay keeps no reject tally.)
     fn issue_mem(&mut self, i: u32, sched: &mut Sched, _: &mut ()) -> Result<MemIssue, Infallible> {
         let side = (self.lane(i) - LOAD) as usize;
         if self.ports_used[side] == [self.cfg.spm_read_ports, self.cfg.spm_write_ports][side] {
-            return Ok(MemIssue::Refused { saturates: true });
+            return Ok(MemIssue::Refused(RefusalScope::Kind));
         }
         self.ports_used[side] += 1;
         if let Some(t) = self.times.get_mut(i as usize) {

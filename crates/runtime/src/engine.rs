@@ -24,7 +24,7 @@ use salam_obs::{SharedTrace, SpanId, TrackId};
 use salam_resilience::CancelToken;
 use salam_telemetry::FlightRecorder;
 
-use crate::port::{MemAccess, MemCompletion, MemPort, RejectCause};
+use crate::port::{MemAccess, MemCompletion, MemPort, RefusalScope, RejectCause};
 use crate::sched::{
     Cycle, IssueFlags, LaneMasks, Limits, MemIssue, OpSource, Sched, LOAD, NO_LANE, N_FU, STORE,
 };
@@ -41,8 +41,8 @@ pub const CANCEL_BATCH: u64 = 1024;
 /// Memory note: the engine keeps one 56-byte slab entry per dynamic
 /// instruction (value, consumer-list head, address) and the scheduler 15
 /// more bytes (state, dependence counter and lane, wheel and waiter links,
-/// ready bit, lane masks), plus 4 bytes per SSA operand and 4 bytes per memory
-/// access, and never reclaims them — about 80 bytes per dynamic
+/// ready and met-the-port bits, lane masks), plus 4 bytes per SSA operand
+/// and 4 bytes per memory access, and never reclaims them — about 80 bytes per dynamic
 /// instruction for the whole run. The consumer edges, the ordering window
 /// and the commit wheel's ring are bounded by the ops in flight, but a single
 /// invocation running billions of dynamic instructions will accumulate
@@ -391,6 +391,9 @@ struct Live {
     token_uid: Vec<u32>,
     /// This cycle's completions the scheduler has not asked for yet.
     polled: std::vec::IntoIter<MemCompletion>,
+    /// Per memory side: the cause of the last refusal whose scope reached
+    /// past its access — the cause of the retries that scope covers.
+    scope_cause: [RejectCause; 2],
 
     /// Blocks awaiting import: `(block, taken predecessor, uid of the
     /// terminator that scheduled the fetch — 0 for the entry block)`.
@@ -494,6 +497,7 @@ impl Engine {
             issue_waiters: HashMap::new(),
             token_uid: vec![0],
             polled: Vec::new().into_iter(),
+            scope_cause: [RejectCause::ReadPorts, RejectCause::WritePorts],
             pending_fetch: VecDeque::from([(entry, None, 0)]),
             fetch_stopped: false,
             ret_value: None,
@@ -718,7 +722,9 @@ impl OpSource for Live {
     type Error = Fault;
     /// The `MemPort` call sequence is part of the contract: `begin_cycle`
     /// and `poll` before the step, then one `try_issue` per ready, ordered,
-    /// under-cap memory op, rejected attempts included.
+    /// under-cap memory op until the port declares a wider refusal scope;
+    /// the retries it covers are counted, not made, and every op meets the
+    /// port at least once.
     type Port<'p> = dyn MemPort + 'p;
 
     fn lane(&self, uid: u32) -> u8 {
@@ -846,7 +852,7 @@ impl OpSource for Live {
 
     /// A ready, ordered, under-cap memory op meets the port. Tokens are
     /// dense and advance only on acceptance; a refusal does not speak for
-    /// the ops behind it, each gets its own attempt.
+    /// the ops behind it unless the port says it does.
     fn issue_mem(
         &mut self,
         uid: u32,
@@ -869,7 +875,11 @@ impl OpSource for Live {
         };
         if let Err(rejected) = port.try_issue(access) {
             self.tallies.reject[rejected.cause as usize] += 1;
-            return Ok(MemIssue::Refused { saturates: false });
+            let scope = port.refusal_scope(&rejected);
+            if scope != RefusalScope::Access {
+                self.scope_cause[(sop.lane - LOAD) as usize] = rejected.cause;
+            }
+            return Ok(MemIssue::Refused(scope));
         }
         self.token_uid.push(uid);
         self.register_issue(uid, &sop, sched);
@@ -881,6 +891,12 @@ impl OpSource for Live {
             self.stats.load_bytes += size as u64;
         }
         Ok(MemIssue::Accepted(None))
+    }
+
+    /// Retries the port's declared scope refused without a call count as
+    /// the attempts they stand for, under the cause that declared it.
+    fn refused(&mut self, side: usize, n: u32) {
+        self.tallies.reject[self.scope_cause[side] as usize] += n as u64;
     }
 
     /// Op `uid` commits: charges its register write, hands its consumers

@@ -64,6 +64,8 @@ pub mod sched;
 mod stats;
 
 pub use engine::{Engine, EngineConfig, CANCEL_BATCH};
-pub use port::{FaultyPort, MemAccess, MemCompletion, MemPort, RejectCause, Rejection, SimpleMem};
+pub use port::{
+    FaultyPort, MemAccess, MemCompletion, MemPort, RefusalScope, RejectCause, Rejection, SimpleMem,
+};
 pub use salam_fault::{ConfigError, FaultPlan, SimError, WatchdogSnapshot};
 pub use stats::{CycleRecord, EngineStats, IssueClass, StallMix};

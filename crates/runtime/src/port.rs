@@ -87,6 +87,47 @@ impl Rejection {
     }
 }
 
+/// How far a refusal reaches: which other accesses of the refused one's
+/// kind (read or write) the port would refuse too, with the same cause,
+/// from now until the next [`MemPort::begin_cycle`]. Returned by
+/// [`MemPort::refusal_scope`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum RefusalScope {
+    /// Only the refused access: the next one gets its own answer.
+    #[default]
+    Access,
+    /// Every access of the kind.
+    Kind,
+    /// Every access of the kind that starts in `[lo, hi)`.
+    Within {
+        /// First address of the range.
+        lo: u64,
+        /// One past its last address.
+        hi: u64,
+    },
+    /// Every access of the kind that starts outside `[lo, hi)`.
+    Outside {
+        /// First address of the range.
+        lo: u64,
+        /// One past its last address.
+        hi: u64,
+    },
+}
+
+impl RefusalScope {
+    /// Whether an access of the refused kind starting at `addr` falls in
+    /// the scope.
+    #[inline]
+    pub fn covers(self, addr: u64) -> bool {
+        match self {
+            RefusalScope::Access => false,
+            RefusalScope::Kind => true,
+            RefusalScope::Within { lo, hi } => lo <= addr && addr < hi,
+            RefusalScope::Outside { lo, hi } => !(lo <= addr && addr < hi),
+        }
+    }
+}
+
 /// What the engine plugs its memory queues into.
 ///
 /// Implementations range from the bundled [`SimpleMem`] (a private
@@ -111,6 +152,18 @@ pub trait MemPort {
 
     /// Drains completions that have arrived since the last poll.
     fn poll(&mut self) -> Vec<MemCompletion>;
+
+    /// Asked right after `try_issue` returned `rejected`, without a call in
+    /// between: which other accesses this port would refuse too, with the
+    /// same cause, until the next `begin_cycle` (a spent per-cycle budget
+    /// answers for every later request it covers). The engine counts the
+    /// covered retries of ops that have met the port before instead of
+    /// making them, so a wider answer changes host time only — provided
+    /// it is true. The default, [`RefusalScope::Access`], keeps one
+    /// `try_issue` per attempt. Must not change the port's state.
+    fn refusal_scope(&self, _rejected: &Rejection) -> RefusalScope {
+        RefusalScope::Access
+    }
 }
 
 /// A private scratchpad model with per-cycle read/write port budgets and a
@@ -226,6 +279,19 @@ impl MemPort for SimpleMem {
         }
         out
     }
+
+    /// A spent budget refuses every access of its kind until the next
+    /// cycle.
+    fn refusal_scope(&self, rejected: &Rejection) -> RefusalScope {
+        let left = match rejected.access.is_write {
+            true => self.writes_left,
+            false => self.reads_left,
+        };
+        match left {
+            0 => RefusalScope::Kind,
+            _ => RefusalScope::Access,
+        }
+    }
 }
 
 /// A fault-injecting wrapper around any [`MemPort`]: spurious busy
@@ -238,6 +304,10 @@ impl MemPort for SimpleMem {
 /// [`salam_fault::SimError::Deadlock`] rather than silent corruption.
 /// Injection counts are kept per kind for merging into
 /// [`crate::EngineStats::fault_counts`].
+///
+/// It keeps the default [`RefusalScope::Access`] whatever the wrapped port
+/// answers: every attempt draws its own busy roll, so no refusal speaks for
+/// the next attempt.
 #[derive(Debug)]
 pub struct FaultyPort<P> {
     inner: P,
@@ -556,6 +626,17 @@ mod tests {
             .map(|x| x.count_ones())
             .sum();
         assert_eq!(bits, 1, "exactly one bit flipped in an all-zero word");
+    }
+
+    #[test]
+    fn a_faulty_port_refuses_access_by_access_whatever_it_wraps() {
+        let mut port = FaultyPort::new(SimpleMem::new(1, 1, 1), &salam_fault::FaultPlan::seeded(4));
+        port.begin_cycle();
+        port.try_issue(read_acc(1, 0)).unwrap();
+        let refused = port.try_issue(read_acc(2, 8)).unwrap_err();
+        assert_eq!(refused.cause, RejectCause::ReadPorts);
+        assert_eq!(port.inner_mut().refusal_scope(&refused), RefusalScope::Kind);
+        assert_eq!(port.refusal_scope(&refused), RefusalScope::Access);
     }
 
     #[test]

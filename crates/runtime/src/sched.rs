@@ -18,6 +18,7 @@ use std::collections::VecDeque;
 use hw_profile::FuKind;
 use salam_obs::{Attribution, CycleClass};
 
+use crate::port::RefusalScope;
 use crate::stats::StallMix;
 
 /// Functional-unit kinds, each a resource lane of its own.
@@ -129,13 +130,12 @@ pub enum MemIssue {
     /// many cycles from now; without, the source reports the completion
     /// through [`OpSource::next_completion`].
     Accepted(Option<u32>),
-    /// The port refused it this cycle. `saturates`: no younger op of the
-    /// same side could be accepted this cycle either, so the walk skips
-    /// them; otherwise each gets its own attempt.
-    Refused {
-        /// Whether the refusal holds for the rest of the side this cycle.
-        saturates: bool,
-    },
+    /// The port refused it this cycle, and would refuse every access of
+    /// the side the scope covers until the cycle ends. For the rest of the
+    /// pass the core does not offer again an op that has met the port
+    /// before and that the scope covers: it counts the retry and hands the
+    /// count to [`OpSource::refused`].
+    Refused(RefusalScope),
 }
 
 /// Where the ops of a schedule come from. Ops are numbered densely in
@@ -193,6 +193,13 @@ pub trait OpSource {
         sched: &mut Sched,
         port: &mut Self::Port<'_>,
     ) -> Result<MemIssue, Self::Error>;
+
+    /// `n` more ops of memory side `side` (0 = loads, 1 = stores) were
+    /// refused this pass without an offer: each has met the port before,
+    /// and the scope of a refusal earlier in the pass covers it. These are
+    /// exactly the attempts a one-offer-per-op walk would have made and
+    /// seen refused, with that refusal's cause.
+    fn refused(&mut self, _side: usize, _n: u32) {}
 
     /// Op `i` commits at `cycle`: calls `consumer(c, address_edge)` for
     /// every op `c` that waited for it — once per data dependence
@@ -412,14 +419,25 @@ pub struct Sched {
     /// word `ready_lo` (no set bit lies in a word below it).
     ready: Vec<ReadyWord>,
     ready_lo: usize,
+    /// Beside each word: one bit per memory op that has met the port (and
+    /// been refused) — ordered, its span resolved, nothing but the port
+    /// between it and issue. Never cleared; read only for ready ops, and
+    /// only under a refusal scope.
+    met: Vec<u64>,
     /// Lanes no op can issue on for the rest of this pass: FU kinds with
     /// every unit busy (units release only between passes) and memory
-    /// sides that met their cap or a saturating refusal. The walk masks
-    /// their ops out of the ready set instead of visiting them; an op left
-    /// ready under a saturated FU lane *is* the "ready op blocked on an
-    /// FU". Every ordered memory op behind the one that saturated its side
-    /// would meet the same limit and raise the same flags.
+    /// sides that met their cap. The walk masks their ops out of the ready
+    /// set instead of visiting them; an op left ready under a saturated FU
+    /// lane *is* the "ready op blocked on an FU". Every ordered memory op
+    /// behind the one that saturated its side would meet the same limit
+    /// and raise the same flags.
     saturated: u32,
+    /// Per memory side: the scope of the port's last wider-than-`Access`
+    /// refusal this pass. The walk masks the side's met ops the scope
+    /// covers out of the ready set and counts them as it passes them.
+    scope: [RefusalScope; 2],
+    /// The memory lanes whose side holds a scope.
+    scoped: u32,
     /// The op a pass is visiting (0 between passes). A wake behind it — a
     /// consumer older than its producer, which live import never creates —
     /// has the pass walk again.
@@ -476,7 +494,10 @@ impl Sched {
             pending: deps.to_vec(),
             ready: vec![ReadyWord::default(); n.div_ceil(64)],
             ready_lo: usize::MAX,
+            met: vec![0; n.div_ceil(64)],
             saturated,
+            scope: [RefusalScope::Access; 2],
+            scoped: 0,
             cursor: 0,
             woken_behind: false,
             imported: 0,
@@ -508,6 +529,7 @@ impl Sched {
         self.pending.resize(ops, 0);
         self.wheel.next.resize(ops, 0);
         self.ready.resize(ops.div_ceil(64), ReadyWord::default());
+        self.met.resize(ops.div_ceil(64), 0);
     }
 
     /// The next op has already issued and committed (a live source's "no
@@ -781,31 +803,86 @@ impl Sched {
         flags: &mut IssueFlags,
         imported: &mut bool,
     ) -> Result<(), S::Error> {
+        let word = std::mem::replace(&mut self.ready_lo, usize::MAX);
+        self.walk::<S, false>((word, !0, usize::MAX), src, port, flags, imported)?;
+        self.saturated &= FU_LANES;
+        if self.scoped != 0 {
+            (self.scope, self.scoped) = ([RefusalScope::Access; 2], 0);
+        }
+        flags.set(IssueFlags::LOAD_BLOCKED, self.order_parked[0] > 0);
+        flags.set(IssueFlags::STORE_BLOCKED, self.order_parked[1] > 0);
+        Ok(())
+    }
+
+    /// The rest of a pass, from the ops of `word` it has not passed
+    /// (`unvisited`) on (`lowest_left`: the lowest word the walk so far
+    /// left ops in). Each word's ready ops are visited lowest first, the
+    /// word re-read after every visit; the ops on saturated lanes are
+    /// masked out. `SCOPED`: so are the met ops a refusal scope covers,
+    /// each counted as the walk passes it. The plain walk hands the rest
+    /// of the pass to the scoped one when it meets a word whose unvisited
+    /// ops include met ops of a side with a scope (ops meet the port only
+    /// at a visit, behind the walk), so a pass without refusals pays
+    /// nothing for scopes.
+    #[inline(always)]
+    fn walk<S: OpSource, const SCOPED: bool>(
+        &mut self,
+        (mut word, mut unvisited, mut lowest_left): (usize, u64, usize),
+        src: &mut S,
+        port: &mut S::Port<'_>,
+        flags: &mut IssueFlags,
+        imported: &mut bool,
+    ) -> Result<(), S::Error> {
         loop {
-            let mut word = std::mem::replace(&mut self.ready_lo, usize::MAX);
-            let mut lowest_left = usize::MAX;
             while word < (self.imported as usize).div_ceil(64) {
                 if self.ready[word].lanes & !self.saturated != 0 {
-                    let mut unvisited = !0u64;
-                    // The word's ready ops on saturated lanes, recomputed
-                    // when a lane saturates, an op of such a lane wakes, or
-                    // an inline import adds ops to the word.
-                    let (mut masked_for, mut masked) = ((0, 0), 0);
+                    // The masks, recomputed when a lane saturates, a scope
+                    // changes, an op of such a lane wakes, or an inline
+                    // import adds ops to the word.
+                    let (mut masked_for, mut masked, mut counted) = ((0, 0), 0, [0; 2]);
                     loop {
                         let ReadyWord { ops, lanes } = self.ready[word];
                         let starved = self.saturated & lanes;
                         if masked_for != (starved, self.imported) {
                             masked_for = (starved, self.imported);
-                            masked = src.lanes().on(word, starved);
+                            if !SCOPED
+                                && self.scoped & lanes != 0
+                                && ops
+                                    & unvisited
+                                    & self.met[word]
+                                    & src.lanes().on(word, self.scoped)
+                                    != 0
+                            {
+                                let rest = (word, unvisited, lowest_left);
+                                return self.walk_scoped(rest, src, port, flags, imported);
+                            }
+                            if SCOPED {
+                                counted = self.covered(word, ops & self.met[word], src);
+                            }
+                            masked = src.lanes().on(word, starved) | counted[0] | counted[1];
                         }
                         let bits = ops & unvisited & !masked;
+                        if SCOPED {
+                            // The counted ops the walk passes on its way to
+                            // the next visit (all that are left, if none).
+                            let passing = ops & unvisited & bits.wrapping_sub(1) & !bits;
+                            let passed = counted.map(|side| side & passing);
+                            if passed != [0; 2] {
+                                unvisited &= !(passed[0] | passed[1]);
+                                if self.count_refused(passed, src, flags) {
+                                    continue; // a side met its cap: re-mask
+                                }
+                            }
+                        }
                         if bits == 0 {
                             break;
                         }
                         let bit = bits.trailing_zeros();
                         unvisited = (!1u64) << bit;
                         self.cursor = (word * 64) as u32 + bit;
-                        self.offer(self.cursor, src, port, flags, imported)?;
+                        if self.offer(self.cursor, src, port, flags, imported)? {
+                            masked_for = (0, 0); // a new scope: re-mask
+                        }
                     }
                     let ReadyWord { ops: left, lanes } = self.ready[word];
                     self.ready[word].lanes = match left {
@@ -820,20 +897,34 @@ impl Sched {
                     flags.set(IssueFlags::COMPUTE_BLOCKED, starved);
                 }
                 word += 1;
+                unvisited = !0;
             }
             self.cursor = 0;
             self.ready_lo = self.ready_lo.min(lowest_left);
             if !std::mem::take(&mut self.woken_behind) {
-                break;
+                return Ok(());
             }
+            word = std::mem::replace(&mut self.ready_lo, usize::MAX);
+            lowest_left = usize::MAX;
         }
-        self.saturated &= FU_LANES;
-        flags.set(IssueFlags::LOAD_BLOCKED, self.order_parked[0] > 0);
-        flags.set(IssueFlags::STORE_BLOCKED, self.order_parked[1] > 0);
-        Ok(())
     }
 
-    /// Offers one ready op of an unsaturated lane to the datapath.
+    /// [`Sched::walk`] under a refusal scope, out of the plain walk's way:
+    /// the rest of the pass from `(word, unvisited, lowest_left)`.
+    #[inline(never)]
+    fn walk_scoped<S: OpSource>(
+        &mut self,
+        rest: (usize, u64, usize),
+        src: &mut S,
+        port: &mut S::Port<'_>,
+        flags: &mut IssueFlags,
+        imported: &mut bool,
+    ) -> Result<(), S::Error> {
+        self.walk::<S, true>(rest, src, port, flags, imported)
+    }
+
+    /// Offers one ready op of an unsaturated lane to the datapath. Returns
+    /// whether a refusal declared a new scope, so the walk re-masks.
     #[inline(always)]
     fn offer<S: OpSource>(
         &mut self,
@@ -842,7 +933,7 @@ impl Sched {
         port: &mut S::Port<'_>,
         flags: &mut IssueFlags,
         imported: &mut bool,
-    ) -> Result<(), S::Error> {
+    ) -> Result<bool, S::Error> {
         let lane = src.lane(i);
         let Some(side) = mem_side(lane) else {
             let (latency, fetches) = src.issue_compute(i, self)?;
@@ -865,7 +956,7 @@ impl Sched {
                     *sum = sum.wrapping_add(1);
                 }
                 self.commit(i, src);
-                return Ok(());
+                return Ok(false);
             }
             if on_fu {
                 self.fu_take(lane);
@@ -875,14 +966,14 @@ impl Sched {
             }
             self.compute_inflight += 1;
             self.wheel.push(self.cycle, self.cycle + latency as u64, i);
-            return Ok(());
+            return Ok(false);
         };
 
         let blocked = [IssueFlags::LOAD_BLOCKED, IssueFlags::STORE_BLOCKED][side];
         let state = self.state[i as usize];
         if state & ADDR_READY == 0 {
             flags.0 |= blocked;
-            return Ok(());
+            return Ok(false);
         }
         if state & ORDERED == 0 {
             if state & PUBLISHED == 0 {
@@ -890,19 +981,24 @@ impl Sched {
             }
             if let Some(older) = self.order_blocker(i, side, src) {
                 self.park_behind(older, i, side);
-                return Ok(());
+                return Ok(false);
             }
             self.state[i as usize] |= ORDERED;
         }
         if self.outstanding[side] >= self.limits.max_outstanding[side] {
             flags.0 |= blocked | IssueFlags::MEM_LIMIT_BLOCKED;
             self.saturated |= 1 << lane;
-            return Ok(());
+            return Ok(false);
         }
         match src.issue_mem(i, self, port)? {
-            MemIssue::Refused { saturates } => {
+            MemIssue::Refused(scope) => {
                 flags.0 |= blocked | IssueFlags::MEM_LIMIT_BLOCKED | IssueFlags::PORT_REJECTED;
-                self.saturated |= (saturates as u32) << lane;
+                self.met[i as usize / 64] |= 1 << (i % 64);
+                if scope != RefusalScope::Access && scope != self.scope[side] {
+                    self.scope[side] = scope;
+                    self.scoped |= 1 << lane;
+                    return Ok(true);
+                }
             }
             MemIssue::Accepted(latency) => {
                 self.leave_window(i, flags);
@@ -913,7 +1009,58 @@ impl Sched {
                 }
             }
         }
-        Ok(())
+        Ok(false)
+    }
+
+    /// Per side, the ops among `met`, met ops of `word`, that the side's
+    /// scope covers: all of them under `Kind`, those whose start address
+    /// falls in it under a range.
+    #[inline]
+    fn covered<S: OpSource>(&self, word: usize, met: u64, src: &S) -> [u64; 2] {
+        std::array::from_fn(|side| {
+            let lane = self.scoped & 1 << (LOAD as usize + side);
+            let mut ops = met & src.lanes().on(word, lane);
+            let scope = self.scope[side];
+            if scope == RefusalScope::Kind {
+                return ops;
+            }
+            let mut covered = 0;
+            while ops != 0 {
+                let bit = ops.trailing_zeros();
+                ops &= ops - 1;
+                let (addr, _) = src.span((word * 64) as u32 + bit);
+                covered |= (scope.covers(addr) as u64) << bit;
+            }
+            covered
+        })
+    }
+
+    /// The walk passed the counted retries `passed` (per side): hands
+    /// their number to the source. A side at its cap — an access its scope
+    /// leaves out was accepted since — saturates instead, as the first of
+    /// them would have on a visit; returns whether one did.
+    #[inline]
+    fn count_refused<S: OpSource>(
+        &mut self,
+        passed: [u64; 2],
+        src: &mut S,
+        flags: &mut IssueFlags,
+    ) -> bool {
+        let mut saturates = false;
+        for (side, ops) in passed.into_iter().enumerate() {
+            if ops == 0 {
+                continue;
+            }
+            if self.outstanding[side] < self.limits.max_outstanding[side] {
+                src.refused(side, ops.count_ones());
+            } else {
+                let blocked = [IssueFlags::LOAD_BLOCKED, IssueFlags::STORE_BLOCKED][side];
+                flags.0 |= blocked | IssueFlags::MEM_LIMIT_BLOCKED;
+                self.saturated |= 1 << (LOAD as usize + side);
+                saturates = true;
+            }
+        }
+        saturates
     }
 
     /// Op `i` issued: it leaves the ready set and the reservation window.
@@ -948,15 +1095,21 @@ impl Sched {
     #[inline(always)]
     fn order_blocker<S: OpSource>(&self, i: u32, side: usize, src: &S) -> Option<u32> {
         let span = src.span(i);
-        // Stores order against both sides, loads against stores only.
-        let against = [1, 0].into_iter().take(1 + side);
-        against.into_iter().find_map(|against| {
-            let older = self.window[against].iter();
-            older
-                .take_while(|&&older| older < i)
-                .find(|&&older| self.conflicts(older, span, src))
-                .copied()
-        })
+        // Stores order against both sides, loads against stores only. (Plain
+        // loops: the iterator-adaptor form stopped inlining into the scoped
+        // walk.)
+        for against in [1, 0].into_iter().take(1 + side) {
+            let (front, back) = self.window[against].as_slices();
+            for &older in front.iter().chain(back) {
+                if older >= i {
+                    break;
+                }
+                if self.conflicts(older, span, src) {
+                    return Some(older);
+                }
+            }
+        }
+        None
     }
 
     /// Takes the order-blocked op `i` out of the ready set until `older`

@@ -409,6 +409,55 @@ fn fu_jitter_slows_the_run_but_keeps_it_correct() {
     assert!(run(1.0) > run(0.0));
 }
 
+/// Seven stores through pointer arguments contend for one write port, one
+/// a cycle; an eighth, whose value the caller passed with the wrong kind,
+/// becomes ready behind a multiply and an address computation while they
+/// still queue.
+#[test]
+fn a_store_that_cannot_be_encoded_faults_at_its_first_meeting_with_the_port() {
+    let mut params: Vec<(String, Type)> = (0..7).map(|k| (format!("p{k}"), Type::Ptr)).collect();
+    params.push(("bad".into(), Type::I64));
+    let params: Vec<(&str, Type)> = params
+        .iter()
+        .map(|(n, t)| (n.as_str(), t.clone()))
+        .collect();
+    let mut fb = FunctionBuilder::new("late_bad_store", &params);
+    let bad = fb.arg(7);
+    let seven = fb.i64c(7);
+    for k in 0..7 {
+        let p = fb.arg(k);
+        fb.store(seven, p);
+    }
+    let (p0, two) = (fb.arg(0), fb.i64c(2));
+    let idx = fb.mul(two, two, "idx");
+    let q = fb.gep1(Type::I64, p0, idx, "q");
+    fb.store(bad, q);
+    fb.ret();
+    let f = fb.finish();
+
+    let profile = HardwareProfile::default_40nm();
+    let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
+    let mut args: Vec<RtVal> = (0..7).map(|k| RtVal::P(0x1000 + 0x100 * k)).collect();
+    args.push(RtVal::F(0.5));
+    let mut e = Engine::new(f, cdfg, profile, EngineConfig::default(), args);
+    let err = e
+        .try_run_to_completion(&mut SimpleMem::new(1, 1, 1))
+        .expect_err("the bad store must fault");
+    let salam_runtime::SimError::KernelFault { cycle, detail, .. } = &err else {
+        panic!("expected KernelFault, got {err:?}");
+    };
+    assert!(detail.contains("cannot store"), "{detail}");
+    // Its address resolves at cycle 4, its first offer. By then one older
+    // store has taken the port and the next one's refusal has declared the
+    // write side spent for the cycle (the one after it is counted, not
+    // offered) — the bad store must meet the port anyway.
+    assert_eq!(*cycle, 4);
+    // One store issued per cycle, the rest refused once each per cycle:
+    // 6 + 5 + 4 + 3 + 2 attempts.
+    assert_eq!(e.stats().stores, 5);
+    assert_eq!(e.stats().reject_causes["write_ports"], 20);
+}
+
 /// A port wrapper that breaks the completion contract in one of two ways.
 struct LyingPort {
     inner: SimpleMem,

@@ -17,7 +17,10 @@ use salam_ir::{
     parse_module, FloatPredicate, Function, FunctionBuilder, IntPredicate, Module, Type,
 };
 use salam_replay::ReplayConfig;
-use salam_runtime::{Engine, EngineConfig, EngineStats, SimpleMem};
+use salam_runtime::{
+    Engine, EngineConfig, EngineStats, MemAccess, MemCompletion, MemPort, RefusalScope,
+    RejectCause, Rejection, SimpleMem,
+};
 
 /// One step of a random straight-line computation over two value pools.
 #[derive(Debug, Clone)]
@@ -427,6 +430,31 @@ fn engine_run_at(
     point: &Point,
     record: bool,
 ) -> (EngineStats, HashMap<FuKind, u32>) {
+    let mut mem = loaded_mem(args, point, point.read_ports, point.write_ports);
+    engine_run_on(f, args, point, record, &mut mem)
+}
+
+/// A `SimpleMem` at `point`'s latency with the given port counts, holding
+/// the arrays `engine_run_at` describes.
+fn loaded_mem(args: &[RtVal], point: &Point, read_ports: u32, write_ports: u32) -> SimpleMem {
+    let mut mem = SimpleMem::new(point.spm_latency, read_ports, write_ports);
+    for (i, arg) in args.iter().enumerate() {
+        if let RtVal::P(base @ 0..=0xFFFF_FFFF) = *arg {
+            let data: Vec<i64> = (0..16).map(|v| v * 37 + i as i64 * 11 - 100).collect();
+            mem.memory_mut().write_i64_slice(base, &data);
+        }
+    }
+    mem
+}
+
+/// Runs `f` on the engine at `point` against `port`.
+fn engine_run_on(
+    f: &Function,
+    args: &[RtVal],
+    point: &Point,
+    record: bool,
+    port: &mut dyn MemPort,
+) -> (EngineStats, HashMap<FuKind, u32>) {
     let profile = HardwareProfile::default_40nm();
     let mut constraints = FuConstraints::unconstrained();
     for &(kind, n) in &point.caps {
@@ -434,19 +462,12 @@ fn engine_run_at(
     }
     let cdfg = StaticCdfg::elaborate(f, &profile, &constraints);
     let fu_pool = cdfg.fu_counts().collect();
-    let mut mem = SimpleMem::new(point.spm_latency, point.read_ports, point.write_ports);
-    for (i, arg) in args.iter().enumerate() {
-        if let RtVal::P(base @ 0..=0xFFFF_FFFF) = *arg {
-            let data: Vec<i64> = (0..16).map(|v| v * 37 + i as i64 * 11 - 100).collect();
-            mem.memory_mut().write_i64_slice(base, &data);
-        }
-    }
     let cfg = EngineConfig {
         record_depstream: record,
         ..point.engine
     };
     let mut e = Engine::new(f.clone(), cdfg, profile, cfg, args.to_vec());
-    e.run_to_completion(&mut mem);
+    e.run_to_completion(port);
     (e.stats().clone(), fu_pool)
 }
 
@@ -523,4 +544,160 @@ fn replay_matches_engine_on_generated_kernels() {
     };
     let top = [RtVal::P(u64::MAX - 7), RtVal::P(0x1000)];
     assert_replay_matches_engine(&store_load_store_kernel(), &top, &[slow_spm]);
+}
+
+// ---- refusal scopes ------------------------------------------------------------
+
+/// Forwards every call to the port it wraps but keeps the default
+/// `Access` refusal scope: one `try_issue` per attempt.
+struct PerAttempt<P>(P);
+
+impl<P: MemPort> MemPort for PerAttempt<P> {
+    fn begin_cycle(&mut self) {
+        self.0.begin_cycle();
+    }
+    fn try_issue(&mut self, access: MemAccess) -> Result<(), Rejection> {
+        self.0.try_issue(access)
+    }
+    fn poll(&mut self) -> Vec<MemCompletion> {
+        self.0.poll()
+    }
+}
+
+/// Accesses below this are local, the rest global.
+const LOCAL_END: u64 = 0x1800;
+
+/// Two master ports with per-cycle budgets of their own — local and
+/// global, reads and writes — in front of a `SimpleMem` wide enough never
+/// to refuse; a refusal reaches what `BufferPort`'s does. Counts its
+/// `try_issue` calls.
+struct TwoRegion {
+    mem: SimpleMem,
+    budgets: [(u32, u32); 2],
+    left: [(u32, u32); 2],
+    calls: u64,
+}
+
+impl TwoRegion {
+    fn new(mem: SimpleMem, local: (u32, u32), global: (u32, u32)) -> Self {
+        TwoRegion {
+            mem,
+            budgets: [local, global],
+            left: [local, global],
+            calls: 0,
+        }
+    }
+}
+
+impl MemPort for TwoRegion {
+    fn begin_cycle(&mut self) {
+        self.mem.begin_cycle();
+        self.left = self.budgets;
+    }
+    fn try_issue(&mut self, access: MemAccess) -> Result<(), Rejection> {
+        self.calls += 1;
+        let (reads, writes) = &mut self.left[(access.addr >= LOCAL_END) as usize];
+        let (budget, cause) = match access.is_write {
+            true => (writes, RejectCause::WritePorts),
+            false => (reads, RejectCause::ReadPorts),
+        };
+        if *budget == 0 {
+            return Err(Rejection::new(access, cause));
+        }
+        *budget -= 1;
+        self.mem.try_issue(access)
+    }
+    fn poll(&mut self) -> Vec<MemCompletion> {
+        self.mem.poll()
+    }
+    fn refusal_scope(&self, rejected: &Rejection) -> RefusalScope {
+        let spent = |(reads, writes): (u32, u32)| match rejected.access.is_write {
+            true => writes == 0,
+            false => reads == 0,
+        };
+        let (lo, hi) = (0, LOCAL_END);
+        match (spent(self.left[0]), spent(self.left[1])) {
+            (true, true) => RefusalScope::Kind,
+            (true, false) => RefusalScope::Within { lo, hi },
+            (false, true) => RefusalScope::Outside { lo, hi },
+            (false, false) => RefusalScope::Access,
+        }
+    }
+}
+
+/// The engine's stats against `port` — `reject_causes`,
+/// `port_reject_cycles`, the stall mix and the dependence stream among
+/// them — next to the same run against `port` answering access by access,
+/// and the `try_issue` calls the declared scopes spared.
+fn stats_scoped_and_per_attempt<P: MemPort>(
+    f: &Function,
+    args: &[RtVal],
+    point: &Point,
+    port: impl Fn() -> P,
+    calls: impl Fn(&P) -> u64,
+) -> (String, String, u64) {
+    let stats =
+        |port: &mut dyn MemPort| format!("{:?}", engine_run_on(f, args, point, true, port).0);
+    let (mut scoped, mut per_attempt) = (port(), PerAttempt(port()));
+    let (a, b) = (stats(&mut scoped), stats(&mut per_attempt));
+    (a, b, calls(&per_attempt.0) - calls(&scoped))
+}
+
+/// A port that declares how far its refusals reach changes host time
+/// only: on generated looped kernels the engine's stats are identical
+/// against the port and against the same port answering access by access.
+/// `SimpleMem` answers `Kind`; the two-region port, with `a` at `0x1000`
+/// local and `b` at `0x2000` global, answers `Within` and `Outside` too.
+#[test]
+fn refusal_scope_changes_host_time_only() {
+    let args = [RtVal::P(0x1000), RtVal::P(0x2000)];
+    let two_region = |point: &Point, local, global| {
+        TwoRegion::new(loaded_mem(&args, point, 64, 64), local, global)
+    };
+    check_cases("refusal_scope_changes_host_time_only", 300, 0xE6, |g| {
+        let f = build_loop_kernel(&gen_loop_kernel(g));
+        let profile = HardwareProfile::default_40nm();
+        let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
+        let used: Vec<FuKind> = cdfg.fu_counts().map(|(k, _)| k).collect();
+        let point = gen_point(g, &used);
+        let (r, w) = (point.read_ports, point.write_ports);
+        let simple = || loaded_mem(&args, &point, r, w);
+        let (scoped, per_attempt, _) =
+            stats_scoped_and_per_attempt(&f, &args, &point, simple, |_| 0);
+        assert_eq!(scoped, per_attempt, "SimpleMem at {point:?}");
+        let port = || two_region(&point, (r, w), (w, r));
+        let (scoped, per_attempt, _) =
+            stats_scoped_and_per_attempt(&f, &args, &point, port, |p| p.calls);
+        assert_eq!(scoped, per_attempt, "two regions at {point:?}");
+    });
+    // One fixed case where the scopes carry weight: five statements with
+    // independent loads from both regions, 24 trips in a 200-entry window,
+    // one port per region and direction.
+    let stmt = |k: i64| Stmt {
+        load_b: k % 2 == 1,
+        load_at: (k, 3 * k),
+        op: k as usize,
+        float_detour: false,
+        store_at: (1, k),
+        guarded: false,
+    };
+    let kernel = LoopKernel {
+        outer: 6,
+        inner: Some(4),
+        stmts: (0..5).map(stmt).collect(),
+    };
+    let point = Point {
+        engine: EngineConfig {
+            reservation_entries: 200,
+            ..EngineConfig::default()
+        },
+        ..Point::default()
+    };
+    let port = || two_region(&point, (1, 1), (1, 1));
+    let (scoped, per_attempt, spared) =
+        stats_scoped_and_per_attempt(&build_loop_kernel(&kernel), &args, &point, port, |p| {
+            p.calls
+        });
+    assert_eq!(scoped, per_attempt);
+    assert!(spared > 300, "only {spared} calls spared");
 }
