@@ -1,8 +1,10 @@
 //! Microbenchmarks of the dynamic runtime engine itself, including the
 //! guard that a disabled trace sink adds no measurable cost to the hot
-//! loop.
+//! loop, and the heap allocations a run makes per dynamic instruction.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hw_profile::HardwareProfile;
 use salam_bench::microbench;
@@ -13,6 +15,35 @@ use salam_obs::SharedTrace;
 use salam_runtime::{
     Engine, EngineConfig, MemAccess, MemCompletion, MemPort, RefusalScope, Rejection, SimpleMem,
 };
+
+/// The system allocator, counting allocations and reallocations.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter has no effect on the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded with the caller's layout.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 fn vadd_kernel() -> salam_ir::Function {
     let mut fb = FunctionBuilder::new(
@@ -138,8 +169,8 @@ impl<P: MemPort> MemPort for Calls<P> {
         Ok(())
     }
 
-    fn poll(&mut self) -> Vec<MemCompletion> {
-        self.port.poll()
+    fn poll(&mut self, out: &mut Vec<MemCompletion>) {
+        self.port.poll(out)
     }
 
     fn refusal_scope(&self, rejected: &Rejection) -> RefusalScope {
@@ -159,6 +190,16 @@ fn bench_engine_throughput(rig: &VaddRig) {
         "engine/vadd_256_elements (throughput)",
         m.per_sec() * dyn_insts as f64,
         m.ns_per_iter() / dyn_insts as f64
+    );
+    // Set-up (memory image, engine tables) included: one whole run.
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let dyn_insts = rig.run_once(None);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    println!(
+        "{:<44} {:>12} allocations  ({:.3} / dyn-inst)",
+        "engine/vadd_256_elements (heap)",
+        allocations,
+        allocations as f64 / dyn_insts as f64
     );
 }
 

@@ -7,7 +7,7 @@ use salam_ir::interp::RtVal;
 use salam_ir::{Function, Type};
 use salam_obs::SharedTrace;
 use salam_runtime::{
-    Engine, EngineConfig, EngineStats, MemAccess, MemCompletion, MemPort, RefusalScope,
+    Engine, EngineConfig, EngineStats, MemAccess, MemCompletion, MemPort, Payload, RefusalScope,
 };
 use sim_core::{ClockDomain, CompId, Component, Ctx, Tick};
 
@@ -118,8 +118,8 @@ impl MemPort for BufferPort {
         Ok(())
     }
 
-    fn poll(&mut self) -> Vec<MemCompletion> {
-        std::mem::take(&mut self.completions)
+    fn poll(&mut self, out: &mut Vec<MemCompletion>) {
+        out.append(&mut self.completions);
     }
 
     /// A spent master port refuses every access of its kind it serves —
@@ -386,7 +386,7 @@ impl Component<MemMsg> for ComputeUnit {
                         MemReq::write(
                             access.token,
                             access.addr,
-                            access.data.unwrap_or_default(),
+                            access.data.unwrap_or_default().to_vec(),
                             me,
                         )
                     } else {
@@ -406,7 +406,7 @@ impl Component<MemMsg> for ComputeUnit {
                 }
                 self.port.completions.push(MemCompletion {
                     token: resp.id,
-                    data: resp.data,
+                    data: resp.data.as_deref().and_then(Payload::from_slice),
                 });
                 // The engine keeps ticking while running, so the completion
                 // is observed on the next edge.

@@ -465,7 +465,7 @@ impl salam_runtime::MemPort for HierarchyPort {
             memsys::MemReq::write(
                 access.token,
                 access.addr,
-                access.data.unwrap_or_default(),
+                access.data.unwrap_or_default().to_vec(),
                 self.sink,
             )
         } else {
@@ -479,19 +479,21 @@ impl salam_runtime::MemPort for HierarchyPort {
         Ok(())
     }
 
-    fn poll(&mut self) -> Vec<salam_runtime::MemCompletion> {
+    fn poll(&mut self, out: &mut Vec<salam_runtime::MemCompletion>) {
         let sink = self.sink;
         let col = self
             .sim
             .component_as_mut::<memsys::test_util::Collector>(sink)
             .expect("sink is a collector");
-        col.resps
-            .drain(..)
-            .map(|r| salam_runtime::MemCompletion {
+        out.extend(col.resps.drain(..).map(|r| {
+            salam_runtime::MemCompletion {
                 token: r.id,
-                data: r.data,
-            })
-            .collect()
+                data: r
+                    .data
+                    .as_deref()
+                    .and_then(salam_runtime::Payload::from_slice),
+            }
+        }));
     }
 
     /// A spent budget refuses every access of its kind until the next

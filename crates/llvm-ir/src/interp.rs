@@ -73,31 +73,88 @@ pub trait Memory {
     fn write(&mut self, addr: u64, data: &[u8]);
 
     /// Reads a scalar of type `ty` at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ty` is not a scalar.
     fn read_scalar(&mut self, ty: &Type, addr: u64) -> RtVal {
+        let Some(s) = Scalar::of(ty) else {
+            panic!("cannot load {ty}");
+        };
         let mut buf = [0u8; 8];
-        let n = ty.size_bytes() as usize;
-        self.read(addr, &mut buf[..n]);
-        let raw = u64::from_le_bytes(buf);
-        match ty {
-            Type::F32 => RtVal::F(f32::from_bits(raw as u32) as f64),
-            Type::F64 => RtVal::F(f64::from_bits(raw)),
-            Type::Ptr => RtVal::P(raw),
-            t if t.is_int() => RtVal::I(sign_extend(raw, t.bits())),
-            other => panic!("cannot load {other}"),
-        }
+        self.read(addr, &mut buf[..s.size()]);
+        s.decode(u64::from_le_bytes(buf))
     }
 
     /// Writes scalar `v` of type `ty` at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ty` is not a scalar or `v` is not a value of it.
     fn write_scalar(&mut self, ty: &Type, addr: u64, v: RtVal) {
-        let n = ty.size_bytes() as usize;
-        let raw: u64 = match (ty, v) {
-            (Type::F32, RtVal::F(f)) => (f as f32).to_bits() as u64,
-            (Type::F64, RtVal::F(f)) => f.to_bits(),
-            (Type::Ptr, RtVal::P(p)) => p,
-            (t, RtVal::I(i)) if t.is_int() => i as u64,
-            (t, v) => panic!("cannot store {v:?} as {t}"),
+        let Some((s, raw)) = Scalar::of(ty).and_then(|s| Some((s, s.encode(v)?))) else {
+            panic!("cannot store {v:?} as {ty}");
         };
-        self.write(addr, &raw.to_le_bytes()[..n]);
+        self.write(addr, &raw.to_le_bytes()[..s.size()]);
+    }
+}
+
+/// A scalar type as memory holds it, decoded from a [`Type`] once: how many
+/// bytes it takes and how its little-endian bits become a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scalar {
+    /// Integer of this many bits (1, 8, 16, 32 or 64).
+    Int(u32),
+    /// IEEE-754 single precision.
+    F32,
+    /// IEEE-754 double precision.
+    F64,
+    /// Pointer.
+    Ptr,
+}
+
+impl Scalar {
+    /// The scalar `ty` is; `None` for `void` and arrays.
+    pub fn of(ty: &Type) -> Option<Scalar> {
+        Some(match ty {
+            Type::F32 => Scalar::F32,
+            Type::F64 => Scalar::F64,
+            Type::Ptr => Scalar::Ptr,
+            t if t.is_int() => Scalar::Int(t.bits()),
+            _ => return None,
+        })
+    }
+
+    /// Bytes in memory.
+    pub fn size(self) -> usize {
+        match self {
+            Scalar::Int(bits) => bits.div_ceil(8) as usize,
+            Scalar::F32 => 4,
+            Scalar::F64 | Scalar::Ptr => 8,
+        }
+    }
+
+    /// The value whose little-endian bytes are the low [`Scalar::size`]
+    /// bytes of `raw` (the rest are ignored).
+    pub fn decode(self, raw: u64) -> RtVal {
+        match self {
+            Scalar::Int(bits) => RtVal::I(sign_extend(raw, bits)),
+            Scalar::F32 => RtVal::F(f32::from_bits(raw as u32) as f64),
+            Scalar::F64 => RtVal::F(f64::from_bits(raw)),
+            Scalar::Ptr => RtVal::P(raw),
+        }
+    }
+
+    /// The bits of `v` as this scalar, little-endian in the low
+    /// [`Scalar::size`] bytes; `None` when `v` is not a value of it.
+    pub fn encode(self, v: RtVal) -> Option<u64> {
+        Some(match (self, v) {
+            (Scalar::Int(_), RtVal::I(i)) => i as u64,
+            (Scalar::F32, RtVal::F(f)) => (f as f32).to_bits() as u64,
+            (Scalar::F64, RtVal::F(f)) => f.to_bits(),
+            (Scalar::Ptr, RtVal::P(p)) => p,
+            _ => return None,
+        })
     }
 }
 
@@ -112,12 +169,43 @@ pub fn sign_extend(raw: u64, bits: u32) -> i64 {
 }
 
 /// A sparse, page-based memory, usable across the whole 64-bit space.
-#[derive(Debug, Default, Clone)]
+///
+/// An access costs one page lookup per 4 KiB page it touches, not one per
+/// byte, and the last page looked up is remembered, so a run of accesses
+/// to one page does no hashing at all. Reading memory that was never
+/// written yields zeros without mapping a page; addresses wrap at the top
+/// of the address space.
+#[derive(Clone)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Box<[u8; PAGE]>>,
+    /// Page number → index into `frames`.
+    index: HashMap<u64, u32>,
+    frames: Vec<Box<[u8; PAGE]>>,
+    /// The page last looked up and its frame; [`NO_PAGE`] before any.
+    last: (u64, u32),
 }
 
 const PAGE: usize = 4096;
+
+/// Page numbers stop at 2^52, so this one names no page.
+const NO_PAGE: u64 = u64::MAX;
+
+impl Default for SparseMemory {
+    fn default() -> Self {
+        SparseMemory {
+            index: HashMap::new(),
+            frames: Vec::new(),
+            last: (NO_PAGE, 0),
+        }
+    }
+}
+
+impl std::fmt::Debug for SparseMemory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SparseMemory")
+            .field("mapped_pages", &self.frames.len())
+            .finish()
+    }
+}
 
 impl SparseMemory {
     /// Creates an empty memory; all bytes read as zero.
@@ -125,10 +213,28 @@ impl SparseMemory {
         SparseMemory::default()
     }
 
-    fn page(&mut self, addr: u64) -> &mut [u8; PAGE] {
-        self.pages
-            .entry(addr / PAGE as u64)
-            .or_insert_with(|| Box::new([0; PAGE]))
+    /// The frame holding page `page`, if it is mapped.
+    #[inline]
+    fn frame(&mut self, page: u64) -> Option<usize> {
+        if self.last.0 == page {
+            return Some(self.last.1 as usize);
+        }
+        let &frame = self.index.get(&page)?;
+        self.last = (page, frame);
+        Some(frame as usize)
+    }
+
+    /// The frame holding page `page`, mapped (zeroed) on first use.
+    #[inline]
+    fn frame_or_map(&mut self, page: u64) -> usize {
+        if let Some(frame) = self.frame(page) {
+            return frame;
+        }
+        let frame = self.frames.len() as u32;
+        self.frames.push(Box::new([0; PAGE]));
+        self.index.insert(page, frame);
+        self.last = (page, frame);
+        frame as usize
     }
 
     /// Copies a `u8` slice into memory at `addr`.
@@ -211,18 +317,29 @@ impl SparseMemory {
 
 impl Memory for SparseMemory {
     fn read(&mut self, addr: u64, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            let a = addr + i as u64;
-            let page = self.page(a);
-            *b = page[(a % PAGE as u64) as usize];
+        let mut done = 0;
+        while done < buf.len() {
+            let a = addr.wrapping_add(done as u64);
+            let off = (a % PAGE as u64) as usize;
+            let n = (PAGE - off).min(buf.len() - done);
+            let out = &mut buf[done..done + n];
+            match self.frame(a / PAGE as u64) {
+                Some(frame) => out.copy_from_slice(&self.frames[frame][off..off + n]),
+                None => out.fill(0),
+            }
+            done += n;
         }
     }
 
     fn write(&mut self, addr: u64, data: &[u8]) {
-        for (i, &d) in data.iter().enumerate() {
-            let a = addr + i as u64;
-            let page = self.page(a);
-            page[(a % PAGE as u64) as usize] = d;
+        let mut done = 0;
+        while done < data.len() {
+            let a = addr.wrapping_add(done as u64);
+            let off = (a % PAGE as u64) as usize;
+            let n = (PAGE - off).min(data.len() - done);
+            let frame = self.frame_or_map(a / PAGE as u64);
+            self.frames[frame][off..off + n].copy_from_slice(&data[done..done + n]);
+            done += n;
         }
     }
 }
@@ -331,6 +448,9 @@ pub fn run_function(
         }
     };
 
+    // Each instruction is decoded on its first execution.
+    let mut decoded: Vec<Option<PureOp>> = vec![None; f.num_insts()];
+    let mut phi_updates: Vec<(ValueId, RtVal, InstId)> = Vec::new();
     let mut steps: u64 = 0;
     let mut block = f.entry();
     let mut prev_block: Option<BlockId> = None;
@@ -338,7 +458,6 @@ pub fn run_function(
     loop {
         // Evaluate phis of the block simultaneously.
         let insts = &f.block(block).insts;
-        let mut phi_updates: Vec<(ValueId, RtVal, InstId)> = Vec::new();
         for &iid in insts {
             let inst = f.inst(iid);
             if inst.op != Opcode::Phi {
@@ -357,7 +476,7 @@ pub fn run_function(
             let v = get(&values, f, inst.operands[k])?;
             phi_updates.push((f.inst_result(iid).expect("phi has result"), v, iid));
         }
-        for (vid, v, iid) in phi_updates {
+        for (vid, v, iid) in phi_updates.drain(..) {
             values[vid.index()] = Some(v);
             obs.on_inst(f, iid, Some(&v), None);
             steps += 1;
@@ -414,7 +533,9 @@ pub fn run_function(
                     obs.on_inst(f, iid, Some(&v), Some(p));
                 }
                 op => {
-                    let v = eval_pure(f, op, &inst.ty, ops, |v| get(&values, f, v))?;
+                    let pure = decoded[iid.index()]
+                        .get_or_insert_with(|| PureOp::decode(f, op, &inst.ty, ops));
+                    let v = pure.eval(|k| get(&values, f, ops[k]))?;
                     values[f.inst_result(iid).unwrap().index()] = Some(v);
                     obs.on_inst(f, iid, Some(&v), None);
                 }
@@ -452,6 +573,7 @@ fn const_val(c: &Constant) -> Result<RtVal, InterpError> {
 
 /// Evaluates a side-effect-free opcode. Shared with the runtime engine and
 /// the Aladdin baseline, so all three execution models agree on semantics.
+/// Decodes the instruction on every call; see [`PureOp`] to decode once.
 pub fn eval_pure(
     f: &Function,
     op: &Opcode,
@@ -459,186 +581,368 @@ pub fn eval_pure(
     ops: &[ValueId],
     mut get: impl FnMut(ValueId) -> Result<RtVal, InterpError>,
 ) -> Result<RtVal, InterpError> {
-    let wrap_int = |v: i64, ty: &Type| RtVal::I(sign_extend(v as u64, ty.bits()));
-    let round_f = |v: f64, ty: &Type| RtVal::F(if *ty == Type::F32 { v as f32 as f64 } else { v });
-    Ok(match op {
-        Opcode::Add
-        | Opcode::Sub
-        | Opcode::Mul
-        | Opcode::UDiv
-        | Opcode::SDiv
-        | Opcode::URem
-        | Opcode::SRem
-        | Opcode::Shl
-        | Opcode::LShr
-        | Opcode::AShr
-        | Opcode::And
-        | Opcode::Or
-        | Opcode::Xor => {
-            let ty = f.value_type(ops[0]);
-            let bits = ty.bits();
-            let a = get(ops[0])?.as_i();
-            let b = get(ops[1])?.as_i();
-            let ua = (a as u64) & mask(bits);
-            let ub = (b as u64) & mask(bits);
-            let div_check = |v: i64| -> Result<i64, InterpError> {
-                if v == 0 {
-                    Err(InterpError {
-                        message: "division by zero".to_string(),
-                    })
-                } else {
-                    Ok(v)
+    PureOp::decode(f, op, result_ty, ops).eval(|k| get(ops[k]))
+}
+
+/// A side-effect-free instruction decoded once: the opcode with every
+/// width, stride and operand-type test resolved from the function's types,
+/// so that evaluating it reads only its operand values. [`eval_pure`] is
+/// [`PureOp::decode`] followed by [`PureOp::eval`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PureOp(Pure);
+
+/// The decoded forms. Widths are of the operand for `Int`, `ICmp`, `ZExt`,
+/// `UIToFp` and `IntToFloat`, of the result everywhere else; a `bool`
+/// says "rounds to `f32`".
+#[derive(Debug, Clone, PartialEq)]
+enum Pure {
+    Int(IntOp, u32),
+    Float(FloatOp, bool),
+    FNeg(bool),
+    /// Predicate, width, pointer operands.
+    ICmp(IntPredicate, u32, bool),
+    FCmp(FloatPredicate),
+    /// Byte stride of each index after the base.
+    Gep(Box<[u64]>),
+    /// `trunc`: the integer operand wrapped to the width.
+    Wrap(u32),
+    FpToInt(u32),
+    PtrToInt(u32),
+    ZExt(u32),
+    SExt,
+    FpCast(bool),
+    SIToFp(bool),
+    UIToFp(u32, bool),
+    /// `bitcast` float → integer: operand is `f32`, result width.
+    FloatToInt(bool, u32),
+    /// `bitcast` integer → float: operand width, result is `f32`.
+    IntToFloat(u32, bool),
+    /// `bitcast` that keeps the value.
+    Same,
+    IntToPtr,
+    Select,
+    /// Not evaluable (not a pure opcode, or malformed): evaluating it
+    /// fails with this error.
+    Invalid(InterpError),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IntOp {
+    Add,
+    Sub,
+    Mul,
+    UDiv,
+    SDiv,
+    URem,
+    SRem,
+    Shl,
+    LShr,
+    AShr,
+    And,
+    Or,
+    Xor,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FloatOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+impl PureOp {
+    /// Decodes `op` with operands `ops` and result type `result_ty` in
+    /// `f`. Never fails: an instruction that cannot be evaluated decodes
+    /// to one whose [`PureOp::eval`] returns the error.
+    pub fn decode(f: &Function, op: &Opcode, result_ty: &Type, ops: &[ValueId]) -> PureOp {
+        PureOp(Pure::decode(f, op, result_ty, ops).unwrap_or_else(Pure::Invalid))
+    }
+
+    /// Evaluates the instruction; `arg(k)` yields the value of operand
+    /// `k`, and is asked only for the operands the result depends on
+    /// (`select` reads one of its two arms).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `arg` fails with; division by zero; an operand whose kind
+    /// does not match its type; an instruction that is not evaluable.
+    pub fn eval(
+        &self,
+        mut arg: impl FnMut(usize) -> Result<RtVal, InterpError>,
+    ) -> Result<RtVal, InterpError> {
+        Ok(match &self.0 {
+            &Pure::Int(op, bits) => {
+                let (a, b) = (as_int(arg(0)?)?, as_int(arg(1)?)?);
+                wrap_int(int_op(op, bits, a, b)?, bits)
+            }
+            &Pure::Float(op, single) => {
+                let (a, b) = (as_float(arg(0)?)?, as_float(arg(1)?)?);
+                let r = match op {
+                    FloatOp::Add => a + b,
+                    FloatOp::Sub => a - b,
+                    FloatOp::Mul => a * b,
+                    FloatOp::Div => a / b,
+                };
+                round_f(r, single)
+            }
+            &Pure::FNeg(single) => round_f(-as_float(arg(0)?)?, single),
+            &Pure::ICmp(p, bits, ptr) => {
+                let (a, b) = match ptr {
+                    true => (as_ptr(arg(0)?)? as i64, as_ptr(arg(1)?)? as i64),
+                    false => (as_int(arg(0)?)?, as_int(arg(1)?)?),
+                };
+                let (ua, ub) = ((a as u64) & mask(bits), (b as u64) & mask(bits));
+                let r = match p {
+                    IntPredicate::Eq => a == b,
+                    IntPredicate::Ne => a != b,
+                    IntPredicate::Sgt => a > b,
+                    IntPredicate::Sge => a >= b,
+                    IntPredicate::Slt => a < b,
+                    IntPredicate::Sle => a <= b,
+                    IntPredicate::Ugt => ua > ub,
+                    IntPredicate::Uge => ua >= ub,
+                    IntPredicate::Ult => ua < ub,
+                    IntPredicate::Ule => ua <= ub,
+                };
+                RtVal::I(r as i64)
+            }
+            &Pure::FCmp(p) => {
+                let (a, b) = (as_float(arg(0)?)?, as_float(arg(1)?)?);
+                let r = match p {
+                    FloatPredicate::Oeq => a == b,
+                    FloatPredicate::One => a != b && !a.is_nan() && !b.is_nan(),
+                    FloatPredicate::Ogt => a > b,
+                    FloatPredicate::Oge => a >= b,
+                    FloatPredicate::Olt => a < b,
+                    FloatPredicate::Ole => a <= b,
+                    FloatPredicate::Une => a != b,
+                };
+                RtVal::I(r as i64)
+            }
+            Pure::Gep(strides) => {
+                let mut addr = as_ptr(arg(0)?)?;
+                for (k, &stride) in strides.iter().enumerate() {
+                    addr = addr.wrapping_add((as_int(arg(k + 1)?)? as u64).wrapping_mul(stride));
                 }
-            };
-            let r: i64 = match op {
-                Opcode::Add => a.wrapping_add(b),
-                Opcode::Sub => a.wrapping_sub(b),
-                Opcode::Mul => a.wrapping_mul(b),
-                Opcode::SDiv => a.wrapping_div(div_check(b)?),
-                Opcode::SRem => a.wrapping_rem(div_check(b)?),
-                Opcode::UDiv => {
-                    div_check(ub as i64)?;
-                    (ua / ub) as i64
-                }
-                Opcode::URem => {
-                    div_check(ub as i64)?;
-                    (ua % ub) as i64
-                }
-                Opcode::Shl => ((ua << (ub % bits as u64)) & mask(bits)) as i64,
-                Opcode::LShr => (ua >> (ub % bits as u64)) as i64,
-                Opcode::AShr => a >> (ub % bits as u64),
-                Opcode::And => a & b,
-                Opcode::Or => a | b,
-                Opcode::Xor => a ^ b,
-                _ => unreachable!(),
-            };
-            wrap_int(r, &ty)
-        }
-        Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv => {
-            let ty = f.value_type(ops[0]);
-            let a = get(ops[0])?.as_f();
-            let b = get(ops[1])?.as_f();
-            let r = match op {
-                Opcode::FAdd => a + b,
-                Opcode::FSub => a - b,
-                Opcode::FMul => a * b,
-                Opcode::FDiv => a / b,
-                _ => unreachable!(),
-            };
-            round_f(r, &ty)
-        }
-        Opcode::FNeg => round_f(-get(ops[0])?.as_f(), &f.value_type(ops[0])),
-        Opcode::ICmp(p) => {
-            let ty = f.value_type(ops[0]);
-            let (a, b) = if ty.is_ptr() {
-                (get(ops[0])?.as_p() as i64, get(ops[1])?.as_p() as i64)
-            } else {
-                (get(ops[0])?.as_i(), get(ops[1])?.as_i())
-            };
-            let bits = if ty.is_ptr() { 64 } else { ty.bits() };
-            let (ua, ub) = ((a as u64) & mask(bits), (b as u64) & mask(bits));
-            let r = match p {
-                IntPredicate::Eq => a == b,
-                IntPredicate::Ne => a != b,
-                IntPredicate::Sgt => a > b,
-                IntPredicate::Sge => a >= b,
-                IntPredicate::Slt => a < b,
-                IntPredicate::Sle => a <= b,
-                IntPredicate::Ugt => ua > ub,
-                IntPredicate::Uge => ua >= ub,
-                IntPredicate::Ult => ua < ub,
-                IntPredicate::Ule => ua <= ub,
-            };
-            RtVal::I(r as i64)
-        }
-        Opcode::FCmp(p) => {
-            let a = get(ops[0])?.as_f();
-            let b = get(ops[1])?.as_f();
-            let r = match p {
-                FloatPredicate::Oeq => a == b,
-                FloatPredicate::One => a != b && !a.is_nan() && !b.is_nan(),
-                FloatPredicate::Ogt => a > b,
-                FloatPredicate::Oge => a >= b,
-                FloatPredicate::Olt => a < b,
-                FloatPredicate::Ole => a <= b,
-                FloatPredicate::Une => a != b,
-            };
-            RtVal::I(r as i64)
-        }
-        Opcode::Gep { elem } => {
-            let base = get(ops[0])?.as_p();
-            let mut addr = base;
-            let mut cur: Type = elem.clone();
-            for (k, &idx) in ops[1..].iter().enumerate() {
-                let i = get(idx)?.as_i();
-                if k == 0 {
-                    addr = addr.wrapping_add((i as i128 * cur.size_bytes() as i128) as u64);
-                } else {
-                    let Type::Array { elem, .. } = cur else {
-                        return Err(InterpError {
-                            message: "gep index into non-array".into(),
-                        });
-                    };
-                    cur = *elem;
-                    addr = addr.wrapping_add((i as i128 * cur.size_bytes() as i128) as u64);
+                RtVal::P(addr)
+            }
+            &Pure::Wrap(bits) => wrap_int(as_int(arg(0)?)?, bits),
+            &Pure::FpToInt(bits) => wrap_int(as_float(arg(0)?)? as i64, bits),
+            &Pure::PtrToInt(bits) => wrap_int(as_ptr(arg(0)?)? as i64, bits),
+            &Pure::ZExt(from) => RtVal::I(((as_int(arg(0)?)? as u64) & mask(from)) as i64),
+            Pure::SExt => RtVal::I(as_int(arg(0)?)?),
+            &Pure::FpCast(single) => round_f(as_float(arg(0)?)?, single),
+            &Pure::SIToFp(single) => round_f(as_int(arg(0)?)? as f64, single),
+            &Pure::UIToFp(from, single) => {
+                round_f(((as_int(arg(0)?)? as u64) & mask(from)) as f64, single)
+            }
+            &Pure::FloatToInt(from_single, bits) => {
+                let v = as_float(arg(0)?)?;
+                let raw = match from_single {
+                    true => (v as f32).to_bits() as u64,
+                    false => v.to_bits(),
+                };
+                wrap_int(raw as i64, bits)
+            }
+            &Pure::IntToFloat(from, to_single) => {
+                let raw = (as_int(arg(0)?)? as u64) & mask(from);
+                match to_single {
+                    true => RtVal::F(f32::from_bits(raw as u32) as f64),
+                    false => RtVal::F(f64::from_bits(raw)),
                 }
             }
-            RtVal::P(addr)
+            Pure::Same => arg(0)?,
+            Pure::IntToPtr => RtVal::P(as_int(arg(0)?)? as u64),
+            Pure::Select => match as_int(arg(0)?)? != 0 {
+                true => arg(1)?,
+                false => arg(2)?,
+            },
+            Pure::Invalid(e) => return Err(e.clone()),
+        })
+    }
+}
+
+impl Pure {
+    fn decode(
+        f: &Function,
+        op: &Opcode,
+        result_ty: &Type,
+        ops: &[ValueId],
+    ) -> Result<Pure, InterpError> {
+        let not_pure = || InterpError {
+            message: format!("eval_pure on {op:?}"),
+        };
+        let malformed = || InterpError {
+            message: format!("malformed `{}` with {} operands", op.mnemonic(), ops.len()),
+        };
+        let arity = match op {
+            Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::UDiv | Opcode::SDiv => 2,
+            Opcode::URem | Opcode::SRem | Opcode::Shl | Opcode::LShr | Opcode::AShr => 2,
+            Opcode::And | Opcode::Or | Opcode::Xor | Opcode::ICmp(_) | Opcode::FCmp(_) => 2,
+            Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv => 2,
+            Opcode::Select => 3,
+            Opcode::Phi | Opcode::Load | Opcode::Store => return Err(not_pure()),
+            Opcode::Br | Opcode::CondBr | Opcode::Ret => return Err(not_pure()),
+            _ => 1,
+        };
+        if ops.len() < arity {
+            return Err(malformed());
         }
-        Opcode::Trunc => wrap_int(get(ops[0])?.as_i(), result_ty),
-        Opcode::ZExt => {
-            let from_bits = f.value_type(ops[0]).bits();
-            RtVal::I(((get(ops[0])?.as_i() as u64) & mask(from_bits)) as i64)
-        }
-        Opcode::SExt => RtVal::I(get(ops[0])?.as_i()),
-        Opcode::FPTrunc | Opcode::FPExt => round_f(get(ops[0])?.as_f(), result_ty),
-        Opcode::FPToSI | Opcode::FPToUI => wrap_int(get(ops[0])?.as_f() as i64, result_ty),
-        Opcode::SIToFP => round_f(get(ops[0])?.as_i() as f64, result_ty),
-        Opcode::UIToFP => {
-            let from_bits = f.value_type(ops[0]).bits();
-            round_f(
-                ((get(ops[0])?.as_i() as u64) & mask(from_bits)) as f64,
-                result_ty,
-            )
-        }
-        Opcode::BitCast => {
-            let v = get(ops[0])?;
-            let from_ty = f.value_type(ops[0]);
-            match (from_ty.is_float(), result_ty.is_float()) {
-                (true, false) => {
-                    let raw = if from_ty == Type::F32 {
-                        (v.as_f() as f32).to_bits() as u64
-                    } else {
-                        v.as_f().to_bits()
-                    };
-                    wrap_int(raw as i64, result_ty)
-                }
-                (false, true) => {
-                    let raw = (v.as_i() as u64) & mask(f.value_type(ops[0]).bits());
-                    if *result_ty == Type::F32 {
-                        RtVal::F(f32::from_bits(raw as u32) as f64)
-                    } else {
-                        RtVal::F(f64::from_bits(raw))
-                    }
-                }
-                _ => v,
+        let operand = || f.value_type(ops[0]);
+        let bits = |ty: &Type| scalar_bits(ty).ok_or_else(malformed);
+        let single = |ty: &Type| *ty == Type::F32;
+        let int = |op| -> Result<Pure, InterpError> { Ok(Pure::Int(op, bits(&operand())?)) };
+        let float = |op| Pure::Float(op, single(&operand()));
+        match op {
+            Opcode::Add => int(IntOp::Add),
+            Opcode::Sub => int(IntOp::Sub),
+            Opcode::Mul => int(IntOp::Mul),
+            Opcode::UDiv => int(IntOp::UDiv),
+            Opcode::SDiv => int(IntOp::SDiv),
+            Opcode::URem => int(IntOp::URem),
+            Opcode::SRem => int(IntOp::SRem),
+            Opcode::Shl => int(IntOp::Shl),
+            Opcode::LShr => int(IntOp::LShr),
+            Opcode::AShr => int(IntOp::AShr),
+            Opcode::And => int(IntOp::And),
+            Opcode::Or => int(IntOp::Or),
+            Opcode::Xor => int(IntOp::Xor),
+            Opcode::FAdd => Ok(float(FloatOp::Add)),
+            Opcode::FSub => Ok(float(FloatOp::Sub)),
+            Opcode::FMul => Ok(float(FloatOp::Mul)),
+            Opcode::FDiv => Ok(float(FloatOp::Div)),
+            Opcode::FNeg => Ok(Pure::FNeg(single(&operand()))),
+            Opcode::ICmp(p) => {
+                let ty = operand();
+                Ok(Pure::ICmp(*p, bits(&ty)?, ty.is_ptr()))
             }
-        }
-        Opcode::PtrToInt => wrap_int(get(ops[0])?.as_p() as i64, result_ty),
-        Opcode::IntToPtr => RtVal::P(get(ops[0])?.as_i() as u64),
-        Opcode::Select => {
-            if get(ops[0])?.as_i() != 0 {
-                get(ops[1])?
-            } else {
-                get(ops[2])?
+            Opcode::FCmp(p) => Ok(Pure::FCmp(*p)),
+            Opcode::Gep { elem } => gep_strides(elem, ops.len() - 1).map(Pure::Gep),
+            Opcode::Trunc => Ok(Pure::Wrap(bits(result_ty)?)),
+            Opcode::ZExt => Ok(Pure::ZExt(bits(&operand())?)),
+            Opcode::SExt => Ok(Pure::SExt),
+            Opcode::FPTrunc | Opcode::FPExt => Ok(Pure::FpCast(single(result_ty))),
+            Opcode::FPToSI | Opcode::FPToUI => Ok(Pure::FpToInt(bits(result_ty)?)),
+            Opcode::SIToFP => Ok(Pure::SIToFp(single(result_ty))),
+            Opcode::UIToFP => Ok(Pure::UIToFp(bits(&operand())?, single(result_ty))),
+            Opcode::BitCast => {
+                let from = operand();
+                Ok(match (from.is_float(), result_ty.is_float()) {
+                    (true, false) => Pure::FloatToInt(single(&from), bits(result_ty)?),
+                    (false, true) => Pure::IntToFloat(bits(&from)?, single(result_ty)),
+                    _ => Pure::Same,
+                })
             }
+            Opcode::PtrToInt => Ok(Pure::PtrToInt(bits(result_ty)?)),
+            Opcode::IntToPtr => Ok(Pure::IntToPtr),
+            Opcode::Select => Ok(Pure::Select),
+            _ => Err(not_pure()),
         }
-        other => {
+    }
+}
+
+/// Byte strides of a GEP's `n` indices over `elem`: the first steps over
+/// whole `elem`s, each later one into the array the previous selected.
+fn gep_strides(elem: &Type, n: usize) -> Result<Box<[u64]>, InterpError> {
+    let mut strides = Vec::with_capacity(n);
+    let mut cur = elem;
+    for k in 0..n {
+        if k > 0 {
+            let Type::Array { elem, .. } = cur else {
+                return Err(InterpError {
+                    message: "gep index into non-array".into(),
+                });
+            };
+            cur = elem;
+        }
+        let Some(size) = checked_size(cur) else {
             return Err(InterpError {
-                message: format!("eval_pure on {:?}", other),
+                message: format!("gep over unsized type {cur}"),
             });
-        }
+        };
+        strides.push(size);
+    }
+    Ok(strides.into_boxed_slice())
+}
+
+/// [`Type::size_bytes`] without its panics: `None` for `void` and for
+/// arrays larger than the address space.
+fn checked_size(ty: &Type) -> Option<u64> {
+    match ty {
+        Type::Array { elem, len } => checked_size(elem)?.checked_mul(*len),
+        Type::Void => None,
+        t => Some(t.size_bytes()),
+    }
+}
+
+/// [`Type::bits`] without its panics: `None` for `void` and arrays.
+fn scalar_bits(ty: &Type) -> Option<u32> {
+    match ty {
+        Type::Void | Type::Array { .. } => None,
+        t => Some(t.bits()),
+    }
+}
+
+fn int_op(op: IntOp, bits: u32, a: i64, b: i64) -> Result<i64, InterpError> {
+    let m = mask(bits);
+    let (ua, ub) = ((a as u64) & m, (b as u64) & m);
+    let nonzero = |v: u64| match v {
+        0 => Err(InterpError {
+            message: "division by zero".to_string(),
+        }),
+        v => Ok(v),
+    };
+    Ok(match op {
+        IntOp::Add => a.wrapping_add(b),
+        IntOp::Sub => a.wrapping_sub(b),
+        IntOp::Mul => a.wrapping_mul(b),
+        IntOp::SDiv => a.wrapping_div(nonzero(b as u64)? as i64),
+        IntOp::SRem => a.wrapping_rem(nonzero(b as u64)? as i64),
+        IntOp::UDiv => (ua / nonzero(ub)?) as i64,
+        IntOp::URem => (ua % nonzero(ub)?) as i64,
+        IntOp::Shl => ((ua << (ub % bits as u64)) & m) as i64,
+        IntOp::LShr => (ua >> (ub % bits as u64)) as i64,
+        IntOp::AShr => a >> (ub % bits as u64),
+        IntOp::And => a & b,
+        IntOp::Or => a | b,
+        IntOp::Xor => a ^ b,
     })
+}
+
+fn wrap_int(v: i64, bits: u32) -> RtVal {
+    RtVal::I(sign_extend(v as u64, bits))
+}
+
+fn round_f(v: f64, f32: bool) -> RtVal {
+    RtVal::F(if f32 { v as f32 as f64 } else { v })
+}
+
+fn mismatch(expected: &str, got: RtVal) -> InterpError {
+    InterpError {
+        message: format!("expected {expected}, got {got:?}"),
+    }
+}
+
+fn as_int(v: RtVal) -> Result<i64, InterpError> {
+    match v {
+        RtVal::I(x) => Ok(x),
+        other => Err(mismatch("integer", other)),
+    }
+}
+
+fn as_float(v: RtVal) -> Result<f64, InterpError> {
+    match v {
+        RtVal::F(x) => Ok(x),
+        other => Err(mismatch("float", other)),
+    }
+}
+
+fn as_ptr(v: RtVal) -> Result<u64, InterpError> {
+    match v {
+        RtVal::P(x) => Ok(x),
+        other => Err(mismatch("pointer", other)),
+    }
 }
 
 fn mask(bits: u32) -> u64 {
@@ -662,6 +966,126 @@ mod tests {
         assert_eq!(m.read_f32_slice(0x1000, 3), vec![1.0, 2.5, -3.0]);
         m.write_i64_slice(0xFFF, &[-7]); // straddles a page boundary
         assert_eq!(m.read_i64_slice(0xFFF, 1), vec![-7]);
+    }
+
+    /// Random reads and writes of 0–9000 bytes near page boundaries and
+    /// the top of the address space agree with a byte-by-byte model.
+    #[test]
+    fn sparse_memory_matches_a_byte_map() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut mem = SparseMemory::new();
+        let mut model = std::collections::BTreeMap::<u64, u8>::new();
+        let bases = [0, 0x0FF8, 0x7000, u64::MAX - 4100];
+        for step in 0..2000 {
+            let addr = bases[next() as usize % bases.len()].wrapping_add(next() % 8300);
+            let len = match next() % 8 {
+                0 => (next() % 9000) as usize,
+                _ => (next() % 17) as usize,
+            };
+            if step % 3 == 0 {
+                let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                mem.write(addr, &data);
+                for (i, &b) in data.iter().enumerate() {
+                    model.insert(addr.wrapping_add(i as u64), b);
+                }
+            } else {
+                let mut got = vec![0xAA; len];
+                mem.read(addr, &mut got);
+                let want: Vec<u8> = (0..len as u64)
+                    .map(|i| model.get(&addr.wrapping_add(i)).copied().unwrap_or(0))
+                    .collect();
+                assert_eq!(got, want, "read of {len} bytes at {addr:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn reading_unwritten_memory_maps_no_page() {
+        let mut mem = SparseMemory::new();
+        let mut buf = [0xFFu8; 64];
+        mem.read(0x1234_5678, &mut buf);
+        assert_eq!(buf, [0; 64]);
+        assert_eq!(format!("{mem:?}"), "SparseMemory { mapped_pages: 0 }");
+        mem.write(0x0FFE, &[1, 2, 3, 4]);
+        // A write across a boundary maps both pages.
+        assert_eq!(format!("{mem:?}"), "SparseMemory { mapped_pages: 2 }");
+    }
+
+    #[test]
+    fn scalars_round_trip_through_memory() {
+        let mut mem = SparseMemory::new();
+        let cases = [
+            (Type::I1, RtVal::I(-1)),
+            (Type::I8, RtVal::I(-100)),
+            (Type::I16, RtVal::I(-30_000)),
+            (Type::I32, RtVal::I(i32::MIN as i64)),
+            (Type::I64, RtVal::I(i64::MAX)),
+            (Type::F32, RtVal::F(1.5)),
+            (Type::F64, RtVal::F(-2.25)),
+            (Type::Ptr, RtVal::P(u64::MAX - 3)),
+        ];
+        for (k, (ty, v)) in cases.into_iter().enumerate() {
+            let addr = 0xFFC + 16 * k as u64;
+            mem.write_scalar(&ty, addr, v);
+            assert_eq!(mem.read_scalar(&ty, addr), v, "{ty}");
+            let s = Scalar::of(&ty).unwrap();
+            assert_eq!(s.size() as u64, ty.size_bytes(), "{ty}");
+            assert_eq!(s.decode(s.encode(v).unwrap()), v, "{ty}");
+        }
+        assert_eq!(Scalar::of(&Type::array(Type::I8, 4)), None);
+        assert_eq!(Scalar::F32.encode(RtVal::I(1)), None);
+    }
+
+    /// Operands of the wrong kind, missing operands and opcodes that are
+    /// not pure are typed errors of `eval`, never panics; `select` reads
+    /// only the arm it takes.
+    #[test]
+    fn decoded_ops_fail_typed() {
+        let mut fb = FunctionBuilder::new("f", &[("a", Type::I32), ("c", Type::I1)]);
+        let (a, c) = (fb.arg(0), fb.arg(1));
+        let s = fb.add(a, a, "s");
+        let t = fb.select(c, a, s, "t");
+        fb.ret_value(t);
+        let f = fb.finish();
+        let inst = |op: Opcode| {
+            let mut all = (0..f.num_insts() as u32).map(|i| f.inst(InstId::from_raw(i)));
+            all.find(|inst| inst.op == op).unwrap()
+        };
+        let add = inst(Opcode::Add);
+        let add = PureOp::decode(&f, &add.op, &add.ty, &add.operands);
+        assert_eq!(
+            add.eval(|_| Ok(RtVal::I(i32::MAX as i64))),
+            Ok(RtVal::I(-2))
+        );
+        let err = add.eval(|_| Ok(RtVal::F(1.0))).unwrap_err();
+        assert!(err.message.contains("expected integer"), "{err}");
+
+        let sel = inst(Opcode::Select);
+        let sel = PureOp::decode(&f, &sel.op, &sel.ty, &sel.operands);
+        let only_the_true_arm = |k: usize| match k {
+            0 => Ok(RtVal::I(1)),
+            1 => Ok(RtVal::I(7)),
+            _ => Err(InterpError {
+                message: "untaken arm read".into(),
+            }),
+        };
+        assert_eq!(sel.eval(only_the_true_arm), Ok(RtVal::I(7)));
+
+        let bad = PureOp::decode(&f, &Opcode::Add, &Type::I32, &[a]);
+        assert!(bad
+            .eval(|_| Ok(RtVal::I(0)))
+            .unwrap_err()
+            .message
+            .contains("malformed"));
+        let load = PureOp::decode(&f, &Opcode::Load, &Type::I32, &[a]);
+        let err = load.eval(|_| Ok(RtVal::P(0))).unwrap_err();
+        assert_eq!(err.message, "eval_pure on Load");
     }
 
     #[test]

@@ -18,13 +18,13 @@ use std::collections::{HashMap, VecDeque};
 use hw_profile::{FuKind, HardwareProfile};
 use salam_cdfg::StaticCdfg;
 use salam_fault::{FaultPlan, SimError, SiteRng, WatchdogSnapshot};
-use salam_ir::interp::{eval_pure, InterpError, RtVal};
-use salam_ir::{BlockId, Function, InstId, Opcode, Type, ValueId, ValueKind};
+use salam_ir::interp::{InterpError, PureOp, RtVal, Scalar};
+use salam_ir::{BlockId, Function, InstId, Opcode, Type, ValueKind};
 use salam_obs::{SharedTrace, SpanId, TrackId};
 use salam_resilience::CancelToken;
 use salam_telemetry::FlightRecorder;
 
-use crate::port::{MemAccess, MemCompletion, MemPort, RefusalScope, RejectCause};
+use crate::port::{MemAccess, MemCompletion, MemPort, Payload, RefusalScope, RejectCause};
 use crate::sched::{
     Cycle, IssueFlags, LaneMasks, Limits, MemIssue, OpSource, Sched, LOAD, NO_LANE, N_FU, STORE,
 };
@@ -197,8 +197,9 @@ enum Eval {
     Br,
     CondBr,
     Ret,
-    /// Side-effect-free opcode, through [`eval_pure`].
-    Pure,
+    /// Side-effect-free opcode: the [`PureOp`] at this index of
+    /// `Live::pure`.
+    Pure(u32),
     /// Load or store: the value comes from the memory port.
     Mem,
 }
@@ -233,6 +234,9 @@ struct StaticOp {
     latency: u32,
     /// Memory ops: bytes accessed.
     access_size: u32,
+    /// Memory ops: the scalar a load yields or a store writes (`None`
+    /// for a type that is not one, a runtime fault if the op issues).
+    scalar: Option<Scalar>,
     /// This op's slice of `Live::templates`.
     opnd_start: u32,
     opnd_len: u32,
@@ -365,6 +369,8 @@ struct Live {
     // Static tables, built once in `new`.
     ops: Vec<StaticOp>,
     templates: Vec<OperandT>,
+    /// The decoded side-effect-free instructions, in `InstId` order.
+    pure: Vec<PureOp>,
     /// `InstId` indices of every block back to back; `block_span[b]` is
     /// block `b`'s `(start, len)` in it.
     block_insts: Vec<u32>,
@@ -389,8 +395,10 @@ struct Live {
     /// Uid behind each memory token (0 once completed); tokens are dense,
     /// so the next token is the length.
     token_uid: Vec<u32>,
-    /// This cycle's completions the scheduler has not asked for yet.
-    polled: std::vec::IntoIter<MemCompletion>,
+    /// This cycle's completions (the buffer is kept across cycles), and
+    /// how many of them the scheduler has asked for.
+    polled: Vec<MemCompletion>,
+    polled_taken: usize,
     /// Per memory side: the cause of the last refusal whose scope reached
     /// past its access — the cause of the retries that scope covers.
     scope_cause: [RejectCause; 2],
@@ -446,10 +454,19 @@ impl Engine {
 
         let mut ops = Vec::with_capacity(func.num_insts());
         let mut templates = Vec::with_capacity(2 * func.num_insts());
+        let mut pure = Vec::new();
         let mut max_latency = 0;
         for i in 0..func.num_insts() {
             let iid = InstId::from_raw(i as u32);
-            let op = static_op(&func, &cdfg, &profile, &args, iid, &mut templates);
+            let op = static_op(
+                &func,
+                &cdfg,
+                &profile,
+                &args,
+                iid,
+                &mut templates,
+                &mut pure,
+            );
             max_latency = max_latency.max(op.latency);
             ops.push(op);
         }
@@ -484,6 +501,7 @@ impl Engine {
             arg_count: args.len(),
             ops,
             templates,
+            pure,
             block_insts,
             block_span,
             fu_energy_pj,
@@ -496,7 +514,8 @@ impl Engine {
             readers_of: HashMap::new(),
             issue_waiters: HashMap::new(),
             token_uid: vec![0],
-            polled: Vec::new().into_iter(),
+            polled: Vec::new(),
+            polled_taken: 0,
             scope_cause: [RejectCause::ReadPorts, RejectCause::WritePorts],
             pending_fetch: VecDeque::from([(entry, None, 0)]),
             fetch_stopped: false,
@@ -704,7 +723,9 @@ impl Engine {
         self.live.cycle = self.sched.cycle();
         self.live.classes = Default::default();
         port.begin_cycle();
-        self.live.polled = port.poll().into_iter();
+        self.live.polled.clear();
+        self.live.polled_taken = 0;
+        port.poll(&mut self.live.polled);
         let outcome = match self.sched.step(&mut self.live, port) {
             Ok(cycle) => Ok(cycle.done),
             Err(fault) => Err(*fault),
@@ -759,8 +780,11 @@ impl OpSource for Live {
     }
 
     fn next_completion(&mut self) -> Result<Option<u32>, Fault> {
-        let completion = self.polled.next();
-        completion.map(|c| self.complete(c)).transpose()
+        let Some(&completion) = self.polled.get(self.polled_taken) else {
+            return Ok(None);
+        };
+        self.polled_taken += 1;
+        self.complete(completion).map(Some)
     }
 
     fn next_block(&self, _sched: &Sched) -> Option<usize> {
@@ -867,10 +891,9 @@ impl OpSource for Live {
             addr,
             size,
             is_write: sop.is_store(),
-            data: if sop.is_store() {
-                Some(self.store_bytes(uid)?)
-            } else {
-                None
+            data: match sop.is_store() {
+                true => Some(self.store_payload(uid, &sop)?),
+                false => None,
             },
         };
         if let Err(rejected) = port.try_issue(access) {
@@ -1217,14 +1240,20 @@ impl Live {
         })
     }
 
-    fn store_bytes(&self, uid: u32) -> Result<Vec<u8>, Fault> {
-        let inst = self
-            .func
-            .inst(InstId::from_raw(self.dyn_ops[uid as usize].inst));
-        let ty = self.func.value_type(inst.operands[0]);
+    /// The bytes store `uid` writes: its value operand as the stored
+    /// scalar.
+    fn store_payload(&self, uid: u32, sop: &StaticOp) -> Result<Payload, Fault> {
         let v = self.ready_operand(uid, 0)?;
-        encode_scalar(&ty, v)
-            .ok_or_else(|| self.kernel_fault(format!("cannot store {v:?} as {ty}")))
+        match sop.scalar.and_then(|s| s.encode(v)) {
+            Some(raw) => Ok(Payload::from_raw(raw, sop.access_size as usize)),
+            None => {
+                let inst = self.dyn_ops[uid as usize].inst;
+                let ty = self
+                    .func
+                    .value_type(self.func.inst(InstId::from_raw(inst)).operands[0]);
+                Err(self.kernel_fault(format!("cannot store {v:?} as {ty}")))
+            }
+        }
     }
 
     fn eval_compute(&self, uid: u32, sop: &StaticOp) -> Result<Option<RtVal>, Fault> {
@@ -1233,19 +1262,18 @@ impl Live {
             Eval::Br | Eval::CondBr | Eval::Mem => Ok(None),
             Eval::Ret if sop.opnd_len == 0 => Ok(None),
             Eval::Ret => self.ready_operand(uid, 0).map(Some),
-            Eval::Pure => {
-                let inst = self
-                    .func
-                    .inst(InstId::from_raw(self.dyn_ops[uid as usize].inst));
-                // Map static operand ids to this instance's values.
-                let get = |v: ValueId| {
-                    let k = inst.operands.iter().position(|&s| s == v);
-                    k.and_then(|k| self.operand(uid, k as u32))
-                        .ok_or_else(|| InterpError {
-                            message: format!("operand of `{}` has no value", inst.op.mnemonic()),
-                        })
+            Eval::Pure(op) => {
+                let arg = |k: usize| {
+                    self.operand(uid, k as u32).ok_or_else(|| {
+                        let inst = self.dyn_ops[uid as usize].inst;
+                        let mnemonic = self.func.inst(InstId::from_raw(inst)).op.mnemonic();
+                        InterpError {
+                            message: format!("operand of `{mnemonic}` has no value"),
+                        }
+                    })
                 };
-                eval_pure(&self.func, &inst.op, &inst.ty, &inst.operands, get)
+                self.pure[op as usize]
+                    .eval(arg)
                     .map(Some)
                     .map_err(|e| self.kernel_fault(e.to_string()))
             }
@@ -1308,18 +1336,19 @@ impl Live {
             )));
         }
         let inst = self.dyn_ops[uid as usize].inst;
-        if !self.ops[inst as usize].is_store() {
-            let ty = &self.func.inst(InstId::from_raw(inst)).ty;
-            let Some(bytes) = completion.data.as_deref() else {
+        let sop = &self.ops[inst as usize];
+        if !sop.is_store() {
+            let Some(data) = completion.data else {
                 return Err(self.kernel_fault(format!(
                     "load completion for token {} carries no data",
                     completion.token
                 )));
             };
-            let Some(value) = decode_scalar(ty, bytes) else {
+            let Some(scalar) = sop.scalar else {
+                let ty = &self.func.inst(InstId::from_raw(inst)).ty;
                 return Err(self.kernel_fault(format!("cannot load {ty}")));
             };
-            self.dyn_ops[uid as usize].value = Some(value);
+            self.dyn_ops[uid as usize].value = Some(scalar.decode(data.raw()));
         }
         Ok(uid)
     }
@@ -1494,7 +1523,8 @@ impl Live {
 }
 
 /// Resolves instruction `iid` into its [`StaticOp`], appending its operand
-/// templates (arguments and constants pre-resolved to immediates).
+/// templates (arguments and constants pre-resolved to immediates) and, for
+/// a side-effect-free op, its decoded form.
 fn static_op(
     func: &Function,
     cdfg: &StaticCdfg,
@@ -1502,6 +1532,7 @@ fn static_op(
     args: &[RtVal],
     iid: InstId,
     templates: &mut Vec<OperandT>,
+    pure: &mut Vec<PureOp>,
 ) -> StaticOp {
     let inst = func.inst(iid);
     let sop = cdfg.op(iid);
@@ -1519,24 +1550,25 @@ fn static_op(
             }
         });
     }
-    let access_size = match inst.op {
-        Opcode::Store => {
-            let stored = inst.operands.first();
-            stored.map_or(0, |&v| func.value_type(v).size_bytes() as u32)
+    let accessed = match inst.op {
+        Opcode::Store => inst.operands.first().map(|&v| func.value_type(v)),
+        Opcode::Load => Some(inst.ty.clone()),
+        _ => None,
+    };
+    let eval = match inst.op {
+        Opcode::Phi => Eval::Phi,
+        Opcode::Br => Eval::Br,
+        Opcode::CondBr => Eval::CondBr,
+        Opcode::Ret => Eval::Ret,
+        Opcode::Load | Opcode::Store => Eval::Mem,
+        _ => {
+            pure.push(PureOp::decode(func, &inst.op, &inst.ty, &inst.operands));
+            Eval::Pure(pure.len() as u32 - 1)
         }
-        Opcode::Load => inst.ty.size_bytes() as u32,
-        _ => 0,
     };
     StaticOp {
         class: classify(&inst.op),
-        eval: match inst.op {
-            Opcode::Phi => Eval::Phi,
-            Opcode::Br => Eval::Br,
-            Opcode::CondBr => Eval::CondBr,
-            Opcode::Ret => Eval::Ret,
-            Opcode::Load | Opcode::Store => Eval::Mem,
-            _ => Eval::Pure,
-        },
+        eval,
         lane: match inst.op {
             Opcode::Load => LOAD,
             Opcode::Store => STORE,
@@ -1545,7 +1577,8 @@ fn static_op(
         has_result: inst.has_result(),
         inst_operands,
         latency: sop.latency,
-        access_size,
+        access_size: accessed.as_ref().map_or(0, |ty| ty.size_bytes() as u32),
+        scalar: accessed.as_ref().and_then(Scalar::of),
         opnd_start,
         opnd_len: inst.operands.len() as u32,
         block: sop.block,
@@ -1589,34 +1622,5 @@ fn const_rt(c: &salam_ir::Constant) -> Option<RtVal> {
         }),
         salam_ir::Constant::NullPtr => RtVal::P(0),
         salam_ir::Constant::Undef(_) => return None,
-    })
-}
-
-/// Little-endian bytes of `v` as a `ty`; `None` when the value's kind does
-/// not match the type.
-fn encode_scalar(ty: &Type, v: RtVal) -> Option<Vec<u8>> {
-    let n = ty.size_bytes() as usize;
-    let raw: u64 = match (ty, v) {
-        (Type::F32, RtVal::F(f)) => (f as f32).to_bits() as u64,
-        (Type::F64, RtVal::F(f)) => f.to_bits(),
-        (Type::Ptr, RtVal::P(p)) => p,
-        (t, RtVal::I(i)) if t.is_int() => i as u64,
-        _ => return None,
-    };
-    raw.to_le_bytes().get(..n).map(<[u8]>::to_vec)
-}
-
-/// The `ty` value in `bytes`; `None` for a type that is not a scalar.
-fn decode_scalar(ty: &Type, bytes: &[u8]) -> Option<RtVal> {
-    let mut buf = [0u8; 8];
-    let n = (ty.size_bytes() as usize).min(bytes.len()).min(8);
-    buf[..n].copy_from_slice(&bytes[..n]);
-    let raw = u64::from_le_bytes(buf);
-    Some(match ty {
-        Type::F32 => RtVal::F(f32::from_bits(raw as u32) as f64),
-        Type::F64 => RtVal::F(f64::from_bits(raw)),
-        Type::Ptr => RtVal::P(raw),
-        t if t.is_int() => RtVal::I(salam_ir::interp::sign_extend(raw, t.bits())),
-        _ => return None,
     })
 }

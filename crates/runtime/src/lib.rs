@@ -65,7 +65,8 @@ mod stats;
 
 pub use engine::{Engine, EngineConfig, CANCEL_BATCH};
 pub use port::{
-    FaultyPort, MemAccess, MemCompletion, MemPort, RefusalScope, RejectCause, Rejection, SimpleMem,
+    FaultyPort, MemAccess, MemCompletion, MemPort, Payload, RefusalScope, RejectCause, Rejection,
+    SimpleMem,
 };
 pub use salam_fault::{ConfigError, FaultPlan, SimError, WatchdogSnapshot};
 pub use stats::{CycleRecord, EngineStats, IssueClass, StallMix};

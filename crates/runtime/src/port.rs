@@ -2,11 +2,78 @@
 //! system, plus a self-contained scratchpad-like model for standalone runs.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use salam_ir::interp::SparseMemory;
 
+/// The bytes of one scalar access — a store's value or a load's result —
+/// held inline, so that an access and its completion allocate nothing.
+/// Holds up to [`Payload::CAPACITY`] bytes, the widest scalar; it derefs
+/// to exactly its bytes.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Payload {
+    len: u8,
+    /// Bytes past `len` are always zero.
+    bytes: [u8; Payload::CAPACITY],
+}
+
+impl Payload {
+    /// The most bytes a payload holds.
+    pub const CAPACITY: usize = 8;
+
+    /// The low `len` bytes of `raw`, little-endian (`len` capped at
+    /// [`Payload::CAPACITY`]).
+    pub fn from_raw(raw: u64, len: usize) -> Self {
+        let len = len.min(Self::CAPACITY);
+        let mut bytes = raw.to_le_bytes();
+        bytes[len..].fill(0);
+        Payload {
+            len: len as u8,
+            bytes,
+        }
+    }
+
+    /// `len` zero bytes (`len` capped at [`Payload::CAPACITY`]).
+    pub fn zeroed(len: usize) -> Self {
+        Payload::from_raw(0, len)
+    }
+
+    /// A copy of `bytes`; `None` if there are more than
+    /// [`Payload::CAPACITY`].
+    pub fn from_slice(bytes: &[u8]) -> Option<Self> {
+        let mut p = Payload::zeroed(bytes.len());
+        p.get_mut(..bytes.len())?.copy_from_slice(bytes);
+        Some(p)
+    }
+
+    /// The bytes as a little-endian integer.
+    pub fn raw(&self) -> u64 {
+        u64::from_le_bytes(self.bytes)
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl DerefMut for Payload {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.bytes[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One memory operation leaving the engine's read/write queues.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemAccess {
     /// Engine-chosen token, echoed in the completion.
     pub token: u64,
@@ -17,16 +84,16 @@ pub struct MemAccess {
     /// Whether this is a store.
     pub is_write: bool,
     /// Store payload.
-    pub data: Option<Vec<u8>>,
+    pub data: Option<Payload>,
 }
 
 /// A finished memory operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemCompletion {
     /// Echo of [`MemAccess::token`].
     pub token: u64,
     /// Loaded bytes for reads.
-    pub data: Option<Vec<u8>>,
+    pub data: Option<Payload>,
 }
 
 /// Why a port refused an access this cycle. Ports attach the cause that
@@ -150,8 +217,9 @@ pub trait MemPort {
     /// next cycle; the [`RejectCause`] feeds the engine's cycle accounting.
     fn try_issue(&mut self, access: MemAccess) -> Result<(), Rejection>;
 
-    /// Drains completions that have arrived since the last poll.
-    fn poll(&mut self) -> Vec<MemCompletion>;
+    /// Appends the completions that have arrived since the last poll to
+    /// `out`, in arrival order. The caller owns (and reuses) the buffer.
+    fn poll(&mut self, out: &mut Vec<MemCompletion>);
 
     /// Asked right after `try_issue` returned `rejected`, without a call in
     /// between: which other accesses this port would refuse too, with the
@@ -168,7 +236,8 @@ pub trait MemPort {
 
 /// A private scratchpad model with per-cycle read/write port budgets and a
 /// fixed latency — enough to run an accelerator standalone (datapath + SPM),
-/// the configuration the paper validates against HLS in Fig. 10.
+/// the configuration the paper validates against HLS in Fig. 10. Accesses
+/// are scalars: a read returns at most [`Payload::CAPACITY`] bytes.
 #[derive(Debug)]
 pub struct SimpleMem {
     mem: SparseMemory,
@@ -245,39 +314,35 @@ impl MemPort for SimpleMem {
         }
         *budget -= 1;
         let ready = self.cycle + self.latency_cycles;
-        let completion = if access.is_write {
+        let data = if access.is_write {
             self.writes += 1;
             self.bytes_written += access.size as u64;
-            let data = access.data.as_deref().unwrap_or(&[]);
-            self.mem.write(access.addr, data);
-            MemCompletion {
-                token: access.token,
-                data: None,
-            }
+            self.mem
+                .write(access.addr, &access.data.unwrap_or_default());
+            None
         } else {
             self.reads += 1;
             self.bytes_read += access.size as u64;
-            let mut buf = vec![0u8; access.size as usize];
-            self.mem.read(access.addr, &mut buf);
-            MemCompletion {
-                token: access.token,
-                data: Some(buf),
-            }
+            let mut loaded = Payload::zeroed(access.size as usize);
+            self.mem.read(access.addr, &mut loaded);
+            Some(loaded)
+        };
+        let completion = MemCompletion {
+            token: access.token,
+            data,
         };
         self.pending.push_back((ready, completion));
         Ok(())
     }
 
-    fn poll(&mut self) -> Vec<MemCompletion> {
-        let mut out = Vec::new();
-        while let Some((ready, _)) = self.pending.front() {
-            if *ready <= self.cycle {
-                out.push(self.pending.pop_front().expect("nonempty").1);
-            } else {
+    fn poll(&mut self, out: &mut Vec<MemCompletion>) {
+        while let Some(&(ready, completion)) = self.pending.front() {
+            if ready > self.cycle {
                 break;
             }
+            self.pending.pop_front();
+            out.push(completion);
         }
-        out
     }
 
     /// A spent budget refuses every access of its kind until the next
@@ -366,18 +431,20 @@ impl<P: MemPort> MemPort for FaultyPort<P> {
         self.inner.try_issue(access)
     }
 
-    fn poll(&mut self) -> Vec<MemCompletion> {
-        let mut out = Vec::new();
-        let mut still_held = Vec::new();
-        for (left, c) in self.held.drain(..) {
+    /// Held completions whose delay ran out come first, then the wrapped
+    /// port's, each rolled for drop, bit flip and delay in arrival order.
+    fn poll(&mut self, out: &mut Vec<MemCompletion>) {
+        self.held.retain(|&(left, c)| {
             if left == 0 {
                 out.push(c);
-            } else {
-                still_held.push((left, c));
             }
-        }
-        self.held = still_held;
-        for mut c in self.inner.poll() {
+            left > 0
+        });
+        let first = out.len();
+        self.inner.poll(out);
+        let mut kept = first;
+        for i in first..out.len() {
+            let mut c = out[i];
             if self.resp.roll(self.plan.mem_drop_rate) {
                 salam_fault::count_fault(&mut self.counts, "mem_drop");
                 continue;
@@ -394,15 +461,34 @@ impl<P: MemPort> MemPort for FaultyPort<P> {
                 self.held.push((self.plan.mem_delay_cycles, c));
                 continue;
             }
-            out.push(c);
+            out[kept] = c;
+            kept += 1;
         }
-        out
+        out.truncate(kept);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn polled(port: &mut (impl MemPort + ?Sized)) -> Vec<MemCompletion> {
+        let mut out = Vec::new();
+        port.poll(&mut out);
+        out
+    }
+
+    #[test]
+    fn payloads_hold_scalars_inline() {
+        let p = Payload::from_raw(0x1122_3344_5566_7788, 4);
+        assert_eq!(&*p, &[0x88, 0x77, 0x66, 0x55]);
+        assert_eq!(p.raw(), 0x5566_7788, "bytes past the length read as zero");
+        assert_eq!(Payload::from_slice(&p), Some(p));
+        assert_eq!(Payload::from_slice(&[1; 9]), None);
+        assert_eq!(Payload::from_raw(u64::MAX, 99).len(), Payload::CAPACITY);
+        assert!(Payload::default().is_empty());
+        assert_eq!(format!("{:?}", Payload::from_raw(0x0201, 2)), "[1, 2]");
+    }
 
     #[test]
     fn respects_port_budgets() {
@@ -442,7 +528,7 @@ mod tests {
                 addr: 12,
                 size: 4,
                 is_write: true,
-                data: Some(vec![0; 4])
+                data: Some(Payload::zeroed(4))
             })
             .is_ok());
         m.begin_cycle();
@@ -466,7 +552,7 @@ mod tests {
             addr: 0,
             size: 4,
             is_write,
-            data: is_write.then(|| vec![0; 4]),
+            data: is_write.then(|| Payload::zeroed(4)),
         };
         m.try_issue(acc(1, false)).unwrap();
         m.try_issue(acc(2, true)).unwrap();
@@ -490,12 +576,12 @@ mod tests {
             data: None,
         })
         .unwrap();
-        assert!(m.poll().is_empty());
+        assert!(polled(&mut m).is_empty());
         m.begin_cycle(); // 2
         m.begin_cycle(); // 3
-        assert!(m.poll().is_empty());
+        assert!(polled(&mut m).is_empty());
         m.begin_cycle(); // 4 = 1 + 3
-        let done = m.poll();
+        let done = polled(&mut m);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].token, 9);
     }
@@ -514,7 +600,7 @@ mod tests {
         })
         .unwrap();
         m.begin_cycle();
-        let c = m.poll();
+        let c = polled(&mut m);
         assert_eq!(c[0].data.as_deref(), Some(&1234i32.to_le_bytes()[..]));
     }
 
@@ -535,11 +621,11 @@ mod tests {
             for t in 0..8u64 {
                 port.begin_cycle();
                 port.try_issue(read_acc(t, 4 * t)).unwrap();
-                out.extend(port.poll());
+                port.poll(&mut out);
             }
             for _ in 0..4 {
                 port.begin_cycle();
-                out.extend(port.poll());
+                port.poll(&mut out);
             }
             out
         };
@@ -568,7 +654,7 @@ mod tests {
         }
         for _ in 0..4 {
             port.begin_cycle();
-            assert!(port.poll().is_empty());
+            assert!(polled(&mut port).is_empty());
         }
         assert_eq!(port.fault_counts()["mem_drop"], 4);
     }
@@ -588,7 +674,7 @@ mod tests {
         let mut arrived_after = 0u64;
         for i in 1..=8u64 {
             port.begin_cycle();
-            let got = port.poll();
+            let got = polled(&mut port);
             if !got.is_empty() {
                 assert_eq!(got[0].data.as_deref(), Some(&42i32.to_le_bytes()[..]));
                 arrived_after = i;
@@ -613,7 +699,7 @@ mod tests {
             port.begin_cycle();
             port.try_issue(read_acc(1, 0)).unwrap();
             port.begin_cycle();
-            port.poll()
+            polled(&mut port)
         };
         let a = run();
         let b = run();

@@ -213,6 +213,24 @@ fn wrong_arity_is_a_kernel_fault_at_the_first_step() {
     assert!(stepped.is_err(), "step() panics on a kernel fault");
 }
 
+/// A value of the wrong kind reaching an op — here a float where the loop
+/// bound is an integer — is a typed fault of the op, not a panic.
+#[test]
+fn a_mistyped_argument_is_a_kernel_fault() {
+    let f = serial_fmul_loop();
+    let profile = HardwareProfile::default_40nm();
+    let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
+    let args = vec![RtVal::P(0x1000), RtVal::F(16.0)];
+    let mut e = Engine::new(f, cdfg, profile, EngineConfig::default(), args);
+    let err = e
+        .try_run_to_completion(&mut SimpleMem::new(1, 2, 2))
+        .unwrap_err();
+    let salam_runtime::SimError::KernelFault { detail, .. } = &err else {
+        panic!("expected KernelFault, got {err:?}");
+    };
+    assert!(detail.contains("expected integer, got F(16.0)"), "{detail}");
+}
+
 #[test]
 fn deadlock_detection_returns_a_populated_snapshot() {
     // A port that never completes anything wedges the engine; the watchdog
@@ -227,9 +245,7 @@ fn deadlock_detection_returns_a_populated_snapshot() {
         ) -> Result<(), salam_runtime::Rejection> {
             Ok(()) // accepted, never completed
         }
-        fn poll(&mut self) -> Vec<salam_runtime::MemCompletion> {
-            Vec::new()
-        }
+        fn poll(&mut self, _out: &mut Vec<salam_runtime::MemCompletion>) {}
     }
     let f = serial_fmul_loop();
     let profile = HardwareProfile::default_40nm();
@@ -474,17 +490,16 @@ impl salam_runtime::MemPort for LyingPort {
     fn try_issue(&mut self, a: salam_runtime::MemAccess) -> Result<(), salam_runtime::Rejection> {
         self.inner.try_issue(a)
     }
-    fn poll(&mut self) -> Vec<salam_runtime::MemCompletion> {
-        let mut out = self.inner.poll();
+    fn poll(&mut self, out: &mut Vec<salam_runtime::MemCompletion>) {
+        self.inner.poll(out);
         if self.drop_load_data {
-            for c in &mut out {
+            for c in out.iter_mut() {
                 c.data = None;
             }
         }
         if let Some(token) = self.fabricate.take() {
             out.push(salam_runtime::MemCompletion { token, data: None });
         }
-        out
     }
 }
 

@@ -559,8 +559,8 @@ impl<P: MemPort> MemPort for PerAttempt<P> {
     fn try_issue(&mut self, access: MemAccess) -> Result<(), Rejection> {
         self.0.try_issue(access)
     }
-    fn poll(&mut self) -> Vec<MemCompletion> {
-        self.0.poll()
+    fn poll(&mut self, out: &mut Vec<MemCompletion>) {
+        self.0.poll(out)
     }
 }
 
@@ -607,8 +607,8 @@ impl MemPort for TwoRegion {
         *budget -= 1;
         self.mem.try_issue(access)
     }
-    fn poll(&mut self) -> Vec<MemCompletion> {
-        self.mem.poll()
+    fn poll(&mut self, out: &mut Vec<MemCompletion>) {
+        self.mem.poll(out)
     }
     fn refusal_scope(&self, rejected: &Rejection) -> RefusalScope {
         let spent = |(reads, writes): (u32, u32)| match rejected.access.is_write {
