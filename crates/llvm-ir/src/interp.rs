@@ -845,9 +845,9 @@ impl Pure {
 /// Byte strides of a GEP's `n` indices over `elem`: the first steps over
 /// whole `elem`s, each later one into the array the previous selected.
 fn gep_strides(elem: &Type, n: usize) -> Result<Box<[u64]>, InterpError> {
-    let mut strides = Vec::with_capacity(n);
+    let mut strides: Box<[u64]> = vec![0; n].into();
     let mut cur = elem;
-    for k in 0..n {
+    for (k, slot) in strides.iter_mut().enumerate() {
         if k > 0 {
             let Type::Array { elem, .. } = cur else {
                 return Err(InterpError {
@@ -861,9 +861,9 @@ fn gep_strides(elem: &Type, n: usize) -> Result<Box<[u64]>, InterpError> {
                 message: format!("gep over unsized type {cur}"),
             });
         };
-        strides.push(size);
+        *slot = size;
     }
-    Ok(strides.into_boxed_slice())
+    Ok(strides)
 }
 
 /// [`Type::size_bytes`] without its panics: `None` for `void` and for

@@ -454,7 +454,7 @@ impl Engine {
 
         let mut ops = Vec::with_capacity(func.num_insts());
         let mut templates = Vec::with_capacity(2 * func.num_insts());
-        let mut pure = Vec::new();
+        let mut pure = Vec::with_capacity(func.num_insts());
         let mut max_latency = 0;
         for i in 0..func.num_insts() {
             let iid = InstId::from_raw(i as u32);
