@@ -596,8 +596,10 @@ pub struct PureOp(Pure);
 /// says "rounds to `f32`".
 #[derive(Debug, Clone, PartialEq)]
 enum Pure {
-    Int(IntOp, u32),
-    Float(FloatOp, bool),
+    /// Integer arithmetic, logic or shift.
+    Int(Opcode, u32),
+    /// `fadd`, `fsub`, `fmul` or `fdiv`.
+    Float(Opcode, bool),
     FNeg(bool),
     /// Predicate, width, pointer operands.
     ICmp(IntPredicate, u32, bool),
@@ -626,31 +628,6 @@ enum Pure {
     Invalid(InterpError),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IntOp {
-    Add,
-    Sub,
-    Mul,
-    UDiv,
-    SDiv,
-    URem,
-    SRem,
-    Shl,
-    LShr,
-    AShr,
-    And,
-    Or,
-    Xor,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FloatOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-}
-
 impl PureOp {
     /// Decodes `op` with operands `ops` and result type `result_ty` in
     /// `f`. Never fails: an instruction that cannot be evaluated decodes
@@ -672,19 +649,20 @@ impl PureOp {
         mut arg: impl FnMut(usize) -> Result<RtVal, InterpError>,
     ) -> Result<RtVal, InterpError> {
         Ok(match &self.0 {
-            &Pure::Int(op, bits) => {
+            Pure::Int(op, bits) => {
                 let (a, b) = (as_int(arg(0)?)?, as_int(arg(1)?)?);
-                wrap_int(int_op(op, bits, a, b)?, bits)
+                wrap_int(int_op(op, *bits, a, b)?, *bits)
             }
-            &Pure::Float(op, single) => {
+            Pure::Float(op, single) => {
                 let (a, b) = (as_float(arg(0)?)?, as_float(arg(1)?)?);
                 let r = match op {
-                    FloatOp::Add => a + b,
-                    FloatOp::Sub => a - b,
-                    FloatOp::Mul => a * b,
-                    FloatOp::Div => a / b,
+                    Opcode::FAdd => a + b,
+                    Opcode::FSub => a - b,
+                    Opcode::FMul => a * b,
+                    // `fdiv`: decoding admits no other opcode here.
+                    _ => a / b,
                 };
-                round_f(r, single)
+                round_f(r, *single)
             }
             &Pure::FNeg(single) => round_f(-as_float(arg(0)?)?, single),
             &Pure::ICmp(p, bits, ptr) => {
@@ -776,14 +754,32 @@ impl Pure {
         let malformed = || InterpError {
             message: format!("malformed `{}` with {} operands", op.mnemonic(), ops.len()),
         };
+        let int_arith = matches!(
+            op,
+            Opcode::Add
+                | Opcode::Sub
+                | Opcode::Mul
+                | Opcode::UDiv
+                | Opcode::SDiv
+                | Opcode::URem
+                | Opcode::SRem
+                | Opcode::Shl
+                | Opcode::LShr
+                | Opcode::AShr
+                | Opcode::And
+                | Opcode::Or
+                | Opcode::Xor
+        );
+        let float_arith = matches!(
+            op,
+            Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv
+        );
         let arity = match op {
-            Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::UDiv | Opcode::SDiv => 2,
-            Opcode::URem | Opcode::SRem | Opcode::Shl | Opcode::LShr | Opcode::AShr => 2,
-            Opcode::And | Opcode::Or | Opcode::Xor | Opcode::ICmp(_) | Opcode::FCmp(_) => 2,
-            Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv => 2,
-            Opcode::Select => 3,
             Opcode::Phi | Opcode::Load | Opcode::Store => return Err(not_pure()),
             Opcode::Br | Opcode::CondBr | Opcode::Ret => return Err(not_pure()),
+            Opcode::Select => 3,
+            Opcode::ICmp(_) | Opcode::FCmp(_) => 2,
+            _ if int_arith || float_arith => 2,
             _ => 1,
         };
         if ops.len() < arity {
@@ -792,26 +788,9 @@ impl Pure {
         let operand = || f.value_type(ops[0]);
         let bits = |ty: &Type| scalar_bits(ty).ok_or_else(malformed);
         let single = |ty: &Type| *ty == Type::F32;
-        let int = |op| -> Result<Pure, InterpError> { Ok(Pure::Int(op, bits(&operand())?)) };
-        let float = |op| Pure::Float(op, single(&operand()));
         match op {
-            Opcode::Add => int(IntOp::Add),
-            Opcode::Sub => int(IntOp::Sub),
-            Opcode::Mul => int(IntOp::Mul),
-            Opcode::UDiv => int(IntOp::UDiv),
-            Opcode::SDiv => int(IntOp::SDiv),
-            Opcode::URem => int(IntOp::URem),
-            Opcode::SRem => int(IntOp::SRem),
-            Opcode::Shl => int(IntOp::Shl),
-            Opcode::LShr => int(IntOp::LShr),
-            Opcode::AShr => int(IntOp::AShr),
-            Opcode::And => int(IntOp::And),
-            Opcode::Or => int(IntOp::Or),
-            Opcode::Xor => int(IntOp::Xor),
-            Opcode::FAdd => Ok(float(FloatOp::Add)),
-            Opcode::FSub => Ok(float(FloatOp::Sub)),
-            Opcode::FMul => Ok(float(FloatOp::Mul)),
-            Opcode::FDiv => Ok(float(FloatOp::Div)),
+            _ if int_arith => Ok(Pure::Int(op.clone(), bits(&operand())?)),
+            _ if float_arith => Ok(Pure::Float(op.clone(), single(&operand()))),
             Opcode::FNeg => Ok(Pure::FNeg(single(&operand()))),
             Opcode::ICmp(p) => {
                 let ty = operand();
@@ -884,7 +863,8 @@ fn scalar_bits(ty: &Type) -> Option<u32> {
     }
 }
 
-fn int_op(op: IntOp, bits: u32, a: i64, b: i64) -> Result<i64, InterpError> {
+/// Integer arithmetic, logic or shift `op` at width `bits`.
+fn int_op(op: &Opcode, bits: u32, a: i64, b: i64) -> Result<i64, InterpError> {
     let m = mask(bits);
     let (ua, ub) = ((a as u64) & m, (b as u64) & m);
     let nonzero = |v: u64| match v {
@@ -894,19 +874,20 @@ fn int_op(op: IntOp, bits: u32, a: i64, b: i64) -> Result<i64, InterpError> {
         v => Ok(v),
     };
     Ok(match op {
-        IntOp::Add => a.wrapping_add(b),
-        IntOp::Sub => a.wrapping_sub(b),
-        IntOp::Mul => a.wrapping_mul(b),
-        IntOp::SDiv => a.wrapping_div(nonzero(b as u64)? as i64),
-        IntOp::SRem => a.wrapping_rem(nonzero(b as u64)? as i64),
-        IntOp::UDiv => (ua / nonzero(ub)?) as i64,
-        IntOp::URem => (ua % nonzero(ub)?) as i64,
-        IntOp::Shl => ((ua << (ub % bits as u64)) & m) as i64,
-        IntOp::LShr => (ua >> (ub % bits as u64)) as i64,
-        IntOp::AShr => a >> (ub % bits as u64),
-        IntOp::And => a & b,
-        IntOp::Or => a | b,
-        IntOp::Xor => a ^ b,
+        Opcode::Add => a.wrapping_add(b),
+        Opcode::Sub => a.wrapping_sub(b),
+        Opcode::Mul => a.wrapping_mul(b),
+        Opcode::SDiv => a.wrapping_div(nonzero(b as u64)? as i64),
+        Opcode::SRem => a.wrapping_rem(nonzero(b as u64)? as i64),
+        Opcode::UDiv => (ua / nonzero(ub)?) as i64,
+        Opcode::URem => (ua % nonzero(ub)?) as i64,
+        Opcode::Shl => ((ua << (ub % bits as u64)) & m) as i64,
+        Opcode::LShr => (ua >> (ub % bits as u64)) as i64,
+        Opcode::AShr => a >> (ub % bits as u64),
+        Opcode::And => a & b,
+        Opcode::Or => a | b,
+        // `xor`: decoding admits no other opcode here.
+        _ => a ^ b,
     })
 }
 
