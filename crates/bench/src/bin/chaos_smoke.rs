@@ -609,7 +609,7 @@ fn main() {
              \"restart\": {{\"open\": {}, \"recovered\": {}, \"lost\": {}, \"dup\": {}, \
              \"identical\": {}, \"p99_ms\": {:.3}}}}}",
             log1.iter()
-                .map(|l| format!("\"{}\"", salam_serve::wire::escape(l)))
+                .map(|l| format!("\"{}\"", salam_obs::json::escape(l)))
                 .collect::<Vec<_>>()
                 .join(", "),
             r.open,

@@ -16,7 +16,7 @@
 //! trailing `fault_smoke: …` marker line.
 
 use machsuite::BuiltKernel;
-use salam::standalone::{run_kernel, try_run_kernel_faulted, StandaloneConfig};
+use salam::standalone::{run, run_kernel, RunOptions, StandaloneConfig};
 use salam::{FaultPlan, SimError};
 use salam_dse::SweepTable;
 
@@ -95,7 +95,11 @@ fn main() {
             String::new(),
         ]);
         for &seed in &seeds {
-            let result = try_run_kernel_faulted(kernel, &cfg, &campaign_plan(seed));
+            let opts = RunOptions {
+                fault: Some(campaign_plan(seed)),
+                ..RunOptions::default()
+            };
+            let result = run(kernel, &cfg, &opts);
             let outcome = classify(&result);
             match outcome {
                 "masked" => masked += 1,

@@ -15,10 +15,9 @@
 use std::time::Instant;
 
 use machsuite::Bench;
-use salam::standalone::{try_run_kernel_observed, try_run_kernel_traced, StandaloneConfig};
+use salam::standalone::{run, try_run_kernel, RunOptions, StandaloneConfig};
 use salam_bench::cli::{Args, EXIT_FINDINGS, EXIT_USAGE};
 use salam_dse::SweepTable;
-use salam_obs::SharedTrace;
 use salam_telemetry::{flight, FlightRecorder};
 
 fn main() {
@@ -41,20 +40,16 @@ fn main() {
     let mut findings: Vec<String> = Vec::new();
     let mut rows: Vec<(String, u64, bool)> = Vec::new();
     for (name, kernel) in &kernels {
-        let off = try_run_kernel_traced(kernel, &cfg, &SharedTrace::disabled(), None)
-            .unwrap_or_else(|e| {
-                eprintln!("telemetry_smoke: {name} failed telemetry-off: {e}");
-                std::process::exit(EXIT_FINDINGS);
-            });
-        let on = try_run_kernel_observed(
-            kernel,
-            &cfg,
-            &SharedTrace::disabled(),
-            None,
-            &recorder,
-            0xfeed_0000 + rows.len() as u64,
-        )
-        .unwrap_or_else(|e| {
+        let off = try_run_kernel(kernel, &cfg).unwrap_or_else(|e| {
+            eprintln!("telemetry_smoke: {name} failed telemetry-off: {e}");
+            std::process::exit(EXIT_FINDINGS);
+        });
+        let opts = RunOptions {
+            flight: recorder.clone(),
+            trace_id: 0xfeed_0000 + rows.len() as u64,
+            ..RunOptions::default()
+        };
+        let on = run(kernel, &cfg, &opts).unwrap_or_else(|e| {
             eprintln!("telemetry_smoke: {name} failed telemetry-on: {e}");
             std::process::exit(EXIT_FINDINGS);
         });
@@ -70,31 +65,24 @@ fn main() {
 
     // Then the overhead gate: total wall time over all kernels, min of
     // `reps` repetitions per mode so scheduler noise can only help.
-    let time_all = |observed: bool| -> f64 {
+    let time_all = |opts: &RunOptions| -> f64 {
         let mut best = f64::MAX;
         for _ in 0..reps {
             let t0 = Instant::now();
             for (_, kernel) in &kernels {
-                let r = if observed {
-                    try_run_kernel_observed(
-                        kernel,
-                        &cfg,
-                        &SharedTrace::disabled(),
-                        None,
-                        &recorder,
-                        1,
-                    )
-                } else {
-                    try_run_kernel_traced(kernel, &cfg, &SharedTrace::disabled(), None)
-                };
+                let r = run(kernel, &cfg, opts);
                 assert!(r.is_ok(), "timed pass must not fail");
             }
             best = best.min(t0.elapsed().as_secs_f64());
         }
         best
     };
-    let off_s = time_all(false);
-    let on_s = time_all(true);
+    let off_s = time_all(&RunOptions::default());
+    let on_s = time_all(&RunOptions {
+        flight: recorder,
+        trace_id: 1,
+        ..RunOptions::default()
+    });
     let overhead_pct = if off_s > 0.0 {
         100.0 * (on_s - off_s) / off_s
     } else {

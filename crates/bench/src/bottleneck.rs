@@ -8,7 +8,7 @@
 //! configuration (no wall-clock, no hash-map iteration order).
 
 use machsuite::{Bench, BuiltKernel};
-use salam::standalone::{run_kernel_profiled, StandaloneConfig};
+use salam::standalone::{try_run_kernel_profiled, StandaloneConfig};
 use salam::RunReport;
 use salam_obs::{analyze, CritPath, CycleClass, DepStream};
 
@@ -28,7 +28,8 @@ pub struct ProfiledRun {
 
 /// Runs `kernel` with dependency-stream recording and analyzes the result.
 pub fn profile(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> ProfiledRun {
-    let (report, depstream) = run_kernel_profiled(kernel, cfg);
+    let (report, depstream) =
+        try_run_kernel_profiled(kernel, cfg).unwrap_or_else(|e| panic!("{e}"));
     let critpath = analyze(&depstream);
     ProfiledRun {
         report,

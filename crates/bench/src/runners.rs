@@ -11,9 +11,9 @@ use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_hls::{estimate_cycles, BlockTrips, HlsConfig, HlsReport};
 use salam_ir::interp::{run_function, ProfileObserver, SparseMemory};
 use salam_obs::{MetricsRegistry, SharedTrace};
-use salam_runtime::{Engine, EngineConfig, SimpleMem};
+use salam_runtime::{Engine, SimpleMem};
 
-pub use salam::standalone::{run_kernel, run_kernel_traced, StandaloneConfig};
+pub use salam::standalone::{run_kernel, StandaloneConfig};
 
 /// A standalone run with the observability subsystem attached: the engine's
 /// op spans and scheduler events are recorded and, if `trace_path` is set,
@@ -25,8 +25,12 @@ pub fn run_kernel_observed(
     cfg: &StandaloneConfig,
     trace_path: Option<&Path>,
 ) -> (RunReport, MetricsRegistry) {
-    let trace = SharedTrace::enabled();
-    let report = run_kernel_traced(kernel, cfg, &trace);
+    let opts = salam::RunOptions {
+        trace: SharedTrace::enabled(),
+        ..Default::default()
+    };
+    let report = salam::standalone::run(kernel, cfg, &opts).unwrap_or_else(|e| panic!("{e}"));
+    let trace = opts.trace;
     if let Some(path) = trace_path {
         trace
             .with_recorder(|rec| salam_obs::write_chrome_trace(rec, path))
@@ -172,7 +176,7 @@ pub fn salam_timed(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> SalamRun {
         kernel.func.clone(),
         cdfg,
         cfg.profile.clone(),
-        EngineConfig::default(),
+        cfg.engine,
         kernel.args.clone(),
     );
     let cycles = engine.run_to_completion(&mut mem);
@@ -217,10 +221,18 @@ mod tests {
 
     #[test]
     fn salam_timed_matches_run_kernel_cycles() {
-        let k = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 });
-        let cfg = StandaloneConfig::default();
-        let timed = salam_timed(&k, &cfg);
-        let report = run_kernel(&k, &cfg);
-        assert_eq!(timed.cycles, report.cycles);
+        let gemm = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 });
+        // NW's tuned 48-entry reservation window changes its cycle count
+        // against the default 128, so this case pins that `cfg.engine`
+        // reaches the timed engine.
+        let nw = Bench::Nw.build_standard();
+        for (k, cfg) in [
+            (&gemm, StandaloneConfig::default()),
+            (&nw, tuned_standalone(Bench::Nw)),
+        ] {
+            let timed = salam_timed(k, &cfg);
+            let report = run_kernel(k, &cfg);
+            assert_eq!(timed.cycles, report.cycles, "{}", k.name);
+        }
     }
 }

@@ -9,9 +9,21 @@
 //!   from the plan seed alone.
 
 use machsuite::Bench;
-use salam::standalone::{run_kernel, try_run_kernel_faulted, StandaloneConfig};
+use salam::standalone::{run, run_kernel, RunOptions, StandaloneConfig};
 use salam::{FaultPlan, RunReport, SimError};
 use salam_dse::{CacheId, DseOptions, SweepJob};
+
+fn run_faulted(
+    kernel: &machsuite::BuiltKernel,
+    cfg: &StandaloneConfig,
+    plan: FaultPlan,
+) -> Result<RunReport, SimError> {
+    let opts = RunOptions {
+        fault: Some(plan),
+        ..RunOptions::default()
+    };
+    run(kernel, cfg, &opts)
+}
 
 #[test]
 fn zero_rate_plan_is_observationally_free_for_every_kernel() {
@@ -19,7 +31,7 @@ fn zero_rate_plan_is_observationally_free_for_every_kernel() {
     for bench in Bench::ALL {
         let kernel = bench.build_standard();
         let clean = run_kernel(&kernel, &cfg);
-        let faulted = try_run_kernel_faulted(&kernel, &cfg, &FaultPlan::seeded(7))
+        let faulted = run_faulted(&kernel, &cfg, FaultPlan::seeded(7))
             .unwrap_or_else(|e| panic!("{}: zero-rate run failed: {e}", bench.label()));
         assert_eq!(
             clean.to_json(),
@@ -59,7 +71,7 @@ impl SweepJob for CampaignPoint {
 
     fn run(&self) -> RunReport {
         let kernel = machsuite::gemm::build(&machsuite::gemm::Params { n: 8, unroll: 2 });
-        try_run_kernel_faulted(&kernel, &StandaloneConfig::default(), &flip_plan(self.seed))
+        run_faulted(&kernel, &StandaloneConfig::default(), flip_plan(self.seed))
             .expect("flip plan has no drops; the run completes")
     }
 }
@@ -118,8 +130,8 @@ fn same_seed_deadlock_replays_the_same_snapshot() {
         Err(SimError::Deadlock(s)) => s,
         other => panic!("expected deadlock, got {other:?}"),
     };
-    let a = snap(try_run_kernel_faulted(&kernel, &cfg, &plan));
-    let b = snap(try_run_kernel_faulted(&kernel, &cfg, &plan));
+    let a = snap(run_faulted(&kernel, &cfg, plan));
+    let b = snap(run_faulted(&kernel, &cfg, plan));
     assert_eq!(a.cycle, b.cycle);
     assert_eq!(a.last_progress_cycle, b.last_progress_cycle);
     assert_eq!(a.mem_outstanding, b.mem_outstanding);

@@ -428,7 +428,7 @@ fn c001_invalid_config_rejects_a_sweep_point() {
 /// `Possible` is consistent with either outcome.
 #[test]
 fn f004_predictions_agree_with_the_watchdog_on_every_fixture() {
-    use salam::standalone::try_run_kernel_faulted;
+    use salam::standalone::{run, RunOptions};
     use salam_flow::{DeadlockVerdict, HazardSpec};
 
     let kernels = [
@@ -450,7 +450,11 @@ fn f004_predictions_agree_with_the_watchdog_on_every_fixture() {
             );
             let mut plan = salam_fault::FaultPlan::seeded(11);
             plan.mem_drop_rate = rate;
-            let outcome = try_run_kernel_faulted(k, &cfg, &plan);
+            let opts = RunOptions {
+                fault: Some(plan),
+                ..RunOptions::default()
+            };
+            let outcome = run(k, &cfg, &opts);
             let dynamic_deadlock = matches!(&outcome, Err(e) if e.is_deadlock());
             match pred.verdict {
                 DeadlockVerdict::Deadlock => assert!(

@@ -21,7 +21,9 @@
 //!   interrupts/done signals.
 //! * [`standalone`] — a one-call harness for datapath+SPM simulations (the
 //!   configuration validated against HLS in Fig. 10) and design-space
-//!   sweeps.
+//!   sweeps. [`standalone::run`] is its one entry point; a
+//!   [`RunOptions`] switches on tracing, fault injection, the flight
+//!   recorder and cooperative cancellation.
 //!
 //! # Quickstart
 //!
@@ -56,7 +58,6 @@ pub use host::{Host, HostConfig, HostOp};
 pub use report::{PowerBreakdown, RunReport};
 pub use salam_fault::{ConfigError, FaultPlan, SimError, WatchdogSnapshot};
 pub use standalone::{
-    run_kernel, run_kernel_cached, run_kernel_profiled, run_kernel_traced, try_run_kernel,
-    try_run_kernel_controlled, try_run_kernel_faulted, try_run_kernel_observed,
-    try_run_kernel_profiled, HierarchyPort, StandaloneConfig,
+    run_kernel, run_kernel_cached, try_run_kernel, try_run_kernel_profiled, HierarchyPort,
+    RunOptions, StandaloneConfig,
 };

@@ -383,7 +383,7 @@ impl JsonWriter {
         self.out.push('\n');
         self.out.push_str(&"  ".repeat(self.indent));
         self.out.push('"');
-        self.out.push_str(&json_escape(k));
+        self.out.push_str(&salam_obs::json::escape(k));
         self.out.push_str("\": ");
     }
 
@@ -399,7 +399,7 @@ impl JsonWriter {
     fn str_field(&mut self, k: &str, v: &str) {
         self.key(k);
         self.out.push('"');
-        self.out.push_str(&json_escape(v));
+        self.out.push_str(&salam_obs::json::escape(v));
         self.out.push('"');
     }
 
@@ -440,10 +440,6 @@ impl JsonWriter {
         self.out.push_str("\n}\n");
         self.out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -3,12 +3,17 @@
 //! This is the configuration the paper validates against HLS (Fig. 10) and
 //! sweeps in its GEMM design-space exploration (Figs. 13–15): the runtime
 //! engine backed by a private multi-ported scratchpad, no wider system.
+//!
+//! [`run`] is the one entry point: it takes the kernel, the configuration
+//! and a [`RunOptions`] of observation and control handles, all disabled by
+//! default. The other functions here are short delegations to it (or, for
+//! [`run_kernel_cached`], to the same engine driver behind a cache port).
 
 use hw_profile::{HardwareProfile, SramSpec};
 use machsuite::BuiltKernel;
 use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_fault::{FaultPlan, SimError};
-use salam_runtime::{Engine, EngineConfig, FaultyPort, SimpleMem};
+use salam_runtime::{Engine, EngineConfig, FaultyPort, MemPort, SimpleMem};
 
 use crate::report::RunReport;
 
@@ -117,44 +122,96 @@ impl StandaloneConfig {
         }
         Ok(())
     }
-}
 
-/// Runs `kernel` on the runtime engine with a private SPM and returns the
-/// full report (cycles, power breakdown, area, verification).
-pub fn run_kernel(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> RunReport {
-    run_kernel_traced(kernel, cfg, &salam_obs::SharedTrace::disabled())
-}
-
-/// [`run_kernel`] with dependency-stream recording forced on.
-///
-/// Returns the report together with the captured [`salam_obs::DepStream`],
-/// ready for [`salam_obs::analyze`] (critical path, slack, headroom). The
-/// stream is moved out of the report so the report stays serialization-sized.
-///
-/// Thin panicking wrapper over [`try_run_kernel_profiled`] for callers that
-/// treat any simulation error as a test failure.
-///
-/// # Panics
-///
-/// Panics on any [`SimError`] (rejected config, deadlock, kernel fault).
-pub fn run_kernel_profiled(
-    kernel: &BuiltKernel,
-    cfg: &StandaloneConfig,
-) -> (RunReport, salam_obs::DepStream) {
-    match try_run_kernel_profiled(kernel, cfg) {
-        Ok(pair) => pair,
-        Err(e) => panic!("{e}"),
+    /// The private SPM a run of `kernel` is costed against: the kernel's
+    /// initialized span rounded up to a power of two (at least 1 KiB), with
+    /// this config's word width and ports. Simulation, trace replay and the
+    /// sweep pruner all size the SPM here, so their area and power agree.
+    pub fn spm_spec(&self, kernel: &BuiltKernel) -> SramSpec {
+        let (lo, hi) = kernel.init_span();
+        let footprint = hi.saturating_sub(lo).next_power_of_two().max(1024);
+        SramSpec::new(footprint, self.spm_word_bytes)
+            .with_ports(self.spm_read_ports, self.spm_write_ports)
     }
 }
 
-/// Fallible [`run_kernel_profiled`]: same forced dependency-stream
-/// recording, but configuration rejections, deadlocks and kernel faults
-/// come back as typed [`SimError`]s — matching the rest of the `try_*`
-/// API surface.
+/// The observation and control handles of one [`run`]. Each field's
+/// `Default` is its disabled value, so `RunOptions::default()` is a plain
+/// run. Only the fault plan feeds back into simulated state: an enabled
+/// trace, recorder or token that never fires leaves the report
+/// byte-identical, and so does a zero-rate plan.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// Trace sink: op spans and scheduler events land on `engine.{kernel}`
+    /// tracks, ready for [`salam_obs::write_chrome_trace`].
+    pub trace: salam_obs::SharedTrace,
+    /// Fault injection: engine FU hooks plus a [`FaultyPort`] around the
+    /// memory, attached even when every rate is zero so the zero-rate
+    /// equivalence property exercises the injection path. Port-side fault
+    /// counters are merged into the report's `fault_counts`.
+    pub fault: Option<FaultPlan>,
+    /// Serving-layer flight recorder: receives engine run-start, run-end
+    /// and error events and liveness heartbeats tagged with `trace_id`.
+    pub flight: salam_telemetry::FlightRecorder,
+    /// The request id stamped on flight-recorder events.
+    pub trace_id: u64,
+    /// Cooperative cancellation, polled at cycle-batch boundaries
+    /// ([`salam_runtime::CANCEL_BATCH`] cycles): an explicit cancel or an
+    /// expired deadline stops the run within one batch.
+    pub cancel: salam_resilience::CancelToken,
+}
+
+/// Runs `kernel` on the runtime engine with a private SPM and returns the
+/// full report (cycles, power breakdown, area, verification), with the
+/// hooks `opts` switches on attached.
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`try_run_kernel`].
+/// [`SimError::Config`] for rejected knobs, [`SimError::Verify`] when the
+/// `verify` gate rejects the kernel, [`SimError::Deadlock`] with a
+/// populated watchdog snapshot, [`SimError::KernelFault`] for runtime
+/// evaluation failures, or [`SimError::Cancelled`] when `opts.cancel`
+/// fires. Injected faults surface as an unverified report, a longer run,
+/// or one of these errors.
+pub fn run(
+    kernel: &BuiltKernel,
+    cfg: &StandaloneConfig,
+    opts: &RunOptions,
+) -> Result<RunReport, SimError> {
+    let spm = || {
+        let mut mem = SimpleMem::new(cfg.spm_latency, cfg.spm_read_ports, cfg.spm_write_ports);
+        kernel.load_into(mem.memory_mut());
+        mem
+    };
+    drive(kernel, cfg, opts, spm, |mut mem: SimpleMem| {
+        (kernel.check(mem.memory_mut()).is_ok(), cfg.spm_spec(kernel))
+    })
+}
+
+/// [`run`] with every option off, panicking on any [`SimError`].
+/// `benchmark/src` pins this name.
+pub fn run_kernel(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> RunReport {
+    try_run_kernel(kernel, cfg).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run`] with every option off. `benchmark/src` pins this name.
+///
+/// # Errors
+///
+/// As [`run`].
+pub fn try_run_kernel(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> Result<RunReport, SimError> {
+    run(kernel, cfg, &RunOptions::default())
+}
+
+/// [`try_run_kernel`] with dependency-stream recording forced on. Returns
+/// the report together with the captured [`salam_obs::DepStream`], ready
+/// for [`salam_obs::analyze`] (critical path, slack, headroom); the stream
+/// is moved out of the report so the report stays serialization-sized.
+/// `benchmark/src` pins this name.
+///
+/// # Errors
+///
+/// As [`run`].
 pub fn try_run_kernel_profiled(
     kernel: &BuiltKernel,
     cfg: &StandaloneConfig,
@@ -172,135 +229,24 @@ pub fn try_run_kernel_profiled(
     Ok((report, depstream))
 }
 
-/// [`run_kernel`] with a trace sink attached to the engine: op spans and
-/// scheduler events land on `engine.{kernel}` tracks, ready for
-/// [`salam_obs::write_chrome_trace`].
-pub fn run_kernel_traced(
+/// The one place an engine is built and driven: validates `cfg`, runs the
+/// `verify` gate if asked, attaches the hooks `opts` switches on and runs
+/// the engine against the memory `port` builds — behind a [`FaultyPort`]
+/// when a fault plan is set. `finish` reads the verification verdict and
+/// the SRAM costing spec off the drained memory.
+fn drive<P: MemPort>(
     kernel: &BuiltKernel,
     cfg: &StandaloneConfig,
-    trace: &salam_obs::SharedTrace,
-) -> RunReport {
-    match try_run_kernel_traced(kernel, cfg, trace, None) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`run_kernel`]: validates the configuration up front and turns
-/// deadlocks and kernel faults into [`SimError`] values instead of panics.
-///
-/// # Errors
-///
-/// [`SimError::Config`] for rejected knobs, [`SimError::Deadlock`] with a
-/// populated watchdog snapshot, or [`SimError::KernelFault`] for runtime
-/// evaluation failures.
-pub fn try_run_kernel(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> Result<RunReport, SimError> {
-    try_run_kernel_traced(kernel, cfg, &salam_obs::SharedTrace::disabled(), None)
-}
-
-/// [`try_run_kernel`] under a fault-injection [`FaultPlan`].
-///
-/// The fault layer — engine FU hooks plus a [`FaultyPort`] wrapped around
-/// the SPM — is attached even when the plan's rates are all zero, so the
-/// zero-rate observational-equivalence property genuinely exercises the
-/// injection path rather than bypassing it. Port-side fault counters are
-/// merged into the report's `fault_counts`.
-///
-/// # Errors
-///
-/// Same taxonomy as [`try_run_kernel`]; injected faults surface either as
-/// an unverified report (silent data corruption), a longer run (jitter), or
-/// an `Err` (deadlock from dropped responses, kernel fault from corrupted
-/// control data).
-pub fn try_run_kernel_faulted(
-    kernel: &BuiltKernel,
-    cfg: &StandaloneConfig,
-    plan: &FaultPlan,
-) -> Result<RunReport, SimError> {
-    try_run_kernel_traced(kernel, cfg, &salam_obs::SharedTrace::disabled(), Some(plan))
-}
-
-/// The full-generality fallible entry point: optional trace sink, optional
-/// fault plan. Everything else in this module is a special case of this —
-/// and it is what a long-running server calls to host arbitrary tenant jobs
-/// with typed errors instead of panics.
-///
-/// # Errors
-///
-/// Same taxonomy as [`try_run_kernel`].
-pub fn try_run_kernel_traced(
-    kernel: &BuiltKernel,
-    cfg: &StandaloneConfig,
-    trace: &salam_obs::SharedTrace,
-    plan: Option<&FaultPlan>,
-) -> Result<RunReport, SimError> {
-    try_run_kernel_observed(
-        kernel,
-        cfg,
-        trace,
-        plan,
-        &salam_telemetry::FlightRecorder::disabled(),
-        0,
-    )
-}
-
-/// The full-generality entry point: [`try_run_kernel_traced`] plus a
-/// serving-layer [`salam_telemetry::FlightRecorder`] that receives engine
-/// run-start/run-end/error events and liveness heartbeats tagged with the
-/// request's `trace_id`. A disabled recorder (what every other entry
-/// point passes) makes this identical to `try_run_kernel_traced` — the
-/// recorder never feeds back into simulation state, which is what keeps
-/// telemetry non-perturbing.
-///
-/// # Errors
-///
-/// Same taxonomy as [`try_run_kernel`].
-pub fn try_run_kernel_observed(
-    kernel: &BuiltKernel,
-    cfg: &StandaloneConfig,
-    trace: &salam_obs::SharedTrace,
-    plan: Option<&FaultPlan>,
-    flight: &salam_telemetry::FlightRecorder,
-    trace_id: u64,
-) -> Result<RunReport, SimError> {
-    try_run_kernel_controlled(
-        kernel,
-        cfg,
-        trace,
-        plan,
-        flight,
-        trace_id,
-        &salam_resilience::CancelToken::none(),
-    )
-}
-
-/// [`try_run_kernel_observed`] plus a cooperative
-/// [`salam_resilience::CancelToken`]. The engine polls the token at
-/// cycle-batch boundaries ([`salam_runtime::CANCEL_BATCH`] cycles), so an
-/// explicit cancel or an expired deadline stops the run within one batch
-/// and surfaces as [`SimError::Cancelled`]. A disabled token (what every
-/// other entry point passes) costs one branch per batch and never fires.
-///
-/// # Errors
-///
-/// Same taxonomy as [`try_run_kernel`], plus [`SimError::Cancelled`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_kernel_controlled(
-    kernel: &BuiltKernel,
-    cfg: &StandaloneConfig,
-    trace: &salam_obs::SharedTrace,
-    plan: Option<&FaultPlan>,
-    flight: &salam_telemetry::FlightRecorder,
-    trace_id: u64,
-    cancel: &salam_resilience::CancelToken,
+    opts: &RunOptions,
+    port: impl FnOnce() -> P,
+    finish: impl FnOnce(P) -> (bool, SramSpec),
 ) -> Result<RunReport, SimError> {
     cfg.validate()?;
     if cfg.verify {
         salam_verify::gate(&kernel.func).map_err(SimError::Verify)?;
     }
     let cdfg = StaticCdfg::elaborate(&kernel.func, &cfg.profile, &cfg.constraints);
-    let mut mem = SimpleMem::new(cfg.spm_latency, cfg.spm_read_ports, cfg.spm_write_ports);
-    kernel.load_into(mem.memory_mut());
+    let mut port = port();
     let mut engine = Engine::new(
         kernel.func.clone(),
         cdfg.clone(),
@@ -308,34 +254,27 @@ pub fn try_run_kernel_controlled(
         cfg.engine,
         kernel.args.clone(),
     );
-    if trace.is_enabled() {
-        engine.set_trace(trace.clone());
+    if opts.trace.is_enabled() {
+        engine.set_trace(opts.trace.clone());
     }
-    if flight.is_enabled() {
-        engine.set_flight(flight.clone(), trace_id);
+    if opts.flight.is_enabled() {
+        engine.set_flight(opts.flight.clone(), opts.trace_id);
     }
-    if cancel.is_enabled() {
-        engine.set_cancel(cancel.clone());
+    if opts.cancel.is_enabled() {
+        engine.set_cancel(opts.cancel.clone());
     }
-    let mut mem = if let Some(plan) = plan {
+    let port = if let Some(plan) = &opts.fault {
         engine.set_fault(plan);
-        let mut port = FaultyPort::new(mem, plan);
-        let run = engine.try_run_to_completion(&mut port);
-        engine.merge_fault_counts(port.fault_counts());
+        let mut faulty = FaultyPort::new(port, plan);
+        let run = engine.try_run_to_completion(&mut faulty);
+        engine.merge_fault_counts(faulty.fault_counts());
         run?;
-        port.into_inner()
+        faulty.into_inner()
     } else {
-        engine.try_run_to_completion(&mut mem)?;
-        mem
+        engine.try_run_to_completion(&mut port)?;
+        port
     };
-    let verified = kernel.check(mem.memory_mut()).is_ok();
-
-    // Size the SPM model to the kernel's footprint.
-    let (lo, hi) = kernel.init_span();
-    let footprint = (hi.saturating_sub(lo)).next_power_of_two().max(1024);
-    let spm = SramSpec::new(footprint, cfg.spm_word_bytes)
-        .with_ports(cfg.spm_read_ports, cfg.spm_write_ports);
-
+    let (verified, spm) = finish(port);
     Ok(RunReport::assemble(
         &kernel.name,
         engine.stats(),
@@ -434,6 +373,42 @@ impl HierarchyPort {
     pub fn into_simulation(self) -> sim_core::Simulation<memsys::MemMsg> {
         self.sim
     }
+
+    /// Checks `kernel`'s output by draining the hierarchy: functional reads
+    /// issued through the cache front, so dirty lines are observed.
+    fn check(self, kernel: &BuiltKernel) -> bool {
+        let l1 = self.target;
+        let mut sim = self.sim;
+        let (lo, hi) = kernel.footprint;
+        let sink = sim.add_component(memsys::test_util::Collector::new());
+        let now = sim.now();
+        let mut id = 1u64 << 40;
+        let mut addr = lo;
+        while addr < hi {
+            let chunk = 64.min(hi - addr) as u32;
+            sim.post(
+                l1,
+                now + 1,
+                memsys::MemMsg::Req(memsys::MemReq::read(id, addr, chunk, sink)),
+            );
+            id += 1;
+            addr += chunk as u64;
+        }
+        sim.run();
+        let mut mem = salam_ir::interp::SparseMemory::new();
+        {
+            use salam_ir::interp::Memory as _;
+            let col = sim
+                .component_as::<memsys::test_util::Collector>(sink)
+                .unwrap();
+            for r in &col.resps {
+                if let Some(d) = &r.data {
+                    mem.write(r.addr, d);
+                }
+            }
+        }
+        kernel.check(&mut mem).is_ok()
+    }
 }
 
 impl salam_runtime::MemPort for HierarchyPort {
@@ -510,7 +485,9 @@ impl salam_runtime::MemPort for HierarchyPort {
     }
 }
 
-/// Runs `kernel` against a cache + DRAM hierarchy instead of a private SPM.
+/// Runs `kernel` against a cache + DRAM hierarchy instead of a private SPM,
+/// through the same validated engine driver as [`run`], panicking on any
+/// [`SimError`]. `benchmark/src` pins this name.
 ///
 /// The returned report's SPM fields describe the cache's SRAM array; output
 /// verification reads the memory hierarchy functionally (cache contents win
@@ -520,66 +497,19 @@ pub fn run_kernel_cached(
     cfg: &StandaloneConfig,
     cache: memsys::CacheConfig,
 ) -> RunReport {
-    let cdfg = StaticCdfg::elaborate(&kernel.func, &cfg.profile, &cfg.constraints);
-    let mut port = HierarchyPort::cache_hierarchy(
-        kernel,
-        cache,
-        cfg.engine.clock_period_ps,
-        cfg.spm_read_ports,
-    );
-    let mut engine = Engine::new(
-        kernel.func.clone(),
-        cdfg.clone(),
-        cfg.profile.clone(),
-        cfg.engine,
-        kernel.args.clone(),
-    );
-    engine.run_to_completion(&mut port);
-
-    // Verify by draining the hierarchy: issue functional reads through the
-    // cache so dirty lines are observed.
-    let l1 = port.target();
-    let mut sim = port.into_simulation();
-    let (lo, hi) = kernel.footprint;
-    let sink = sim.add_component(memsys::test_util::Collector::new());
-    let now = sim.now();
-    let mut id = 1u64 << 40;
-    let mut addr = lo;
-    while addr < hi {
-        let chunk = 64.min(hi - addr) as u32;
-        sim.post(
-            l1,
-            now + 1,
-            memsys::MemMsg::Req(memsys::MemReq::read(id, addr, chunk, sink)),
-        );
-        id += 1;
-        addr += chunk as u64;
-    }
-    sim.run();
-    let mut mem = salam_ir::interp::SparseMemory::new();
-    {
-        use salam_ir::interp::Memory as _;
-        let col = sim
-            .component_as::<memsys::test_util::Collector>(sink)
-            .unwrap();
-        for r in &col.resps {
-            if let Some(d) = &r.data {
-                mem.write(r.addr, d);
-            }
-        }
-    }
-    let verified = kernel.check(&mut mem).is_ok();
-
-    let spm = SramSpec::new(cache.size_bytes.max(1024), 8).with_ports(1, 1);
-    RunReport::assemble(
-        &kernel.name,
-        engine.stats(),
-        &cdfg,
-        &cfg.profile,
-        Some(&spm),
-        cfg.engine.clock_period_ps,
-        verified,
-    )
+    let port = || {
+        HierarchyPort::cache_hierarchy(
+            kernel,
+            cache,
+            cfg.engine.clock_period_ps,
+            cfg.spm_read_ports,
+        )
+    };
+    let finish = |port: HierarchyPort| {
+        let spm = SramSpec::new(cache.size_bytes.max(1024), 8).with_ports(1, 1);
+        (port.check(kernel), spm)
+    };
+    drive(kernel, cfg, &RunOptions::default(), port, finish).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -776,29 +706,61 @@ mod tests {
         }
     }
 
+    /// Every disabled-by-default option, switched on with nothing to act
+    /// on, leaves the report byte-identical: tracing and the flight
+    /// recorder never feed back into simulated state, a token that never
+    /// fires costs one branch per batch, and a zero-rate fault plan runs
+    /// the injection path without injecting.
     #[test]
-    fn zero_rate_fault_plan_is_observationally_free() {
+    fn idle_options_are_observationally_free() {
         let k = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 2 });
         let cfg = StandaloneConfig::default();
-        let clean = run_kernel(&k, &cfg);
-        let faulted = try_run_kernel_faulted(&k, &cfg, &FaultPlan::seeded(42)).unwrap();
-        assert_eq!(clean.to_json(), faulted.to_json());
+        let clean = run_kernel(&k, &cfg).to_json();
+        let off = RunOptions::default;
+        for (what, opts) in [
+            (
+                "trace",
+                RunOptions {
+                    trace: salam_obs::SharedTrace::enabled(),
+                    ..off()
+                },
+            ),
+            (
+                "flight",
+                RunOptions {
+                    flight: salam_telemetry::FlightRecorder::enabled(64),
+                    trace_id: 7,
+                    ..off()
+                },
+            ),
+            (
+                "cancel",
+                RunOptions {
+                    cancel: salam_resilience::CancelToken::new(),
+                    ..off()
+                },
+            ),
+            (
+                "fault",
+                RunOptions {
+                    fault: Some(FaultPlan::seeded(42)),
+                    ..off()
+                },
+            ),
+        ] {
+            let report = run(&k, &cfg, &opts).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(report.to_json(), clean, "{what} perturbed the report");
+        }
     }
 
     #[test]
     fn expired_deadline_cancels_within_one_cycle_batch() {
         let k = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 });
-        let cfg = StandaloneConfig::default();
-        let token = salam_resilience::CancelToken::with_deadline_ms(0);
-        match try_run_kernel_controlled(
-            &k,
-            &cfg,
-            &salam_obs::SharedTrace::disabled(),
-            None,
-            &salam_telemetry::FlightRecorder::disabled(),
-            0,
-            &token,
-        ) {
+        let opts = RunOptions {
+            cancel: salam_resilience::CancelToken::with_deadline_ms(0),
+            ..RunOptions::default()
+        };
+        match run(&k, &StandaloneConfig::default(), &opts) {
             Err(SimError::Cancelled {
                 kernel,
                 cycle,
@@ -815,19 +777,6 @@ mod tests {
             }
             other => panic!("expected a timeout, got {other:?}"),
         }
-        // A disabled token is observationally free.
-        let clean = run_kernel(&k, &cfg);
-        let controlled = try_run_kernel_controlled(
-            &k,
-            &cfg,
-            &salam_obs::SharedTrace::disabled(),
-            None,
-            &salam_telemetry::FlightRecorder::disabled(),
-            0,
-            &salam_resilience::CancelToken::new(),
-        )
-        .unwrap();
-        assert_eq!(clean.to_json(), controlled.to_json());
     }
 
     #[test]
@@ -835,11 +784,14 @@ mod tests {
         let k = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 });
         let mut cfg = StandaloneConfig::default();
         cfg.engine.deadlock_cycles = 200;
-        let plan = FaultPlan {
-            mem_drop_rate: 1.0,
-            ..FaultPlan::seeded(3)
+        let opts = RunOptions {
+            fault: Some(FaultPlan {
+                mem_drop_rate: 1.0,
+                ..FaultPlan::seeded(3)
+            }),
+            ..RunOptions::default()
         };
-        match try_run_kernel_faulted(&k, &cfg, &plan) {
+        match run(&k, &cfg, &opts) {
             Err(SimError::Deadlock(snap)) => {
                 assert_eq!(snap.kernel, "gemm_ncubed");
                 assert!(snap.mem_outstanding > 0, "reads must be stuck in flight");

@@ -201,13 +201,12 @@ impl PrunableJob for crate::StandalonePoint {
     /// trip counts come from `salam-flow`'s static inference, the cycle
     /// bound from `flow_lower_bound` under the point's exact port / FU /
     /// reservation-window configuration, and area and leakage from the
-    /// same hardware models [`salam::RunReport::assemble`] uses — sized
-    /// with the same SPM-footprint rule — so the cost guard compares the
-    /// numbers a real run would report.
+    /// same hardware models [`salam::RunReport::assemble`] uses — the SPM
+    /// sized by [`salam::StandaloneConfig::spm_spec`], as a real run sizes
+    /// it — so the cost guard compares the numbers a real run would report.
     fn static_profile(&self) -> Option<StaticProfile> {
         use std::collections::HashMap;
 
-        use hw_profile::SramSpec;
         use salam_cdfg::StaticCdfg;
         use salam_verify::{flow_lower_bound, static_memdeps, BoundConfig};
 
@@ -231,10 +230,7 @@ impl PrunableJob for crate::StandalonePoint {
             reservation_entries: self.config.engine.reservation_entries,
         };
         let bound = flow_lower_bound(&k.func, &cdfg, &trips, &bc, &deps.edges);
-        let (lo, hi) = k.init_span();
-        let footprint = (hi.saturating_sub(lo)).next_power_of_two().max(1024);
-        let spm = SramSpec::new(footprint, self.config.spm_word_bytes)
-            .with_ports(self.config.spm_read_ports, self.config.spm_write_ports);
+        let spm = self.config.spm_spec(&k);
         let area = cdfg.area_report(&self.config.profile);
         let leak = cdfg.static_power_report(&self.config.profile);
         Some(StaticProfile {

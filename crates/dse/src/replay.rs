@@ -28,7 +28,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hw_profile::SramSpec;
 use machsuite::BuiltKernel;
 use salam::standalone::{run_kernel, try_run_kernel_profiled, StandaloneConfig};
 use salam::RunReport;
@@ -39,7 +38,7 @@ use salam_replay::{ReplayConfig, ReplayOutcome};
 use salam_verify::{static_lower_bound, BoundConfig};
 
 use crate::cache::{CacheId, CachePayload};
-use crate::spec::{KernelSpec, StandalonePoint};
+use crate::spec::{config_diagnostic, KernelSpec, StandalonePoint};
 use crate::{run_sweep, DseOptions, PointOutcome, SweepJob};
 
 /// Which execution model produced a point's report.
@@ -507,18 +506,12 @@ fn synthesize_report(
     stats.fu_pool = cdfg.fu_counts().collect();
     stats.depstream = None;
     stats.timeline = Vec::new();
-    // Same SPM sizing rule as the standalone harness, under the point's
-    // port/word knobs.
-    let (lo, hi) = kernel.init_span();
-    let footprint = (hi.saturating_sub(lo)).next_power_of_two().max(1024);
-    let spm = SramSpec::new(footprint, cfg.spm_word_bytes)
-        .with_ports(cfg.spm_read_ports, cfg.spm_write_ports);
     RunReport::assemble(
         &kernel.name,
         &stats,
         cdfg,
         &cfg.profile,
-        Some(&spm),
+        Some(&cfg.spm_spec(kernel)),
         cfg.engine.clock_period_ps,
         baseline.verified,
     )
@@ -569,20 +562,6 @@ pub fn replay_one(
         synthesize_report(kernel, cfg, &cdfg, &base_report, out),
         trace,
     ))
-}
-
-/// Maps a rejected configuration to the sweep engine's `C001` diagnostic
-/// (same contract as [`StandalonePoint::validate`]).
-fn config_diagnostic(cfg: &StandaloneConfig) -> Result<(), salam_verify::Diagnostic> {
-    use salam_verify::{codes, Diagnostic, Span};
-    cfg.validate().map_err(|e| match e {
-        salam::SimError::Config(c) => Diagnostic::error(
-            codes::C001,
-            Span::default(),
-            format!("{}.{}: {}", c.component, c.field, c.detail),
-        ),
-        other => Diagnostic::error(codes::C001, Span::default(), other.to_string()),
-    })
 }
 
 /// Runs a sweep with the replay fast path: points that differ from `base`

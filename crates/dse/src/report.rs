@@ -3,6 +3,7 @@
 //! Fig. 15/16 trade-off views.
 
 use salam::RunReport;
+use salam_obs::json::escape;
 use salam_obs::MetricsRegistry;
 
 /// A rendered sweep table: coordinate columns plus metric columns, rows in
@@ -114,7 +115,6 @@ impl SweepTable {
     /// `{"rows": [...], "summary": {...}}` so `failed=`/`invalid=` counts
     /// survive machine exports too.
     pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let mut rows = String::from("[");
         for (ri, r) in self.rows.iter().enumerate() {
             if ri > 0 {
@@ -125,7 +125,7 @@ impl SweepTable {
                 if ci > 0 {
                     rows.push_str(", ");
                 }
-                rows.push_str(&format!("\"{}\": \"{}\"", esc(k), esc(v)));
+                rows.push_str(&format!("\"{}\": \"{}\"", escape(k), escape(v)));
             }
             rows.push('}');
         }
@@ -136,7 +136,7 @@ impl SweepTable {
         let summary = self
             .summary
             .iter()
-            .map(|(k, v)| format!("\"{}\": \"{}\"", esc(k), esc(v)))
+            .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v)))
             .collect::<Vec<_>>()
             .join(", ");
         format!("{{\n\"rows\": {rows},\n\"summary\": {{{summary}}}\n}}\n")
@@ -306,6 +306,39 @@ mod tests {
             .unwrap()
             .as_array()
             .is_some());
+    }
+
+    /// A control character in a kernel name, a column, a `failed:` cause
+    /// or a summary pair must leave both JSON writers valid and lossless:
+    /// escaped in the text, decoded back by the parser.
+    #[test]
+    fn control_characters_round_trip_through_both_json_writers() {
+        let name = "gemm\n\t\u{1}\"\\";
+        let escaped = r#"gemm\n\t\u0001\"\\"#;
+        let k = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 });
+        let mut report = salam::run_kernel(&k, &salam::StandaloneConfig::default());
+        report.name = name.to_string();
+        let json = report.to_json();
+        assert!(json.contains(&format!("\"name\": \"{escaped}\"")), "{json}");
+        let back = RunReport::from_json(&json).expect("valid report JSON");
+        assert_eq!(back.name, name);
+
+        let cause = format!("failed: {name}");
+        let mut t = SweepTable::new("t", &[name]);
+        t.row(vec![cause.clone()]);
+        t.set_summary(vec![(name.to_string(), name.to_string())]);
+        let text = t.to_json();
+        assert!(
+            text.contains(&format!("\"{escaped}\": \"failed: {escaped}\"")),
+            "{text}"
+        );
+        let v = salam_obs::json::parse(&text).expect("valid table JSON");
+        let row = &v.get("rows").unwrap().as_array().unwrap()[0];
+        assert_eq!(row.get(name).unwrap().as_str(), Some(cause.as_str()));
+        assert_eq!(
+            v.get("summary").unwrap().get(name).unwrap().as_str(),
+            Some(name)
+        );
     }
 
     #[test]

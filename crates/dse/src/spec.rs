@@ -285,15 +285,7 @@ impl SweepJob for StandalonePoint {
     /// rejected as a `C001` diagnostic instead of panicking a worker:
     /// axis grids routinely sweep a knob through zero.
     fn validate(&self) -> Result<(), salam_verify::Diagnostic> {
-        use salam_verify::{codes, Diagnostic, Span};
-        self.config.validate().map_err(|e| match e {
-            salam::SimError::Config(c) => Diagnostic::error(
-                codes::C001,
-                Span::default(),
-                format!("{}.{}: {}", c.component, c.field, c.detail),
-            ),
-            other => Diagnostic::error(codes::C001, Span::default(), other.to_string()),
-        })
+        config_diagnostic(&self.config)
     }
 
     fn run(&self) -> RunReport {
@@ -307,6 +299,20 @@ impl SweepJob for StandalonePoint {
     fn record_telemetry(&self, output: &RunReport, tel: &mut salam_telemetry::Telemetry) {
         tel.record("dse.point.cycles", output.cycles);
     }
+}
+
+/// Maps a rejected configuration to the sweep engine's `C001` diagnostic.
+/// Every sweep job over a [`StandaloneConfig`] validates through here.
+pub(crate) fn config_diagnostic(cfg: &StandaloneConfig) -> Result<(), salam_verify::Diagnostic> {
+    use salam_verify::{codes, Diagnostic, Span};
+    cfg.validate().map_err(|e| match e {
+        salam::SimError::Config(c) => Diagnostic::error(
+            codes::C001,
+            Span::default(),
+            format!("{}.{}: {}", c.component, c.field, c.detail),
+        ),
+        other => Diagnostic::error(codes::C001, Span::default(), other.to_string()),
+    })
 }
 
 #[cfg(test)]

@@ -294,6 +294,9 @@ impl<'a> Reader<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("unescaped control character 0x{b:02x} in string"));
+                }
                 Some(b) if b < 0x80 => {
                     out.push(b as char);
                     self.pos += 1;
@@ -371,6 +374,13 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn strings_need_escaped_control_characters() {
+        assert!(parse("\"a\tb\"").is_err());
+        let escaped = format!("\"{}\"", escape("a\tb\u{1}"));
+        assert_eq!(parse(&escaped).unwrap().as_str(), Some("a\tb\u{1}"));
     }
 
     #[test]

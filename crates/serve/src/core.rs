@@ -12,13 +12,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use salam::standalone::{try_run_kernel_controlled, StandaloneConfig};
+use salam::standalone::{RunOptions, StandaloneConfig};
 use salam_dse::{
     run_replay_sweep, run_sweep, CacheId, DseOptions, EngineKind, KernelSpec, Lookup, PointOutcome,
     ReplayOptions, ResultCache, StandalonePoint, SweepJob, SweepSpec, SweepTable,
 };
 use salam_fault::FaultPlan;
-use salam_obs::{MetricsRegistry, SpanId, TraceRecorder};
+use salam_obs::{json, MetricsRegistry, SpanId, TraceRecorder};
 use salam_resilience::{
     BackoffPolicy, BreakerConfig, BreakerDecision, BreakerSet, CancelToken, Journal, StopReason,
 };
@@ -1118,8 +1118,8 @@ impl ServeCore {
             ("table", JobOutcome::Sweep { json, .. }) => Ok(json.clone()),
             ("error", JobOutcome::Error { label, message }) => Ok(format!(
                 "{{\"label\": \"{}\", \"message\": \"{}\"}}",
-                crate::wire::escape(label),
-                crate::wire::escape(message)
+                json::escape(label),
+                json::escape(message)
             )),
             _ => Err(format!("job {id} ({}) has no '{kind}' artifact", j.kind)),
         }
@@ -1245,7 +1245,7 @@ impl ServeCore {
             if !classes.is_empty() {
                 classes.push_str(", ");
             }
-            classes.push_str(&format!("\"{}\": {}", crate::wire::escape(class), block(h)));
+            classes.push_str(&format!("\"{}\": {}", json::escape(class), block(h)));
         }
         let total = st
             .telemetry
@@ -1634,15 +1634,14 @@ fn run_single(
             {
                 panic!("chaos: injected worker panic");
             }
-            try_run_kernel_controlled(
-                &point.kernel.build(),
-                &point.config,
-                &shared,
-                plan,
-                &inner.flight,
+            let opts = RunOptions {
+                trace: shared.clone(),
+                fault: plan.copied(),
+                flight: inner.flight.clone(),
                 trace_id,
-                cancel,
-            )
+                cancel: cancel.clone(),
+            };
+            salam::standalone::run(&point.kernel.build(), &point.config, &opts)
         }));
         let mut watchdog_json = None;
         let outcome = match result {
@@ -1794,8 +1793,8 @@ fn job_terminal(
             j.postmortem = Some(format!(
                 "{{\"job\": {id}, \"trace_id\": \"{trace_id:016x}\", \"label\": \"{}\", \
                  \"message\": \"{}\", \"watchdog\": {}, \"flight\": {}}}",
-                crate::wire::escape(label),
-                crate::wire::escape(message),
+                json::escape(label),
+                json::escape(message),
                 extras.watchdog_json.unwrap_or("null"),
                 inner.flight.tail_json(POSTMORTEM_FLIGHT_EVENTS),
             ));

@@ -23,6 +23,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use salam_obs::json;
+
 use crate::core::{ServeConfig, ServeCore};
 use crate::wire::{self, Request};
 
@@ -239,11 +241,11 @@ fn respond(core: &ServeCore, line: &str, stop: &AtomicBool) -> String {
         Request::Metrics => wire::raw_ok("metrics", &core.metrics().to_json().replace('\n', " ")),
         Request::MetricsProm => wire::raw_ok(
             "prom",
-            &format!("\"{}\"", wire::escape(&core.metrics_prom())),
+            &format!("\"{}\"", json::escape(&core.metrics_prom())),
         ),
         Request::Stats => wire::raw_ok(
             "stats",
-            &format!("\"{}\"", wire::escape(&core.stats_line())),
+            &format!("\"{}\"", json::escape(&core.stats_line())),
         ),
         Request::Shutdown => {
             // The accept loop and core are torn down after the response is
@@ -403,7 +405,7 @@ fn http_route(
             JSON,
             wire::raw_ok(
                 "stats",
-                &format!("\"{}\"", wire::escape(&core.stats_line())),
+                &format!("\"{}\"", json::escape(&core.stats_line())),
             ),
         ),
         // Liveness: the process is up and serving sockets.

@@ -25,7 +25,7 @@
 //! Responses always carry `"ok"`; failures add a stable `code`.
 
 use salam_fault::FaultPlan;
-use salam_obs::json::{self, Value};
+use salam_obs::json::{self, escape, Value};
 
 use crate::job::{JobId, JobRequest, JobStatus, Rejection, WireAxis};
 
@@ -65,12 +65,6 @@ pub enum Request {
     Stats,
     /// Stop accepting jobs and shut the server down.
     Shutdown,
-}
-
-/// Escapes a string for embedding in a JSON literal (shared with every
-/// other JSON writer in the workspace via [`salam_obs::json::escape`]).
-pub fn escape(s: &str) -> String {
-    json::escape(s)
 }
 
 fn need_str(v: &Value, key: &str) -> Result<String, String> {

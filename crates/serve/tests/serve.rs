@@ -4,7 +4,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use salam::standalone::{try_run_kernel_traced, StandaloneConfig};
+use salam::standalone::{try_run_kernel, StandaloneConfig};
 use salam_serve::{
     JobLookupError, JobRequest, JobState, Rejection, ServeConfig, ServeCore, Server, TenantQuota,
     WireAxis,
@@ -37,8 +37,7 @@ fn direct_report_json(bench: machsuite::Bench, knobs: &[(&str, u64)]) -> String 
     for (k, v) in knobs {
         salam_serve::job::apply_knob(&mut cfg, k, *v).unwrap();
     }
-    let trace = salam_obs::SharedTrace::disabled();
-    try_run_kernel_traced(&bench.build_standard(), &cfg, &trace, None)
+    try_run_kernel(&bench.build_standard(), &cfg)
         .expect("direct run succeeds")
         .to_json()
 }

@@ -8,6 +8,7 @@
 use std::fmt;
 
 use salam_ir::{BuildError, ParseError};
+use salam_obs::json::escape;
 
 /// How bad a finding is. Ordering is `Info < Warning < Error`, so
 /// `diags.iter().map(|d| d.severity).max()` yields the worst.
@@ -128,12 +129,12 @@ impl Diagnostic {
             "{{\"severity\":\"{}\",\"code\":\"{}\",\"function\":\"{}\",\"block\":{},\"message\":\"{}\"}}",
             self.severity,
             self.code,
-            json_escape(&self.span.function),
+            escape(&self.span.function),
             match &self.span.block {
-                Some(b) => format!("\"{}\"", json_escape(b)),
+                Some(b) => format!("\"{}\"", escape(b)),
                 None => "null".to_string(),
             },
-            json_escape(&self.message),
+            escape(&self.message),
         )
     }
 }
@@ -146,21 +147,6 @@ impl fmt::Display for Diagnostic {
             self.severity, self.code, self.span, self.message
         )
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Number of [`Severity::Error`] diagnostics.

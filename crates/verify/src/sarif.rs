@@ -13,7 +13,9 @@
 
 use std::collections::BTreeSet;
 
-use crate::diag::{codes, json_escape, Diagnostic, Severity};
+use salam_obs::json::escape;
+
+use crate::diag::{codes, Diagnostic, Severity};
 
 /// The SARIF level string for a severity.
 fn level(s: Severity) -> &'static str {
@@ -36,8 +38,8 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
         rules.push(format!(
             "            {{\n              \"id\": \"{}\",\n              \
              \"shortDescription\": {{ \"text\": \"{}\" }}\n            }}",
-            json_escape(code),
-            json_escape(desc)
+            escape(code),
+            escape(desc)
         ));
     }
     let mut results = Vec::new();
@@ -53,10 +55,10 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
              {{\n              \"logicalLocations\": [\n                \
              {{ \"fullyQualifiedName\": \"{}\", \"kind\": \"function\" }}\n              \
              ]\n            }}\n          ]\n        }}",
-            json_escape(d.code),
+            escape(d.code),
             level(d.severity),
-            json_escape(&d.message),
-            json_escape(&fqn)
+            escape(&d.message),
+            escape(&fqn)
         ));
     }
     format!(

@@ -16,9 +16,7 @@ use std::fmt::Write as _;
 
 use hw_profile::FuKind;
 use machsuite::Bench;
-use salam::standalone::{
-    run_kernel_cached, run_kernel_traced, try_run_kernel, try_run_kernel_faulted, StandaloneConfig,
-};
+use salam::standalone::{run, run_kernel_cached, try_run_kernel, RunOptions, StandaloneConfig};
 use salam_bench::runners::tuned_standalone;
 use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_dse::fnv::fnv1a64;
@@ -176,7 +174,11 @@ fn fault_cache_and_trace_paths_are_pinned() {
         port_busy_rate: 0.2,
         ..FaultPlan::seeded(0x5A1A)
     };
-    let faulted = try_run_kernel_faulted(&gemm, &cfg, &plan).expect("no drops, so it finishes");
+    let opts = RunOptions {
+        fault: Some(plan),
+        ..RunOptions::default()
+    };
+    let faulted = run(&gemm, &cfg, &opts).expect("no drops, so it finishes");
     writeln!(
         table,
         "faulted-gemm {} {}",
@@ -229,9 +231,13 @@ fn fault_cache_and_trace_paths_are_pinned() {
     .expect("write to string");
 
     for bench in [Bench::SpmvCrs, Bench::Nw] {
-        let trace = salam_obs::SharedTrace::enabled();
-        run_kernel_traced(&bench.build_standard(), &tuned_standalone(bench), &trace);
-        let json = trace
+        let opts = RunOptions {
+            trace: salam_obs::SharedTrace::enabled(),
+            ..RunOptions::default()
+        };
+        run(&bench.build_standard(), &tuned_standalone(bench), &opts).expect("traced run");
+        let json = opts
+            .trace
             .with_recorder(salam_obs::export_chrome_json)
             .expect("enabled handle");
         writeln!(table, "trace-{} {}", bench.label(), digest(&json)).expect("write to string");

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use salam::standalone::{run_kernel, run_kernel_traced, StandaloneConfig};
+use salam::standalone::{run, run_kernel, RunOptions, StandaloneConfig};
 use salam_bench::runners::run_kernel_observed;
 use salam_obs::{export_chrome_json, json, MetricsRegistry, SharedTrace};
 
@@ -13,9 +13,13 @@ fn gemm() -> machsuite::BuiltKernel {
 }
 
 fn traced_gemm() -> (salam::RunReport, String) {
-    let trace = SharedTrace::enabled();
-    let report = run_kernel_traced(&gemm(), &StandaloneConfig::default(), &trace);
-    let text = trace
+    let opts = RunOptions {
+        trace: SharedTrace::enabled(),
+        ..RunOptions::default()
+    };
+    let report = run(&gemm(), &StandaloneConfig::default(), &opts).expect("traced run");
+    let text = opts
+        .trace
         .with_recorder(export_chrome_json)
         .expect("trace enabled");
     (report, text)
