@@ -106,7 +106,6 @@ impl FlightRecorder {
             .unwrap_or(0)
     }
 
-    /// Number of events currently held.
     /// Number of events currently held (0 when disabled).
     pub fn len(&self) -> usize {
         self.inner
