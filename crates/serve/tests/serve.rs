@@ -638,6 +638,162 @@ fn telemetry_records_latency_histograms_and_prometheus_exposition() {
     core.shutdown();
 }
 
+/// The observable metrics surface of a fixed job mix: the exact JSON key
+/// set, one `# TYPE` line per Prometheus family, and the stats-line field
+/// list documented in DESIGN.md §11.
+#[test]
+fn metrics_surface_is_pinned() {
+    let core = ServeCore::start(ServeConfig {
+        no_cache: true,
+        ..cfg("surface")
+    });
+    let a = core.submit("alice", kernel_job("bfs", &[])).unwrap();
+    let b = core
+        .submit("bob", kernel_job("gemm", &[("ports", 2)]))
+        .unwrap();
+    let s = core
+        .submit(
+            "bob",
+            JobRequest::Sweep {
+                name: "ports".into(),
+                kernels: vec!["spmv".into()],
+                axes: vec![WireAxis {
+                    knob: "ports".into(),
+                    values: vec![1, 2],
+                }],
+                replay: false,
+            },
+        )
+        .unwrap();
+    let rejected = core
+        .submit("alice", kernel_job("nonesuch", &[]))
+        .unwrap_err();
+    assert_eq!(rejected.code, "bad-request");
+    for id in [a, b, s] {
+        assert_eq!(core.wait(id).unwrap().state, JobState::Done);
+    }
+
+    let json = salam_obs::json::parse(&core.metrics().to_json()).unwrap();
+    let mut keys: Vec<&str> = json
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    keys.sort_unstable();
+    let hist = |base: &str| -> Vec<String> {
+        ["count", "max", "mean", "p50", "p95", "p99"]
+            .iter()
+            .map(|s| format!("{base}.{s}"))
+            .collect()
+    };
+    let mut want: Vec<String> = [
+        "dse.points.simulated",
+        "serve.breaker.fastfail",
+        "serve.cache_hits",
+        "serve.flight.dropped",
+        "serve.jobs.cancelled",
+        "serve.jobs.coalesced",
+        "serve.jobs.degraded",
+        "serve.jobs.done",
+        "serve.jobs.failed",
+        "serve.jobs.queued",
+        "serve.jobs.recovered",
+        "serve.jobs.rejected",
+        "serve.jobs.running",
+        "serve.jobs.shed",
+        "serve.jobs.submitted",
+        "serve.jobs.timeout",
+        "serve.sim_runs",
+    ]
+    .iter()
+    .map(|k| k.to_string())
+    .collect();
+    for t in ["alice", "bob"] {
+        for c in [
+            "cache_hits",
+            "coalesced",
+            "completed",
+            "failed",
+            "rejected",
+            "submitted",
+        ] {
+            want.push(format!("serve.tenant.{t}.{c}"));
+        }
+    }
+    want.extend(hist("dse.point.cycles"));
+    for lat in ["e2e_us", "queue_us", "run_us"] {
+        let base = format!("serve.latency.{lat}");
+        want.extend(hist(&base));
+        want.extend(hist(&format!("{base}.class.kernel")));
+        want.extend(hist(&format!("{base}.class.sweep")));
+        if lat != "run_us" {
+            want.extend(hist(&format!("{base}.tenant.alice")));
+            want.extend(hist(&format!("{base}.tenant.bob")));
+        }
+    }
+    want.sort_unstable();
+    assert_eq!(keys, want);
+
+    // Every family is declared once, and every sample belongs to a
+    // declared family (histograms through their three series suffixes).
+    let prom = core.metrics_prom();
+    let mut families: Vec<(&str, &str)> = Vec::new();
+    for line in prom.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+        let (family, kind) = line.split_once(' ').unwrap();
+        assert!(
+            families.iter().all(|(f, _)| *f != family),
+            "family {family} declared twice:\n{prom}"
+        );
+        families.push((family, kind));
+    }
+    for sample in prom.lines().filter(|l| !l.starts_with('#')) {
+        let name = sample.split(['{', ' ']).next().unwrap();
+        let declared = families.iter().any(|(f, kind)| {
+            name == *f
+                || (*kind == "histogram"
+                    && ["_bucket", "_sum", "_count"]
+                        .iter()
+                        .any(|s| name.strip_suffix(s) == Some(*f)))
+        });
+        assert!(declared, "sample {sample} has no # TYPE line:\n{prom}");
+    }
+
+    let line = core.stats_line();
+    let fields: Vec<(&str, &str)> = line
+        .split(' ')
+        .map(|f| f.split_once('=').unwrap())
+        .collect();
+    let names: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
+    assert_eq!(
+        names,
+        [
+            "jobs",
+            "done",
+            "failed",
+            "rejected",
+            "coalesced",
+            "cache_hits",
+            "sim_runs",
+            "e2e_p50_ms",
+            "e2e_p99_ms",
+            "shed",
+            "cancelled"
+        ]
+    );
+    let counts: Vec<&str> = fields
+        .iter()
+        .filter(|(k, _)| !k.starts_with("e2e_"))
+        .map(|(_, v)| *v)
+        .collect();
+    assert_eq!(counts, ["3", "3", "0", "1", "0", "0", "4", "0", "0"]);
+    for (k, v) in fields.iter().filter(|(k, _)| k.starts_with("e2e_")) {
+        let (_, frac) = v.split_once('.').unwrap_or_else(|| panic!("{k}={v}"));
+        assert_eq!(frac.len(), 3, "{k}={v} carries three decimals");
+    }
+    core.shutdown();
+}
+
 #[test]
 fn every_job_gets_a_lifecycle_trace_and_telemetry_off_restores_the_baseline() {
     // Telemetry on (the default): even an untraced job serves a span-tree
