@@ -78,7 +78,7 @@ pub use spec::{Axis, KernelSpec, StandalonePoint, SweepSpec};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use salam_telemetry::Telemetry;
+use salam_obs::MetricsRegistry;
 
 /// One unit of sweep work: an identity for the cache and a way to produce
 /// the result. Implemented by [`StandalonePoint`] for datapath+SPM runs;
@@ -107,7 +107,7 @@ pub trait SweepJob: Sync {
     /// hits included — so whatever is recorded here is a pure function of
     /// the point set, independent of cache state and worker count. The
     /// default records nothing.
-    fn record_telemetry(&self, _output: &Self::Output, _tel: &mut salam_telemetry::Telemetry) {}
+    fn record_telemetry(&self, _output: &Self::Output, _tel: &mut MetricsRegistry) {}
 }
 
 /// References delegate, so sweep drivers can run arbitrary sub-slices
@@ -128,7 +128,7 @@ impl<J: SweepJob> SweepJob for &J {
         (**self).run()
     }
 
-    fn record_telemetry(&self, output: &Self::Output, tel: &mut salam_telemetry::Telemetry) {
+    fn record_telemetry(&self, output: &Self::Output, tel: &mut MetricsRegistry) {
         (**self).record_telemetry(output, tel)
     }
 }
@@ -375,12 +375,12 @@ pub struct SweepRun<T> {
     pub workers: usize,
     /// Wall-clock time of the whole sweep.
     pub wall: Duration,
-    /// Typed telemetry accumulated across workers: `dse.points.*`
+    /// Typed metrics accumulated across workers: `dse.points.*`
     /// counters plus whatever [`SweepJob::record_telemetry`] contributed.
     /// Per-worker shards merge commutatively, so counters and histogram
     /// buckets (and therefore quantiles) are identical for any
     /// `SALAM_JOBS` value.
-    pub telemetry: Telemetry,
+    pub telemetry: MetricsRegistry,
 }
 
 impl<T> SweepRun<T> {
@@ -488,11 +488,11 @@ pub fn run_sweep<J: SweepJob>(jobs: &[J], opts: &DseOptions) -> SweepRun<J::Outp
     }
 
     type Isolated<T> = (Provenance, Result<T, PointError>);
-    let (results, shards): (Vec<Isolated<J::Output>>, Vec<Telemetry>) = run_parallel_with(
+    let (results, shards): (Vec<Isolated<J::Output>>, Vec<MetricsRegistry>) = run_parallel_with(
         jobs.len(),
         workers,
-        Telemetry::new,
-        |i, tel: &mut Telemetry| {
+        MetricsRegistry::new,
+        |i, tel: &mut MetricsRegistry| {
             let job = &jobs[i];
             // Pre-flight before the cache probe: an invalid point must not
             // consume a simulation slot, and caching it would make a later
@@ -503,7 +503,7 @@ pub fn run_sweep<J: SweepJob>(jobs: &[J], opts: &DseOptions) -> SweepRun<J::Outp
             }
             let finish = |provenance: Provenance,
                           result: Result<J::Output, JobFailure>,
-                          tel: &mut Telemetry| {
+                          tel: &mut MetricsRegistry| {
                 match &result {
                     Ok(out) => {
                         tel.counter_add(
@@ -551,7 +551,7 @@ pub fn run_sweep<J: SweepJob>(jobs: &[J], opts: &DseOptions) -> SweepRun<J::Outp
             finish(provenance, result, tel)
         },
     );
-    let mut telemetry = Telemetry::new();
+    let mut telemetry = MetricsRegistry::new();
     for shard in &shards {
         telemetry.merge_from(shard);
     }

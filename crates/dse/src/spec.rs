@@ -296,7 +296,7 @@ impl SweepJob for StandalonePoint {
     /// histogram. Called for cache hits and fresh simulations alike, so the
     /// histogram is a pure function of the point set — independent of cache
     /// state, worker count and merge order.
-    fn record_telemetry(&self, output: &RunReport, tel: &mut salam_telemetry::Telemetry) {
+    fn record_telemetry(&self, output: &RunReport, tel: &mut salam_obs::MetricsRegistry) {
         tel.record("dse.point.cycles", output.cycles);
     }
 }

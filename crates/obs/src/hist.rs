@@ -194,7 +194,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use salam_obs::SplitMix64;
+    use crate::SplitMix64;
 
     #[test]
     fn small_values_are_exact() {

@@ -12,9 +12,11 @@
 //! * [`chrome`] — serialises a recorder into Chrome `trace_event` JSON so
 //!   any run opens in Perfetto or `chrome://tracing`, one track per
 //!   component, overlapping spans fanned out onto lanes.
-//! * [`registry`] — a [`MetricsRegistry`] of dotted-path metrics
-//!   (`cluster0.gemm.engine.stall_cycles`) unifying component stats,
-//!   engine stats and memsys counters behind one JSON/table dump.
+//! * [`registry`] — the one [`MetricsRegistry`]: typed counters, gauges
+//!   and [`Histogram`]s ([`hist`]) under dotted-path names
+//!   (`cluster0.gemm.engine.stall_cycles`), unifying component stats,
+//!   engine stats, sweep and serve metrics behind one key-sorted JSON,
+//!   table and Prometheus ([`MetricsRegistry::to_prom`]) export.
 //!
 //! The profiling layer builds on the spine: [`profile`] defines the
 //! per-cycle attribution taxonomy ([`profile::Attribution`]) and the
@@ -33,17 +35,20 @@
 pub mod chrome;
 pub mod critpath;
 pub mod det;
+pub mod hist;
 pub mod json;
 pub mod profile;
+mod prom;
 pub mod registry;
 pub mod trace;
 
 pub use chrome::{export_chrome_json, write_chrome_trace};
 pub use critpath::{analyze, CritPath};
 pub use det::SplitMix64;
+pub use hist::Histogram;
 pub use profile::{
     depstream_to_trace, Attribution, CycleClass, DepMeta, DepOp, DepStream, OpKind,
     DEPSTREAM_FORMAT_VERSION,
 };
-pub use registry::MetricsRegistry;
+pub use registry::{labeled, Metric, MetricsRegistry};
 pub use trace::{SharedTrace, SpanId, TraceEvent, TraceRecorder, TraceSink, TrackId};

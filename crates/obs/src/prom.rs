@@ -1,7 +1,6 @@
 //! Prometheus text exposition (version 0.0.4).
 //!
-//! Encodes a [`Telemetry`] registry — and optionally the gauges of an
-//! existing [`MetricsRegistry`] — as the plain-text format every
+//! Renders a [`MetricsRegistry`] in the plain-text format every
 //! Prometheus-compatible scraper understands:
 //!
 //! ```text
@@ -16,11 +15,15 @@
 //!
 //! Metric names are sanitized to `[a-zA-Z0-9_:]` (dots become
 //! underscores); label values get the exposition escapes (`\\`, `\"`,
-//! `\n`). Families sharing a base name emit one `# TYPE` line followed by
-//! every labeled sample, as the format requires.
+//! `\n`). Each family emits one `# TYPE` line followed by every labeled
+//! sample, as the format requires. Families are grouped by sanitized name,
+//! not by key adjacency: in key order `a.b` < `a.b.c` < `a.b{…}`, so the
+//! labeled variants of one family need not be neighbours.
 
-use crate::{split_labels, Histogram, Telemetry};
-use salam_obs::MetricsRegistry;
+use std::collections::BTreeMap;
+
+use crate::hist::Histogram;
+use crate::registry::{split_labels, Metric, MetricsRegistry};
 
 /// Sanitizes a metric (family) name: Prometheus allows
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`, so dots and anything else exotic become
@@ -108,131 +111,46 @@ fn encode_histogram(out: &mut String, family: &str, labels: &str, h: &Histogram)
     sample_line(out, family, "_count", labels, &h.count().to_string());
 }
 
-/// Formats a gauge value; Prometheus spells non-finite values out.
-fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v.is_infinite() {
-        if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Emits one metric kind: groups consecutive keys by family so each
-/// family gets a single `# TYPE` line. Keys arrive in BTreeMap order, so
-/// all labeled variants of a family are adjacent.
-fn encode_kind<'a, I, F>(out: &mut String, kind: &str, entries: I, mut emit: F)
-where
-    I: Iterator<Item = (&'a str, String, String)>,
-    F: FnMut(&mut String, &str, &str, &str),
-{
-    let mut last_family = String::new();
-    for (key, family, labels) in entries {
-        if family != last_family {
-            out.push_str("# TYPE ");
-            out.push_str(&family);
-            out.push(' ');
-            out.push_str(kind);
-            out.push('\n');
-            last_family = family.clone();
+impl MetricsRegistry {
+    /// The Prometheus text exposition of every metric: counters and
+    /// gauges as scalar samples, histograms as cumulative
+    /// `_bucket`/`_sum`/`_count` series. Non-finite gauges are skipped — a
+    /// NaN snapshot carries nothing a scraper can use.
+    pub fn to_prom(&self) -> String {
+        // family → (kind of its first metric, rendered samples).
+        let mut families: BTreeMap<String, (&str, String)> = BTreeMap::new();
+        for (key, metric) in self.iter() {
+            if matches!(metric, Metric::Gauge(v) if !v.is_finite()) {
+                continue;
+            }
+            let (family, labels) = family_and_labels(key);
+            let kind = match metric {
+                Metric::Counter(_) => "counter",
+                Metric::Gauge(_) => "gauge",
+                Metric::Hist(_) => "histogram",
+            };
+            let (_, body) = families
+                .entry(family.clone())
+                .or_insert_with(|| (kind, String::new()));
+            match metric {
+                Metric::Counter(n) => sample_line(body, &family, "", &labels, &n.to_string()),
+                Metric::Gauge(v) => sample_line(body, &family, "", &labels, &format!("{v}")),
+                Metric::Hist(h) => encode_histogram(body, &family, &labels, h),
+            }
         }
-        emit(out, key, &family, &labels);
-    }
-}
-
-/// Encodes `t` alone.
-pub fn encode(t: &Telemetry) -> String {
-    encode_with_gauges(t, &MetricsRegistry::new())
-}
-
-/// Encodes `t` plus every finite entry of `reg` as an untyped gauge —
-/// the bridge that exposes the existing JSON `/metrics` content to a
-/// Prometheus scraper from the same endpoint.
-pub fn encode_with_gauges(t: &Telemetry, reg: &MetricsRegistry) -> String {
-    let mut out = String::new();
-
-    let counters: Vec<_> = t
-        .counters()
-        .map(|(k, _)| {
-            let (f, l) = family_and_labels(k);
-            (k, f, l)
-        })
-        .collect();
-    encode_kind(
-        &mut out,
-        "counter",
-        counters.into_iter(),
-        |out, key, family, labels| {
-            sample_line(out, family, "", labels, &t.counter(key).to_string());
-        },
-    );
-
-    let gauges: Vec<_> = t
-        .gauges()
-        .map(|(k, _)| {
-            let (f, l) = family_and_labels(k);
-            (k, f, l)
-        })
-        .collect();
-    encode_kind(
-        &mut out,
-        "gauge",
-        gauges.into_iter(),
-        |out, key, family, labels| {
-            sample_line(
-                out,
-                family,
-                "",
-                labels,
-                &fmt_f64(t.gauge(key).unwrap_or(0.0)),
-            );
-        },
-    );
-
-    let hists: Vec<_> = t
-        .hists()
-        .map(|(k, _)| {
-            let (f, l) = family_and_labels(k);
-            (k, f, l)
-        })
-        .collect();
-    encode_kind(
-        &mut out,
-        "histogram",
-        hists.into_iter(),
-        |out, key, family, labels| {
-            encode_histogram(out, family, labels, t.hist(key).expect("hist key"));
-        },
-    );
-
-    // Registry gauges last: stable insertion order, skip non-finite
-    // (exposition has spellings for them, but a point-in-time snapshot
-    // gauge that is NaN carries no information a scraper can use).
-    let reg_entries: Vec<_> = reg
-        .entries()
-        .iter()
-        .filter(|(_, v)| v.is_finite())
-        .map(|(k, v)| (sanitize_name(k), *v))
-        .collect();
-    let mut last = "";
-    for (name, v) in &reg_entries {
-        if name != last {
-            out.push_str("# TYPE ");
-            out.push_str(name);
-            out.push_str(" gauge\n");
-            last = name;
+        let mut out = String::new();
+        for (family, (kind, body)) in families {
+            out.push_str(&format!("# TYPE {family} {kind}\n"));
+            out.push_str(&body);
         }
-        sample_line(&mut out, name, "", "", &fmt_f64(*v));
+        out
     }
-
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labeled;
+    use crate::registry::labeled;
 
     #[test]
     fn names_are_sanitized() {
@@ -244,22 +162,22 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_expose() {
-        let mut t = Telemetry::new();
+        let mut t = MetricsRegistry::new();
         t.counter_add("serve.jobs.done", 3);
-        t.gauge_set(&labeled("queue.depth", &[("class", "cpu")]), 2.0);
-        let text = encode(&t);
+        t.set(&labeled("queue.depth", &[("class", "cpu")]), 2.0);
+        let text = t.to_prom();
         assert!(text.contains("# TYPE serve_jobs_done counter\nserve_jobs_done 3\n"));
         assert!(text.contains("# TYPE queue_depth gauge\nqueue_depth{class=\"cpu\"} 2\n"));
     }
 
     #[test]
     fn histogram_series_are_cumulative_and_complete() {
-        let mut t = Telemetry::new();
+        let mut t = MetricsRegistry::new();
         let key = labeled("lat_us", &[("class", "regular")]);
         for v in [1u64, 1, 2, 100] {
             t.record(&key, v);
         }
-        let text = encode(&t);
+        let text = t.to_prom();
         assert!(text.contains("# TYPE lat_us histogram\n"));
         assert!(text.contains("lat_us_bucket{class=\"regular\",le=\"1\"} 2\n"));
         assert!(text.contains("lat_us_bucket{class=\"regular\",le=\"2\"} 3\n"));
@@ -277,11 +195,14 @@ mod tests {
 
     #[test]
     fn one_type_line_per_family() {
-        let mut t = Telemetry::new();
+        let mut t = MetricsRegistry::new();
         t.record(&labeled("lat_us", &[("class", "cpu")]), 5);
         t.record(&labeled("lat_us", &[("class", "regular")]), 7);
         t.record("lat_us", 6);
-        let text = encode(&t);
+        // Sorts between `lat_us` and `lat_us{…}`, splitting the family's
+        // keys apart in key order.
+        t.counter_add("lat_us.extra", 1);
+        let text = t.to_prom();
         let type_lines = text
             .lines()
             .filter(|l| *l == "# TYPE lat_us histogram")
@@ -294,20 +215,19 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped() {
-        let mut t = Telemetry::new();
+        let mut t = MetricsRegistry::new();
         t.counter_add(&labeled("hits", &[("tenant", "we\"ird\nname")]), 1);
-        let text = encode(&t);
+        let text = t.to_prom();
         assert!(text.contains("hits{tenant=\"we\\\"ird\\nname\"} 1\n"));
     }
 
     #[test]
     fn registry_gauges_ride_along() {
-        let t = Telemetry::new();
         let mut reg = MetricsRegistry::new();
-        reg.set("serve.jobs.submitted", 4.0);
+        reg.set("serve.cache.entries", 4.0);
         reg.set("bad", f64::NAN);
-        let text = encode_with_gauges(&t, &reg);
-        assert!(text.contains("# TYPE serve_jobs_submitted gauge\nserve_jobs_submitted 4\n"));
+        let text = reg.to_prom();
+        assert!(text.contains("# TYPE serve_cache_entries gauge\nserve_cache_entries 4\n"));
         assert!(!text.contains("bad"));
     }
 }

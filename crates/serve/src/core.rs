@@ -18,11 +18,11 @@ use salam_dse::{
     ReplayOptions, ResultCache, StandalonePoint, SweepJob, SweepSpec, SweepTable,
 };
 use salam_fault::FaultPlan;
-use salam_obs::{json, MetricsRegistry, SpanId, TraceRecorder};
+use salam_obs::{json, labeled, Histogram, Metric, MetricsRegistry, SpanId, TraceRecorder};
 use salam_resilience::{
     BackoffPolicy, BreakerConfig, BreakerDecision, BreakerSet, CancelToken, Journal, StopReason,
 };
-use salam_telemetry::{flight, labeled, FlightRecorder, Histogram, JobTrace, Telemetry, TraceCtx};
+use salam_telemetry::{flight, FlightRecorder, JobTrace, TraceCtx};
 use salam_verify::{errors_only, to_json as diags_to_json, verify_ir, warning_count};
 
 use crate::job::{
@@ -138,14 +138,7 @@ pub struct SubmitOpts {
 /// What a job actually executes. Shared immutably with workers.
 #[derive(Debug)]
 enum Work {
-    Single {
-        point: Box<StandalonePoint>,
-        plan: Option<FaultPlan>,
-        trace: bool,
-        /// Chaos-mode job: the worker panics instead of simulating while
-        /// the injected-panic budget lasts (see [`ServeCore::inject_panics`]).
-        chaos: bool,
-    },
+    Single(SingleWork),
     Sweep {
         name: String,
         points: Vec<StandalonePoint>,
@@ -155,6 +148,17 @@ enum Work {
         /// `engine` column.
         replay: bool,
     },
+}
+
+/// One kernel or faulted run.
+#[derive(Debug)]
+struct SingleWork {
+    point: Box<StandalonePoint>,
+    plan: Option<FaultPlan>,
+    trace: bool,
+    /// Chaos-mode job: the worker panics instead of simulating while
+    /// the injected-panic budget lasts (see [`ServeCore::inject_panics`]).
+    chaos: bool,
 }
 
 /// One sweep point's finished row.
@@ -206,14 +210,10 @@ struct JobRecord {
     cancel: CancelToken,
 }
 
+/// A tenant's admission state; its counters live in [`State::metrics`]
+/// under `serve.tenant.<tenant>.*`.
 #[derive(Debug, Default, Clone)]
 struct TenantStats {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    rejected: u64,
-    coalesced: u64,
-    cache_hits: u64,
     /// Non-terminal jobs right now — kept incrementally so admission never
     /// scans the whole job table.
     active: u64,
@@ -233,31 +233,59 @@ struct State {
     /// single runs.
     inflight: HashMap<String, JobId>,
     tenants: BTreeMap<String, TenantStats>,
-    coalesced: u64,
-    cache_hits: u64,
-    sim_runs: u64,
-    rejected: u64,
-    /// Lifetime done/failed totals; the job table itself only retains the
-    /// last [`ServeConfig::retain_terminal`] terminal records per tenant.
-    done: u64,
-    failed: u64,
-    /// Submissions shed by overload protection.
-    shed: u64,
-    /// Jobs that finished with a `cancelled` / `timeout` outcome.
-    cancelled: u64,
-    timeouts: u64,
-    /// Sweeps downgraded to the replay engine under queue pressure.
-    degraded: u64,
-    /// Jobs re-admitted from the journal at startup.
-    recovered: u64,
-    /// Submissions fast-failed by an open circuit breaker.
-    breaker_fastfail: u64,
     /// The per-fingerprint circuit breakers (`None` when disabled).
     breaker: Option<BreakerSet>,
     retain_terminal: usize,
-    /// Typed metrics: latency histograms (queue/run/e2e, per class and
-    /// per tenant) plus counters/histograms merged in from sweep chunks.
-    telemetry: Telemetry,
+    /// Every counter and histogram the server keeps: the lifetime
+    /// [`SERVER_COUNTERS`], per-tenant `serve.tenant.<t>.*` counters,
+    /// latency histograms (queue/run/e2e, per class and per tenant) and
+    /// the counters/histograms merged in from sweep chunks. Lifetime
+    /// counts outlive the job table, which only retains the last
+    /// [`ServeConfig::retain_terminal`] terminal records per tenant.
+    metrics: MetricsRegistry,
+}
+
+/// Server-wide lifetime counters, declared at zero on start so a scrape
+/// lists them before anything has happened.
+const SERVER_COUNTERS: [&str; 13] = [
+    "serve.jobs.submitted",
+    "serve.jobs.done",
+    "serve.jobs.failed",
+    "serve.jobs.rejected",
+    "serve.jobs.coalesced",
+    "serve.jobs.shed",
+    "serve.jobs.cancelled",
+    "serve.jobs.timeout",
+    "serve.jobs.degraded",
+    "serve.jobs.recovered",
+    "serve.breaker.fastfail",
+    "serve.cache_hits",
+    "serve.sim_runs",
+];
+
+/// Per-tenant counters (`serve.tenant.<t>.<name>`), declared at zero when
+/// the tenant first submits.
+const TENANT_COUNTERS: [&str; 6] = [
+    "submitted",
+    "completed",
+    "failed",
+    "rejected",
+    "coalesced",
+    "cache_hits",
+];
+
+/// The metric key of one per-tenant counter.
+fn tenant_key(tenant: &str, name: &str) -> String {
+    format!("serve.tenant.{tenant}.{name}")
+}
+
+/// Tenant names become metric keys and label values, so they are held to
+/// `[A-Za-z0-9_-]{1,64}`: nothing that could close a label or split a key.
+fn valid_tenant(tenant: &str) -> bool {
+    (1..=64).contains(&tenant.len())
+        && tenant
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
 struct Inner {
@@ -325,21 +353,15 @@ impl ServeCore {
                 shutdown: false,
                 inflight: HashMap::new(),
                 tenants: BTreeMap::new(),
-                coalesced: 0,
-                cache_hits: 0,
-                sim_runs: 0,
-                rejected: 0,
-                done: 0,
-                failed: 0,
-                shed: 0,
-                cancelled: 0,
-                timeouts: 0,
-                degraded: 0,
-                recovered: 0,
-                breaker_fastfail: 0,
                 breaker: cfg.breaker.clone().map(BreakerSet::new),
                 retain_terminal: cfg.retain_terminal.max(1),
-                telemetry: Telemetry::new(),
+                metrics: {
+                    let mut m = MetricsRegistry::new();
+                    for key in SERVER_COUNTERS {
+                        m.counter_add(key, 0);
+                    }
+                    m
+                },
             }),
             cvar: Condvar::new(),
             cache,
@@ -425,7 +447,7 @@ impl ServeCore {
         }
         if recovered > 0 {
             let mut st = self.inner.state.lock().unwrap();
-            st.recovered = recovered;
+            st.metrics.counter_add("serve.jobs.recovered", recovered);
             drop(st);
             self.inner
                 .flight
@@ -467,11 +489,26 @@ impl ServeCore {
         force_id: Option<JobId>,
     ) -> Result<JobId, Rejection> {
         let gated = force_id.is_none();
+        if !valid_tenant(tenant) {
+            let mut st = self.inner.state.lock().unwrap();
+            st.metrics.counter_add("serve.jobs.rejected", 1);
+            return Err(Rejection::new(
+                "bad-request",
+                "tenant name must be 1-64 characters of [A-Za-z0-9_-]",
+            ));
+        }
         let prepared = self.prepare(&req);
         let mut st = self.inner.state.lock().unwrap();
+        if !st.tenants.contains_key(tenant) {
+            st.tenants
+                .insert(tenant.to_string(), TenantStats::default());
+            for name in TENANT_COUNTERS {
+                st.metrics.counter_add(&tenant_key(tenant, name), 0);
+            }
+        }
         let reject = |st: &mut State, r: Rejection| {
-            st.rejected += 1;
-            st.tenants.entry(tenant.to_string()).or_default().rejected += 1;
+            st.metrics.counter_add("serve.jobs.rejected", 1);
+            st.metrics.counter_add(&tenant_key(tenant, "rejected"), 1);
             self.inner.flight.record(
                 0,
                 "admission",
@@ -498,7 +535,7 @@ impl ServeCore {
                 };
                 let pending = st.sched.queued();
                 if pending >= limit.max(1) {
-                    st.shed += 1;
+                    st.metrics.counter_add("serve.jobs.shed", 1);
                     let retry_after_ms = ((pending as u64) * 20).clamp(100, 2000);
                     return reject(
                         &mut st,
@@ -533,12 +570,12 @@ impl ServeCore {
         // can veto before any state is allocated. Chaos jobs get their own
         // fingerprint space — they must never coalesce with real runs.
         let fingerprint = match &work {
-            Work::Single {
+            Work::Single(SingleWork {
                 point,
                 plan,
                 trace: false,
                 chaos,
-            } => {
+            }) => {
                 let fp = single_fingerprint(point, plan.as_ref());
                 Some(if *chaos {
                     format!("chaos\u{0}{fp}")
@@ -564,7 +601,7 @@ impl ServeCore {
                             .record(0, "breaker", format!("fp={} probe", fp8(fp)));
                     }
                     BreakerDecision::FastFail { retry_after_ms } => {
-                        st.breaker_fastfail += 1;
+                        st.metrics.counter_add("serve.breaker.fastfail", 1);
                         return reject(
                             &mut st,
                             Rejection::new(
@@ -584,7 +621,7 @@ impl ServeCore {
                 if let Work::Sweep { replay, .. } = &mut work {
                     if !*replay {
                         *replay = true;
-                        st.degraded += 1;
+                        st.metrics.counter_add("serve.jobs.degraded", 1);
                         self.inner.flight.record(
                             0,
                             "admission",
@@ -602,9 +639,9 @@ impl ServeCore {
         st.next_id = st.next_id.max(id + 1);
         st.submit_seq += 1;
         let seq = st.submit_seq;
-        let stats = st.tenants.entry(tenant.to_string()).or_default();
-        stats.submitted += 1;
-        stats.active += 1;
+        st.metrics.counter_add("serve.jobs.submitted", 1);
+        st.metrics.counter_add(&tenant_key(tenant, "submitted"), 1);
+        st.tenants.entry(tenant.to_string()).or_default().active += 1;
 
         // Journal the admission before the job becomes runnable: a crash
         // after this line re-admits the job, a crash before it rejects the
@@ -652,15 +689,15 @@ impl ServeCore {
             format!("submit id={id} tenant={tenant} kind={}", record.kind),
         );
         match record.work.as_ref() {
-            Work::Single { .. } => {
+            Work::Single(_) => {
                 // Coalesce onto an identical in-flight run: the follower
                 // never takes a slot; it completes with the leader.
                 let fp = fingerprint;
                 record.fingerprint = fp.clone();
                 let leader = fp.as_ref().and_then(|f| st.inflight.get(f).copied());
                 if let Some(leader_id) = leader {
-                    st.coalesced += 1;
-                    st.tenants.entry(tenant.to_string()).or_default().coalesced += 1;
+                    st.metrics.counter_add("serve.jobs.coalesced", 1);
+                    st.metrics.counter_add(&tenant_key(tenant, "coalesced"), 1);
                     if let Some(jt) = record.trace.clone() {
                         jt.instant(jt.request, "coalesced", now);
                     }
@@ -798,12 +835,12 @@ impl ServeCore {
                 let chaos = self.inner.cfg.chaos && bench == "__chaos-panic";
                 let (point, lint) = single(if chaos { "gemm" } else { bench }, knobs)?;
                 Ok((
-                    Work::Single {
+                    Work::Single(SingleWork {
                         point: Box::new(point),
                         plan: None,
                         trace: *trace,
                         chaos,
-                    },
+                    }),
                     lint,
                 ))
             }
@@ -839,12 +876,12 @@ impl ServeCore {
                     }
                 }
                 Ok((
-                    Work::Single {
+                    Work::Single(SingleWork {
                         point: Box::new(point),
                         plan: Some(*plan),
                         trace: false,
                         chaos: false,
-                    },
+                    }),
                     lint,
                 ))
             }
@@ -1007,7 +1044,7 @@ impl ServeCore {
                     token.cancel();
                 }
             }
-            Work::Single { .. } => {
+            Work::Single(_) => {
                 let is_leader = match fp.as_ref() {
                     Some(f) => st.inflight.get(f) == Some(&id),
                     // Uncoalescable (traced) singles own their task.
@@ -1125,69 +1162,35 @@ impl ServeCore {
         }
     }
 
-    /// A full metrics dump: job/tenant counters plus cache occupancy and
-    /// the typed telemetry (histograms expand to `.count/.p50/…` gauges).
+    /// A full metrics dump: job/tenant counters, latency histograms (which
+    /// the JSON view expands to `.count/.p50/…`), cache occupancy and the
+    /// point-in-time job gauges.
     pub fn metrics(&self) -> MetricsRegistry {
-        self.metrics_registry(true)
-    }
-
-    /// The Prometheus text exposition of the same metrics: counters and
-    /// gauges as scalar samples, latency histograms as cumulative
-    /// `_bucket`/`_sum`/`_count` series. Served as
-    /// `GET /metrics?format=prom` and the `{"op":"metrics","format":"prom"}`
-    /// wire request.
-    pub fn metrics_prom(&self) -> String {
-        // The registry must not include the telemetry expansion here: the
-        // histograms are emitted natively, and a `…_count` gauge next to a
-        // `…_count` histogram sample would be a duplicate family.
-        let reg = self.metrics_registry(false);
         let st = self.inner.state.lock().unwrap();
-        salam_telemetry::prom::encode_with_gauges(&st.telemetry, &reg)
-    }
-
-    fn metrics_registry(&self, include_telemetry: bool) -> MetricsRegistry {
-        let st = self.inner.state.lock().unwrap();
-        let mut reg = MetricsRegistry::new();
-        // done/failed are lifetime counters — terminal records past the
-        // retention cap leave the job table, so counting states would
-        // undercount. queued/running are never evicted.
+        let mut reg = st.metrics.clone();
+        // queued/running are never evicted, so counting states is exact.
         let (queued, running) = st.jobs.values().fold((0u64, 0u64), |acc, j| match j.state {
             JobState::Queued => (acc.0 + 1, acc.1),
             JobState::Running => (acc.0, acc.1 + 1),
             _ => acc,
         });
-        reg.set("serve.jobs.submitted", st.submit_seq as f64);
-        reg.set("serve.jobs.done", st.done as f64);
-        reg.set("serve.jobs.failed", st.failed as f64);
+        drop(st);
         reg.set("serve.jobs.queued", queued as f64);
         reg.set("serve.jobs.running", running as f64);
-        reg.set("serve.jobs.rejected", st.rejected as f64);
-        reg.set("serve.jobs.coalesced", st.coalesced as f64);
-        reg.set("serve.jobs.shed", st.shed as f64);
-        reg.set("serve.jobs.cancelled", st.cancelled as f64);
-        reg.set("serve.jobs.timeout", st.timeouts as f64);
-        reg.set("serve.jobs.degraded", st.degraded as f64);
-        reg.set("serve.jobs.recovered", st.recovered as f64);
-        reg.set("serve.breaker.fastfail", st.breaker_fastfail as f64);
-        reg.set("serve.cache_hits", st.cache_hits as f64);
-        reg.set("serve.sim_runs", st.sim_runs as f64);
-        for (t, s) in &st.tenants {
-            let p = format!("serve.tenant.{t}");
-            reg.set(&format!("{p}.submitted"), s.submitted as f64);
-            reg.set(&format!("{p}.completed"), s.completed as f64);
-            reg.set(&format!("{p}.failed"), s.failed as f64);
-            reg.set(&format!("{p}.rejected"), s.rejected as f64);
-            reg.set(&format!("{p}.coalesced"), s.coalesced as f64);
-            reg.set(&format!("{p}.cache_hits"), s.cache_hits as f64);
-        }
         if let Some(cache) = &self.inner.cache {
             cache.export_metrics(&mut reg, "serve.cache");
         }
-        if include_telemetry {
-            st.telemetry.export_to_registry(&mut reg);
-            reg.set("serve.flight.dropped", self.inner.flight.dropped() as f64);
-        }
+        reg.set("serve.flight.dropped", self.inner.flight.dropped() as f64);
         reg
+    }
+
+    /// The Prometheus text exposition of the same snapshot: counters and
+    /// gauges as scalar samples, latency histograms as cumulative
+    /// `_bucket`/`_sum`/`_count` series. Served as
+    /// `GET /metrics?format=prom` and the `{"op":"metrics","format":"prom"}`
+    /// wire request.
+    pub fn metrics_prom(&self) -> String {
+        self.metrics().to_prom()
     }
 
     /// The stable one-line summary CI asserts on. The leading counters are
@@ -1198,24 +1201,24 @@ impl ServeCore {
     /// sim_runs=N e2e_p50_ms=F e2e_p99_ms=F shed=N cancelled=N`.
     pub fn stats_line(&self) -> String {
         let st = self.inner.state.lock().unwrap();
-        let (p50, p99) = st
-            .telemetry
+        let m = &st.metrics;
+        let (p50, p99) = m
             .hist("serve.latency.e2e_us")
             .map_or((0, 0), |h| (h.p50(), h.p99()));
         format!(
             "jobs={} done={} failed={} rejected={} coalesced={} cache_hits={} sim_runs={} \
              e2e_p50_ms={:.3} e2e_p99_ms={:.3} shed={} cancelled={}",
-            st.submit_seq,
-            st.done,
-            st.failed,
-            st.rejected,
-            st.coalesced,
-            st.cache_hits,
-            st.sim_runs,
+            m.counter("serve.jobs.submitted"),
+            m.counter("serve.jobs.done"),
+            m.counter("serve.jobs.failed"),
+            m.counter("serve.jobs.rejected"),
+            m.counter("serve.jobs.coalesced"),
+            m.counter("serve.cache_hits"),
+            m.counter("serve.sim_runs"),
             p50 as f64 / 1000.0,
             p99 as f64 / 1000.0,
-            st.shed,
-            st.cancelled + st.timeouts,
+            m.counter("serve.jobs.shed"),
+            m.counter("serve.jobs.cancelled") + m.counter("serve.jobs.timeout"),
         )
     }
 
@@ -1235,7 +1238,10 @@ impl ServeCore {
             )
         };
         let mut classes = String::new();
-        for (key, h) in st.telemetry.hists() {
+        for (key, metric) in st.metrics.iter() {
+            let Metric::Hist(h) = metric else {
+                continue;
+            };
             let Some(class) = key
                 .strip_prefix("serve.latency.e2e_us{class=\"")
                 .and_then(|rest| rest.strip_suffix("\"}"))
@@ -1248,7 +1254,7 @@ impl ServeCore {
             classes.push_str(&format!("\"{}\": {}", json::escape(class), block(h)));
         }
         let total = st
-            .telemetry
+            .metrics
             .hist("serve.latency.e2e_us")
             .map_or_else(|| block(&Histogram::new()), block);
         format!("{{\"total\": {total}, \"classes\": {{{classes}}}}}")
@@ -1408,28 +1414,17 @@ fn worker_loop(inner: &Inner) {
             continue;
         };
         match work.as_ref() {
-            Work::Single {
-                point,
-                plan,
-                trace,
-                chaos,
-            } => {
-                let run = run_single(
-                    inner,
-                    dispatched.task.job,
-                    point,
-                    plan.as_ref(),
-                    *trace,
-                    *chaos,
-                    &cancel,
-                    TraceCtx::for_job(dispatched.task.job).trace_id,
-                );
+            Work::Single(single) => {
+                let run = run_single(inner, dispatched.task.job, single, &cancel);
                 let mut st = inner.state.lock().unwrap();
-                if run.from_cache {
-                    st.cache_hits += 1;
-                } else {
-                    st.sim_runs += 1;
-                }
+                st.metrics.counter_add(
+                    if run.from_cache {
+                        "serve.cache_hits"
+                    } else {
+                        "serve.sim_runs"
+                    },
+                    1,
+                );
                 let extras = SingleExtras {
                     watchdog_json: run.watchdog_json.as_deref(),
                     engine_rec: run.engine_rec.as_ref(),
@@ -1480,8 +1475,9 @@ fn worker_loop(inner: &Inner) {
                     let engines: Vec<EngineKind> =
                         run.provenance.iter().map(|p| p.engine).collect();
                     let mut st = inner.state.lock().unwrap();
-                    st.cache_hits += run.hits as u64;
-                    st.sim_runs += (run.misses + run.baseline_misses) as u64;
+                    st.metrics.counter_add("serve.cache_hits", run.hits as u64);
+                    st.metrics
+                        .counter_add("serve.sim_runs", (run.misses + run.baseline_misses) as u64);
                     record_chunk(
                         &mut st,
                         inner,
@@ -1496,14 +1492,15 @@ fn worker_loop(inner: &Inner) {
                 } else {
                     let run = run_sweep(&points[a..b], &chunk_options(inner));
                     let mut st = inner.state.lock().unwrap();
-                    st.cache_hits += run.hits as u64;
-                    st.sim_runs += (run.misses + run.corrupt) as u64;
+                    st.metrics.counter_add("serve.cache_hits", run.hits as u64);
+                    st.metrics
+                        .counter_add("serve.sim_runs", (run.misses + run.corrupt) as u64);
                     if inner.cfg.telemetry {
                         // Per-point telemetry (dse.point.cycles, hit/miss
                         // counters) folds into the server registry; the
                         // histogram contents are a pure function of the
                         // point set, so chunking cannot perturb them.
-                        st.telemetry.merge_from(&run.telemetry);
+                        st.metrics.merge_from(&run.telemetry);
                     }
                     record_chunk(
                         &mut st,
@@ -1578,17 +1575,15 @@ fn stop_outcome(reason: StopReason, when: &str) -> JobOutcome {
 /// Executes one single run — cache probe, simulate under `catch_unwind`
 /// (with bounded, backoff-spaced retries on panic), store — and returns
 /// the outcome plus its telemetry by-products.
-#[allow(clippy::too_many_arguments)]
-fn run_single(
-    inner: &Inner,
-    job: JobId,
-    point: &StandalonePoint,
-    plan: Option<&FaultPlan>,
-    trace: bool,
-    chaos: bool,
-    cancel: &CancelToken,
-    trace_id: u64,
-) -> SingleRun {
+fn run_single(inner: &Inner, job: JobId, work: &SingleWork, cancel: &CancelToken) -> SingleRun {
+    let SingleWork {
+        point,
+        plan,
+        trace,
+        chaos,
+    } = work;
+    let (plan, trace, chaos) = (plan.as_ref(), *trace, *chaos);
+    let trace_id = TraceCtx::for_job(job).trace_id;
     if let Some(reason) = cancel.poll() {
         return SingleRun {
             outcome: stop_outcome(reason, "before the run started"),
@@ -1730,7 +1725,7 @@ fn on_dispatch(st: &mut State, inner: &Inner, task: &Task) {
     }
     let (kind, tenant) = (j.kind, j.tenant.clone());
     if inner.cfg.telemetry {
-        let t = &mut st.telemetry;
+        let t = &mut st.metrics;
         t.record("serve.latency.queue_us", wait_us);
         t.record(
             &labeled("serve.latency.queue_us", &[("class", kind)]),
@@ -1807,7 +1802,7 @@ fn job_terminal(
         j.first_dispatch_ns,
     );
     if inner.cfg.telemetry {
-        let t = &mut st.telemetry;
+        let t = &mut st.metrics;
         let e2e_us = now.saturating_sub(submitted) / 1_000;
         t.record("serve.latency.e2e_us", e2e_us);
         t.record(&labeled("serve.latency.e2e_us", &[("class", kind)]), e2e_us);
@@ -1901,10 +1896,8 @@ fn finish_job(
     let seq = st.complete_seq;
     let failed = matches!(outcome, JobOutcome::Error { .. });
     if let JobOutcome::Error { label, .. } = &outcome {
-        match label.as_str() {
-            "cancelled" => st.cancelled += 1,
-            "timeout" => st.timeouts += 1,
-            _ => {}
+        if label == "cancelled" || label == "timeout" {
+            st.metrics.counter_add(&format!("serve.jobs.{label}"), 1);
         }
     }
     job_terminal(st, inner, id, failed, &mut outcome, extras);
@@ -1934,22 +1927,20 @@ fn finish_job(
 /// records past the cap. Evicted ids only ever leave the job table —
 /// `inflight` holds non-terminal leaders, so it never references them.
 fn retire(st: &mut State, tenant: &str, id: JobId, failed: bool, hit: bool) {
+    let m = &mut st.metrics;
     if failed {
-        st.failed += 1;
+        m.counter_add("serve.jobs.failed", 1);
+        m.counter_add(&tenant_key(tenant, "failed"), 1);
     } else {
-        st.done += 1;
+        m.counter_add("serve.jobs.done", 1);
+        m.counter_add(&tenant_key(tenant, "completed"), 1);
+    }
+    if hit {
+        m.counter_add(&tenant_key(tenant, "cache_hits"), 1);
     }
     let retain = st.retain_terminal;
     let stats = st.tenants.entry(tenant.to_string()).or_default();
     stats.active = stats.active.saturating_sub(1);
-    if failed {
-        stats.failed += 1;
-    } else {
-        stats.completed += 1;
-    }
-    if hit {
-        stats.cache_hits += 1;
-    }
     stats.terminal.push_back(id);
     let mut evicted = Vec::new();
     while stats.terminal.len() > retain {

@@ -607,7 +607,7 @@ fn telemetry_records_latency_histograms_and_prometheus_exposition() {
     );
     assert!(prom.contains("serve_latency_e2e_us_sum"), "{prom}");
     assert!(prom.contains("serve_latency_e2e_us_count 2"), "{prom}");
-    assert!(prom.contains("# TYPE serve_jobs_done gauge"), "{prom}");
+    assert!(prom.contains("# TYPE serve_jobs_done counter"), "{prom}");
     assert!(
         !prom.contains("# TYPE serve_latency_e2e_us_count gauge"),
         "histogram summaries must not leak into the gauge section: {prom}"
@@ -791,6 +791,40 @@ fn metrics_surface_is_pinned() {
         let (_, frac) = v.split_once('.').unwrap_or_else(|| panic!("{k}={v}"));
         assert_eq!(frac.len(), 3, "{k}={v} carries three decimals");
     }
+    core.shutdown();
+}
+
+/// Tenant names become metric keys and label values, so a name that could
+/// forge a label (`x",class="cpu`) or break the label list (`a,b`) is
+/// refused before any per-tenant metric exists.
+#[test]
+fn tenant_names_cannot_forge_metric_labels() {
+    let core = ServeCore::start(ServeConfig {
+        no_cache: true,
+        ..cfg("forge")
+    });
+    let forged = ["x\",class=\"cpu", "a,b"];
+    for tenant in forged {
+        let r = core.submit(tenant, kernel_job("bfs", &[])).unwrap_err();
+        assert_eq!(r.code, "bad-request", "{tenant}");
+    }
+    for tenant in ["", &"t".repeat(65), "sp ace", "dot.ted"] {
+        let r = core.submit(tenant, kernel_job("bfs", &[])).unwrap_err();
+        assert_eq!(r.code, "bad-request", "{tenant:?}");
+    }
+    let ok = core.submit("tenant-1_A", kernel_job("bfs", &[])).unwrap();
+    assert_eq!(core.wait(ok).unwrap().state, JobState::Done);
+
+    let json = core.metrics().to_json();
+    let prom = core.metrics_prom();
+    for needle in ["class=\\\"cpu", "class.cpu", "a,b", "x\\\""] {
+        assert!(!json.contains(needle), "{needle} in {json}");
+    }
+    for needle in ["class=\"cpu", "a,b", "tenant_x", "tenant_a_b"] {
+        assert!(!prom.contains(needle), "{needle} in {prom}");
+    }
+    assert!(json.contains("serve.tenant.tenant-1_A.completed"), "{json}");
+    assert_eq!(core.metrics().get("serve.jobs.rejected"), Some(6.0));
     core.shutdown();
 }
 

@@ -62,7 +62,6 @@
 mod clock;
 mod event;
 mod sim;
-pub mod stats;
 
 pub use clock::{ClockDomain, Frequency};
 pub use event::{CompId, EventQueue, ScheduledEvent};

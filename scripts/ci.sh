@@ -263,11 +263,13 @@ case "$postmortem" in
   *) echo "ci: post-mortem is missing the watchdog snapshot" >&2; exit 1 ;;
 esac
 
-# Prometheus exposition: histogram families with cumulative buckets.
+# Prometheus exposition: histogram families with cumulative buckets, and
+# monotonic job counters typed as counters.
 prom="$(client prom)"
 for needle in '# TYPE serve_latency_e2e_us histogram' \
               'serve_latency_e2e_us_bucket' 'le="+Inf"' \
-              'serve_latency_e2e_us_sum' 'serve_latency_e2e_us_count'; do
+              'serve_latency_e2e_us_sum' 'serve_latency_e2e_us_count' \
+              '# TYPE serve_jobs_done counter'; do
   case "$prom" in
     *"$needle"*) ;;
     *) echo "ci: prometheus exposition missing '$needle'" >&2; exit 1 ;;
