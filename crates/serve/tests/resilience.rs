@@ -3,6 +3,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use salam_resilience::BackoffPolicy;
 use salam_serve::wire::{
@@ -33,6 +34,31 @@ fn kernel_job(bench: &str, knobs: &[(&str, u64)]) -> JobRequest {
         knobs: knobs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
         trace: false,
     }
+}
+
+/// A job that wedges at once (nearly every memory response dropped) with a
+/// watchdog horizon far enough out that it runs until cancelled. The rate
+/// stays below 1.0 so the static deadlock gate (F004) admits it.
+fn stuck_job(seed: u64) -> JobRequest {
+    let mut plan = salam_fault::FaultPlan::seeded(seed);
+    plan.mem_drop_rate = 0.999;
+    JobRequest::Faulted {
+        bench: "gemm".into(),
+        knobs: vec![("deadlock-cycles".into(), 2_000_000_000)],
+        plan,
+    }
+}
+
+/// Poll until a worker holds the job.
+fn wait_running(core: &ServeCore, id: u64) {
+    for _ in 0..4000 {
+        match core.status(id).unwrap().state {
+            JobState::Running => return,
+            JobState::Queued => std::thread::sleep(Duration::from_millis(2)),
+            s => panic!("job {id} reached {s:?} before it was seen running"),
+        }
+    }
+    panic!("job {id} never started running");
 }
 
 #[test]
@@ -198,6 +224,82 @@ fn breaker_transitions_are_identical_across_worker_counts() {
         transitions,
         ["closed->open", "open->half-open", "half-open->closed"]
     );
+}
+
+#[test]
+fn one_retry_absorbs_one_injected_panic() {
+    let core = ServeCore::start(ServeConfig {
+        chaos: true,
+        retries: 1,
+        backoff: BackoffPolicy {
+            base_ms: 1,
+            cap_ms: 4,
+            ..BackoffPolicy::default()
+        },
+        ..cfg("retry")
+    });
+    core.inject_panics(1);
+    let id = core
+        .submit("alice", kernel_job("__chaos-panic", &[]))
+        .unwrap();
+    assert_eq!(core.wait(id).unwrap().state, JobState::Done);
+    core.shutdown();
+}
+
+#[test]
+fn a_full_queue_sheds_with_a_retry_hint() {
+    let core = ServeCore::start(ServeConfig {
+        slots: 1,
+        max_pending: 1,
+        ..cfg("shed")
+    });
+    let running = core.submit("alice", stuck_job(3)).unwrap();
+    wait_running(&core, running);
+    let queued = core.submit("alice", kernel_job("gemm", &[])).unwrap();
+    let r = core
+        .submit("alice", kernel_job("spmv", &[]))
+        .expect_err("the queue is full");
+    assert_eq!(r.code, "overloaded");
+    assert!(r.retry_after_ms.is_some(), "a shed carries a retry hint");
+    core.cancel(queued).unwrap();
+    core.cancel(running).unwrap();
+    assert_eq!(core.metrics().get("serve.jobs.shed"), Some(1.0));
+    core.shutdown();
+}
+
+#[test]
+fn queue_pressure_degrades_a_sweep_to_replay() {
+    let core = ServeCore::start(ServeConfig {
+        slots: 1,
+        degrade_pressure: 1,
+        ..cfg("degrade")
+    });
+    let running = core.submit("alice", stuck_job(4)).unwrap();
+    wait_running(&core, running);
+    let queued = core.submit("alice", kernel_job("gemm", &[])).unwrap();
+    let sweep = core
+        .submit(
+            "alice",
+            JobRequest::Sweep {
+                name: "pressure".into(),
+                kernels: vec!["spmv".into()],
+                axes: vec![WireAxis {
+                    knob: "spm-latency".into(),
+                    values: vec![1, 2],
+                }],
+                replay: false,
+            },
+        )
+        .expect("degraded, not shed");
+    assert_eq!(core.metrics().get("serve.jobs.degraded"), Some(1.0));
+    core.cancel(running).unwrap();
+    // With the slot free again, the queued kernel and the replayed sweep
+    // drain normally.
+    assert_eq!(core.wait(queued).unwrap().state, JobState::Done);
+    assert_eq!(core.wait(sweep).unwrap().state, JobState::Done);
+    let csv = core.artifact(sweep, "csv").unwrap();
+    assert!(csv.contains(",replay\n"), "{csv}");
+    core.shutdown();
 }
 
 #[test]
