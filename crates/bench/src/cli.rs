@@ -1,7 +1,7 @@
 //! Shared command-line conventions for the workspace binaries.
 //!
-//! Every CLI (`salam_report`, `salam_lint`, `fault_smoke`, `dse_smoke`,
-//! `salam_serve`, `salam_client`) speaks the same dialect:
+//! Every CLI (`salam_report`, `salam_lint`, `salam_serve`, `salam_client`
+//! and the benchmark driver) speaks the same dialect:
 //!
 //! * `--help` / `-h` prints usage to stdout and exits [`EXIT_OK`];
 //! * unknown flags and malformed values print usage to stderr and exit

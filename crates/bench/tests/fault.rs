@@ -1,17 +1,20 @@
 //! Campaign-level properties of the fault-injection layer.
 //!
-//! * A zero-rate plan is observationally free: with the hooks installed
-//!   but no fault able to fire, the `RunReport` JSON is byte-identical to
-//!   a run without the fault layer — for every MachSuite kernel.
+//! * Observers are free: with a zero-rate fault plan armed, or with an
+//!   enabled flight recorder and a trace id attached, the `RunReport`
+//!   JSON is byte-identical to a plain run — for every MachSuite kernel.
 //! * A seeded campaign is deterministic: the same seed replays the same
 //!   fault schedule and outcome across repeated runs and across worker
 //!   counts, because every injection site derives its own decision stream
 //!   from the plan seed alone.
+//! * A small mixed campaign reaches every silent outcome class: masked,
+//!   silent data corruption and deadlock.
 
 use machsuite::Bench;
 use salam::standalone::{run, run_kernel, RunOptions, StandaloneConfig};
 use salam::{FaultPlan, RunReport, SimError};
 use salam_dse::{CacheId, DseOptions, SweepJob};
+use salam_telemetry::{flight, FlightRecorder};
 
 fn run_faulted(
     kernel: &machsuite::BuiltKernel,
@@ -28,18 +31,39 @@ fn run_faulted(
 #[test]
 fn zero_rate_plan_is_observationally_free_for_every_kernel() {
     let cfg = StandaloneConfig::default();
+    let recorder = FlightRecorder::enabled(flight::DEFAULT_CAPACITY);
+    let observers = [
+        (
+            "armed-but-zero fault layer",
+            RunOptions {
+                fault: Some(FaultPlan::seeded(7)),
+                ..RunOptions::default()
+            },
+        ),
+        (
+            "enabled flight recorder",
+            RunOptions {
+                flight: recorder.clone(),
+                trace_id: 0xfeed,
+                ..RunOptions::default()
+            },
+        ),
+    ];
     for bench in Bench::ALL {
         let kernel = bench.build_standard();
-        let clean = run_kernel(&kernel, &cfg);
-        let faulted = run_faulted(&kernel, &cfg, FaultPlan::seeded(7))
-            .unwrap_or_else(|e| panic!("{}: zero-rate run failed: {e}", bench.label()));
-        assert_eq!(
-            clean.to_json(),
-            faulted.to_json(),
-            "{}: armed-but-zero fault layer must not perturb the report",
-            bench.label()
-        );
+        let clean = run_kernel(&kernel, &cfg).to_json();
+        for (observer, opts) in &observers {
+            let observed = run(&kernel, &cfg, opts)
+                .unwrap_or_else(|e| panic!("{}: {observer}: run failed: {e}", bench.label()));
+            assert_eq!(
+                clean,
+                observed.to_json(),
+                "{}: {observer} must not perturb the report",
+                bench.label()
+            );
+        }
     }
+    assert_ne!(recorder.tail_json(8), "[]", "the recorder captured nothing");
 }
 
 /// A data-corruption plan with no drops: every seed completes, so the
@@ -136,4 +160,62 @@ fn same_seed_deadlock_replays_the_same_snapshot() {
     assert_eq!(a.last_progress_cycle, b.last_progress_cycle);
     assert_eq!(a.mem_outstanding, b.mem_outstanding);
     assert_eq!(a.dominant_reject_cause, b.dominant_reject_cause);
+}
+
+/// The mixed campaign's plan for one seed. Seeds rotate through data
+/// flips, timing jitter and response drops: a per-response drop rate
+/// compounds over thousands of responses, so mixing drops into every seed
+/// would deadlock everywhere and show nothing else.
+fn campaign_plan(seed: u64) -> FaultPlan {
+    let zero = FaultPlan::seeded(seed);
+    match seed % 3 {
+        0 => FaultPlan {
+            fu_bitflip_rate: 0.02,
+            mem_bitflip_rate: 0.004,
+            ..zero
+        },
+        1 => FaultPlan {
+            fu_jitter_rate: 0.02,
+            fu_jitter_cycles: 4,
+            mem_delay_rate: 0.01,
+            mem_delay_cycles: 8,
+            ..zero
+        },
+        _ => FaultPlan {
+            mem_drop_rate: 0.001,
+            ..zero
+        },
+    }
+}
+
+fn classify(result: &Result<RunReport, SimError>) -> &'static str {
+    match result {
+        Ok(r) if r.verified => "masked",
+        Ok(_) => "sdc",
+        Err(SimError::Deadlock(_)) => "deadlock",
+        Err(SimError::KernelFault { .. }) => "detected",
+        Err(e) => panic!("campaign run stopped unexpectedly: {e}"),
+    }
+}
+
+#[test]
+fn mixed_campaign_reaches_masked_sdc_and_deadlock() {
+    let kernels = [
+        machsuite::gemm::build(&machsuite::gemm::Params { n: 8, unroll: 2 }),
+        Bench::SpmvCrs.build_standard(),
+    ];
+    // A short watchdog fuse: a dropped response is caught in thousands of
+    // cycles instead of a million.
+    let mut cfg = StandaloneConfig::default();
+    cfg.engine.deadlock_cycles = 5_000;
+    let mut seen = std::collections::BTreeMap::new();
+    for kernel in &kernels {
+        for seed in 1..=12 {
+            let outcome = classify(&run_faulted(kernel, &cfg, campaign_plan(seed)));
+            *seen.entry(outcome).or_insert(0u32) += 1;
+        }
+    }
+    for class in ["masked", "sdc", "deadlock"] {
+        assert!(seen.contains_key(class), "no {class} outcome in {seen:?}");
+    }
 }

@@ -401,26 +401,6 @@ impl<T> SweepRun<T> {
             self.wall.as_secs_f64()
         )
     }
-
-    /// The counts that are a pure function of the submitted job set and
-    /// cache state, as `(key, value)` pairs for
-    /// [`SweepTable::set_summary`]. Environment facts — worker count, wall
-    /// time — are deliberately excluded so exported tables stay
-    /// byte-comparable across runs.
-    pub fn summary_pairs(&self) -> Vec<(String, String)> {
-        [
-            ("points", self.outcomes.len()),
-            ("failed", self.failed),
-            ("invalid", self.invalid),
-            ("pruned", self.pruned),
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("corrupt", self.corrupt),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
-    }
 }
 
 /// Runs one job under `catch_unwind`, retrying up to `retries` extra times.

@@ -21,8 +21,8 @@
 //! by measured power must use plain [`crate::run_sweep`].
 //!
 //! Pruned rows appear as `pruned:F005` with the summary's `pruned=` count;
-//! the `dse_smoke --prune` CI probe re-simulates every pruned point once
-//! and asserts the dominance chain actually held.
+//! the `pruned_sweep_is_deterministic_and_skips_simulation` test
+//! re-simulates every pruned point and asserts the dominance chain held.
 
 use salam_verify::{codes, Diagnostic, Span};
 

@@ -120,23 +120,6 @@ pub struct ReplayRun {
 }
 
 impl ReplayRun {
-    /// Deterministic summary pairs for [`crate::SweepTable::set_summary`]
-    /// — environment facts (wall time) are excluded so exported tables
-    /// stay byte-comparable across runs.
-    pub fn summary_pairs(&self) -> Vec<(String, String)> {
-        [
-            ("points", self.outcomes.len()),
-            ("replayed", self.replayed),
-            ("simulated", self.simulated),
-            ("fallbacks", self.fallbacks),
-            ("failed", self.failed),
-            ("invalid", self.invalid),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
-    }
-
     /// `replayed=… simulated=… fallbacks=…` plus cache telemetry — one
     /// stable line for logs.
     pub fn summary(&self) -> String {

@@ -84,8 +84,10 @@ fn parallel_report_is_byte_identical_to_serial() {
         table_csv(&spec, &parallel),
         "sweep report must not depend on worker count"
     );
-    // The full reports — not just the table projection — must agree.
+    // The full reports — not just the table projection — must agree, and
+    // every point's output verifies.
     for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
+        assert!(s.expect_payload().verified);
         assert_eq!(s.expect_payload().to_json(), p.expect_payload().to_json());
     }
 
@@ -437,7 +439,7 @@ fn per_worker_traces_merge_into_one_timeline() {
 /// lands in the summary.
 #[test]
 fn pruned_sweep_is_deterministic_and_skips_simulation() {
-    use salam_dse::run_sweep_pruned;
+    use salam_dse::{run_sweep_pruned, PrunableJob};
 
     // gemm only: 4 points, reference = ports=1/window=64.
     let spec = SweepSpec::new("prune", StandaloneConfig::default())
@@ -481,11 +483,18 @@ fn pruned_sweep_is_deterministic_and_skips_simulation() {
     assert!(serial
         .summary()
         .contains(&format!("pruned={}", serial.pruned)));
-    // Every pruned verdict cites F005 and the reference point.
-    for outcome in &serial.outcomes {
+    // Every pruned verdict cites F005 and the reference point, and a
+    // re-simulation proves the point never could have won: its cycles
+    // respect the static bound and the reference is at least as fast.
+    let reference = serial.outcomes[refs[0]].expect_payload().cycles;
+    for (point, outcome) in points.iter().zip(&serial.outcomes) {
         if let Some(d) = outcome.pruned() {
             assert_eq!(d.code, "F005");
             assert!(d.message.contains("ports=1/window=64"), "{}", d.message);
+            let bound = point.static_profile().unwrap().cycle_bound;
+            let resim = point.run().cycles;
+            assert!(bound <= resim, "{}: {resim} < bound {bound}", point.label());
+            assert!(reference <= resim, "{}: beat the reference", point.label());
         }
     }
 }

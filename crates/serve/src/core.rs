@@ -95,8 +95,8 @@ pub struct ServeConfig {
     /// unbounded line in memory.
     pub max_line_bytes: usize,
     /// Enables the chaos hooks (the `__chaos-panic` benchmark and the
-    /// injected-panic budget) used by `chaos_smoke` and the resilience
-    /// tests. Off in production configurations.
+    /// injected-panic budget) used by the resilience tests. Off in
+    /// production configurations.
     pub chaos: bool,
 }
 

@@ -1,5 +1,7 @@
-//! Resilience integration tests (PR 9): deadlines, cancellation, breaker
-//! determinism, journal crash recovery, and wire-layer bounds.
+//! Resilience integration tests: deadlines, cancellation, breaker
+//! determinism, retry, load shedding and degradation, journal crash
+//! recovery, and wire-layer bounds. The SIGKILL restart drill across a
+//! process boundary lives in `crates/bench/tests/restart.rs`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -63,26 +65,38 @@ fn wait_running(core: &ServeCore, id: u64) {
 
 #[test]
 fn expired_deadline_fails_typed_timeout() {
+    // One deadline expires in the queue, the other mid-run, long before
+    // the stuck job's own watchdog horizon.
     let core = ServeCore::start(cfg("deadline"));
-    let id = core
-        .submit_with(
-            "alice",
-            kernel_job("gemm", &[]),
-            SubmitOpts {
-                deadline_ms: Some(0),
-            },
-        )
-        .unwrap();
-    let s = core.wait(id).unwrap();
-    assert_eq!(s.state, JobState::Failed);
-    assert_eq!(s.detail.as_deref(), Some("error=timeout"));
-    assert_eq!(core.metrics().get("serve.jobs.timeout"), Some(1.0));
+    for (job, deadline_ms) in [(kernel_job("gemm", &[]), 0), (stuck_job(1), 40)] {
+        let opts = SubmitOpts {
+            deadline_ms: Some(deadline_ms),
+        };
+        let id = core.submit_with("alice", job, opts).unwrap();
+        let s = core.wait(id).unwrap();
+        assert_eq!(s.state, JobState::Failed);
+        assert_eq!(s.detail.as_deref(), Some("error=timeout"));
+    }
+    assert_eq!(core.metrics().get("serve.jobs.timeout"), Some(2.0));
     // The timeout rides the cancelled counter on the stats line.
     assert!(
-        core.stats_line().contains("cancelled=1"),
+        core.stats_line().contains("cancelled=2"),
         "{}",
         core.stats_line()
     );
+    core.shutdown();
+}
+
+#[test]
+fn cancelling_a_running_job_stops_it_cooperatively() {
+    let core = ServeCore::start(cfg("running-cancel"));
+    let id = core.submit("alice", stuck_job(2)).unwrap();
+    wait_running(&core, id);
+    core.cancel(id).unwrap();
+    let s = core.wait(id).unwrap();
+    assert_eq!(s.state, JobState::Failed);
+    assert_eq!(s.detail.as_deref(), Some("error=cancelled"));
+    assert_eq!(core.metrics().get("serve.jobs.cancelled"), Some(1.0));
     core.shutdown();
 }
 
@@ -175,12 +189,13 @@ fn wait_returns_typed_evicted_instead_of_not_found() {
     assert_eq!(core.wait(12345).err(), Some(JobLookupError::NotFound));
     let msg = core.artifact(first, "report").unwrap_err();
     assert!(msg.contains("evicted"), "{msg}");
+    assert!(core.ready(), "a serving core is ready");
     core.shutdown();
+    assert!(!core.ready(), "shutdown flips readiness");
 }
 
-/// The breaker drill from `chaos_smoke`, pinned as a test: serialized
-/// submissions must produce a byte-identical transition log whether the
-/// server runs 1 worker or 8.
+/// The breaker drill: serialized submissions must produce a byte-identical
+/// transition log whether the server runs 1 worker or 8.
 fn breaker_log_with_slots(slots: usize) -> Vec<String> {
     let core = ServeCore::start(ServeConfig {
         slots,
