@@ -130,22 +130,19 @@ fn sigkilled_server_recovers_every_open_job_exactly_once() {
     let (mut server, addr) = spawn(&dir, "serve2.log");
     assert!(http_status(&addr, "/healthz").unwrap().contains("200"));
     assert!(http_status(&addr, "/readyz").unwrap().contains("200"));
-    let mut reports = Vec::new();
-    for &id in &open {
-        let resp = wire(&addr, &format!(r#"{{"op":"wait","id":{id}}}"#));
-        assert!(resp.contains(r#""state": "done""#), "job {id} lost: {resp}");
-        let artifact = format!(r#"{{"op":"result","id":{id},"artifact":"report"}}"#);
-        reports.push((id, wire(&addr, &artifact)));
-    }
-    let (first, recovered) = &reports[0];
-    let fresh = submit_gemm(&addr, "ref", *first);
-    wire(&addr, &format!(r#"{{"op":"wait","id":{fresh}}}"#));
-    let fresh = wire(
-        &addr,
-        &format!(r#"{{"op":"result","id":{fresh},"artifact":"report"}}"#),
-    );
+    let report = |id: u64| {
+        let done = wire(&addr, &format!(r#"{{"op":"wait","id":{id}}}"#));
+        assert!(done.contains(r#""state": "done""#), "job {id} lost: {done}");
+        wire(
+            &addr,
+            &format!(r#"{{"op":"result","id":{id},"artifact":"report"}}"#),
+        )
+    };
+    let recovered: Vec<String> = open.iter().map(|&id| report(id)).collect();
+    // Job ids were spm-latencies, so this re-runs the first open job.
+    let fresh = report(submit_gemm(&addr, "ref", open[0]));
     assert_eq!(
-        *recovered, fresh,
+        recovered[0], fresh,
         "recovered report differs from a fresh run"
     );
 
