@@ -321,7 +321,7 @@ fn main() {
                 ]);
             }
         }
-        println!("{}", t.render_auto());
+        println!("{}", t.render());
     }
     for line in &bound_lines {
         println!("{line}");

@@ -10,9 +10,8 @@
 use machsuite::{Bench, BuiltKernel};
 use salam::standalone::{try_run_kernel_profiled, StandaloneConfig};
 use salam::RunReport;
+use salam_dse::SweepTable;
 use salam_obs::{analyze, CritPath, CycleClass, DepStream};
-
-use crate::table::Table;
 
 /// One kernel run with profiling on: the ordinary report plus the recorded
 /// dependency stream and its critical-path analysis.
@@ -143,8 +142,8 @@ fn fmt_value(v: f64) -> String {
 pub fn render_table(run: &ProfiledRun) -> String {
     let s = summarize(run);
     let cycles = run.report.stats.cycles.max(1) as f64;
-    let mut t = Table::new(
-        &format!("{} bottleneck report (dominant: {})", s.name, s.dominant),
+    let mut t = SweepTable::new(
+        format!("{} bottleneck report (dominant: {})", s.name, s.dominant),
         &["metric", "value", "share"],
     );
     for (k, v) in &s.metrics {
@@ -202,8 +201,8 @@ pub fn render_json(run: &ProfiledRun) -> String {
 /// present in only one run show a blank on the other side.
 pub fn render_diff(a: &ProfiledRun, b: &ProfiledRun) -> String {
     let (sa, sb) = (summarize(a), summarize(b));
-    let mut t = Table::new(
-        &format!("bottleneck diff: {} vs {}", sa.name, sb.name),
+    let mut t = SweepTable::new(
+        format!("bottleneck diff: {} vs {}", sa.name, sb.name),
         &["metric", "a", "b", "delta"],
     );
     t.row(vec![

@@ -3,7 +3,10 @@
 //! The experiment harness: everything needed to regenerate the paper's
 //! tables and figures.
 //!
-//! * [`table`] — plain-text/CSV table rendering and error metrics.
+//! * [`exp`] — one function per paper table/figure, each returning its
+//!   tables and its checked claims; the `exp` binary prints them and
+//!   `tests/experiments.rs` holds them to EXPERIMENTS.md.
+//! * [`table`] — the error metrics the validation experiments share.
 //! * [`cli`] — the shared argument-parsing helper and exit-code
 //!   conventions every workspace binary follows.
 //! * [`bottleneck`] — profiled runs (cycle attribution + dynamic critical
@@ -17,9 +20,8 @@
 //! * [`table3`] — the end-to-end system-validation flow of Table III
 //!   (DMA in → accelerate → DMA out) with its analytical reference model.
 //!
-//! One binary per table/figure lives in `src/bin/exp_*.rs`; plain-timing
-//! benches ([`microbench`]) covering the same experiments at reduced scale
-//! live in `benches/`.
+//! [`microbench`] is the plain-timing harness of the engine and memory
+//! system benches in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@
 pub mod bottleneck;
 pub mod cli;
 pub mod cnn;
+pub mod exp;
 pub mod fig16;
 pub mod microbench;
 pub mod runners;

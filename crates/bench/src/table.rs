@@ -1,99 +1,4 @@
-//! Minimal table rendering for experiment output.
-
-/// A printable results table.
-#[derive(Debug, Clone, Default)]
-pub struct Table {
-    title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with a title and column headers.
-    pub fn new(title: &str, headers: &[&str]) -> Self {
-        Table {
-            title: title.to_string(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders CSV when the process was invoked with `--csv` (or
-    /// `SALAM_CSV=1`), aligned plain text otherwise.
-    pub fn render_auto(&self) -> String {
-        let csv = std::env::args().any(|a| a == "--csv")
-            || std::env::var("SALAM_CSV")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-        if csv {
-            format!(
-                "# {}
-{}",
-                self.title,
-                self.to_csv()
-            )
-        } else {
-            self.render()
-        }
-    }
-
-    /// Renders aligned plain text.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for r in &self.rows {
-            for (i, c) in r.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&fmt_row(r, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
+//! Error metrics shared by the validation experiments.
 
 /// Signed percentage error of `sim` against `reference`.
 pub fn pct_err(sim: f64, reference: f64) -> f64 {
@@ -118,30 +23,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_aligned() {
-        let mut t = Table::new("demo", &["name", "value"]);
-        t.row(vec!["x".into(), "1".into()]);
-        t.row(vec!["longer".into(), "22".into()]);
-        let s = t.render();
-        assert!(s.contains("demo"));
-        assert!(s.contains("longer"));
-        assert_eq!(t.len(), 2);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("name,value\n"));
-    }
-
-    #[test]
     fn errors() {
         assert!((pct_err(102.0, 100.0) - 2.0).abs() < 1e-12);
         assert!((pct_err(98.0, 100.0) + 2.0).abs() < 1e-12);
         assert_eq!(pct_err(5.0, 0.0), 0.0);
         assert!((mean_abs_pct(&[2.0, -4.0]) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn arity_checked() {
-        let mut t = Table::new("t", &["a", "b"]);
-        t.row(vec!["only-one".into()]);
     }
 }

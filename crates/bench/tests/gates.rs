@@ -1,5 +1,5 @@
 //! Wall-clock gates. Timings are only meaningful in an optimized build,
-//! so both tests are ignored by default and `scripts/ci.sh` runs them
+//! so these tests are ignored by default and `scripts/ci.sh` runs them
 //! with `cargo test --release -p salam-bench --test gates -- --ignored`.
 //! `--nocapture` prints the measured figures.
 
@@ -8,6 +8,7 @@ use std::time::Instant;
 
 use machsuite::Bench;
 use salam::standalone::{run, RunOptions, StandaloneConfig};
+use salam_bench::exp;
 use salam_dse::{
     run_replay_sweep, Axis, DseOptions, EngineKind, KernelSpec, ReplayOptions, SweepSpec,
 };
@@ -102,5 +103,16 @@ fn replay_median_speedup_is_at_least_one_and_a_half_per_kernel() {
             median >= SPEEDUP_FLOOR,
             "{id}: median replay speedup {median:.2}x is below {SPEEDUP_FLOOR}x"
         );
+    }
+}
+
+#[test]
+#[ignore = "wall-clock gate: release only, run by scripts/ci.sh"]
+fn table4_claims_hold() {
+    let _clock = WALL_CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let table4 = exp::table4(&DseOptions::default());
+    println!("{}", table4.render(false));
+    for claim in &table4.claims {
+        assert!(claim.holds, "Table IV: {}", claim.text);
     }
 }

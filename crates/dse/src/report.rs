@@ -142,21 +142,6 @@ impl SweepTable {
         format!("{{\n\"rows\": {rows},\n\"summary\": {{{summary}}}\n}}\n")
     }
 
-    /// Renders CSV when the process was invoked with `--csv` (or
-    /// `SALAM_CSV=1`), aligned plain text otherwise — the same contract as
-    /// the experiment binaries' native tables.
-    pub fn render_auto(&self) -> String {
-        let csv = std::env::args().any(|a| a == "--csv")
-            || std::env::var("SALAM_CSV")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-        if csv {
-            self.to_csv()
-        } else {
-            self.render()
-        }
-    }
-
     /// Aligned plain text with the title on top.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
