@@ -145,6 +145,61 @@ fn cancel_detaches_a_coalesced_follower_without_stopping_the_leader() {
 }
 
 #[test]
+fn cancelling_a_queued_coalesced_leader_promotes_its_follower() {
+    // One slot held by a sweep keeps the leader queued while its twin
+    // coalesces onto it.
+    let core = ServeCore::start(ServeConfig {
+        slots: 1,
+        sweep_chunk: 4,
+        ..cfg("leader-cancel")
+    });
+    let blocker = core
+        .submit(
+            "blocker",
+            JobRequest::Sweep {
+                name: "warm".into(),
+                kernels: vec!["gemm".into()],
+                axes: vec![WireAxis {
+                    knob: "spm-latency".into(),
+                    values: vec![1, 2, 3, 4],
+                }],
+                replay: false,
+            },
+        )
+        .unwrap();
+    wait_running(&core, blocker);
+    let leader = core
+        .submit("alice", kernel_job("spmv", &[("ports", 2)]))
+        .unwrap();
+    let follower = core
+        .submit("bob", kernel_job("spmv", &[("ports", 2)]))
+        .unwrap();
+    assert_eq!(core.metrics().get("serve.jobs.coalesced"), Some(1.0));
+
+    // The queued leader is cancelled at once; its follower takes over the
+    // run instead of inheriting the cancellation.
+    let s = core.cancel(leader).unwrap();
+    assert_eq!(s.state, JobState::Failed);
+    assert_eq!(s.detail.as_deref(), Some("error=cancelled"));
+    assert_eq!(core.wait(follower).unwrap().state, JobState::Done);
+    assert_eq!(core.wait(blocker).unwrap().state, JobState::Done);
+
+    let direct = salam::standalone::try_run_kernel(
+        &machsuite::Bench::ALL
+            .into_iter()
+            .find(|b| b.label().eq_ignore_ascii_case("spmv"))
+            .unwrap()
+            .build_standard(),
+        &salam_serve::job::config_from_knobs(&[("ports".to_string(), 2)]).unwrap(),
+    )
+    .unwrap()
+    .to_json();
+    assert_eq!(core.artifact(follower, "report").unwrap(), direct);
+    assert_eq!(core.metrics().get("serve.jobs.cancelled"), Some(1.0));
+    core.shutdown();
+}
+
+#[test]
 fn cancelling_a_queued_job_is_immediate_and_idempotent() {
     // max_running: 0 pins the job in the queue forever; before PR 9 the
     // only way out was a server shutdown.

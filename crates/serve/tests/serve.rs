@@ -1071,3 +1071,375 @@ fn tcp_and_http_transports_serve_the_same_core() {
     assert!(r.contains("\"ok\": true"), "{r}");
     server.shutdown();
 }
+
+/// One HTTP exchange on an already connected stream: the status line, the
+/// `Retry-After` and `Content-Type` headers, and the body.
+fn http_on(mut stream: TcpStream, request: &str) -> (String, Option<String>, String, String) {
+    stream.write_all(request.as_bytes()).unwrap();
+    stream.flush().unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((&response, ""));
+    let mut lines = head.lines();
+    let status = lines.next().unwrap_or("").to_string();
+    let header = |name: &str| {
+        head.lines().find_map(|l| {
+            l.strip_prefix(name)
+                .and_then(|v| v.strip_prefix(':'))
+                .map(|v| v.trim().to_string())
+        })
+    };
+    let retry_after = header("Retry-After");
+    let content_type = header("Content-Type").unwrap_or_default();
+    (status, retry_after, content_type, body.to_string())
+}
+
+/// A body's shape: its sorted top-level keys, plus the `code` when it
+/// carries one, for a JSON object; `text` for anything else.
+fn shape(body: &str) -> String {
+    let Ok(v) = salam_obs::json::parse(body.trim()) else {
+        return "text".to_string();
+    };
+    let Some(fields) = v.as_object() else {
+        return "text".to_string();
+    };
+    let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    let mut s = format!("{{{}}}", keys.join(","));
+    if let Some(code) = v.get("code").and_then(|c| c.as_str()) {
+        s.push_str(&format!(" code={code}"));
+    }
+    s
+}
+
+/// The transport surface, pinned: every line op's reply shape and every
+/// HTTP route's status line, `Retry-After`, content type and body shape,
+/// across the success and error cases each can produce.
+#[test]
+fn every_transport_reply_is_pinned() {
+    const JSON: &str = "application/json";
+    const PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            slots: 1,
+            max_pending: 1,
+            retain_terminal: 1,
+            chaos: true,
+            retries: 0,
+            no_cache: true,
+            max_line_bytes: 1024,
+            ..cfg("transport")
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = |req: &str, want: &str| {
+        let reply = send_line(&mut stream, &mut reader, req);
+        assert_eq!(shape(&reply), want, "{req} -> {reply}");
+        reply
+    };
+    let http = |req: &str, want: (&str, Option<&str>, &str, &str)| {
+        let got = http_on(TcpStream::connect(addr).unwrap(), req);
+        let seen = (
+            got.0.as_str(),
+            got.1.as_deref(),
+            got.2.as_str(),
+            shape(&got.3),
+        );
+        assert_eq!(seen, (want.0, want.1, want.2, want.3.to_string()), "{req}");
+        got.3
+    };
+    let get = |path: &str| format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
+    let post = |path: &str, body: &str| {
+        format!(
+            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let id_of = |reply: &str| {
+        salam_obs::json::parse(reply.trim())
+            .unwrap()
+            .get("id")
+            .and_then(|n| n.as_f64())
+            .unwrap() as u64
+    };
+    const OK: &str = "200 OK";
+    let ok = |s: &str| format!("HTTP/1.1 {s}");
+    let (s200, s400, s403, s404, s410, s429, s503) = (
+        ok(OK),
+        ok("400 Bad Request"),
+        ok("403 Forbidden"),
+        ok("404 Not Found"),
+        ok("410 Gone"),
+        ok("429 Too Many Requests"),
+        ok("503 Service Unavailable"),
+    );
+    let err = "{code,message,ok}";
+    let rejection = "{code,diagnostics,message,ok,retry_after_ms}";
+
+    // A finished job: submit, status, wait, result and trace.
+    let done = line(
+        r#"{"op":"submit","tenant":"alice","job":{"type":"kernel","bench":"bfs"}}"#,
+        "{id,ok}",
+    );
+    let done = id_of(&done);
+    line(&format!(r#"{{"op":"wait","id":{done}}}"#), "{ok,status}");
+    line(&format!(r#"{{"op":"status","id":{done}}}"#), "{ok,status}");
+    line(&format!(r#"{{"op":"cancel","id":{done}}}"#), "{ok,status}");
+    line(
+        &format!(r#"{{"op":"result","id":{done},"artifact":"report"}}"#),
+        "{artifact,ok}",
+    );
+    line(
+        &format!(r#"{{"op":"result","id":{done},"artifact":"csv"}}"#),
+        &format!("{err} code=not-found"),
+    );
+    http(
+        &get(&format!("/status?id={done}")),
+        (&s200, None, JSON, "{ok,status}"),
+    );
+    http(
+        &post(&format!("/cancel?id={done}"), ""),
+        (&s200, None, JSON, "{ok,status}"),
+    );
+    let trace = http(
+        &get(&format!("/trace?id={done}")),
+        (&s200, None, JSON, "{displayTimeUnit,traceEvents}"),
+    );
+    assert!(trace.contains("trace_id:"), "{trace}");
+    let again = http(
+        &post(
+            "/submit",
+            r#"{"tenant":"alice","job":{"type":"kernel","bench":"bfs"}}"#,
+        ),
+        (&s200, None, JSON, "{id,ok}"),
+    );
+    // Drain it before the next submission: one queued task fills the queue.
+    line(
+        &format!(r#"{{"op":"wait","id":{}}}"#, id_of(&again)),
+        "{ok,status}",
+    );
+
+    // Three injected panics open the breaker for the chaos configuration;
+    // its next two submissions fast-fail as `circuit-open`.
+    server.core().inject_panics(3);
+    let mut chaos = Vec::new();
+    for _ in 0..3 {
+        let r = line(
+            r#"{"op":"submit","tenant":"chaos","job":{"type":"kernel","bench":"__chaos-panic"}}"#,
+            "{id,ok}",
+        );
+        let id = id_of(&r);
+        line(&format!(r#"{{"op":"wait","id":{id}}}"#), "{ok,status}");
+        chaos.push(id);
+    }
+    http(
+        &post(
+            "/submit",
+            r#"{"tenant":"chaos","job":{"type":"kernel","bench":"__chaos-panic"}}"#,
+        ),
+        (
+            &s503,
+            Some("1"),
+            JSON,
+            &format!("{rejection} code=circuit-open"),
+        ),
+    );
+    line(
+        r#"{"op":"submit","tenant":"chaos","job":{"type":"kernel","bench":"__chaos-panic"}}"#,
+        &format!("{rejection} code=circuit-open"),
+    );
+
+    // Retention keeps one terminal job per tenant: the first chaos job is
+    // evicted.
+    let evicted = chaos[0];
+    line(
+        &format!(r#"{{"op":"status","id":{evicted}}}"#),
+        &format!("{err} code=evicted"),
+    );
+    line(
+        &format!(r#"{{"op":"wait","id":{evicted}}}"#),
+        &format!("{err} code=evicted"),
+    );
+    line(
+        &format!(r#"{{"op":"result","id":{evicted},"artifact":"report"}}"#),
+        &format!("{err} code=not-found"),
+    );
+    http(
+        &get(&format!("/status?id={evicted}")),
+        (&s410, None, JSON, &format!("{err} code=evicted")),
+    );
+    http(
+        &post(&format!("/cancel?id={evicted}"), ""),
+        (&s410, None, JSON, &format!("{err} code=evicted")),
+    );
+    http(
+        &get(&format!("/trace?id={evicted}")),
+        (&s404, None, JSON, &format!("{err} code=not-found")),
+    );
+
+    // Unknown ids.
+    for op in ["status", "wait", "cancel"] {
+        line(
+            &format!(r#"{{"op":"{op}","id":999}}"#),
+            &format!("{err} code=not-found"),
+        );
+    }
+    line(
+        r#"{"op":"result","id":999,"artifact":"report"}"#,
+        &format!("{err} code=not-found"),
+    );
+    for req in [
+        get("/status?id=999"),
+        post("/cancel?id=999", ""),
+        get("/trace?id=999"),
+    ] {
+        http(&req, (&s404, None, JSON, &format!("{err} code=not-found")));
+    }
+
+    // Malformed ids, requests and bodies.
+    for req in [
+        r#"{"op":"status","id":"x"}"#,
+        r#"{"op":"cancel","id":-1}"#,
+        r#"{"op":"nope"}"#,
+        "not json",
+    ] {
+        line(req, &format!("{err} code=bad-request"));
+    }
+    for req in [
+        get("/status?id=x"),
+        get("/status"),
+        post("/cancel?id=1.5", ""),
+        post("/submit", "{"),
+    ] {
+        http(
+            &req,
+            (&s400, None, JSON, &format!("{err} code=bad-request")),
+        );
+    }
+
+    // Any other rejection is a plain refusal.
+    line(
+        r#"{"op":"submit","tenant":"alice","job":{"type":"kernel","bench":"gemm","knobs":{"ports":0}}}"#,
+        &format!("{rejection} code=invalid-config"),
+    );
+    http(
+        &post(
+            "/submit",
+            r#"{"tenant":"alice","job":{"type":"kernel","bench":"gemm","knobs":{"ports":0}}}"#,
+        ),
+        (
+            &s403,
+            None,
+            JSON,
+            &format!("{rejection} code=invalid-config"),
+        ),
+    );
+
+    // Read-only surfaces.
+    line(r#"{"op":"metrics"}"#, "{metrics,ok}");
+    line(r#"{"op":"metrics","format":"prom"}"#, "{ok,prom}");
+    line(r#"{"op":"stats"}"#, "{ok,stats}");
+    http(&get("/metrics"), (&s200, None, JSON, "{metrics,ok}"));
+    let prom = http(&get("/metrics?format=prom"), (&s200, None, PROM, "text"));
+    assert!(prom.contains("# TYPE serve_jobs_done counter"), "{prom}");
+    http(&get("/stats"), (&s200, None, JSON, "{ok,stats}"));
+    http(&get("/healthz"), (&s200, None, JSON, "{ok}"));
+    http(&get("/readyz"), (&s200, None, JSON, "{ok}"));
+    http(
+        &get("/nope"),
+        (&s404, None, JSON, &format!("{err} code=not-found")),
+    );
+    http(
+        &post("/status?id=1", ""),
+        (&s404, None, JSON, &format!("{err} code=not-found")),
+    );
+    http(
+        &format!(
+            "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "y".repeat(2048)
+        ),
+        (&s400, None, JSON, &format!("{err} code=bad-request")),
+    );
+
+    // A full queue sheds: one job runs, one waits, the next is refused
+    // with a retry hint.
+    let mut plan = salam_fault::FaultPlan::seeded(5);
+    plan.mem_drop_rate = 0.999;
+    let stuck = server
+        .core()
+        .submit(
+            "stuck",
+            JobRequest::Faulted {
+                bench: "gemm".into(),
+                knobs: vec![("deadlock-cycles".into(), 2_000_000_000)],
+                plan,
+            },
+        )
+        .unwrap();
+    while server.core().status(stuck).unwrap().state != JobState::Running {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    let queued = server
+        .core()
+        .submit("queued", kernel_job("gemm", &[]))
+        .unwrap();
+    http(
+        &post(
+            "/submit",
+            r#"{"tenant":"alice","job":{"type":"kernel","bench":"spmv"}}"#,
+        ),
+        (
+            &s429,
+            Some("1"),
+            JSON,
+            &format!("{rejection} code=overloaded"),
+        ),
+    );
+    line(
+        r#"{"op":"submit","tenant":"alice","job":{"type":"kernel","bench":"spmv"}}"#,
+        &format!("{rejection} code=overloaded"),
+    );
+    line(
+        &format!(r#"{{"op":"cancel","id":{queued}}}"#),
+        "{ok,status}",
+    );
+    http(
+        &post(&format!("/cancel?id={stuck}"), ""),
+        (&s200, None, JSON, "{ok,status}"),
+    );
+    assert!(server.core().wait(stuck).unwrap().state.is_terminal());
+
+    // After the shutdown op, connections accepted before it still answer:
+    // `POST /shutdown` is ok and readiness is 503.
+    let late_shutdown = TcpStream::connect(addr).unwrap();
+    let late_ready = TcpStream::connect(addr).unwrap();
+    let mut stop = TcpStream::connect(addr).unwrap();
+    let mut stop_reader = BufReader::new(stop.try_clone().unwrap());
+    let r = send_line(&mut stop, &mut stop_reader, r#"{"op":"shutdown"}"#);
+    assert_eq!(shape(&r), "{ok}", "{r}");
+    let got = http_on(late_shutdown, &post("/shutdown", ""));
+    assert_eq!(
+        (
+            got.0.as_str(),
+            got.1.as_deref(),
+            got.2.as_str(),
+            shape(&got.3)
+        ),
+        (s200.as_str(), None, JSON, "{ok}".to_string())
+    );
+    let got = http_on(late_ready, &get("/readyz"));
+    assert_eq!(
+        (
+            got.0.as_str(),
+            got.1.as_deref(),
+            got.2.as_str(),
+            shape(&got.3)
+        ),
+        (s503.as_str(), None, JSON, format!("{err} code=draining"))
+    );
+    server.shutdown();
+}
