@@ -23,9 +23,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use salam_obs::json;
+use salam_obs::{json, MetricsRegistry};
 
-use crate::core::{ServeConfig, ServeCore};
+use crate::core::{ServeConfig, ServeCore, SubmitOpts};
+use crate::job::{JobId, JobLookupError, JobStatus, Rejection};
 use crate::wire::{self, Request};
 
 /// A listening server. [`Server::shutdown`] (or the wire `shutdown` op)
@@ -175,7 +176,8 @@ fn handle_connection(
     }
     let mut line = first;
     loop {
-        write_line(&stream, respond(core, line.trim(), stop))?;
+        let reply = execute(core, wire::parse_request(line.trim()), stop);
+        write_line(&stream, line_reply(reply))?;
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
@@ -202,57 +204,79 @@ fn write_line(mut stream: &TcpStream, mut reply: String) -> std::io::Result<()> 
     stream.flush()
 }
 
-/// Executes one native-protocol request and renders the response line.
-fn respond(core: &ServeCore, line: &str, stop: &AtomicBool) -> String {
-    let req = match wire::parse_request(line) {
-        Ok(r) => r,
-        Err(m) => return wire::err_json("bad-request", &m),
+/// What one request produced, before a transport renders it.
+enum Reply {
+    Submitted(JobId),
+    Rejected(Rejection),
+    /// A job's status: the answer to `status`, `wait` and `cancel`.
+    Status(JobStatus),
+    /// The id names no job: never allocated, or evicted.
+    Lookup(JobId, JobLookupError),
+    Artifact(String),
+    /// No such artifact (yet); the message says why.
+    NoArtifact(String),
+    Metrics(MetricsRegistry),
+    Prom(String),
+    Stats(String),
+    /// Shutdown acknowledged.
+    Ack,
+    /// The request did not decode.
+    BadRequest(String),
+}
+
+/// Runs one decoded request against the core — the only place either
+/// transport calls [`ServeCore`] on a client's behalf.
+fn execute(core: &ServeCore, req: Result<Request, String>, stop: &AtomicBool) -> Reply {
+    let status = |id, r: Result<JobStatus, JobLookupError>| match r {
+        Ok(s) => Reply::Status(s),
+        Err(e) => Reply::Lookup(id, e),
     };
     match req {
-        Request::Submit {
+        Err(m) => Reply::BadRequest(m),
+        Ok(Request::Submit {
             tenant,
             job,
             deadline_ms,
-        } => {
-            let opts = crate::core::SubmitOpts { deadline_ms };
-            match core.submit_with(&tenant, job, opts) {
-                Ok(id) => wire::submit_ok(id),
-                Err(r) => wire::rejection_json(&r),
-            }
-        }
-        Request::Status(id) => match core.status(id) {
-            Ok(s) => wire::status_json(&s),
-            Err(e) => wire::err_json(e.code(), &e.message(id)),
+        }) => match core.submit_with(&tenant, job, SubmitOpts { deadline_ms }) {
+            Ok(id) => Reply::Submitted(id),
+            Err(r) => Reply::Rejected(r),
         },
-        Request::Wait(id) => match core.wait(id) {
-            Ok(s) => wire::status_json(&s),
-            Err(e) => wire::err_json(e.code(), &e.message(id)),
+        Ok(Request::Status(id)) => status(id, core.status(id)),
+        Ok(Request::Wait(id)) => status(id, core.wait(id)),
+        Ok(Request::Cancel(id)) => status(id, core.cancel(id)),
+        Ok(Request::Result { id, artifact }) => match core.artifact(id, &artifact) {
+            Ok(text) => Reply::Artifact(text),
+            Err(m) => Reply::NoArtifact(m),
         },
-        Request::Cancel(id) => match core.cancel(id) {
-            Ok(s) => wire::status_json(&s),
-            Err(e) => wire::err_json(e.code(), &e.message(id)),
-        },
-        Request::Result { id, artifact } => match core.artifact(id, &artifact) {
-            Ok(text) => wire::artifact_json(&text),
-            Err(m) => wire::err_json("not-found", &m),
-        },
-        // The registry renders pretty-printed (multi-line) JSON; the wire
-        // is line-delimited, so flatten it or the client reads a torn line.
-        Request::Metrics => wire::raw_ok("metrics", &core.metrics().to_json().replace('\n', " ")),
-        Request::MetricsProm => wire::raw_ok(
-            "prom",
-            &format!("\"{}\"", json::escape(&core.metrics_prom())),
-        ),
-        Request::Stats => wire::raw_ok(
-            "stats",
-            &format!("\"{}\"", json::escape(&core.stats_line())),
-        ),
-        Request::Shutdown => {
+        Ok(Request::Metrics) => Reply::Metrics(core.metrics()),
+        Ok(Request::MetricsProm) => Reply::Prom(core.metrics_prom()),
+        Ok(Request::Stats) => Reply::Stats(core.stats_line()),
+        Ok(Request::Shutdown) => {
             // The accept loop and core are torn down after the response is
             // flushed; the caller sees a clean `ok`.
             stop.store(true, Ordering::SeqCst);
-            wire::ok_json()
+            Reply::Ack
         }
+    }
+}
+
+/// Renders a reply as one native-protocol response line.
+fn line_reply(reply: Reply) -> String {
+    let quoted = |text: &str| format!("\"{}\"", json::escape(text));
+    match reply {
+        Reply::Submitted(id) => wire::submit_ok(id),
+        Reply::Rejected(r) => wire::rejection_json(&r),
+        Reply::Status(s) => wire::status_json(&s),
+        Reply::Lookup(id, e) => wire::err_json(e.code(), &e.message(id)),
+        Reply::Artifact(text) => wire::artifact_json(&text),
+        Reply::NoArtifact(m) => wire::err_json("not-found", &m),
+        // The registry renders pretty-printed (multi-line) JSON; the wire
+        // is line-delimited, so flatten it or the client reads a torn line.
+        Reply::Metrics(m) => wire::raw_ok("metrics", &m.to_json().replace('\n', " ")),
+        Reply::Prom(text) => wire::raw_ok("prom", &quoted(&text)),
+        Reply::Stats(line) => wire::raw_ok("stats", &quoted(&line)),
+        Reply::Ack => wire::ok_json(),
+        Reply::BadRequest(m) => wire::err_json("bad-request", &m),
     }
 }
 
@@ -359,7 +383,43 @@ impl HttpResponse {
     }
 }
 
-/// Maps an HTTP request onto the native operations.
+/// Renders a reply as an HTTP response: the status code, `Retry-After`
+/// and content type; the trace artifact and the Prometheus text go out
+/// raw, the metrics JSON unflattened, everything else as its line reply.
+fn http_reply(reply: Reply) -> HttpResponse {
+    match reply {
+        Reply::Rejected(r) => HttpResponse {
+            // Overload shedding maps to 429 with a Retry-After hint;
+            // everything else stays a plain refusal.
+            status: match r.code {
+                "overloaded" => "429 Too Many Requests",
+                "circuit-open" => "503 Service Unavailable",
+                _ => "403 Forbidden",
+            },
+            content_type: JSON,
+            retry_after_s: r.retry_after_ms.map(|ms| ms.div_ceil(1000).max(1)),
+            payload: wire::rejection_json(&r),
+        },
+        Reply::Lookup(id, e) => HttpResponse::err(
+            match e {
+                JobLookupError::Evicted => "410 Gone",
+                JobLookupError::NotFound => "404 Not Found",
+            },
+            wire::err_json(e.code(), &e.message(id)),
+        ),
+        Reply::Artifact(text) => HttpResponse::ok(JSON, text),
+        Reply::NoArtifact(m) => HttpResponse::err("404 Not Found", wire::err_json("not-found", &m)),
+        Reply::Metrics(m) => HttpResponse::ok(JSON, wire::raw_ok("metrics", &m.to_json())),
+        Reply::Prom(text) => HttpResponse::ok(PROM, text),
+        Reply::BadRequest(m) => {
+            HttpResponse::err("400 Bad Request", wire::err_json("bad-request", &m))
+        }
+        other => HttpResponse::ok(JSON, line_reply(other)),
+    }
+}
+
+/// Decodes an HTTP request into the native [`Request`] it stands for and
+/// runs it through [`execute`]; only the health probes answer here.
 fn http_route(
     core: &ServeCore,
     method: &str,
@@ -376,103 +436,47 @@ fn http_route(
             .split('&')
             .find_map(|kv| kv.strip_prefix(key).and_then(|v| v.strip_prefix('=')))
     };
-    let lookup_status =
-        |id: Option<u64>,
-         f: &dyn Fn(u64) -> Result<crate::JobStatus, crate::job::JobLookupError>| {
-            let Some(id) = id else {
-                return HttpResponse::err(
-                    "400 Bad Request",
-                    wire::err_json("bad-request", "missing or malformed id"),
-                );
-            };
-            match f(id) {
-                Ok(s) => HttpResponse::ok(JSON, wire::status_json(&s)),
-                Err(e) => {
-                    let status = match e {
-                        crate::job::JobLookupError::Evicted => "410 Gone",
-                        crate::job::JobLookupError::NotFound => "404 Not Found",
-                    };
-                    HttpResponse::err(status, wire::err_json(e.code(), &e.message(id)))
-                }
-            }
-        };
-    match (method, path) {
-        ("GET", "/metrics") => match query_val("format") {
-            Some("prom") => HttpResponse::ok(PROM, core.metrics_prom()),
-            _ => HttpResponse::ok(JSON, wire::raw_ok("metrics", &core.metrics().to_json())),
-        },
-        ("GET", "/stats") => HttpResponse::ok(
-            JSON,
-            wire::raw_ok(
-                "stats",
-                &format!("\"{}\"", json::escape(&core.stats_line())),
-            ),
-        ),
+    let id = || {
+        query_val("id")
+            .and_then(|v| v.parse::<u64>().ok())
+            .ok_or_else(|| "missing or malformed id".to_string())
+    };
+    let req = match (method, path) {
         // Liveness: the process is up and serving sockets.
-        ("GET", "/healthz") => HttpResponse::ok(JSON, wire::ok_json()),
+        ("GET", "/healthz") => return HttpResponse::ok(JSON, wire::ok_json()),
         // Readiness: accepting new work. Flips 503 the moment shutdown or
         // draining begins, so load balancers stop routing first.
         ("GET", "/readyz") => {
-            if core.ready() && !stop.load(Ordering::SeqCst) {
+            return if core.ready() && !stop.load(Ordering::SeqCst) {
                 HttpResponse::ok(JSON, wire::ok_json())
             } else {
                 HttpResponse::err(
                     "503 Service Unavailable",
                     wire::err_json("draining", "server is shutting down"),
                 )
-            }
+            };
         }
-        ("GET", "/status") => {
-            let id = query_val("id").and_then(|v| v.parse::<u64>().ok());
-            lookup_status(id, &|id| core.status(id))
-        }
-        ("POST", "/cancel") => {
-            let id = query_val("id").and_then(|v| v.parse::<u64>().ok());
-            lookup_status(id, &|id| core.cancel(id))
-        }
+        ("GET", "/metrics") => Ok(match query_val("format") {
+            Some("prom") => Request::MetricsProm,
+            _ => Request::Metrics,
+        }),
+        ("GET", "/stats") => Ok(Request::Stats),
+        ("GET", "/status") => id().map(Request::Status),
+        ("POST", "/cancel") => id().map(Request::Cancel),
         // The span-tree trace artifact, raw — load it straight into
         // Perfetto / chrome://tracing.
-        ("GET", "/trace") => {
-            let id = query_val("id").and_then(|v| v.parse::<u64>().ok());
-            match id
-                .ok_or_else(|| "unknown or missing id".to_string())
-                .and_then(|id| core.artifact(id, "trace"))
-            {
-                Ok(text) => HttpResponse::ok(JSON, text),
-                Err(m) => HttpResponse::err("404 Not Found", wire::err_json("not-found", &m)),
-            }
+        ("GET", "/trace") => id().map(|id| Request::Result {
+            id,
+            artifact: "trace".to_string(),
+        }),
+        ("POST", "/submit") => wire::parse_submit_body(body),
+        ("POST", "/shutdown") => Ok(Request::Shutdown),
+        _ => {
+            return HttpResponse::err(
+                "404 Not Found",
+                wire::err_json("not-found", &format!("no route {method} {path}")),
+            )
         }
-        ("POST", "/submit") => match wire::parse_submit_body(body) {
-            Ok((tenant, job, deadline_ms)) => {
-                let opts = crate::core::SubmitOpts { deadline_ms };
-                match core.submit_with(&tenant, job, opts) {
-                    Ok(id) => HttpResponse::ok(JSON, wire::submit_ok(id)),
-                    Err(r) => {
-                        // Overload shedding maps to 429 with a Retry-After
-                        // hint; everything else stays a plain refusal.
-                        let status = match r.code {
-                            "overloaded" => "429 Too Many Requests",
-                            "circuit-open" => "503 Service Unavailable",
-                            _ => "403 Forbidden",
-                        };
-                        HttpResponse {
-                            status,
-                            content_type: JSON,
-                            retry_after_s: r.retry_after_ms.map(|ms| ms.div_ceil(1000).max(1)),
-                            payload: wire::rejection_json(&r),
-                        }
-                    }
-                }
-            }
-            Err(m) => HttpResponse::err("400 Bad Request", wire::err_json("bad-request", &m)),
-        },
-        ("POST", "/shutdown") => {
-            stop.store(true, Ordering::SeqCst);
-            HttpResponse::ok(JSON, wire::ok_json())
-        }
-        _ => HttpResponse::err(
-            "404 Not Found",
-            wire::err_json("not-found", &format!("no route {method} {path}")),
-        ),
-    }
+    };
+    http_reply(execute(core, req, stop))
 }

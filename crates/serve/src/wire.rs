@@ -74,11 +74,19 @@ fn need_str(v: &Value, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field '{key}'"))
 }
 
+/// A JSON number that is a non-negative integer an f64 holds exactly —
+/// at most 2^53. Anything larger has already lost precision in the
+/// parser, and near `u64::MAX` it would overflow an id's `+ 1`.
+fn exact_u64(v: &Value) -> Option<u64> {
+    const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+    v.as_f64()
+        .filter(|f| (0.0..=MAX_EXACT).contains(f) && f.fract() == 0.0)
+        .map(|f| f as u64)
+}
+
 fn need_u64(v: &Value, key: &str) -> Result<u64, String> {
     v.get(key)
-        .and_then(Value::as_f64)
-        .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-        .map(|f| f as u64)
+        .and_then(exact_u64)
         .ok_or_else(|| format!("missing integer field '{key}'"))
 }
 
@@ -87,10 +95,8 @@ fn need_u64(v: &Value, key: &str) -> Result<u64, String> {
 fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
-        Some(val) => val
-            .as_f64()
-            .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-            .map(|f| Some(f as u64))
+        Some(val) => exact_u64(val)
+            .map(Some)
             .ok_or_else(|| format!("'{key}' must be a non-negative integer")),
     }
 }
@@ -104,9 +110,8 @@ fn knob_pairs(v: &Value) -> Result<Vec<(String, u64)>, String> {
         .ok_or_else(|| "'knobs' must be an object of name: value".to_string())?;
     obj.iter()
         .map(|(k, val)| {
-            val.as_f64()
-                .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-                .map(|f| (k.clone(), f as u64))
+            exact_u64(val)
+                .map(|n| (k.clone(), n))
                 .ok_or_else(|| format!("knob '{k}' must be a non-negative integer"))
         })
         .collect()
@@ -184,12 +189,9 @@ fn job_request(v: &Value) -> Result<JobRequest, String> {
                         .ok_or_else(|| format!("axis '{knob}' needs a 'values' array"))?
                         .iter()
                         .map(|n| {
-                            n.as_f64()
-                                .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-                                .map(|f| f as u64)
-                                .ok_or_else(|| {
-                                    format!("axis '{knob}' values must be non-negative integers")
-                                })
+                            exact_u64(n).ok_or_else(|| {
+                                format!("axis '{knob}' values must be non-negative integers")
+                            })
                         })
                         .collect::<Result<Vec<_>, _>>()?;
                     Ok(WireAxis { knob, values })
@@ -215,11 +217,7 @@ fn job_request(v: &Value) -> Result<JobRequest, String> {
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = json::parse(line)?;
     match need_str(&v, "op")?.as_str() {
-        "submit" => Ok(Request::Submit {
-            tenant: need_str(&v, "tenant")?,
-            job: job_request(&v)?,
-            deadline_ms: opt_u64(&v, "deadline_ms")?,
-        }),
+        "submit" => submit_request(&v),
         "status" => Ok(Request::Status(need_u64(&v, "id")?)),
         "wait" => Ok(Request::Wait(need_u64(&v, "id")?)),
         "cancel" => Ok(Request::Cancel(need_u64(&v, "id")?)),
@@ -239,18 +237,21 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 /// Decodes an HTTP `POST /submit` body: the same shape as the `submit`
-/// op minus the `op` field.
+/// op minus the `op` field, decoded into the same [`Request::Submit`].
 ///
 /// # Errors
 ///
 /// A message describing the malformed field.
-pub fn parse_submit_body(text: &str) -> Result<(String, JobRequest, Option<u64>), String> {
-    let v = json::parse(text)?;
-    Ok((
-        need_str(&v, "tenant")?,
-        job_request(&v)?,
-        opt_u64(&v, "deadline_ms")?,
-    ))
+pub fn parse_submit_body(text: &str) -> Result<Request, String> {
+    submit_request(&json::parse(text)?)
+}
+
+fn submit_request(v: &Value) -> Result<Request, String> {
+    Ok(Request::Submit {
+        tenant: need_str(v, "tenant")?,
+        job: job_request(v)?,
+        deadline_ms: opt_u64(v, "deadline_ms")?,
+    })
 }
 
 /// Encodes a [`JobRequest`] as its wire `job` object — the exact shape

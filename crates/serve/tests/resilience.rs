@@ -476,6 +476,38 @@ fn journal_recovery_re_admits_open_jobs_exactly_once() {
 }
 
 #[test]
+fn a_journal_id_past_the_exact_integer_range_is_skipped() {
+    let dir = tmp("journal-hostile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("jobs.journal");
+    // An id of u64::MAX used to become the watermark and overflow the next
+    // id; it is malformed (past 2^53, the last integer an f64 holds
+    // exactly) and skipped like any other bad line.
+    let hostile = journal_admit_line(7, "mallory", None, &kernel_job("bfs", &[]))
+        .replace("\"id\": 7", "\"id\": 18446744073709551615");
+    let mut text = String::new();
+    for line in [
+        journal_admit_line(1, "alice", None, &kernel_job("gemm", &[])),
+        hostile,
+        journal_admit_line(2, "bob", None, &kernel_job("spmv", &[])),
+    ] {
+        text.push_str(&line);
+        text.push('\n');
+    }
+    std::fs::write(&journal, &text).unwrap();
+
+    let core = ServeCore::start(ServeConfig {
+        journal: Some(journal),
+        ..cfg("journal-hostile-core")
+    });
+    assert_eq!(core.metrics().get("serve.jobs.recovered"), Some(2.0));
+    assert_eq!(core.wait(1).unwrap().state, JobState::Done);
+    assert_eq!(core.wait(2).unwrap().state, JobState::Done);
+    assert_eq!(core.submit("dave", kernel_job("bfs", &[])).unwrap(), 3);
+    core.shutdown();
+}
+
+#[test]
 fn recovering_twice_from_the_same_journal_is_identical() {
     // Recovery itself must be deterministic: two cores booted from copies
     // of the same journal produce the same recovered set and outcomes.
