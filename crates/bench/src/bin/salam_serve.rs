@@ -10,22 +10,21 @@
 //! salam_serve [--addr HOST:PORT] [--slots N] [--chunk N]
 //!             [--cache-dir PATH] [--no-cache] [--no-verify]
 //!             [--max-queued N] [--max-running N] [--max-sweep-points N]
-//!             [--metrics-out PATH] [--bench-out PATH] [--no-telemetry]
-//!             [--journal PATH] [--retries N] [--max-pending N]
-//!             [--degrade-pressure N] [--io-timeout-ms N] [--no-breaker]
-//!             [--chaos] [--chaos-panics N]
+//!             [--metrics-out PATH] [--journal PATH] [--retries N]
+//!             [--max-pending N] [--degrade-pressure N] [--io-timeout-ms N]
+//!             [--no-breaker] [--chaos] [--chaos-panics N]
 //! ```
 //!
-//! `--metrics-out` writes the final metrics registry JSON on shutdown;
-//! `--bench-out` writes the per-class latency percentile summary
-//! (`ServeCore::latency_summary_json`). `--no-telemetry` disables the
-//! request-scoped tracing / histogram / flight-recorder layer.
+//! `--metrics-out` writes the final metrics registry JSON on shutdown,
+//! latency histograms included (`serve.latency.e2e_us.class.<c>.p99` and
+//! the like).
 //!
-//! Resilience (PR 9): `--journal PATH` makes admissions crash-safe — on
-//! restart with the same path, jobs admitted but not yet terminal are
-//! re-admitted exactly once. `--chaos` enables the `__chaos-panic`
-//! fault-injection bench and `--chaos-panics N` arms N injected worker
-//! panics (both are for the chaos harness; never use them in production).
+//! `--journal PATH` makes admissions crash-safe — on restart with the
+//! same path, jobs admitted but not yet terminal are re-admitted exactly
+//! once; a journal that cannot be opened exits 1 before listening.
+//! `--chaos` enables the `__chaos-panic` fault-injection bench and
+//! `--chaos-panics N` arms N injected worker panics (both are for the
+//! chaos harness; never use them in production).
 
 use salam_bench::cli::Args;
 use salam_serve::{ServeConfig, Server, TenantQuota};
@@ -33,10 +32,9 @@ use salam_serve::{ServeConfig, Server, TenantQuota};
 const USAGE: &str = "[--addr HOST:PORT] [--slots N] [--chunk N]\n\
      \x20           [--cache-dir PATH] [--no-cache] [--no-verify]\n\
      \x20           [--max-queued N] [--max-running N] [--max-sweep-points N]\n\
-     \x20           [--metrics-out PATH] [--bench-out PATH] [--no-telemetry]\n\
-     \x20           [--journal PATH] [--retries N] [--max-pending N]\n\
-     \x20           [--degrade-pressure N] [--io-timeout-ms N] [--no-breaker]\n\
-     \x20           [--chaos] [--chaos-panics N]";
+     \x20           [--metrics-out PATH] [--journal PATH] [--retries N]\n\
+     \x20           [--max-pending N] [--degrade-pressure N] [--io-timeout-ms N]\n\
+     \x20           [--no-breaker] [--chaos] [--chaos-panics N]";
 
 fn main() {
     let mut args = Args::parse("salam_serve", USAGE);
@@ -57,7 +55,6 @@ fn main() {
         quota,
         no_cache: args.flag("--no-cache"),
         verify: !args.flag("--no-verify"),
-        telemetry: !args.flag("--no-telemetry"),
         cache_dir: args.opt("--cache-dir").map(Into::into),
         journal: args.opt("--journal").map(Into::into),
         chaos: args.flag("--chaos"),
@@ -86,7 +83,6 @@ fn main() {
     }
     let chaos_panics = args.opt_u64("--chaos-panics");
     let metrics_out = args.opt("--metrics-out");
-    let bench_out = args.opt("--bench-out");
     if !args.finish().is_empty() {
         eprintln!("salam_serve: takes no positional arguments");
         std::process::exit(salam_bench::cli::EXIT_USAGE);
@@ -95,7 +91,7 @@ fn main() {
     let server = match Server::bind(&addr, cfg) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("salam_serve: cannot bind {addr}: {e}");
+            eprintln!("salam_serve: cannot start on {addr}: {e}");
             std::process::exit(salam_bench::cli::EXIT_FINDINGS);
         }
     };
@@ -114,11 +110,6 @@ fn main() {
     server.core().shutdown();
     if let Some(path) = &metrics_out {
         if let Err(e) = std::fs::write(path, server.core().metrics().to_json()) {
-            eprintln!("salam_serve: cannot write {path}: {e}");
-        }
-    }
-    if let Some(path) = &bench_out {
-        if let Err(e) = std::fs::write(path, server.core().latency_summary_json()) {
             eprintln!("salam_serve: cannot write {path}: {e}");
         }
     }

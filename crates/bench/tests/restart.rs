@@ -172,3 +172,36 @@ fn sigkilled_server_recovers_every_open_job_exactly_once() {
         .expect("final stats line carries e2e_p99_ms");
     assert!(p99_ms < 120_000.0, "post-recovery p99 {p99_ms} ms");
 }
+
+/// A journal that cannot be opened is a start-up error, not a panic: the
+/// library returns it from `Server::bind`, and the binary exits 1 with a
+/// message.
+#[test]
+fn an_unopenable_journal_fails_start_up_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("salam-bad-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, "").unwrap();
+    let journal = file.join("jobs.journal");
+
+    let bound = salam_serve::Server::bind(
+        "127.0.0.1:0",
+        salam_serve::ServeConfig {
+            journal: Some(journal.clone()),
+            no_cache: true,
+            ..salam_serve::ServeConfig::default()
+        },
+    );
+    assert!(bound.is_err(), "bind must report the journal error");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_salam_serve"))
+        .args(["--addr", "127.0.0.1:0", "--no-cache", "--journal"])
+        .arg(&journal)
+        .output()
+        .expect("spawn salam_serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot start"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -14,15 +14,19 @@ use std::time::Instant;
 
 use salam::standalone::{RunOptions, StandaloneConfig};
 use salam_dse::{
-    run_replay_sweep, run_sweep, CacheId, DseOptions, EngineKind, KernelSpec, Lookup, PointOutcome,
+    run_replay_sweep, run_sweep, CacheId, DseOptions, EngineKind, KernelSpec, Lookup,
     ReplayOptions, ResultCache, StandalonePoint, SweepJob, SweepSpec, SweepTable,
 };
 use salam_fault::FaultPlan;
-use salam_obs::{json, labeled, Histogram, Metric, MetricsRegistry, SpanId, TraceRecorder};
+use salam_obs::det::SplitMix64;
+use salam_obs::{
+    export_chrome_json, json, labeled, MetricsRegistry, SharedTrace, SpanId, TraceRecorder,
+    TraceSink, TrackId,
+};
 use salam_resilience::{
     BackoffPolicy, BreakerConfig, BreakerDecision, BreakerSet, CancelToken, Journal, StopReason,
 };
-use salam_telemetry::{flight, FlightRecorder, JobTrace, TraceCtx};
+use salam_telemetry::{flight, FlightRecorder};
 use salam_verify::{errors_only, to_json as diags_to_json, verify_ir, warning_count};
 
 use crate::job::{
@@ -57,11 +61,6 @@ pub struct ServeConfig {
     /// after which their status/artifacts read as "no such job" — without
     /// a cap a long-running server grows memory without bound.
     pub retain_terminal: usize,
-    /// Request-scoped telemetry: per-job span trees, latency histograms,
-    /// and the always-on flight recorder feeding post-mortem artifacts.
-    /// On by default; disabling it removes every per-job recorder (the
-    /// non-perturbation baseline the bench suite compares against).
-    pub telemetry: bool,
     /// Re-runs after a worker panic before the job fails for good. The
     /// panic is already contained by `catch_unwind`; a retry buys through
     /// transient environmental failures at the cost of one more run.
@@ -79,7 +78,7 @@ pub struct ServeConfig {
     /// depth (batch work yields to interactive work first). `0` disables.
     pub max_pending: usize,
     /// Queue depth above which newly admitted sweeps are downgraded to the
-    /// trace-replay fast path (PR 7) — graceful degradation: cheaper,
+    /// trace-replay fast path — graceful degradation: cheaper,
     /// slightly coarser answers instead of refusals. `0` disables.
     pub degrade_pressure: usize,
     /// Append-only job journal path. When set, every admission and
@@ -111,7 +110,6 @@ impl Default for ServeConfig {
             cache_max_bytes: None,
             verify: true,
             retain_terminal: 256,
-            telemetry: true,
             retries: 1,
             backoff: BackoffPolicy::default(),
             breaker: Some(BreakerConfig::default()),
@@ -161,19 +159,6 @@ struct SingleWork {
     chaos: bool,
 }
 
-/// One sweep point's finished row.
-#[derive(Debug, Clone)]
-struct PointRow {
-    label: String,
-    cycles: String,
-    status: String,
-    /// Engine label (`sim` / `replay` / `sim-fallback`); empty for
-    /// non-replay sweeps.
-    engine: String,
-    ok: bool,
-    invalid: bool,
-}
-
 #[derive(Debug)]
 struct JobRecord {
     tenant: String,
@@ -184,30 +169,62 @@ struct JobRecord {
     work: Arc<Work>,
     outcome: Option<JobOutcome>,
     lint_json: Option<String>,
-    /// Sweep bookkeeping: chunks not yet finished, per-point rows.
+    /// Sweep bookkeeping: chunks not yet finished, and each point's table
+    /// row (see [`point_row`]) once its chunk lands.
     pending_chunks: usize,
-    rows: Vec<Option<PointRow>>,
+    rows: Vec<Option<Vec<String>>>,
     /// Single-run fingerprint (for coalescing bookkeeping).
     fingerprint: Option<String>,
     /// Jobs coalesced onto this one; completed together with it.
     followers: Vec<JobId>,
-    /// Lifecycle span tree (`None` when telemetry is off).
-    trace: Option<JobTrace>,
+    /// The lifecycle span tree, exported as the job's `trace` artifact.
+    trace: SharedTrace,
+    tracks: Tracks,
     /// The end-to-end request span, open from submit to terminal.
     job_span: SpanId,
     /// The scheduler-queue span, open from admission to first dispatch.
     queued_span: SpanId,
     /// The worker-slot span, open from first dispatch to terminal.
     run_span: SpanId,
-    /// Server-epoch-relative submit time (nanoseconds).
-    submitted_ns: u64,
+    /// Server-epoch-relative submit time (picoseconds, the trace's unit).
+    submitted_ps: u64,
     /// Server-epoch-relative first dispatch time, once scheduled.
-    first_dispatch_ns: Option<u64>,
+    first_dispatch_ps: Option<u64>,
     /// Post-mortem artifact JSON, composed when the job fails.
     postmortem: Option<String>,
     /// The job's cooperative cancel token (deadline-armed when the
     /// submission set one); cloned into the engine at dispatch.
     cancel: CancelToken,
+}
+
+impl JobRecord {
+    /// Marks admission on the span tree and opens the queued span.
+    fn admitted(&mut self, now: u64) {
+        self.trace.instant(self.tracks.request, "admitted", now);
+        self.queued_span = self.trace.begin_span(self.tracks.sched, "queued", now);
+    }
+}
+
+/// The three tracks of a job's span tree.
+#[derive(Debug, Clone, Copy)]
+struct Tracks {
+    /// The end-to-end job span and the admission instants.
+    request: TrackId,
+    /// Queue wait.
+    sched: TrackId,
+    /// Worker-slot occupancy.
+    run: TrackId,
+}
+
+/// Per-job span rings are small: a lifecycle is a dozen events, and the
+/// engine's op-level events live in the engine's own recorder.
+const JOB_TRACE_CAPACITY: usize = 4096;
+
+/// A job's request-scoped identity, printed in post-mortems, flight events
+/// and its trace. SplitMix64 of the id: stable, and job 1 and job 2 do not
+/// read as neighbours.
+fn trace_id(job: JobId) -> u64 {
+    SplitMix64::new(job).next_u64()
 }
 
 /// A tenant's admission state; its counters live in [`State::metrics`]
@@ -294,10 +311,10 @@ struct Inner {
     cache: Option<ResultCache>,
     cfg: ServeConfig,
     /// The server's time zero; every span/histogram timestamp is
-    /// nanoseconds since this instant.
+    /// measured from this instant.
     epoch: Instant,
     /// The always-on bounded ring of recent lifecycle/engine events,
-    /// dumped into post-mortem artifacts. Disabled iff telemetry is off.
+    /// dumped into post-mortem artifacts.
     flight: FlightRecorder,
     /// The append-only crash-recovery journal (`None` when disabled).
     journal: Option<Journal>,
@@ -305,9 +322,9 @@ struct Inner {
     chaos_budget: AtomicU64,
 }
 
-/// Epoch-relative now, in nanoseconds.
-fn now_ns(inner: &Inner) -> u64 {
-    inner.epoch.elapsed().as_nanos() as u64
+/// Epoch-relative now, in picoseconds.
+fn now_ps(inner: &Inner) -> u64 {
+    (inner.epoch.elapsed().as_nanos() as u64).saturating_mul(1000)
 }
 
 /// The in-process server. Dropping it without [`ServeCore::shutdown`]
@@ -326,7 +343,17 @@ fn bench_by_id(id: &str) -> Option<machsuite::Bench> {
 
 impl ServeCore {
     /// Starts the worker pool and returns the running server.
+    ///
+    /// # Panics
+    ///
+    /// When the journal cannot be opened; [`crate::Server::bind`] returns
+    /// that as an error instead.
     pub fn start(cfg: ServeConfig) -> Self {
+        Self::try_start(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ServeCore::start`], with an unopenable journal as an error.
+    pub(crate) fn try_start(cfg: ServeConfig) -> std::io::Result<Self> {
         let cache = if cfg.no_cache {
             None
         } else {
@@ -340,9 +367,15 @@ impl ServeCore {
             )
         };
         let slots = cfg.slots.max(1);
-        let journal = cfg.journal.as_ref().map(|p| {
-            Journal::open(p).unwrap_or_else(|e| panic!("cannot open journal {}: {e}", p.display()))
-        });
+        let journal = match &cfg.journal {
+            Some(p) => Some(Journal::open(p).map_err(|e| {
+                std::io::Error::new(
+                    e.kind(),
+                    format!("cannot open journal {}: {e}", p.display()),
+                )
+            })?),
+            None => None,
+        };
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 jobs: BTreeMap::new(),
@@ -366,11 +399,7 @@ impl ServeCore {
             cvar: Condvar::new(),
             cache,
             epoch: Instant::now(),
-            flight: if cfg.telemetry {
-                FlightRecorder::enabled(flight::DEFAULT_CAPACITY)
-            } else {
-                FlightRecorder::disabled()
-            },
+            flight: FlightRecorder::enabled(flight::DEFAULT_CAPACITY),
             journal,
             chaos_budget: AtomicU64::new(0),
             cfg,
@@ -389,7 +418,7 @@ impl ServeCore {
             })
             .collect();
         *core.workers.lock().unwrap() = workers;
-        core
+        Ok(core)
     }
 
     /// Replays the journal: every admitted job without a terminal record is
@@ -655,7 +684,14 @@ impl ServeCore {
             }
         }
 
-        let now = now_ns(&self.inner);
+        let now = now_ps(&self.inner);
+        let trace = SharedTrace::from_recorder(TraceRecorder::new(JOB_TRACE_CAPACITY));
+        let tracks = Tracks {
+            request: trace.track("request"),
+            sched: trace.track("sched"),
+            run: trace.track("run"),
+        };
+        let job_span = trace.begin_span(tracks.request, &format!("job {id} ({})", req.kind()), now);
         let mut record = JobRecord {
             tenant: tenant.to_string(),
             kind: req.kind(),
@@ -669,22 +705,18 @@ impl ServeCore {
             rows: Vec::new(),
             fingerprint: None,
             followers: Vec::new(),
-            trace: None,
-            job_span: SpanId::INVALID,
+            trace,
+            tracks,
+            job_span,
             queued_span: SpanId::INVALID,
             run_span: SpanId::INVALID,
-            submitted_ns: now,
-            first_dispatch_ns: None,
+            submitted_ps: now,
+            first_dispatch_ps: None,
             postmortem: None,
             cancel: CancelToken::with_deadline_opt(opts.deadline_ms),
         };
-        if self.inner.cfg.telemetry {
-            let jt = JobTrace::new(id);
-            record.job_span = jt.begin(jt.request, &format!("job {id} ({})", record.kind), now);
-            record.trace = Some(jt);
-        }
         self.inner.flight.record(
-            TraceCtx::for_job(id).trace_id,
+            trace_id(id),
             "job",
             format!("submit id={id} tenant={tenant} kind={}", record.kind),
         );
@@ -698,9 +730,9 @@ impl ServeCore {
                 if let Some(leader_id) = leader {
                     st.metrics.counter_add("serve.jobs.coalesced", 1);
                     st.metrics.counter_add(&tenant_key(tenant, "coalesced"), 1);
-                    if let Some(jt) = record.trace.clone() {
-                        jt.instant(jt.request, "coalesced", now);
-                    }
+                    record
+                        .trace
+                        .instant(record.tracks.request, "coalesced", now);
                     st.jobs.insert(id, record);
                     st.jobs
                         .get_mut(&leader_id)
@@ -711,10 +743,7 @@ impl ServeCore {
                     if let Some(f) = fp {
                         st.inflight.insert(f, id);
                     }
-                    if let Some(jt) = record.trace.clone() {
-                        jt.instant(jt.request, "admitted", now);
-                        record.queued_span = jt.begin(jt.sched, "queued", now);
-                    }
+                    record.admitted(now);
                     st.jobs.insert(id, record);
                     st.sched.push(Task {
                         job: id,
@@ -730,10 +759,7 @@ impl ServeCore {
                 record.pending_chunks = chunks.len();
                 record.rows = vec![None; points.len()];
                 let n = chunks.len();
-                if let Some(jt) = record.trace.clone() {
-                    jt.instant(jt.request, "admitted", now);
-                    record.queued_span = jt.begin(jt.sched, "queued", now);
-                }
+                record.admitted(now);
                 st.jobs.insert(id, record);
                 for chunk in 0..n {
                     st.sched.push(Task {
@@ -1016,73 +1042,44 @@ impl ServeCore {
             )
         };
         self.inner.flight.record(
-            TraceCtx::for_job(id).trace_id,
+            trace_id(id),
             "job",
             format!("cancel id={id} state={}", state.name()),
         );
-        let cancelled_now = JobOutcome::Error {
-            label: "cancelled".to_string(),
-            message: "cancelled before the run started".to_string(),
-        };
-        match work.as_ref() {
-            Work::Sweep { .. } => {
-                if state == JobState::Queued {
-                    // No chunk has a slot yet: drop the queued tasks and
-                    // finish immediately.
-                    st.sched.remove_job(id);
-                    finish_job(
-                        &mut st,
-                        &self.inner,
-                        id,
-                        cancelled_now,
-                        false,
-                        &SingleExtras::NONE,
-                    );
-                } else {
-                    // Running chunks stop at their next boundary; queued
-                    // chunks observe the token at dispatch and skip.
-                    token.cancel();
-                }
-            }
+        // A job stops now when nothing of it holds a slot; running work
+        // stops at the engine's next cycle batch or the sweep's next chunk.
+        let stop_now = match work.as_ref() {
+            Work::Sweep { .. } => state == JobState::Queued,
             Work::Single(_) => {
-                let is_leader = match fp.as_ref() {
-                    Some(f) => st.inflight.get(f) == Some(&id),
-                    // Uncoalescable (traced) singles own their task.
-                    None => true,
-                };
-                if !is_leader {
+                let leader = fp.as_ref().and_then(|f| st.inflight.get(f).copied());
+                // Uncoalescable (traced) singles own their task.
+                if fp.is_some() && leader != Some(id) {
                     // A follower: detach from its leader and finish alone.
-                    let leader = fp.as_ref().and_then(|f| st.inflight.get(f).copied());
                     if let Some(l) = leader.and_then(|l| st.jobs.get_mut(&l)) {
                         l.followers.retain(|f| *f != id);
                     }
-                    finish_job(
-                        &mut st,
-                        &self.inner,
-                        id,
-                        cancelled_now,
-                        false,
-                        &SingleExtras::NONE,
-                    );
-                } else if state == JobState::Queued {
-                    st.sched.remove_job(id);
-                    promote_follower(&mut st, &self.inner, id);
-                    finish_job(
-                        &mut st,
-                        &self.inner,
-                        id,
-                        cancelled_now,
-                        false,
-                        &SingleExtras::NONE,
-                    );
+                    true
                 } else {
-                    // Running: stop the engine cooperatively; followers
-                    // re-run under a promoted leader rather than inherit
-                    // this job's cancellation.
+                    // Followers re-run under a promoted leader rather than
+                    // inherit this job's cancellation.
                     promote_follower(&mut st, &self.inner, id);
-                    token.cancel();
+                    state == JobState::Queued
                 }
             }
+        };
+        if stop_now {
+            st.sched.remove_job(id);
+            let outcome = stop_outcome(StopReason::Cancelled, "before the run started");
+            finish_job(
+                &mut st,
+                &self.inner,
+                id,
+                outcome,
+                false,
+                &SingleExtras::NONE,
+            );
+        } else {
+            token.cancel();
         }
         let snap = Self::snapshot(&st, id).ok_or(JobLookupError::NotFound);
         drop(st);
@@ -1196,7 +1193,7 @@ impl ServeCore {
     /// The stable one-line summary CI asserts on. The leading counters are
     /// frozen (scripts key on them); end-to-end latency percentiles and
     /// the resilience counters ride at the end (zeros until a job
-    /// completes or with telemetry off). Format, documented in DESIGN.md
+    /// completes). Format, documented in DESIGN.md
     /// §11: `jobs=N done=N failed=N rejected=N coalesced=N cache_hits=N
     /// sim_runs=N e2e_p50_ms=F e2e_p99_ms=F shed=N cancelled=N`.
     pub fn stats_line(&self) -> String {
@@ -1220,44 +1217,6 @@ impl ServeCore {
             m.counter("serve.jobs.shed"),
             m.counter("serve.jobs.cancelled") + m.counter("serve.jobs.timeout"),
         )
-    }
-
-    /// Per-class end-to-end latency percentiles as JSON — the payload the
-    /// `salam_serve --bench-out` flag writes at shutdown for CI's workflow
-    /// artifact.
-    pub fn latency_summary_json(&self) -> String {
-        let st = self.inner.state.lock().unwrap();
-        let block = |h: &Histogram| {
-            format!(
-                "{{\"count\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-                h.count(),
-                h.p50(),
-                h.p95(),
-                h.p99(),
-                h.max()
-            )
-        };
-        let mut classes = String::new();
-        for (key, metric) in st.metrics.iter() {
-            let Metric::Hist(h) = metric else {
-                continue;
-            };
-            let Some(class) = key
-                .strip_prefix("serve.latency.e2e_us{class=\"")
-                .and_then(|rest| rest.strip_suffix("\"}"))
-            else {
-                continue;
-            };
-            if !classes.is_empty() {
-                classes.push_str(", ");
-            }
-            classes.push_str(&format!("\"{}\": {}", json::escape(class), block(h)));
-        }
-        let total = st
-            .metrics
-            .hist("serve.latency.e2e_us")
-            .map_or_else(|| block(&Histogram::new()), block);
-        format!("{{\"total\": {total}, \"classes\": {{{classes}}}}}")
     }
 
     /// Stops accepting jobs, lets in-flight tasks finish, and joins the
@@ -1378,7 +1337,7 @@ fn promote_follower(st: &mut State, inner: &Inner, leader: JobId) {
         tenant_slots: inner.cfg.quota.max_running,
     });
     inner.flight.record(
-        TraceCtx::for_job(new_leader).trace_id,
+        trace_id(new_leader),
         "job",
         format!("promote id={new_leader} from={leader}"),
     );
@@ -1447,77 +1406,102 @@ fn worker_loop(inner: &Inner) {
                 replay,
                 ..
             } => {
+                let job = dispatched.task.job;
                 let (a, b) = chunks[dispatched.task.chunk];
                 // Cooperative cancellation between chunks: a stopped job's
                 // remaining chunks record skipped rows instead of running.
-                if let Some(reason) = cancel.poll() {
-                    let mut st = inner.state.lock().unwrap();
-                    record_chunk_skipped(
-                        &mut st,
-                        inner,
-                        dispatched.task.job,
-                        work.as_ref(),
-                        a,
-                        b,
-                        reason,
-                    );
-                    st.sched.task_done(&dispatched);
-                    drop(st);
-                    inner.cvar.notify_all();
-                    continue;
-                }
-                if *replay {
-                    let opts = ReplayOptions {
-                        inner: chunk_options(inner),
-                        check: false,
-                    };
-                    let run = run_replay_sweep(&points[a..b], &StandaloneConfig::default(), &opts);
-                    let engines: Vec<EngineKind> =
-                        run.provenance.iter().map(|p| p.engine).collect();
-                    let mut st = inner.state.lock().unwrap();
-                    st.metrics.counter_add("serve.cache_hits", run.hits as u64);
-                    st.metrics
-                        .counter_add("serve.sim_runs", (run.misses + run.baseline_misses) as u64);
-                    record_chunk(
-                        &mut st,
-                        inner,
-                        dispatched.task.job,
-                        work.as_ref(),
-                        a,
-                        &run.outcomes,
-                        Some(&engines),
-                    );
-                    st.sched.task_done(&dispatched);
-                    drop(st);
-                } else {
-                    let run = run_sweep(&points[a..b], &chunk_options(inner));
-                    let mut st = inner.state.lock().unwrap();
-                    st.metrics.counter_add("serve.cache_hits", run.hits as u64);
-                    st.metrics
-                        .counter_add("serve.sim_runs", (run.misses + run.corrupt) as u64);
-                    if inner.cfg.telemetry {
-                        // Per-point telemetry (dse.point.cycles, hit/miss
-                        // counters) folds into the server registry; the
-                        // histogram contents are a pure function of the
-                        // point set, so chunking cannot perturb them.
-                        st.metrics.merge_from(&run.telemetry);
+                let (rows, delta) = match cancel.poll() {
+                    Some(reason) => {
+                        inner.flight.record(
+                            trace_id(job),
+                            "sched",
+                            format!("skip id={job} points={a}..{b} reason={}", reason.label()),
+                        );
+                        let label = || Err(reason.label().to_string());
+                        let rows = points[a..b]
+                            .iter()
+                            .map(|p| point_row(p, label(), None, *replay))
+                            .collect();
+                        (rows, MetricsRegistry::new())
                     }
-                    record_chunk(
-                        &mut st,
-                        inner,
-                        dispatched.task.job,
-                        work.as_ref(),
-                        a,
-                        &run.outcomes,
-                        None,
-                    );
-                    st.sched.task_done(&dispatched);
-                    drop(st);
-                }
+                    None => run_chunk(inner, &points[a..b], *replay),
+                };
+                let mut st = inner.state.lock().unwrap();
+                st.metrics.merge_from(&delta);
+                record_chunk(&mut st, inner, job, &work, a, rows);
+                st.sched.task_done(&dispatched);
+                drop(st);
                 inner.cvar.notify_all();
             }
         }
     }
+}
+
+/// Runs one chunk through `salam-dse` — the replay fast path or a plain
+/// sweep — and returns its rows plus what it adds to the server registry:
+/// the cache counters and, for a plain sweep, the per-point telemetry
+/// (`dse.point.cycles`, hit/miss counters). The histogram contents are a
+/// pure function of the point set, so chunking cannot perturb them.
+fn run_chunk(
+    inner: &Inner,
+    points: &[StandalonePoint],
+    replay: bool,
+) -> (Vec<Vec<String>>, MetricsRegistry) {
+    let mut delta = MetricsRegistry::new();
+    let (outcomes, engines, hits, sim_runs) = if replay {
+        let opts = ReplayOptions {
+            inner: chunk_options(inner),
+            check: false,
+        };
+        let run = run_replay_sweep(points, &StandaloneConfig::default(), &opts);
+        let engines = run.provenance.iter().map(|p| Some(p.engine)).collect();
+        (
+            run.outcomes,
+            engines,
+            run.hits,
+            run.misses + run.baseline_misses,
+        )
+    } else {
+        let run = run_sweep(points, &chunk_options(inner));
+        delta = run.telemetry;
+        let engines = vec![None; points.len()];
+        (run.outcomes, engines, run.hits, run.misses + run.corrupt)
+    };
+    delta.counter_add("serve.cache_hits", hits as u64);
+    delta.counter_add("serve.sim_runs", sim_runs as u64);
+    let rows = points
+        .iter()
+        .zip(&outcomes)
+        .zip(engines)
+        .map(|((point, outcome), engine)| {
+            let result = match outcome.payload() {
+                Some(r) => Ok(r.cycles),
+                None => Err(outcome.failure_label().unwrap_or_default()),
+            };
+            point_row(point, result, engine, replay)
+        })
+        .collect();
+    (rows, delta)
+}
+
+/// One sweep point's table row: `point, cycles, status` and, on replay
+/// sweeps, `engine`. The status is `ok`, the point's failure label
+/// (`failed:…`, `invalid:…`), or the stop label of a skipped chunk.
+fn point_row(
+    point: &StandalonePoint,
+    result: Result<u64, String>,
+    engine: Option<EngineKind>,
+    replay: bool,
+) -> Vec<String> {
+    let (cycles, status) = match result {
+        Ok(cycles) => (cycles.to_string(), "ok".to_string()),
+        Err(label) => (String::new(), label),
+    };
+    let mut row = vec![point.label(), cycles, status];
+    if replay {
+        row.push(engine.map_or_else(String::new, |e| e.label().to_string()));
+    }
+    row
 }
 
 fn chunk_options(inner: &Inner) -> DseOptions {
@@ -1583,7 +1567,7 @@ fn run_single(inner: &Inner, job: JobId, work: &SingleWork, cancel: &CancelToken
         chaos,
     } = work;
     let (plan, trace, chaos) = (plan.as_ref(), *trace, *chaos);
-    let trace_id = TraceCtx::for_job(job).trace_id;
+    let trace_id = trace_id(job);
     if let Some(reason) = cancel.poll() {
         return SingleRun {
             outcome: stop_outcome(reason, "before the run started"),
@@ -1706,38 +1690,34 @@ fn report_outcome(report: &salam::RunReport, trace_json: Option<String>) -> JobO
 /// histogram. Runs under the state lock, on the first dispatch only
 /// (later sweep chunks of the same job skip it).
 fn on_dispatch(st: &mut State, inner: &Inner, task: &Task) {
-    let now = now_ns(inner);
+    let now = now_ps(inner);
     let Some(j) = st.jobs.get_mut(&task.job) else {
         return;
     };
     j.state = JobState::Running;
-    if j.first_dispatch_ns.is_some() {
+    if j.first_dispatch_ps.is_some() {
         return;
     }
-    j.first_dispatch_ns = Some(now);
-    let wait_us = now.saturating_sub(j.submitted_ns) / 1_000;
-    if let Some(jt) = j.trace.clone() {
-        jt.end(j.queued_span, now);
-        let run = jt.begin(jt.run, "run", now);
-        jt.flow(j.queued_span, run, "dispatch", now);
-        j.queued_span = SpanId::INVALID;
-        j.run_span = run;
-    }
+    j.first_dispatch_ps = Some(now);
+    let wait_us = now.saturating_sub(j.submitted_ps) / 1_000_000;
+    j.trace.end_span(j.queued_span, now);
+    let run = j.trace.begin_span(j.tracks.run, "run", now);
+    j.trace.edge(j.queued_span, run, "dispatch", now);
+    j.queued_span = SpanId::INVALID;
+    j.run_span = run;
     let (kind, tenant) = (j.kind, j.tenant.clone());
-    if inner.cfg.telemetry {
-        let t = &mut st.metrics;
-        t.record("serve.latency.queue_us", wait_us);
-        t.record(
-            &labeled("serve.latency.queue_us", &[("class", kind)]),
-            wait_us,
-        );
-        t.record(
-            &labeled("serve.latency.queue_us", &[("tenant", &tenant)]),
-            wait_us,
-        );
-    }
+    let t = &mut st.metrics;
+    t.record("serve.latency.queue_us", wait_us);
+    t.record(
+        &labeled("serve.latency.queue_us", &[("class", kind)]),
+        wait_us,
+    );
+    t.record(
+        &labeled("serve.latency.queue_us", &[("tenant", &tenant)]),
+        wait_us,
+    );
     inner.flight.record(
-        TraceCtx::for_job(task.job).trace_id,
+        trace_id(task.job),
         "sched",
         format!("dispatch id={} class={kind} wait_us={wait_us}", task.job),
     );
@@ -1759,71 +1739,74 @@ fn job_terminal(
     outcome: &mut JobOutcome,
     extras: &SingleExtras,
 ) {
-    let now = now_ns(inner);
+    let now = now_ps(inner);
     let Some(j) = st.jobs.get_mut(&id) else {
         return;
     };
-    if let Some(jt) = j.trace.clone() {
-        jt.end(j.queued_span, now);
-        jt.end(j.run_span, now);
-        j.queued_span = SpanId::INVALID;
-        j.run_span = SpanId::INVALID;
-        jt.instant(jt.request, if failed { "failed" } else { "done" }, now);
-        jt.end(j.job_span, now);
-        j.job_span = SpanId::INVALID;
-        if let JobOutcome::Report { trace_json, .. } = outcome {
-            let extra: Vec<&TraceRecorder> = extras.engine_rec.into_iter().collect();
-            *trace_json = Some(jt.export_chrome(&extra));
-        }
-    } else if let JobOutcome::Report { trace_json, .. } = outcome {
-        // Telemetry off: the trace artifact (for jobs that asked to be
-        // traced) is the engine recorder alone, as before PR 8.
-        if trace_json.is_none() {
-            *trace_json = extras.engine_rec.map(salam_obs::export_chrome_json);
-        }
+    for span in [j.queued_span, j.run_span] {
+        j.trace.end_span(span, now);
     }
-    let trace_id = TraceCtx::for_job(id).trace_id;
-    if failed && inner.cfg.telemetry {
-        if let JobOutcome::Error { label, message } = &*outcome {
+    j.queued_span = SpanId::INVALID;
+    j.run_span = SpanId::INVALID;
+    let end = if failed { "failed" } else { "done" };
+    j.trace.instant(j.tracks.request, end, now);
+    j.trace.end_span(j.job_span, now);
+    j.job_span = SpanId::INVALID;
+    match outcome {
+        JobOutcome::Report { trace_json, .. } => {
+            *trace_json = Some(export_trace(&j.trace, id, extras.engine_rec));
+        }
+        JobOutcome::Error { label, message } => {
             j.postmortem = Some(format!(
-                "{{\"job\": {id}, \"trace_id\": \"{trace_id:016x}\", \"label\": \"{}\", \
+                "{{\"job\": {id}, \"trace_id\": \"{:016x}\", \"label\": \"{}\", \
                  \"message\": \"{}\", \"watchdog\": {}, \"flight\": {}}}",
+                trace_id(id),
                 json::escape(label),
                 json::escape(message),
                 extras.watchdog_json.unwrap_or("null"),
                 inner.flight.tail_json(POSTMORTEM_FLIGHT_EVENTS),
             ));
         }
+        JobOutcome::Sweep { .. } => {}
     }
     let (kind, tenant, submitted, first_dispatch) = (
         j.kind,
         j.tenant.clone(),
-        j.submitted_ns,
-        j.first_dispatch_ns,
+        j.submitted_ps,
+        j.first_dispatch_ps,
     );
-    if inner.cfg.telemetry {
-        let t = &mut st.metrics;
-        let e2e_us = now.saturating_sub(submitted) / 1_000;
-        t.record("serve.latency.e2e_us", e2e_us);
-        t.record(&labeled("serve.latency.e2e_us", &[("class", kind)]), e2e_us);
-        t.record(
-            &labeled("serve.latency.e2e_us", &[("tenant", &tenant)]),
-            e2e_us,
-        );
-        if let Some(t0) = first_dispatch {
-            let run_us = now.saturating_sub(t0) / 1_000;
-            t.record("serve.latency.run_us", run_us);
-            t.record(&labeled("serve.latency.run_us", &[("class", kind)]), run_us);
-        }
+    let t = &mut st.metrics;
+    let e2e_us = now.saturating_sub(submitted) / 1_000_000;
+    t.record("serve.latency.e2e_us", e2e_us);
+    t.record(&labeled("serve.latency.e2e_us", &[("class", kind)]), e2e_us);
+    t.record(
+        &labeled("serve.latency.e2e_us", &[("tenant", &tenant)]),
+        e2e_us,
+    );
+    if let Some(t0) = first_dispatch {
+        let run_us = now.saturating_sub(t0) / 1_000_000;
+        t.record("serve.latency.run_us", run_us);
+        t.record(&labeled("serve.latency.run_us", &[("class", kind)]), run_us);
     }
-    inner.flight.record(
-        trace_id,
-        "job",
-        format!(
-            "finish id={id} state={}",
-            if failed { "failed" } else { "done" }
-        ),
-    );
+    inner
+        .flight
+        .record(trace_id(id), "job", format!("finish id={id} state={end}"));
+}
+
+/// A job's `trace` artifact: its lifecycle spans merged with the engine's
+/// op-level recorder (when the job ran traced, its timestamps already
+/// absolute), stamped with the job's trace id.
+fn export_trace(trace: &SharedTrace, id: JobId, engine: Option<&TraceRecorder>) -> String {
+    let mut merged = TraceRecorder::new(TraceRecorder::DEFAULT_CAPACITY);
+    trace.with_recorder(|rec| merged.merge_from(rec));
+    if let Some(rec) = engine {
+        merged.merge_from(rec);
+    }
+    // Stamp the request identity where trace viewers (and the span table
+    // in `salam_report --spans`) can find it.
+    let meta = merged.track("request");
+    merged.instant(meta, &format!("trace_id:{:016x}", trace_id(id)), 0);
+    export_chrome_json(&merged)
 }
 
 /// Records a single run's outcome and completes the job together with any
@@ -1954,103 +1937,25 @@ fn retire(st: &mut State, tenant: &str, id: JobId, failed: bool, hit: bool) {
     }
 }
 
-/// Folds one finished chunk into its sweep job; assembles the table when
-/// the last chunk lands.
+/// Folds one chunk's rows (run or skipped) into its sweep job; when it was
+/// the last, assembles the deterministic artifact and finishes the job.
 fn record_chunk(
     st: &mut State,
     inner: &Inner,
     id: JobId,
     work: &Work,
     start: usize,
-    outcomes: &[PointOutcome<salam::RunReport>],
-    engines: Option<&[EngineKind]>,
+    rows: Vec<Vec<String>>,
 ) {
-    let Work::Sweep { points, .. } = work else {
-        return;
-    };
-    {
-        let Some(j) = st.jobs.get_mut(&id) else {
-            return;
-        };
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let point = &points[start + i];
-            let engine = engines
-                .map(|e| e[i].label().to_string())
-                .unwrap_or_default();
-            let row = match outcome.payload() {
-                Some(r) => PointRow {
-                    label: point.label(),
-                    cycles: r.cycles.to_string(),
-                    status: "ok".to_string(),
-                    engine,
-                    ok: true,
-                    invalid: false,
-                },
-                None => PointRow {
-                    label: point.label(),
-                    cycles: String::new(),
-                    status: outcome.failure_label().unwrap_or_default(),
-                    engine,
-                    ok: false,
-                    invalid: outcome.invalid().is_some(),
-                },
-            };
-            j.rows[start + i] = Some(row);
-        }
-    }
-    chunk_done(st, inner, id, work);
-}
-
-/// Folds one *skipped* chunk (cancelled/deadline-stopped job) into its
-/// sweep: the points record the stop reason instead of running.
-fn record_chunk_skipped(
-    st: &mut State,
-    inner: &Inner,
-    id: JobId,
-    work: &Work,
-    start: usize,
-    end: usize,
-    reason: StopReason,
-) {
-    let Work::Sweep { points, .. } = work else {
-        return;
-    };
-    inner.flight.record(
-        TraceCtx::for_job(id).trace_id,
-        "sched",
-        format!(
-            "skip id={id} points={}..{end} reason={}",
-            start,
-            reason.label()
-        ),
-    );
-    {
-        let Some(j) = st.jobs.get_mut(&id) else {
-            return;
-        };
-        for (i, point) in points.iter().enumerate().take(end).skip(start) {
-            j.rows[i] = Some(PointRow {
-                label: point.label(),
-                cycles: String::new(),
-                status: reason.label().to_string(),
-                engine: String::new(),
-                ok: false,
-                invalid: false,
-            });
-        }
-    }
-    chunk_done(st, inner, id, work);
-}
-
-/// One chunk (run or skipped) is accounted for; when it was the last, the
-/// deterministic artifact is assembled and the job finished.
-fn chunk_done(st: &mut State, inner: &Inner, id: JobId, work: &Work) {
     let Work::Sweep { name, replay, .. } = work else {
         return;
     };
     let Some(j) = st.jobs.get_mut(&id) else {
         return;
     };
+    for (i, row) in rows.into_iter().enumerate() {
+        j.rows[start + i] = Some(row);
+    }
     j.pending_chunks -= 1;
     if j.pending_chunks > 0 {
         return;
@@ -2068,29 +1973,22 @@ fn chunk_done(st: &mut State, inner: &Inner, id: JobId, work: &Work) {
     };
     let mut table = SweepTable::new(name.clone(), columns);
     let (mut ok, mut failed, mut invalid) = (0usize, 0usize, 0usize);
-    let mut replayed = 0usize;
-    let (mut stopped_cancel, mut stopped_timeout) = (0usize, 0usize);
+    let (mut replayed, mut stopped) = (0usize, 0usize);
+    let mut timed_out = false;
     for row in j.rows.iter().flatten() {
-        if row.ok {
-            ok += 1;
-        } else if row.invalid {
-            invalid += 1;
-        } else {
-            failed += 1;
+        match row[2].as_str() {
+            "ok" => ok += 1,
+            s if s.starts_with("invalid:") => invalid += 1,
+            s => {
+                failed += 1;
+                stopped += usize::from(s == "cancelled" || s == "timeout");
+                timed_out |= s == "timeout";
+            }
         }
-        match row.status.as_str() {
-            "cancelled" => stopped_cancel += 1,
-            "timeout" => stopped_timeout += 1,
-            _ => {}
-        }
-        if row.engine == "replay" {
+        if row.get(3).is_some_and(|e| e == "replay") {
             replayed += 1;
         }
-        let mut cells = vec![row.label.clone(), row.cycles.clone(), row.status.clone()];
-        if *replay {
-            cells.push(row.engine.clone());
-        }
-        table.row(cells);
+        table.row(row.clone());
     }
     let total = j.rows.len();
     let mut summary = vec![
@@ -2105,18 +2003,10 @@ fn chunk_done(st: &mut State, inner: &Inner, id: JobId, work: &Work) {
     table.set_summary(summary);
     // A stopped sweep is typed by its stop reason, not by a partial table:
     // clients keying on the outcome see `cancelled`/`timeout` directly.
-    let outcome = if stopped_cancel + stopped_timeout > 0 {
-        let label = if stopped_timeout > 0 {
-            "timeout"
-        } else {
-            "cancelled"
-        };
+    let outcome = if stopped > 0 {
         JobOutcome::Error {
-            label: label.to_string(),
-            message: format!(
-                "sweep stopped: {} of {total} points skipped",
-                stopped_cancel + stopped_timeout
-            ),
+            label: if timed_out { "timeout" } else { "cancelled" }.to_string(),
+            message: format!("sweep stopped: {stopped} of {total} points skipped"),
         }
     } else {
         JobOutcome::Sweep {

@@ -43,11 +43,11 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// The bind failure, verbatim.
+    /// The bind failure, verbatim, or a journal that cannot be opened.
     pub fn bind(addr: &str, cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let core = Arc::new(ServeCore::start(cfg));
+        let core = Arc::new(ServeCore::try_start(cfg)?);
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let core = core.clone();

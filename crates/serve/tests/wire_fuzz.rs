@@ -71,7 +71,7 @@ fn case(template: &str, g: &mut SplitMix64) -> String {
     let mut text = String::new();
     for (i, part) in template.split('#').enumerate() {
         if i > 0 {
-            text.push_str(*g.choose(&NUMBERS));
+            text.push_str(g.choose::<&str>(&NUMBERS));
         }
         text.push_str(part);
     }
@@ -123,7 +123,7 @@ fn assert_exact(ints: &[u64], text: &str) {
 #[test]
 fn request_lines_decode_or_fail_typed() {
     check_cases("parse_request", 3000, 0x5e12_7e01, |g| {
-        let text = case(*g.choose(&REQUESTS), g);
+        let text = case(g.choose::<&str>(&REQUESTS), g);
         if let Ok(req) = parse_request(&text) {
             assert_exact(&request_ints(&req), &text);
         }
@@ -133,7 +133,7 @@ fn request_lines_decode_or_fail_typed() {
 #[test]
 fn submit_bodies_decode_or_fail_typed() {
     check_cases("parse_submit_body", 2000, 0x5e12_7e02, |g| {
-        let text = case(*g.choose(&BODIES), g);
+        let text = case(g.choose::<&str>(&BODIES), g);
         if let Ok(req) = parse_submit_body(&text) {
             assert_exact(&request_ints(&req), &text);
         }
@@ -143,7 +143,7 @@ fn submit_bodies_decode_or_fail_typed() {
 #[test]
 fn journal_lines_decode_or_fail_typed() {
     check_cases("parse_journal_line", 3000, 0x5e12_7e03, |g| {
-        let text = case(*g.choose(&JOURNAL), g);
+        let text = case(g.choose::<&str>(&JOURNAL), g);
         match parse_journal_line(&text) {
             Ok(JournalEvent::Admit(a)) => {
                 let ints: Vec<u64> = job_ints(&a.job)

@@ -68,18 +68,16 @@ esac
 # typed code before it ever becomes a job, a forced-deadlock job leaves a
 # flight-recorder post-mortem, the Prometheus exposition and per-job span
 # trace are scraped, and the server drains and shuts down cleanly via the
-# wire op. The final metrics snapshot lands in SERVE_METRICS_OUT and the
-# per-class latency percentiles in BENCH_SERVE_OUT when set (the workflow
-# uploads both as artifacts).
+# wire op. The final metrics snapshot, per-class latency percentiles
+# included, lands in SERVE_METRICS_OUT when set (the workflow uploads it as
+# an artifact).
 echo "+ salam_serve / salam_client (serve smoke)"
 serve_tmp="$(mktemp -d)"
 serve_metrics="${SERVE_METRICS_OUT:-$serve_tmp/serve-metrics.json}"
-serve_bench="${BENCH_SERVE_OUT:-$serve_tmp/BENCH_serve.json}"
 serve_pid=""
 trap 'rm -rf "$serve_tmp"; { [ -n "$serve_pid" ] && kill "$serve_pid"; } 2>/dev/null || true' EXIT
 cargo run --release -q --offline -p salam-bench --bin salam_serve -- \
   --addr 127.0.0.1:0 --cache-dir "$serve_tmp/cache" --metrics-out "$serve_metrics" \
-  --bench-out "$serve_bench" \
   >"$serve_tmp/serve.log" &
 serve_pid=$!
 addr=""
@@ -192,8 +190,8 @@ esac
 grep -q '"serve.jobs.done": 2' "$serve_metrics" || {
   echo "ci: serve metrics snapshot missing or wrong" >&2; exit 1
 }
-grep -q '"p99_us"' "$serve_bench" || {
-  echo "ci: serve latency summary (BENCH_serve.json) missing percentiles" >&2; exit 1
+grep -q '"serve.latency.e2e_us.class.kernel.p99"' "$serve_metrics" || {
+  echo "ci: serve metrics snapshot missing per-class latency percentiles" >&2; exit 1
 }
 
 # Code size, for the record (ROADMAP: net-negative LOC is a success
