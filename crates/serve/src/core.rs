@@ -7,11 +7,12 @@
 //! a `Condvar`; workers hold the lock only to pick up and record work, and
 //! simulate unlocked.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
-
+use crate::job::{
+    config_from_knobs, JobId, JobLookupError, JobOutcome, JobRequest, JobState, JobStatus,
+    Rejection,
+};
+use crate::quota::TenantQuota;
+use crate::sched::{Class, Dispatched, Scheduler, Task};
 use salam::standalone::{RunOptions, StandaloneConfig};
 use salam_dse::{
     run_replay_sweep, run_sweep, CacheId, DseOptions, EngineKind, KernelSpec, Lookup,
@@ -28,13 +29,10 @@ use salam_resilience::{
 };
 use salam_telemetry::{flight, FlightRecorder};
 use salam_verify::{errors_only, to_json as diags_to_json, verify_ir, warning_count};
-
-use crate::job::{
-    config_from_knobs, JobId, JobLookupError, JobOutcome, JobRequest, JobState, JobStatus,
-    Rejection,
-};
-use crate::quota::TenantQuota;
-use crate::sched::{Class, Dispatched, Scheduler, Task};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -197,14 +195,6 @@ struct JobRecord {
     cancel: CancelToken,
 }
 
-impl JobRecord {
-    /// Marks admission on the span tree and opens the queued span.
-    fn admitted(&mut self, now: u64) {
-        self.trace.instant(self.tracks.request, "admitted", now);
-        self.queued_span = self.trace.begin_span(self.tracks.sched, "queued", now);
-    }
-}
-
 /// The three tracks of a job's span tree.
 #[derive(Debug, Clone, Copy)]
 struct Tracks {
@@ -215,10 +205,6 @@ struct Tracks {
     /// Worker-slot occupancy.
     run: TrackId,
 }
-
-/// Per-job span rings are small: a lifecycle is a dozen events, and the
-/// engine's op-level events live in the engine's own recorder.
-const JOB_TRACE_CAPACITY: usize = 4096;
 
 /// A job's request-scoped identity, printed in post-mortems, flight events
 /// and its trace. SplitMix64 of the id: stable, and job 1 and job 2 do not
@@ -296,15 +282,6 @@ fn tenant_key(tenant: &str, name: &str) -> String {
     format!("serve.tenant.{tenant}.{name}")
 }
 
-/// Tenant names become metric keys and label values, so they are held to
-/// `[A-Za-z0-9_-]{1,64}`: nothing that could close a label or split a key.
-fn valid_tenant(tenant: &str) -> bool {
-    (1..=64).contains(&tenant.len())
-        && tenant
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
-}
-
 struct Inner {
     state: Mutex<State>,
     cvar: Condvar,
@@ -332,13 +309,6 @@ fn now_ps(inner: &Inner) -> u64 {
 pub struct ServeCore {
     inner: Arc<Inner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-/// Resolves a MachSuite benchmark id.
-fn bench_by_id(id: &str) -> Option<machsuite::Bench> {
-    machsuite::Bench::ALL
-        .into_iter()
-        .find(|b| b.label().eq_ignore_ascii_case(id))
 }
 
 impl ServeCore {
@@ -421,6 +391,362 @@ impl ServeCore {
         Ok(core)
     }
 
+    /// Admits (or rejects) one job for `tenant`.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`Rejection`]; rejected submissions never become jobs.
+    pub fn submit(&self, tenant: &str, req: JobRequest) -> Result<JobId, Rejection> {
+        self.submit_with(tenant, req, SubmitOpts::default())
+    }
+
+    /// [`ServeCore::submit`] with per-submission options (deadline).
+    ///
+    /// # Errors
+    ///
+    /// A typed [`Rejection`]; rejected submissions never become jobs.
+    pub fn submit_with(
+        &self,
+        tenant: &str,
+        req: JobRequest,
+        opts: SubmitOpts,
+    ) -> Result<JobId, Rejection> {
+        self.admit(tenant, req, opts, None)
+    }
+
+    fn snapshot(st: &State, id: JobId) -> Option<JobStatus> {
+        st.jobs.get(&id).map(|j| JobStatus {
+            id,
+            tenant: j.tenant.clone(),
+            kind: j.kind,
+            state: j.state,
+            submit_seq: j.submit_seq,
+            complete_seq: j.complete_seq,
+            detail: j.outcome.as_ref().map(JobOutcome::detail),
+        })
+    }
+
+    /// Why `id` is missing from the job table: ids below the allocation
+    /// watermark were real jobs whose terminal record has been evicted;
+    /// anything else was never allocated.
+    fn lookup_err(st: &State, id: JobId) -> JobLookupError {
+        if id > 0 && id < st.next_id {
+            JobLookupError::Evicted
+        } else {
+            JobLookupError::NotFound
+        }
+    }
+
+    /// The job's current status.
+    ///
+    /// # Errors
+    ///
+    /// [`JobLookupError::Evicted`] for a completed job whose record aged
+    /// out of retention, [`JobLookupError::NotFound`] for an unknown id.
+    pub fn status(&self, id: JobId) -> Result<JobStatus, JobLookupError> {
+        let st = self.inner.state.lock().unwrap();
+        Self::snapshot(&st, id).ok_or_else(|| Self::lookup_err(&st, id))
+    }
+
+    /// Blocks until the job reaches a terminal state.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeCore::status`] — an evicted id returns immediately with
+    /// [`JobLookupError::Evicted`] instead of parking the caller forever
+    /// (the record can be evicted *while* waiting; the wake-up after its
+    /// completion observes the eviction and reports it).
+    pub fn wait(&self, id: JobId) -> Result<JobStatus, JobLookupError> {
+        let mut st = self.inner.state.lock().unwrap();
+        loop {
+            match st.jobs.get(&id) {
+                None => return Err(Self::lookup_err(&st, id)),
+                Some(j) if j.state.is_terminal() => {
+                    return Self::snapshot(&st, id).ok_or(JobLookupError::NotFound)
+                }
+                Some(_) => st = self.inner.cvar.wait(st).unwrap(),
+            }
+        }
+    }
+
+    /// Requests cooperative cancellation of a job. Terminal jobs return
+    /// their status unchanged (idempotent). Queued work is failed
+    /// immediately with a `cancelled` outcome; running work is stopped at
+    /// the engine's next cycle-batch (or the sweep's next chunk) boundary.
+    /// Cancelling a coalesced leader first promotes a follower so the
+    /// other tenants' identical jobs still complete.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeCore::status`].
+    pub fn cancel(&self, id: JobId) -> Result<JobStatus, JobLookupError> {
+        let mut st = self.inner.state.lock().unwrap();
+        let (state, work, fp, token) = {
+            let Some(j) = st.jobs.get(&id) else {
+                return Err(Self::lookup_err(&st, id));
+            };
+            if j.state.is_terminal() {
+                return Self::snapshot(&st, id).ok_or(JobLookupError::NotFound);
+            }
+            (
+                j.state,
+                j.work.clone(),
+                j.fingerprint.clone(),
+                j.cancel.clone(),
+            )
+        };
+        self.inner.flight.record(
+            trace_id(id),
+            "job",
+            format!("cancel id={id} state={}", state.name()),
+        );
+        // A job stops now when nothing of it holds a slot; running work
+        // stops at the engine's next cycle batch or the sweep's next chunk.
+        let stop_now = match work.as_ref() {
+            Work::Sweep { .. } => state == JobState::Queued,
+            Work::Single(_) => {
+                let leader = fp.as_ref().and_then(|f| st.inflight.get(f).copied());
+                // Uncoalescable (traced) singles own their task.
+                if fp.is_some() && leader != Some(id) {
+                    // A follower: detach from its leader and finish alone.
+                    if let Some(l) = leader.and_then(|l| st.jobs.get_mut(&l)) {
+                        l.followers.retain(|f| *f != id);
+                    }
+                    true
+                } else {
+                    // Followers re-run under a promoted leader rather than
+                    // inherit this job's cancellation.
+                    promote_follower(&mut st, &self.inner, id);
+                    state == JobState::Queued
+                }
+            }
+        };
+        if stop_now {
+            st.sched.remove_job(id);
+            let outcome = stop_outcome(StopReason::Cancelled, "before the run started");
+            finish_job(
+                &mut st,
+                &self.inner,
+                id,
+                outcome,
+                false,
+                &SingleExtras::NONE,
+            );
+        } else {
+            token.cancel();
+        }
+        let snap = Self::snapshot(&st, id).ok_or(JobLookupError::NotFound);
+        drop(st);
+        self.inner.cvar.notify_all();
+        snap
+    }
+
+    /// `true` while the server accepts work — the `/readyz` signal. Flips
+    /// false permanently once shutdown begins.
+    pub fn ready(&self) -> bool {
+        !self.inner.state.lock().unwrap().shutdown
+    }
+
+    /// The configuration this core was started with (the transport layer
+    /// reads its socket limits from here).
+    pub fn config(&self) -> &ServeConfig {
+        &self.inner.cfg
+    }
+
+    /// Arms the chaos panic budget: the next `n` chaos-job runs panic in
+    /// the worker (contained by `catch_unwind`, subject to retry and the
+    /// circuit breaker like any real panic). No-op jobs unless
+    /// [`ServeConfig::chaos`] is set.
+    pub fn inject_panics(&self, n: u64) {
+        self.inner.chaos_budget.store(n, Ordering::SeqCst);
+    }
+
+    /// The circuit breaker's transition log (`<fp8>: from->to` lines, in
+    /// order) — deterministic for a fixed submission sequence, which the
+    /// resilience tests assert across worker counts.
+    pub fn breaker_log(&self) -> Vec<String> {
+        let st = self.inner.state.lock().unwrap();
+        st.breaker
+            .as_ref()
+            .map_or_else(Vec::new, |b| b.log().to_vec())
+    }
+
+    /// Fetches one artifact of a terminal job: `report`, `trace`, `csv`,
+    /// `table`, `error`, `lint`, or `postmortem`.
+    ///
+    /// # Errors
+    ///
+    /// A message when the job/artifact combination does not exist (yet);
+    /// an evicted job's message says so rather than "no job".
+    pub fn artifact(&self, id: JobId, kind: &str) -> Result<String, String> {
+        let st = self.inner.state.lock().unwrap();
+        let j = st
+            .jobs
+            .get(&id)
+            .ok_or_else(|| Self::lookup_err(&st, id).message(id))?;
+        if kind == "lint" {
+            return Ok(j.lint_json.clone().unwrap_or_else(|| "[]".to_string()));
+        }
+        if kind == "postmortem" {
+            return j
+                .postmortem
+                .clone()
+                .ok_or_else(|| format!("job {id} has no post-mortem"));
+        }
+        let outcome = j
+            .outcome
+            .as_ref()
+            .ok_or_else(|| format!("job {id} is {}", j.state.name()))?;
+        match (kind, outcome) {
+            ("report", JobOutcome::Report { json, .. }) => Ok(json.clone()),
+            ("trace", JobOutcome::Report { trace_json, .. }) => trace_json
+                .clone()
+                .ok_or_else(|| format!("job {id} was not traced")),
+            ("csv", JobOutcome::Sweep { csv, .. }) => Ok(csv.clone()),
+            ("table", JobOutcome::Sweep { json, .. }) => Ok(json.clone()),
+            ("error", JobOutcome::Error { label, message }) => Ok(format!(
+                "{{\"label\": \"{}\", \"message\": \"{}\"}}",
+                json::escape(label),
+                json::escape(message)
+            )),
+            _ => Err(format!("job {id} ({}) has no '{kind}' artifact", j.kind)),
+        }
+    }
+
+    /// A full metrics dump: job/tenant counters, latency histograms (which
+    /// the JSON view expands to `.count/.p50/…`), cache occupancy and the
+    /// point-in-time job gauges.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let st = self.inner.state.lock().unwrap();
+        let mut reg = st.metrics.clone();
+        // queued/running are never evicted, so counting states is exact.
+        let (queued, running) = st.jobs.values().fold((0u64, 0u64), |acc, j| match j.state {
+            JobState::Queued => (acc.0 + 1, acc.1),
+            JobState::Running => (acc.0, acc.1 + 1),
+            _ => acc,
+        });
+        drop(st);
+        reg.set("serve.jobs.queued", queued as f64);
+        reg.set("serve.jobs.running", running as f64);
+        if let Some(cache) = &self.inner.cache {
+            cache.export_metrics(&mut reg, "serve.cache");
+        }
+        reg.set("serve.flight.dropped", self.inner.flight.dropped() as f64);
+        reg
+    }
+
+    /// The Prometheus text exposition of the same snapshot: counters and
+    /// gauges as scalar samples, latency histograms as cumulative
+    /// `_bucket`/`_sum`/`_count` series. Served as
+    /// `GET /metrics?format=prom` and the `{"op":"metrics","format":"prom"}`
+    /// wire request.
+    pub fn metrics_prom(&self) -> String {
+        self.metrics().to_prom()
+    }
+
+    /// The stable one-line summary CI asserts on. The leading counters are
+    /// frozen (scripts key on them); end-to-end latency percentiles and
+    /// the resilience counters ride at the end (zeros until a job
+    /// completes). Format, documented in DESIGN.md
+    /// §11: `jobs=N done=N failed=N rejected=N coalesced=N cache_hits=N
+    /// sim_runs=N e2e_p50_ms=F e2e_p99_ms=F shed=N cancelled=N`.
+    pub fn stats_line(&self) -> String {
+        let st = self.inner.state.lock().unwrap();
+        let m = &st.metrics;
+        let (p50, p99) = m
+            .hist("serve.latency.e2e_us")
+            .map_or((0, 0), |h| (h.p50(), h.p99()));
+        format!(
+            "jobs={} done={} failed={} rejected={} coalesced={} cache_hits={} sim_runs={} \
+             e2e_p50_ms={:.3} e2e_p99_ms={:.3} shed={} cancelled={}",
+            m.counter("serve.jobs.submitted"),
+            m.counter("serve.jobs.done"),
+            m.counter("serve.jobs.failed"),
+            m.counter("serve.jobs.rejected"),
+            m.counter("serve.jobs.coalesced"),
+            m.counter("serve.cache_hits"),
+            m.counter("serve.sim_runs"),
+            p50 as f64 / 1000.0,
+            p99 as f64 / 1000.0,
+            m.counter("serve.jobs.shed"),
+            m.counter("serve.jobs.cancelled") + m.counter("serve.jobs.timeout"),
+        )
+    }
+
+    /// Stops accepting jobs, lets in-flight tasks finish, and joins the
+    /// workers. Jobs whose queued tasks never ran are failed with a
+    /// `shutdown` outcome — so every job is terminal afterwards and no
+    /// [`ServeCore::wait`] caller parks forever. Idempotent; later calls
+    /// are no-ops.
+    pub fn shutdown(&self) {
+        {
+            let mut st = self.inner.state.lock().unwrap();
+            st.shutdown = true;
+        }
+        self.inner.cvar.notify_all();
+        let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
+        for h in handles {
+            let _ = h.join();
+        }
+        // Workers are gone; whatever is still queued can never run.
+        let mut st = self.inner.state.lock().unwrap();
+        let abandoned: Vec<JobId> = st
+            .jobs
+            .iter()
+            .filter(|(_, j)| !j.state.is_terminal())
+            .map(|(id, _)| *id)
+            .collect();
+        for id in abandoned {
+            if let Some(j) = st.jobs.get_mut(&id) {
+                if let Some(fp) = j.fingerprint.take() {
+                    st.inflight.remove(&fp);
+                }
+            }
+            finish_job(
+                &mut st,
+                &self.inner,
+                id,
+                JobOutcome::Error {
+                    label: "shutdown".to_string(),
+                    message: "server shut down before the job ran".to_string(),
+                },
+                false,
+                &SingleExtras::NONE,
+            );
+        }
+        drop(st);
+        self.inner.cvar.notify_all();
+    }
+}
+
+/// Short hex digest of a fingerprint for breaker log / flight lines.
+fn fp8(fp: &str) -> String {
+    format!(
+        "{:08x}",
+        (salam_resilience::fnv1a64(fp.as_bytes()) >> 32) as u32
+    )
+}
+
+/// A typed outcome for a run stopped before/without simulating.
+fn stop_outcome(reason: StopReason, when: &str) -> JobOutcome {
+    JobOutcome::Error {
+        label: reason.label().to_string(),
+        message: match reason {
+            StopReason::Cancelled => format!("cancelled {when}"),
+            StopReason::DeadlineExceeded => format!("deadline exceeded {when}"),
+        },
+    }
+}
+
+impl JobRecord {
+    /// Marks admission on the span tree and opens the queued span.
+    fn admitted(&mut self, now: u64) {
+        self.trace.instant(self.tracks.request, "admitted", now);
+        self.queued_span = self.trace.begin_span(self.tracks.sched, "queued", now);
+    }
+}
+
+impl ServeCore {
     /// Replays the journal: every admitted job without a terminal record is
     /// re-admitted under its original id, then the journal is compacted to
     /// exactly those open admissions (so recovery is idempotent and the
@@ -482,29 +808,6 @@ impl ServeCore {
                 .flight
                 .record(0, "recovery", format!("recovered jobs={recovered}"));
         }
-    }
-
-    /// Admits (or rejects) one job for `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`Rejection`]; rejected submissions never become jobs.
-    pub fn submit(&self, tenant: &str, req: JobRequest) -> Result<JobId, Rejection> {
-        self.submit_with(tenant, req, SubmitOpts::default())
-    }
-
-    /// [`ServeCore::submit`] with per-submission options (deadline).
-    ///
-    /// # Errors
-    ///
-    /// A typed [`Rejection`]; rejected submissions never become jobs.
-    pub fn submit_with(
-        &self,
-        tenant: &str,
-        req: JobRequest,
-        opts: SubmitOpts,
-    ) -> Result<JobId, Rejection> {
-        self.admit(tenant, req, opts, None)
     }
 
     /// The admission pipeline. With `force_id` (journal recovery) the
@@ -959,310 +1262,26 @@ impl ServeCore {
             }
         }
     }
+}
 
-    fn snapshot(st: &State, id: JobId) -> Option<JobStatus> {
-        st.jobs.get(&id).map(|j| JobStatus {
-            id,
-            tenant: j.tenant.clone(),
-            kind: j.kind,
-            state: j.state,
-            submit_seq: j.submit_seq,
-            complete_seq: j.complete_seq,
-            detail: j.outcome.as_ref().map(JobOutcome::detail),
-        })
-    }
+/// Per-job span rings are small: a lifecycle is a dozen events, and the
+/// engine's op-level events live in the engine's own recorder.
+const JOB_TRACE_CAPACITY: usize = 4096;
 
-    /// Why `id` is missing from the job table: ids below the allocation
-    /// watermark were real jobs whose terminal record has been evicted;
-    /// anything else was never allocated.
-    fn lookup_err(st: &State, id: JobId) -> JobLookupError {
-        if id > 0 && id < st.next_id {
-            JobLookupError::Evicted
-        } else {
-            JobLookupError::NotFound
-        }
-    }
+/// Tenant names become metric keys and label values, so they are held to
+/// `[A-Za-z0-9_-]{1,64}`: nothing that could close a label or split a key.
+fn valid_tenant(tenant: &str) -> bool {
+    (1..=64).contains(&tenant.len())
+        && tenant
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
+}
 
-    /// The job's current status.
-    ///
-    /// # Errors
-    ///
-    /// [`JobLookupError::Evicted`] for a completed job whose record aged
-    /// out of retention, [`JobLookupError::NotFound`] for an unknown id.
-    pub fn status(&self, id: JobId) -> Result<JobStatus, JobLookupError> {
-        let st = self.inner.state.lock().unwrap();
-        Self::snapshot(&st, id).ok_or_else(|| Self::lookup_err(&st, id))
-    }
-
-    /// Blocks until the job reaches a terminal state.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeCore::status`] — an evicted id returns immediately with
-    /// [`JobLookupError::Evicted`] instead of parking the caller forever
-    /// (the record can be evicted *while* waiting; the wake-up after its
-    /// completion observes the eviction and reports it).
-    pub fn wait(&self, id: JobId) -> Result<JobStatus, JobLookupError> {
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            match st.jobs.get(&id) {
-                None => return Err(Self::lookup_err(&st, id)),
-                Some(j) if j.state.is_terminal() => {
-                    return Self::snapshot(&st, id).ok_or(JobLookupError::NotFound)
-                }
-                Some(_) => st = self.inner.cvar.wait(st).unwrap(),
-            }
-        }
-    }
-
-    /// Requests cooperative cancellation of a job. Terminal jobs return
-    /// their status unchanged (idempotent). Queued work is failed
-    /// immediately with a `cancelled` outcome; running work is stopped at
-    /// the engine's next cycle-batch (or the sweep's next chunk) boundary.
-    /// Cancelling a coalesced leader first promotes a follower so the
-    /// other tenants' identical jobs still complete.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeCore::status`].
-    pub fn cancel(&self, id: JobId) -> Result<JobStatus, JobLookupError> {
-        let mut st = self.inner.state.lock().unwrap();
-        let (state, work, fp, token) = {
-            let Some(j) = st.jobs.get(&id) else {
-                return Err(Self::lookup_err(&st, id));
-            };
-            if j.state.is_terminal() {
-                return Self::snapshot(&st, id).ok_or(JobLookupError::NotFound);
-            }
-            (
-                j.state,
-                j.work.clone(),
-                j.fingerprint.clone(),
-                j.cancel.clone(),
-            )
-        };
-        self.inner.flight.record(
-            trace_id(id),
-            "job",
-            format!("cancel id={id} state={}", state.name()),
-        );
-        // A job stops now when nothing of it holds a slot; running work
-        // stops at the engine's next cycle batch or the sweep's next chunk.
-        let stop_now = match work.as_ref() {
-            Work::Sweep { .. } => state == JobState::Queued,
-            Work::Single(_) => {
-                let leader = fp.as_ref().and_then(|f| st.inflight.get(f).copied());
-                // Uncoalescable (traced) singles own their task.
-                if fp.is_some() && leader != Some(id) {
-                    // A follower: detach from its leader and finish alone.
-                    if let Some(l) = leader.and_then(|l| st.jobs.get_mut(&l)) {
-                        l.followers.retain(|f| *f != id);
-                    }
-                    true
-                } else {
-                    // Followers re-run under a promoted leader rather than
-                    // inherit this job's cancellation.
-                    promote_follower(&mut st, &self.inner, id);
-                    state == JobState::Queued
-                }
-            }
-        };
-        if stop_now {
-            st.sched.remove_job(id);
-            let outcome = stop_outcome(StopReason::Cancelled, "before the run started");
-            finish_job(
-                &mut st,
-                &self.inner,
-                id,
-                outcome,
-                false,
-                &SingleExtras::NONE,
-            );
-        } else {
-            token.cancel();
-        }
-        let snap = Self::snapshot(&st, id).ok_or(JobLookupError::NotFound);
-        drop(st);
-        self.inner.cvar.notify_all();
-        snap
-    }
-
-    /// `true` while the server accepts work — the `/readyz` signal. Flips
-    /// false permanently once shutdown begins.
-    pub fn ready(&self) -> bool {
-        !self.inner.state.lock().unwrap().shutdown
-    }
-
-    /// The configuration this core was started with (the transport layer
-    /// reads its socket limits from here).
-    pub fn config(&self) -> &ServeConfig {
-        &self.inner.cfg
-    }
-
-    /// Arms the chaos panic budget: the next `n` chaos-job runs panic in
-    /// the worker (contained by `catch_unwind`, subject to retry and the
-    /// circuit breaker like any real panic). No-op jobs unless
-    /// [`ServeConfig::chaos`] is set.
-    pub fn inject_panics(&self, n: u64) {
-        self.inner.chaos_budget.store(n, Ordering::SeqCst);
-    }
-
-    /// The circuit breaker's transition log (`<fp8>: from->to` lines, in
-    /// order) — deterministic for a fixed submission sequence, which the
-    /// resilience tests assert across worker counts.
-    pub fn breaker_log(&self) -> Vec<String> {
-        let st = self.inner.state.lock().unwrap();
-        st.breaker
-            .as_ref()
-            .map_or_else(Vec::new, |b| b.log().to_vec())
-    }
-
-    /// Fetches one artifact of a terminal job: `report`, `trace`, `csv`,
-    /// `table`, `error`, `lint`, or `postmortem`.
-    ///
-    /// # Errors
-    ///
-    /// A message when the job/artifact combination does not exist (yet);
-    /// an evicted job's message says so rather than "no job".
-    pub fn artifact(&self, id: JobId, kind: &str) -> Result<String, String> {
-        let st = self.inner.state.lock().unwrap();
-        let j = st
-            .jobs
-            .get(&id)
-            .ok_or_else(|| Self::lookup_err(&st, id).message(id))?;
-        if kind == "lint" {
-            return Ok(j.lint_json.clone().unwrap_or_else(|| "[]".to_string()));
-        }
-        if kind == "postmortem" {
-            return j
-                .postmortem
-                .clone()
-                .ok_or_else(|| format!("job {id} has no post-mortem"));
-        }
-        let outcome = j
-            .outcome
-            .as_ref()
-            .ok_or_else(|| format!("job {id} is {}", j.state.name()))?;
-        match (kind, outcome) {
-            ("report", JobOutcome::Report { json, .. }) => Ok(json.clone()),
-            ("trace", JobOutcome::Report { trace_json, .. }) => trace_json
-                .clone()
-                .ok_or_else(|| format!("job {id} was not traced")),
-            ("csv", JobOutcome::Sweep { csv, .. }) => Ok(csv.clone()),
-            ("table", JobOutcome::Sweep { json, .. }) => Ok(json.clone()),
-            ("error", JobOutcome::Error { label, message }) => Ok(format!(
-                "{{\"label\": \"{}\", \"message\": \"{}\"}}",
-                json::escape(label),
-                json::escape(message)
-            )),
-            _ => Err(format!("job {id} ({}) has no '{kind}' artifact", j.kind)),
-        }
-    }
-
-    /// A full metrics dump: job/tenant counters, latency histograms (which
-    /// the JSON view expands to `.count/.p50/…`), cache occupancy and the
-    /// point-in-time job gauges.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let st = self.inner.state.lock().unwrap();
-        let mut reg = st.metrics.clone();
-        // queued/running are never evicted, so counting states is exact.
-        let (queued, running) = st.jobs.values().fold((0u64, 0u64), |acc, j| match j.state {
-            JobState::Queued => (acc.0 + 1, acc.1),
-            JobState::Running => (acc.0, acc.1 + 1),
-            _ => acc,
-        });
-        drop(st);
-        reg.set("serve.jobs.queued", queued as f64);
-        reg.set("serve.jobs.running", running as f64);
-        if let Some(cache) = &self.inner.cache {
-            cache.export_metrics(&mut reg, "serve.cache");
-        }
-        reg.set("serve.flight.dropped", self.inner.flight.dropped() as f64);
-        reg
-    }
-
-    /// The Prometheus text exposition of the same snapshot: counters and
-    /// gauges as scalar samples, latency histograms as cumulative
-    /// `_bucket`/`_sum`/`_count` series. Served as
-    /// `GET /metrics?format=prom` and the `{"op":"metrics","format":"prom"}`
-    /// wire request.
-    pub fn metrics_prom(&self) -> String {
-        self.metrics().to_prom()
-    }
-
-    /// The stable one-line summary CI asserts on. The leading counters are
-    /// frozen (scripts key on them); end-to-end latency percentiles and
-    /// the resilience counters ride at the end (zeros until a job
-    /// completes). Format, documented in DESIGN.md
-    /// §11: `jobs=N done=N failed=N rejected=N coalesced=N cache_hits=N
-    /// sim_runs=N e2e_p50_ms=F e2e_p99_ms=F shed=N cancelled=N`.
-    pub fn stats_line(&self) -> String {
-        let st = self.inner.state.lock().unwrap();
-        let m = &st.metrics;
-        let (p50, p99) = m
-            .hist("serve.latency.e2e_us")
-            .map_or((0, 0), |h| (h.p50(), h.p99()));
-        format!(
-            "jobs={} done={} failed={} rejected={} coalesced={} cache_hits={} sim_runs={} \
-             e2e_p50_ms={:.3} e2e_p99_ms={:.3} shed={} cancelled={}",
-            m.counter("serve.jobs.submitted"),
-            m.counter("serve.jobs.done"),
-            m.counter("serve.jobs.failed"),
-            m.counter("serve.jobs.rejected"),
-            m.counter("serve.jobs.coalesced"),
-            m.counter("serve.cache_hits"),
-            m.counter("serve.sim_runs"),
-            p50 as f64 / 1000.0,
-            p99 as f64 / 1000.0,
-            m.counter("serve.jobs.shed"),
-            m.counter("serve.jobs.cancelled") + m.counter("serve.jobs.timeout"),
-        )
-    }
-
-    /// Stops accepting jobs, lets in-flight tasks finish, and joins the
-    /// workers. Jobs whose queued tasks never ran are failed with a
-    /// `shutdown` outcome — so every job is terminal afterwards and no
-    /// [`ServeCore::wait`] caller parks forever. Idempotent; later calls
-    /// are no-ops.
-    pub fn shutdown(&self) {
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.shutdown = true;
-        }
-        self.inner.cvar.notify_all();
-        let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        // Workers are gone; whatever is still queued can never run.
-        let mut st = self.inner.state.lock().unwrap();
-        let abandoned: Vec<JobId> = st
-            .jobs
-            .iter()
-            .filter(|(_, j)| !j.state.is_terminal())
-            .map(|(id, _)| *id)
-            .collect();
-        for id in abandoned {
-            if let Some(j) = st.jobs.get_mut(&id) {
-                if let Some(fp) = j.fingerprint.take() {
-                    st.inflight.remove(&fp);
-                }
-            }
-            finish_job(
-                &mut st,
-                &self.inner,
-                id,
-                JobOutcome::Error {
-                    label: "shutdown".to_string(),
-                    message: "server shut down before the job ran".to_string(),
-                },
-                false,
-                &SingleExtras::NONE,
-            );
-        }
-        drop(st);
-        self.inner.cvar.notify_all();
-    }
+/// Resolves a MachSuite benchmark id.
+fn bench_by_id(id: &str) -> Option<machsuite::Bench> {
+    machsuite::Bench::ALL
+        .into_iter()
+        .find(|b| b.label().eq_ignore_ascii_case(id))
 }
 
 /// The coalescing identity of one single run: the cache identity plus the
@@ -1274,27 +1293,6 @@ fn single_fingerprint(point: &StandalonePoint, plan: Option<&FaultPlan>) -> Stri
         None => format!("{}\u{0}{}", id.domain, id.canon),
         Some(p) => format!("{}\u{0}{}\u{0}{}", id.domain, id.canon, p.canonical_repr()),
     }
-}
-
-/// The cache identity of a faulted single run: its own domain so clean and
-/// faulted results can never shadow each other.
-fn faulted_cache_id(point: &StandalonePoint, plan: &FaultPlan) -> CacheId {
-    CacheId::new(
-        format!("serve-faulted/{}", point.kernel.id),
-        format!(
-            "{}\nfault: {}",
-            point.config.canonical_repr(),
-            plan.canonical_repr()
-        ),
-    )
-}
-
-/// Short hex digest of a fingerprint for breaker log / flight lines.
-fn fp8(fp: &str) -> String {
-    format!(
-        "{:08x}",
-        (salam_resilience::fnv1a64(fp.as_bytes()) >> 32) as u32
-    )
 }
 
 /// Promotes the first follower of a coalesced single to leader: it takes
@@ -1545,17 +1543,6 @@ impl SingleExtras<'_> {
     };
 }
 
-/// A typed outcome for a run stopped before/without simulating.
-fn stop_outcome(reason: StopReason, when: &str) -> JobOutcome {
-    JobOutcome::Error {
-        label: reason.label().to_string(),
-        message: match reason {
-            StopReason::Cancelled => format!("cancelled {when}"),
-            StopReason::DeadlineExceeded => format!("deadline exceeded {when}"),
-        },
-    }
-}
-
 /// Executes one single run — cache probe, simulate under `catch_unwind`
 /// (with bounded, backoff-spaced retries on panic), store — and returns
 /// the outcome plus its telemetry by-products.
@@ -1673,6 +1660,19 @@ fn run_single(inner: &Inner, job: JobId, work: &SingleWork, cancel: &CancelToken
             engine_rec: shared.take_recorder(),
         };
     }
+}
+
+/// The cache identity of a faulted single run: its own domain so clean and
+/// faulted results can never shadow each other.
+fn faulted_cache_id(point: &StandalonePoint, plan: &FaultPlan) -> CacheId {
+    CacheId::new(
+        format!("serve-faulted/{}", point.kernel.id),
+        format!(
+            "{}\nfault: {}",
+            point.config.canonical_repr(),
+            plan.canonical_repr()
+        ),
+    )
 }
 
 fn report_outcome(report: &salam::RunReport, trace_json: Option<String>) -> JobOutcome {
