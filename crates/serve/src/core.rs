@@ -13,6 +13,11 @@ use crate::job::{
 };
 use crate::quota::TenantQuota;
 use crate::sched::{Class, Dispatched, Scheduler, Task};
+
+mod admit;
+mod lifecycle;
+
+use lifecycle::{finish_job, promote_follower, worker_loop, SingleExtras};
 use salam::standalone::{RunOptions, StandaloneConfig};
 use salam_dse::{
     run_replay_sweep, run_sweep, CacheId, DseOptions, EngineKind, KernelSpec, Lookup,
@@ -736,1287 +741,4 @@ fn stop_outcome(reason: StopReason, when: &str) -> JobOutcome {
             StopReason::DeadlineExceeded => format!("deadline exceeded {when}"),
         },
     }
-}
-
-impl JobRecord {
-    /// Marks admission on the span tree and opens the queued span.
-    fn admitted(&mut self, now: u64) {
-        self.trace.instant(self.tracks.request, "admitted", now);
-        self.queued_span = self.trace.begin_span(self.tracks.sched, "queued", now);
-    }
-}
-
-impl ServeCore {
-    /// Replays the journal: every admitted job without a terminal record is
-    /// re-admitted under its original id, then the journal is compacted to
-    /// exactly those open admissions (so recovery is idempotent and the
-    /// file does not grow without bound across restarts).
-    fn recover_from_journal(&self) {
-        let Some(journal) = &self.inner.journal else {
-            return;
-        };
-        let lines = match Journal::read_lines(journal.path()) {
-            Ok(lines) => lines,
-            Err(e) => {
-                eprintln!("salam-serve: warning: journal unreadable, starting empty: {e}");
-                return;
-            }
-        };
-        // Fold the log: later events win, a terminal record closes the id.
-        let mut open: BTreeMap<JobId, (String, crate::wire::JournalAdmit)> = BTreeMap::new();
-        let mut max_id = 0;
-        for line in &lines {
-            match crate::wire::parse_journal_line(line) {
-                Ok(crate::wire::JournalEvent::Admit(admit)) => {
-                    max_id = max_id.max(admit.id);
-                    open.insert(admit.id, (line.clone(), admit));
-                }
-                Ok(crate::wire::JournalEvent::Terminal { id }) => {
-                    max_id = max_id.max(id);
-                    open.remove(&id);
-                }
-                Err(e) => eprintln!("salam-serve: warning: skipping journal line: {e}"),
-            }
-        }
-        // Compact first: the surviving admit lines *are* the re-append, so
-        // a crash during recovery still re-admits exactly these jobs.
-        let keep: Vec<String> = open.values().map(|(line, _)| line.clone()).collect();
-        if let Err(e) = journal.rewrite(&keep) {
-            eprintln!("salam-serve: warning: journal compaction failed: {e}");
-        }
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.next_id = st.next_id.max(max_id + 1);
-        }
-        let mut recovered = 0u64;
-        for (id, (_, admit)) in open {
-            let opts = SubmitOpts {
-                deadline_ms: admit.deadline_ms,
-            };
-            match self.admit(&admit.tenant, admit.job, opts, Some(id)) {
-                Ok(_) => recovered += 1,
-                Err(r) => {
-                    eprintln!("salam-serve: warning: journaled job {id} not re-admitted: {r}")
-                }
-            }
-        }
-        if recovered > 0 {
-            let mut st = self.inner.state.lock().unwrap();
-            st.metrics.counter_add("serve.jobs.recovered", recovered);
-            drop(st);
-            self.inner
-                .flight
-                .record(0, "recovery", format!("recovered jobs={recovered}"));
-        }
-    }
-
-    /// The admission pipeline. With `force_id` (journal recovery) the
-    /// admission gates — shutdown, shedding, quota, breaker — are skipped:
-    /// the job was already admitted once, and recovery must not lose it.
-    fn admit(
-        &self,
-        tenant: &str,
-        req: JobRequest,
-        opts: SubmitOpts,
-        force_id: Option<JobId>,
-    ) -> Result<JobId, Rejection> {
-        let gated = force_id.is_none();
-        if !valid_tenant(tenant) {
-            let mut st = self.inner.state.lock().unwrap();
-            st.metrics.counter_add("serve.jobs.rejected", 1);
-            return Err(Rejection::new(
-                "bad-request",
-                "tenant name must be 1-64 characters of [A-Za-z0-9_-]",
-            ));
-        }
-        let prepared = self.prepare(&req);
-        let mut st = self.inner.state.lock().unwrap();
-        if !st.tenants.contains_key(tenant) {
-            st.tenants
-                .insert(tenant.to_string(), TenantStats::default());
-            for name in TENANT_COUNTERS {
-                st.metrics.counter_add(&tenant_key(tenant, name), 0);
-            }
-        }
-        let reject = |st: &mut State, r: Rejection| {
-            st.metrics.counter_add("serve.jobs.rejected", 1);
-            st.metrics.counter_add(&tenant_key(tenant, "rejected"), 1);
-            self.inner.flight.record(
-                0,
-                "admission",
-                format!("reject tenant={tenant} code={}", r.code),
-            );
-            Err(r)
-        };
-        if gated {
-            if st.shutdown {
-                return reject(
-                    &mut st,
-                    Rejection::new("shutting-down", "server is shutting down"),
-                );
-            }
-            // Overload protection: a bounded accept queue. Sweeps shed at
-            // half depth — batch work yields headroom to interactive work
-            // before anyone is refused outright.
-            let cap = self.inner.cfg.max_pending;
-            if cap > 0 {
-                let limit = if matches!(req, JobRequest::Sweep { .. }) {
-                    cap / 2
-                } else {
-                    cap
-                };
-                let pending = st.sched.queued();
-                if pending >= limit.max(1) {
-                    st.metrics.counter_add("serve.jobs.shed", 1);
-                    let retry_after_ms = ((pending as u64) * 20).clamp(100, 2000);
-                    return reject(
-                        &mut st,
-                        Rejection::new(
-                            "overloaded",
-                            format!("server overloaded ({pending} tasks queued, limit {limit})"),
-                        )
-                        .with_retry_after_ms(retry_after_ms),
-                    );
-                }
-            }
-            let active = st.tenants.get(tenant).map_or(0, |s| s.active) as usize;
-            if active >= self.inner.cfg.quota.max_queued {
-                return reject(
-                    &mut st,
-                    Rejection::new(
-                        "quota-queued",
-                        format!(
-                            "tenant '{tenant}' already has {active} jobs in flight (max {})",
-                            self.inner.cfg.quota.max_queued
-                        ),
-                    ),
-                );
-            }
-        }
-        let (mut work, lint_json) = match prepared {
-            Ok(p) => p,
-            Err(r) => return reject(&mut st, r),
-        };
-
-        // The coalescing/breaker identity, computed up front so the breaker
-        // can veto before any state is allocated. Chaos jobs get their own
-        // fingerprint space — they must never coalesce with real runs.
-        let fingerprint = match &work {
-            Work::Single(SingleWork {
-                point,
-                plan,
-                trace: false,
-                chaos,
-            }) => {
-                let fp = single_fingerprint(point, plan.as_ref());
-                Some(if *chaos {
-                    format!("chaos\u{0}{fp}")
-                } else {
-                    fp
-                })
-            }
-            _ => None,
-        };
-        if gated {
-            if let (Some(breaker), Some(fp)) = (st.breaker.as_mut(), fingerprint.as_ref()) {
-                let (decision, transition) = breaker.admit(fp);
-                if let Some(t) = transition {
-                    self.inner
-                        .flight
-                        .record(0, "breaker", format!("fp={} {t}", fp8(fp)));
-                }
-                match decision {
-                    BreakerDecision::Allow => {}
-                    BreakerDecision::Probe => {
-                        self.inner
-                            .flight
-                            .record(0, "breaker", format!("fp={} probe", fp8(fp)));
-                    }
-                    BreakerDecision::FastFail { retry_after_ms } => {
-                        st.metrics.counter_add("serve.breaker.fastfail", 1);
-                        return reject(
-                            &mut st,
-                            Rejection::new(
-                                "circuit-open",
-                                "circuit breaker open for this configuration \
-                                 (repeated deadlocks/panics)",
-                            )
-                            .with_retry_after_ms(retry_after_ms),
-                        );
-                    }
-                }
-            }
-            // Graceful degradation: under queue pressure, new sweeps take
-            // the replay fast path — a cheaper answer beats a shed one.
-            let pressure = self.inner.cfg.degrade_pressure;
-            if pressure > 0 && st.sched.queued() >= pressure {
-                if let Work::Sweep { replay, .. } = &mut work {
-                    if !*replay {
-                        *replay = true;
-                        st.metrics.counter_add("serve.jobs.degraded", 1);
-                        self.inner.flight.record(
-                            0,
-                            "admission",
-                            "degrade sweep to replay".to_string(),
-                        );
-                    }
-                }
-            }
-        }
-
-        let id = match force_id {
-            Some(id) => id,
-            None => st.next_id,
-        };
-        st.next_id = st.next_id.max(id + 1);
-        st.submit_seq += 1;
-        let seq = st.submit_seq;
-        st.metrics.counter_add("serve.jobs.submitted", 1);
-        st.metrics.counter_add(&tenant_key(tenant, "submitted"), 1);
-        st.tenants.entry(tenant.to_string()).or_default().active += 1;
-
-        // Journal the admission before the job becomes runnable: a crash
-        // after this line re-admits the job, a crash before it rejects the
-        // submission — either way, never a silently lost job.
-        if gated {
-            if let Some(journal) = &self.inner.journal {
-                let line = crate::wire::journal_admit_line(id, tenant, opts.deadline_ms, &req);
-                if let Err(e) = journal.append(&line) {
-                    eprintln!("salam-serve: warning: journal append failed: {e}");
-                }
-            }
-        }
-
-        let now = now_ps(&self.inner);
-        let trace = SharedTrace::from_recorder(TraceRecorder::new(JOB_TRACE_CAPACITY));
-        let tracks = Tracks {
-            request: trace.track("request"),
-            sched: trace.track("sched"),
-            run: trace.track("run"),
-        };
-        let job_span = trace.begin_span(tracks.request, &format!("job {id} ({})", req.kind()), now);
-        let mut record = JobRecord {
-            tenant: tenant.to_string(),
-            kind: req.kind(),
-            state: JobState::Queued,
-            submit_seq: seq,
-            complete_seq: None,
-            work: Arc::new(work),
-            outcome: None,
-            lint_json,
-            pending_chunks: 0,
-            rows: Vec::new(),
-            fingerprint: None,
-            followers: Vec::new(),
-            trace,
-            tracks,
-            job_span,
-            queued_span: SpanId::INVALID,
-            run_span: SpanId::INVALID,
-            submitted_ps: now,
-            first_dispatch_ps: None,
-            postmortem: None,
-            cancel: CancelToken::with_deadline_opt(opts.deadline_ms),
-        };
-        self.inner.flight.record(
-            trace_id(id),
-            "job",
-            format!("submit id={id} tenant={tenant} kind={}", record.kind),
-        );
-        match record.work.as_ref() {
-            Work::Single(_) => {
-                // Coalesce onto an identical in-flight run: the follower
-                // never takes a slot; it completes with the leader.
-                let fp = fingerprint;
-                record.fingerprint = fp.clone();
-                let leader = fp.as_ref().and_then(|f| st.inflight.get(f).copied());
-                if let Some(leader_id) = leader {
-                    st.metrics.counter_add("serve.jobs.coalesced", 1);
-                    st.metrics.counter_add(&tenant_key(tenant, "coalesced"), 1);
-                    record
-                        .trace
-                        .instant(record.tracks.request, "coalesced", now);
-                    st.jobs.insert(id, record);
-                    st.jobs
-                        .get_mut(&leader_id)
-                        .expect("leader exists while in inflight map")
-                        .followers
-                        .push(id);
-                } else {
-                    if let Some(f) = fp {
-                        st.inflight.insert(f, id);
-                    }
-                    record.admitted(now);
-                    st.jobs.insert(id, record);
-                    st.sched.push(Task {
-                        job: id,
-                        tenant: tenant.to_string(),
-                        class: Class::Regular,
-                        chunk: 0,
-                        seq,
-                        tenant_slots: self.inner.cfg.quota.max_running,
-                    });
-                }
-            }
-            Work::Sweep { chunks, points, .. } => {
-                record.pending_chunks = chunks.len();
-                record.rows = vec![None; points.len()];
-                let n = chunks.len();
-                record.admitted(now);
-                st.jobs.insert(id, record);
-                for chunk in 0..n {
-                    st.sched.push(Task {
-                        job: id,
-                        tenant: tenant.to_string(),
-                        class: Class::Cpu,
-                        chunk,
-                        seq,
-                        tenant_slots: self.inner.cfg.quota.max_running,
-                    });
-                }
-            }
-        }
-        drop(st);
-        self.inner.cvar.notify_all();
-        Ok(id)
-    }
-
-    /// Validates and lowers a request outside the state lock.
-    #[allow(clippy::type_complexity)]
-    fn prepare(&self, req: &JobRequest) -> Result<(Work, Option<String>), Rejection> {
-        let gate_ir = |kernel: &machsuite::BuiltKernel| -> Result<Option<String>, Rejection> {
-            if !self.inner.cfg.verify {
-                return Ok(None);
-            }
-            let diags = verify_ir(&kernel.func);
-            let errors = errors_only(diags.clone());
-            if !errors.is_empty() {
-                return Err(Rejection {
-                    code: "verify",
-                    message: format!(
-                        "static verification rejected @{} ({} error(s))",
-                        kernel.name,
-                        errors.len()
-                    ),
-                    diagnostics: errors,
-                    retry_after_ms: None,
-                });
-            }
-            // Flow gate: a range-proven out-of-bounds access (`F001`) is a
-            // wrong result on every path, so the job is rejected before it
-            // ever occupies a batch slot.
-            let facts = salam_flow::analyze(&kernel.func, &kernel.args);
-            let (lo, hi) = kernel.footprint;
-            let region = salam_verify::MemRegion {
-                lo,
-                hi,
-                label: "footprint".into(),
-            };
-            let flow_errors = errors_only(salam_verify::check_bounds_flow(
-                &kernel.func,
-                &facts,
-                &kernel.args,
-                &[region],
-            ));
-            if !flow_errors.is_empty() {
-                return Err(Rejection {
-                    code: "flow",
-                    message: format!(
-                        "dataflow analysis rejected @{} ({} provably out-of-bounds \
-                         access(es))",
-                        kernel.name,
-                        flow_errors.len()
-                    ),
-                    diagnostics: flow_errors,
-                    retry_after_ms: None,
-                });
-            }
-            Ok((warning_count(&diags) > 0).then(|| diags_to_json(&diags)))
-        };
-        let single = |bench: &str, knobs: &[(String, u64)]| {
-            let b = bench_by_id(bench).ok_or_else(|| {
-                Rejection::new("bad-request", format!("unknown benchmark '{bench}'"))
-            })?;
-            let config = config_from_knobs(knobs).map_err(|m| Rejection::new("bad-request", m))?;
-            let point = StandalonePoint {
-                kernel: KernelSpec::bench(b),
-                config,
-                coords: Vec::new(),
-            };
-            // The same static screen the sweep engine applies per point.
-            point.validate().map_err(|d| Rejection {
-                code: "invalid-config",
-                message: d.message.clone(),
-                diagnostics: vec![d],
-                retry_after_ms: None,
-            })?;
-            let lint = gate_ir(&point.kernel.build())?;
-            Ok((point, lint))
-        };
-        match req {
-            JobRequest::Kernel {
-                bench,
-                knobs,
-                trace,
-            } => {
-                // Chaos mode only: `__chaos-panic` runs a stand-in kernel
-                // whose worker panics while the injected budget lasts.
-                let chaos = self.inner.cfg.chaos && bench == "__chaos-panic";
-                let (point, lint) = single(if chaos { "gemm" } else { bench }, knobs)?;
-                Ok((
-                    Work::Single(SingleWork {
-                        point: Box::new(point),
-                        plan: None,
-                        trace: *trace,
-                        chaos,
-                    }),
-                    lint,
-                ))
-            }
-            JobRequest::Faulted { bench, knobs, plan } => {
-                let (point, lint) = single(bench, knobs)?;
-                // Flow gate: a plan that certainly drops every memory
-                // response wedges the very first access — the run can only
-                // end in a watchdog timeout, so burning a simulation slot
-                // on it is pointless (`F004`).
-                if self.inner.cfg.verify && plan.mem_drop_rate >= 1.0 {
-                    let k = point.kernel.build();
-                    let facts = salam_flow::analyze(&k.func, &k.args);
-                    let pred = facts.predict_deadlock(
-                        &k.func,
-                        &salam_flow::HazardSpec {
-                            mem_drop_rate: plan.mem_drop_rate,
-                        },
-                    );
-                    if pred.verdict == salam_flow::DeadlockVerdict::Deadlock {
-                        return Err(Rejection {
-                            code: "flow-deadlock",
-                            message: format!(
-                                "fault plan provably deadlocks @{}: {}",
-                                k.name, pred.description
-                            ),
-                            diagnostics: vec![salam_verify::Diagnostic::warning(
-                                salam_verify::codes::F004,
-                                salam_verify::Span::default(),
-                                pred.description,
-                            )],
-                            retry_after_ms: None,
-                        });
-                    }
-                }
-                Ok((
-                    Work::Single(SingleWork {
-                        point: Box::new(point),
-                        plan: Some(*plan),
-                        trace: false,
-                        chaos: false,
-                    }),
-                    lint,
-                ))
-            }
-            JobRequest::Sweep {
-                name,
-                kernels,
-                axes,
-                replay,
-            } => {
-                if kernels.is_empty() {
-                    return Err(Rejection::new("bad-request", "sweep has no kernels"));
-                }
-                let mut spec = SweepSpec::new(name.clone(), StandaloneConfig::default());
-                let mut lint = None;
-                for k in kernels {
-                    let b = bench_by_id(k).ok_or_else(|| {
-                        Rejection::new("bad-request", format!("unknown benchmark '{k}'"))
-                    })?;
-                    lint = gate_ir(&b.build_standard())?.or(lint);
-                    spec = spec.kernel(KernelSpec::bench(b));
-                }
-                for ax in axes {
-                    let axis = ax.to_axis().map_err(|m| Rejection::new("bad-request", m))?;
-                    spec = spec.axis(axis);
-                }
-                let count = spec.point_count();
-                let max = self.inner.cfg.quota.max_sweep_points;
-                if count > max {
-                    return Err(Rejection::new(
-                        "quota-sweep-points",
-                        format!("sweep enumerates {count} points (max {max})"),
-                    ));
-                }
-                let points = spec.points();
-                let chunk = self.inner.cfg.sweep_chunk.max(1);
-                let chunks: Vec<(usize, usize)> = (0..points.len())
-                    .step_by(chunk)
-                    .map(|a| (a, (a + chunk).min(points.len())))
-                    .collect();
-                Ok((
-                    Work::Sweep {
-                        name: name.clone(),
-                        points,
-                        chunks,
-                        replay: *replay,
-                    },
-                    lint,
-                ))
-            }
-        }
-    }
-}
-
-/// Per-job span rings are small: a lifecycle is a dozen events, and the
-/// engine's op-level events live in the engine's own recorder.
-const JOB_TRACE_CAPACITY: usize = 4096;
-
-/// Tenant names become metric keys and label values, so they are held to
-/// `[A-Za-z0-9_-]{1,64}`: nothing that could close a label or split a key.
-fn valid_tenant(tenant: &str) -> bool {
-    (1..=64).contains(&tenant.len())
-        && tenant
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
-}
-
-/// Resolves a MachSuite benchmark id.
-fn bench_by_id(id: &str) -> Option<machsuite::Bench> {
-    machsuite::Bench::ALL
-        .into_iter()
-        .find(|b| b.label().eq_ignore_ascii_case(id))
-}
-
-/// The coalescing identity of one single run: the cache identity plus the
-/// fault-plan fingerprint (a faulted run must never coalesce with a clean
-/// one).
-fn single_fingerprint(point: &StandalonePoint, plan: Option<&FaultPlan>) -> String {
-    let id = point.cache_id();
-    match plan {
-        None => format!("{}\u{0}{}", id.domain, id.canon),
-        Some(p) => format!("{}\u{0}{}\u{0}{}", id.domain, id.canon, p.canonical_repr()),
-    }
-}
-
-/// Promotes the first follower of a coalesced single to leader: it takes
-/// over the in-flight entry, inherits the remaining followers, and gets
-/// its own scheduler task (re-running the simulation fresh — it must not
-/// inherit the old leader's cancellation). With no followers, the
-/// in-flight entry is simply dropped so later identical submissions start
-/// fresh rather than coalescing onto a cancelled job.
-fn promote_follower(st: &mut State, inner: &Inner, leader: JobId) {
-    let (mut followers, fp) = {
-        let Some(l) = st.jobs.get_mut(&leader) else {
-            return;
-        };
-        (std::mem::take(&mut l.followers), l.fingerprint.take())
-    };
-    let Some(fp) = fp else {
-        return;
-    };
-    if st.inflight.get(&fp) == Some(&leader) {
-        st.inflight.remove(&fp);
-    }
-    if followers.is_empty() {
-        return;
-    }
-    let new_leader = followers.remove(0);
-    let (tenant, seq) = {
-        let Some(n) = st.jobs.get_mut(&new_leader) else {
-            return;
-        };
-        n.followers = followers;
-        (n.tenant.clone(), n.submit_seq)
-    };
-    st.inflight.insert(fp, new_leader);
-    st.sched.push(Task {
-        job: new_leader,
-        tenant,
-        class: Class::Regular,
-        chunk: 0,
-        seq,
-        tenant_slots: inner.cfg.quota.max_running,
-    });
-    inner.flight.record(
-        trace_id(new_leader),
-        "job",
-        format!("promote id={new_leader} from={leader}"),
-    );
-}
-
-fn worker_loop(inner: &Inner) {
-    loop {
-        let dispatched: Dispatched = {
-            let mut st = inner.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if let Some(d) = st.sched.dispatch() {
-                    on_dispatch(&mut st, inner, &d.task);
-                    break d;
-                }
-                st = inner.cvar.wait(st).unwrap();
-            }
-        };
-        let ctx = {
-            let st = inner.state.lock().unwrap();
-            st.jobs
-                .get(&dispatched.task.job)
-                .map(|j| (j.work.clone(), j.cancel.clone()))
-        };
-        let Some((work, cancel)) = ctx else {
-            // Job vanished (a dispatched task's job is never evicted while
-            // non-terminal, so this is belt-and-braces) — return the slot.
-            let mut st = inner.state.lock().unwrap();
-            st.sched.task_done(&dispatched);
-            inner.cvar.notify_all();
-            continue;
-        };
-        match work.as_ref() {
-            Work::Single(single) => {
-                let run = run_single(inner, dispatched.task.job, single, &cancel);
-                let mut st = inner.state.lock().unwrap();
-                st.metrics.counter_add(
-                    if run.from_cache {
-                        "serve.cache_hits"
-                    } else {
-                        "serve.sim_runs"
-                    },
-                    1,
-                );
-                let extras = SingleExtras {
-                    watchdog_json: run.watchdog_json.as_deref(),
-                    engine_rec: run.engine_rec.as_ref(),
-                };
-                complete_single(
-                    &mut st,
-                    inner,
-                    dispatched.task.job,
-                    run.outcome,
-                    run.from_cache,
-                    &extras,
-                );
-                st.sched.task_done(&dispatched);
-                drop(st);
-                inner.cvar.notify_all();
-            }
-            Work::Sweep {
-                points,
-                chunks,
-                replay,
-                ..
-            } => {
-                let job = dispatched.task.job;
-                let (a, b) = chunks[dispatched.task.chunk];
-                // Cooperative cancellation between chunks: a stopped job's
-                // remaining chunks record skipped rows instead of running.
-                let (rows, delta) = match cancel.poll() {
-                    Some(reason) => {
-                        inner.flight.record(
-                            trace_id(job),
-                            "sched",
-                            format!("skip id={job} points={a}..{b} reason={}", reason.label()),
-                        );
-                        let label = || Err(reason.label().to_string());
-                        let rows = points[a..b]
-                            .iter()
-                            .map(|p| point_row(p, label(), None, *replay))
-                            .collect();
-                        (rows, MetricsRegistry::new())
-                    }
-                    None => run_chunk(inner, &points[a..b], *replay),
-                };
-                let mut st = inner.state.lock().unwrap();
-                st.metrics.merge_from(&delta);
-                record_chunk(&mut st, inner, job, &work, a, rows);
-                st.sched.task_done(&dispatched);
-                drop(st);
-                inner.cvar.notify_all();
-            }
-        }
-    }
-}
-
-/// Runs one chunk through `salam-dse` — the replay fast path or a plain
-/// sweep — and returns its rows plus what it adds to the server registry:
-/// the cache counters and, for a plain sweep, the per-point telemetry
-/// (`dse.point.cycles`, hit/miss counters). The histogram contents are a
-/// pure function of the point set, so chunking cannot perturb them.
-fn run_chunk(
-    inner: &Inner,
-    points: &[StandalonePoint],
-    replay: bool,
-) -> (Vec<Vec<String>>, MetricsRegistry) {
-    let mut delta = MetricsRegistry::new();
-    let (outcomes, engines, hits, sim_runs) = if replay {
-        let opts = ReplayOptions {
-            inner: chunk_options(inner),
-            check: false,
-        };
-        let run = run_replay_sweep(points, &StandaloneConfig::default(), &opts);
-        let engines = run.provenance.iter().map(|p| Some(p.engine)).collect();
-        (
-            run.outcomes,
-            engines,
-            run.hits,
-            run.misses + run.baseline_misses,
-        )
-    } else {
-        let run = run_sweep(points, &chunk_options(inner));
-        delta = run.telemetry;
-        let engines = vec![None; points.len()];
-        (run.outcomes, engines, run.hits, run.misses + run.corrupt)
-    };
-    delta.counter_add("serve.cache_hits", hits as u64);
-    delta.counter_add("serve.sim_runs", sim_runs as u64);
-    let rows = points
-        .iter()
-        .zip(&outcomes)
-        .zip(engines)
-        .map(|((point, outcome), engine)| {
-            let result = match outcome.payload() {
-                Some(r) => Ok(r.cycles),
-                None => Err(outcome.failure_label().unwrap_or_default()),
-            };
-            point_row(point, result, engine, replay)
-        })
-        .collect();
-    (rows, delta)
-}
-
-/// One sweep point's table row: `point, cycles, status` and, on replay
-/// sweeps, `engine`. The status is `ok`, the point's failure label
-/// (`failed:…`, `invalid:…`), or the stop label of a skipped chunk.
-fn point_row(
-    point: &StandalonePoint,
-    result: Result<u64, String>,
-    engine: Option<EngineKind>,
-    replay: bool,
-) -> Vec<String> {
-    let (cycles, status) = match result {
-        Ok(cycles) => (cycles.to_string(), "ok".to_string()),
-        Err(label) => (String::new(), label),
-    };
-    let mut row = vec![point.label(), cycles, status];
-    if replay {
-        row.push(engine.map_or_else(String::new, |e| e.label().to_string()));
-    }
-    row
-}
-
-fn chunk_options(inner: &Inner) -> DseOptions {
-    // One worker per chunk: parallelism comes from the serve slot pool, and
-    // a chunk must not oversubscribe the machine behind the scheduler's
-    // back.
-    let mut opts = DseOptions::default().with_workers(1);
-    match (&inner.cache, &inner.cfg.cache_dir) {
-        (None, _) => opts = opts.without_cache(),
-        (Some(cache), _) => {
-            opts = opts.with_cache_dir(cache.dir());
-            if let Some(cap) = cache.max_bytes() {
-                opts = opts.with_cache_max_bytes(cap);
-            }
-        }
-    }
-    opts
-}
-
-/// What one single run produced, beyond its outcome: whether the cache
-/// served it, the watchdog snapshot when it deadlocked (post-mortem
-/// material), and the engine's op-level trace recorder when it was traced.
-struct SingleRun {
-    outcome: JobOutcome,
-    from_cache: bool,
-    watchdog_json: Option<String>,
-    engine_rec: Option<TraceRecorder>,
-}
-
-/// Borrowed post-run context threaded into job completion so the
-/// terminal-telemetry hook can compose trace and post-mortem artifacts.
-struct SingleExtras<'a> {
-    watchdog_json: Option<&'a str>,
-    engine_rec: Option<&'a TraceRecorder>,
-}
-
-impl SingleExtras<'_> {
-    const NONE: SingleExtras<'static> = SingleExtras {
-        watchdog_json: None,
-        engine_rec: None,
-    };
-}
-
-/// Executes one single run — cache probe, simulate under `catch_unwind`
-/// (with bounded, backoff-spaced retries on panic), store — and returns
-/// the outcome plus its telemetry by-products.
-fn run_single(inner: &Inner, job: JobId, work: &SingleWork, cancel: &CancelToken) -> SingleRun {
-    let SingleWork {
-        point,
-        plan,
-        trace,
-        chaos,
-    } = work;
-    let (plan, trace, chaos) = (plan.as_ref(), *trace, *chaos);
-    let trace_id = trace_id(job);
-    if let Some(reason) = cancel.poll() {
-        return SingleRun {
-            outcome: stop_outcome(reason, "before the run started"),
-            from_cache: false,
-            watchdog_json: None,
-            engine_rec: None,
-        };
-    }
-    let cache_id = match plan {
-        None => point.cache_id(),
-        Some(p) => faulted_cache_id(point, p),
-    };
-    // Traced runs bypass the cache: the report would hit, but the trace
-    // artifact only exists by simulating. Chaos runs bypass it so the
-    // injected panic actually fires.
-    let cache = inner.cache.as_ref().filter(|_| !trace && !chaos);
-    if let Some(cache) = cache {
-        if let Lookup::Hit(report) = cache.lookup::<salam::RunReport>(&cache_id) {
-            return SingleRun {
-                outcome: report_outcome(&report, None),
-                from_cache: true,
-                watchdog_json: None,
-                engine_rec: None,
-            };
-        }
-    }
-    // The backoff site: retries of the same configuration follow the same
-    // deterministic jittered schedule no matter which worker runs them.
-    let site = format!("{}/{}", cache_id.domain, cache_id.canon);
-    let mut attempts = 0u32;
-    loop {
-        let mut shared = if trace {
-            salam_obs::SharedTrace::enabled()
-        } else {
-            salam_obs::SharedTrace::disabled()
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if chaos
-                && inner
-                    .chaos_budget
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
-                    .is_ok()
-            {
-                panic!("chaos: injected worker panic");
-            }
-            let opts = RunOptions {
-                trace: shared.clone(),
-                fault: plan.copied(),
-                flight: inner.flight.clone(),
-                trace_id,
-                cancel: cancel.clone(),
-            };
-            salam::standalone::run(&point.kernel.build(), &point.config, &opts)
-        }));
-        let mut watchdog_json = None;
-        let outcome = match result {
-            Ok(Ok(report)) => {
-                if let Some(cache) = cache {
-                    if let Err(e) = cache.store(&cache_id, &report) {
-                        eprintln!("salam-serve: warning: cache store failed: {e}");
-                    }
-                }
-                report_outcome(&report, None)
-            }
-            Ok(Err(sim_err)) => {
-                if let salam::SimError::Deadlock(snap) = &sim_err {
-                    watchdog_json = Some(snap.to_json());
-                }
-                JobOutcome::Error {
-                    label: sim_err.label().to_string(),
-                    message: sim_err.to_string(),
-                }
-            }
-            Err(payload) => {
-                if attempts < inner.cfg.retries && cancel.poll().is_none() {
-                    attempts += 1;
-                    let delay = inner.cfg.backoff.delay_ms(&site, attempts);
-                    inner.flight.record(
-                        trace_id,
-                        "retry",
-                        format!("retry id={job} attempt={attempts} delay_ms={delay}"),
-                    );
-                    if delay > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(delay));
-                    }
-                    continue;
-                }
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("panic");
-                JobOutcome::Error {
-                    label: "panic".to_string(),
-                    message: msg.lines().next().unwrap_or("panic").to_string(),
-                }
-            }
-        };
-        return SingleRun {
-            outcome,
-            from_cache: false,
-            watchdog_json,
-            engine_rec: shared.take_recorder(),
-        };
-    }
-}
-
-/// The cache identity of a faulted single run: its own domain so clean and
-/// faulted results can never shadow each other.
-fn faulted_cache_id(point: &StandalonePoint, plan: &FaultPlan) -> CacheId {
-    CacheId::new(
-        format!("serve-faulted/{}", point.kernel.id),
-        format!(
-            "{}\nfault: {}",
-            point.config.canonical_repr(),
-            plan.canonical_repr()
-        ),
-    )
-}
-
-fn report_outcome(report: &salam::RunReport, trace_json: Option<String>) -> JobOutcome {
-    JobOutcome::Report {
-        json: report.to_json(),
-        cycles: report.cycles,
-        verified: report.verified,
-        bottleneck: report.dominant_bottleneck().to_string(),
-        trace_json,
-    }
-}
-
-/// Telemetry at the moment a task first takes a slot: ends the queued
-/// span, opens the run span with a flow edge, and records the queue-wait
-/// histogram. Runs under the state lock, on the first dispatch only
-/// (later sweep chunks of the same job skip it).
-fn on_dispatch(st: &mut State, inner: &Inner, task: &Task) {
-    let now = now_ps(inner);
-    let Some(j) = st.jobs.get_mut(&task.job) else {
-        return;
-    };
-    j.state = JobState::Running;
-    if j.first_dispatch_ps.is_some() {
-        return;
-    }
-    j.first_dispatch_ps = Some(now);
-    let wait_us = now.saturating_sub(j.submitted_ps) / 1_000_000;
-    j.trace.end_span(j.queued_span, now);
-    let run = j.trace.begin_span(j.tracks.run, "run", now);
-    j.trace.edge(j.queued_span, run, "dispatch", now);
-    j.queued_span = SpanId::INVALID;
-    j.run_span = run;
-    let (kind, tenant) = (j.kind, j.tenant.clone());
-    let t = &mut st.metrics;
-    t.record("serve.latency.queue_us", wait_us);
-    t.record(
-        &labeled("serve.latency.queue_us", &[("class", kind)]),
-        wait_us,
-    );
-    t.record(
-        &labeled("serve.latency.queue_us", &[("tenant", &tenant)]),
-        wait_us,
-    );
-    inner.flight.record(
-        trace_id(task.job),
-        "sched",
-        format!("dispatch id={} class={kind} wait_us={wait_us}", task.job),
-    );
-}
-
-/// How many trailing flight-recorder events a post-mortem carries.
-const POSTMORTEM_FLIGHT_EVENTS: usize = 256;
-
-/// Telemetry at the moment a job goes terminal: closes its lifecycle
-/// spans, records the run/end-to-end latency histograms, attaches the
-/// span-tree trace to successful reports, and — on failure — composes the
-/// post-mortem artifact from the flight recorder and (for deadlocks) the
-/// watchdog snapshot.
-fn job_terminal(
-    st: &mut State,
-    inner: &Inner,
-    id: JobId,
-    failed: bool,
-    outcome: &mut JobOutcome,
-    extras: &SingleExtras,
-) {
-    let now = now_ps(inner);
-    let Some(j) = st.jobs.get_mut(&id) else {
-        return;
-    };
-    for span in [j.queued_span, j.run_span] {
-        j.trace.end_span(span, now);
-    }
-    j.queued_span = SpanId::INVALID;
-    j.run_span = SpanId::INVALID;
-    let end = if failed { "failed" } else { "done" };
-    j.trace.instant(j.tracks.request, end, now);
-    j.trace.end_span(j.job_span, now);
-    j.job_span = SpanId::INVALID;
-    match outcome {
-        JobOutcome::Report { trace_json, .. } => {
-            *trace_json = Some(export_trace(&j.trace, id, extras.engine_rec));
-        }
-        JobOutcome::Error { label, message } => {
-            j.postmortem = Some(format!(
-                "{{\"job\": {id}, \"trace_id\": \"{:016x}\", \"label\": \"{}\", \
-                 \"message\": \"{}\", \"watchdog\": {}, \"flight\": {}}}",
-                trace_id(id),
-                json::escape(label),
-                json::escape(message),
-                extras.watchdog_json.unwrap_or("null"),
-                inner.flight.tail_json(POSTMORTEM_FLIGHT_EVENTS),
-            ));
-        }
-        JobOutcome::Sweep { .. } => {}
-    }
-    let (kind, tenant, submitted, first_dispatch) = (
-        j.kind,
-        j.tenant.clone(),
-        j.submitted_ps,
-        j.first_dispatch_ps,
-    );
-    let t = &mut st.metrics;
-    let e2e_us = now.saturating_sub(submitted) / 1_000_000;
-    t.record("serve.latency.e2e_us", e2e_us);
-    t.record(&labeled("serve.latency.e2e_us", &[("class", kind)]), e2e_us);
-    t.record(
-        &labeled("serve.latency.e2e_us", &[("tenant", &tenant)]),
-        e2e_us,
-    );
-    if let Some(t0) = first_dispatch {
-        let run_us = now.saturating_sub(t0) / 1_000_000;
-        t.record("serve.latency.run_us", run_us);
-        t.record(&labeled("serve.latency.run_us", &[("class", kind)]), run_us);
-    }
-    inner
-        .flight
-        .record(trace_id(id), "job", format!("finish id={id} state={end}"));
-}
-
-/// A job's `trace` artifact: its lifecycle spans merged with the engine's
-/// op-level recorder (when the job ran traced, its timestamps already
-/// absolute), stamped with the job's trace id.
-fn export_trace(trace: &SharedTrace, id: JobId, engine: Option<&TraceRecorder>) -> String {
-    let mut merged = TraceRecorder::new(TraceRecorder::DEFAULT_CAPACITY);
-    trace.with_recorder(|rec| merged.merge_from(rec));
-    if let Some(rec) = engine {
-        merged.merge_from(rec);
-    }
-    // Stamp the request identity where trace viewers (and the span table
-    // in `salam_report --spans`) can find it.
-    let meta = merged.track("request");
-    merged.instant(meta, &format!("trace_id:{:016x}", trace_id(id)), 0);
-    export_chrome_json(&merged)
-}
-
-/// Records a single run's outcome and completes the job together with any
-/// coalesced followers.
-fn complete_single(
-    st: &mut State,
-    inner: &Inner,
-    id: JobId,
-    outcome: JobOutcome,
-    leader_from_cache: bool,
-    extras: &SingleExtras,
-) {
-    let (followers, fp) = {
-        let Some(j) = st.jobs.get_mut(&id) else {
-            return;
-        };
-        (std::mem::take(&mut j.followers), j.fingerprint.take())
-    };
-    if let Some(fp) = &fp {
-        // A promoted follower may own the entry by now — remove only our
-        // own registration.
-        if st.inflight.get(fp) == Some(&id) {
-            st.inflight.remove(fp);
-        }
-        // Circuit-breaker verdict: real runs only (a cache hit proves
-        // nothing new), deadlock/panic count as failures, a report as
-        // success; cancellations and timeouts are neutral.
-        if !leader_from_cache {
-            if let Some(b) = st.breaker.as_mut() {
-                let transition = match &outcome {
-                    JobOutcome::Report { .. } => b.on_success(fp),
-                    JobOutcome::Error { label, .. } if label == "deadlock" || label == "panic" => {
-                        b.on_failure(fp)
-                    }
-                    _ => None,
-                };
-                if let Some(t) = transition {
-                    inner
-                        .flight
-                        .record(0, "breaker", format!("fp={} {t}", fp8(fp)));
-                }
-            }
-        }
-    }
-    // A follower is a cache hit exactly when its leader's result was one:
-    // coalescing is already counted separately at submit.
-    for f in followers {
-        finish_job(st, inner, f, outcome.clone(), leader_from_cache, extras);
-    }
-    finish_job(st, inner, id, outcome, leader_from_cache, extras);
-}
-
-/// Marks one job terminal with `outcome` and retires it. Idempotent: a
-/// job that is already terminal (e.g. cancelled while its worker was still
-/// finishing) is left untouched — no double counting, no outcome
-/// overwrite.
-fn finish_job(
-    st: &mut State,
-    inner: &Inner,
-    id: JobId,
-    mut outcome: JobOutcome,
-    hit: bool,
-    extras: &SingleExtras,
-) {
-    match st.jobs.get(&id) {
-        Some(j) if !j.state.is_terminal() => {}
-        _ => return,
-    }
-    st.complete_seq += 1;
-    let seq = st.complete_seq;
-    let failed = matches!(outcome, JobOutcome::Error { .. });
-    if let JobOutcome::Error { label, .. } = &outcome {
-        if label == "cancelled" || label == "timeout" {
-            st.metrics.counter_add(&format!("serve.jobs.{label}"), 1);
-        }
-    }
-    job_terminal(st, inner, id, failed, &mut outcome, extras);
-    let Some(j) = st.jobs.get_mut(&id) else {
-        return;
-    };
-    j.state = if failed {
-        JobState::Failed
-    } else {
-        JobState::Done
-    };
-    j.complete_seq = Some(seq);
-    j.outcome = Some(outcome);
-    let tenant = j.tenant.clone();
-    retire(st, &tenant, id, failed, hit);
-    // The journal's terminal record: after this line a restart will not
-    // re-admit the job.
-    if let Some(journal) = &inner.journal {
-        if let Err(e) = journal.append(&crate::wire::journal_terminal_line(id)) {
-            eprintln!("salam-serve: warning: journal append failed: {e}");
-        }
-    }
-}
-
-/// Bookkeeping for a job that just went terminal: lifetime and tenant
-/// counters, the retention queue, and eviction of the oldest terminal
-/// records past the cap. Evicted ids only ever leave the job table —
-/// `inflight` holds non-terminal leaders, so it never references them.
-fn retire(st: &mut State, tenant: &str, id: JobId, failed: bool, hit: bool) {
-    let m = &mut st.metrics;
-    if failed {
-        m.counter_add("serve.jobs.failed", 1);
-        m.counter_add(&tenant_key(tenant, "failed"), 1);
-    } else {
-        m.counter_add("serve.jobs.done", 1);
-        m.counter_add(&tenant_key(tenant, "completed"), 1);
-    }
-    if hit {
-        m.counter_add(&tenant_key(tenant, "cache_hits"), 1);
-    }
-    let retain = st.retain_terminal;
-    let stats = st.tenants.entry(tenant.to_string()).or_default();
-    stats.active = stats.active.saturating_sub(1);
-    stats.terminal.push_back(id);
-    let mut evicted = Vec::new();
-    while stats.terminal.len() > retain {
-        let Some(old) = stats.terminal.pop_front() else {
-            break;
-        };
-        evicted.push(old);
-    }
-    for old in evicted {
-        st.jobs.remove(&old);
-    }
-}
-
-/// Folds one chunk's rows (run or skipped) into its sweep job; when it was
-/// the last, assembles the deterministic artifact and finishes the job.
-fn record_chunk(
-    st: &mut State,
-    inner: &Inner,
-    id: JobId,
-    work: &Work,
-    start: usize,
-    rows: Vec<Vec<String>>,
-) {
-    let Work::Sweep { name, replay, .. } = work else {
-        return;
-    };
-    let Some(j) = st.jobs.get_mut(&id) else {
-        return;
-    };
-    for (i, row) in rows.into_iter().enumerate() {
-        j.rows[start + i] = Some(row);
-    }
-    j.pending_chunks -= 1;
-    if j.pending_chunks > 0 {
-        return;
-    }
-
-    // Last chunk: assemble the deterministic artifact. Cache/worker/wall
-    // telemetry is deliberately excluded so the same submitted sweep is
-    // byte-identical regardless of slot count, arrival order, or cache
-    // warmth. The `engine` column exists only on replay sweeps, keeping
-    // plain sweep artifacts byte-identical to previous releases.
-    let columns: &[&str] = if *replay {
-        &["point", "cycles", "status", "engine"]
-    } else {
-        &["point", "cycles", "status"]
-    };
-    let mut table = SweepTable::new(name.clone(), columns);
-    let (mut ok, mut failed, mut invalid) = (0usize, 0usize, 0usize);
-    let (mut replayed, mut stopped) = (0usize, 0usize);
-    let mut timed_out = false;
-    for row in j.rows.iter().flatten() {
-        match row[2].as_str() {
-            "ok" => ok += 1,
-            s if s.starts_with("invalid:") => invalid += 1,
-            s => {
-                failed += 1;
-                stopped += usize::from(s == "cancelled" || s == "timeout");
-                timed_out |= s == "timeout";
-            }
-        }
-        if row.get(3).is_some_and(|e| e == "replay") {
-            replayed += 1;
-        }
-        table.row(row.clone());
-    }
-    let total = j.rows.len();
-    let mut summary = vec![
-        ("points".into(), total.to_string()),
-        ("ok".into(), ok.to_string()),
-        ("failed".into(), failed.to_string()),
-        ("invalid".into(), invalid.to_string()),
-    ];
-    if *replay {
-        summary.push(("replayed".into(), replayed.to_string()));
-    }
-    table.set_summary(summary);
-    // A stopped sweep is typed by its stop reason, not by a partial table:
-    // clients keying on the outcome see `cancelled`/`timeout` directly.
-    let outcome = if stopped > 0 {
-        JobOutcome::Error {
-            label: if timed_out { "timeout" } else { "cancelled" }.to_string(),
-            message: format!("sweep stopped: {stopped} of {total} points skipped"),
-        }
-    } else {
-        JobOutcome::Sweep {
-            csv: table.to_csv(),
-            json: table.to_json(),
-            points: total,
-            ok,
-            failed,
-            invalid,
-        }
-    };
-    finish_job(st, inner, id, outcome, false, &SingleExtras::NONE);
 }
