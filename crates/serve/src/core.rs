@@ -1,5 +1,8 @@
 //! The running server: worker threads over the pure scheduler, admission
 //! control, fingerprint coalescing, the shared result cache, and metrics.
+//! This file holds the configuration, the shared state and the public
+//! [`ServeCore`] API; admission lives in `admit`, everything after it —
+//! workers, runs, sweep chunks, terminal handling — in `lifecycle`.
 //!
 //! [`ServeCore`] is deliberately transport-free — the TCP/HTTP layer in
 //! [`crate::server`] is a thin shell around it, and the integration tests
@@ -7,17 +10,11 @@
 //! a `Condvar`; workers hold the lock only to pick up and record work, and
 //! simulate unlocked.
 
-use crate::job::{
-    config_from_knobs, JobId, JobLookupError, JobOutcome, JobRequest, JobState, JobStatus,
-    Rejection,
-};
-use crate::quota::TenantQuota;
-use crate::sched::{Class, Dispatched, Scheduler, Task};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
-mod admit;
-mod lifecycle;
-
-use lifecycle::{finish_job, promote_follower, worker_loop, SingleExtras};
 use salam::standalone::{RunOptions, StandaloneConfig};
 use salam_dse::{
     run_replay_sweep, run_sweep, CacheId, DseOptions, EngineKind, KernelSpec, Lookup,
@@ -34,10 +31,18 @@ use salam_resilience::{
 };
 use salam_telemetry::{flight, FlightRecorder};
 use salam_verify::{errors_only, to_json as diags_to_json, verify_ir, warning_count};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+
+use crate::job::{
+    config_from_knobs, JobId, JobLookupError, JobOutcome, JobRequest, JobState, JobStatus,
+    Rejection,
+};
+use crate::quota::TenantQuota;
+use crate::sched::{Class, Dispatched, Scheduler, Task};
+
+mod admit;
+mod lifecycle;
+
+use lifecycle::{finish_job, promote_follower, worker_loop, SingleExtras};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
