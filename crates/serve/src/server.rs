@@ -5,9 +5,11 @@
 //! starting with `GET ` / `POST ` are handled as one HTTP request
 //! (`GET /metrics[?format=prom]`, `GET /stats`, `GET /status?id=N`,
 //! `GET /trace?id=N`, `GET /healthz`, `GET /readyz`, `POST /submit`,
-//! `POST /cancel?id=N`); anything else is the native protocol — one
-//! [`crate::wire`] request per line, one response line each, connection
-//! held open until the client hangs up.
+//! `POST /cancel?id=N`, `POST /shutdown`); anything else is the native
+//! protocol — one [`crate::wire`] request per line, one response line
+//! each, connection held open until the client hangs up. Both decode into
+//! the same [`Request`] and run it through one `execute`; they differ only
+//! in how they render its reply.
 //!
 //! The transport is defensive: every line read is capped at
 //! [`crate::core::ServeConfig::max_line_bytes`] (overflow answers a typed

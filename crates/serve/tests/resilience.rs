@@ -480,9 +480,9 @@ fn a_journal_id_past_the_exact_integer_range_is_skipped() {
     let dir = tmp("journal-hostile");
     std::fs::create_dir_all(&dir).unwrap();
     let journal = dir.join("jobs.journal");
-    // An id of u64::MAX used to become the watermark and overflow the next
-    // id; it is malformed (past 2^53, the last integer an f64 holds
-    // exactly) and skipped like any other bad line.
+    // An id of u64::MAX as the id watermark would overflow the next id. It
+    // is malformed (past 2^53, the last integer an f64 holds exactly) and
+    // skipped like any other bad line.
     let hostile = journal_admit_line(7, "mallory", None, &kernel_job("bfs", &[]))
         .replace("\"id\": 7", "\"id\": 18446744073709551615");
     let mut text = String::new();
