@@ -49,12 +49,6 @@ const USAGE: &str = "[TARGET...] [--json] [--out FILE] [--deny warnings] [--boun
      TARGET: a MachSuite kernel (bfs, fft, gemm, md-grid, md-knn, nw, spmv,\n\
      stencil2d, stencil3d), 'all' for the full suite, or a path to a .ll file";
 
-fn bench_by_name(name: &str) -> Option<Bench> {
-    Bench::ALL
-        .into_iter()
-        .find(|b| b.label().eq_ignore_ascii_case(name))
-}
-
 /// Every pass over one built kernel, in severity-stable order.
 fn lint_kernel(k: &BuiltKernel, bounds: bool) -> (Vec<Diagnostic>, Option<String>) {
     let mut diags = verify_ir(&k.func);
@@ -237,7 +231,7 @@ fn main() {
     let mut results: Vec<(String, Vec<Diagnostic>)> = Vec::new();
     let mut bound_lines: Vec<String> = Vec::new();
     for t in &targets {
-        let diags = if let Some(b) = bench_by_name(t) {
+        let diags = if let Some(b) = Bench::from_label(t) {
             let k = b.build_standard();
             let (diags, bound) = lint_kernel(&k, bounds);
             bound_lines.extend(bound);

@@ -35,10 +35,10 @@
 //! always cover every span.
 
 use hw_profile::FuKind;
+use machsuite::Bench;
 use salam::standalone::StandaloneConfig;
 use salam_bench::bottleneck::{
-    bench_by_id, check_invariants, profile, render_csv, render_diff, render_json, render_table,
-    replay_profile,
+    check_invariants, profile, render_csv, render_diff, render_json, render_table, replay_profile,
 };
 use salam_bench::cli::{Args, EXIT_FINDINGS};
 
@@ -183,22 +183,21 @@ fn render_spans_against(spans: &[TraceSpan], t0: f64, t1: f64) -> String {
 }
 
 /// Applies one `key=val` knob to a config. Shared by the CLI flags and the
-/// `--diff` override list so both spell knobs identically.
+/// `--diff` override list so both spell knobs identically. Values are
+/// taken as given: `StandaloneConfig::validate` rejects a zero.
 fn apply_knob(cfg: &mut StandaloneConfig, key: &str, val: &str) -> Result<(), String> {
     let parse_u32 = |v: &str| v.parse::<u32>().map_err(|_| format!("bad number '{v}'"));
     let parse_u64 = |v: &str| v.parse::<u64>().map_err(|_| format!("bad number '{v}'"));
     match key {
         "ports" => {
             let n = parse_u32(val)?;
-            cfg.spm_read_ports = n.max(1);
-            cfg.spm_write_ports = n.max(1);
+            cfg.spm_read_ports = n;
+            cfg.spm_write_ports = n;
         }
-        "spm-latency" => cfg.spm_latency = parse_u64(val)?.max(1),
-        "window" => {
-            cfg.engine.reservation_entries = parse_u64(val)?.max(1) as usize;
-        }
-        "reads" => cfg.engine.max_outstanding_reads = parse_u64(val)?.max(1) as usize,
-        "writes" => cfg.engine.max_outstanding_writes = parse_u64(val)?.max(1) as usize,
+        "spm-latency" => cfg.spm_latency = parse_u64(val)?,
+        "window" => cfg.engine.reservation_entries = parse_u64(val)? as usize,
+        "reads" => cfg.engine.max_outstanding_reads = parse_u64(val)? as usize,
+        "writes" => cfg.engine.max_outstanding_writes = parse_u64(val)? as usize,
         "limit" => {
             let (fu, n) = val
                 .split_once([':', '='])
@@ -298,8 +297,11 @@ fn main() {
         eprintln!("usage: salam_report {USAGE}");
         std::process::exit(salam_bench::cli::EXIT_USAGE);
     };
+    if let Err(e) = cfg.validate() {
+        fail(&e.to_string());
+    }
     let bench = match args.finish().as_slice() {
-        [id] => bench_by_id(id).unwrap_or_else(|| fail(&format!("unknown bench '{id}'"))),
+        [id] => Bench::from_label(id).unwrap_or_else(|| fail(&format!("unknown bench '{id}'"))),
         [] => fail("a bench is required"),
         _ => fail("more than one bench given"),
     };
@@ -333,6 +335,9 @@ fn main() {
                 if let Err(e) = apply_knob(&mut other, k, v) {
                     fail(&e);
                 }
+            }
+            if let Err(e) = other.validate() {
+                fail(&e.to_string());
             }
             let vs = profile(&kernel, &other);
             if let Err(e) = check_invariants(&vs) {

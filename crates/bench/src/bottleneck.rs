@@ -7,7 +7,7 @@
 //! the diff — agree byte for byte across repeat runs of the same
 //! configuration (no wall-clock, no hash-map iteration order).
 
-use machsuite::{Bench, BuiltKernel};
+use machsuite::BuiltKernel;
 use salam::standalone::{try_run_kernel_profiled, StandaloneConfig};
 use salam::RunReport;
 use salam_dse::SweepTable;
@@ -56,15 +56,6 @@ pub fn replay_profile(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> Result<Pr
         depstream: trace,
         critpath,
     })
-}
-
-/// Resolves a MachSuite benchmark from its lowercase sweep id (`gemm`,
-/// `spmv`, `md-grid`, ...) — the same ids `salam_dse::KernelSpec::bench`
-/// uses.
-pub fn bench_by_id(id: &str) -> Option<Bench> {
-    Bench::ALL
-        .into_iter()
-        .find(|b| b.label().eq_ignore_ascii_case(id))
 }
 
 /// Checks the accounting invariants the profiling subsystem guarantees:
@@ -333,10 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_ids_resolve() {
-        assert_eq!(bench_by_id("gemm"), Some(Bench::GemmNcubed));
-        assert_eq!(bench_by_id("md-grid"), Some(Bench::MdGrid));
-        assert_eq!(bench_by_id("nope"), None);
+    fn class_labels_cover_six_classes() {
         assert_eq!(class_labels().count(), 6);
     }
 }

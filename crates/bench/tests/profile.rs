@@ -68,3 +68,17 @@ fn profiling_never_changes_the_schedule() {
         );
     }
 }
+
+#[test]
+fn a_zero_knob_is_a_usage_error_not_a_clamp_or_a_panic() {
+    for argv in [["gemm", "--ports", "0"], ["gemm", "--diff", "window=0"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_salam_report"))
+            .args(argv)
+            .output()
+            .expect("salam_report runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(stderr.contains("must be nonzero"), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
+}

@@ -5,6 +5,7 @@ use memsys::{
     AddrMap, BlockDma, Dram, DramConfig, MemMsg, MmrBlock, Scratchpad, ScratchpadConfig, Xbar,
 };
 use salam_fault::SimError;
+use salam_ir::interp::RtVal;
 use salam_ir::Function;
 use sim_core::{CompId, Simulation};
 
@@ -208,10 +209,10 @@ impl ClusterBuilder {
             .flat_map(|d| salam_verify::verify_ir(&d.func))
             .collect();
         if self.cfg.shared_spm_bytes > 0 {
-            let writers: Vec<(&str, &Function)> = self
+            let writers: Vec<(&str, &Function, &[RtVal])> = self
                 .accels
                 .iter()
-                .map(|d| (d.cfg.name.as_str(), &d.func))
+                .map(|d| (d.cfg.name.as_str(), &d.func, &[][..]))
                 .collect();
             diags.extend(salam_verify::check_shared_spm(
                 &writers,

@@ -14,7 +14,10 @@
 //!   the `machsuite` kernels in place of running clang.
 //! * [`parse_module`] — a parser for a textual `.ll`-style subset, so kernels
 //!   can also be written as LLVM-like assembly.
-//! * [`verify_function`] — SSA/type/terminator well-formedness checks.
+//! * [`check_function`] — the one IR well-formedness walk (SSA dominance,
+//!   types, CFG structure, phi edges, cast widths, plus unreachable-block
+//!   and dead-value lints), collecting every [`Finding`] by [`IrRule`];
+//!   [`verify_function`] is its fail-fast view.
 //! * [`interp`] — a reference interpreter with an observation hook, used for
 //!   golden-result checks, trace generation (the Aladdin baseline) and
 //!   basic-block trip-count profiling (the HLS reference model).
@@ -73,4 +76,4 @@ pub use inst::{FloatPredicate, Inst, IntPredicate, Opcode};
 pub use parser::{parse_module, ParseError};
 pub use types::Type;
 pub use value::{Constant, ValueId, ValueKind};
-pub use verify::{verify_function, VerifyError};
+pub use verify::{check_function, verify_function, Finding, IrRule, VerifyError};

@@ -1,4 +1,10 @@
-//! IR well-formedness checks: structure, types, and SSA dominance.
+//! IR well-formedness checks: structure, types, SSA dominance, and the
+//! unreachable-block and dead-value lints.
+//!
+//! [`check_function`] is the one walk: it collects every [`Finding`], each
+//! tagged with the [`IrRule`] it breaks. [`verify_function`] is its
+//! fail-fast view (the first error), and `salam-verify` maps the rules to
+//! its stable diagnostic codes.
 
 use std::collections::HashMap;
 
@@ -29,71 +35,131 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+/// The rule a [`Finding`] breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum IrRule {
+    /// A use is not dominated by its definition (including use-before-def
+    /// within a block and uses of dead ids).
+    Dominance,
+    /// Operand count or operand/result types do not match the opcode.
+    Types,
+    /// A reachable block is empty, its terminator is not last (or
+    /// missing), a phi is not at the block head, or the entry has a phi.
+    Structure,
+    /// A phi's incoming blocks differ from the CFG predecessors.
+    PhiEdges,
+    /// A block is unreachable from the entry (lint).
+    Unreachable,
+    /// An instruction result is never used (lint).
+    DeadValue,
+    /// An integer cast does not narrow/widen as its opcode requires.
+    CastWidth,
+}
+
+impl IrRule {
+    /// Whether a finding of this rule makes the IR ill-formed; the two
+    /// lints do not.
+    pub fn is_error(self) -> bool {
+        !matches!(self, IrRule::Unreachable | IrRule::DeadValue)
+    }
+}
+
+/// One violation found by [`check_function`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// The rule broken.
+    pub rule: IrRule,
+    /// The block it was found in.
+    pub block: BlockId,
+    /// Description of the violation.
+    pub message: String,
+}
+
 /// Checks a function for structural, type, and SSA violations.
-///
-/// Checks performed:
-/// * every reachable block ends with exactly one terminator,
-/// * operand counts and types match each opcode,
-/// * `phi` nodes have one incoming edge per CFG predecessor,
-/// * the entry block has no phis,
-/// * every use is dominated by its definition.
 ///
 /// # Errors
 ///
-/// Returns the first violation found.
+/// Returns the first [`check_function`] finding whose rule is an error.
 pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
-    let fail = |msg: String| {
-        Err(VerifyError {
+    match check_function(f).into_iter().find(|x| x.rule.is_error()) {
+        None => Ok(()),
+        Some(x) => Err(VerifyError {
             function: f.name.clone(),
-            message: msg,
+            message: format!("in %{}: {}", f.block(x.block).name, x.message),
+        }),
+    }
+}
+
+/// Walks a function once and collects every finding, in this order:
+/// structure and unreachable blocks, the entry phi, then per instruction
+/// its types, the dominance of its operands and its phi edges, and last
+/// the dead values. Unreachable blocks get only the lint: passes may
+/// leave them half-built.
+pub fn check_function(f: &Function) -> Vec<Finding> {
+    let mut out = Vec::new();
+    let mut flag = |rule, block, message: String| {
+        out.push(Finding {
+            rule,
+            block,
+            message,
         })
     };
-
     let cfg = Cfg::new(f);
     let dom = DomTree::new(f, &cfg);
 
-    // Structure: reachable blocks non-empty; terminator last and only last.
-    // Unreachable blocks may be left empty by passes and are ignored.
     for (bid, b) in f.blocks() {
         if !cfg.is_reachable(bid) {
+            flag(
+                IrRule::Unreachable,
+                bid,
+                "block is unreachable from entry".into(),
+            );
             continue;
         }
         if b.insts.is_empty() {
-            return fail(format!("block %{} is empty", b.name));
+            flag(IrRule::Structure, bid, "block is empty".into());
+            continue;
         }
         for (i, &inst_id) in b.insts.iter().enumerate() {
             let is_last = i + 1 == b.insts.len();
             let inst = f.inst(inst_id);
             if inst.op.is_terminator() != is_last {
-                return fail(format!(
-                    "block %{}: terminator placement violated at instruction {i}",
-                    b.name
-                ));
+                flag(
+                    IrRule::Structure,
+                    bid,
+                    format!("terminator placement violated at instruction {i}"),
+                );
             }
-            if inst.op == Opcode::Phi && i > 0 {
-                let prev = f.inst(b.insts[i - 1]);
-                if prev.op != Opcode::Phi {
-                    return fail(format!("block %{}: phi not at block head", b.name));
-                }
+            if inst.op == Opcode::Phi && i > 0 && f.inst(b.insts[i - 1]).op != Opcode::Phi {
+                flag(IrRule::Structure, bid, "phi not at block head".into());
             }
         }
-        let _ = bid;
     }
 
-    // Entry must have no phis (it has no predecessors).
+    // The entry has no predecessors, so it must not contain phis.
     let entry = f.entry();
-    for &i in &f.block(entry).insts {
-        if f.inst(i).op == Opcode::Phi {
-            return fail("entry block contains a phi".to_string());
-        }
+    if f.block(entry)
+        .insts
+        .iter()
+        .any(|&i| f.inst(i).op == Opcode::Phi)
+    {
+        flag(
+            IrRule::Structure,
+            entry,
+            "entry block contains a phi".into(),
+        );
     }
 
-    // Map: defining block + index of every instruction value.
+    // Defining block and in-block position of every instruction result.
     let mut def_site: HashMap<ValueId, (BlockId, usize)> = HashMap::new();
+    let mut used: HashMap<ValueId, u32> = HashMap::new();
     for (bid, b) in f.blocks() {
         for (i, &inst_id) in b.insts.iter().enumerate() {
             if let Some(v) = f.inst_result(inst_id) {
                 def_site.insert(v, (bid, i));
+            }
+            for &op in &f.inst(inst_id).operands {
+                *used.entry(op).or_insert(0) += 1;
             }
         }
     }
@@ -103,38 +169,49 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
             continue;
         }
         for (pos, &inst_id) in b.insts.iter().enumerate() {
-            check_inst(f, inst_id, &cfg, bid)?;
+            check_types(f, inst_id, bid, &mut flag);
             let inst = f.inst(inst_id);
-            // Dominance of operands.
+
+            // SSA dominance of every instruction-operand.
             for (k, &op) in inst.operands.iter().enumerate() {
                 let ValueKind::Inst(_) = f.value_kind(op) else {
                     continue;
                 };
                 let Some(&(def_block, def_pos)) = def_site.get(&op) else {
-                    return fail(format!(
-                        "use of value without live definition in %{}",
-                        b.name
-                    ));
+                    flag(
+                        IrRule::Dominance,
+                        bid,
+                        "use of value without live definition".into(),
+                    );
+                    continue;
                 };
                 if inst.op == Opcode::Phi {
-                    // Phi use must be dominated at the end of the incoming
-                    // block.
-                    let incoming = inst.block_refs[k];
+                    // A phi use must be dominated at the end of the
+                    // incoming edge, not at the phi itself.
+                    let Some(&incoming) = inst.block_refs.get(k) else {
+                        continue; // arity reported as a phi-edge finding
+                    };
                     if !dom.dominates(def_block, incoming) {
-                        return fail(format!(
-                            "phi in %{} uses value not dominating incoming block",
-                            b.name
-                        ));
+                        flag(
+                            IrRule::Dominance,
+                            bid,
+                            "phi uses value not dominating its incoming block".into(),
+                        );
                     }
                 } else if def_block == bid {
                     if def_pos >= pos {
-                        return fail(format!("use before def within block %{}", b.name));
+                        flag(IrRule::Dominance, bid, "use before def within block".into());
                     }
                 } else if !dom.dominates(def_block, bid) {
-                    return fail(format!("use in %{} not dominated by definition", b.name));
+                    flag(
+                        IrRule::Dominance,
+                        bid,
+                        "use not dominated by definition".into(),
+                    );
                 }
             }
-            // Phi arity vs predecessors.
+
+            // Phi incoming edges must match the CFG predecessors.
             if inst.op == Opcode::Phi {
                 let mut preds: Vec<BlockId> = cfg.predecessors(bid).to_vec();
                 preds.sort();
@@ -143,42 +220,106 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
                 incoming.sort();
                 incoming.dedup();
                 if preds != incoming {
-                    return fail(format!(
-                        "phi in %{} incoming blocks do not match predecessors",
-                        b.name
-                    ));
+                    flag(
+                        IrRule::PhiEdges,
+                        bid,
+                        "phi incoming blocks do not match predecessors".into(),
+                    );
                 }
             }
         }
     }
-    Ok(())
+
+    // Dead-value lint: a result no instruction ever reads. Reachable
+    // blocks only — an unreachable block already has its own finding.
+    for (bid, b) in f.blocks() {
+        if !cfg.is_reachable(bid) {
+            continue;
+        }
+        for &inst_id in &b.insts {
+            let inst = f.inst(inst_id);
+            if let Some(v) = f.inst_result(inst_id) {
+                if used.get(&v).copied().unwrap_or(0) == 0 {
+                    let name = if inst.name.is_empty() {
+                        "_"
+                    } else {
+                        &inst.name
+                    };
+                    flag(
+                        IrRule::DeadValue,
+                        bid,
+                        format!("result of {} `%{name}` is never used", inst.op.mnemonic()),
+                    );
+                }
+            }
+        }
+    }
+
+    out
 }
 
-fn check_inst(f: &Function, inst_id: InstId, _cfg: &Cfg, bid: BlockId) -> Result<(), VerifyError> {
+/// Per-opcode operand-count and type rules of one instruction.
+fn check_types(
+    f: &Function,
+    inst_id: InstId,
+    bid: BlockId,
+    flag: &mut impl FnMut(IrRule, BlockId, String),
+) {
     let inst = f.inst(inst_id);
-    let bname = &f.block(bid).name;
-    let fail = |msg: String| {
-        Err(VerifyError {
-            function: f.name.clone(),
-            message: format!("in %{bname}: {msg}"),
-        })
-    };
     let ops = &inst.operands;
     let opty = |i: usize| f.value_type(ops[i]);
-    let want = |n: usize| -> Result<(), VerifyError> {
-        if ops.len() != n {
-            Err(VerifyError {
-                function: f.name.clone(),
-                message: format!(
-                    "in %{bname}: {} expects {n} operands, has {}",
-                    inst.op.mnemonic(),
-                    ops.len()
-                ),
-            })
-        } else {
-            Ok(())
-        }
+    let mut type_err = |msg: &str| flag(IrRule::Types, bid, msg.to_string());
+    // Arity first; a wrong count makes the type checks below meaningless.
+    let arity: Option<usize> = match &inst.op {
+        Opcode::Add
+        | Opcode::Sub
+        | Opcode::Mul
+        | Opcode::UDiv
+        | Opcode::SDiv
+        | Opcode::URem
+        | Opcode::SRem
+        | Opcode::Shl
+        | Opcode::LShr
+        | Opcode::AShr
+        | Opcode::And
+        | Opcode::Or
+        | Opcode::Xor
+        | Opcode::FAdd
+        | Opcode::FSub
+        | Opcode::FMul
+        | Opcode::FDiv
+        | Opcode::ICmp(_)
+        | Opcode::FCmp(_)
+        | Opcode::Store => Some(2),
+        Opcode::FNeg
+        | Opcode::Load
+        | Opcode::Trunc
+        | Opcode::ZExt
+        | Opcode::SExt
+        | Opcode::FPTrunc
+        | Opcode::FPExt
+        | Opcode::FPToSI
+        | Opcode::FPToUI
+        | Opcode::SIToFP
+        | Opcode::UIToFP
+        | Opcode::BitCast
+        | Opcode::PtrToInt
+        | Opcode::IntToPtr
+        | Opcode::CondBr => Some(1),
+        Opcode::Select => Some(3),
+        Opcode::Br => Some(0),
+        Opcode::Gep { .. } | Opcode::Phi | Opcode::Ret => None,
     };
+    if let Some(n) = arity {
+        if ops.len() != n {
+            let mnemonic = inst.op.mnemonic();
+            type_err(&format!(
+                "{mnemonic} expects {n} operands, has {}",
+                ops.len()
+            ));
+            return;
+        }
+    }
 
     match &inst.op {
         Opcode::Add
@@ -194,74 +335,64 @@ fn check_inst(f: &Function, inst_id: InstId, _cfg: &Cfg, bid: BlockId) -> Result
         | Opcode::And
         | Opcode::Or
         | Opcode::Xor => {
-            want(2)?;
             if !opty(0).is_int() || opty(0) != opty(1) || inst.ty != opty(0) {
-                return fail(format!(
-                    "integer binary op type mismatch ({})",
-                    inst.op.mnemonic()
-                ));
+                let mnemonic = inst.op.mnemonic();
+                type_err(&format!("integer binary op type mismatch ({mnemonic})"));
             }
         }
         Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv => {
-            want(2)?;
             if !opty(0).is_float() || opty(0) != opty(1) || inst.ty != opty(0) {
-                return fail(format!(
-                    "float binary op type mismatch ({})",
-                    inst.op.mnemonic()
-                ));
+                let mnemonic = inst.op.mnemonic();
+                type_err(&format!("float binary op type mismatch ({mnemonic})"));
             }
         }
         Opcode::FNeg => {
-            want(1)?;
             if !opty(0).is_float() || inst.ty != opty(0) {
-                return fail("fneg type mismatch".to_string());
+                type_err("fneg type mismatch");
             }
         }
         Opcode::ICmp(_) => {
-            want(2)?;
             let t = opty(0);
             if !(t.is_int() || t.is_ptr()) || t != opty(1) || inst.ty != Type::I1 {
-                return fail("icmp type mismatch".to_string());
+                type_err("icmp type mismatch");
             }
         }
         Opcode::FCmp(_) => {
-            want(2)?;
             if !opty(0).is_float() || opty(0) != opty(1) || inst.ty != Type::I1 {
-                return fail("fcmp type mismatch".to_string());
+                type_err("fcmp type mismatch");
             }
         }
         Opcode::Load => {
-            want(1)?;
             if !opty(0).is_ptr() {
-                return fail("load from non-pointer".to_string());
+                type_err("load from non-pointer");
             }
             if inst.ty == Type::Void {
-                return fail("load of void".to_string());
+                type_err("load of void");
             }
         }
         Opcode::Store => {
-            want(2)?;
             if !opty(1).is_ptr() {
-                return fail("store to non-pointer".to_string());
+                type_err("store to non-pointer");
             }
         }
         Opcode::Gep { .. } => {
             if ops.is_empty() {
-                return fail("gep needs a pointer operand".to_string());
+                type_err("gep needs a pointer operand");
+                return;
             }
             if !opty(0).is_ptr() || inst.ty != Type::Ptr {
-                return fail("gep pointer type mismatch".to_string());
+                type_err("gep pointer type mismatch");
             }
             for i in 1..ops.len() {
                 if !opty(i).is_int() {
-                    return fail("gep index not an integer".to_string());
+                    type_err("gep index not an integer");
                 }
             }
         }
         Opcode::Trunc | Opcode::ZExt | Opcode::SExt => {
-            want(1)?;
             if !opty(0).is_int() || !inst.ty.is_int() {
-                return fail("integer cast on non-integer".to_string());
+                type_err("integer cast on non-integer");
+                return;
             }
             let (from, to) = (opty(0).bits(), inst.ty.bits());
             let ok = match inst.op {
@@ -269,79 +400,75 @@ fn check_inst(f: &Function, inst_id: InstId, _cfg: &Cfg, bid: BlockId) -> Result
                 _ => to > from,
             };
             if !ok {
-                return fail(format!("bad cast width {from} -> {to}"));
+                let mnemonic = inst.op.mnemonic();
+                let msg = format!("bad cast width {from} -> {to} for {mnemonic}");
+                flag(IrRule::CastWidth, bid, msg);
             }
         }
         Opcode::FPTrunc | Opcode::FPExt => {
-            want(1)?;
             if !opty(0).is_float() || !inst.ty.is_float() {
-                return fail("float cast on non-float".to_string());
+                type_err("float cast on non-float");
             }
         }
         Opcode::FPToSI | Opcode::FPToUI => {
-            want(1)?;
             if !opty(0).is_float() || !inst.ty.is_int() {
-                return fail("fp-to-int cast type mismatch".to_string());
+                type_err("fp-to-int cast type mismatch");
             }
         }
         Opcode::SIToFP | Opcode::UIToFP => {
-            want(1)?;
             if !opty(0).is_int() || !inst.ty.is_float() {
-                return fail("int-to-fp cast type mismatch".to_string());
+                type_err("int-to-fp cast type mismatch");
             }
         }
         Opcode::BitCast => {
-            want(1)?;
             if opty(0).size_bytes() != inst.ty.size_bytes() {
-                return fail("bitcast width mismatch".to_string());
+                type_err("bitcast width mismatch");
             }
         }
         Opcode::PtrToInt => {
-            want(1)?;
             if !opty(0).is_ptr() || !inst.ty.is_int() {
-                return fail("ptrtoint type mismatch".to_string());
+                type_err("ptrtoint type mismatch");
             }
         }
         Opcode::IntToPtr => {
-            want(1)?;
             if !opty(0).is_int() || !inst.ty.is_ptr() {
-                return fail("inttoptr type mismatch".to_string());
+                type_err("inttoptr type mismatch");
             }
         }
         Opcode::Phi => {
             if ops.len() != inst.block_refs.len() || ops.is_empty() {
-                return fail("phi operand/block arity mismatch".to_string());
+                let msg = "phi operand/block arity mismatch".to_string();
+                flag(IrRule::PhiEdges, bid, msg);
+                return;
             }
             for &v in ops {
                 if f.value_type(v) != inst.ty {
-                    return fail("phi incoming type mismatch".to_string());
+                    type_err("phi incoming type mismatch");
                 }
             }
         }
         Opcode::Select => {
-            want(3)?;
             if opty(0) != Type::I1 || opty(1) != opty(2) || inst.ty != opty(1) {
-                return fail("select type mismatch".to_string());
+                type_err("select type mismatch");
             }
         }
         Opcode::Br => {
-            if inst.block_refs.len() != 1 || !ops.is_empty() {
-                return fail("br arity mismatch".to_string());
+            if inst.block_refs.len() != 1 {
+                let msg = "br must have exactly one target".to_string();
+                flag(IrRule::Structure, bid, msg);
             }
         }
         Opcode::CondBr => {
-            want(1)?;
             if inst.block_refs.len() != 2 || opty(0) != Type::I1 {
-                return fail("condbr arity/type mismatch".to_string());
+                type_err("condbr arity/type mismatch");
             }
         }
         Opcode::Ret => {
             if ops.len() > 1 {
-                return fail("ret with multiple values".to_string());
+                type_err("ret with multiple values");
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

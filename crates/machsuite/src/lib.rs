@@ -210,6 +210,15 @@ impl Bench {
         }
     }
 
+    /// The benchmark whose [`label`](Bench::label) matches `label` ignoring
+    /// ASCII case — so the lowercase ids of sweeps, `salam_report`,
+    /// `salam_lint` and serve (`gemm`, `md-grid`, ...) resolve too.
+    pub fn from_label(label: &str) -> Option<Bench> {
+        Bench::ALL
+            .into_iter()
+            .find(|b| b.label().eq_ignore_ascii_case(label))
+    }
+
     /// Builds the benchmark at its standard (simulation-friendly) size.
     pub fn build_standard(self) -> BuiltKernel {
         match self {
@@ -230,6 +239,13 @@ impl Bench {
 mod tests {
     use super::*;
     use salam_ir::interp::{run_function, NullObserver};
+
+    #[test]
+    fn labels_resolve_ignoring_case() {
+        assert_eq!(Bench::from_label("gemm"), Some(Bench::GemmNcubed));
+        assert_eq!(Bench::from_label("md-grid"), Some(Bench::MdGrid));
+        assert_eq!(Bench::from_label("nope"), None);
+    }
 
     #[test]
     fn every_standard_benchmark_verifies_and_matches_golden() {

@@ -400,7 +400,7 @@ impl ServeCore {
             Ok((warning_count(&diags) > 0).then(|| diags_to_json(&diags)))
         };
         let single = |bench: &str, knobs: &[(String, u64)]| {
-            let b = bench_by_id(bench).ok_or_else(|| {
+            let b = machsuite::Bench::from_label(bench).ok_or_else(|| {
                 Rejection::new("bad-request", format!("unknown benchmark '{bench}'"))
             })?;
             let config = config_from_knobs(knobs).map_err(|m| Rejection::new("bad-request", m))?;
@@ -492,7 +492,7 @@ impl ServeCore {
                 let mut spec = SweepSpec::new(name.clone(), StandaloneConfig::default());
                 let mut lint = None;
                 for k in kernels {
-                    let b = bench_by_id(k).ok_or_else(|| {
+                    let b = machsuite::Bench::from_label(k).ok_or_else(|| {
                         Rejection::new("bad-request", format!("unknown benchmark '{k}'"))
                     })?;
                     lint = gate_ir(&b.build_standard())?.or(lint);
@@ -541,13 +541,6 @@ fn valid_tenant(tenant: &str) -> bool {
         && tenant
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
-}
-
-/// Resolves a MachSuite benchmark id.
-fn bench_by_id(id: &str) -> Option<machsuite::Bench> {
-    machsuite::Bench::ALL
-        .into_iter()
-        .find(|b| b.label().eq_ignore_ascii_case(id))
 }
 
 /// The coalescing identity of one single run: the cache identity plus the

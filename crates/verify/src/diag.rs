@@ -318,7 +318,7 @@ pub fn explain(code: &str) -> Option<&'static str> {
              allocates units for it. Delete it or wire it in."
         }
         "V006" => {
-            "V006 · dead value (info)\n\n\
+            "V006 · dead value (warning)\n\n\
              An instruction computes a result no one reads. Harmless to \
              correctness but it occupies a functional unit and a reservation \
              slot every execution — free latency and area savings if \

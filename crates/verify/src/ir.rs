@@ -1,23 +1,32 @@
-//! The IR verifier: SSA, dominance, types, CFG structure, and dead-code
-//! lints — every violation collected, not just the first.
+//! The IR verifier as diagnostics: SSA, dominance, types, CFG structure,
+//! and dead-code lints — every violation collected, not just the first.
 //!
-//! `salam-ir` keeps its own fail-fast [`salam_ir::verify_function`] for
-//! internal assertions; this pass re-walks the same invariants but reports
-//! **all** findings as [`Diagnostic`]s with stable codes, plus two lints
-//! the fail-fast verifier deliberately ignores (unreachable blocks, dead
-//! values). A function that passes here with no errors elaborates into a
+//! The walk itself is [`salam_ir::check_function`], the same one behind
+//! the fail-fast [`salam_ir::verify_function`]; this module only maps
+//! each finding's [`IrRule`] to a stable code and its block to a
+//! [`Span`]. A function that passes here with no errors elaborates into a
 //! well-defined CDFG.
 
-use std::collections::HashMap;
+use salam_ir::{check_function, Function, IrRule, Module};
 
-use salam_ir::analysis::{Cfg, DomTree};
-use salam_ir::{BlockId, Function, Module, Opcode, Type, ValueId, ValueKind};
-
-use crate::diag::{codes, Diagnostic, Span};
+use crate::diag::{codes, Diagnostic, Severity, Span};
 
 /// Verifies every function of a module.
 pub fn verify_module(m: &Module) -> Vec<Diagnostic> {
     m.functions().iter().flat_map(verify_ir).collect()
+}
+
+/// The stable code of each IR rule.
+fn rule_code(rule: IrRule) -> &'static str {
+    match rule {
+        IrRule::Dominance => codes::V001,
+        IrRule::Types => codes::V002,
+        IrRule::Structure => codes::V003,
+        IrRule::PhiEdges => codes::V004,
+        IrRule::Unreachable => codes::V005,
+        IrRule::DeadValue => codes::V006,
+        IrRule::CastWidth => codes::V007,
+    }
 }
 
 /// Verifies one function, collecting every violation and lint finding.
@@ -33,409 +42,25 @@ pub fn verify_module(m: &Module) -> Vec<Diagnostic> {
 /// * `V005` *(warning)* — block unreachable from entry;
 /// * `V006` *(warning)* — an instruction result is never used.
 pub fn verify_ir(f: &Function) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let cfg = Cfg::new(f);
-    let dom = DomTree::new(f, &cfg);
-    let at = |b: BlockId| Span::block(&f.name, &f.block(b).name);
-
-    // Structure: reachable blocks are non-empty, terminated exactly at the
-    // end, phis only at the head. Unreachable blocks get a V005 lint and
-    // are otherwise skipped (passes may leave them half-built).
-    for (bid, b) in f.blocks() {
-        if !cfg.is_reachable(bid) {
-            diags.push(Diagnostic::warning(
-                codes::V005,
-                at(bid),
-                "block is unreachable from entry",
-            ));
-            continue;
-        }
-        if b.insts.is_empty() {
-            diags.push(Diagnostic::error(codes::V003, at(bid), "block is empty"));
-            continue;
-        }
-        for (i, &inst_id) in b.insts.iter().enumerate() {
-            let is_last = i + 1 == b.insts.len();
-            let inst = f.inst(inst_id);
-            if inst.op.is_terminator() != is_last {
-                diags.push(Diagnostic::error(
-                    codes::V003,
-                    at(bid),
-                    format!("terminator placement violated at instruction {i}"),
-                ));
-            }
-            if inst.op == Opcode::Phi && i > 0 && f.inst(b.insts[i - 1]).op != Opcode::Phi {
-                diags.push(Diagnostic::error(
-                    codes::V003,
-                    at(bid),
-                    "phi not at block head",
-                ));
-            }
-        }
-    }
-
-    // The entry has no predecessors, so it must not contain phis.
-    let entry = f.entry();
-    if f.block(entry)
-        .insts
-        .iter()
-        .any(|&i| f.inst(i).op == Opcode::Phi)
-    {
-        diags.push(Diagnostic::error(
-            codes::V003,
-            at(entry),
-            "entry block contains a phi",
-        ));
-    }
-
-    // Defining block and in-block position of every instruction result.
-    let mut def_site: HashMap<ValueId, (BlockId, usize)> = HashMap::new();
-    let mut used: HashMap<ValueId, u32> = HashMap::new();
-    for (bid, b) in f.blocks() {
-        for (i, &inst_id) in b.insts.iter().enumerate() {
-            if let Some(v) = f.inst_result(inst_id) {
-                def_site.insert(v, (bid, i));
-            }
-            for &op in &f.inst(inst_id).operands {
-                *used.entry(op).or_insert(0) += 1;
-            }
-        }
-    }
-
-    for (bid, b) in f.blocks() {
-        if !cfg.is_reachable(bid) {
-            continue;
-        }
-        for (pos, &inst_id) in b.insts.iter().enumerate() {
-            check_inst_types(f, inst_id, bid, &mut diags);
-            let inst = f.inst(inst_id);
-
-            // SSA dominance of every instruction-operand.
-            for (k, &op) in inst.operands.iter().enumerate() {
-                let ValueKind::Inst(_) = f.value_kind(op) else {
-                    continue;
-                };
-                let Some(&(def_block, def_pos)) = def_site.get(&op) else {
-                    diags.push(Diagnostic::error(
-                        codes::V001,
-                        at(bid),
-                        "use of value without live definition",
-                    ));
-                    continue;
-                };
-                if inst.op == Opcode::Phi {
-                    // A phi use must be dominated at the end of the
-                    // incoming edge, not at the phi itself.
-                    let Some(&incoming) = inst.block_refs.get(k) else {
-                        continue; // arity reported as V004 below
-                    };
-                    if !dom.dominates(def_block, incoming) {
-                        diags.push(Diagnostic::error(
-                            codes::V001,
-                            at(bid),
-                            "phi uses value not dominating its incoming block",
-                        ));
-                    }
-                } else if def_block == bid {
-                    if def_pos >= pos {
-                        diags.push(Diagnostic::error(
-                            codes::V001,
-                            at(bid),
-                            "use before def within block",
-                        ));
-                    }
-                } else if !dom.dominates(def_block, bid) {
-                    diags.push(Diagnostic::error(
-                        codes::V001,
-                        at(bid),
-                        "use not dominated by definition",
-                    ));
-                }
-            }
-
-            // Phi incoming edges must match the CFG predecessors.
-            if inst.op == Opcode::Phi {
-                let mut preds: Vec<BlockId> = cfg.predecessors(bid).to_vec();
-                preds.sort();
-                preds.dedup();
-                let mut incoming: Vec<BlockId> = inst.block_refs.clone();
-                incoming.sort();
-                incoming.dedup();
-                if preds != incoming {
-                    diags.push(Diagnostic::error(
-                        codes::V004,
-                        at(bid),
-                        "phi incoming blocks do not match predecessors",
-                    ));
-                }
-            }
-        }
-    }
-
-    // Dead-value lint: a result no instruction ever reads. Reachable
-    // blocks only — everything in an unreachable block is already V005.
-    for (bid, b) in f.blocks() {
-        if !cfg.is_reachable(bid) {
-            continue;
-        }
-        for &inst_id in &b.insts {
-            let inst = f.inst(inst_id);
-            if let Some(v) = f.inst_result(inst_id) {
-                if used.get(&v).copied().unwrap_or(0) == 0 {
-                    diags.push(Diagnostic::warning(
-                        codes::V006,
-                        at(bid),
-                        format!(
-                            "result of {} `%{}` is never used",
-                            inst.op.mnemonic(),
-                            if inst.name.is_empty() {
-                                "_"
-                            } else {
-                                &inst.name
-                            }
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    diags
-}
-
-/// Per-opcode operand-count and type checks (`V002`, cast widths `V007`).
-fn check_inst_types(
-    f: &Function,
-    inst_id: salam_ir::InstId,
-    bid: BlockId,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let inst = f.inst(inst_id);
-    let span = Span::block(&f.name, &f.block(bid).name);
-    let ops = &inst.operands;
-    let opty = |i: usize| f.value_type(ops[i]);
-    let mut type_err = |msg: String| {
-        diags.push(Diagnostic::error(codes::V002, span.clone(), msg));
-    };
-    // Arity first; a wrong count makes the type checks below meaningless.
-    let arity: Option<usize> = match &inst.op {
-        Opcode::Add
-        | Opcode::Sub
-        | Opcode::Mul
-        | Opcode::UDiv
-        | Opcode::SDiv
-        | Opcode::URem
-        | Opcode::SRem
-        | Opcode::Shl
-        | Opcode::LShr
-        | Opcode::AShr
-        | Opcode::And
-        | Opcode::Or
-        | Opcode::Xor
-        | Opcode::FAdd
-        | Opcode::FSub
-        | Opcode::FMul
-        | Opcode::FDiv
-        | Opcode::ICmp(_)
-        | Opcode::FCmp(_)
-        | Opcode::Store => Some(2),
-        Opcode::FNeg
-        | Opcode::Load
-        | Opcode::Trunc
-        | Opcode::ZExt
-        | Opcode::SExt
-        | Opcode::FPTrunc
-        | Opcode::FPExt
-        | Opcode::FPToSI
-        | Opcode::FPToUI
-        | Opcode::SIToFP
-        | Opcode::UIToFP
-        | Opcode::BitCast
-        | Opcode::PtrToInt
-        | Opcode::IntToPtr
-        | Opcode::CondBr => Some(1),
-        Opcode::Select => Some(3),
-        Opcode::Br => Some(0),
-        Opcode::Gep { .. } | Opcode::Phi | Opcode::Ret => None,
-    };
-    if let Some(n) = arity {
-        if ops.len() != n {
-            type_err(format!(
-                "{} expects {n} operands, has {}",
-                inst.op.mnemonic(),
-                ops.len()
-            ));
-            return;
-        }
-    }
-
-    match &inst.op {
-        Opcode::Add
-        | Opcode::Sub
-        | Opcode::Mul
-        | Opcode::UDiv
-        | Opcode::SDiv
-        | Opcode::URem
-        | Opcode::SRem
-        | Opcode::Shl
-        | Opcode::LShr
-        | Opcode::AShr
-        | Opcode::And
-        | Opcode::Or
-        | Opcode::Xor => {
-            if !opty(0).is_int() || opty(0) != opty(1) || inst.ty != opty(0) {
-                type_err(format!(
-                    "integer binary op type mismatch ({})",
-                    inst.op.mnemonic()
-                ));
-            }
-        }
-        Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv => {
-            if !opty(0).is_float() || opty(0) != opty(1) || inst.ty != opty(0) {
-                type_err(format!(
-                    "float binary op type mismatch ({})",
-                    inst.op.mnemonic()
-                ));
-            }
-        }
-        Opcode::FNeg => {
-            if !opty(0).is_float() || inst.ty != opty(0) {
-                type_err("fneg type mismatch".into());
-            }
-        }
-        Opcode::ICmp(_) => {
-            let t = opty(0);
-            if !(t.is_int() || t.is_ptr()) || t != opty(1) || inst.ty != Type::I1 {
-                type_err("icmp type mismatch".into());
-            }
-        }
-        Opcode::FCmp(_) => {
-            if !opty(0).is_float() || opty(0) != opty(1) || inst.ty != Type::I1 {
-                type_err("fcmp type mismatch".into());
-            }
-        }
-        Opcode::Load => {
-            if !opty(0).is_ptr() {
-                type_err("load from non-pointer".into());
-            }
-            if inst.ty == Type::Void {
-                type_err("load of void".into());
-            }
-        }
-        Opcode::Store => {
-            if !opty(1).is_ptr() {
-                type_err("store to non-pointer".into());
-            }
-        }
-        Opcode::Gep { .. } => {
-            if ops.is_empty() {
-                type_err("gep needs a pointer operand".into());
-                return;
-            }
-            if !opty(0).is_ptr() || inst.ty != Type::Ptr {
-                type_err("gep pointer type mismatch".into());
-            }
-            for i in 1..ops.len() {
-                if !opty(i).is_int() {
-                    type_err("gep index not an integer".into());
-                }
-            }
-        }
-        Opcode::Trunc | Opcode::ZExt | Opcode::SExt => {
-            if !opty(0).is_int() || !inst.ty.is_int() {
-                type_err("integer cast on non-integer".into());
-                return;
-            }
-            let (from, to) = (opty(0).bits(), inst.ty.bits());
-            let ok = match inst.op {
-                Opcode::Trunc => to < from,
-                _ => to > from,
+    check_function(f)
+        .into_iter()
+        .map(|x| {
+            let severity = if x.rule.is_error() {
+                Severity::Error
+            } else {
+                Severity::Warning
             };
-            if !ok {
-                diags.push(Diagnostic::error(
-                    codes::V007,
-                    span.clone(),
-                    format!("bad cast width {from} -> {to} for {}", inst.op.mnemonic()),
-                ));
-            }
-        }
-        Opcode::FPTrunc | Opcode::FPExt => {
-            if !opty(0).is_float() || !inst.ty.is_float() {
-                type_err("float cast on non-float".into());
-            }
-        }
-        Opcode::FPToSI | Opcode::FPToUI => {
-            if !opty(0).is_float() || !inst.ty.is_int() {
-                type_err("fp-to-int cast type mismatch".into());
-            }
-        }
-        Opcode::SIToFP | Opcode::UIToFP => {
-            if !opty(0).is_int() || !inst.ty.is_float() {
-                type_err("int-to-fp cast type mismatch".into());
-            }
-        }
-        Opcode::BitCast => {
-            if opty(0).size_bytes() != inst.ty.size_bytes() {
-                type_err("bitcast width mismatch".into());
-            }
-        }
-        Opcode::PtrToInt => {
-            if !opty(0).is_ptr() || !inst.ty.is_int() {
-                type_err("ptrtoint type mismatch".into());
-            }
-        }
-        Opcode::IntToPtr => {
-            if !opty(0).is_int() || !inst.ty.is_ptr() {
-                type_err("inttoptr type mismatch".into());
-            }
-        }
-        Opcode::Phi => {
-            if ops.len() != inst.block_refs.len() || ops.is_empty() {
-                diags.push(Diagnostic::error(
-                    codes::V004,
-                    span.clone(),
-                    "phi operand/block arity mismatch",
-                ));
-                return;
-            }
-            for &v in ops {
-                if f.value_type(v) != inst.ty {
-                    type_err("phi incoming type mismatch".into());
-                }
-            }
-        }
-        Opcode::Select => {
-            if opty(0) != Type::I1 || opty(1) != opty(2) || inst.ty != opty(1) {
-                type_err("select type mismatch".into());
-            }
-        }
-        Opcode::Br => {
-            if inst.block_refs.len() != 1 {
-                diags.push(Diagnostic::error(
-                    codes::V003,
-                    span.clone(),
-                    "br must have exactly one target",
-                ));
-            }
-        }
-        Opcode::CondBr => {
-            if inst.block_refs.len() != 2 || opty(0) != Type::I1 {
-                type_err("condbr arity/type mismatch".into());
-            }
-        }
-        Opcode::Ret => {
-            if ops.len() > 1 {
-                type_err("ret with multiple values".into());
-            }
-        }
-    }
+            let span = Span::block(&f.name, &f.block(x.block).name);
+            Diagnostic::new(severity, rule_code(x.rule), span, x.message)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::{error_count, Severity};
-    use salam_ir::FunctionBuilder;
+    use crate::diag::{error_count, explain};
+    use salam_ir::{FunctionBuilder, Type};
 
     #[test]
     fn wellformed_loop_is_clean_of_errors() {
@@ -491,6 +116,25 @@ mod tests {
                 .filter(|d| d.severity == Severity::Error)
                 .collect();
             assert!(errors.is_empty(), "{}: {errors:?}", k.name);
+        }
+    }
+
+    #[test]
+    fn explain_names_the_severity_each_rule_is_emitted_at() {
+        for rule in [
+            IrRule::Dominance,
+            IrRule::Types,
+            IrRule::Structure,
+            IrRule::PhiEdges,
+            IrRule::Unreachable,
+            IrRule::DeadValue,
+            IrRule::CastWidth,
+        ] {
+            let severity = if rule.is_error() { "error" } else { "warning" };
+            let code = rule_code(rule);
+            let text = explain(code).unwrap_or_else(|| panic!("{code} has no explanation"));
+            let head = text.lines().next().unwrap();
+            assert!(head.ends_with(&format!("({severity})")), "{code}: {head}");
         }
     }
 }

@@ -7,13 +7,14 @@
 //! alone; this crate extends that idea to *checking* — three layers, all
 //! reporting through one [`Diagnostic`] currency with stable codes:
 //!
-//! * [`ir`] — SSA/dominance, type, and CFG well-formedness over
-//!   `salam-ir`, plus unreachable-block and dead-value lints
-//!   (`V001`–`V007`).
+//! * [`ir`] — the findings of `salam-ir`'s one IR walk (SSA/dominance,
+//!   type and CFG well-formedness, unreachable-block and dead-value
+//!   lints) as diagnostics (`V001`–`V007`).
 //! * [`memdep`] — the dynamic loop-carried dependence profiler shared
-//!   with the HLS scheduler, and a static affine-address analyzer
-//!   proving RAW/WAR/WAW hazards, out-of-bounds accesses and shared-SPM
-//!   races (`M001`–`M004`).
+//!   with the HLS scheduler, a static affine-address analyzer proving
+//!   RAW/WAR/WAW hazards and out-of-bounds accesses (`M001`–`M003`), and
+//!   the range-analysis lints for out-of-bounds accesses (`F001`) and
+//!   shared-SPM write races (`M004`).
 //! * [`schedule`] — ASAP/ALAP levels over the static CDFG and a provable
 //!   lower bound on dynamic cycles (`static_lower_bound ≤ dynamic
 //!   cycles`, the correctness oracle cross-checked in tests), plus the
@@ -42,9 +43,8 @@ pub use diag::{
 };
 pub use ir::{verify_ir, verify_module};
 pub use memdep::{
-    analyze_accesses, check_bounds, check_bounds_flow, check_shared_spm, check_shared_spm_flow,
-    profile_memdeps, static_memdeps, DepEdge, DepKind, IvRange, MemDeps, MemRegion, StaticAccess,
-    StaticDeps,
+    analyze_accesses, check_bounds, check_bounds_flow, check_shared_spm, profile_memdeps,
+    static_memdeps, DepEdge, DepKind, IvRange, MemDeps, MemRegion, StaticAccess, StaticDeps,
 };
 pub use sarif::to_sarif;
 pub use schedule::{

@@ -8,13 +8,17 @@
 //!   records store→load conflicts with their iteration distance, the way an
 //!   HLS co-simulation would. This is the pass `salam-hls` re-exports; the
 //!   scheduler and the lint agree on dependence edges by construction.
-//! * **Static** ([`analyze_accesses`], [`static_memdeps`], [`check_bounds`],
-//!   [`check_shared_spm`]) — resolves load/store addresses into affine
-//!   forms `base + Σ stride·iv` over counted-loop induction variables.
-//!   Where resolution is *exact* it emits RAW/WAR/WAW dependence edges
-//!   (`M001`/`M002`), statically-out-of-bounds accesses (`M003`), and
-//!   cross-accelerator shared-SPM write races (`M004`). Anything it cannot
-//!   prove it stays silent about: the lint never guesses.
+//! * **Static** ([`analyze_accesses`], [`static_memdeps`], [`check_bounds`])
+//!   — resolves load/store addresses into affine forms `base + Σ
+//!   stride·iv` over counted-loop induction variables. Where resolution is
+//!   *exact* it emits RAW/WAR/WAW dependence edges (`M001`/`M002`) and
+//!   statically-out-of-bounds accesses (`M003`). Anything it cannot prove
+//!   it stays silent about: the lint never guesses.
+//!
+//! Two lints run on `salam-flow`'s range analysis instead, which also
+//! bounds non-affine addresses and knows which blocks are dead:
+//! [`check_bounds_flow`] (`F001`) and the cross-accelerator shared-SPM
+//! write-race lint [`check_shared_spm`] (`M004`).
 
 use std::collections::HashMap;
 
@@ -834,13 +838,14 @@ pub fn check_bounds_flow(
     diags
 }
 
-/// Flow-based shared-SPM race lint (`M004`, warning): like
-/// [`check_shared_spm`] but driven by interval analysis, so it covers
-/// non-affine addresses, drops stores in provably-dead blocks, and stays
-/// silent for accelerator pairs whose bounded store footprints are
+/// Cross-accelerator shared-SPM race lint (`M004`, warning): flags pairs
+/// of accelerators whose store ranges into the shared region
+/// `[shared_lo, shared_hi)` overlap. Driven by interval analysis, so it
+/// covers non-affine addresses, drops stores in provably-dead blocks, and
+/// stays silent for accelerator pairs whose bounded store footprints are
 /// provably disjoint. Each accelerator supplies its own argument bindings
-/// for the analysis.
-pub fn check_shared_spm_flow(
+/// for the analysis (`&[]` when unknown).
+pub fn check_shared_spm(
     accels: &[(&str, &Function, &[RtVal])],
     shared_lo: u64,
     shared_hi: u64,
@@ -870,57 +875,8 @@ pub fn check_shared_spm_flow(
                     Span::func(accels[ai].0),
                     format!(
                         "accelerators `{}` and `{}` write overlapping ranges of the \
-                         shared scratchpad [{:#x}, {:#x}) (range analysis; provably \
-                         disjoint pairs are suppressed)",
+                         shared scratchpad [{:#x}, {:#x})",
                         accels[ai].0, accels[bi].0, shared_lo, shared_hi
-                    ),
-                ));
-            }
-        }
-    }
-    diags
-}
-
-/// Cross-accelerator shared-SPM race lint (`M004`, warning): flags pairs
-/// of accelerators whose statically-resolved store intervals into the
-/// shared region `[shared_lo, shared_hi)` overlap. Accesses that do not
-/// resolve affinely are silently ignored — see [`check_shared_spm_flow`]
-/// for the interval-analysis variant.
-pub fn check_shared_spm(
-    accels: &[(&str, &Function)],
-    shared_lo: u64,
-    shared_hi: u64,
-) -> Vec<Diagnostic> {
-    let per_accel: Vec<(usize, Vec<(i128, i128)>)> = accels
-        .iter()
-        .enumerate()
-        .map(|(i, (_, f))| {
-            let spans = analyze_accesses(f, &[])
-                .into_iter()
-                .filter(|a| a.is_store)
-                .filter_map(|a| a.interval)
-                .filter(|&(lo, hi)| hi > shared_lo as i128 && lo < shared_hi as i128)
-                .collect();
-            (i, spans)
-        })
-        .collect();
-    let mut diags = Vec::new();
-    for (ai, a_spans) in &per_accel {
-        for (bi, b_spans) in &per_accel {
-            if bi <= ai {
-                continue;
-            }
-            let overlap = a_spans
-                .iter()
-                .any(|&(alo, ahi)| b_spans.iter().any(|&(blo, bhi)| alo < bhi && blo < ahi));
-            if overlap {
-                diags.push(Diagnostic::warning(
-                    codes::M004,
-                    Span::func(accels[*ai].0),
-                    format!(
-                        "accelerators `{}` and `{}` statically write overlapping \
-                         ranges of the shared scratchpad [{:#x}, {:#x})",
-                        accels[*ai].0, accels[*bi].0, shared_lo, shared_hi
                     ),
                 ));
             }
@@ -1083,7 +1039,11 @@ mod tests {
         let b = writer("prod_b", 0x2000_0040); // overlaps a's [0x..00, 0x..80)
         let c = writer("prod_c", 0x2000_1000); // disjoint
         let diags = check_shared_spm(
-            &[("prod_a", &a), ("prod_b", &b), ("prod_c", &c)],
+            &[
+                ("prod_a", &a, &[]),
+                ("prod_b", &b, &[]),
+                ("prod_c", &c, &[]),
+            ],
             0x2000_0000,
             0x2001_0000,
         );
@@ -1171,15 +1131,8 @@ mod tests {
         fb.ret();
         let live = fb.finish();
 
-        // The affine lint can't see executability: false positive.
-        let affine = check_shared_spm(
-            &[("dead_w", &dead), ("live_w", &live)],
-            0x3000_0000,
-            0x3000_1000,
-        );
-        assert_eq!(affine.len(), 1, "{affine:?}");
         // Constant propagation proves the guarded store dead: suppressed.
-        let flow = check_shared_spm_flow(
+        let flow = check_shared_spm(
             &[("dead_w", &dead, &[]), ("live_w", &live, &[])],
             0x3000_0000,
             0x3000_1000,
@@ -1194,19 +1147,14 @@ mod tests {
         let base_a = [RtVal::P(0x2000_0000)];
         let overlap_b = [RtVal::P(0x2000_0020)]; // overlaps a's [0x..00, 0x..40)
         let disjoint_b = [RtVal::P(0x2000_0100)];
-        // Affine analysis is blind to masked addresses either way.
-        assert!(
-            check_shared_spm(&[("mask_a", &a), ("mask_b", &b)], 0x2000_0000, 0x2001_0000)
-                .is_empty()
-        );
-        let racy = check_shared_spm_flow(
+        let racy = check_shared_spm(
             &[("mask_a", &a, &base_a), ("mask_b", &b, &overlap_b)],
             0x2000_0000,
             0x2001_0000,
         );
         assert_eq!(racy.len(), 1, "{racy:?}");
         assert_eq!(racy[0].code, codes::M004);
-        let safe = check_shared_spm_flow(
+        let safe = check_shared_spm(
             &[("mask_a", &a, &base_a), ("mask_b", &b, &disjoint_b)],
             0x2000_0000,
             0x2001_0000,
