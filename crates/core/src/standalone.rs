@@ -86,6 +86,14 @@ impl StandaloneConfig {
     /// run *starts*, never what it computes, so it must not split cache
     /// entries.
     pub fn canonical_repr(&self) -> String {
+        self.canonical_repr_with_profile(&self.profile.to_text())
+    }
+
+    /// [`StandaloneConfig::canonical_repr`] with the profile's text passed
+    /// in: `profile_text` must be `self.profile.to_text()`. That text is
+    /// the costly part of the render, so a caller that renders several
+    /// configurations sharing one profile renders it once.
+    pub fn canonical_repr_with_profile(&self, profile_text: &str) -> String {
         format!(
             "constraints: {}\nengine: {}\nspm: latency={};read_ports={};write_ports={};word_bytes={}\nprofile:\n{}",
             self.constraints.canonical_repr(),
@@ -94,7 +102,7 @@ impl StandaloneConfig {
             self.spm_read_ports,
             self.spm_write_ports,
             self.spm_word_bytes,
-            self.profile.to_text(),
+            profile_text,
         )
     }
 

@@ -256,9 +256,15 @@ impl ResultCache {
             id.canon_check_hex(),
             payload_text.trim_end(),
         );
-        let tmp = self
-            .dir
-            .join(format!(".{}.tmp.{}", id.key_hex(), std::process::id()));
+        // One temp file per store, not per process: two threads storing
+        // the same key must never write into, or rename, each other's file.
+        static STORES: AtomicU64 = AtomicU64::new(0);
+        let tmp = self.dir.join(format!(
+            ".{}.tmp.{}.{}",
+            id.key_hex(),
+            std::process::id(),
+            STORES.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::write(&tmp, entry)?;
         std::fs::rename(&tmp, &path)?;
         self.enforce_cap(&path);
@@ -532,6 +538,59 @@ mod tests {
         assert_eq!(env_max_bytes(), None);
         let _zero = crate::test_env::EnvGuard::set("SALAM_DSE_CACHE_MAX_BYTES", "0");
         assert_eq!(env_max_bytes(), None);
+    }
+
+    /// A text payload, for entries far larger than a report.
+    #[derive(Debug)]
+    struct Blob(String);
+
+    impl CachePayload for Blob {
+        fn payload_to_json(&self) -> String {
+            format!("{{\"blob\": \"{}\"}}", self.0)
+        }
+
+        fn payload_from_json(r: &mut Reader<'_>) -> Result<Self, String> {
+            match r.value()?.get("blob") {
+                Some(Value::String(s)) => Ok(Blob(s.clone())),
+                _ => Err("missing 'blob'".to_string()),
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_never_tear_the_entry() {
+        let cache = ResultCache::at(scratch_dir("concurrent"));
+        let id = CacheId::new("standalone/x", "canon");
+        let blob = Blob("x".repeat(200_000));
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (failed_stores, corrupt_lookups) = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..300)
+                            .filter(|_| cache.store(&id, &blob).is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                let mut corrupt = 0;
+                while !done.load(Ordering::Relaxed) {
+                    corrupt += usize::from(matches!(cache.lookup::<Blob>(&id), Lookup::Corrupt));
+                }
+                corrupt
+            });
+            let failed: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+            done.store(true, Ordering::Relaxed);
+            (failed, reader.join().unwrap())
+        });
+        assert_eq!(failed_stores, 0, "every store must succeed");
+        assert_eq!(corrupt_lookups, 0, "no lookup may see a torn entry");
+        match cache.lookup::<Blob>(&id) {
+            Lookup::Hit(b) => assert_eq!(b.0.len(), 200_000),
+            other => panic!("expected hit, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -454,6 +454,26 @@ fn run_isolated<J: SweepJob>(
 /// never the sweep. A job that panics out of its retry budget becomes a
 /// failed outcome (never cached); the rest of the sweep is unaffected.
 pub fn run_sweep<J: SweepJob>(jobs: &[J], opts: &DseOptions) -> SweepRun<J::Output> {
+    sweep(jobs, opts, None)
+}
+
+/// [`run_sweep`] for jobs whose cache entries an earlier probe already
+/// found missing: `corrupt[i]` says job `i`'s entry was there but failed
+/// validation. Every job runs and stores without a second lookup and
+/// counts as the miss or corrupt entry it was.
+pub(crate) fn run_missed<J: SweepJob>(
+    jobs: &[J],
+    corrupt: &[bool],
+    opts: &DseOptions,
+) -> SweepRun<J::Output> {
+    sweep(jobs, opts, Some(corrupt))
+}
+
+fn sweep<J: SweepJob>(
+    jobs: &[J],
+    opts: &DseOptions,
+    missed: Option<&[bool]>,
+) -> SweepRun<J::Output> {
     let workers = opts.resolve_workers();
     let cache = opts.resolve_cache();
     let retries = opts.retries;
@@ -509,7 +529,12 @@ pub fn run_sweep<J: SweepJob>(jobs: &[J], opts: &DseOptions) -> SweepRun<J::Outp
                 );
             };
             let id = job.cache_id();
-            let (provenance, result) = match cache.lookup::<J::Output>(&id) {
+            let lookup = match missed {
+                None => cache.lookup::<J::Output>(&id),
+                Some(corrupt) if corrupt[i] => Lookup::Corrupt,
+                Some(_) => Lookup::Miss,
+            };
+            let (provenance, result) = match lookup {
                 Lookup::Hit(p) => return finish(Provenance::Hit, Ok(p), tel),
                 Lookup::Miss => (
                     Provenance::Miss,

@@ -35,11 +35,11 @@ use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_obs::json::{Reader, Value};
 use salam_obs::DepStream;
 use salam_replay::{ReplayConfig, ReplayOutcome};
-use salam_verify::{static_lower_bound, BoundConfig};
+use salam_verify::{static_lower_bound, BoundConfig, Diagnostic};
 
-use crate::cache::{CacheId, CachePayload};
+use crate::cache::{CacheId, CachePayload, Lookup};
 use crate::spec::{config_diagnostic, KernelSpec, StandalonePoint};
-use crate::{run_sweep, DseOptions, PointOutcome, SweepJob};
+use crate::{run_missed, run_parallel, run_sweep, DseOptions, PointError, PointOutcome, SweepJob};
 
 /// Which execution model produced a point's report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,10 +107,16 @@ pub struct ReplayRun {
     pub fallbacks: usize,
     /// Baseline recordings that actually simulated (the rest were cached).
     pub baseline_misses: usize,
-    /// Cache hits across baseline, replay and sim sub-sweeps.
+    /// Cache lookups that hit: one per point answered from the cache and
+    /// one per baseline loaded from it. A point equal to its kernel's
+    /// baseline makes no lookup of its own, so a warm sweep without such
+    /// a point reports one hit per point and no baseline hit.
     pub hits: usize,
-    /// Cache misses across baseline, replay and sim sub-sweeps.
+    /// Replayed or simulated points that found no cache entry (baselines
+    /// count in `baseline_misses`).
     pub misses: usize,
+    /// Replayed or simulated points whose cache entry failed validation.
+    pub corrupt: usize,
     /// Failed points (panicked out of the retry budget).
     pub failed: usize,
     /// Statically rejected points.
@@ -125,7 +131,7 @@ impl ReplayRun {
     pub fn summary(&self) -> String {
         format!(
             "points={} replayed={} simulated={} fallbacks={} failed={} invalid={} \
-             hits={} misses={} baseline_misses={} wall={:.3}s",
+             hits={} misses={} corrupt={} baseline_misses={} wall={:.3}s",
             self.outcomes.len(),
             self.replayed,
             self.simulated,
@@ -134,6 +140,7 @@ impl ReplayRun {
             self.invalid,
             self.hits,
             self.misses,
+            self.corrupt,
             self.baseline_misses,
             self.wall.as_secs_f64()
         )
@@ -359,10 +366,28 @@ struct PreparedBaseline {
     bounds: Mutex<HashMap<String, u64>>,
 }
 
+impl PreparedBaseline {
+    /// Resolves a recorded bundle into its sweep-wide shared form; `None`
+    /// when the scheduler rejects the trace outright.
+    fn new(kernel: &KernelSpec, b: &ReplayBaseline) -> Option<Self> {
+        let prepared = salam_replay::Prepared::new(&b.trace).ok()?;
+        let kernel = kernel.build();
+        let trips = trips_from_trace(&kernel.func, &b.trace);
+        Some(PreparedBaseline {
+            kernel,
+            report: b.report.clone(),
+            prepared,
+            trips,
+            bounds: Mutex::new(HashMap::new()),
+        })
+    }
+}
+
 /// Re-schedules one point against its kernel's recorded baseline, cached
 /// under `replay/<kernel>`.
 struct ReplayPointJob {
-    kernel: KernelSpec,
+    /// `replay/<kernel>` plus the point's canonical text, rendered once.
+    id: CacheId,
     config: StandaloneConfig,
     baseline: Arc<PreparedBaseline>,
     check: bool,
@@ -372,10 +397,7 @@ impl SweepJob for ReplayPointJob {
     type Output = ReplayedPoint;
 
     fn cache_id(&self) -> CacheId {
-        CacheId::new(
-            format!("replay/{}", self.kernel.id),
-            self.config.canonical_repr(),
-        )
+        self.id.clone()
     }
 
     fn validate(&self) -> Result<(), salam_verify::Diagnostic> {
@@ -557,6 +579,11 @@ pub fn replay_one(
 /// same base that produced the points, or every point degenerates to full
 /// simulation.
 ///
+/// Replay points are looked up first, once each, so a sweep pays only for
+/// what it misses: a baseline is loaded or recorded only for kernels with
+/// a missed point or a point equal to the baseline, and only the missed
+/// points replay.
+///
 /// [`SweepSpec::new`]: crate::SweepSpec::new
 pub fn run_replay_sweep(
     points: &[StandalonePoint],
@@ -564,147 +591,154 @@ pub fn run_replay_sweep(
     opts: &ReplayOptions,
 ) -> ReplayRun {
     let t0 = Instant::now();
-    let base_key = baseline_config(base).canonical_repr();
-
-    // Partition: replay-eligible vs full-sim, preserving submitted order.
-    let mut eligible: Vec<usize> = Vec::new();
-    let mut plain: Vec<usize> = Vec::new();
-    for (i, p) in points.iter().enumerate() {
-        if baseline_config(&p.config).canonical_repr() == base_key {
-            eligible.push(i);
-        } else {
-            plain.push(i);
-        }
-    }
-
-    // Record (or cache-load) one baseline bundle per kernel with eligible
-    // points. Baselines run at the *normalized* configuration so every
-    // sweep over the same unsafe knobs shares them.
     let baseline_cfg = baseline_config(base);
-    let mut baseline_jobs: Vec<BaselineJob> = Vec::new();
-    for &i in &eligible {
-        let id = &points[i].kernel.id;
-        if !baseline_jobs.iter().any(|j| &j.kernel.id == id) {
-            baseline_jobs.push(BaselineJob {
-                kernel: points[i].kernel.clone(),
-                config: baseline_cfg.clone(),
-            });
-        }
-    }
-    let baseline_run = run_sweep(&baseline_jobs, &opts.inner);
-    // Resolve each usable baseline into its sweep-wide shared form once:
-    // the prepared scheduler stream and the trace's trip counts are the
-    // same for every point of the kernel. A trace the scheduler rejects
-    // outright demotes the kernel to plain simulation below.
-    let mut baselines: HashMap<String, (Arc<PreparedBaseline>, bool)> = HashMap::new();
-    for (job, outcome) in baseline_jobs.iter().zip(&baseline_run.outcomes) {
-        if let Some(b) = outcome.payload() {
-            if let Ok(prepared) = salam_replay::Prepared::new(&b.trace) {
-                let kernel = job.kernel.build();
-                let trips = trips_from_trace(&kernel.func, &b.trace);
-                baselines.insert(
-                    job.kernel.id.clone(),
-                    (
-                        Arc::new(PreparedBaseline {
-                            kernel,
-                            report: b.report.clone(),
-                            prepared,
-                            trips,
-                            bounds: Mutex::new(HashMap::new()),
-                        }),
-                        outcome.from_cache,
-                    ),
-                );
-            }
-        }
-    }
-
-    // Eligible points whose kernel has no usable baseline (recording
-    // failed) demote to plain simulation; points *equal* to the baseline
-    // reuse its report outright — recording never changes report fields,
-    // so the row is byte-identical to a full-sim row.
-    let baseline_canon = baseline_cfg.canonical_repr();
-    let mut replay_idx: Vec<usize> = Vec::new();
-    let mut reuse: HashMap<usize, (Arc<PreparedBaseline>, bool)> = HashMap::new();
-    for &i in &eligible {
-        match baselines.get(&points[i].kernel.id) {
-            Some(b) if points[i].config.canonical_repr() == baseline_canon => {
-                reuse.insert(i, b.clone());
-            }
-            Some(_) => replay_idx.push(i),
-            None => plain.push(i),
-        }
-    }
-    plain.sort_unstable();
-
-    let replay_jobs: Vec<ReplayPointJob> = replay_idx
-        .iter()
-        .map(|&i| ReplayPointJob {
-            kernel: points[i].kernel.clone(),
-            config: points[i].config.clone(),
-            baseline: baselines[&points[i].kernel.id].0.clone(),
-            check: opts.check,
-        })
-        .collect();
+    let base_key = baseline_cfg.canonical_repr();
     let replay_opts = if opts.check {
         // Timings are only honest when every replayed point actually runs.
         opts.inner.clone().without_cache()
     } else {
         opts.inner.clone()
     };
-    let replay_run = run_sweep(&replay_jobs, &replay_opts);
 
-    let plain_points: Vec<StandalonePoint> = plain.iter().map(|&i| points[i].clone()).collect();
-    let plain_run = run_sweep(&plain_points, &opts.inner);
+    // Partition, preserving submitted order: points off the baseline's
+    // unsafe axes simulate, points equal to the baseline reuse its report,
+    // the rest are replay candidates. A baseline that cannot run leaves
+    // nothing to replay. Each point's profile text — the costly part of
+    // its canonical text — is rendered once.
+    let replayable = config_diagnostic(&baseline_cfg).is_ok();
+    let mut plain: Vec<usize> = Vec::new();
+    let mut reuse: Vec<usize> = Vec::new();
+    let mut candidates: Vec<(usize, CacheId)> = Vec::new();
+    for (i, p) in points.iter().enumerate() {
+        let profile = p.config.profile.to_text();
+        if !replayable
+            || baseline_config(&p.config).canonical_repr_with_profile(&profile) != base_key
+        {
+            plain.push(i);
+            continue;
+        }
+        let canon = p.config.canonical_repr_with_profile(&profile);
+        if canon == base_key {
+            reuse.push(i);
+        } else {
+            candidates.push((i, CacheId::new(format!("replay/{}", p.kernel.id), canon)));
+        }
+    }
 
-    // Reassemble in submitted order.
+    // Look every candidate up once. As in `run_sweep`, an invalid point
+    // reaches neither the cache nor a baseline.
+    let cache = replay_opts.resolve_cache();
+    let probes: Vec<Result<Lookup<ReplayedPoint>, Diagnostic>> =
+        run_parallel(candidates.len(), replay_opts.resolve_workers(), |k| {
+            let (i, id) = &candidates[k];
+            config_diagnostic(&points[*i].config)?;
+            Ok(cache.as_ref().map_or(Lookup::Miss, |c| c.lookup(id)))
+        });
+
+    // Load or record one baseline per kernel that still needs one — for a
+    // missed candidate or a baseline-equal point — as one parallel
+    // sub-sweep. Baselines run at the *normalized* configuration so every
+    // sweep over the same unsafe knobs shares them.
+    let mut needy: Vec<usize> = candidates
+        .iter()
+        .zip(&probes)
+        .filter(|(_, probe)| matches!(probe, Ok(Lookup::Miss | Lookup::Corrupt)))
+        .map(|((i, _), _)| *i)
+        .chain(reuse.iter().copied())
+        .collect();
+    needy.sort_unstable();
+    let mut baseline_jobs: Vec<BaselineJob> = Vec::new();
+    for i in needy {
+        let kernel = &points[i].kernel;
+        if !baseline_jobs.iter().any(|j| j.kernel.id == kernel.id) {
+            baseline_jobs.push(BaselineJob {
+                kernel: kernel.clone(),
+                config: baseline_cfg.clone(),
+            });
+        }
+    }
+    let baseline_run = run_sweep(&baseline_jobs, &opts.inner);
+    let baselines: HashMap<&str, &PointOutcome<ReplayBaseline>> = baseline_jobs
+        .iter()
+        .map(|j| j.kernel.id.as_str())
+        .zip(&baseline_run.outcomes)
+        .collect();
+
+    // Answer hits and invalid points now; queue misses for replay against
+    // their kernel's prepared baseline, built once per kernel. A kernel
+    // whose baseline failed, or whose trace the scheduler rejects, demotes
+    // its missed points to plain simulation.
     let mut slots: Vec<Option<(PointOutcome<RunReport>, PointProvenance)>> =
         (0..points.len()).map(|_| None).collect();
-    for (&i, outcome) in replay_idx.iter().zip(replay_run.outcomes) {
-        let provenance = match outcome.payload() {
-            Some(p) => PointProvenance {
-                engine: p.engine,
-                bound: Some(p.bound),
-                err_pct: p.err_pct,
-                speedup: p.speedup,
-            },
-            None => PointProvenance {
-                engine: EngineKind::Replay,
-                bound: None,
-                err_pct: None,
-                speedup: None,
-            },
+    let mut hits = 0;
+    let mut invalid = 0;
+    let mut prepared: HashMap<&str, Option<Arc<PreparedBaseline>>> = HashMap::new();
+    let mut replay_jobs: Vec<ReplayPointJob> = Vec::new();
+    let mut replay_idx: Vec<usize> = Vec::new();
+    let mut corrupt: Vec<bool> = Vec::new();
+    for ((i, id), probe) in candidates.into_iter().zip(probes) {
+        let lookup = match probe {
+            Err(d) => {
+                invalid += 1;
+                slots[i] = Some(replayed_row(Err(PointError::Invalid(d)), false));
+                continue;
+            }
+            Ok(Lookup::Hit(p)) => {
+                hits += 1;
+                slots[i] = Some(replayed_row(Ok(p), true));
+                continue;
+            }
+            Ok(lookup) => lookup,
         };
-        let from_cache = outcome.from_cache;
-        let result = outcome.result.map(|p| p.report);
-        slots[i] = Some((PointOutcome { result, from_cache }, provenance));
+        let kernel = &points[i].kernel;
+        let baseline = prepared.entry(&kernel.id).or_insert_with(|| {
+            let b = baselines.get(kernel.id.as_str())?.payload()?;
+            PreparedBaseline::new(kernel, b).map(Arc::new)
+        });
+        match baseline {
+            Some(b) => {
+                replay_jobs.push(ReplayPointJob {
+                    id,
+                    config: points[i].config.clone(),
+                    baseline: b.clone(),
+                    check: opts.check,
+                });
+                replay_idx.push(i);
+                corrupt.push(matches!(lookup, Lookup::Corrupt));
+            }
+            None => plain.push(i),
+        }
     }
+    let replay_run = run_missed(&replay_jobs, &corrupt, &replay_opts);
+    for (&i, outcome) in replay_idx.iter().zip(replay_run.outcomes) {
+        slots[i] = Some(replayed_row(outcome.result, outcome.from_cache));
+    }
+
     // A baseline-equal point inherits the baseline's result *and* its
-    // cache provenance: on a cold run it was simulated, not hit.
-    for (&i, (b, from_cache)) in &reuse {
-        slots[i] = Some((
-            PointOutcome {
-                result: Ok(b.report.clone()),
-                from_cache: *from_cache,
-            },
-            PointProvenance {
-                engine: EngineKind::Sim,
-                bound: None,
-                err_pct: None,
-                speedup: None,
-            },
-        ));
+    // cache provenance: on a cold run it was simulated, not hit. Recording
+    // never changes report fields, so the row is byte-identical to a
+    // full-sim row.
+    for i in reuse {
+        match baselines.get(points[i].kernel.id.as_str()) {
+            Some(PointOutcome {
+                result: Ok(b),
+                from_cache,
+            }) => {
+                let outcome = PointOutcome {
+                    result: Ok(b.report.clone()),
+                    from_cache: *from_cache,
+                };
+                slots[i] = Some((outcome, provenance(EngineKind::Sim)));
+            }
+            _ => plain.push(i),
+        }
     }
+
+    plain.sort_unstable();
+    let plain_points: Vec<StandalonePoint> = plain.iter().map(|&i| points[i].clone()).collect();
+    let plain_run = run_sweep(&plain_points, &opts.inner);
     for (&i, outcome) in plain.iter().zip(plain_run.outcomes) {
-        slots[i] = Some((
-            outcome,
-            PointProvenance {
-                engine: EngineKind::Sim,
-                bound: None,
-                err_pct: None,
-                speedup: None,
-            },
-        ));
+        slots[i] = Some((outcome, provenance(EngineKind::Sim)));
     }
 
     let mut run = ReplayRun {
@@ -714,13 +748,11 @@ pub fn run_replay_sweep(
         simulated: 0,
         fallbacks: 0,
         baseline_misses: baseline_run.misses + baseline_run.corrupt,
-        hits: baseline_run.hits
-            + replay_run.hits
-            + plain_run.hits
-            + reuse.values().filter(|(_, hit)| *hit).count(),
-        misses: replay_run.misses + replay_run.corrupt + plain_run.misses + plain_run.corrupt,
+        hits: hits + baseline_run.hits + plain_run.hits,
+        misses: replay_run.misses + plain_run.misses,
+        corrupt: replay_run.corrupt + plain_run.corrupt,
         failed: baseline_run.failed + replay_run.failed + plain_run.failed,
-        invalid: replay_run.invalid + plain_run.invalid,
+        invalid: invalid + replay_run.invalid + plain_run.invalid,
         wall: Duration::default(),
     };
     for slot in slots {
@@ -737,6 +769,36 @@ pub fn run_replay_sweep(
     }
     run.wall = t0.elapsed();
     run
+}
+
+/// Provenance of a point that carries no bound or check-mode figures.
+fn provenance(engine: EngineKind) -> PointProvenance {
+    PointProvenance {
+        engine,
+        bound: None,
+        err_pct: None,
+        speedup: None,
+    }
+}
+
+/// A replay candidate's row, from the cache or a fresh replay: the
+/// provenance comes from the replayed payload, and a point without one
+/// (invalid or failed) keeps the `replay` engine label.
+fn replayed_row(
+    result: Result<ReplayedPoint, PointError>,
+    from_cache: bool,
+) -> (PointOutcome<RunReport>, PointProvenance) {
+    let provenance = match &result {
+        Ok(p) => PointProvenance {
+            engine: p.engine,
+            bound: Some(p.bound),
+            err_pct: p.err_pct,
+            speedup: p.speedup,
+        },
+        Err(_) => provenance(EngineKind::Replay),
+    };
+    let result = result.map(|p| p.report);
+    (PointOutcome { result, from_cache }, provenance)
 }
 
 #[cfg(test)]

@@ -165,7 +165,7 @@ fn run_chunk(
             run.outcomes,
             engines,
             run.hits,
-            run.misses + run.baseline_misses,
+            run.misses + run.corrupt + run.baseline_misses,
         )
     } else {
         let run = run_sweep(points, &chunk_options(inner));

@@ -574,6 +574,43 @@ fn replay_sweeps_gain_an_engine_column_and_match_full_sim_cycles() {
 }
 
 #[test]
+fn repeated_replay_sweep_is_answered_from_the_cache() {
+    let core = ServeCore::start(cfg("replay-warm"));
+    // Four points, none equal to the replay baseline (2 ports, 1-cycle SPM).
+    let sweep = || JobRequest::Sweep {
+        name: "rp-warm".into(),
+        kernels: vec!["gemm".into()],
+        axes: vec![
+            WireAxis {
+                knob: "ports".into(),
+                values: vec![1, 4],
+            },
+            WireAxis {
+                knob: "spm-latency".into(),
+                values: vec![2, 3],
+            },
+        ],
+        replay: true,
+    };
+    let counters = |core: &ServeCore| {
+        let m = core.metrics();
+        let get = |k| m.get(k).unwrap_or_default();
+        (get("serve.cache_hits"), get("serve.sim_runs"))
+    };
+    let cold = core.submit("alice", sweep()).unwrap();
+    assert_eq!(core.wait(cold).unwrap().state, JobState::Done);
+    let (hits, sim_runs) = counters(&core);
+    let warm = core.submit("alice", sweep()).unwrap();
+    assert_eq!(core.wait(warm).unwrap().state, JobState::Done);
+    assert_eq!(counters(&core), (hits + 4.0, sim_runs));
+    assert_eq!(
+        core.artifact(warm, "csv").unwrap(),
+        core.artifact(cold, "csv").unwrap()
+    );
+    core.shutdown();
+}
+
+#[test]
 fn telemetry_records_latency_histograms_and_prometheus_exposition() {
     let core = ServeCore::start(ServeConfig {
         no_cache: true,
