@@ -457,19 +457,12 @@ pub fn run_sweep<J: SweepJob>(jobs: &[J], opts: &DseOptions) -> SweepRun<J::Outp
     sweep(jobs, opts, None)
 }
 
-/// [`run_sweep`] for jobs whose cache entries an earlier probe already
-/// found missing: `corrupt[i]` says job `i`'s entry was there but failed
-/// validation. Every job runs and stores without a second lookup and
-/// counts as the miss or corrupt entry it was.
-pub(crate) fn run_missed<J: SweepJob>(
-    jobs: &[J],
-    corrupt: &[bool],
-    opts: &DseOptions,
-) -> SweepRun<J::Output> {
-    sweep(jobs, opts, Some(corrupt))
-}
-
-fn sweep<J: SweepJob>(
+/// [`run_sweep`], or with `missed = Some(corrupt)` the same for jobs whose
+/// cache entries an earlier lookup already missed: `corrupt[i]` says job
+/// `i`'s entry was there but failed validation. Such jobs run and store
+/// without a second lookup and count as the miss or corrupt entry they
+/// were.
+pub(crate) fn sweep<J: SweepJob>(
     jobs: &[J],
     opts: &DseOptions,
     missed: Option<&[bool]>,

@@ -39,7 +39,7 @@ use salam_verify::{static_lower_bound, BoundConfig, Diagnostic};
 
 use crate::cache::{CacheId, CachePayload, Lookup};
 use crate::spec::{config_diagnostic, KernelSpec, StandalonePoint};
-use crate::{run_missed, run_parallel, run_sweep, DseOptions, PointError, PointOutcome, SweepJob};
+use crate::{run_parallel, run_sweep, sweep, DseOptions, PointError, PointOutcome, SweepJob};
 
 /// Which execution model produced a point's report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -709,7 +709,7 @@ pub fn run_replay_sweep(
             None => plain.push(i),
         }
     }
-    let replay_run = run_missed(&replay_jobs, &corrupt, &replay_opts);
+    let replay_run = sweep(&replay_jobs, &replay_opts, Some(&corrupt));
     for (&i, outcome) in replay_idx.iter().zip(replay_run.outcomes) {
         slots[i] = Some(replayed_row(outcome.result, outcome.from_cache));
     }
