@@ -29,6 +29,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod period;
+
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
@@ -124,6 +126,9 @@ pub struct ReplayOutcome {
     pub new_exec_cycles: u64,
     /// Cycles with at least one SPM port rejection.
     pub port_reject_cycles: u64,
+    /// Cycles the driver advanced over in whole repeating periods instead
+    /// of stepping them (included in `cycles`).
+    pub skipped_cycles: u64,
     /// The input stream with issue/commit retimed to the replayed
     /// schedule (same ops, deps and metadata). `None` when the config
     /// set [`ReplayConfig::want_retimed`] to `false`.
@@ -229,6 +234,8 @@ pub struct Prepared {
     lanes: LaneMasks,
     /// Longest compute latency in the stream (sizes the commit wheel).
     max_latency: u32,
+    /// The stretches of repeating periods the driver may advance over.
+    runs: Vec<period::Run>,
 }
 
 impl Prepared {
@@ -275,6 +282,10 @@ impl Prepared {
         let mut ops = Vec::with_capacity(n);
         let mut groups: Vec<Group> = Vec::new();
         let mut dep_count = Vec::with_capacity(n);
+        // Every op's producer uids back to back, and each memory op's
+        // address producer (0: none).
+        let mut producers = Vec::with_capacity(n);
+        let mut addr_deps = Vec::with_capacity(n);
         let mut cons_off = vec![0u32; n + 1];
         let mut fu_first_uid = [0u32; N_FU];
         let mut lanes = LaneMasks::default();
@@ -297,6 +308,7 @@ impl Prepared {
                     return bad(format!("dep {d} of uid {uid} outside dense range"));
                 }
                 cons_off[d as usize] += 1;
+                producers.push(d as u32);
             }
             if op.deps.len() > MAX_DEPS as usize {
                 return bad(format!("uid {uid} has {} dependences", op.deps.len()));
@@ -354,6 +366,7 @@ impl Prepared {
             );
             ops.push(match m.kind {
                 OpKind::Compute => {
+                    addr_deps.push(0);
                     match fu_first_uid.get_mut(lane as usize) {
                         Some(first) if *first == 0 => *first = uid as u32,
                         _ => {}
@@ -372,6 +385,7 @@ impl Prepared {
                     if m.addr_dep != 0 {
                         cons_off[m.addr_dep as usize] += 1;
                     }
+                    addr_deps.push(m.addr_dep as u32);
                     ROp::Mem {
                         addr: m.addr,
                         size: m.size,
@@ -402,16 +416,22 @@ impl Prepared {
             cons_adj[*slot as usize] = entry;
             *slot += 1;
         };
-        for (i, &p) in pos.iter().enumerate() {
-            let op = &sops[p as usize];
-            for &d in &op.deps {
-                edge(d, i as u32);
+        let mut deps = producers.as_slice();
+        for (i, (&count, &addr_dep)) in dep_count.iter().zip(&addr_deps).enumerate() {
+            let (of_i, rest) = deps.split_at(count as usize);
+            for &d in of_i {
+                edge(d as u64, i as u32);
             }
-            if op.meta.kind != OpKind::Compute && op.meta.addr_dep != 0 {
-                edge(op.meta.addr_dep, i as u32 | ADDR_EDGE);
+            if addr_dep != 0 {
+                edge(addr_dep as u64, i as u32 | ADDR_EDGE);
             }
+            deps = rest;
         }
 
+        let runs = period::Stream::new(
+            &ops, &groups, &dep_count, &producers, &addr_deps, &cons_off, &cons_adj,
+        )
+        .runs();
         Ok(Prepared {
             ops,
             groups,
@@ -421,6 +441,7 @@ impl Prepared {
             fu_first_uid,
             lanes,
             max_latency,
+            runs,
         })
     }
 }
@@ -471,13 +492,6 @@ impl OpSource for Recorded<'_> {
     type Error = Infallible;
     /// The SPM model needs nothing outside this source.
     type Port<'p> = ();
-
-    fn lane(&self, i: u32) -> u8 {
-        match self.prep.ops[i as usize] {
-            ROp::Compute { lane, .. } => lane,
-            ROp::Mem { store, .. } => LOAD + store as u8,
-        }
-    }
 
     fn lanes(&self) -> &LaneMasks {
         &self.prep.lanes
@@ -539,7 +553,7 @@ impl OpSource for Recorded<'_> {
     /// the next cycle — the `Kind` scope of `SimpleMem`. (Counted retries
     /// need no bookkeeping here: replay keeps no reject tally.)
     fn issue_mem(&mut self, i: u32, sched: &mut Sched, _: &mut ()) -> Result<MemIssue, Infallible> {
-        let side = (self.lane(i) - LOAD) as usize;
+        let side = matches!(self.prep.ops[i as usize], ROp::Mem { store: true, .. }) as usize;
         if self.ports_used[side] == [self.cfg.spm_read_ports, self.cfg.spm_write_ports][side] {
             return Ok(MemIssue::Refused(RefusalScope::Kind));
         }
@@ -601,14 +615,22 @@ fn run(
     };
     let max_latency = cfg.mem_latency.max(prep.max_latency as u64) as u32;
     let mut sched = Sched::with_ops(limits, max_latency, &prep.dep_count);
+    let mut skip = period::Skipper::new(&prep.runs);
     loop {
+        // A skip lands on a cycle the step would have reached, so the
+        // cycle limit is checked after it, as it would be there.
+        skip.top(&mut sched, &mut src);
         if sched.cycle() > cfg.max_cycles {
             return Err(ReplayError::CycleLimit {
                 limit: cfg.max_cycles,
             });
         }
         src.ports_used = [0; 2];
+        let front = skip.tracking().then(|| sched.order_front());
         let Ok(cycle) = sched.step(&mut src, &mut ());
+        if let Some(front) = front {
+            skip.stepped(front, &sched);
+        }
         if cycle.done {
             break;
         }
@@ -662,6 +684,7 @@ fn run(
         stall_cycles: counters.stall_cycles,
         new_exec_cycles: counters.new_exec_cycles,
         port_reject_cycles: counters.port_reject_cycles,
+        skipped_cycles: skip.skipped,
         retimed,
     })
 }

@@ -286,9 +286,6 @@ struct DynOp {
     addr_dep: u32,
     /// Phis: index of the taken incoming edge.
     phi_edge: u16,
-    /// The static instruction's resource lane, at hand when the scheduler
-    /// asks for it.
-    lane: u8,
     /// `addr` holds the access address.
     span_known: bool,
     /// Memory ops: byte address, valid once `span_known`.
@@ -483,7 +480,6 @@ impl Engine {
             operands: 0,
             addr_dep: 0,
             phi_edge: 0,
-            lane: NO_LANE,
             span_known: false,
             addr: 0,
             tspan: SpanId::INVALID,
@@ -747,10 +743,6 @@ impl OpSource for Live {
     /// the retries it covers are counted, not made, and every op meets the
     /// port at least once.
     type Port<'p> = dyn MemPort + 'p;
-
-    fn lane(&self, uid: u32) -> u8 {
-        self.dyn_ops[uid as usize].lane
-    }
 
     fn lanes(&self) -> &LaneMasks {
         &self.lanes
@@ -1128,7 +1120,6 @@ impl Live {
             operands,
             addr_dep,
             phi_edge,
-            lane: sop.lane,
             span_known: false,
             addr: 0,
             tspan: SpanId::INVALID,

@@ -150,9 +150,6 @@ pub trait OpSource {
     /// from [`Sched::step`] to [`OpSource::issue_mem`].
     type Port<'p>: ?Sized;
 
-    /// The resource lane op `i` was admitted on.
-    fn lane(&self, i: u32) -> u8;
-
     /// The lane masks of every op admitted so far.
     fn lanes(&self) -> &LaneMasks;
 
@@ -304,7 +301,7 @@ impl Wheel {
 /// Whether `[a, a + a_size)` and `[b, b + b_size)` overlap; an end past
 /// `u64::MAX` lies beyond every address.
 #[inline]
-fn overlaps(a: u64, a_size: u32, b: u64, b_size: u32) -> bool {
+pub fn overlaps(a: u64, a_size: u32, b: u64, b_size: u32) -> bool {
     let before_end =
         |x: u64, start: u64, size: u32| start.checked_add(size as u64).is_none_or(|end| x < end);
     before_end(b, a, a_size) && before_end(a, b, b_size)
@@ -578,6 +575,12 @@ impl Sched {
         }
     }
 
+    /// The lane admitted op `i` is on.
+    #[inline]
+    fn lane(&self, i: u32) -> u8 {
+        (self.pending[i as usize] >> 24) as u8
+    }
+
     /// Enters an imported, dependence-free op into the ready set.
     #[inline]
     fn wake(&mut self, i: u32, lane: u8) {
@@ -686,24 +689,17 @@ impl Sched {
         let state = &mut self.state[i as usize];
         *state |= COMMITTED;
         if *state & WAITED_ON != 0 {
-            self.release_waiters(i, src);
+            self.release_waiters(i);
         }
         src.retire(i, self.cycle, |c, address_edge| {
-            if address_edge {
-                self.state[c as usize] |= ADDR_READY;
-                if c < self.imported {
-                    self.to_publish.push(c);
-                }
-            } else {
-                self.dep_met(c);
-            }
+            self.consumer_met(c, address_edge)
         });
     }
 
     /// An in-flight op leaves its queue and commits.
     #[inline(always)]
     fn retire<S: OpSource>(&mut self, i: u32, src: &mut S) {
-        let lane = src.lane(i);
+        let lane = self.lane(i);
         let side = mem_side(lane);
         match side {
             Some(side) => self.outstanding[side] -= 1,
@@ -783,7 +779,7 @@ impl Sched {
                 src.resolve_span(i)?;
                 self.state[i as usize] |= PUBLISHED;
                 if self.state[i as usize] & WAITED_ON != 0 {
-                    self.release_waiters(i, src);
+                    self.release_waiters(i);
                 }
             }
         }
@@ -934,7 +930,7 @@ impl Sched {
         flags: &mut IssueFlags,
         imported: &mut bool,
     ) -> Result<bool, S::Error> {
-        let lane = src.lane(i);
+        let lane = self.lane(i);
         let Some(side) = mem_side(lane) else {
             let (latency, fetches) = src.issue_compute(i, self)?;
             self.leave_window(i, flags);
@@ -1125,12 +1121,12 @@ impl Sched {
 
     /// `older` published or committed: the ops that waited for it are
     /// ready again and re-check their order at the next visit.
-    fn release_waiters<S: OpSource>(&mut self, older: u32, src: &S) {
+    fn release_waiters(&mut self, older: u32) {
         self.state[older as usize] &= !WAITED_ON;
         let mut waiters = std::mem::take(&mut self.waiters[older as usize]);
         while let Some((i, rest)) = self.wheel.pop(waiters) {
             waiters = rest;
-            let lane = src.lane(i);
+            let lane = self.lane(i);
             self.order_parked[(lane - LOAD) as usize] -= 1;
             self.wake(i, lane);
         }
@@ -1206,6 +1202,318 @@ impl Sched {
             self.counters.stall_cycles += gap;
         }
         self.cycle = to;
+    }
+}
+
+/// The part of a [`Snapshot`] that must repeat: the live state, every op
+/// index relative to the oldest uncommitted op and every cycle to the
+/// snapshot's own.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Live {
+    /// The oldest uncommitted op relative to the boundary op (wrapping).
+    lo: u32,
+    /// Ops `lo..` that have entered the window.
+    imported: u32,
+    resv_count: usize,
+    outstanding: [usize; 2],
+    compute_inflight: usize,
+    order_parked: [usize; 2],
+    saturated: u32,
+    fu_busy: [u32; N_FU],
+    pipelined_release: Vec<u8>,
+    to_publish: Vec<u32>,
+    window: [Vec<u32>; 2],
+    /// Ops on the wheel: (cycles until commit, op), in commit order.
+    wheel: Vec<(u64, u32)>,
+    late: Vec<(u64, u32)>,
+    /// Per op from `lo` on: the state byte with the ready, met and parked
+    /// bits above it, the dependence word, the head of the op's waiters
+    /// and, parked, its link in the list it waits in.
+    ops: Vec<[u32; 4]>,
+}
+
+/// [`Live::ops`] flags above the state byte.
+const SNAP_READY: u32 = 1 << 8;
+const SNAP_MET: u32 = 1 << 9;
+const SNAP_PARKED: u32 = 1 << 10;
+
+/// The schedule at a period boundary: the cycle, the counters and the
+/// busy-unit sums there, and the live state relative to them. Two
+/// snapshots one period apart whose live states are equal mean the period
+/// repeats: see [`Sched::advance`].
+#[derive(Debug, Clone, Default)]
+pub struct Snapshot {
+    cycle: u64,
+    /// The boundary op the state is relative to.
+    base: u32,
+    /// The oldest uncommitted op.
+    lo: u32,
+    counters: Counters,
+    busy_sum: [u64; N_FU],
+    live: Live,
+}
+
+impl Snapshot {
+    /// The cycle the snapshot was taken at.
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// The oldest op that had not committed.
+    pub fn lo(&self) -> u32 {
+        self.lo
+    }
+
+    /// Whether the live state equals `other`'s, relative to each one's
+    /// cycle and boundary op.
+    pub fn repeats(&self, other: &Snapshot) -> bool {
+        self.live == other.live
+    }
+
+    /// Whether op `i` had issued and whether it had committed.
+    pub fn progress(&self, i: u32) -> (bool, bool) {
+        let Some(r) = i.checked_sub(self.lo) else {
+            return (true, true);
+        };
+        match self.live.ops.get(r as usize) {
+            Some(&[state, ..]) => (state as u8 & ISSUED != 0, state as u8 & COMMITTED != 0),
+            None => (false, false),
+        }
+    }
+}
+
+/// A link in the wheel's or the waiters' encoding (1 + op, 0 for none),
+/// relative to `lo`, and back.
+#[inline]
+fn link_from(link: u32, lo: u32) -> u32 {
+    if link == 0 {
+        0
+    } else {
+        link - lo
+    }
+}
+
+#[inline]
+fn link_to(rel: u32, lo: u32) -> u32 {
+    if rel == 0 {
+        0
+    } else {
+        rel + lo
+    }
+}
+
+/// The period skip: [`Sched::snapshot`] at period boundaries, and
+/// [`Sched::advance`] once two of them repeat. A source whose ops repeat
+/// with a period of `q` ops and whose ports are shift-invariant (what
+/// `salam-replay`'s recorded source checks) gets from such a boundary on
+/// the same schedule, `p` cycles later, for every period that repeats.
+impl Sched {
+    /// Ops that have entered the window.
+    pub fn imported(&self) -> u32 {
+        self.imported
+    }
+
+    /// The oldest access an order check can compare against: the front of
+    /// the older of the two ordering windows, [`Sched::imported`] when both
+    /// are empty. Order checks in the next cycle compare only ops at or
+    /// above it with ops below the `imported` after the cycle.
+    pub fn order_front(&self) -> u32 {
+        let front = |side: usize| self.window[side].front().copied().unwrap_or(self.imported);
+        front(0).min(front(1))
+    }
+
+    /// Records the state at the top of a cycle into `out`, relative to
+    /// the boundary op `base`: every op from the oldest uncommitted one (at
+    /// or above `lo_from`, which must not lie above it) to the imported
+    /// front. (What commits did to the counters of ops past the front
+    /// follows from which ops committed, when the ops repeat.)
+    pub fn snapshot(&self, base: u32, lo_from: u32, out: &mut Snapshot) {
+        let mut lo = lo_from;
+        while lo < self.imported && self.state[lo as usize] & COMMITTED != 0 {
+            lo += 1;
+        }
+        let hi = self.imported as usize;
+        out.cycle = self.cycle;
+        out.base = base;
+        out.lo = lo;
+        out.counters = self.counters;
+        out.busy_sum = self.busy_sum;
+        let live = &mut out.live;
+        let rel = |i: u32| i - lo;
+        live.lo = lo.wrapping_sub(base);
+        live.imported = self.imported - lo;
+        live.resv_count = self.resv_count;
+        live.outstanding = self.outstanding;
+        live.compute_inflight = self.compute_inflight;
+        live.order_parked = self.order_parked;
+        live.saturated = self.saturated;
+        live.fu_busy = self.fu_busy;
+        live.pipelined_release.clone_from(&self.pipelined_release);
+        live.to_publish.clear();
+        live.to_publish
+            .extend(self.to_publish.iter().map(|&i| rel(i)));
+        for (to, from) in live.window.iter_mut().zip(&self.window) {
+            to.clear();
+            to.extend(from.iter().map(|&i| rel(i)));
+        }
+        live.wheel.clear();
+        // Every op in flight may be on the ring; stop once all are found.
+        let inflight = self.compute_inflight + self.outstanding[0] + self.outstanding[1];
+        for d in 0..self.wheel.heads.len() as u64 {
+            if live.wheel.len() + self.wheel.late.len() >= inflight {
+                break;
+            }
+            let mut list = self.wheel.heads[self.wheel.slot(self.cycle + d)];
+            while let Some((i, rest)) = self.wheel.pop(list) {
+                live.wheel.push((d, rel(i)));
+                list = rest;
+            }
+        }
+        live.late.clear();
+        live.late.extend(
+            self.wheel
+                .late
+                .iter()
+                .map(|&(at, i)| (at - self.cycle, rel(i))),
+        );
+        live.ops.clear();
+        let ops = lo as usize..hi;
+        let per_op = self.state[ops.clone()]
+            .iter()
+            .zip(&self.pending[ops.clone()])
+            .zip(&self.waiters[ops.clone()]);
+        live.ops
+            .extend(ops.zip(per_op).map(|(i, ((&state, &pending), &waiters))| {
+                let (word, bit) = (i / 64, i % 64);
+                let ready = (self.ready[word].ops >> bit & 1) as u32;
+                let met = (self.met[word] >> bit & 1) as u32 & (state & ISSUED == 0) as u32;
+                let flags = state as u32 | (ready * SNAP_READY) | (met * SNAP_MET);
+                [flags, pending, link_from(waiters, lo), 0]
+            }));
+        for r in 0..live.ops.len() {
+            if live.ops[r][2] == 0 {
+                continue;
+            }
+            let mut list = self.waiters[lo as usize + r];
+            while let Some((i, rest)) = self.wheel.pop(list) {
+                let parked = &mut live.ops[rel(i) as usize];
+                parked[0] |= SNAP_PARKED;
+                parked[3] = link_from(rest, lo);
+                list = rest;
+            }
+        }
+    }
+
+    /// Moves the schedule `k` periods past `cur`, the snapshot just taken,
+    /// when `prev`, taken one period earlier, repeats it: the state is
+    /// `cur`'s shifted by `k` periods' ops and cycles, the ops it leaves
+    /// behind have committed, and the counters and busy-unit sums have
+    /// grown by `k` times what they grew from `prev` to `cur`. The `ahead`
+    /// ops past the imported front, whose counters the skipped commits
+    /// reach, take the counters of the ops `k` periods earlier; what those
+    /// commits did past them (edges that leave the repeating ops) is the
+    /// caller's. Returns `false`, changing nothing, when the shifted state
+    /// would not fit the schedule.
+    pub fn advance(&mut self, prev: &Snapshot, cur: &Snapshot, k: u32, ahead: u32) -> bool {
+        let q = cur.base.wrapping_sub(prev.base);
+        let p = cur.cycle - prev.cycle;
+        let live = &cur.live;
+        let (lo, front) = (cur.lo as usize, self.imported as usize);
+        let Some(shift) = q.checked_mul(k).map(|s| s as usize) else {
+            return false;
+        };
+        let ahead = (ahead as usize).min(self.state.len() - front);
+        if front + shift + ahead > self.state.len() {
+            return false;
+        }
+        let new_lo = (lo + shift) as u32;
+        // Past the front first: the rest may write over its source.
+        self.state.copy_within(front..front + ahead, front + shift);
+        self.pending
+            .copy_within(front..front + ahead, front + shift);
+        for i in lo..front {
+            self.ready[i / 64].ops &= !(1 << (i % 64));
+            self.waiters[i] = 0;
+        }
+        self.state[lo..lo + shift].fill(COMMITTED | ISSUED);
+        for (r, &[flags, pending, waiters, link]) in live.ops.iter().enumerate() {
+            let i = new_lo as usize + r;
+            let (word, bit) = (i / 64, i % 64);
+            self.state[i] = flags as u8;
+            self.pending[i] = pending;
+            self.waiters[i] = link_to(waiters, new_lo);
+            self.ready[word].ops |= ((flags & SNAP_READY != 0) as u64) << bit;
+            self.met[word] &= !(1 << bit);
+            self.met[word] |= ((flags & SNAP_MET != 0) as u64) << bit;
+            if flags & SNAP_PARKED != 0 {
+                self.wheel.next[i] = link_to(link, new_lo);
+            }
+        }
+        let cycle = self.cycle + k as u64 * p;
+        self.wheel.heads.fill(0);
+        self.wheel.tails.fill(0);
+        for &(d, r) in &live.wheel {
+            self.wheel.push(cycle, cycle + d, new_lo + r);
+        }
+        self.wheel.late.clear();
+        self.wheel
+            .late
+            .extend(live.late.iter().map(|&(d, r)| (cycle + d, new_lo + r)));
+        for (to, from) in self.window.iter_mut().zip(&live.window) {
+            to.clear();
+            to.extend(from.iter().map(|&r| new_lo + r));
+        }
+        self.to_publish.clear();
+        self.to_publish
+            .extend(live.to_publish.iter().map(|&r| new_lo + r));
+        self.imported = new_lo + live.imported;
+        self.cycle = cycle;
+        // The ready set's per-word lanes and lowest word, from its bits.
+        self.ready_lo = usize::MAX;
+        for word in lo / 64..(front + shift).div_ceil(64) {
+            let mut ops = self.ready[word].ops;
+            let mut lanes = 0;
+            while ops != 0 {
+                let i = word * 64 + ops.trailing_zeros() as usize;
+                lanes |= 1 << self.lane(i as u32);
+                ops &= ops - 1;
+            }
+            self.ready[word].lanes = lanes;
+            if lanes != 0 {
+                self.ready_lo = self.ready_lo.min(word);
+            }
+        }
+        let k = k as u64;
+        let (now, then) = (&cur.counters, &prev.counters);
+        for class in CycleClass::ALL {
+            let per_period = now.attribution.get(class) - then.attribution.get(class);
+            self.counters.attribution.add(class, k * per_period);
+        }
+        self.counters.stall_cycles += k * (now.stall_cycles - then.stall_cycles);
+        self.counters.new_exec_cycles += k * (now.new_exec_cycles - then.new_exec_cycles);
+        self.counters.port_reject_cycles += k * (now.port_reject_cycles - then.port_reject_cycles);
+        for (sum, (now, then)) in self
+            .busy_sum
+            .iter_mut()
+            .zip(cur.busy_sum.iter().zip(&prev.busy_sum))
+        {
+            *sum = sum.wrapping_add(k.wrapping_mul(now.wrapping_sub(*then)));
+        }
+        true
+    }
+
+    /// One dependence (`address_edge`: the address) of op `c` is met
+    /// outside a step: what a producer's commit does to each consumer.
+    #[inline]
+    pub fn consumer_met(&mut self, c: u32, address_edge: bool) {
+        if address_edge {
+            self.state[c as usize] |= ADDR_READY;
+            if c < self.imported {
+                self.to_publish.push(c);
+            }
+        } else {
+            self.dep_met(c);
+        }
     }
 }
 

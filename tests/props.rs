@@ -473,10 +473,12 @@ fn engine_run_on(
 
 /// Records `f`'s stream at the default point, then requires replaying it
 /// at each of `points` to agree with the engine's own run there on cycles,
-/// attribution, the stall counters and the FU busy integrals.
-fn assert_replay_matches_engine(f: &Function, args: &[RtVal], points: &[Point]) {
+/// attribution, the stall counters and the FU busy integrals. Returns the
+/// cycles each replay skipped over in whole repeating periods.
+fn assert_replay_matches_engine(f: &Function, args: &[RtVal], points: &[Point]) -> Vec<u64> {
     let (recorded, _) = engine_run_at(f, args, &Point::default(), true);
     let stream = recorded.depstream.expect("recorded under record_depstream");
+    let mut skipped = Vec::new();
     for point in points {
         let (sim, fu_pool) = engine_run_at(f, args, point, false);
         let cfg = ReplayConfig {
@@ -492,6 +494,7 @@ fn assert_replay_matches_engine(f: &Function, args: &[RtVal], points: &[Point]) 
             ..ReplayConfig::default()
         };
         let out = salam_replay::replay(&stream, &cfg).expect("replayable");
+        skipped.push(out.skipped_cycles);
         assert_eq!(out.cycles, sim.cycles, "cycles at {point:?}");
         assert_eq!(out.attribution, sim.attribution, "attribution at {point:?}");
         assert_eq!(out.stall_cycles, sim.stall_cycles, "stalls at {point:?}");
@@ -500,6 +503,7 @@ fn assert_replay_matches_engine(f: &Function, args: &[RtVal], points: &[Point]) 
         let busy: BTreeMap<FuKind, u64> = out.fu_busy_cycle_sum.into_iter().collect();
         assert_eq!(busy, sim.fu_busy_cycle_sum, "FU busy sums at {point:?}");
     }
+    skipped
 }
 
 /// `store p; load p; store q`, the kernel whose first two accesses end
@@ -544,6 +548,125 @@ fn replay_matches_engine_on_generated_kernels() {
     };
     let top = [RtVal::P(u64::MAX - 7), RtVal::P(0x1000)];
     assert_replay_matches_engine(&store_load_store_kernel(), &top, &[slow_spm]);
+}
+
+// ---- the period skip on long counted loops --------------------------------
+
+/// How the accesses of a generated steady loop relate across iterations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pattern {
+    /// `b[i] = f(a[i])`, the arrays disjoint.
+    Affine,
+    /// `a[i + 1] = f(a[i])`: a recurrence through memory.
+    Recurrence,
+    /// `a[2i] = f(a[offset + i])`: the stores start below the loads and
+    /// catch up with them only after some iteration.
+    LateOverlap,
+}
+
+/// A counted loop of `trips` iterations whose body is a chain of integer
+/// ops (and optionally a float detour) between one load and one store.
+#[derive(Debug, Clone)]
+struct SteadyLoop {
+    pattern: Pattern,
+    trips: i64,
+    offset: i64,
+    ops: Vec<usize>,
+    float_detour: bool,
+}
+
+fn gen_steady_loop(g: &mut SplitMix64, pattern: Pattern) -> SteadyLoop {
+    SteadyLoop {
+        pattern,
+        trips: g.range_i64(64, 257),
+        offset: g.range_i64(8, 48),
+        ops: (0..g.range_usize(1, 5))
+            .map(|_| g.range_usize(0, 4))
+            .collect(),
+        float_detour: g.gen_bool(0.3),
+    }
+}
+
+fn build_steady_loop(l: &SteadyLoop) -> Function {
+    let mut fb = FunctionBuilder::new("steady", &[("a", Type::Ptr), ("b", Type::Ptr)]);
+    let (a, b) = (fb.arg(0), fb.arg(1));
+    let (zero, trips) = (fb.i64c(0), fb.i64c(l.trips));
+    fb.counted_loop("i", zero, trips, |fb, i| {
+        let (from, to) = match l.pattern {
+            Pattern::Affine => (
+                fb.gep1(Type::I64, a, i, "src"),
+                fb.gep1(Type::I64, b, i, "dst"),
+            ),
+            Pattern::Recurrence => {
+                let one = fb.i64c(1);
+                let next = fb.add(i, one, "next");
+                (
+                    fb.gep1(Type::I64, a, i, "src"),
+                    fb.gep1(Type::I64, a, next, "dst"),
+                )
+            }
+            Pattern::LateOverlap => {
+                let offset = fb.i64c(l.offset);
+                let ahead = fb.add(i, offset, "ahead");
+                let two = fb.i64c(2);
+                let twice = fb.mul(i, two, "twice");
+                (
+                    fb.gep1(Type::I64, a, ahead, "src"),
+                    fb.gep1(Type::I64, a, twice, "dst"),
+                )
+            }
+        };
+        let mut y = fb.load(Type::I64, from, "x");
+        for &op in &l.ops {
+            y = match op {
+                0 => fb.add(y, i, "y"),
+                1 => fb.mul(y, i, "y"),
+                2 => fb.xor(y, i, "y"),
+                _ => fb.sub(y, i, "y"),
+            };
+        }
+        if l.float_detour {
+            let mask = fb.i64c(0xFFFF);
+            let small = fb.and(y, mask, "small");
+            let f = fb.sitofp(small, Type::F64, "f");
+            let half = fb.f64c(0.5);
+            let m = fb.fmul(f, half, "m");
+            y = fb.fptosi(m, Type::I64, "yi");
+        }
+        fb.store(y, to);
+    });
+    fb.ret();
+    fb.finish()
+}
+
+/// The replay's period skip against the engine as the oracle: on long
+/// counted loops of three access patterns, replaying the recorded stream
+/// at random design points gives exactly the engine's cycles, attribution,
+/// stall counters and FU busy sums, skip or no skip — and the skip fires
+/// on the loops whose accesses keep their overlaps from period to period.
+#[test]
+fn replay_skips_steady_loops_exactly() {
+    for (pattern, seed) in [
+        (Pattern::Affine, 0x5E1),
+        (Pattern::Recurrence, 0x5E2),
+        (Pattern::LateOverlap, 0x5E3),
+    ] {
+        check_cases(&format!("replay_skips_{pattern:?}"), 24, seed, |g| {
+            let l = gen_steady_loop(g, pattern);
+            let f = build_steady_loop(&l);
+            salam_ir::verify_function(&f).unwrap();
+            let profile = HardwareProfile::default_40nm();
+            let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
+            let used: Vec<FuKind> = cdfg.fu_counts().map(|(k, _)| k).collect();
+            let mut points = vec![Point::default()];
+            points.extend((0..3).map(|_| gen_point(g, &used)));
+            let args = [RtVal::P(0x1000), RtVal::P(0x8000)];
+            let skipped = assert_replay_matches_engine(&f, &args, &points);
+            if pattern != Pattern::LateOverlap {
+                assert!(skipped[0] > 0, "no skip at the recording point of {l:?}");
+            }
+        });
+    }
 }
 
 // ---- refusal scopes ------------------------------------------------------------

@@ -6,7 +6,9 @@
 //!
 //! Cases come from the in-tree seeded harness (`salam_obs::det`): the
 //! checked-in format fixture and a recorded BFS stream, with rows mutated
-//! cell by cell.
+//! cell by cell, and recorded SpMV and Stencil2D streams — long runs of
+//! repeating loop periods that the replay advances over in whole periods —
+//! with one dependence, address or latency changed inside a run.
 
 use hw_profile::FuKind;
 use machsuite::Bench;
@@ -83,6 +85,37 @@ impl Doc {
             })
             .collect();
         format!("{}{}{}", self.head, rows.join(","), self.tail)
+    }
+
+    /// One plausible edit of one cell of a row in the middle half of the
+    /// stream, where the loops run: a dependence moved to another earlier
+    /// op, an address moved onto another access's or next to it, or a
+    /// latency changed. The stream stays well-formed, but the edited
+    /// period no longer repeats its neighbours.
+    fn mutate_in_run(&mut self, g: &mut SplitMix64) {
+        let n = self.rows.len();
+        let row = g.range_usize(n / 4, 3 * n / 4);
+        let other = g.range_usize(n / 4, 3 * n / 4);
+        let uid: u64 = self.rows[row].0[0].parse().expect("uid cell");
+        match g.range_usize(0, 3) {
+            0 => {
+                let deps = &mut self.rows[row].1;
+                let mut uids: Vec<&str> = deps[1..deps.len() - 1].split(',').collect();
+                uids.retain(|d| !d.is_empty());
+                let earlier = g.range_u64(1, uid.max(2)).to_string();
+                match uids.len() {
+                    0 => uids.push(&earlier),
+                    len => uids[g.range_usize(0, len)] = &earlier,
+                }
+                *deps = format!("[{}]", uids.join(","));
+            }
+            1 => {
+                let addr: u64 = self.rows[other].0[11].parse().expect("addr cell");
+                let moved = [addr, addr + 8, addr.saturating_sub(4)];
+                self.rows[row].0[11] = g.choose(&moved).to_string();
+            }
+            _ => self.rows[row].0[6] = g.range_u64(0, 9).to_string(),
+        }
     }
 
     /// One random edit of the kind a truncated write, a hand edit or a
@@ -199,12 +232,29 @@ fn drive(text: &str, reached: &Reached) {
 }
 
 fn fuzz(label: &str, text: &str, cases: u64, seed: u64) -> Reached {
-    let reached = Reached::default();
-    check_cases(label, cases, seed, |g| {
-        let mut doc = Doc::parse(text);
+    fuzz_with(label, text, cases, seed, |doc, g| {
         for _ in 0..g.range_usize(1, 4) {
             doc.mutate(g);
         }
+    })
+}
+
+fn fuzz_with(
+    label: &str,
+    text: &str,
+    cases: u64,
+    seed: u64,
+    mutate: impl Fn(&mut Doc, &mut SplitMix64) + Sync,
+) -> Reached {
+    let reached = Reached::default();
+    let doc = Doc::parse(text);
+    check_cases(label, cases, seed, |g| {
+        let mut doc = Doc {
+            head: doc.head.clone(),
+            rows: doc.rows.clone(),
+            tail: doc.tail.clone(),
+        };
+        mutate(&mut doc, g);
         drive(&doc.render(), &reached);
     });
     eprintln!(
@@ -248,4 +298,21 @@ fn mutated_recorded_stream_never_panics() {
     let reached = fuzz("recorded bfs stream", &text, 150, 0xBF5);
     assert!(reached.replayed.load(Ordering::Relaxed) > 5);
     assert!(reached.decoded.load(Ordering::Relaxed) < 150);
+}
+
+#[test]
+fn edits_inside_repeating_loops_never_panic() {
+    for (bench, cases, seed) in [(Bench::SpmvCrs, 60, 0x5B3), (Bench::Stencil2d, 24, 0x5E2)] {
+        let kernel = bench.build_standard();
+        let (_, trace) =
+            try_run_kernel_profiled(&kernel, &StandaloneConfig::default()).expect("records");
+        let text = trace.to_json();
+        let unmutated = Reached::default();
+        drive(&text, &unmutated);
+        assert_eq!(unmutated.replayed.load(Ordering::Relaxed), 1);
+        let reached = fuzz_with(&kernel.name, &text, cases, seed, |doc, g| {
+            doc.mutate_in_run(g)
+        });
+        assert!(reached.replayed.load(Ordering::Relaxed) > cases as usize / 4);
+    }
 }
