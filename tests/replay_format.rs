@@ -222,3 +222,100 @@ fn short_row_fails_loudly() {
         "error must locate the bad row: {err}"
     );
 }
+
+/// A document with every cell at the edges its field allows: all zeros,
+/// `u32::MAX` in the 32-bit columns and `u64::MAX` in the 64-bit ones,
+/// rows without producers and rows with several.
+fn edge_document() -> String {
+    const U32: u64 = u32::MAX as u64;
+    const U64: u64 = u64::MAX;
+    let rows: [[u64; 13]; 4] = [
+        [0; 13],
+        [
+            U64, U32, U32, U64, U64, 2, U32, U32, U32, U64, U64, U64, U32,
+        ],
+        [1, 1, 0, 0, U64, 1, 0, 0, 0, 0, 0, U64, 8],
+        [U64 - 1, 0, 1, U64, 0, 0, 1, U32, 0, U64, 0, 0, 0],
+    ];
+    let deps: [&[u64]; 4] = [&[], &[0, U32, U64], &[1, 2, 3, 4, 5, 6, 7, 8], &[U64]];
+    let quoted = |xs: &[&str]| {
+        xs.iter()
+            .map(|x| format!("\"{x}\""))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let mut text = format!(
+        "{{\n\"format_version\": 1,\n\"columns\": [{}],\n\"names\": [{}],\n\"classes\": [{}],\n\"ops\": [",
+        quoted(&salam_obs::profile::DEPSTREAM_COLUMNS),
+        quoted(&["load", "add"]),
+        quoted(&["load", "int_adder"]),
+    );
+    for (i, (cells, deps)) in rows.iter().zip(deps).enumerate() {
+        let join = |xs: &[u64]| xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+        let sep = if i > 0 { "," } else { "" };
+        text.push_str(&format!("{sep}\n[{},[{}]]", join(cells), join(deps)));
+    }
+    text.push_str("\n]\n}\n");
+    text
+}
+
+/// Edge values survive text → stream → text byte for byte, and a second
+/// decode yields the same stream.
+#[test]
+fn edge_cells_round_trip_byte_identically() {
+    let text = edge_document();
+    let stream = DepStream::from_json(&text).expect("edge document decodes");
+    assert_eq!(stream.len(), 4);
+    assert_eq!(stream.to_json(), text, "round-trip must be byte-exact");
+    assert_eq!(DepStream::from_json(&stream.to_json()).unwrap(), stream);
+    let top = &stream.ops()[1];
+    assert_eq!(
+        (top.uid, top.issue, top.commit),
+        (u64::MAX, u64::MAX, u64::MAX)
+    );
+    assert_eq!((top.name, top.class), (u32::MAX, u32::MAX));
+    assert_eq!(top.meta.kind, OpKind::Store);
+    assert_eq!(
+        (
+            top.meta.latency,
+            top.meta.inst,
+            top.meta.group,
+            top.meta.size
+        ),
+        (u32::MAX, u32::MAX, u32::MAX, u32::MAX)
+    );
+    assert_eq!(
+        (top.meta.ctrl, top.meta.addr_dep, top.meta.addr),
+        (u64::MAX, u64::MAX, u64::MAX)
+    );
+}
+
+/// A cell past 2^64 − 1, with a fraction, a sign or an exponent is
+/// refused with the row and the column named, in a 64-bit column, a
+/// 32-bit column and a producer list alike.
+#[test]
+fn malformed_cells_name_their_row_and_column() {
+    let text = edge_document();
+    let row =
+        "\n[1,1,0,0,18446744073709551615,1,0,0,0,0,0,18446744073709551615,8,[1,2,3,4,5,6,7,8]]";
+    assert!(text.contains(row));
+    for bad in ["18446744073709551616", "1.0", "-1", "1e3"] {
+        for (column, tampered) in [
+            ("uid", row.replacen("[1,", &format!("[{bad},"), 1)),
+            ("name", row.replacen("[1,1,", &format!("[1,{bad},"), 1)),
+            (
+                "addr",
+                row.replacen(",18446744073709551615,8,", &format!(",{bad},8,"), 1),
+            ),
+            ("deps", row.replacen("[1,2,", &format!("[1,{bad},"), 1)),
+        ] {
+            assert_ne!(tampered, row, "{bad} must land in {column}");
+            let err = DepStream::from_json(&text.replace(row, &tampered))
+                .expect_err("a malformed cell must be refused");
+            assert!(
+                err.contains(&format!("op row 2 column {column}")),
+                "{bad} in {column}: {err}"
+            );
+        }
+    }
+}
