@@ -7,10 +7,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use machsuite::Bench;
-use salam::standalone::{run, RunOptions, StandaloneConfig};
+use salam::standalone::{
+    run, try_run_kernel, try_run_kernel_profiled, RunOptions, StandaloneConfig,
+};
 use salam_bench::exp;
 use salam_dse::{
-    run_replay_sweep, Axis, DseOptions, EngineKind, KernelSpec, ReplayOptions, SweepSpec,
+    baseline_config, run_replay_sweep, Axis, DseOptions, EngineKind, KernelSpec, ReplayOptions,
+    SweepSpec,
 };
 use salam_telemetry::{flight, FlightRecorder};
 
@@ -20,6 +23,13 @@ const MAX_FLIGHT_OVERHEAD_PCT: f64 = 5.0;
 /// Least a kernel's median replay-vs-simulation speedup may be: a replay
 /// barely faster than the engine no longer earns its place.
 const SPEEDUP_FLOOR: f64 = 1.5;
+
+/// Most a depstream recording may cost against a plain run, summed over
+/// the nine kernels at their replay baseline: the recording feeds every
+/// replayed sweep. It cost about three plain runs while each op allocated
+/// its producer list; it reads 1.6–2.0 on a 2-core box now, most of the
+/// rest being first touches of the stream's own pages.
+const MAX_PROFILED_RATIO: f64 = 2.2;
 
 /// Held by each gate for its whole run: the test harness runs tests on
 /// parallel threads, and one gate's load would skew the other's clock.
@@ -61,6 +71,44 @@ fn flight_recorder_overhead_stays_within_five_percent() {
     assert!(
         overhead_pct <= MAX_FLIGHT_OVERHEAD_PCT,
         "flight recorder overhead {overhead_pct:.2}% exceeds {MAX_FLIGHT_OVERHEAD_PCT}%"
+    );
+}
+
+#[test]
+#[ignore = "wall-clock gate: release only, run by scripts/ci.sh"]
+fn depstream_recording_costs_at_most_2_2_plain_runs() {
+    let _clock = WALL_CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = baseline_config(&StandaloneConfig::default());
+    let kernels = Bench::ALL.map(|b| b.build_standard());
+    // The time of the call alone: the stream is dropped after the clock
+    // stops, as a sweep keeps it.
+    fn time<T, E: std::fmt::Debug>(run: impl FnOnce() -> Result<T, E>) -> f64 {
+        let t0 = Instant::now();
+        let out = run();
+        let elapsed = t0.elapsed().as_secs_f64();
+        out.expect("timed run must not fail");
+        elapsed
+    }
+    // As the flight-recorder gate: one warm-up run, then the min of three
+    // alternating runs per mode.
+    let (mut plain, mut profiled) = (0.0, 0.0);
+    for kernel in &kernels {
+        time(|| try_run_kernel_profiled(kernel, &cfg));
+        let (mut best_plain, mut best_profiled) = (f64::MAX, f64::MAX);
+        for _ in 0..3 {
+            best_plain = best_plain.min(time(|| try_run_kernel(kernel, &cfg)));
+            best_profiled = best_profiled.min(time(|| try_run_kernel_profiled(kernel, &cfg)));
+        }
+        plain += best_plain;
+        profiled += best_profiled;
+    }
+    let ratio = profiled / plain;
+    println!(
+        "depstream recording {ratio:.2}x a plain run (plain {plain:.3}s, profiled {profiled:.3}s)"
+    );
+    assert!(
+        ratio <= MAX_PROFILED_RATIO,
+        "depstream recording costs {ratio:.2}x a plain run, more than {MAX_PROFILED_RATIO}x"
     );
 }
 

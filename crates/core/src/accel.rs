@@ -321,7 +321,7 @@ impl ComputeUnit {
 
     fn finish(&mut self, ctx: &mut Ctx<'_, MemMsg>) {
         let engine = self.engine.take().expect("engine present at finish");
-        self.final_stats = Some(engine.stats().clone());
+        self.final_stats = Some(engine.into_stats());
         self.finished_at = Some(ctx.now());
         self.invocations += 1;
         if let Some((mmr, base)) = self.mmr {

@@ -73,13 +73,14 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Assembles a report from engine stats and the static CDFG.
+    /// Assembles a report from engine stats and the static CDFG. The stats
+    /// move into the report whole, a recorded depstream included.
     ///
     /// `spm` describes the private scratchpad (if any) for Cacti-style SPM
     /// power/area; `clock_period_ps` converts cycles to time.
     pub fn assemble(
         name: &str,
-        stats: &EngineStats,
+        stats: EngineStats,
         cdfg: &StaticCdfg,
         profile: &HardwareProfile,
         spm: Option<&SramSpec>,
@@ -112,7 +113,7 @@ impl RunReport {
             datapath_area_um2: area.total_um2,
             spm_area_um2: spm_area,
             verified,
-            stats: stats.clone(),
+            stats,
         }
     }
 

@@ -213,8 +213,9 @@ pub fn try_run_kernel(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> Result<Ru
 
 /// [`try_run_kernel`] with dependency-stream recording forced on. Returns
 /// the report together with the captured [`salam_obs::DepStream`], ready
-/// for [`salam_obs::analyze`] (critical path, slack, headroom); the stream
-/// is moved out of the report so the report stays serialization-sized.
+/// for [`salam_obs::analyze`] (critical path, slack, headroom). The stream
+/// moves from the engine into the report and out again, never copied, so
+/// the report stays serialization-sized.
 /// `benchmark/src` pins this name.
 ///
 /// # Errors
@@ -285,7 +286,7 @@ fn drive<P: MemPort>(
     let (verified, spm) = finish(port);
     Ok(RunReport::assemble(
         &kernel.name,
-        engine.stats(),
+        engine.into_stats(),
         &cdfg,
         &cfg.profile,
         Some(&spm),

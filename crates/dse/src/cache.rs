@@ -10,6 +10,8 @@
 //! temp file + rename so a crashed run never leaves a half-written entry
 //! behind.
 
+use std::fs::File;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,6 +39,18 @@ pub trait CachePayload: Sized {
     ///
     /// Any message marks the entry corrupt (the point is re-simulated).
     fn payload_from_json(r: &mut Reader<'_>) -> Result<Self, String>;
+
+    /// Writes [`CachePayload::payload_to_json`]'s text, trailing
+    /// whitespace trimmed, to `out` — the form [`ResultCache::store`]
+    /// embeds. A payload that runs to megabytes overrides this to write
+    /// in pieces instead of building the text first.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` fails with.
+    fn write_payload(&self, out: &mut dyn Write) -> std::io::Result<()> {
+        out.write_all(self.payload_to_json().trim_end().as_bytes())
+    }
 }
 
 impl CachePayload for RunReport {
@@ -238,24 +252,15 @@ impl ResultCache {
         }
     }
 
-    /// Writes (or overwrites) the entry for `id` atomically.
+    /// Writes (or overwrites) the entry for `id` atomically: the header
+    /// and the payload go to a temp file piece by piece, which is then
+    /// renamed over the entry. A failed store removes its temp file.
     ///
     /// # Errors
     ///
     /// I/O failures only; callers may treat the cache as best-effort.
     pub fn store<T: CachePayload>(&self, id: &CacheId, payload: &T) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
         let path = self.entry_path(id);
-        let payload_text = payload.payload_to_json();
-        let entry = format!(
-            "{{\n\"version\": {},\n\"key\": \"{}\",\n\"domain\": \"{}\",\n\"canon_len\": {},\n\"canon_check\": \"{}\",\n\"payload\": {}}}\n",
-            CACHE_FORMAT_VERSION,
-            id.key_hex(),
-            escape(&id.domain),
-            id.canon.len(),
-            id.canon_check_hex(),
-            payload_text.trim_end(),
-        );
         // One temp file per store, not per process: two threads storing
         // the same key must never write into, or rename, each other's file.
         static STORES: AtomicU64 = AtomicU64::new(0);
@@ -265,8 +270,19 @@ impl ResultCache {
             std::process::id(),
             STORES.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, entry)?;
-        std::fs::rename(&tmp, &path)?;
+        // The directory is made by the first store that misses it.
+        let file = match File::create(&tmp) {
+            Err(e) if e.kind() == ErrorKind::NotFound => {
+                std::fs::create_dir_all(&self.dir)?;
+                File::create(&tmp)?
+            }
+            file => file?,
+        };
+        let stored = write_entry(file, id, payload).and_then(|()| std::fs::rename(&tmp, &path));
+        if let Err(e) = stored {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
         self.enforce_cap(&path);
         Ok(())
     }
@@ -300,6 +316,24 @@ impl ResultCache {
             })
             .unwrap_or(0)
     }
+}
+
+/// Writes one entry — the header fields [`ResultCache::validate`] checks,
+/// then the payload — to `file`.
+fn write_entry<T: CachePayload>(file: File, id: &CacheId, payload: &T) -> std::io::Result<()> {
+    let mut out = BufWriter::with_capacity(1 << 16, file);
+    write!(
+        out,
+        "{{\n\"version\": {},\n\"key\": \"{}\",\n\"domain\": \"{}\",\n\"canon_len\": {},\n\"canon_check\": \"{}\",\n\"payload\": ",
+        CACHE_FORMAT_VERSION,
+        id.key_hex(),
+        escape(&id.domain),
+        id.canon.len(),
+        id.canon_check_hex(),
+    )?;
+    payload.write_payload(&mut out)?;
+    out.write_all(b"}\n")?;
+    out.flush()
 }
 
 /// One cache entry file as seen by the eviction planner.
@@ -591,6 +625,33 @@ mod tests {
             other => panic!("expected hit, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A store whose rename fails — a directory sits at the entry's path —
+    /// reports the error and leaves no temp file for the size cap to miss.
+    #[test]
+    fn failed_store_leaves_no_temp_file() {
+        let cache = ResultCache::at(scratch_dir("failed-store"));
+        let id = CacheId::new("standalone/x", "canon");
+        std::fs::create_dir_all(cache.entry_path(&id)).unwrap();
+        assert!(cache.store(&id, &sample_report()).is_err());
+        let left: Vec<_> = std::fs::read_dir(cache.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, [cache.entry_path(&id).file_name().unwrap()]);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// The first store makes the directory, nested levels included.
+    #[test]
+    fn first_store_creates_the_directory() {
+        let root = scratch_dir("nested");
+        let cache = ResultCache::at(root.join("a/b"));
+        let id = CacheId::new("standalone/x", "canon");
+        cache.store(&id, &sample_report()).unwrap();
+        assert!(matches!(cache.lookup::<RunReport>(&id), Lookup::Hit(_)));
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]

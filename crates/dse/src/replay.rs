@@ -205,16 +205,19 @@ pub fn trips_from_trace(
     f: &salam_ir::Function,
     stream: &DepStream,
 ) -> HashMap<salam_ir::BlockId, u64> {
-    let mut per_inst: HashMap<u32, u64> = HashMap::new();
+    // Counted by instruction index; an index outside `f` names no block.
+    let mut per_inst = vec![0u64; f.num_insts()];
     for op in stream.ops() {
-        *per_inst.entry(op.meta.inst).or_insert(0) += 1;
+        if let Some(n) = per_inst.get_mut(op.meta.inst as usize) {
+            *n += 1;
+        }
     }
     let mut trips = HashMap::new();
     for (bid, block) in f.blocks() {
         let t = block
             .insts
             .iter()
-            .map(|id| per_inst.get(&(id.index() as u32)).copied().unwrap_or(0))
+            .map(|id| per_inst[id.index()])
             .max()
             .unwrap_or(0);
         if t > 0 {
@@ -237,11 +240,20 @@ pub struct ReplayBaseline {
 
 impl CachePayload for ReplayBaseline {
     fn payload_to_json(&self) -> String {
-        format!(
-            "{{\"report\": {}, \"trace\": {}}}",
-            self.report.to_json().trim_end(),
-            self.trace.to_json().trim_end()
-        )
+        let mut out = Vec::new();
+        self.write_payload(&mut out)
+            .expect("writing into memory cannot fail");
+        String::from_utf8(out).expect("JSON text is UTF-8")
+    }
+
+    /// `{"report": …, "trace": …}`, the stream written row by row rather
+    /// than formatted into one string first.
+    fn write_payload(&self, mut out: &mut dyn std::io::Write) -> std::io::Result<()> {
+        out.write_all(b"{\"report\": ")?;
+        out.write_all(self.report.to_json().trim_end().as_bytes())?;
+        out.write_all(b", \"trace\": ")?;
+        self.trace.write_json(&mut out)?;
+        out.write_all(b"}")
     }
 
     fn payload_from_json(r: &mut Reader<'_>) -> Result<Self, String> {
@@ -513,7 +525,7 @@ fn synthesize_report(
     stats.timeline = Vec::new();
     RunReport::assemble(
         &kernel.name,
-        &stats,
+        stats,
         cdfg,
         &cfg.profile,
         Some(&cfg.spm_spec(kernel)),
@@ -950,5 +962,44 @@ mod tests {
         assert_eq!(back.err_pct, Some(1.5));
         assert_eq!(back.speedup, None);
         assert_eq!(back.report.to_json(), p.report.to_json());
+    }
+
+    /// Each import group of a recorded stream is one execution of one
+    /// block, so a block's trip count is the number of groups its ops fall
+    /// in — counted here without going through per-instruction counts.
+    #[test]
+    fn trips_equal_a_direct_count_of_block_executions() {
+        for kernel in [
+            tiny_gemm().build(),
+            machsuite::bfs::build(&machsuite::bfs::Params::default()),
+        ] {
+            let (_, trace) = try_run_kernel_profiled(&kernel, &StandaloneConfig::default())
+                .expect("baseline runs");
+            let mut block_of = HashMap::new();
+            for (bid, block) in kernel.func.blocks() {
+                for id in &block.insts {
+                    block_of.insert(id.index() as u32, bid);
+                }
+            }
+            let mut groups: HashMap<salam_ir::BlockId, std::collections::BTreeSet<u32>> =
+                HashMap::new();
+            for op in trace.ops() {
+                groups
+                    .entry(block_of[&op.meta.inst])
+                    .or_default()
+                    .insert(op.meta.group);
+            }
+            let direct: HashMap<_, _> = groups
+                .into_iter()
+                .map(|(bid, g)| (bid, g.len() as u64))
+                .collect();
+            assert!(direct.len() > 1, "{}", kernel.name);
+            assert_eq!(
+                trips_from_trace(&kernel.func, &trace),
+                direct,
+                "{}",
+                kernel.name
+            );
+        }
     }
 }

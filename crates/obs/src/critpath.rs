@@ -83,7 +83,7 @@ pub fn analyze(stream: &DepStream) -> CritPath {
     let mut cur = terminal;
     loop {
         let mut next: Option<usize> = None;
-        for &dep in &ops[cur].deps {
+        for &dep in stream.deps(&ops[cur]) {
             let Some(&di) = index.get(&dep) else { continue };
             match next {
                 None => next = Some(di),
@@ -112,8 +112,8 @@ pub fn analyze(stream: &DepStream) -> CritPath {
     let mut headroom: BTreeMap<String, u64> = BTreeMap::new();
     for &i in &path_idx {
         let op = &ops[i];
-        let ready = op
-            .deps
+        let ready = stream
+            .deps(op)
             .iter()
             .filter_map(|d| index.get(d).map(|&di| ops[di].commit))
             .max()
@@ -137,7 +137,7 @@ pub fn analyze(stream: &DepStream) -> CritPath {
     for &i in &by_uid {
         let dur = (ops[i].commit - ops[i].issue + 1) as i64;
         let need_by = latest[i] - dur;
-        for d in &ops[i].deps {
+        for d in stream.deps(&ops[i]) {
             if let Some(&di) = index.get(d) {
                 latest[di] = latest[di].min(need_by);
             }
@@ -173,9 +173,9 @@ mod tests {
     /// ```
     fn diamond() -> DepStream {
         let mut s = DepStream::new();
-        s.record(1, "load", "load", 0, 2, vec![]);
-        s.record(2, "load", "load", 0, 5, vec![]);
-        s.record(3, "fmul", "fp_mul_f64", 6, 9, vec![1, 2]);
+        s.record(1, "load", "load", 0, 2, &[]);
+        s.record(2, "load", "load", 0, 5, &[]);
+        s.record(3, "fmul", "fp_mul_f64", 6, 9, &[1, 2]);
         s
     }
 
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn unknown_dep_uids_are_skipped() {
         let mut s = DepStream::new();
-        s.record(5, "add", "int_alu", 0, 1, vec![99]); // 99 never committed
+        s.record(5, "add", "int_alu", 0, 1, &[99]); // 99 never committed
         let cp = analyze(&s);
         assert_eq!(cp.path, vec![5]);
         assert_eq!(cp.length, 2);
@@ -226,9 +226,9 @@ mod tests {
     #[test]
     fn chain_length_equals_span_of_chain() {
         let mut s = DepStream::new();
-        s.record(1, "a", "int_alu", 0, 0, vec![]);
-        s.record(2, "b", "int_alu", 1, 1, vec![1]);
-        s.record(3, "c", "int_alu", 2, 2, vec![2]);
+        s.record(1, "a", "int_alu", 0, 0, &[]);
+        s.record(2, "b", "int_alu", 1, 1, &[1]);
+        s.record(3, "c", "int_alu", 2, 2, &[2]);
         let cp = analyze(&s);
         assert_eq!(cp.path, vec![1, 2, 3]);
         assert_eq!(cp.length, 3);

@@ -147,6 +147,18 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The text from the cursor on, for a decoder's own pass over a
+    /// stretch it knows the shape of; [`Reader::advance`] then skips what
+    /// it consumed.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
+    /// Moves the cursor `n` bytes on, at most to the end of the text.
+    pub fn advance(&mut self, n: usize) {
+        self.pos = (self.pos + n).min(self.bytes.len());
+    }
+
     /// Succeeds when only whitespace is left.
     pub fn finish(&mut self) -> Result<(), String> {
         match self.token() {

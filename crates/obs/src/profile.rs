@@ -189,7 +189,8 @@ pub struct DepMeta {
 }
 
 /// One committed dynamic op in the dependency stream. `name` and `class`
-/// index the stream's interned string tables.
+/// index the stream's interned string tables; the producers live in the
+/// stream's flat producer array, read through [`DepStream::deps`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepOp {
     /// The engine's dynamic-instance uid (unique, monotonically assigned).
@@ -203,19 +204,24 @@ pub struct DepOp {
     pub issue: u64,
     /// Cycle the op committed (result became visible to consumers).
     pub commit: u64,
-    /// Uids of the producers this instance depended on.
-    pub deps: Vec<u64>,
+    /// This op's producers: `deps_len` uids from `deps_at` in
+    /// [`DepStream`]'s producer array.
+    deps_at: u32,
+    deps_len: u32,
     /// Replay metadata (defaulted for streams recorded via [`DepStream::record`]).
     pub meta: DepMeta,
 }
 
 /// The compact producer→consumer record of one run: interned string tables
-/// plus one [`DepOp`] per committed dynamic op, in commit order.
+/// plus one [`DepOp`] per committed dynamic op, in commit order, and every
+/// op's producer uids back to back in one array — recording or decoding a
+/// stream allocates nothing per op.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DepStream {
     names: Vec<String>,
     classes: Vec<String>,
     ops: Vec<DepOp>,
+    deps: Vec<u64>,
 }
 
 impl DepStream {
@@ -245,7 +251,7 @@ impl DepStream {
         class: &str,
         issue: u64,
         commit: u64,
-        deps: Vec<u64>,
+        deps: &[u64],
     ) {
         self.record_meta(uid, name, class, issue, commit, deps, DepMeta::default());
     }
@@ -259,18 +265,43 @@ impl DepStream {
         class: &str,
         issue: u64,
         commit: u64,
-        deps: Vec<u64>,
+        deps: &[u64],
         meta: DepMeta,
     ) {
         let name = self.intern_name(name);
         let class = self.intern_class(class);
+        self.record_interned(uid, name, class, issue, commit, deps, meta);
+    }
+
+    /// [`DepStream::record_meta`] with the mnemonic and the class already
+    /// interned through [`DepStream::intern_name`] and
+    /// [`DepStream::intern_class`] — for recorders that intern each static
+    /// instruction once.
+    ///
+    /// # Panics
+    ///
+    /// When the stream's producers outgrow `u32` offsets.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_interned(
+        &mut self,
+        uid: u64,
+        name: u32,
+        class: u32,
+        issue: u64,
+        commit: u64,
+        deps: &[u64],
+        meta: DepMeta,
+    ) {
+        let deps_at = u32::try_from(self.deps.len()).expect("fewer than 2^32 producers");
+        self.deps.extend_from_slice(deps);
         self.ops.push(DepOp {
             uid,
             name,
             class,
             issue,
             commit,
-            deps,
+            deps_at,
+            deps_len: deps.len() as u32,
             meta,
         });
     }
@@ -278,6 +309,12 @@ impl DepStream {
     /// Ops in commit order.
     pub fn ops(&self) -> &[DepOp] {
         &self.ops
+    }
+
+    /// Uids of the producers `op` depended on, sorted and distinct for
+    /// recorded streams. `op` must be one of this stream's [`DepStream::ops`].
+    pub fn deps(&self, op: &DepOp) -> &[u64] {
+        &self.deps[op.deps_at as usize..op.deps_at as usize + op.deps_len as usize]
     }
 
     /// Resolves an interned mnemonic.
@@ -317,52 +354,100 @@ impl DepStream {
     /// anything whose version *or* column list differs, so event-schema
     /// changes fail loudly instead of mis-replaying.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        fn strings(out: &mut String, key: &str, table: &[impl AsRef<str>]) {
-            let _ = write!(out, "\"{key}\": [");
-            for (i, s) in table.iter().enumerate() {
-                let sep = if i > 0 { ", " } else { "" };
-                let _ = write!(out, "{sep}\"{}\"", crate::json::escape(s.as_ref()));
-            }
-            out.push_str("],\n");
-        }
         // A row is ~45 bytes on the recorded MachSuite streams.
-        let mut out = String::with_capacity(256 + self.ops.len() * 64);
-        let _ = writeln!(out, "{{\n\"format_version\": {DEPSTREAM_FORMAT_VERSION},");
-        strings(&mut out, "columns", &DEPSTREAM_COLUMNS);
-        strings(&mut out, "names", &self.names);
-        strings(&mut out, "classes", &self.classes);
-        out.push_str("\"ops\": [");
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut out = Vec::with_capacity(256 + self.ops.len() * 64);
+        self.encode(&mut out, |_| Ok(()))
+            .expect("encoding into memory cannot fail");
+        out.push(b'\n');
+        String::from_utf8(out).expect("escaped JSON text is UTF-8")
+    }
+
+    /// Writes [`DepStream::to_json`]'s text, without its final newline, to
+    /// `out` in chunks of about 64 KiB — for containers (the DSE result
+    /// cache) that embed a stream in a larger file.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` fails with.
+    pub fn write_json(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        const CHUNK: usize = 1 << 16;
+        let mut buf = Vec::with_capacity(CHUNK + 512);
+        self.encode(&mut buf, |buf| {
+            if buf.len() >= CHUNK {
+                out.write_all(buf)?;
+                buf.clear();
             }
+            Ok(())
+        })?;
+        out.write_all(&buf)
+    }
+
+    /// Encodes the document into `buf`, handing `buf` to `spill` after
+    /// every row; `spill` may drain it.
+    fn encode(
+        &self,
+        buf: &mut Vec<u8>,
+        mut spill: impl FnMut(&mut Vec<u8>) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        fn strings(out: &mut Vec<u8>, key: &str, table: &[impl AsRef<str>]) {
+            out.push(b'"');
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\": [");
+            for (i, s) in table.iter().enumerate() {
+                if i > 0 {
+                    out.extend_from_slice(b", ");
+                }
+                out.push(b'"');
+                out.extend_from_slice(crate::json::escape(s.as_ref()).as_bytes());
+                out.push(b'"');
+            }
+            out.extend_from_slice(b"],\n");
+        }
+        buf.extend_from_slice(b"{\n\"format_version\": ");
+        push_u64(buf, DEPSTREAM_FORMAT_VERSION as u64);
+        buf.extend_from_slice(b",\n");
+        strings(buf, "columns", &DEPSTREAM_COLUMNS);
+        strings(buf, "names", &self.names);
+        strings(buf, "classes", &self.classes);
+        buf.extend_from_slice(b"\"ops\": [");
+        for (i, op) in self.ops.iter().enumerate() {
+            buf.extend_from_slice(if i > 0 { b",\n[" } else { b"\n[" });
             let m = &op.meta;
-            let _ = write!(
-                out,
-                "\n[{},{},{},{},{},{},{},{},{},{},{},{},{},[",
+            for (k, v) in [
                 op.uid,
-                op.name,
-                op.class,
+                op.name as u64,
+                op.class as u64,
                 op.issue,
                 op.commit,
-                m.kind.as_u8(),
-                m.latency,
-                m.inst,
-                m.group,
+                m.kind.as_u8() as u64,
+                m.latency as u64,
+                m.inst as u64,
+                m.group as u64,
                 m.ctrl,
                 m.addr_dep,
                 m.addr,
-                m.size,
-            );
-            for (k, d) in op.deps.iter().enumerate() {
-                let sep = if k > 0 { "," } else { "" };
-                let _ = write!(out, "{sep}{d}");
+                m.size as u64,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                if k > 0 {
+                    buf.push(b',');
+                }
+                push_u64(buf, v);
             }
-            out.push_str("]]");
+            buf.extend_from_slice(b",[");
+            for (k, &d) in self.deps(op).iter().enumerate() {
+                if k > 0 {
+                    buf.push(b',');
+                }
+                push_u64(buf, d);
+            }
+            buf.extend_from_slice(b"]]");
+            spill(buf)?;
         }
-        out.push_str("\n]\n}\n");
-        out
+        buf.extend_from_slice(b"\n]\n}");
+        Ok(())
     }
 
     /// Parses a stream serialized by [`DepStream::to_json`].
@@ -383,9 +468,10 @@ impl DepStream {
 
     /// [`DepStream::from_json`] at a cursor — for containers (the DSE
     /// result cache) that embed a stream inside a larger document. Rows
-    /// decode straight into [`DepOp`]s: a recorded stream runs to megabytes
-    /// of numeric cells, and a [`crate::json::Value`] tree of them costs
-    /// several times the stream itself.
+    /// decode straight into [`DepOp`]s and the producer array: a recorded
+    /// stream runs to megabytes of numeric cells, and a
+    /// [`crate::json::Value`] tree of them costs several times the stream
+    /// itself.
     ///
     /// # Errors
     ///
@@ -393,7 +479,7 @@ impl DepStream {
     /// column schema must precede the rows they describe.
     pub fn read_json(r: &mut Reader<'_>) -> Result<DepStream, String> {
         let (mut version_ok, mut columns_ok) = (false, false);
-        let (mut names, mut classes, mut ops) = (None, None, None);
+        let (mut names, mut classes, mut rows) = (None, None, None);
         let strings = |r: &mut Reader<'_>, key: &str| -> Result<Vec<String>, String> {
             let mut table = Vec::new();
             r.array(|r, _| r.string().map(|s| table.push(s)))
@@ -433,25 +519,27 @@ impl DepStream {
                     if !columns_ok {
                         return Err("missing columns field".into());
                     }
-                    let mut rows = Vec::new();
+                    let (mut ops, mut deps) = (Vec::new(), Vec::new());
                     r.array(|r, row| {
-                        let op = read_row(r).map_err(|(col, e)| {
+                        let op = read_row(r, &mut deps).map_err(|(col, e)| {
                             format!("op row {row} column {}: {e}", DEPSTREAM_COLUMNS[col])
                         })?;
-                        rows.push(op);
+                        ops.push(op);
                         Ok(())
                     })?;
-                    ops = Some(rows);
+                    rows = Some((ops, deps));
                 }
                 _ => drop(r.value()?),
             }
             Ok(())
         })
         .map_err(|e| format!("depstream: {e}"))?;
+        let (ops, deps) = rows.ok_or("depstream: missing ops array")?;
         Ok(DepStream {
             names: names.ok_or("depstream: missing names table")?,
             classes: classes.ok_or("depstream: missing classes table")?,
-            ops: ops.ok_or("depstream: missing ops array")?,
+            ops,
+            deps,
         })
     }
 }
@@ -466,51 +554,194 @@ pub const DEPSTREAM_COLUMNS: [&str; 14] = [
     "addr_dep", "addr", "size", "deps",
 ];
 
-/// Reads one op row, cell by cell in [`DEPSTREAM_COLUMNS`] order; an error
-/// carries the index of the offending column.
-fn read_row(r: &mut Reader<'_>) -> Result<DepOp, (usize, String)> {
+/// The largest value each numeric column holds, in [`DEPSTREAM_COLUMNS`]
+/// order (`kind` is checked against [`OpKind`] on top).
+const CELL_MAX: [u64; 13] = {
     const U32: u64 = u32::MAX as u64;
-    let mut col = 0;
-    // The next numeric cell, bounded by the width of its field.
-    let mut cell = |r: &mut Reader<'_>, max: u64| -> Result<u64, (usize, String)> {
-        let (at, open) = (col, if col == 0 { b'[' } else { b',' });
-        col += 1;
-        match r.expect(open).and_then(|()| r.u64()) {
-            Ok(v) if v <= max => Ok(v),
-            Ok(v) => Err((at, format!("{v} is out of range (at most {max})"))),
-            Err(e) => Err((at, e)),
+    const U64: u64 = u64::MAX;
+    [
+        U64,
+        U32,
+        U32,
+        U64,
+        U64,
+        u8::MAX as u64,
+        U32,
+        U32,
+        U32,
+        U64,
+        U64,
+        U64,
+        U32,
+    ]
+};
+
+/// Appends `v` in decimal, two digits per step.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    const PAIRS: [u8; 200] = {
+        let mut t = [0; 200];
+        let mut i = 0;
+        while i < 100 {
+            t[2 * i] = b'0' + (i / 10) as u8;
+            t[2 * i + 1] = b'0' + (i % 10) as u8;
+            i += 1;
         }
+        t
     };
-    let uid = cell(r, u64::MAX)?;
-    let name = cell(r, U32)? as u32;
-    let class = cell(r, U32)? as u32;
-    let issue = cell(r, u64::MAX)?;
-    let commit = cell(r, u64::MAX)?;
-    let kind = cell(r, u8::MAX as u64)?;
-    let kind = OpKind::from_u8(kind as u8).ok_or_else(|| (5, format!("unknown kind {kind}")))?;
-    let meta = DepMeta {
-        kind,
-        latency: cell(r, U32)? as u32,
-        inst: cell(r, U32)? as u32,
-        group: cell(r, U32)? as u32,
-        ctrl: cell(r, u64::MAX)?,
-        addr_dep: cell(r, u64::MAX)?,
-        addr: cell(r, u64::MAX)?,
-        size: cell(r, U32)? as u32,
+    if v < 10 {
+        out.push(b'0' + v as u8);
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if v > 0 {
+        // An odd digit count leaves the leading digit.
+        at -= 1;
+        digits[at] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Reads one op row, appending its producers to `deps`: one pass over
+/// the bytes for a row written as [`DepStream::to_json`] writes rows and,
+/// for anything else, the checked cell-by-cell reader, which gives the
+/// error.
+fn read_row(r: &mut Reader<'_>, deps: &mut Vec<u64>) -> Result<DepOp, (usize, String)> {
+    let deps_at = deps.len();
+    let mut cells = [0u64; 13];
+    if let Some((op, len)) = plain_row(r.rest(), &mut cells, deps) {
+        r.advance(len);
+        return Ok(op);
+    }
+    deps.truncate(deps_at);
+    read_row_checked(r, &mut cells, deps)
+}
+
+/// The row at the start of `text` — after whitespace, with none inside,
+/// every cell in range — and its length in bytes, or `None`.
+fn plain_row(text: &[u8], cells: &mut [u64; 13], deps: &mut Vec<u64>) -> Option<(DepOp, usize)> {
+    let deps_at = deps.len();
+    let mut at = text
+        .iter()
+        .position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))?;
+    let byte = |at: &mut usize, b: u8| {
+        let hit = text.get(*at) == Some(&b);
+        *at += hit as usize;
+        hit
     };
-    let mut deps = Vec::new();
+    if !byte(&mut at, b'[') {
+        return None;
+    }
+    for (k, cell) in cells.iter_mut().enumerate() {
+        if k > 0 && !byte(&mut at, b',') {
+            return None;
+        }
+        let (v, len) = plain_u64(&text[at..])?;
+        if v > CELL_MAX[k] {
+            return None;
+        }
+        *cell = v;
+        at += len;
+    }
+    if !(byte(&mut at, b',') && byte(&mut at, b'[')) {
+        return None;
+    }
+    if !byte(&mut at, b']') {
+        loop {
+            let (d, len) = plain_u64(&text[at..])?;
+            deps.push(d);
+            at += len;
+            if byte(&mut at, b']') {
+                break;
+            }
+            if !byte(&mut at, b',') {
+                return None;
+            }
+        }
+    }
+    if !byte(&mut at, b']') {
+        return None;
+    }
+    Some((row_op(cells, deps_at, deps.len()).ok()?, at))
+}
+
+/// The decimal number at the start of `text` and its length, or `None`
+/// wherever [`Reader::u64`] would fail: no digit, more than 64 bits, or a
+/// fraction, sign or exponent after the digits.
+fn plain_u64(text: &[u8]) -> Option<(u64, usize)> {
+    let stray = |at: usize| matches!(text.get(at), Some(b'.' | b'e' | b'E' | b'-' | b'+'));
+    let mut v = 0u64;
+    let mut len = 0;
+    while let Some(&b) = text.get(len) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        v = v.checked_mul(10)?.checked_add(digit as u64)?;
+        len += 1;
+    }
+    (len > 0 && !stray(len)).then_some((v, len))
+}
+
+/// Reads one op row cell by cell in [`DEPSTREAM_COLUMNS`] order; an error
+/// carries the index of the offending column.
+fn read_row_checked(
+    r: &mut Reader<'_>,
+    cells: &mut [u64; 13],
+    deps: &mut Vec<u64>,
+) -> Result<DepOp, (usize, String)> {
+    let deps_at = deps.len();
+    for (col, cell) in cells.iter_mut().enumerate() {
+        let (open, max) = (if col == 0 { b'[' } else { b',' }, CELL_MAX[col]);
+        *cell = match r.expect(open).and_then(|()| r.u64()) {
+            Ok(v) if v <= max => v,
+            Ok(v) => return Err((col, format!("{v} is out of range (at most {max})"))),
+            Err(e) => return Err((col, e)),
+        };
+        if col == 5 {
+            OpKind::from_u8(*cell as u8).ok_or_else(|| (5, format!("unknown kind {cell}")))?;
+        }
+    }
     r.expect(b',')
         .and_then(|()| r.array(|r, _| r.u64().map(|d| deps.push(d))))
         .and_then(|()| r.expect(b']'))
         .map_err(|e| (13, e))?;
+    row_op(cells, deps_at, deps.len())
+}
+
+/// The op of a row whose cells are in range, with its producers at
+/// `deps_at..deps_end` of the stream's producer array.
+fn row_op(cells: &[u64; 13], deps_at: usize, deps_end: usize) -> Result<DepOp, (usize, String)> {
+    let kind =
+        OpKind::from_u8(cells[5] as u8).ok_or_else(|| (5, format!("unknown kind {}", cells[5])))?;
+    let deps_at = u32::try_from(deps_at)
+        .ok()
+        .filter(|_| deps_end <= u32::MAX as usize)
+        .ok_or_else(|| (13, "more than 2^32 producers in one stream".to_string()))?;
     Ok(DepOp {
-        uid,
-        name,
-        class,
-        issue,
-        commit,
-        deps,
-        meta,
+        uid: cells[0],
+        name: cells[1] as u32,
+        class: cells[2] as u32,
+        issue: cells[3],
+        commit: cells[4],
+        deps_at,
+        deps_len: (deps_end - deps_at as usize) as u32,
+        meta: DepMeta {
+            kind,
+            latency: cells[6] as u32,
+            inst: cells[7] as u32,
+            group: cells[8] as u32,
+            ctrl: cells[9],
+            addr_dep: cells[10],
+            addr: cells[11],
+            size: cells[12] as u32,
+        },
     })
 }
 
@@ -599,9 +830,9 @@ mod tests {
     #[test]
     fn depstream_interns_and_resolves() {
         let mut s = DepStream::new();
-        s.record(1, "load", "load", 0, 2, vec![]);
-        s.record(2, "fmul", "fp_mul_f64", 3, 7, vec![1]);
-        s.record(3, "load", "load", 1, 3, vec![]);
+        s.record(1, "load", "load", 0, 2, &[]);
+        s.record(2, "fmul", "fp_mul_f64", 3, 7, &[1]);
+        s.record(3, "load", "load", 1, 3, &[]);
         assert_eq!(s.len(), 3);
         assert_eq!(s.ops()[0].name, s.ops()[2].name, "mnemonics interned once");
         assert_eq!(s.name(s.ops()[1].name), "fmul");
@@ -612,14 +843,14 @@ mod tests {
     #[test]
     fn depstream_json_roundtrip_preserves_everything() {
         let mut s = DepStream::new();
-        s.record(1, "load", "load", 0, 2, vec![]);
+        s.record(1, "load", "load", 0, 2, &[]);
         s.record_meta(
             2,
             "fmul",
             "fp_mul_f64",
             3,
             7,
-            vec![1],
+            &[1],
             DepMeta {
                 kind: OpKind::Compute,
                 latency: 4,
@@ -637,7 +868,7 @@ mod tests {
             "store",
             8,
             9,
-            vec![2],
+            &[2],
             DepMeta {
                 kind: OpKind::Store,
                 latency: 1,
@@ -659,7 +890,7 @@ mod tests {
     #[test]
     fn depstream_import_rejects_other_versions_and_schemas() {
         let mut s = DepStream::new();
-        s.record(1, "add", "int_adder", 0, 1, vec![]);
+        s.record(1, "add", "int_adder", 0, 1, &[]);
         let json = s.to_json();
         // Foreign version: loud failure naming both versions.
         let bumped = json.replace(
@@ -690,8 +921,8 @@ mod tests {
     #[test]
     fn depstream_rows_reject_cells_their_field_cannot_hold() {
         let mut s = DepStream::new();
-        s.record(1, "add", "int_adder", 0, 1, vec![]);
-        s.record(2, "add", "int_adder", 1, 2, vec![1]);
+        s.record(1, "add", "int_adder", 0, 1, &[]);
+        s.record(2, "add", "int_adder", 1, 2, &[1]);
         let json = s.to_json();
         let row = "[2,0,0,1,2,0,0,0,0,0,0,0,0,[1]]";
         assert!(json.contains(row));
@@ -712,10 +943,118 @@ mod tests {
     }
 
     #[test]
+    fn integers_print_as_display_does() {
+        let mut values = vec![
+            0,
+            9,
+            10,
+            99,
+            100,
+            101,
+            999,
+            1000,
+            1001,
+            u64::MAX,
+            u64::MAX - 1,
+        ];
+        let mut x = 1u64;
+        while let Some(next) = x.checked_mul(7) {
+            values.extend([x - 1, x, x + 1]);
+            x = next;
+        }
+        for v in values {
+            let mut out = Vec::new();
+            push_u64(&mut out, v);
+            assert_eq!(String::from_utf8(out).unwrap(), v.to_string());
+        }
+    }
+
+    /// The word-at-a-time reader agrees with `Reader::u64` on numbers of
+    /// every length, before every kind of byte, near the end of the text
+    /// and far from it.
+    #[test]
+    fn plain_u64_agrees_with_the_checked_reader() {
+        let mut rng = crate::SplitMix64::new(7);
+        let mut numbers = vec![
+            "0".to_string(),
+            "18446744073709551615".into(),
+            "18446744073709551616".into(),
+            "99999999999999999999".into(),
+            "0000000000000000000001".into(),
+        ];
+        for digits in 1..=20 {
+            for _ in 0..20 {
+                let n: String = (0..digits)
+                    .map(|_| char::from(b'0' + (rng.next_u64() % 10) as u8))
+                    .collect();
+                numbers.push(n);
+            }
+        }
+        for n in &numbers {
+            for after in [
+                "",
+                ",",
+                "]",
+                " ",
+                ".5",
+                "e3",
+                "E3",
+                "-1",
+                "+1",
+                "x",
+                ",1,2,3,4,5,6,7,8,9,10]",
+            ] {
+                let text = format!("{n}{after}");
+                let digits = text.bytes().take_while(u8::is_ascii_digit).count();
+                let want = Reader::new(&text).u64().ok().map(|v| (v, digits));
+                assert_eq!(plain_u64(text.as_bytes()), want, "{text:?}");
+            }
+        }
+        assert_eq!(plain_u64(b""), None);
+        assert_eq!(plain_u64(b",1"), None);
+    }
+
+    /// Rows written other than as `to_json` writes them — whitespace
+    /// between cells, leading zeros — still decode, through the checked
+    /// reader, into the stream `to_json` writes canonically.
+    #[test]
+    fn non_canonical_rows_decode_through_the_checked_reader() {
+        let mut s = DepStream::new();
+        s.record(1, "add", "int_adder", 0, 1, &[]);
+        s.record(2, "add", "int_adder", 1, 2, &[1]);
+        s.record(3, "mul", "int_multiplier", 2, 5, &[1, 2]);
+        let json = s.to_json();
+        let spaced = json
+            .replace(
+                "[2,0,0,1,2,0,0,0,0,0,0,0,0,[1]]",
+                "[ 2, 0,0,1,2,0,0,0,0,0,0,0,0 , [ 01 ] ]",
+            )
+            .replace(",[1,2]]", ",[1,\n2]\n]");
+        assert_ne!(spaced, json);
+        let back = DepStream::from_json(&spaced).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.deps(&back.ops()[2]), [1, 2]);
+        assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn write_json_is_to_json_without_its_last_newline() {
+        let mut s = DepStream::new();
+        for uid in 1..5000 {
+            s.record(uid, "add", "int_adder", uid, uid + 1, &[uid - 1, uid / 2]);
+        }
+        let mut out = Vec::new();
+        s.write_json(&mut out).unwrap();
+        let json = s.to_json();
+        assert!(json.len() > 1 << 17, "spans several chunks");
+        assert_eq!(format!("{}\n", String::from_utf8(out).unwrap()), json);
+    }
+
+    #[test]
     fn depstream_to_trace_spans_every_op_and_draws_path_edges() {
         let mut s = DepStream::new();
-        s.record(1, "load", "load", 0, 2, vec![]);
-        s.record(2, "fmul", "fp_mul_f64", 3, 7, vec![1]);
+        s.record(1, "load", "load", 0, 2, &[]);
+        s.record(2, "fmul", "fp_mul_f64", 3, 7, &[1]);
         let rec = depstream_to_trace(&s, &[1, 2], 1000);
         let begins = rec
             .events()

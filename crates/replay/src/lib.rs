@@ -303,17 +303,18 @@ impl Prepared {
             if mem_class && m.kind == OpKind::Compute {
                 return bad("stream lacks replay metadata (recorded without record_meta?)".into());
             }
-            for &d in &op.deps {
+            let deps = stream.deps(op);
+            for &d in deps {
                 if d == 0 || d > n as u64 {
                     return bad(format!("dep {d} of uid {uid} outside dense range"));
                 }
                 cons_off[d as usize] += 1;
                 producers.push(d as u32);
             }
-            if op.deps.len() > MAX_DEPS as usize {
-                return bad(format!("uid {uid} has {} dependences", op.deps.len()));
+            if deps.len() > MAX_DEPS as usize {
+                return bad(format!("uid {uid} has {} dependences", deps.len()));
             }
-            dep_count.push(op.deps.len() as u32);
+            dep_count.push(deps.len() as u32);
             if m.addr_dep >= uid {
                 return bad(format!(
                     "addr_dep {} of uid {uid} is not an earlier uid",
@@ -667,7 +668,7 @@ fn run(
                 stream.class(src.class),
                 issue,
                 commit,
-                src.deps.clone(),
+                stream.deps(src),
                 src.meta,
             );
         }

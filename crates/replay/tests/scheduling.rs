@@ -12,7 +12,7 @@ fn alu(s: &mut DepStream, uid: u64, class: &str, latency: u32, deps: &[u64], gro
         ctrl: group.1,
         ..DepMeta::default()
     };
-    s.record_meta(uid, class, class, 0, 0, deps.to_vec(), meta);
+    s.record_meta(uid, class, class, 0, 0, deps, meta);
 }
 
 /// Appends an 8-byte access to `addr` in the entry group.
@@ -30,7 +30,7 @@ fn access(s: &mut DepStream, uid: u64, kind: OpKind, addr: u64, addr_dep: u64) {
         addr_dep,
         ..DepMeta::default()
     };
-    s.record_meta(uid, class, class, 0, 0, vec![], meta);
+    s.record_meta(uid, class, class, 0, 0, &[], meta);
 }
 
 fn adders(n: u32) -> ReplayConfig {
@@ -166,7 +166,7 @@ fn group_import_waits_for_its_terminator() {
 #[test]
 fn missing_metadata_is_rejected_loudly() {
     let mut s = DepStream::new();
-    s.record(1, "load", "load", 0, 2, vec![]); // legacy record(): no meta
+    s.record(1, "load", "load", 0, 2, &[]); // legacy record(): no meta
     let err = replay(&s, &ReplayConfig::default()).unwrap_err();
     assert!(matches!(err, ReplayError::BadStream(_)), "{err}");
     assert!(err.to_string().contains("metadata"), "{err}");

@@ -29,7 +29,7 @@ fn loop_stream(trips: u64, mul_latency: u32, addrs: Addrs, thue_morse: bool) -> 
     let mut next = |s: &mut DepStream, kind: OpKind, class: &str, meta: DepMeta, deps: Vec<u64>| {
         uid += 1;
         let meta = DepMeta { kind, ..meta };
-        s.record_meta(uid, class, class, 0, 0, deps, meta);
+        s.record_meta(uid, class, class, 0, 0, &deps, meta);
         uid
     };
     let entry = DepMeta::default();

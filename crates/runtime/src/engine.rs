@@ -306,7 +306,10 @@ struct Edge {
     next: u32,
 }
 
-/// Per-op depstream metadata, kept only under `record_depstream`.
+/// Per-op depstream metadata, kept only under `record_depstream`. The
+/// producers need no copy: an op's operand producers sit in
+/// `Live::operand_uids` from import on, its strict-hazard producers in
+/// `Live::dep_hazards`.
 #[derive(Debug, Default)]
 struct DepRec {
     issue_cycle: u64,
@@ -317,9 +320,7 @@ struct DepRec {
     group: u32,
     /// Uid of the terminator whose issue imported this op's block (0 for
     /// the entry block).
-    ctrl: u64,
-    /// Producer uids captured at import, before any of them commits.
-    all_deps: Vec<u64>,
+    ctrl: u32,
 }
 
 /// Event counts of the hot path, on flat arrays indexed by `IssueClass`,
@@ -384,7 +385,15 @@ struct Live {
     free_edge: u32,
     /// Latest dynamic instance per `InstId` (0 = none yet).
     last_instance: Vec<u32>,
+    // Depstream recording only: per-uid records, the strict-hazard
+    // producers of the ops that have any, a buffer the committing op's
+    // producers are gathered in, and each static instruction's interned
+    // (name, class), set on its first commit so the string tables stay in
+    // first-commit order.
     dep_recs: Vec<DepRec>,
+    dep_hazards: HashMap<u32, Vec<u64>>,
+    dep_buf: Vec<u64>,
+    dep_names: Vec<Option<(u32, u32)>>,
     // Strict register hazards only: readers of each uid, and ops waiting
     // for a reader to issue.
     readers_of: HashMap<u32, Vec<u32>>,
@@ -448,6 +457,10 @@ impl Engine {
             fu_energy_pj[k as usize] = profile.spec(k).dynamic_energy_pj(cfg.clock_period_ps);
         }
         stats.depstream = cfg.record_depstream.then(salam_obs::DepStream::new);
+        let dep_names = match cfg.record_depstream {
+            true => vec![None; func.num_insts()],
+            false => Vec::new(),
+        };
 
         let mut ops = Vec::with_capacity(func.num_insts());
         let mut templates = Vec::with_capacity(2 * func.num_insts());
@@ -507,6 +520,9 @@ impl Engine {
             edges: Vec::new(),
             free_edge: NIL,
             dep_recs: Vec::new(),
+            dep_hazards: HashMap::new(),
+            dep_buf: Vec::new(),
+            dep_names,
             readers_of: HashMap::new(),
             issue_waiters: HashMap::new(),
             token_uid: vec![0],
@@ -609,6 +625,12 @@ impl Engine {
     /// brought up to date when the run drains and on every error return.
     pub fn stats(&self) -> &EngineStats {
         &self.live.stats
+    }
+
+    /// The engine's statistics, by value — a recorded depstream and
+    /// timeline move out instead of being copied.
+    pub fn into_stats(self) -> EngineStats {
+        self.live.stats
     }
 
     /// Cycles elapsed.
@@ -1081,29 +1103,24 @@ impl Live {
         let uid = self.dyn_ops.len() as u32;
         let operands = self.operand_uids.len() as u32;
         let (mut pending, phi_edge) = self.resolve_operands(uid, inst, &sop, pred, sched)?;
-        let mut hazard_deps = Vec::new();
         if sop.has_result {
             if self.cfg.strict_register_hazards {
-                hazard_deps = self.strict_hazards(uid, inst, sched);
-                pending += hazard_deps.len() as u32;
+                let hazards = self.strict_hazards(uid, inst, sched);
+                pending += hazards.len() as u32;
+                if self.cfg.record_depstream && !hazards.is_empty() {
+                    self.dep_hazards.insert(uid, hazards);
+                }
             }
             self.last_instance[inst as usize] = uid;
         }
 
         if self.cfg.record_depstream {
-            // Producer uids captured now, before any of them commits.
-            let mut all_deps = hazard_deps;
-            let srcs = &self.operand_uids[operands as usize..];
-            all_deps.extend(srcs.iter().filter(|&&s| s != 0).map(|&s| s as u64));
-            all_deps.sort_unstable();
-            all_deps.dedup();
             self.dep_recs.resize_with(uid as usize, DepRec::default);
             self.dep_recs.push(DepRec {
                 issue_cycle: 0,
                 latency: sop.latency,
                 group,
-                ctrl: ctrl as u64,
-                all_deps,
+                ctrl,
             });
         }
 
@@ -1282,7 +1299,7 @@ impl Live {
             return;
         };
         let sop = &self.ops[d.inst as usize];
-        let rec = &mut self.dep_recs[uid as usize];
+        let rec = &self.dep_recs[uid as usize];
         let (addr, size) = if d.span_known {
             (d.addr, sop.access_size)
         } else {
@@ -1297,18 +1314,42 @@ impl Live {
             latency: rec.latency,
             inst: d.inst,
             group: rec.group,
-            ctrl: rec.ctrl,
+            ctrl: rec.ctrl as u64,
             addr_dep: d.addr_dep as u64,
             addr,
             size,
         };
-        ds.record_meta(
+        let (name, class) = *self.dep_names[d.inst as usize].get_or_insert_with(|| {
+            (
+                ds.intern_name(self.func.inst(InstId::from_raw(d.inst)).op.mnemonic()),
+                ds.intern_class(sop.res_class()),
+            )
+        });
+        // The producers captured at import, sorted and distinct: strict
+        // hazards, then the operands' (a phi keeps only its taken edge).
+        let deps = &mut self.dep_buf;
+        deps.clear();
+        if !self.dep_hazards.is_empty() {
+            deps.extend(self.dep_hazards.remove(&uid).unwrap_or_default());
+        }
+        let operands = if sop.eval == Eval::Phi {
+            1
+        } else {
+            sop.opnd_len
+        };
+        let srcs = &self.operand_uids[d.operands as usize..(d.operands + operands) as usize];
+        deps.extend(srcs.iter().filter(|&&s| s != 0).map(|&s| s as u64));
+        if deps.len() > 1 {
+            deps.sort_unstable();
+            deps.dedup();
+        }
+        ds.record_interned(
             uid as u64,
-            self.func.inst(InstId::from_raw(d.inst)).op.mnemonic(),
-            sop.res_class(),
+            name,
+            class,
             rec.issue_cycle,
             self.cycle,
-            std::mem::take(&mut rec.all_deps),
+            deps,
             meta,
         );
     }

@@ -2,7 +2,9 @@
 //! load results and each cycle's completions travel inline or in buffers
 //! that are reused, so a run's heap allocations grow with the logarithm of
 //! its length (amortised table growth), not with its loads, stores or
-//! cycles.
+//! cycles. Recording a depstream and decoding one allocate nothing per op
+//! either: producers go to flat arrays, names are interned once per
+//! instruction.
 //!
 //! The counting allocator is process-wide, so this binary holds one test.
 
@@ -13,6 +15,7 @@ use hw_profile::HardwareProfile;
 use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_ir::interp::RtVal;
 use salam_ir::{FunctionBuilder, Type};
+use salam_obs::DepStream;
 use salam_runtime::{Engine, EngineConfig, SimpleMem};
 
 /// The system allocator, counting allocations and reallocations.
@@ -44,10 +47,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `c[i] = a[i] + b[i]` over `n` doubles on a `SimpleMem`: heap
-/// allocations made by the run itself, and the dynamic instructions it
-/// issued.
-fn vadd_run(n: u64) -> (u64, u64) {
+/// One `vadd_run`: heap allocations made by the run itself, the dynamic
+/// instructions it issued and, when recorded, its depstream.
+struct Run {
+    allocations: u64,
+    insts: u64,
+    stream: Option<DepStream>,
+}
+
+/// `c[i] = a[i] + b[i]` over `n` doubles on a `SimpleMem`, recording the
+/// depstream when `record` is set.
+fn vadd_run(n: u64, record: bool) -> Run {
     let mut fb = FunctionBuilder::new(
         "vadd",
         &[
@@ -80,7 +90,11 @@ fn vadd_run(n: u64) -> (u64, u64) {
     // the memory model, not to the data path under test.
     mem.memory_mut().write_f64_slice(pc, &vec![0.0; n as usize]);
     let args = vec![RtVal::P(pa), RtVal::P(pb), RtVal::P(pc), RtVal::I(n as i64)];
-    let mut engine = Engine::new(f, cdfg, profile, EngineConfig::default(), args);
+    let cfg = EngineConfig {
+        record_depstream: record,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::new(f, cdfg, profile, cfg, args);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     engine.run_to_completion(&mut mem);
@@ -91,21 +105,57 @@ fn vadd_run(n: u64) -> (u64, u64) {
         .read_f64_slice(pc, n as usize)
         .iter()
         .all(|&v| v == 3.0));
-    (allocations, engine.stats().total_issued())
+    let insts = engine.stats().total_issued();
+    Run {
+        allocations,
+        insts,
+        stream: engine.into_stats().depstream,
+    }
+}
+
+/// Heap allocations `f` makes.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+/// Allocations added per dynamic instruction from the 256- to the
+/// 8192-element run.
+fn added_per_inst(record: bool) -> f64 {
+    let (small, large) = (vadd_run(256, record), vadd_run(8192, record));
+    let added = large.allocations.saturating_sub(small.allocations);
+    let per_inst = added as f64 / (large.insts - small.insts) as f64;
+    eprintln!(
+        "record={record}: {added} more allocations for {} more dynamic instructions \
+         ({} → {} allocations)",
+        large.insts - small.insts,
+        small.allocations,
+        large.allocations
+    );
+    per_inst
 }
 
 #[test]
 fn engine_allocations_do_not_grow_with_accesses() {
-    let (small, small_insts) = vadd_run(256);
-    let (large, large_insts) = vadd_run(8192);
-    let added = large.saturating_sub(small);
-    let per_inst = added as f64 / (large_insts - small_insts) as f64;
     // 7 936 more iterations, each two loads, a store and at least one
     // cycle: one allocation per access would add ~24 000.
+    assert!(added_per_inst(false) < 0.005);
+
+    // One allocation per recorded op would add one per dynamic
+    // instruction.
+    assert!(added_per_inst(true) < 0.01);
+
+    // Decoding the recorded stream: the tables and the two flat arrays
+    // grow by doubling; no row allocates.
+    let stream = vadd_run(8192, true).stream.expect("recorded");
+    let text = stream.to_json();
+    let (decoding, back) = allocations_of(|| DepStream::from_json(&text));
+    assert_eq!(back.as_ref(), Ok(&stream));
+    let per_op = decoding as f64 / stream.len() as f64;
     assert!(
-        per_inst < 0.005,
-        "{added} more allocations for {} more dynamic instructions \
-         ({small} → {large} allocations)",
-        large_insts - small_insts
+        per_op < 0.01,
+        "{decoding} allocations decoding {} ops",
+        stream.len()
     );
 }

@@ -33,7 +33,7 @@ fn golden_stream() -> DepStream {
         "load",
         0,
         2,
-        vec![],
+        &[],
         DepMeta {
             kind: OpKind::Load,
             latency: 1,
@@ -49,7 +49,7 @@ fn golden_stream() -> DepStream {
         "int_adder",
         2,
         3,
-        vec![1],
+        &[1],
         DepMeta {
             latency: 1,
             inst: 1,
@@ -62,7 +62,7 @@ fn golden_stream() -> DepStream {
         "control",
         3,
         3,
-        vec![2],
+        &[2],
         DepMeta { inst: 2, ..m() },
     );
     // Second group, fetched by the terminator: load -> fmul -> store.
@@ -72,7 +72,7 @@ fn golden_stream() -> DepStream {
         "load",
         4,
         6,
-        vec![],
+        &[],
         DepMeta {
             kind: OpKind::Load,
             latency: 1,
@@ -90,7 +90,7 @@ fn golden_stream() -> DepStream {
         "fp_mul_dp",
         6,
         10,
-        vec![4, 2],
+        &[4, 2],
         DepMeta {
             latency: 4,
             inst: 4,
@@ -105,7 +105,7 @@ fn golden_stream() -> DepStream {
         "store",
         10,
         12,
-        vec![5],
+        &[5],
         DepMeta {
             kind: OpKind::Store,
             latency: 1,
@@ -159,7 +159,7 @@ fn golden_fixture_round_trips() {
         assert_eq!(parsed.name(p.name), built.name(b.name));
         assert_eq!(parsed.class(p.class), built.class(b.class));
         assert_eq!((p.issue, p.commit), (b.issue, b.commit));
-        assert_eq!(p.deps, b.deps);
+        assert_eq!(parsed.deps(p), built.deps(b));
         assert_eq!(p.meta, b.meta);
     }
 }

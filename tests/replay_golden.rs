@@ -187,9 +187,9 @@ fn deadlock_and_cycle_limit_are_pinned() {
 
     // uid 1 commits at cycle 2; uids 2 and 3 wait on each other forever.
     let mut wedged = DepStream::new();
-    wedged.record_meta(1, "add", "int_adder", 0, 0, vec![], compute(2));
-    wedged.record_meta(2, "add", "int_adder", 0, 0, vec![1, 3], compute(1));
-    wedged.record_meta(3, "ret", "other", 0, 0, vec![2], compute(0));
+    wedged.record_meta(1, "add", "int_adder", 0, 0, &[], compute(2));
+    wedged.record_meta(2, "add", "int_adder", 0, 0, &[1, 3], compute(1));
+    wedged.record_meta(3, "ret", "other", 0, 0, &[2], compute(0));
     let cfg = ReplayConfig {
         fu_pool: pool.clone(),
         ..ReplayConfig::default()
@@ -205,8 +205,8 @@ fn deadlock_and_cycle_limit_are_pinned() {
 
     // A five-cycle add against a three-cycle budget.
     let mut slow = DepStream::new();
-    slow.record_meta(1, "add", "int_adder", 0, 0, vec![], compute(5));
-    slow.record_meta(2, "ret", "other", 0, 0, vec![1], compute(0));
+    slow.record_meta(1, "add", "int_adder", 0, 0, &[], compute(5));
+    slow.record_meta(2, "ret", "other", 0, 0, &[1], compute(0));
     let cfg = ReplayConfig {
         fu_pool: pool,
         max_cycles: 3,
