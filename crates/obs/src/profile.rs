@@ -519,7 +519,13 @@ impl DepStream {
                     if !columns_ok {
                         return Err("missing columns field".into());
                     }
-                    let (mut ops, mut deps) = (Vec::new(), Vec::new());
+                    // A row and the byte after it take at least 31 bytes
+                    // of text, so the op array is sized once instead of
+                    // doubling through megabytes of fresh pages; its
+                    // untouched tail is address space only, handed back
+                    // below.
+                    let mut ops = Vec::with_capacity(r.rest().len() / 31);
+                    let mut deps = Vec::new();
                     r.array(|r, row| {
                         let op = read_row(r, &mut deps).map_err(|(col, e)| {
                             format!("op row {row} column {}: {e}", DEPSTREAM_COLUMNS[col])
@@ -527,6 +533,7 @@ impl DepStream {
                         ops.push(op);
                         Ok(())
                     })?;
+                    ops.shrink_to_fit();
                     rows = Some((ops, deps));
                 }
                 _ => drop(r.value()?),
