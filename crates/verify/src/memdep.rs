@@ -196,34 +196,45 @@ impl Affine {
         self.terms.is_empty()
     }
 
-    fn normalize(mut self) -> Self {
+    /// Merges equal terms and drops zero strides; `None` when a merged
+    /// stride overflows.
+    fn normalize(mut self) -> Option<Self> {
         self.terms.sort_by_key(|&(v, _)| v);
         let mut merged: Vec<(ValueId, i64)> = Vec::with_capacity(self.terms.len());
         for (v, s) in self.terms {
             match merged.last_mut() {
-                Some((lv, ls)) if *lv == v => *ls += s,
+                Some((lv, ls)) if *lv == v => *ls = ls.checked_add(s)?,
                 _ => merged.push((v, s)),
             }
         }
         merged.retain(|&(_, s)| s != 0);
         self.terms = merged;
-        self
+        Some(self)
     }
 
-    fn add(&self, other: &Affine, sign: i64) -> Affine {
+    fn add(&self, other: &Affine, sign: i64) -> Option<Affine> {
         let mut terms = self.terms.clone();
-        terms.extend(other.terms.iter().map(|&(v, s)| (v, s * sign)));
+        for &(v, s) in &other.terms {
+            terms.push((v, s.checked_mul(sign)?));
+        }
         Affine {
-            base: self.base + other.base * sign as i128,
+            base: self
+                .base
+                .checked_add(other.base.checked_mul(sign as i128)?)?,
             terms,
         }
         .normalize()
     }
 
-    fn scale(&self, k: i64) -> Affine {
+    fn scale(&self, k: i64) -> Option<Affine> {
+        let terms = self
+            .terms
+            .iter()
+            .map(|&(v, s)| Some((v, s.checked_mul(k)?)))
+            .collect::<Option<_>>()?;
         Affine {
-            base: self.base * k as i128,
-            terms: self.terms.iter().map(|&(v, s)| (v, s * k)).collect(),
+            base: self.base.checked_mul(k as i128)?,
+            terms,
         }
         .normalize()
     }
@@ -357,20 +368,20 @@ impl<'a> Resolver<'a> {
                     Opcode::Add => {
                         let a = self.resolve(inst.operands[0])?;
                         let b = self.resolve(inst.operands[1])?;
-                        Some(a.add(&b, 1))
+                        a.add(&b, 1)
                     }
                     Opcode::Sub => {
                         let a = self.resolve(inst.operands[0])?;
                         let b = self.resolve(inst.operands[1])?;
-                        Some(a.add(&b, -1))
+                        a.add(&b, -1)
                     }
                     Opcode::Mul => {
                         let a = self.resolve(inst.operands[0])?;
                         let b = self.resolve(inst.operands[1])?;
                         if b.is_constant() {
-                            Some(a.scale(i64::try_from(b.base).ok()?))
+                            a.scale(i64::try_from(b.base).ok()?)
                         } else if a.is_constant() {
-                            Some(b.scale(i64::try_from(a.base).ok()?))
+                            b.scale(i64::try_from(a.base).ok()?)
                         } else {
                             None
                         }
@@ -379,7 +390,7 @@ impl<'a> Resolver<'a> {
                         let a = self.resolve(inst.operands[0])?;
                         let b = self.resolve(inst.operands[1])?;
                         if b.is_constant() && (0..=62).contains(&b.base) {
-                            Some(a.scale(1i64 << b.base))
+                            a.scale(1i64 << b.base)
                         } else {
                             None
                         }
@@ -404,7 +415,7 @@ impl<'a> Resolver<'a> {
                             }
                             let i = self.resolve(idx)?;
                             let sz = i64::try_from(cur.size_bytes()).ok()?;
-                            addr = addr.add(&i.scale(sz), 1);
+                            addr = addr.add(&i.scale(sz)?, 1)?;
                         }
                         Some(addr)
                     }
@@ -518,11 +529,14 @@ impl<'a> Resolver<'a> {
             if r.count == 0 {
                 return None; // never executed
             }
-            let (c0, c1) = (s as i128 * r.start, s as i128 * r.last());
-            lo += c0.min(c1);
-            hi += c0.max(c1);
+            let (c0, c1) = (
+                (s as i128).checked_mul(r.start)?,
+                (s as i128).checked_mul(r.last())?,
+            );
+            lo = lo.checked_add(c0.min(c1))?;
+            hi = hi.checked_add(c0.max(c1))?;
         }
-        Some((lo, hi + size as i128))
+        Some((lo, hi.checked_add(size as i128)?))
     }
 }
 
@@ -663,7 +677,9 @@ pub fn static_memdeps(f: &Function, args: &[RtVal]) -> StaticDeps {
                 };
                 // addr_a(k1) = addr_b(k2)  ⇒  k2 = k1 + diff/iter_step, so
                 // the sign of delta says which access executes first.
-                let diff = a.base - b.base;
+                let Some(diff) = a.base.checked_sub(b.base) else {
+                    continue;
+                };
                 let (src, dst, distance): (&StaticAccess, &StaticAccess, u64) = if iter_step == 0 {
                     if diff != 0 {
                         continue; // distinct fixed addresses, no overlap
@@ -994,6 +1010,27 @@ mod tests {
         // No argument values: the base pointer is unknown, nothing resolves.
         assert!(check_bounds(&f, &[], &[MemRegion::new(0, 8, "spm")]).is_empty());
         assert!(static_memdeps(&f, &[]).diags.is_empty());
+    }
+
+    #[test]
+    fn overflowing_strides_stay_unresolved() {
+        // for i in 0..8 { a[i << 62] = i } — the element stride 8·2⁶²
+        // does not fit an i64, so the address has no affine form.
+        let mut fb = FunctionBuilder::new("wide", &[("a", Type::Ptr)]);
+        let a = fb.arg(0);
+        let zero = fb.i64c(0);
+        let n = fb.i64c(8);
+        fb.counted_loop("i", zero, n, |fb, iv| {
+            let k = fb.i64c(62);
+            let x = fb.shl(iv, k, "x");
+            let p = fb.gep1(Type::I64, a, x, "p");
+            fb.store(iv, p);
+        });
+        fb.ret();
+        let f = fb.finish();
+        let args = [RtVal::P(0x1000)];
+        assert!(static_memdeps(&f, &args).edges.is_empty());
+        assert!(check_bounds(&f, &args, &[MemRegion::new(0x1000, 0x1040, "spm")]).is_empty());
     }
 
     #[test]
