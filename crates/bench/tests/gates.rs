@@ -52,16 +52,22 @@ fn flight_recorder_overhead_stays_within_five_percent() {
         run(kernel, &cfg, opts).expect("timed run must not fail");
         t0.elapsed().as_secs_f64()
     };
-    // Per kernel: one warm-up run, then the min of three runs per mode,
-    // so noise can only help; the modes alternate so drift hits both
-    // alike.
+    // Per kernel: one warm-up run, then the min of eight runs per mode,
+    // so noise can only help. The modes alternate so drift hits both
+    // alike, and which one runs first alternates by round, so neither
+    // always follows the other's warm caches.
     let (mut off, mut on) = (0.0, 0.0);
     for kernel in &kernels {
         time(kernel, &recorded);
         let (mut best_off, mut best_on) = (f64::MAX, f64::MAX);
-        for _ in 0..3 {
-            best_off = best_off.min(time(kernel, &plain));
+        for round in 0..8 {
+            if round % 2 == 0 {
+                best_off = best_off.min(time(kernel, &plain));
+            }
             best_on = best_on.min(time(kernel, &recorded));
+            if round % 2 == 1 {
+                best_off = best_off.min(time(kernel, &plain));
+            }
         }
         off += best_off;
         on += best_on;
@@ -89,8 +95,7 @@ fn depstream_recording_costs_at_most_2_2_plain_runs() {
         out.expect("timed run must not fail");
         elapsed
     }
-    // As the flight-recorder gate: one warm-up run, then the min of three
-    // alternating runs per mode.
+    // One warm-up run, then the min of three alternating runs per mode.
     let (mut plain, mut profiled) = (0.0, 0.0);
     for kernel in &kernels {
         time(|| try_run_kernel_profiled(kernel, &cfg));
