@@ -38,6 +38,7 @@ use machsuite::{Bench, BuiltKernel};
 use salam::standalone::StandaloneConfig;
 use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_dse::SweepTable;
+use salam_flow::FlowFacts;
 use salam_verify::{
     check_bounds, check_schedule, explain, flow_lower_bound, parse_and_verify, profile_memdeps,
     static_lower_bound, static_memdeps, to_sarif, verify_ir, BoundConfig, Diagnostic, MemRegion,
@@ -49,19 +50,24 @@ const USAGE: &str = "[TARGET...] [--json] [--out FILE] [--deny warnings] [--boun
      TARGET: a MachSuite kernel (bfs, fft, gemm, md-grid, md-knn, nw, spmv,\n\
      stencil2d, stencil3d), 'all' for the full suite, or a path to a .ll file";
 
-/// Every pass over one built kernel, in severity-stable order.
-fn lint_kernel(k: &BuiltKernel, bounds: bool) -> (Vec<Diagnostic>, Option<String>) {
+/// Every pass over one built kernel, in severity-stable order; `facts`
+/// come from the kernel's real arguments.
+fn lint_kernel(
+    k: &BuiltKernel,
+    facts: &FlowFacts,
+    bounds: bool,
+) -> (Vec<Diagnostic>, Option<String>) {
     let mut diags = verify_ir(&k.func);
 
-    // Address-level passes, with the kernel's real arguments.
-    diags.extend(static_memdeps(&k.func, &k.args).diags);
+    // Address-level passes.
+    diags.extend(static_memdeps(&k.func, facts).diags);
     let (lo, hi) = k.footprint;
     let region = MemRegion {
         lo,
         hi,
         label: "footprint".into(),
     };
-    diags.extend(check_bounds(&k.func, &k.args, &[region]));
+    diags.extend(check_bounds(&k.func, facts, &[region]));
 
     // Schedule bound under the same resources a default standalone run
     // would get, cross-checked against its watchdog horizon.
@@ -93,8 +99,7 @@ fn lint_kernel(k: &BuiltKernel, bounds: bool) -> (Vec<Diagnostic>, Option<String
 
 /// The dataflow report for one kernel: proven ranges, loop trips, and the
 /// flow-tightened bound decomposition on *inferred* (not profiled) trips.
-fn flow_lines(k: &BuiltKernel) -> Vec<String> {
-    let facts = salam_flow::analyze(&k.func, &k.args);
+fn flow_lines(k: &BuiltKernel, facts: &FlowFacts) -> Vec<String> {
     let mut lines = Vec::new();
     let bounded = facts
         .ranges
@@ -158,7 +163,7 @@ fn flow_lines(k: &BuiltKernel) -> Vec<String> {
         .iter()
         .map(|(&b, &t)| (b, t))
         .collect();
-    let deps = static_memdeps(&k.func, &k.args);
+    let deps = static_memdeps(&k.func, facts);
     let r = flow_lower_bound(&k.func, &cdfg, &trips, &BoundConfig::default(), &deps.edges);
     for lb in &r.loops {
         lines.push(format!(
@@ -233,10 +238,11 @@ fn main() {
     for t in &targets {
         let diags = if let Some(b) = Bench::from_label(t) {
             let k = b.build_standard();
-            let (diags, bound) = lint_kernel(&k, bounds);
+            let facts = salam_flow::analyze(&k.func, &k.args);
+            let (diags, bound) = lint_kernel(&k, &facts, bounds);
             bound_lines.extend(bound);
             if flow {
-                bound_lines.extend(flow_lines(&k));
+                bound_lines.extend(flow_lines(&k, &facts));
             }
             diags
         } else if t.ends_with(".ll") {

@@ -51,7 +51,8 @@ fn all_nine_kernels_verify_clean() {
         let k = bench.build_standard();
         let ir = verify_ir(&k.func);
         assert!(errors(&ir).is_empty(), "{}: {:?}", k.name, errors(&ir));
-        let deps = static_memdeps(&k.func, &k.args);
+        let facts = salam_flow::analyze(&k.func, &k.args);
+        let deps = static_memdeps(&k.func, &facts);
         assert!(
             errors(&deps.diags).is_empty(),
             "{}: {:?}",
@@ -59,7 +60,7 @@ fn all_nine_kernels_verify_clean() {
             errors(&deps.diags)
         );
         let (lo, hi) = k.footprint;
-        let oob = check_bounds(&k.func, &k.args, &[MemRegion::new(lo, hi, "footprint")]);
+        let oob = check_bounds(&k.func, &facts, &[MemRegion::new(lo, hi, "footprint")]);
         assert!(oob.is_empty(), "{}: {oob:?}", k.name);
     }
 }
@@ -127,7 +128,7 @@ fn flow_bound_under(k: &BuiltKernel, cfg: &StandaloneConfig) -> FlowBoundReport 
         pipelined_fus: cfg.engine.pipelined_fus,
         reservation_entries: cfg.engine.reservation_entries,
     };
-    let deps = static_memdeps(&k.func, &k.args);
+    let deps = static_memdeps(&k.func, &salam_flow::analyze(&k.func, &k.args));
     flow_lower_bound(&k.func, &cdfg, &trips, &bc, &deps.edges)
 }
 
@@ -313,7 +314,11 @@ fn shift_kernel() -> salam_ir::Function {
 
 #[test]
 fn m001_loop_carried_raw_recurrence() {
-    let deps = static_memdeps(&shift_kernel(), &[RtVal::P(0x1000), RtVal::I(8)]);
+    let f = shift_kernel();
+    let deps = static_memdeps(
+        &f,
+        &salam_flow::analyze(&f, &[RtVal::P(0x1000), RtVal::I(8)]),
+    );
     assert!(
         deps.diags.iter().any(|d| d.code == codes::M001),
         "{:?}",
@@ -335,7 +340,8 @@ fn m002_waw_between_stores() {
         fb.store(two, p); // the first store is dead every iteration
     });
     fb.ret();
-    let deps = static_memdeps(&fb.finish(), &[RtVal::P(0x2000)]);
+    let f = fb.finish();
+    let deps = static_memdeps(&f, &salam_flow::analyze(&f, &[RtVal::P(0x2000)]));
     assert!(
         deps.diags.iter().any(|d| d.code == codes::M002),
         "{:?}",
@@ -349,7 +355,8 @@ fn m003_out_of_bounds_store() {
     // slot short.
     let f = shift_kernel();
     let args = [RtVal::P(0x1000), RtVal::I(8)];
-    let oob = check_bounds(&f, &args, &[MemRegion::new(0x1000, 0x1000 + 8 * 8, "spm")]);
+    let facts = salam_flow::analyze(&f, &args);
+    let oob = check_bounds(&f, &facts, &[MemRegion::new(0x1000, 0x1000 + 8 * 8, "spm")]);
     assert_eq!(oob.len(), 1, "{oob:?}");
     assert_eq!(oob[0].code, codes::M003);
 }

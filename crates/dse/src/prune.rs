@@ -222,7 +222,7 @@ impl PrunableJob for crate::StandalonePoint {
             .iter()
             .map(|(&b, &t)| (b, t))
             .collect();
-        let deps = static_memdeps(&k.func, &k.args);
+        let deps = static_memdeps(&k.func, &facts);
         let bc = BoundConfig {
             read_ports: self.config.spm_read_ports,
             write_ports: self.config.spm_write_ports,

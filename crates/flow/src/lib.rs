@@ -12,11 +12,15 @@
 //! 2. [interval value-range analysis](crate::ranges) — a sound enclosing
 //!    [`Interval`] per value, tight for address arithmetic over counted
 //!    induction variables;
-//! 3. [loop trip-count inference](crate::trips) — exact per-entry
-//!    iteration counts for canonical counted loops and exact whole-
-//!    function block execution counts where control flow permits;
-//! 4. [scratchpad liveness](crate::live) — range-proven dead stores and
-//!    unwritten reads;
+//! 3. [loop trip-count inference](crate::trips) — the loop nest (which
+//!    the verifier's schedule bound walks too), exact per-entry iteration
+//!    counts and induction-variable ranges for canonical counted loops,
+//!    and exact whole-function block execution counts where control flow
+//!    permits;
+//! 4. [scratchpad liveness](crate::live) — every access's footprint:
+//!    its range, its [affine form](crate::affine) over induction
+//!    variables and, where that is exact, its exact footprint; then
+//!    range-proven dead stores and unwritten reads;
 //! 5. [static deadlock prediction](crate::deadlock) — predicts the
 //!    watchdog verdict for drop-hazard fault plans from static access
 //!    counts.
@@ -32,6 +36,8 @@
 //! * value ranges and access footprints are *over*-approximations —
 //!   suitable for proving absence (bounds violations, overlaps), never
 //!   presence;
+//! * an access's exact footprint is the hull of the addresses it takes
+//!   when its loops run — suitable for proving an escape from a region;
 //! * published trip counts are *exact* — suitable both for lower bounds
 //!   and expected-case estimates; statically unknown counts are absent,
 //!   never guessed;
@@ -42,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod affine;
 pub mod deadlock;
 pub mod interval;
 pub mod live;
@@ -50,13 +57,14 @@ pub mod sccp;
 pub mod solver;
 pub mod trips;
 
+pub use affine::Affine;
 pub use deadlock::{predict_deadlock, DeadlockPrediction, DeadlockVerdict, HazardSpec};
 pub use interval::Interval;
 pub use live::{collect_accesses, dead_stores, unwritten_reads, AccessFact, IntervalSet};
 pub use ranges::{infer_ranges, Ranges};
 pub use sccp::{sccp, Lat, Sccp};
 pub use solver::{solve, BlockAnalysis, Direction, Lattice, Solution};
-pub use trips::{infer_trips, IvFact, LoopTrip, TripFacts};
+pub use trips::{infer_trips, loop_nest, IvFact, LoopTrip, TripFacts};
 
 use salam_ir::interp::RtVal;
 use salam_ir::Function;
@@ -71,7 +79,7 @@ pub struct FlowFacts {
     pub trips: TripFacts,
     /// Per-value intervals.
     pub ranges: Ranges,
-    /// Per-access byte footprints.
+    /// Per-access byte footprints and affine address forms.
     pub accesses: Vec<AccessFact>,
 }
 
@@ -96,12 +104,13 @@ impl FlowFacts {
 }
 
 /// Runs the full pass pipeline over `f` with arguments bound to `args`:
-/// SCCP → trip inference → range analysis → access collection.
+/// SCCP → trip inference → range analysis → access collection (ranges
+/// and affine forms).
 pub fn analyze(f: &Function, args: &[RtVal]) -> FlowFacts {
     let sccp = sccp::sccp(f, args);
     let trips = trips::infer_trips(f, &sccp);
-    let ranges = ranges::infer_ranges(f, args, &sccp, &trips);
-    let accesses = live::collect_accesses(f, &ranges);
+    let ranges = ranges::infer_ranges(f, &sccp, &trips);
+    let accesses = live::collect_accesses(f, &sccp, &trips, &ranges);
     FlowFacts {
         sccp,
         trips,

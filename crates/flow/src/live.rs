@@ -3,7 +3,8 @@
 //! Both passes reason about byte-address intervals from
 //! [range analysis](crate::ranges). Every memory instruction gets an
 //! [`AccessFact`] with a sound enclosing `[lo, hi)` byte interval (when
-//! range analysis bounded its address).
+//! range analysis bounded its address), plus its address's
+//! [affine form](crate::affine) and exact footprint where those exist.
 //!
 //! **Dead store** — a store is dead when no later execution can observe
 //! it: its written interval is disjoint from everything live after it.
@@ -25,9 +26,12 @@ use std::collections::BTreeMap;
 
 use salam_ir::{BlockId, Function, InstId, Opcode, ValueKind};
 
+use crate::affine::{Affine, Folder};
 use crate::interval::Interval;
 use crate::ranges::Ranges;
+use crate::sccp::Sccp;
 use crate::solver::{solve, BlockAnalysis, Direction, Lattice, Solution};
+use crate::trips::TripFacts;
 
 /// Spans above this count are hulled together to bound fact size.
 const MAX_SPANS: usize = 64;
@@ -46,6 +50,11 @@ pub struct AccessFact {
     /// Sound enclosing `[lo, hi)` byte interval over all executions, when
     /// range analysis bounded the address.
     pub interval: Option<(i128, i128)>,
+    /// The address as `base + Σ stride·phi`, when it folds to one.
+    pub affine: Option<Affine>,
+    /// The exact `[lo, hi)` footprint, when every term of `affine` is a
+    /// counted induction variable that runs at least once.
+    pub exact: Option<(i128, i128)>,
 }
 
 /// Collects an [`AccessFact`] for every load and store in `f`.
@@ -53,7 +62,13 @@ pub struct AccessFact {
 /// The footprint of an access at addresses `A` with width `s` is
 /// `[min A, max A + s)`. Addresses whose interval is wider than
 /// [`Interval::is_bounded`] tolerates are published as unknown.
-pub fn collect_accesses(f: &Function, ranges: &Ranges) -> Vec<AccessFact> {
+pub fn collect_accesses(
+    f: &Function,
+    sccp: &Sccp,
+    trips: &TripFacts,
+    ranges: &Ranges,
+) -> Vec<AccessFact> {
+    let mut folder = Folder::new(f, sccp);
     let mut out = Vec::new();
     for (bid, b) in f.blocks() {
         for &iid in &b.insts {
@@ -76,12 +91,16 @@ pub fn collect_accesses(f: &Function, ranges: &Ranges) -> Vec<AccessFact> {
             let interval = ptr_range
                 .filter(Interval::is_bounded)
                 .map(|i| (i.lo, i.hi + size as i128));
+            let affine = folder.fold(ptr);
+            let exact = affine.as_ref().and_then(|a| a.exact(&trips.ivs, size));
             out.push(AccessFact {
                 inst: iid,
                 block: bid,
                 is_store,
                 size,
                 interval,
+                affine,
+                exact,
             });
         }
     }
@@ -334,8 +353,8 @@ mod tests {
     fn accesses(f: &Function, args: &[RtVal]) -> Vec<AccessFact> {
         let s = sccp(f, args);
         let t = infer_trips(f, &s);
-        let r = infer_ranges(f, args, &s, &t);
-        collect_accesses(f, &r)
+        let r = infer_ranges(f, &s, &t);
+        collect_accesses(f, &s, &t, &r)
     }
 
     /// store a[0]; store a[0] again; load a[0] — the first store is dead.

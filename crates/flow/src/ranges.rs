@@ -20,7 +20,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use salam_ir::interp::RtVal;
 use salam_ir::{Function, InstId, Opcode, Type, ValueId, ValueKind};
 
 use crate::interval::Interval;
@@ -58,7 +57,6 @@ struct Engine<'a> {
     f: &'a Function,
     sccp: &'a Sccp,
     trips: &'a TripFacts,
-    args: &'a [RtVal],
     out: BTreeMap<ValueId, Interval>,
     uses: BTreeMap<ValueId, Vec<InstId>>,
     updates: BTreeMap<ValueId, u32>,
@@ -72,18 +70,15 @@ impl<'a> Engine<'a> {
         if let Some(i) = self.out.get(&v) {
             return Some(*i);
         }
-        // SCCP constants are exact regardless of how they are computed.
+        // SCCP constants, literals and bound arguments among them, are
+        // exact regardless of how they are computed.
         if let Some(c) = self.sccp.const_of(v) {
             return Some(Interval::exact(c));
         }
         match self.f.value_kind(v) {
-            ValueKind::Const(c) => c.as_int().map(|i| Interval::exact(i as i128)),
-            ValueKind::Arg(i) => match self.args.get(*i as usize) {
-                Some(RtVal::I(x)) => Some(Interval::exact(*x as i128)),
-                Some(RtVal::P(p)) => Some(Interval::exact(*p as i128)),
-                _ => width(&self.f.value_type(v)).map(Interval::top_for),
-            },
-            ValueKind::Inst(_) => None,
+            // An unbound argument may hold anything of its type.
+            ValueKind::Arg(_) => width(&self.f.value_type(v)).map(Interval::top_for),
+            _ => None,
         }
     }
 
@@ -251,7 +246,7 @@ impl<'a> Engine<'a> {
 }
 
 /// Computes value ranges for `f`, reusing SCCP constants and trip facts.
-pub fn infer_ranges(f: &Function, args: &[RtVal], sccp: &Sccp, trips: &TripFacts) -> Ranges {
+pub fn infer_ranges(f: &Function, sccp: &Sccp, trips: &TripFacts) -> Ranges {
     let mut uses: BTreeMap<ValueId, Vec<InstId>> = BTreeMap::new();
     let mut insts: Vec<InstId> = Vec::new();
     for (bid, b) in f.blocks() {
@@ -269,7 +264,6 @@ pub fn infer_ranges(f: &Function, args: &[RtVal], sccp: &Sccp, trips: &TripFacts
         f,
         sccp,
         trips,
-        args,
         out: BTreeMap::new(),
         uses,
         updates: BTreeMap::new(),
@@ -282,21 +276,13 @@ pub fn infer_ranges(f: &Function, args: &[RtVal], sccp: &Sccp, trips: &TripFacts
             eng.publish(res, next, &mut work);
         }
     }
-    // Leaves consulted lazily (args, constants) are worth publishing for
-    // clients that query them directly.
+    // Bound arguments, consulted lazily, are worth publishing for clients
+    // that query them directly.
     let mut out = eng.out;
-    for (i, _) in args.iter().enumerate() {
+    for i in 0..f.params.len() {
         let v = f.arg_value(i);
-        if let std::collections::btree_map::Entry::Vacant(e) = out.entry(v) {
-            match args[i] {
-                RtVal::I(x) => {
-                    e.insert(Interval::exact(x as i128));
-                }
-                RtVal::P(p) => {
-                    e.insert(Interval::exact(p as i128));
-                }
-                RtVal::F(_) => {}
-            }
+        if let Some(c) = sccp.const_of(v) {
+            out.entry(v).or_insert(Interval::exact(c));
         }
     }
     Ranges { values: out }
@@ -307,12 +293,13 @@ mod tests {
     use super::*;
     use crate::sccp::sccp;
     use crate::trips::infer_trips;
+    use salam_ir::interp::RtVal;
     use salam_ir::{FunctionBuilder, IntPredicate};
 
     fn facts(f: &Function, args: &[RtVal]) -> Ranges {
         let s = sccp(f, args);
         let t = infer_trips(f, &s);
-        infer_ranges(f, args, &s, &t)
+        infer_ranges(f, &s, &t)
     }
 
     #[test]

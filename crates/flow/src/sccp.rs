@@ -53,7 +53,8 @@ impl Lattice for Lat {
 #[derive(Debug, Clone, Default)]
 pub struct Sccp {
     /// Values proven constant on every execution (sign-extended at the
-    /// value's width). Literal IR constants are included.
+    /// value's width). Every integer literal and every argument bound to
+    /// an integer or pointer is included.
     pub consts: BTreeMap<ValueId, i128>,
     /// Blocks that may execute. Everything outside is dead code.
     pub executable: BTreeSet<BlockId>,
@@ -191,10 +192,13 @@ impl<'a> Engine<'a> {
             }
         }
 
+        // Literals and bound arguments are constants even where no
+        // executable code reads them.
         let mut consts = BTreeMap::new();
         for i in 0..self.lat.len() {
-            if let Lat::Const(c) = self.lat[i] {
-                consts.insert(ValueId::from_raw(i as u32), c);
+            let v = ValueId::from_raw(i as u32);
+            if let Lat::Const(c) = self.value(v) {
+                consts.insert(v, c);
             }
         }
         Sccp {

@@ -166,52 +166,54 @@ fn match_counted(
     Some((phi_v, IvFact { start, step, count }))
 }
 
-/// Runs trip-count inference over `f`, reusing `sccp`'s constants.
-pub fn infer_trips(f: &Function, sccp: &Sccp) -> TripFacts {
-    let cfg = Cfg::new(f);
-    let dom = DomTree::new(f, &cfg);
-
-    // Merge natural loops sharing a header (multi-latch) into one.
+/// The loop nest of `f`: its natural loops merged by header (so a
+/// multi-latch loop is one loop), each linked to its innermost enclosing
+/// loop, sorted by header. Only the structure is filled in;
+/// [`infer_trips`] adds the counts.
+pub fn loop_nest(f: &Function, cfg: &Cfg) -> Vec<LoopTrip> {
+    let dom = DomTree::new(f, cfg);
     let mut merged: BTreeMap<BlockId, (BTreeSet<BlockId>, BTreeSet<BlockId>)> = BTreeMap::new();
-    for l in find_natural_loops(f, &cfg, &dom) {
+    for l in find_natural_loops(f, cfg, &dom) {
         let e = merged.entry(l.header).or_default();
         e.0.insert(l.latch);
         e.1.extend(l.blocks.iter().copied());
     }
-
-    let mut loops: Vec<LoopTrip> = merged
+    merged
         .iter()
-        .map(|(&header, (latches, blocks))| {
-            let parent = merged
+        .map(|(&header, (latches, blocks))| LoopTrip {
+            header,
+            latches: latches.clone(),
+            blocks: blocks.clone(),
+            parent: merged
                 .iter()
                 .filter(|(&h, (_, bs))| h != header && bs.contains(&header))
                 .map(|(&h, (_, bs))| (bs.len(), h))
                 .min()
-                .map(|(_, h)| h);
-            let iv = match_counted(f, sccp, header, blocks);
-            // Counting is only exact when the header's exit test is the
-            // loop's *sole* exit: every non-header block must branch
-            // strictly inside the loop.
-            let single_exit = blocks
-                .iter()
-                .filter(|&&b| b != header)
-                .all(|&b| f.successors(b).iter().all(|s| blocks.contains(s)));
-            let iterations = match (&iv, single_exit) {
-                (Some((_, r)), true) => Some(r.count),
-                _ => None,
-            };
-            LoopTrip {
-                header,
-                latches: latches.clone(),
-                blocks: blocks.clone(),
-                parent,
-                iv,
-                iterations,
-                entries: None,
-                total_iterations: None,
-            }
+                .map(|(_, h)| h),
+            iv: None,
+            iterations: None,
+            entries: None,
+            total_iterations: None,
         })
-        .collect();
+        .collect()
+}
+
+/// Runs trip-count inference over `f`, reusing `sccp`'s constants.
+pub fn infer_trips(f: &Function, sccp: &Sccp) -> TripFacts {
+    let cfg = Cfg::new(f);
+    let mut loops = loop_nest(f, &cfg);
+    for l in &mut loops {
+        l.iv = match_counted(f, sccp, l.header, &l.blocks);
+        // Counting is only exact when the header's exit test is the
+        // loop's *sole* exit: every non-header block must branch strictly
+        // inside the loop.
+        let single_exit = l
+            .blocks
+            .iter()
+            .filter(|&&b| b != l.header)
+            .all(|&b| f.successors(b).iter().all(|s| l.blocks.contains(s)));
+        l.iterations = l.iv.filter(|_| single_exit).map(|(_, r)| r.count);
+    }
 
     let ivs: BTreeMap<ValueId, IvFact> = loops.iter().filter_map(|l| l.iv).collect();
 

@@ -381,7 +381,6 @@ impl ServeCore {
             let flow_errors = errors_only(salam_verify::check_bounds_flow(
                 &kernel.func,
                 &facts,
-                &kernel.args,
                 &[region],
             ));
             if !flow_errors.is_empty() {

@@ -11,10 +11,11 @@
 //!   type and CFG well-formedness, unreachable-block and dead-value
 //!   lints) as diagnostics (`V001`–`V007`).
 //! * [`memdep`] — the dynamic loop-carried dependence profiler shared
-//!   with the HLS scheduler, a static affine-address analyzer proving
-//!   RAW/WAR/WAW hazards and out-of-bounds accesses (`M001`–`M003`), and
-//!   the range-analysis lints for out-of-bounds accesses (`F001`) and
-//!   shared-SPM write races (`M004`).
+//!   with the HLS scheduler, and the static memory lints, which read
+//!   `salam-flow`'s loop nest, induction variables and per-access affine
+//!   forms and ranges: RAW/WAR/WAW hazards and exact out-of-bounds
+//!   accesses (`M001`–`M003`), range-proven out-of-bounds accesses
+//!   (`F001`) and shared-SPM write races (`M004`).
 //! * [`schedule`] — ASAP/ALAP levels over the static CDFG and a provable
 //!   lower bound on dynamic cycles (`static_lower_bound ≤ dynamic
 //!   cycles`, the correctness oracle cross-checked in tests), plus the
@@ -43,8 +44,8 @@ pub use diag::{
 };
 pub use ir::{verify_ir, verify_module};
 pub use memdep::{
-    analyze_accesses, check_bounds, check_bounds_flow, check_shared_spm, profile_memdeps,
-    static_memdeps, DepEdge, DepKind, IvRange, MemDeps, MemRegion, StaticAccess, StaticDeps,
+    check_bounds, check_bounds_flow, check_shared_spm, profile_memdeps, static_memdeps, DepEdge,
+    DepKind, MemDeps, MemRegion, StaticDeps,
 };
 pub use sarif::to_sarif;
 pub use schedule::{

@@ -1,6 +1,5 @@
 //! Memory-dependence analysis: the dynamic loop-carried profiler shared
-//! with the HLS scheduler, plus a purely static affine-address analyzer
-//! feeding the hazard lints.
+//! with the HLS scheduler, plus the static memory lints.
 //!
 //! Two complementary views live here:
 //!
@@ -8,23 +7,24 @@
 //!   records store→load conflicts with their iteration distance, the way an
 //!   HLS co-simulation would. This is the pass `salam-hls` re-exports; the
 //!   scheduler and the lint agree on dependence edges by construction.
-//! * **Static** ([`analyze_accesses`], [`static_memdeps`], [`check_bounds`])
-//!   — resolves load/store addresses into affine forms `base + Σ
-//!   stride·iv` over counted-loop induction variables. Where resolution is
-//!   *exact* it emits RAW/WAR/WAW dependence edges (`M001`/`M002`) and
-//!   statically-out-of-bounds accesses (`M003`). Anything it cannot prove
-//!   it stays silent about: the lint never guesses.
-//!
-//! Two lints run on `salam-flow`'s range analysis instead, which also
-//! bounds non-affine addresses and knows which blocks are dead:
-//! [`check_bounds_flow`] (`F001`) and the cross-accelerator shared-SPM
-//! write-race lint [`check_shared_spm`] (`M004`).
+//! * **Static** — reads the [`FlowFacts`] of one `salam_flow::analyze`
+//!   run: its loop nest, its counted induction variables, and per access
+//!   the affine address form `base + Σ stride·iv`, its exact footprint
+//!   and its range. [`static_memdeps`] proves RAW/WAR/WAW edges between
+//!   affine accesses of each innermost loop (`M001`/`M002`);
+//!   [`check_bounds`] flags exact footprints that escape every region
+//!   (`M003`); [`check_bounds_flow`] flags the other accesses whose range
+//!   is disjoint from every region (`F001`), skipping dead blocks; and
+//!   [`check_shared_spm`] flags overlapping store ranges of accelerators
+//!   sharing a scratchpad (`M004`). Anything they cannot prove they stay
+//!   silent about: the lints never guess.
 
 use std::collections::HashMap;
 
+use salam_flow::{AccessFact, Affine, FlowFacts};
 use salam_ir::analysis::{find_natural_loops, Cfg, DomTree};
 use salam_ir::interp::{run_function, Memory, Observer, ProfileObserver, RtVal, SparseMemory};
-use salam_ir::{BlockId, Function, InstId, Opcode, Type, ValueId, ValueKind};
+use salam_ir::{BlockId, Function, InstId, Opcode, ValueId};
 
 use crate::diag::{codes, Diagnostic, Span};
 
@@ -172,113 +172,7 @@ pub fn profile_memdeps(
     (obs.profile, deps)
 }
 
-// ---- static affine address analysis ----------------------------------------
-
-/// An address as `base + Σ stride·phi`, where each term ranges over a
-/// counted-loop induction variable. `base` folds in every constant and
-/// every argument value the caller supplied.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Affine {
-    base: i128,
-    /// `(phi value, stride)`, sorted by value id, strides nonzero.
-    terms: Vec<(ValueId, i64)>,
-}
-
-impl Affine {
-    fn constant(base: i128) -> Self {
-        Affine {
-            base,
-            terms: Vec::new(),
-        }
-    }
-
-    fn is_constant(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Merges equal terms and drops zero strides; `None` when a merged
-    /// stride overflows.
-    fn normalize(mut self) -> Option<Self> {
-        self.terms.sort_by_key(|&(v, _)| v);
-        let mut merged: Vec<(ValueId, i64)> = Vec::with_capacity(self.terms.len());
-        for (v, s) in self.terms {
-            match merged.last_mut() {
-                Some((lv, ls)) if *lv == v => *ls = ls.checked_add(s)?,
-                _ => merged.push((v, s)),
-            }
-        }
-        merged.retain(|&(_, s)| s != 0);
-        self.terms = merged;
-        Some(self)
-    }
-
-    fn add(&self, other: &Affine, sign: i64) -> Option<Affine> {
-        let mut terms = self.terms.clone();
-        for &(v, s) in &other.terms {
-            terms.push((v, s.checked_mul(sign)?));
-        }
-        Affine {
-            base: self
-                .base
-                .checked_add(other.base.checked_mul(sign as i128)?)?,
-            terms,
-        }
-        .normalize()
-    }
-
-    fn scale(&self, k: i64) -> Option<Affine> {
-        let terms = self
-            .terms
-            .iter()
-            .map(|&(v, s)| Some((v, s.checked_mul(k)?)))
-            .collect::<Option<_>>()?;
-        Affine {
-            base: self.base.checked_mul(k as i128)?,
-            terms,
-        }
-        .normalize()
-    }
-}
-
-/// The exact value set of one counted-loop induction variable:
-/// `start, start+step, …` for `count` iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IvRange {
-    /// First value.
-    pub start: i128,
-    /// Per-iteration increment (positive).
-    pub step: i64,
-    /// Number of values taken (0 means the loop body never runs).
-    pub count: u64,
-}
-
-impl IvRange {
-    fn last(&self) -> i128 {
-        if self.count == 0 {
-            self.start
-        } else {
-            self.start + self.step as i128 * (self.count as i128 - 1)
-        }
-    }
-}
-
-/// One load/store whose address resolved to an affine form.
-#[derive(Debug, Clone)]
-pub struct StaticAccess {
-    /// The instruction.
-    pub inst: InstId,
-    /// Its block.
-    pub block: BlockId,
-    /// `true` for stores.
-    pub is_store: bool,
-    /// Bytes touched per access.
-    pub size: u64,
-    /// Address interval `[lo, hi)` over all iterations, when every term's
-    /// induction variable has an exact [`IvRange`].
-    pub interval: Option<(i128, i128)>,
-    base: i128,
-    terms: Vec<(ValueId, i64)>,
-}
+// ---- static lints over salam-flow's access facts ----------------------------
 
 /// A static dependence edge between two memory instructions in the same
 /// innermost loop.
@@ -319,307 +213,29 @@ pub struct StaticDeps {
     pub diags: Vec<Diagnostic>,
 }
 
-struct Resolver<'a> {
-    f: &'a Function,
-    args: &'a [RtVal],
-    memo: HashMap<ValueId, Option<Affine>>,
-    ranges: HashMap<ValueId, IvRange>,
-}
-
-impl<'a> Resolver<'a> {
-    fn new(f: &'a Function, args: &'a [RtVal]) -> Self {
-        let mut r = Resolver {
-            f,
-            args,
-            memo: HashMap::new(),
-            ranges: HashMap::new(),
-        };
-        r.derive_iv_ranges();
-        r
-    }
-
-    /// Resolves `v` to an affine form, or `None` when it depends on memory,
-    /// floats, unknown arguments, or non-affine arithmetic.
-    fn resolve(&mut self, v: ValueId) -> Option<Affine> {
-        if let Some(cached) = self.memo.get(&v) {
-            return cached.clone();
-        }
-        // Break self-reference through phis: a phi is its own symbol.
-        let result = self.resolve_uncached(v);
-        self.memo.insert(v, result.clone());
-        result
-    }
-
-    fn resolve_uncached(&mut self, v: ValueId) -> Option<Affine> {
-        match self.f.value_kind(v).clone() {
-            ValueKind::Const(c) => c.as_int().map(|i| Affine::constant(i as i128)),
-            ValueKind::Arg(i) => match self.args.get(i as usize) {
-                Some(RtVal::P(p)) => Some(Affine::constant(*p as i128)),
-                Some(RtVal::I(x)) => Some(Affine::constant(*x as i128)),
-                _ => None,
-            },
-            ValueKind::Inst(id) => {
-                let inst = self.f.inst(id).clone();
-                match inst.op {
-                    Opcode::Phi => Some(Affine {
-                        base: 0,
-                        terms: vec![(v, 1)],
-                    }),
-                    Opcode::Add => {
-                        let a = self.resolve(inst.operands[0])?;
-                        let b = self.resolve(inst.operands[1])?;
-                        a.add(&b, 1)
-                    }
-                    Opcode::Sub => {
-                        let a = self.resolve(inst.operands[0])?;
-                        let b = self.resolve(inst.operands[1])?;
-                        a.add(&b, -1)
-                    }
-                    Opcode::Mul => {
-                        let a = self.resolve(inst.operands[0])?;
-                        let b = self.resolve(inst.operands[1])?;
-                        if b.is_constant() {
-                            a.scale(i64::try_from(b.base).ok()?)
-                        } else if a.is_constant() {
-                            b.scale(i64::try_from(a.base).ok()?)
-                        } else {
-                            None
-                        }
-                    }
-                    Opcode::Shl => {
-                        let a = self.resolve(inst.operands[0])?;
-                        let b = self.resolve(inst.operands[1])?;
-                        if b.is_constant() && (0..=62).contains(&b.base) {
-                            a.scale(1i64 << b.base)
-                        } else {
-                            None
-                        }
-                    }
-                    // Width changes are treated as value-preserving; address
-                    // arithmetic in well-typed kernels never wraps.
-                    Opcode::SExt
-                    | Opcode::ZExt
-                    | Opcode::Trunc
-                    | Opcode::BitCast
-                    | Opcode::PtrToInt
-                    | Opcode::IntToPtr => self.resolve(inst.operands[0]),
-                    Opcode::Gep { ref elem } => {
-                        let mut addr = self.resolve(inst.operands[0])?;
-                        let mut cur: Type = elem.clone();
-                        for (k, &idx) in inst.operands[1..].iter().enumerate() {
-                            if k > 0 {
-                                let Type::Array { elem, .. } = cur else {
-                                    return None;
-                                };
-                                cur = *elem;
-                            }
-                            let i = self.resolve(idx)?;
-                            let sz = i64::try_from(cur.size_bytes()).ok()?;
-                            addr = addr.add(&i.scale(sz)?, 1)?;
-                        }
-                        Some(addr)
-                    }
-                    _ => None,
-                }
-            }
-        }
-    }
-
-    /// Pattern-matches every phi against the canonical counted-loop shape
-    /// (`phi [c0, pre], [iv+step, latch]` with a `icmp {slt,ult,sle,ule}
-    /// iv, bound` feeding the header's `cond_br`) and records the exact
-    /// value range when init, step and bound all fold to constants.
-    fn derive_iv_ranges(&mut self) {
-        let f = self.f;
-        let mut found: Vec<(ValueId, IvRange)> = Vec::new();
-        for (bid, b) in f.blocks() {
-            for &pid in &b.insts {
-                let phi = f.inst(pid);
-                if phi.op != Opcode::Phi || phi.operands.len() != 2 {
-                    continue;
-                }
-                let Some(phi_v) = f.inst_result(pid) else {
-                    continue;
-                };
-                // One incoming must be `phi + step`, the other the start.
-                let mut start = None;
-                let mut step: Option<i64> = None;
-                for &inc in &phi.operands {
-                    if let ValueKind::Inst(def) = f.value_kind(inc) {
-                        let d = f.inst(*def);
-                        if d.op == Opcode::Add && d.operands.contains(&phi_v) {
-                            let other = if d.operands[0] == phi_v {
-                                d.operands[1]
-                            } else {
-                                d.operands[0]
-                            };
-                            if let Some(a) = self.resolve(other) {
-                                if a.is_constant() {
-                                    step = i64::try_from(a.base).ok();
-                                    continue;
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    if let Some(a) = self.resolve(inc) {
-                        if a.is_constant() {
-                            start = Some(a.base);
-                        }
-                    }
-                }
-                let (Some(start), Some(step)) = (start, step) else {
-                    continue;
-                };
-                if step <= 0 {
-                    continue;
-                }
-                // The header's conditional exit test bounds the range.
-                let Some(term) = f.terminator(bid) else {
-                    continue;
-                };
-                if f.inst(term).op != Opcode::CondBr {
-                    continue;
-                }
-                let cond = f.inst(term).operands[0];
-                let ValueKind::Inst(cmp_id) = f.value_kind(cond) else {
-                    continue;
-                };
-                let cmp = f.inst(*cmp_id);
-                let Opcode::ICmp(pred) = &cmp.op else {
-                    continue;
-                };
-                use salam_ir::IntPredicate as P;
-                let inclusive = match pred {
-                    P::Slt | P::Ult => false,
-                    P::Sle | P::Ule => true,
-                    _ => continue,
-                };
-                if cmp.operands[0] != phi_v {
-                    continue;
-                }
-                let Some(bound) = self.resolve(cmp.operands[1]) else {
-                    continue;
-                };
-                if !bound.is_constant() {
-                    continue;
-                }
-                let end = bound.base;
-                let count = if inclusive {
-                    if start > end {
-                        0
-                    } else {
-                        ((end - start) / step as i128 + 1) as u64
-                    }
-                } else if start >= end {
-                    0
-                } else {
-                    ((end - start + step as i128 - 1) / step as i128) as u64
-                };
-                found.push((phi_v, IvRange { start, step, count }));
-            }
-        }
-        self.ranges.extend(found);
-    }
-
-    fn interval(&self, a: &Affine, size: u64) -> Option<(i128, i128)> {
-        let (mut lo, mut hi) = (a.base, a.base);
-        for &(v, s) in &a.terms {
-            let r = self.ranges.get(&v)?;
-            if r.count == 0 {
-                return None; // never executed
-            }
-            let (c0, c1) = (
-                (s as i128).checked_mul(r.start)?,
-                (s as i128).checked_mul(r.last())?,
-            );
-            lo = lo.checked_add(c0.min(c1))?;
-            hi = hi.checked_add(c0.max(c1))?;
-        }
-        Some((lo, hi.checked_add(size as i128)?))
-    }
-}
-
-fn access_size(f: &Function, id: InstId) -> u64 {
-    let inst = f.inst(id);
-    match inst.op {
-        Opcode::Load => inst.ty.size_bytes(),
-        Opcode::Store => f.value_type(inst.operands[0]).size_bytes(),
-        _ => 0,
-    }
-}
-
-/// Resolves every load/store of `f` whose address folds to an affine form
-/// over counted-loop induction variables. `args` supplies concrete values
-/// for pointer/integer arguments (pass `&[]` when unknown — accesses whose
-/// addresses depend on them are simply skipped).
-pub fn analyze_accesses(f: &Function, args: &[RtVal]) -> Vec<StaticAccess> {
-    let mut r = Resolver::new(f, args);
-    let mut out = Vec::new();
-    for (bid, b) in f.blocks() {
-        for &id in &b.insts {
-            let inst = f.inst(id);
-            let is_store = inst.op == Opcode::Store;
-            if !is_store && inst.op != Opcode::Load {
-                continue;
-            }
-            let ptr = if is_store {
-                inst.operands[1]
-            } else {
-                inst.operands[0]
-            };
-            let Some(a) = r.resolve(ptr) else { continue };
-            let size = access_size(f, id);
-            let interval = r.interval(&a, size);
-            out.push(StaticAccess {
-                inst: id,
-                block: bid,
-                is_store,
-                size,
-                interval,
-                base: a.base,
-                terms: a.terms,
-            });
-        }
-    }
-    out
-}
+/// An affine address split into its one term over the loop's own
+/// induction variable (if any) and the terms over outer ones.
+type SplitTerms = (Option<(ValueId, i64)>, Vec<(ValueId, i64)>);
 
 /// Statically proves same-address relations between memory accesses of
 /// each innermost loop and emits the hazard lints (`M001` loop-carried
 /// RAW as info, `M002` same-address WAW as warning).
 ///
-/// Only *exact* matches are reported: both accesses must share the same
-/// affine terms, with at most one term over the loop's own induction
-/// variable, and the base difference must be divisible by that term's
-/// per-iteration address step. Unresolvable accesses generate nothing.
-pub fn static_memdeps(f: &Function, args: &[RtVal]) -> StaticDeps {
-    let cfg = Cfg::new(f);
-    let dom = DomTree::new(f, &cfg);
-    let loops = find_natural_loops(f, &cfg, &dom);
-    let innermost: Vec<_> = loops
-        .iter()
-        .filter(|l| {
-            !loops
-                .iter()
-                .any(|o| o.header != l.header && l.blocks.contains(&o.header))
-        })
-        .collect();
-
-    let resolver = Resolver::new(f, args);
-    let accesses = analyze_accesses(f, args);
-    // Program order of instructions, for distance-0 direction.
-    let mut order: HashMap<InstId, usize> = HashMap::new();
-    let mut pos = 0usize;
-    for (_, b) in f.blocks() {
-        for &i in &b.insts {
-            order.insert(i, pos);
-            pos += 1;
-        }
-    }
-
+/// Only *exact* matches are reported: both accesses must have affine
+/// addresses with the same terms, at most one of them over the loop's own
+/// induction variable, and the base difference must be divisible by that
+/// term's per-iteration address step. Accesses without an affine form
+/// generate nothing.
+pub fn static_memdeps(f: &Function, facts: &FlowFacts) -> StaticDeps {
+    let loops = &facts.trips.loops;
     let mut deps = StaticDeps::default();
-    for l in &innermost {
+    for l in loops {
+        if loops
+            .iter()
+            .any(|o| o.header != l.header && l.blocks.contains(&o.header))
+        {
+            continue; // not innermost
+        }
         // Phis of this loop's header are its induction variables.
         let header_phis: Vec<ValueId> = f
             .block(l.header)
@@ -628,37 +244,31 @@ pub fn static_memdeps(f: &Function, args: &[RtVal]) -> StaticDeps {
             .filter(|&&i| f.inst(i).op == Opcode::Phi)
             .filter_map(|&i| f.inst_result(i))
             .collect();
-        let in_loop: Vec<&StaticAccess> = accesses
+        let split = |terms: &[(ValueId, i64)]| -> Option<SplitTerms> {
+            let mut inner = None;
+            let mut outer = Vec::new();
+            for &(v, s) in terms {
+                if !header_phis.contains(&v) {
+                    outer.push((v, s));
+                } else if inner.replace((v, s)).is_some() {
+                    return None;
+                }
+            }
+            Some((inner, outer))
+        };
+        // In program order, so `a` precedes `b` in every pair below.
+        let in_loop: Vec<(&AccessFact, &Affine)> = facts
+            .accesses
             .iter()
             .filter(|a| l.blocks.contains(&a.block))
+            .filter_map(|a| Some((a, a.affine.as_ref()?)))
             .collect();
-        for (i, a) in in_loop.iter().enumerate() {
-            for b in in_loop.iter().skip(i + 1) {
-                if !a.is_store && !b.is_store {
+        for (i, &(a, fa)) in in_loop.iter().enumerate() {
+            for &(b, fb) in &in_loop[i + 1..] {
+                if (!a.is_store && !b.is_store) || a.size != b.size {
                     continue;
                 }
-                if a.size != b.size {
-                    continue;
-                }
-                // Split terms into the (single) inner-IV term and the rest,
-                // which must match exactly.
-                type SplitTerms = (Option<(ValueId, i64)>, Vec<(ValueId, i64)>);
-                let split = |acc: &StaticAccess| -> Option<SplitTerms> {
-                    let mut inner = None;
-                    let mut outer = Vec::new();
-                    for &(v, s) in &acc.terms {
-                        if header_phis.contains(&v) {
-                            if inner.is_some() {
-                                return None;
-                            }
-                            inner = Some((v, s));
-                        } else {
-                            outer.push((v, s));
-                        }
-                    }
-                    Some((inner, outer))
-                };
-                let (Some((ia, oa)), Some((ib, ob))) = (split(a), split(b)) else {
+                let (Some((ia, oa)), Some((ib, ob))) = (split(&fa.terms), split(&fb.terms)) else {
                     continue;
                 };
                 if oa != ob || ia != ib {
@@ -666,69 +276,58 @@ pub fn static_memdeps(f: &Function, args: &[RtVal]) -> StaticDeps {
                 }
                 // Per-iteration address step of the inner term (0 when the
                 // address is invariant in this loop).
-                let iter_step: i128 = match ia {
+                let iter_step = match ia {
                     Some((v, s)) => {
-                        let Some(r) = resolver.ranges.get(&v) else {
+                        let Some(r) = facts.trips.ivs.get(&v) else {
                             continue;
                         };
-                        s as i128 * r.step as i128
+                        let Some(step) = i128::from(s).checked_mul(r.step) else {
+                            continue;
+                        };
+                        step
                     }
                     None => 0,
                 };
-                // addr_a(k1) = addr_b(k2)  ⇒  k2 = k1 + diff/iter_step, so
-                // the sign of delta says which access executes first.
-                let Some(diff) = a.base.checked_sub(b.base) else {
+                let Some(diff) = fa.base.checked_sub(fb.base) else {
                     continue;
                 };
-                let (src, dst, distance): (&StaticAccess, &StaticAccess, u64) = if iter_step == 0 {
+                // addr_a(k1) = addr_b(k2)  ⇒  k2 = k1 + diff/iter_step, so
+                // the sign of delta says which access executes first.
+                let (src, dst, distance) = if iter_step == 0 {
                     if diff != 0 {
                         continue; // distinct fixed addresses, no overlap
                     }
                     // Same fixed address every iteration: program order
                     // decides; a load *before* the store re-reads the
                     // previous iteration's value (distance 1).
-                    let (f, s) = if order[&a.inst] <= order[&b.inst] {
-                        (*a, *b)
+                    if !a.is_store && b.is_store {
+                        (b, a, 1)
                     } else {
-                        (*b, *a)
-                    };
-                    if !f.is_store && s.is_store {
-                        (s, f, 1)
-                    } else {
-                        (f, s, 0)
+                        (a, b, 0)
                     }
                 } else {
                     if diff % iter_step != 0 {
                         continue;
                     }
                     let delta = diff / iter_step;
-                    if delta > 0 {
-                        match u64::try_from(delta) {
-                            Ok(d) => (*a, *b, d),
-                            Err(_) => continue,
-                        }
-                    } else if delta < 0 {
-                        match u64::try_from(-delta) {
-                            Ok(d) => (*b, *a, d),
-                            Err(_) => continue,
-                        }
-                    } else if order[&a.inst] <= order[&b.inst] {
-                        (*a, *b, 0)
+                    let Ok(d) = u64::try_from(delta.unsigned_abs()) else {
+                        continue;
+                    };
+                    if delta < 0 {
+                        (b, a, d)
                     } else {
-                        (*b, *a, 0)
+                        (a, b, d)
                     }
                 };
-                let (from, to) = (src.inst, dst.inst);
                 let kind = match (src.is_store, dst.is_store) {
                     (true, true) => DepKind::Waw,
                     (true, false) => DepKind::Raw,
-                    (false, true) => DepKind::War,
-                    (false, false) => unreachable!("filtered above"),
+                    _ => DepKind::War,
                 };
                 deps.edges.push(DepEdge {
                     kind,
-                    from,
-                    to,
+                    from: src.inst,
+                    to: dst.inst,
                     distance,
                     header: l.header,
                 });
@@ -781,77 +380,85 @@ impl MemRegion {
     }
 }
 
-/// Flags every fully-resolved access whose address interval escapes all of
-/// `regions` (`M003`, error). An access only triggers when its *entire*
-/// value set is statically known, so a finding is a proof, not a guess.
-pub fn check_bounds(f: &Function, args: &[RtVal], regions: &[MemRegion]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for a in analyze_accesses(f, args) {
-        let Some((lo, hi)) = a.interval else { continue };
-        let contained = regions
-            .iter()
-            .any(|r| lo >= r.lo as i128 && hi <= r.hi as i128);
-        if !contained {
-            let names: Vec<&str> = regions.iter().map(|r| r.label.as_str()).collect();
-            diags.push(Diagnostic::error(
-                codes::M003,
-                Span::block(&f.name, &f.block(a.block).name),
-                format!(
-                    "{} touches [{lo:#x}, {hi:#x}) which escapes every declared region ({})",
-                    if a.is_store { "store" } else { "load" },
-                    names.join(", "),
-                ),
-            ));
-        }
-    }
-    diags
+/// An error on access `a`; `message` gets the access's kind (`store` or
+/// `load`) and the labels of `regions`.
+fn access_error(
+    f: &Function,
+    a: &AccessFact,
+    code: &'static str,
+    regions: &[MemRegion],
+    message: impl FnOnce(&str, String) -> String,
+) -> Diagnostic {
+    let names: Vec<&str> = regions.iter().map(|r| r.label.as_str()).collect();
+    let kind = if a.is_store { "store" } else { "load" };
+    Diagnostic::error(
+        code,
+        Span::block(&f.name, &f.block(a.block).name),
+        message(kind, names.join(", ")),
+    )
 }
 
-/// Range-proven bounds check (`F001`, error), covering accesses the
-/// affine resolver cannot fold — masked indices, division-derived
-/// offsets, anything non-affine that interval analysis still bounds.
+/// Flags every access whose exact footprint escapes all of `regions`
+/// (`M003`, error). An access only triggers when its *entire* address set
+/// is statically known, so a finding is a proof, not a guess.
+pub fn check_bounds(f: &Function, facts: &FlowFacts, regions: &[MemRegion]) -> Vec<Diagnostic> {
+    facts
+        .accesses
+        .iter()
+        .filter_map(|a| {
+            let (lo, hi) = a.exact?;
+            let contained = regions
+                .iter()
+                .any(|r| lo >= r.lo as i128 && hi <= r.hi as i128);
+            (!contained).then(|| {
+                access_error(f, a, codes::M003, regions, |kind, names| {
+                    format!(
+                        "{kind} touches [{lo:#x}, {hi:#x}) which escapes every declared \
+                         region ({names})"
+                    )
+                })
+            })
+        })
+        .collect()
+}
+
+/// Range-proven bounds check (`F001`, error), covering accesses without
+/// an exact footprint — masked indices, division-derived offsets,
+/// anything non-affine that interval analysis still bounds.
 ///
 /// An access fires only when its *entire* flow interval is disjoint from
 /// every declared region: intervals over-approximate the address set, so
 /// full disjointness proves the access can never land in bounds. Accesses
-/// the affine path fully resolves are left to [`check_bounds`] (`M003`)
-/// so one defect reports exactly once; accesses in blocks `salam-flow`'s
+/// with an exact footprint are left to [`check_bounds`] (`M003`) so one
+/// defect reports exactly once; accesses in blocks `salam-flow`'s
 /// constant propagation proves dead are skipped — they never execute.
 pub fn check_bounds_flow(
     f: &Function,
-    facts: &salam_flow::FlowFacts,
-    args: &[RtVal],
+    facts: &FlowFacts,
     regions: &[MemRegion],
 ) -> Vec<Diagnostic> {
-    let affine_resolved: std::collections::BTreeSet<InstId> = analyze_accesses(f, args)
-        .into_iter()
-        .filter(|a| a.interval.is_some())
-        .map(|a| a.inst)
-        .collect();
-    let mut diags = Vec::new();
-    for a in &facts.accesses {
-        if affine_resolved.contains(&a.inst) || !facts.sccp.executable.contains(&a.block) {
-            continue;
-        }
-        let Some((lo, hi)) = a.interval else { continue };
-        let disjoint = regions
-            .iter()
-            .all(|r| hi <= r.lo as i128 || lo >= r.hi as i128);
-        if disjoint && !regions.is_empty() {
-            let names: Vec<&str> = regions.iter().map(|r| r.label.as_str()).collect();
-            diags.push(Diagnostic::error(
-                codes::F001,
-                Span::block(&f.name, &f.block(a.block).name),
-                format!(
-                    "{} range [{lo:#x}, {hi:#x}) is provably disjoint from every \
-                     declared region ({}); the access is out of bounds on every path",
-                    if a.is_store { "store" } else { "load" },
-                    names.join(", "),
-                ),
-            ));
-        }
+    if regions.is_empty() {
+        return Vec::new();
     }
-    diags
+    facts
+        .accesses
+        .iter()
+        .filter(|a| a.exact.is_none() && facts.sccp.executable.contains(&a.block))
+        .filter_map(|a| {
+            let (lo, hi) = a.interval?;
+            let disjoint = regions
+                .iter()
+                .all(|r| hi <= r.lo as i128 || lo >= r.hi as i128);
+            disjoint.then(|| {
+                access_error(f, a, codes::F001, regions, |kind, names| {
+                    format!(
+                        "{kind} range [{lo:#x}, {hi:#x}) is provably disjoint from every \
+                         declared region ({names}); the access is out of bounds on every path"
+                    )
+                })
+            })
+        })
+        .collect()
 }
 
 /// Cross-accelerator shared-SPM race lint (`M004`, warning): flags pairs
@@ -904,6 +511,7 @@ pub fn check_shared_spm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use salam_flow::analyze;
     use salam_ir::{FunctionBuilder, Type};
 
     // -- dynamic profiler (moved from crates/hls, tests move with it) --------
@@ -965,7 +573,7 @@ mod tests {
     fn static_raw_distance_matches_the_pattern() {
         let f = shift_kernel(0x1000, 8);
         let args = [RtVal::P(0x1000), RtVal::I(8)];
-        let deps = static_memdeps(&f, &args);
+        let deps = static_memdeps(&f, &analyze(&f, &args));
         let raw: Vec<_> = deps
             .edges
             .iter()
@@ -979,7 +587,7 @@ mod tests {
     #[test]
     fn static_and_dynamic_agree_on_nw_distance_one() {
         let k = machsuite::nw::build(&machsuite::nw::Params { alen: 8, blen: 8 });
-        let deps = static_memdeps(&k.func, &k.args);
+        let deps = static_memdeps(&k.func, &analyze(&k.func, &k.args));
         let static_d1 = deps
             .edges
             .iter()
@@ -998,18 +606,18 @@ mod tests {
         // a[8] is written by the final iteration: 9 slots needed.
         let tight = [MemRegion::new(0x1000, 0x1000 + 8 * 8, "spm")];
         let roomy = [MemRegion::new(0x1000, 0x1000 + 9 * 8, "spm")];
-        let oob = check_bounds(&f, &args, &tight);
+        let oob = check_bounds(&f, &analyze(&f, &args), &tight);
         assert_eq!(oob.len(), 1, "{oob:?}");
         assert_eq!(oob[0].code, codes::M003);
-        assert!(check_bounds(&f, &args, &roomy).is_empty());
+        assert!(check_bounds(&f, &analyze(&f, &args), &roomy).is_empty());
     }
 
     #[test]
     fn unresolvable_addresses_stay_silent() {
         let f = shift_kernel(0x1000, 8);
         // No argument values: the base pointer is unknown, nothing resolves.
-        assert!(check_bounds(&f, &[], &[MemRegion::new(0, 8, "spm")]).is_empty());
-        assert!(static_memdeps(&f, &[]).diags.is_empty());
+        assert!(check_bounds(&f, &analyze(&f, &[]), &[MemRegion::new(0, 8, "spm")]).is_empty());
+        assert!(static_memdeps(&f, &analyze(&f, &[])).diags.is_empty());
     }
 
     #[test]
@@ -1029,8 +637,51 @@ mod tests {
         fb.ret();
         let f = fb.finish();
         let args = [RtVal::P(0x1000)];
-        assert!(static_memdeps(&f, &args).edges.is_empty());
-        assert!(check_bounds(&f, &args, &[MemRegion::new(0x1000, 0x1040, "spm")]).is_empty());
+        assert!(static_memdeps(&f, &analyze(&f, &args)).edges.is_empty());
+        assert!(check_bounds(
+            &f,
+            &analyze(&f, &args),
+            &[MemRegion::new(0x1000, 0x1040, "spm")]
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn a_multi_latch_loop_reports_each_edge_once() {
+        // `for i in 0..8 { *p += 1 }` with two latches, one per parity of
+        // i: one loop, so one edge, not one per latch.
+        let mut fb = FunctionBuilder::new("two_latches", &[("p", Type::Ptr)]);
+        let p = fb.arg(0);
+        let (zero, one, eight) = (fb.i64c(0), fb.i64c(1), fb.i64c(8));
+        let pre = fb.current_block();
+        let [header, body, even, odd, exit] =
+            ["header", "body", "even", "odd", "exit"].map(|n| fb.add_block(n));
+        fb.br(header);
+        fb.position_at(header);
+        let (phi, i) = fb.phi(Type::I64, "i");
+        let c = fb.icmp(salam_ir::IntPredicate::Slt, i, eight, "c");
+        fb.cond_br(c, body, exit);
+        fb.position_at(body);
+        let x = fb.load(Type::I64, p, "x");
+        let y = fb.add(x, one, "y");
+        fb.store(y, p);
+        let next = fb.add(i, one, "next");
+        let bit = fb.and(i, one, "bit");
+        let c2 = fb.icmp(salam_ir::IntPredicate::Eq, bit, zero, "c2");
+        fb.cond_br(c2, even, odd);
+        for latch in [even, odd] {
+            fb.position_at(latch);
+            fb.br(header);
+            fb.add_incoming(phi, next, latch);
+        }
+        fb.add_incoming(phi, zero, pre);
+        fb.position_at(exit);
+        fb.ret();
+        let f = fb.finish();
+        let deps = static_memdeps(&f, &analyze(&f, &[RtVal::P(0x1000)]));
+        assert_eq!(deps.edges.len(), 1, "{:?}", deps.edges);
+        assert_eq!(deps.edges[0].kind, DepKind::Raw);
+        assert_eq!(deps.edges[0].distance, 1);
     }
 
     #[test]
@@ -1049,7 +700,7 @@ mod tests {
         });
         fb.ret();
         let f = fb.finish();
-        let deps = static_memdeps(&f, &[RtVal::P(0x2000)]);
+        let deps = static_memdeps(&f, &analyze(&f, &[RtVal::P(0x2000)]));
         assert!(
             deps.diags.iter().any(|d| d.code == codes::M002),
             "{:?}",
@@ -1113,28 +764,28 @@ mod tests {
     fn masked_index_oob_is_proven_by_ranges() {
         let f = masked_writer("masked");
         let args = [RtVal::P(0x10_000)];
-        let facts = salam_flow::analyze(&f, &args);
+        let facts = analyze(&f, &args);
         // Affine analysis can't see through the mask: silent.
         let low = [MemRegion::new(0, 0x100, "spm")];
-        assert!(check_bounds(&f, &args, &low).is_empty());
+        assert!(check_bounds(&f, &facts, &low).is_empty());
         // Flow proves the store lands in [0x10000, 0x10040) — fully
         // disjoint from the declared region on every path.
-        let oob = check_bounds_flow(&f, &facts, &args, &low);
+        let oob = check_bounds_flow(&f, &facts, &low);
         assert_eq!(oob.len(), 1, "{oob:?}");
         assert_eq!(oob[0].code, codes::F001);
         // A region that actually covers the footprint stays silent.
         let roomy = [MemRegion::new(0x10_000, 0x10_000 + 8 * 8, "spm")];
-        assert!(check_bounds_flow(&f, &facts, &args, &roomy).is_empty());
+        assert!(check_bounds_flow(&f, &facts, &roomy).is_empty());
     }
 
     #[test]
     fn affine_resolved_oob_reports_once_as_m003() {
         let f = shift_kernel(0x1000, 8);
         let args = [RtVal::P(0x1000), RtVal::I(8)];
-        let facts = salam_flow::analyze(&f, &args);
+        let facts = analyze(&f, &args);
         let tight = [MemRegion::new(0x1000, 0x1000 + 8 * 8, "spm")];
-        let affine = check_bounds(&f, &args, &tight);
-        let flow = check_bounds_flow(&f, &facts, &args, &tight);
+        let affine = check_bounds(&f, &facts, &tight);
+        let flow = check_bounds_flow(&f, &facts, &tight);
         // The affine path already proved this one; flow must not repeat it.
         assert_eq!(affine.len(), 1);
         assert!(flow.is_empty(), "{flow:?}");
@@ -1204,7 +855,8 @@ mod tests {
         use crate::diag::Severity;
         for bench in machsuite::Bench::ALL {
             let k = bench.build_standard();
-            let deps = static_memdeps(&k.func, &k.args);
+            let facts = analyze(&k.func, &k.args);
+            let deps = static_memdeps(&k.func, &facts);
             let errors: Vec<_> = deps
                 .diags
                 .iter()
@@ -1212,7 +864,7 @@ mod tests {
                 .collect();
             assert!(errors.is_empty(), "{}: {errors:?}", k.name);
             let (lo, hi) = k.footprint;
-            let oob = check_bounds(&k.func, &k.args, &[MemRegion::new(lo, hi, "footprint")]);
+            let oob = check_bounds(&k.func, &facts, &[MemRegion::new(lo, hi, "footprint")]);
             assert!(oob.is_empty(), "{}: {oob:?}", k.name);
         }
     }

@@ -39,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use salam_cdfg::StaticCdfg;
-use salam_ir::analysis::{find_natural_loops, Cfg, DomTree};
+use salam_ir::analysis::Cfg;
 use salam_ir::{BlockId, Function, InstId, Opcode, ValueKind};
 
 use crate::diag::{codes, Diagnostic, Span};
@@ -376,22 +376,10 @@ struct LoopInfo {
 
 /// Builds the merged loop forest with body-DAG orders and dominators.
 fn loop_forest(f: &Function, cfg: &Cfg) -> Vec<LoopInfo> {
-    let dom = DomTree::new(f, cfg);
-    let mut merged: BTreeMap<BlockId, (BTreeSet<BlockId>, BTreeSet<BlockId>)> = BTreeMap::new();
-    for l in find_natural_loops(f, cfg, &dom) {
-        let e = merged.entry(l.header).or_default();
-        e.0.insert(l.latch);
-        e.1.extend(l.blocks.iter().copied());
-    }
-    merged
-        .iter()
-        .map(|(&header, (latches, blocks))| {
-            let parent = merged
-                .iter()
-                .filter(|(&h, (_, bs))| h != header && bs.contains(&header))
-                .map(|(&h, (_, bs))| (bs.len(), h))
-                .min()
-                .map(|(_, h)| h);
+    salam_flow::loop_nest(f, cfg)
+        .into_iter()
+        .map(|l| {
+            let (header, latches, blocks) = (l.header, &l.latches, &l.blocks);
             // Body DAG: edges inside the loop minus latch→header backs.
             let mut preds: BTreeMap<BlockId, Vec<BlockId>> = BTreeMap::new();
             for &b in blocks {
@@ -454,9 +442,9 @@ fn loop_forest(f: &Function, cfg: &Cfg) -> Vec<LoopInfo> {
             }
             LoopInfo {
                 header,
-                latches: latches.clone(),
-                blocks: blocks.clone(),
-                parent,
+                latches: l.latches,
+                blocks: l.blocks,
+                parent: l.parent,
                 rpo,
                 preds,
                 doms,
@@ -1166,7 +1154,7 @@ mod tests {
         let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
         let args = [RtVal::P(0x1000)];
         let trips = profile_trips(&f, &args);
-        let deps = crate::memdep::static_memdeps(&f, &args);
+        let deps = crate::memdep::static_memdeps(&f, &salam_flow::analyze(&f, &args));
         let r = flow_lower_bound(&f, &cdfg, &trips, &BoundConfig::default(), &deps.edges);
         let l = r.loops.iter().find(|l| l.name == "i.header").unwrap();
         assert_eq!(l.adv_mem, 5, "{l:?}");

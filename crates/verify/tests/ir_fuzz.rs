@@ -105,8 +105,8 @@ fn mutate(lines: &mut Vec<String>, pool: &[String], g: &mut SplitMix64) {
 /// against `region`.
 fn static_memory(f: &Function, args: &[RtVal], region: MemRegion) -> String {
     let regions = [region];
-    let deps = static_memdeps(f, args);
     let facts = salam_flow::analyze(f, args);
+    let deps = static_memdeps(f, &facts);
     let mut out = String::new();
     for e in &deps.edges {
         let header = &f.block(e.header).name;
@@ -117,8 +117,8 @@ fn static_memory(f: &Function, args: &[RtVal], region: MemRegion) -> String {
             e.kind, e.distance
         );
     }
-    let m003 = check_bounds(f, args, &regions);
-    let f001 = check_bounds_flow(f, &facts, args, &regions);
+    let m003 = check_bounds(f, &facts, &regions);
+    let f001 = check_bounds_flow(f, &facts, &regions);
     for d in deps.diags.iter().chain(&m003).chain(&f001) {
         let _ = writeln!(out, "  {} {} {} {}", d.code, d.severity, d.span, d.message);
     }
@@ -316,7 +316,7 @@ fn kernel_outputs() -> String {
             .map(|(&b, &t)| (b, t))
             .collect();
         let cdfg = StaticCdfg::elaborate(&k.func, &profile, &FuConstraints::unconstrained());
-        let edges = static_memdeps(&k.func, &k.args).edges;
+        let edges = static_memdeps(&k.func, &facts).edges;
         let r = flow_lower_bound(&k.func, &cdfg, &trips, &BoundConfig::default(), &edges);
         let _ = writeln!(
             out,

@@ -42,9 +42,9 @@ fn sarif_export_matches_the_golden_byte_for_byte() {
     // A 4-element region: the affine store [0x1000, 0x1040) overflows it,
     // and the masked store [0x1040, 0x1060) lies entirely outside.
     let region = [MemRegion::new(0x1000, 0x1020, "spm")];
-    let mut diags = check_bounds(&f, &args, &region);
     let facts = salam_flow::analyze(&f, &args);
-    diags.extend(check_bounds_flow(&f, &facts, &args, &region));
+    let mut diags = check_bounds(&f, &facts, &region);
+    diags.extend(check_bounds_flow(&f, &facts, &region));
     assert!(!diags.is_empty(), "fixture must produce diagnostics");
     let got = to_sarif(&diags);
     if std::env::var_os("SALAM_UPDATE_GOLDENS").is_some() {
