@@ -52,7 +52,7 @@ fn flight_recorder_overhead_stays_within_five_percent() {
         run(kernel, &cfg, opts).expect("timed run must not fail");
         t0.elapsed().as_secs_f64()
     };
-    // Per kernel: one warm-up run, then the min of eight runs per mode,
+    // Per kernel: one warm-up run, then the min of sixteen runs per mode,
     // so noise can only help. The modes alternate so drift hits both
     // alike, and which one runs first alternates by round, so neither
     // always follows the other's warm caches.
@@ -60,7 +60,7 @@ fn flight_recorder_overhead_stays_within_five_percent() {
     for kernel in &kernels {
         time(kernel, &recorded);
         let (mut best_off, mut best_on) = (f64::MAX, f64::MAX);
-        for round in 0..8 {
+        for round in 0..16 {
             if round % 2 == 0 {
                 best_off = best_off.min(time(kernel, &plain));
             }
