@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use salam_ir::{BlockId, Function, InstId, Opcode, ValueKind};
+use salam_ir::{BlockId, Function, InstId, Opcode};
 
 use crate::affine::{Affine, Folder};
 use crate::interval::Interval;
@@ -84,10 +84,9 @@ pub fn collect_accesses(
             };
             // Published range, or the exact constant for a direct
             // constant-pointer access (constants are not range-published).
-            let ptr_range = ranges.of(ptr).or_else(|| match f.value_kind(ptr) {
-                ValueKind::Const(c) => c.as_int().map(|v| Interval::exact(v as i128)),
-                _ => None,
-            });
+            let ptr_range = ranges
+                .of(ptr)
+                .or_else(|| sccp.const_of(ptr).map(Interval::exact));
             let interval = ptr_range
                 .filter(Interval::is_bounded)
                 .map(|i| (i.lo, i.hi + size as i128));

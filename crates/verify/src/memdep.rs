@@ -213,10 +213,6 @@ pub struct StaticDeps {
     pub diags: Vec<Diagnostic>,
 }
 
-/// An affine address split into its one term over the loop's own
-/// induction variable (if any) and the terms over outer ones.
-type SplitTerms = (Option<(ValueId, i64)>, Vec<(ValueId, i64)>);
-
 /// Statically proves same-address relations between memory accesses of
 /// each innermost loop and emits the hazard lints (`M001` loop-carried
 /// RAW as info, `M002` same-address WAW as warning).
@@ -244,18 +240,6 @@ pub fn static_memdeps(f: &Function, facts: &FlowFacts) -> StaticDeps {
             .filter(|&&i| f.inst(i).op == Opcode::Phi)
             .filter_map(|&i| f.inst_result(i))
             .collect();
-        let split = |terms: &[(ValueId, i64)]| -> Option<SplitTerms> {
-            let mut inner = None;
-            let mut outer = Vec::new();
-            for &(v, s) in terms {
-                if !header_phis.contains(&v) {
-                    outer.push((v, s));
-                } else if inner.replace((v, s)).is_some() {
-                    return None;
-                }
-            }
-            Some((inner, outer))
-        };
         // In program order, so `a` precedes `b` in every pair below.
         let in_loop: Vec<(&AccessFact, &Affine)> = facts
             .accesses
@@ -265,28 +249,24 @@ pub fn static_memdeps(f: &Function, facts: &FlowFacts) -> StaticDeps {
             .collect();
         for (i, &(a, fa)) in in_loop.iter().enumerate() {
             for &(b, fb) in &in_loop[i + 1..] {
-                if (!a.is_store && !b.is_store) || a.size != b.size {
+                if (!a.is_store && !b.is_store) || a.size != b.size || fa.terms != fb.terms {
                     continue;
                 }
-                let (Some((ia, oa)), Some((ib, ob))) = (split(&fa.terms), split(&fb.terms)) else {
-                    continue;
-                };
-                if oa != ob || ia != ib {
-                    continue;
-                }
-                // Per-iteration address step of the inner term (0 when the
+                // At most one term may run over this loop's own induction
+                // variable; its per-iteration address step (0 when the
                 // address is invariant in this loop).
-                let iter_step = match ia {
-                    Some((v, s)) => {
-                        let Some(r) = facts.trips.ivs.get(&v) else {
-                            continue;
-                        };
-                        let Some(step) = i128::from(s).checked_mul(r.step) else {
+                let mut inner = fa.terms.iter().filter(|(v, _)| header_phis.contains(v));
+                let iter_step = match (inner.next(), inner.next()) {
+                    (None, _) => 0,
+                    (Some(&(v, s)), None) => {
+                        let step = facts.trips.ivs.get(&v);
+                        let Some(step) = step.and_then(|r| i128::from(s).checked_mul(r.step))
+                        else {
                             continue;
                         };
                         step
                     }
-                    None => 0,
+                    _ => continue,
                 };
                 let Some(diff) = fa.base.checked_sub(fb.base) else {
                     continue;
