@@ -88,7 +88,7 @@ pub fn hls_cycles_with(
 ) -> HlsReport {
     let profile = HardwareProfile::default_40nm();
     let cdfg = StaticCdfg::elaborate(&kernel.func, &profile, constraints);
-    let (obs, deps) = salam_hls::profile_memdeps(&kernel.func, &kernel.args, &kernel.init);
+    let (obs, deps) = salam_verify::profile_memdeps(&kernel.func, &kernel.args, &kernel.init);
     estimate_cycles(
         &kernel.func,
         &cdfg,

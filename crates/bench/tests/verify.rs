@@ -376,13 +376,11 @@ fn m004_shared_spm_write_race() {
         fb.ret();
         fb.finish()
     };
-    let a = writer("wr_a", 0x2000_0000);
-    let b = writer("wr_b", 0x2000_0040); // overlaps wr_a's [0x..00, 0x..80)
-    let diags = salam_verify::check_shared_spm(
-        &[("wr_a", &a, &[]), ("wr_b", &b, &[])],
-        0x2000_0000,
-        0x2001_0000,
-    );
+    let a = salam_flow::analyze(&writer("wr_a", 0x2000_0000), &[]);
+    // Overlaps wr_a's [0x..00, 0x..80).
+    let b = salam_flow::analyze(&writer("wr_b", 0x2000_0040), &[]);
+    let diags =
+        salam_verify::check_shared_spm(&[("wr_a", &a), ("wr_b", &b)], 0x2000_0000, 0x2001_0000);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].code, codes::M004);
 }

@@ -5,7 +5,6 @@ use memsys::{
     AddrMap, BlockDma, Dram, DramConfig, MemMsg, MmrBlock, Scratchpad, ScratchpadConfig, Xbar,
 };
 use salam_fault::SimError;
-use salam_ir::interp::RtVal;
 use salam_ir::Function;
 use sim_core::{CompId, Simulation};
 
@@ -209,11 +208,12 @@ impl ClusterBuilder {
             .flat_map(|d| salam_verify::verify_ir(&d.func))
             .collect();
         if self.cfg.shared_spm_bytes > 0 {
-            let writers: Vec<(&str, &Function, &[RtVal])> = self
+            let facts: Vec<_> = self
                 .accels
                 .iter()
-                .map(|d| (d.cfg.name.as_str(), &d.func, &[][..]))
+                .map(|d| (d.cfg.name.as_str(), salam_flow::analyze(&d.func, &[])))
                 .collect();
+            let writers: Vec<_> = facts.iter().map(|(name, f)| (*name, f)).collect();
             diags.extend(salam_verify::check_shared_spm(
                 &writers,
                 self.cfg.shared_spm_base,

@@ -11,7 +11,8 @@
 //!
 //! The domain is not finite — `[0, 1] ⊑ [0, 2] ⊑ …` climbs forever under
 //! plain joins — so fixpoints over it must widen (see
-//! [`Interval::widen`] and the solver's widening-after-K policy).
+//! [`Interval::widen`] and range analysis's widening after `WIDEN_AFTER`
+//! updates per value).
 
 /// A closed signed interval, or the empty set.
 ///
@@ -90,6 +91,15 @@ impl Interval {
     /// disjoint from everything.
     pub fn disjoint(&self, other: &Interval) -> bool {
         self.is_empty() || other.is_empty() || self.hi < other.lo || other.hi < self.lo
+    }
+
+    /// Whether this interval is tight enough to serve as an address
+    /// footprint: non-empty and well inside the scratchpad address space
+    /// (|endpoint| < 2⁴⁴). Wider intervals — typically a wrap-to-type-top
+    /// — carry no useful address information.
+    pub fn is_bounded(&self) -> bool {
+        const LIMIT: i128 = 1 << 44;
+        !self.is_empty() && self.lo > -LIMIT && self.hi < LIMIT
     }
 
     /// Least upper bound (convex hull). Returns `true` when `self` grew.

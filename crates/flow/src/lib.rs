@@ -1,26 +1,24 @@
-//! Monotone dataflow analysis over the SSA IR.
+//! Static dataflow analysis over the SSA IR.
 //!
 //! This crate is the static-analysis substrate for the verifier, the
-//! lint driver and design-space pruning: a generic worklist
-//! [solver](crate::solver) over a [`Lattice`] trait (join, transfer, and
-//! widening-after-K so infinite-height domains provably terminate), plus
-//! five client passes:
+//! lint driver, the HLS reference scheduler and design-space pruning:
+//! five passes over one function under one argument binding.
 //!
 //! 1. [sparse conditional constant propagation](crate::sccp) — folds
 //!    integer computation seeded from the runtime argument bindings and
 //!    proves blocks dead;
-//! 2. [interval value-range analysis](crate::ranges) — a sound enclosing
+//! 2. [loop trip-count inference](crate::trips) — the one loop nest
+//!    ([`loop_nest`], which the verifier's schedule bound, its dependence
+//!    profiler and the HLS scheduler walk too; [`innermost`] picks its
+//!    leaves), exact per-entry iteration counts and induction-variable
+//!    ranges for canonical counted loops, and exact whole-function block
+//!    execution counts where control flow permits;
+//! 3. [interval value-range analysis](crate::ranges) — a sound enclosing
 //!    [`Interval`] per value, tight for address arithmetic over counted
 //!    induction variables;
-//! 3. [loop trip-count inference](crate::trips) — the loop nest (which
-//!    the verifier's schedule bound walks too), exact per-entry iteration
-//!    counts and induction-variable ranges for canonical counted loops,
-//!    and exact whole-function block execution counts where control flow
-//!    permits;
-//! 4. [scratchpad liveness](crate::live) — every access's footprint:
-//!    its range, its [affine form](crate::affine) over induction
-//!    variables and, where that is exact, its exact footprint; then
-//!    range-proven dead stores and unwritten reads;
+//! 4. [access collection](crate::live) — every access's footprint: its
+//!    range, its [affine form](crate::affine) over induction variables
+//!    and, where that is exact, its exact footprint;
 //! 5. [static deadlock prediction](crate::deadlock) — predicts the
 //!    watchdog verdict for drop-hazard fault plans from static access
 //!    counts.
@@ -41,9 +39,8 @@
 //! * published trip counts are *exact* — suitable both for lower bounds
 //!   and expected-case estimates; statically unknown counts are absent,
 //!   never guessed;
-//! * dead-store/unwritten-read reports and `Deadlock`/`NoDeadlock`
-//!   verdicts are proofs under the documented caller obligations
-//!   (declared live-out/initialized regions, armed hazards).
+//! * `Deadlock`/`NoDeadlock` verdicts are proofs under the documented
+//!   caller obligation (armed hazards).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,17 +51,15 @@ pub mod interval;
 pub mod live;
 pub mod ranges;
 pub mod sccp;
-pub mod solver;
 pub mod trips;
 
 pub use affine::Affine;
 pub use deadlock::{predict_deadlock, DeadlockPrediction, DeadlockVerdict, HazardSpec};
 pub use interval::Interval;
-pub use live::{collect_accesses, dead_stores, unwritten_reads, AccessFact, IntervalSet};
+pub use live::{collect_accesses, AccessFact};
 pub use ranges::{infer_ranges, Ranges};
 pub use sccp::{sccp, Lat, Sccp};
-pub use solver::{solve, BlockAnalysis, Direction, Lattice, Solution};
-pub use trips::{infer_trips, loop_nest, IvFact, LoopTrip, TripFacts};
+pub use trips::{infer_trips, innermost, loop_nest, IvFact, LoopTrip, TripFacts};
 
 use salam_ir::interp::RtVal;
 use salam_ir::Function;
@@ -84,18 +79,6 @@ pub struct FlowFacts {
 }
 
 impl FlowFacts {
-    /// Dead stores under the given live-out regions (see
-    /// [`live::dead_stores`]).
-    pub fn dead_stores(&self, f: &Function, live_out: &[(i128, i128)]) -> Vec<salam_ir::InstId> {
-        live::dead_stores(f, &self.accesses, live_out)
-    }
-
-    /// Unwritten reads under the given initialized regions (see
-    /// [`live::unwritten_reads`]).
-    pub fn unwritten_reads(&self, initialized: &[(i128, i128)]) -> Vec<salam_ir::InstId> {
-        live::unwritten_reads(&self.accesses, initialized)
-    }
-
     /// Static deadlock verdict for an armed hazard (see
     /// [`deadlock::predict_deadlock`]).
     pub fn predict_deadlock(&self, f: &Function, spec: &HazardSpec) -> DeadlockPrediction {

@@ -14,9 +14,8 @@
 //! The headline client is address reasoning: a `getelementptr` over a
 //! pointer argument bound to a concrete scratchpad base yields a tight
 //! byte-address interval for every access the instruction can perform,
-//! which powers range-proven bounds checks (`F001`), dead-store and
-//! unwritten-read detection (`F002`/`F003`), and disjointness proofs that
-//! retire shared-scratchpad conflict warnings.
+//! which powers range-proven bounds checks (`F001`) and disjointness
+//! proofs that retire shared-scratchpad conflict warnings (`M004`).
 
 use std::collections::{BTreeMap, BTreeSet};
 

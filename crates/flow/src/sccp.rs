@@ -19,8 +19,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use salam_ir::interp::RtVal;
 use salam_ir::{BlockId, Function, InstId, IntPredicate, Opcode, Type, ValueId, ValueKind};
 
-use crate::solver::Lattice;
-
 /// The SCCP value lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lat {
@@ -32,11 +30,9 @@ pub enum Lat {
     Over,
 }
 
-impl Lattice for Lat {
-    fn bottom() -> Self {
-        Lat::Undef
-    }
-    fn join(&mut self, other: &Self) -> bool {
+impl Lat {
+    /// Least upper bound, in place. Returns `true` when `self` changed.
+    pub fn join(&mut self, other: &Self) -> bool {
         let next = match (*self, *other) {
             (a, Lat::Undef) => a,
             (Lat::Undef, b) => b,

@@ -198,6 +198,13 @@ pub fn loop_nest(f: &Function, cfg: &Cfg) -> Vec<LoopTrip> {
         .collect()
 }
 
+/// The innermost loops of a [`loop_nest`]: those no loop names as its
+/// `parent`, in nest order.
+pub fn innermost(nest: &[LoopTrip]) -> impl Iterator<Item = &LoopTrip> {
+    nest.iter()
+        .filter(|l| nest.iter().all(|o| o.parent != Some(l.header)))
+}
+
 /// Runs trip-count inference over `f`, reusing `sccp`'s constants.
 pub fn infer_trips(f: &Function, sccp: &Sccp) -> TripFacts {
     let cfg = Cfg::new(f);

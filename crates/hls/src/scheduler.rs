@@ -3,8 +3,9 @@
 use std::collections::HashMap;
 
 use salam_cdfg::StaticCdfg;
-use salam_ir::analysis::{find_natural_loops, Cfg, DomTree};
+use salam_ir::analysis::Cfg;
 use salam_ir::{BlockId, Function, InstId, Opcode, ValueKind};
+use salam_verify::MemDeps;
 
 /// Per-block dynamic execution counts, obtained by profiling the kernel with
 /// the reference interpreter (the HLS analogue of a co-simulation run).
@@ -73,9 +74,11 @@ pub struct HlsReport {
 
 /// Estimates total cycles for `f` by statically scheduling each region.
 ///
-/// Innermost loops are software-pipelined: one instance of a loop executing
-/// `n` iterations costs `depth + (n - 1) * II`, where `II` bounds both
-/// resource reuse (FU pools, memory ports) and loop-carried recurrences.
+/// Innermost loops of `salam_flow`'s loop nest are software-pipelined: one
+/// instance of a loop executing `n` iterations costs `depth + (n - 1) * II`,
+/// where `II` bounds both resource reuse (FU pools, memory ports) and
+/// loop-carried recurrences. A loop with several latches is one loop; its
+/// iterations are the executions of all its latches.
 /// Blocks outside innermost loops contribute their list-schedule length per
 /// execution.
 pub fn estimate_cycles(
@@ -83,32 +86,17 @@ pub fn estimate_cycles(
     cdfg: &StaticCdfg,
     cfg_hls: &HlsConfig,
     trips: &BlockTrips,
-    memdeps: Option<&crate::memdep::MemDeps>,
+    memdeps: Option<&MemDeps>,
 ) -> HlsReport {
-    let cfg = Cfg::new(f);
-    let dom = DomTree::new(f, &cfg);
-    let loops = find_natural_loops(f, &cfg, &dom);
-
-    // Innermost loops: no other loop's header inside their body.
-    let innermost: Vec<_> = loops
-        .iter()
-        .filter(|l| {
-            cfg_hls.pipeline_inner_loops
-                && !loops
-                    .iter()
-                    .any(|other| other.header != l.header && l.blocks.contains(&other.header))
-        })
-        .collect();
+    let loops = salam_flow::loop_nest(f, &Cfg::new(f));
+    // Innermost loops pipeline, when pipelining is on.
+    let pipelined = salam_flow::innermost(&loops).filter(|_| cfg_hls.pipeline_inner_loops);
 
     let mut covered: Vec<BlockId> = Vec::new();
     let mut report = HlsReport::default();
 
-    for l in &innermost {
-        let blocks: Vec<BlockId> = {
-            let mut v: Vec<_> = l.blocks.iter().copied().collect();
-            v.sort();
-            v
-        };
+    for l in pipelined {
+        let blocks: Vec<BlockId> = l.blocks.iter().copied().collect();
         let ops: Vec<InstId> = blocks
             .iter()
             .flat_map(|&b| f.block(b).insts.clone())
@@ -120,7 +108,7 @@ pub fn estimate_cycles(
         // branch condition resolves, so II is bounded by the latency chain
         // to every conditional terminator inside the loop.
         ii = ii.max(branch_fetch_ii(f, cdfg, cfg_hls, &blocks, &ops));
-        let iters = trips.trips(l.latch);
+        let iters: u64 = l.latches.iter().map(|&lt| trips.trips(lt)).sum();
         let instances = trips.trips(l.header).saturating_sub(iters).max(1);
         let iters_per_instance = iters / instances.max(1);
         let mut refills = false;
@@ -435,7 +423,7 @@ mod tests {
     use super::*;
     use hw_profile::HardwareProfile;
     use salam_cdfg::FuConstraints;
-    use salam_ir::interp::{run_function, ProfileObserver, SparseMemory};
+    use salam_ir::interp::{run_function, ProfileObserver, RtVal, SparseMemory};
     use salam_ir::{FunctionBuilder, Type};
 
     fn profile_trips(k: &machsuite::BuiltKernel) -> BlockTrips {
@@ -510,6 +498,60 @@ mod tests {
         let (_, ii, depth) = rep.loops[0];
         assert!(ii >= 2, "4 loads / 2 ports needs II>=2, got {ii}");
         assert!(depth > ii);
+    }
+
+    #[test]
+    fn a_multi_latch_loop_is_scheduled_once() {
+        // `for i in 0..8 { *p += 1 }` with two latches, one per parity of
+        // i: one pipelined loop of 8 iterations, not two of 4.
+        let mut fb = FunctionBuilder::new("two_latches", &[("p", Type::Ptr)]);
+        let p = fb.arg(0);
+        let (zero, one, eight) = (fb.i64c(0), fb.i64c(1), fb.i64c(8));
+        let pre = fb.current_block();
+        let [header, body, even, odd, exit] =
+            ["header", "body", "even", "odd", "exit"].map(|n| fb.add_block(n));
+        fb.br(header);
+        fb.position_at(header);
+        let (phi, i) = fb.phi(Type::I64, "i");
+        let c = fb.icmp(salam_ir::IntPredicate::Slt, i, eight, "c");
+        fb.cond_br(c, body, exit);
+        fb.position_at(body);
+        let x = fb.load(Type::I64, p, "x");
+        let y = fb.add(x, one, "y");
+        fb.store(y, p);
+        let next = fb.add(i, one, "next");
+        let bit = fb.and(i, one, "bit");
+        let c2 = fb.icmp(salam_ir::IntPredicate::Eq, bit, zero, "c2");
+        fb.cond_br(c2, even, odd);
+        for latch in [even, odd] {
+            fb.position_at(latch);
+            fb.br(header);
+            fb.add_incoming(phi, next, latch);
+        }
+        fb.add_incoming(phi, zero, pre);
+        fb.position_at(exit);
+        fb.ret();
+        let f = fb.finish();
+        let profile = HardwareProfile::default_40nm();
+        let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
+        let mut obs = ProfileObserver::default();
+        run_function(
+            &f,
+            &[RtVal::P(0x1000)],
+            &mut SparseMemory::new(),
+            &mut obs,
+            1_000,
+        )
+        .unwrap();
+        let trips = BlockTrips::from_profile(&obs);
+        assert_eq!((trips.trips(even), trips.trips(odd)), (4, 4));
+        let rep = estimate_cycles(&f, &cdfg, &HlsConfig::default(), &trips, None);
+        assert_eq!(rep.loops.len(), 1, "{:?}", rep.loops);
+        let (h, ii, depth) = rep.loops[0];
+        assert_eq!(h, header);
+        // The loop's 8 iterations, plus one cycle each for the entry
+        // block's branch and the exit block's return.
+        assert_eq!(rep.cycles, depth + 7 * ii + 2, "{rep:?}");
     }
 
     #[test]

@@ -368,9 +368,9 @@ impl ServeCore {
                     retry_after_ms: None,
                 });
             }
-            // Flow gate: a range-proven out-of-bounds access (`F001`) is a
-            // wrong result on every path, so the job is rejected before it
-            // ever occupies a batch slot.
+            // Flow gate: a proven out-of-bounds access (`M003` exact,
+            // `F001` range-proven) is a wrong result on every path, so the
+            // job is rejected before it ever occupies a batch slot.
             let facts = salam_flow::analyze(&kernel.func, &kernel.args);
             let (lo, hi) = kernel.footprint;
             let region = salam_verify::MemRegion {
@@ -378,11 +378,8 @@ impl ServeCore {
                 hi,
                 label: "footprint".into(),
             };
-            let flow_errors = errors_only(salam_verify::check_bounds_flow(
-                &kernel.func,
-                &facts,
-                &[region],
-            ));
+            let flow_errors =
+                errors_only(salam_verify::check_bounds(&kernel.func, &facts, &[region]));
             if !flow_errors.is_empty() {
                 return Err(Rejection {
                     code: "flow",

@@ -235,12 +235,7 @@ pub mod codes {
     /// Provably out-of-bounds: the access's *entire* range-proven address
     /// interval lies outside every declared region.
     pub const F001: &str = "F001";
-    /// Dead store: range-proven unobservable by any later load or
-    /// declared live-out region.
-    pub const F002: &str = "F002";
-    /// Unwritten read: a load range-proven disjoint from every store and
-    /// declared initialized region.
-    pub const F003: &str = "F003";
+    // F002 and F003 (scratchpad liveness lints, never emitted) are retired.
     /// Static deadlock prediction for an armed drop-hazard fault plan.
     pub const F004: &str = "F004";
     /// DSE sweep point provably dominated (pruned without simulation).
@@ -267,8 +262,6 @@ pub mod codes {
             F001,
             "provably out-of-bounds memory access (range analysis)",
         ),
-        (F002, "dead store to scratchpad (liveness analysis)"),
-        (F003, "read of a never-written scratchpad region"),
         (F004, "static deadlock prediction for a fault plan"),
         (F005, "DSE sweep point provably dominated"),
     ];
@@ -397,23 +390,6 @@ pub fn explain(code: &str) -> Option<&'static str> {
              index is not affine (the case M003 cannot see). Because ranges \
              over-approximate, partial overlap only warns (M003 path); full \
              disjointness is required to prove the violation."
-        }
-        "F002" => {
-            "F002 · dead store (warning)\n\n\
-             Backward liveness over byte intervals proved no later load and \
-             no declared live-out (output) region can observe the stored \
-             bytes. The store burns a write port and a reservation slot \
-             every trip for nothing — or, more often, the subscript is \
-             wrong and the data was meant to land somewhere observable."
-        }
-        "F003" => {
-            "F003 · read of never-written region (warning)\n\n\
-             A load's byte interval is disjoint from every store in the \
-             kernel and from every declared initialized (input) region: it \
-             can only ever read uninitialised scratchpad. This is the \
-             static twin of the silent-data-corruption class the fault \
-             campaign finds dynamically. Declare the region as an input if \
-             the host DMA fills it; otherwise fix the subscript."
         }
         "F004" => {
             "F004 · static deadlock prediction (warning)\n\n\

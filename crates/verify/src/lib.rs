@@ -13,9 +13,9 @@
 //! * [`memdep`] — the dynamic loop-carried dependence profiler shared
 //!   with the HLS scheduler, and the static memory lints, which read
 //!   `salam-flow`'s loop nest, induction variables and per-access affine
-//!   forms and ranges: RAW/WAR/WAW hazards and exact out-of-bounds
-//!   accesses (`M001`–`M003`), range-proven out-of-bounds accesses
-//!   (`F001`) and shared-SPM write races (`M004`).
+//!   forms and ranges: RAW/WAR/WAW hazards (`M001`/`M002`), one bounds
+//!   check for exact (`M003`) and range-proven (`F001`) out-of-bounds
+//!   accesses, and shared-SPM write races (`M004`).
 //! * [`schedule`] — ASAP/ALAP levels over the static CDFG and a provable
 //!   lower bound on dynamic cycles (`static_lower_bound ≤ dynamic
 //!   cycles`, the correctness oracle cross-checked in tests), plus the
@@ -44,8 +44,8 @@ pub use diag::{
 };
 pub use ir::{verify_ir, verify_module};
 pub use memdep::{
-    check_bounds, check_bounds_flow, check_shared_spm, profile_memdeps, static_memdeps, DepEdge,
-    DepKind, MemDeps, MemRegion, StaticDeps,
+    check_bounds, check_shared_spm, profile_memdeps, static_memdeps, DepEdge, DepKind, MemDeps,
+    MemRegion, StaticDeps,
 };
 pub use sarif::to_sarif;
 pub use schedule::{

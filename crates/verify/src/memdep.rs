@@ -4,31 +4,33 @@
 //! Two complementary views live here:
 //!
 //! * **Dynamic** ([`profile_memdeps`]) — runs the reference interpreter and
-//!   records store→load conflicts with their iteration distance, the way an
-//!   HLS co-simulation would. This is the pass `salam-hls` re-exports; the
-//!   scheduler and the lint agree on dependence edges by construction.
+//!   records store→load conflicts with their iteration distance in each
+//!   innermost loop of `salam_flow`'s loop nest, the way an HLS
+//!   co-simulation would. The `salam-hls` scheduler takes its [`MemDeps`]
+//!   and walks the same loop nest, so the two agree on loops by
+//!   construction.
 //! * **Static** — reads the [`FlowFacts`] of one `salam_flow::analyze`
 //!   run: its loop nest, its counted induction variables, and per access
 //!   the affine address form `base + Σ stride·iv`, its exact footprint
 //!   and its range. [`static_memdeps`] proves RAW/WAR/WAW edges between
 //!   affine accesses of each innermost loop (`M001`/`M002`);
 //!   [`check_bounds`] flags exact footprints that escape every region
-//!   (`M003`); [`check_bounds_flow`] flags the other accesses whose range
-//!   is disjoint from every region (`F001`), skipping dead blocks; and
-//!   [`check_shared_spm`] flags overlapping store ranges of accelerators
-//!   sharing a scratchpad (`M004`). Anything they cannot prove they stay
-//!   silent about: the lints never guess.
+//!   (`M003`) and the other accesses whose range is disjoint from every
+//!   region (`F001`), skipping dead blocks; and [`check_shared_spm`] flags
+//!   overlapping store ranges of accelerators sharing a scratchpad
+//!   (`M004`). Anything they cannot prove they stay silent about: the
+//!   lints never guess.
 
 use std::collections::HashMap;
 
 use salam_flow::{AccessFact, Affine, FlowFacts};
-use salam_ir::analysis::{find_natural_loops, Cfg, DomTree};
+use salam_ir::analysis::Cfg;
 use salam_ir::interp::{run_function, Memory, Observer, ProfileObserver, RtVal, SparseMemory};
 use salam_ir::{BlockId, Function, InstId, Opcode, ValueId};
 
 use crate::diag::{codes, Diagnostic, Span};
 
-// ---- dynamic profiling (promoted from crates/hls) --------------------------
+// ---- dynamic profiling -------------------------------------------------------
 
 /// Loop-carried RAW memory dependences, keyed by loop header: each entry is
 /// `(load, store, iteration distance)` meaning the load at distance `d`
@@ -130,19 +132,9 @@ pub fn profile_memdeps(
     args: &[RtVal],
     init: &[(u64, Vec<u8>)],
 ) -> (ProfileObserver, MemDeps) {
-    let cfg = Cfg::new(f);
-    let dom = DomTree::new(f, &cfg);
-    let loops = find_natural_loops(f, &cfg, &dom);
-    let innermost: Vec<_> = loops
-        .iter()
-        .filter(|l| {
-            !loops
-                .iter()
-                .any(|o| o.header != l.header && l.blocks.contains(&o.header))
-        })
-        .collect();
+    let nest = salam_flow::loop_nest(f, &Cfg::new(f));
     let mut inst_loop = HashMap::new();
-    for l in &innermost {
+    for l in salam_flow::innermost(&nest) {
         for &b in &l.blocks {
             for &i in &f.block(b).insts {
                 inst_loop.insert(i, l.header);
@@ -223,15 +215,8 @@ pub struct StaticDeps {
 /// term's per-iteration address step. Accesses without an affine form
 /// generate nothing.
 pub fn static_memdeps(f: &Function, facts: &FlowFacts) -> StaticDeps {
-    let loops = &facts.trips.loops;
     let mut deps = StaticDeps::default();
-    for l in loops {
-        if loops
-            .iter()
-            .any(|o| o.header != l.header && l.blocks.contains(&o.header))
-        {
-            continue; // not innermost
-        }
+    for l in salam_flow::innermost(&facts.trips.loops) {
         // Phis of this loop's header are its induction variables.
         let header_phis: Vec<ValueId> = f
             .block(l.header)
@@ -360,85 +345,59 @@ impl MemRegion {
     }
 }
 
-/// An error on access `a`; `message` gets the access's kind (`store` or
-/// `load`) and the labels of `regions`.
-fn access_error(
-    f: &Function,
-    a: &AccessFact,
-    code: &'static str,
-    regions: &[MemRegion],
-    message: impl FnOnce(&str, String) -> String,
-) -> Diagnostic {
-    let names: Vec<&str> = regions.iter().map(|r| r.label.as_str()).collect();
-    let kind = if a.is_store { "store" } else { "load" };
-    Diagnostic::error(
-        code,
-        Span::block(&f.name, &f.block(a.block).name),
-        message(kind, names.join(", ")),
-    )
-}
-
-/// Flags every access whose exact footprint escapes all of `regions`
-/// (`M003`, error). An access only triggers when its *entire* address set
-/// is statically known, so a finding is a proof, not a guess.
-pub fn check_bounds(f: &Function, facts: &FlowFacts, regions: &[MemRegion]) -> Vec<Diagnostic> {
-    facts
-        .accesses
-        .iter()
-        .filter_map(|a| {
-            let (lo, hi) = a.exact?;
-            let contained = regions
-                .iter()
-                .any(|r| lo >= r.lo as i128 && hi <= r.hi as i128);
-            (!contained).then(|| {
-                access_error(f, a, codes::M003, regions, |kind, names| {
-                    format!(
-                        "{kind} touches [{lo:#x}, {hi:#x}) which escapes every declared \
-                         region ({names})"
-                    )
-                })
-            })
-        })
-        .collect()
-}
-
-/// Range-proven bounds check (`F001`, error), covering accesses without
-/// an exact footprint — masked indices, division-derived offsets,
-/// anything non-affine that interval analysis still bounds.
+/// The bounds check: an error on every access proven to leave all of
+/// `regions`, in two groups, each in access order.
 ///
-/// An access fires only when its *entire* flow interval is disjoint from
-/// every declared region: intervals over-approximate the address set, so
-/// full disjointness proves the access can never land in bounds. Accesses
-/// with an exact footprint are left to [`check_bounds`] (`M003`) so one
-/// defect reports exactly once; accesses in blocks `salam-flow`'s
-/// constant propagation proves dead are skipped — they never execute.
-pub fn check_bounds_flow(
-    f: &Function,
-    facts: &FlowFacts,
-    regions: &[MemRegion],
-) -> Vec<Diagnostic> {
-    if regions.is_empty() {
-        return Vec::new();
-    }
-    facts
+/// * `M003` — the access's exact footprint escapes every region. Only
+///   accesses whose *entire* address set is statically known trigger.
+/// * `F001` — an access without an exact footprint (masked indices,
+///   division-derived offsets, anything non-affine that interval analysis
+///   still bounds) whose whole range is disjoint from every region. Ranges
+///   over-approximate the address set, so disjointness proves the access
+///   out of bounds on every path. Accesses in blocks `salam-flow`'s
+///   constant propagation proves dead are skipped: they never execute.
+///
+/// An access reports at most once, and every finding is a proof, not a
+/// guess.
+pub fn check_bounds(f: &Function, facts: &FlowFacts, regions: &[MemRegion]) -> Vec<Diagnostic> {
+    let names: Vec<&str> = regions.iter().map(|r| r.label.as_str()).collect();
+    let names = names.join(", ");
+    // `message` follows the access's kind (`store` or `load`).
+    let error = |a: &AccessFact, code, message: String| {
+        let kind = if a.is_store { "store" } else { "load" };
+        let span = Span::block(&f.name, &f.block(a.block).name);
+        Diagnostic::error(code, span, format!("{kind} {message}"))
+    };
+    let m003 = facts.accesses.iter().filter_map(|a| {
+        let (lo, hi) = a.exact?;
+        let contained = regions
+            .iter()
+            .any(|r| lo >= r.lo as i128 && hi <= r.hi as i128);
+        (!contained).then(|| {
+            let message =
+                format!("touches [{lo:#x}, {hi:#x}) which escapes every declared region ({names})");
+            error(a, codes::M003, message)
+        })
+    });
+    let f001 = facts
         .accesses
         .iter()
         .filter(|a| a.exact.is_none() && facts.sccp.executable.contains(&a.block))
         .filter_map(|a| {
             let (lo, hi) = a.interval?;
-            let disjoint = regions
-                .iter()
-                .all(|r| hi <= r.lo as i128 || lo >= r.hi as i128);
+            let disjoint = !regions.is_empty()
+                && regions
+                    .iter()
+                    .all(|r| hi <= r.lo as i128 || lo >= r.hi as i128);
             disjoint.then(|| {
-                access_error(f, a, codes::F001, regions, |kind, names| {
-                    format!(
-                        "{kind} range [{lo:#x}, {hi:#x}) is provably disjoint from every \
-                         declared region ({names}); the access is out of bounds on every path"
-                    )
-                })
+                let message = format!(
+                    "range [{lo:#x}, {hi:#x}) is provably disjoint from every declared \
+                     region ({names}); the access is out of bounds on every path"
+                );
+                error(a, codes::F001, message)
             })
-        })
-        .collect()
+        });
+    m003.chain(f001).collect()
 }
 
 /// Cross-accelerator shared-SPM race lint (`M004`, warning): flags pairs
@@ -446,17 +405,16 @@ pub fn check_bounds_flow(
 /// `[shared_lo, shared_hi)` overlap. Driven by interval analysis, so it
 /// covers non-affine addresses, drops stores in provably-dead blocks, and
 /// stays silent for accelerator pairs whose bounded store footprints are
-/// provably disjoint. Each accelerator supplies its own argument bindings
-/// for the analysis (`&[]` when unknown).
+/// provably disjoint. Each accelerator supplies the facts of its function
+/// under its own argument bindings (`&[]` when unknown).
 pub fn check_shared_spm(
-    accels: &[(&str, &Function, &[RtVal])],
+    accels: &[(&str, &FlowFacts)],
     shared_lo: u64,
     shared_hi: u64,
 ) -> Vec<Diagnostic> {
     let per_accel: Vec<Vec<(i128, i128)>> = accels
         .iter()
-        .map(|(_, f, args)| {
-            let facts = salam_flow::analyze(f, args);
+        .map(|(_, facts)| {
             facts
                 .accesses
                 .iter()
@@ -703,15 +661,11 @@ mod tests {
             fb.ret();
             fb.finish()
         };
-        let a = writer("prod_a", 0x2000_0000);
-        let b = writer("prod_b", 0x2000_0040); // overlaps a's [0x..00, 0x..80)
-        let c = writer("prod_c", 0x2000_1000); // disjoint
+        let a = analyze(&writer("prod_a", 0x2000_0000), &[]);
+        let b = analyze(&writer("prod_b", 0x2000_0040), &[]); // overlaps a's [0x..00, 0x..80)
+        let c = analyze(&writer("prod_c", 0x2000_1000), &[]); // disjoint
         let diags = check_shared_spm(
-            &[
-                ("prod_a", &a, &[]),
-                ("prod_b", &b, &[]),
-                ("prod_c", &c, &[]),
-            ],
+            &[("prod_a", &a), ("prod_b", &b), ("prod_c", &c)],
             0x2000_0000,
             0x2001_0000,
         );
@@ -745,17 +699,16 @@ mod tests {
         let f = masked_writer("masked");
         let args = [RtVal::P(0x10_000)];
         let facts = analyze(&f, &args);
-        // Affine analysis can't see through the mask: silent.
+        // Affine analysis can't see through the mask, but flow proves the
+        // store lands in [0x10000, 0x10040) — fully disjoint from the
+        // declared region on every path.
         let low = [MemRegion::new(0, 0x100, "spm")];
-        assert!(check_bounds(&f, &facts, &low).is_empty());
-        // Flow proves the store lands in [0x10000, 0x10040) — fully
-        // disjoint from the declared region on every path.
-        let oob = check_bounds_flow(&f, &facts, &low);
+        let oob = check_bounds(&f, &facts, &low);
         assert_eq!(oob.len(), 1, "{oob:?}");
         assert_eq!(oob[0].code, codes::F001);
         // A region that actually covers the footprint stays silent.
         let roomy = [MemRegion::new(0x10_000, 0x10_000 + 8 * 8, "spm")];
-        assert!(check_bounds_flow(&f, &facts, &roomy).is_empty());
+        assert!(check_bounds(&f, &facts, &roomy).is_empty());
     }
 
     #[test]
@@ -764,11 +717,44 @@ mod tests {
         let args = [RtVal::P(0x1000), RtVal::I(8)];
         let facts = analyze(&f, &args);
         let tight = [MemRegion::new(0x1000, 0x1000 + 8 * 8, "spm")];
-        let affine = check_bounds(&f, &facts, &tight);
-        let flow = check_bounds_flow(&f, &facts, &tight);
-        // The affine path already proved this one; flow must not repeat it.
-        assert_eq!(affine.len(), 1);
-        assert!(flow.is_empty(), "{flow:?}");
+        // The exact footprint proves this one; the range must not repeat it.
+        let found: Vec<_> = check_bounds(&f, &facts, &tight)
+            .iter()
+            .map(|d| d.code)
+            .collect();
+        assert_eq!(found, [codes::M003]);
+    }
+
+    #[test]
+    fn exact_escapes_report_before_range_escapes() {
+        // `for i in 0..8 { p[i & 7] = i; p[i + 1] = i }`: the masked store
+        // comes first in access order and is range-proven out of bounds
+        // (F001); the affine one escapes exactly (M003) and reports first.
+        let mut fb = FunctionBuilder::new("both", &[("p", Type::Ptr)]);
+        let p = fb.arg(0);
+        let zero = fb.i64c(0);
+        let n = fb.i64c(8);
+        fb.counted_loop("i", zero, n, |fb, iv| {
+            let seven = fb.i64c(7);
+            let m = fb.and(iv, seven, "m");
+            let masked = fb.gep1(Type::I64, p, m, "masked");
+            fb.store(iv, masked);
+            let one = fb.i64c(1);
+            let i1 = fb.add(iv, one, "i1");
+            let shifted = fb.gep1(Type::I64, p, i1, "shifted");
+            fb.store(iv, shifted);
+        });
+        fb.ret();
+        let f = fb.finish();
+        let facts = analyze(&f, &[RtVal::P(0x1000)]);
+        // [0x1040, 0x1048) only: the masked store's [0x1000, 0x1040) misses
+        // it entirely, the shifted store's [0x1008, 0x1048) overlaps it.
+        let region = [MemRegion::new(0x1040, 0x1048, "spm")];
+        let found: Vec<_> = check_bounds(&f, &facts, &region)
+            .iter()
+            .map(|d| d.code)
+            .collect();
+        assert_eq!(found, [codes::M003, codes::F001]);
     }
 
     #[test]
@@ -801,7 +787,10 @@ mod tests {
 
         // Constant propagation proves the guarded store dead: suppressed.
         let flow = check_shared_spm(
-            &[("dead_w", &dead, &[]), ("live_w", &live, &[])],
+            &[
+                ("dead_w", &analyze(&dead, &[])),
+                ("live_w", &analyze(&live, &[])),
+            ],
             0x3000_0000,
             0x3000_1000,
         );
@@ -810,20 +799,20 @@ mod tests {
 
     #[test]
     fn flow_shared_spm_covers_non_affine_writers() {
-        let a = masked_writer("mask_a");
+        let a = analyze(&masked_writer("mask_a"), &[RtVal::P(0x2000_0000)]);
         let b = masked_writer("mask_b");
-        let base_a = [RtVal::P(0x2000_0000)];
-        let overlap_b = [RtVal::P(0x2000_0020)]; // overlaps a's [0x..00, 0x..40)
-        let disjoint_b = [RtVal::P(0x2000_0100)];
+        // Overlaps a's [0x..00, 0x..40).
+        let overlap_b = analyze(&b, &[RtVal::P(0x2000_0020)]);
+        let disjoint_b = analyze(&b, &[RtVal::P(0x2000_0100)]);
         let racy = check_shared_spm(
-            &[("mask_a", &a, &base_a), ("mask_b", &b, &overlap_b)],
+            &[("mask_a", &a), ("mask_b", &overlap_b)],
             0x2000_0000,
             0x2001_0000,
         );
         assert_eq!(racy.len(), 1, "{racy:?}");
         assert_eq!(racy[0].code, codes::M004);
         let safe = check_shared_spm(
-            &[("mask_a", &a, &base_a), ("mask_b", &b, &disjoint_b)],
+            &[("mask_a", &a), ("mask_b", &disjoint_b)],
             0x2000_0000,
             0x2001_0000,
         );

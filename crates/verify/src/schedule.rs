@@ -38,8 +38,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use hw_profile::FuKind;
 use salam_cdfg::StaticCdfg;
-use salam_ir::analysis::Cfg;
+use salam_ir::analysis::{Cfg, DomTree};
 use salam_ir::{BlockId, Function, InstId, Opcode, ValueKind};
 
 use crate::diag::{codes, Diagnostic, Span};
@@ -111,7 +112,8 @@ pub struct BoundReport {
     pub lower_bound: u64,
     /// Floor 1: serialized terminator chains.
     pub chain_floor: u64,
-    /// Floor 2: the binding-est FU pool, as `(kind name, cycles)`.
+    /// Floor 2: the binding-est FU pool, as `(kind name, cycles)`; of
+    /// pools that tie, the kind first in `FuKind` order.
     pub fu_floor: Option<(String, u64)>,
     /// Floor 3: `(load cycles, store cycles)` through the memory ports.
     pub mem_floor: (u64, u64),
@@ -218,7 +220,7 @@ pub fn static_lower_bound(
     let mut chain_floor = 0u64;
     let mut blocks = Vec::new();
     let mut slacks = Vec::new();
-    let mut fu_busy: HashMap<&'static str, (u64, u32)> = HashMap::new();
+    let mut fu_busy: BTreeMap<FuKind, (u64, u32)> = BTreeMap::new();
     let mut dyn_loads = 0u64;
     let mut dyn_stores = 0u64;
 
@@ -262,15 +264,18 @@ pub fn static_lower_bound(
                     op.latency as u64
                 };
                 let pool = cdfg.fu_count(kind).max(1);
-                let e = fu_busy.entry(kind.name()).or_insert((0, pool));
+                let e = fu_busy.entry(kind).or_insert((0, pool));
                 e.0 += t * busy;
             }
         }
     }
 
+    // `max_by_key` keeps the last maximum, so walking the kinds backwards
+    // hands a tie to the kind first in `FuKind` order.
     let fu_floor = fu_busy
         .into_iter()
-        .map(|(name, (busy, pool))| (name.to_string(), busy.div_ceil(pool as u64)))
+        .rev()
+        .map(|(kind, (busy, pool))| (kind.name().to_string(), busy.div_ceil(pool as u64)))
         .max_by_key(|&(_, c)| c);
     let load_floor = dyn_loads.div_ceil(cfg.read_ports.max(1) as u64);
     let store_floor = dyn_stores.div_ceil(cfg.write_ports.max(1) as u64);
@@ -358,7 +363,7 @@ impl FlowBoundReport {
     }
 }
 
-/// One merged natural loop with its body sub-DAG artifacts.
+/// One loop of `salam_flow::loop_nest` with its body-DAG artifacts.
 struct LoopInfo {
     header: BlockId,
     latches: BTreeSet<BlockId>,
@@ -370,11 +375,11 @@ struct LoopInfo {
     rpo: Vec<BlockId>,
     /// Body-DAG predecessors per block.
     preds: BTreeMap<BlockId, Vec<BlockId>>,
-    /// Body-DAG dominators per block (header dominates everything).
-    doms: BTreeMap<BlockId, BTreeSet<BlockId>>,
+    /// Owning block and in-block position of every op in the loop.
+    place: HashMap<InstId, (BlockId, usize)>,
 }
 
-/// Builds the merged loop forest with body-DAG orders and dominators.
+/// Builds the loop forest with body-DAG orders.
 fn loop_forest(f: &Function, cfg: &Cfg) -> Vec<LoopInfo> {
     salam_flow::loop_nest(f, cfg)
         .into_iter()
@@ -411,33 +416,10 @@ fn loop_forest(f: &Function, cfg: &Cfg) -> Vec<LoopInfo> {
                 }
             }
             rpo.reverse();
-            // Iterative dominators over the body DAG (small sets; loops
-            // in kernels are a handful of blocks).
-            let mut doms: BTreeMap<BlockId, BTreeSet<BlockId>> = BTreeMap::new();
-            doms.insert(header, BTreeSet::from([header]));
-            loop {
-                let mut changed = false;
-                for &b in &rpo {
-                    if b == header {
-                        continue;
-                    }
-                    let mut inter: Option<BTreeSet<BlockId>> = None;
-                    for p in preds.get(&b).into_iter().flatten() {
-                        let Some(pd) = doms.get(p) else { continue };
-                        inter = Some(match inter {
-                            None => pd.clone(),
-                            Some(acc) => acc.intersection(pd).copied().collect(),
-                        });
-                    }
-                    let mut next = inter.unwrap_or_default();
-                    next.insert(b);
-                    if doms.get(&b) != Some(&next) {
-                        doms.insert(b, next);
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
+            let mut place = HashMap::new();
+            for &b in &rpo {
+                for (i, &id) in f.block(b).insts.iter().enumerate() {
+                    place.insert(id, (b, i));
                 }
             }
             LoopInfo {
@@ -447,30 +429,31 @@ fn loop_forest(f: &Function, cfg: &Cfg) -> Vec<LoopInfo> {
                 parent: l.parent,
                 rpo,
                 preds,
-                doms,
+                place,
             }
         })
         .collect()
 }
 
-/// Whether a value defined by `def` (in `def_block` at in-block position
-/// `def_pos`) provably completes in the *same iteration* before an op in
-/// `use_block` (position `use_pos`) consumes it: same block and earlier,
-/// or a body-DAG-dominating block. Global dominance is NOT enough — a
-/// def can dominate globally yet execute only in an earlier iteration.
+/// Whether the op `def` provably completes in the *same iteration* of
+/// loop `li` before the op at `(use_block, use_pos)` of the loop consumes
+/// it: same block and earlier, or a dominating block of the loop. A def
+/// outside the loop never qualifies: it ran before the loop, not in the
+/// iteration. Inside the loop, every path to a block passes the header
+/// last and stays in the loop after it, so a dominating loop block ran
+/// earlier in the same iteration.
 fn same_iteration(
     li: &LoopInfo,
-    def_block: BlockId,
-    def_pos: usize,
+    dom: &DomTree,
+    def: InstId,
     use_block: BlockId,
     use_pos: usize,
 ) -> bool {
-    if def_block == use_block {
-        return def_pos < use_pos;
+    match li.place.get(&def) {
+        Some(&(b, pos)) if b == use_block => pos < use_pos,
+        Some(&(b, _)) => dom.dominates(b, use_block),
+        None => false,
     }
-    li.doms
-        .get(&use_block)
-        .is_some_and(|d| d.contains(&def_block))
 }
 
 /// Computes the two per-iteration advances of one loop:
@@ -483,14 +466,7 @@ fn same_iteration(
 ///   header phi: the chain weight from the phi to its back-edge value,
 ///   minimised over latches (sound for merged multi-latch loops) and
 ///   maximised over phis.
-fn loop_advances(f: &Function, cdfg: &StaticCdfg, li: &LoopInfo) -> (u64, u64) {
-    // Positions and owning blocks for the same-iteration test.
-    let mut place: HashMap<InstId, (BlockId, usize)> = HashMap::new();
-    for &b in &li.rpo {
-        for (i, &id) in f.block(b).insts.iter().enumerate() {
-            place.insert(id, (b, i));
-        }
-    }
+fn loop_advances(f: &Function, cdfg: &StaticCdfg, li: &LoopInfo, dom: &DomTree) -> (u64, u64) {
     let mut term_lvl: BTreeMap<BlockId, u64> = BTreeMap::new();
     let mut lvl: HashMap<InstId, u64> = HashMap::new();
     for &b in &li.rpo {
@@ -523,11 +499,7 @@ fn loop_advances(f: &Function, cdfg: &StaticCdfg, li: &LoopInfo) -> (u64, u64) {
                     .operands
                     .iter()
                     .filter_map(|&v| match f.value_kind(v) {
-                        ValueKind::Inst(def) => {
-                            let &(db, dp) = place.get(def)?;
-                            if !same_iteration(li, db, dp, b, pos) {
-                                return None;
-                            }
+                        ValueKind::Inst(def) if same_iteration(li, dom, *def, b, pos) => {
                             lvl.get(def).map(|&l| l + chain_weight(cdfg, f, *def))
                         }
                         _ => None,
@@ -557,7 +529,7 @@ fn loop_advances(f: &Function, cdfg: &StaticCdfg, li: &LoopInfo) -> (u64, u64) {
         if phi.op != Opcode::Phi {
             continue;
         }
-        let comp = chain_completion(f, cdfg, li, &place, phi_id, 0);
+        let comp = chain_completion(f, cdfg, li, dom, phi_id, 0);
         // Weight to the back-edge value, minimised over latch incomings.
         let w = phi
             .operands
@@ -587,7 +559,7 @@ fn chain_completion(
     f: &Function,
     cdfg: &StaticCdfg,
     li: &LoopInfo,
-    place: &HashMap<InstId, (BlockId, usize)>,
+    dom: &DomTree,
     seed: InstId,
     seed_val: u64,
 ) -> HashMap<InstId, u64> {
@@ -622,14 +594,12 @@ fn chain_completion(
                 .operands
                 .iter()
                 .filter_map(|&v| match f.value_kind(v) {
-                    ValueKind::Inst(def) => {
-                        let &(db, dp) = place.get(def)?;
-                        // The seed is "available" wherever the chain
-                        // starts; chains through other defs need the
-                        // same-iteration proof.
-                        if *def != seed && !same_iteration(li, db, dp, b, pos) {
-                            return None;
-                        }
+                    // The seed is "available" wherever the chain starts;
+                    // chains through other defs need the same-iteration
+                    // proof.
+                    ValueKind::Inst(def)
+                        if *def == seed || same_iteration(li, dom, *def, b, pos) =>
+                    {
                         comp.get(def).copied()
                     }
                     _ => None,
@@ -655,7 +625,7 @@ fn loop_mem_advance(
     f: &Function,
     cdfg: &StaticCdfg,
     li: &LoopInfo,
-    place: &HashMap<InstId, (BlockId, usize)>,
+    dom: &DomTree,
     deps: &[DepEdge],
     trips: &HashMap<BlockId, u64>,
     latch_traversals: u64,
@@ -666,12 +636,9 @@ fn loop_mem_advance(
             continue;
         }
         let (store, load) = (e.from, e.to);
-        let (Some(&(sb, _)), Some(&(lb, _))) = (place.get(&store), place.get(&load)) else {
+        let (Some(&(sb, _)), Some(&(lb, _))) = (li.place.get(&store), li.place.get(&load)) else {
             continue;
         };
-        if !li.blocks.contains(&sb) || !li.blocks.contains(&lb) {
-            continue;
-        }
         // The affine pairing covers *every* consecutive iteration only
         // when both endpoints execute once per latch traversal; a
         // conditionally-skipped access breaks the chain.
@@ -680,7 +647,7 @@ fn loop_mem_advance(
         {
             continue;
         }
-        let comp = chain_completion(f, cdfg, li, place, load, chain_weight(cdfg, f, load));
+        let comp = chain_completion(f, cdfg, li, dom, load, chain_weight(cdfg, f, load));
         if let Some(&d) = comp.get(&store) {
             adv = adv.max(d);
         }
@@ -725,6 +692,7 @@ pub fn flow_lower_bound(
     let trip_of = |b: BlockId| trips.get(&b).copied().unwrap_or(0);
 
     let cfg_an = Cfg::new(f);
+    let dom = DomTree::new(f, &cfg_an);
     let forest = loop_forest(f, &cfg_an);
     let mut values: BTreeMap<BlockId, u64> = BTreeMap::new();
     let mut loops = Vec::new();
@@ -734,15 +702,9 @@ pub fn flow_lower_bound(
     order.sort_by_key(|&i| (forest[i].blocks.len(), forest[i].header));
     for &i in &order {
         let li = &forest[i];
-        let (adv_chain, adv_rec) = loop_advances(f, cdfg, li);
-        let mut place: HashMap<InstId, (BlockId, usize)> = HashMap::new();
-        for &b in &li.rpo {
-            for (p, &id) in f.block(b).insts.iter().enumerate() {
-                place.insert(id, (b, p));
-            }
-        }
+        let (adv_chain, adv_rec) = loop_advances(f, cdfg, li, &dom);
         let latch_traversals: u64 = li.latches.iter().map(|&lt| trip_of(lt)).sum();
-        let adv_mem = loop_mem_advance(f, cdfg, li, &place, deps, trips, latch_traversals);
+        let adv_mem = loop_mem_advance(f, cdfg, li, &dom, deps, trips, latch_traversals);
         let header_trips = trip_of(li.header);
         // A loop that ran at all was entered at least once; beyond that,
         // every header arrival not explained by a latch execution is an
@@ -960,6 +922,25 @@ mod tests {
     }
 
     #[test]
+    fn tied_fu_floors_name_one_kind() {
+        // fft ties its fp add and mul pools, stencil2d its sp ones: the
+        // name must not depend on a hash order that differs per map.
+        let profile = HardwareProfile::default_40nm();
+        for bench in [machsuite::Bench::FftStrided, machsuite::Bench::Stencil2d] {
+            let k = bench.build_standard();
+            let cdfg = StaticCdfg::elaborate(&k.func, &profile, &FuConstraints::unconstrained());
+            let (prof, _) = crate::memdep::profile_memdeps(&k.func, &k.args, &k.init);
+            let floors: BTreeSet<_> = (0..50)
+                .map(|_| {
+                    static_lower_bound(&k.func, &cdfg, &prof.block_entries, &BoundConfig::default())
+                        .fu_floor
+                })
+                .collect();
+            assert_eq!(floors.len(), 1, "{}: {floors:?}", k.name);
+        }
+    }
+
+    #[test]
     fn mem_floor_counts_port_throughput() {
         let f = fp_loop(8);
         let profile = HardwareProfile::default_40nm();
@@ -1049,7 +1030,7 @@ mod tests {
     }
 
     /// `x = 0; do { x = x*x + 1 } while (x < n)` split across blocks so
-    /// the recurrence chain must compose via body-DAG dominance.
+    /// the recurrence chain must compose via in-loop dominance.
     fn cross_block_recur(n: i64) -> Function {
         let mut fb = FunctionBuilder::new("xblock", &[]);
         let entry = fb.current_block();
@@ -1088,7 +1069,7 @@ mod tests {
         let r = flow_lower_bound(&f, &cdfg, &trips, &BoundConfig::default(), &[]);
         let lb = r.loops.iter().find(|l| l.name == "header").unwrap();
         // mul(3) in `body` chains into add(1) in `latch`: the def block
-        // dominates the use block inside the body DAG, so the composed
+        // dominates the use block inside the loop, so the composed
         // weight is 4 per iteration even though no single block sees it.
         assert_eq!(lb.adv_recurrence, 4, "{lb:?}");
         assert_eq!(r.recur_floor, 16, "{r:?}");

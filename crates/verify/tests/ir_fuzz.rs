@@ -34,8 +34,8 @@ use salam_ir::interp::RtVal;
 use salam_ir::{Function, FunctionBuilder, Type};
 use salam_obs::det::{check_cases, SplitMix64};
 use salam_verify::{
-    check_bounds, check_bounds_flow, codes, error_count, flow_lower_bound, static_memdeps,
-    verify_ir, BoundConfig, MemRegion,
+    check_bounds, codes, error_count, flow_lower_bound, static_memdeps, verify_ir, BoundConfig,
+    MemRegion,
 };
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/ir_fuzz.txt");
@@ -117,9 +117,7 @@ fn static_memory(f: &Function, args: &[RtVal], region: MemRegion) -> String {
             e.kind, e.distance
         );
     }
-    let m003 = check_bounds(f, &facts, &regions);
-    let f001 = check_bounds_flow(f, &facts, &regions);
-    for d in deps.diags.iter().chain(&m003).chain(&f001) {
+    for d in deps.diags.iter().chain(&check_bounds(f, &facts, &regions)) {
         let _ = writeln!(out, "  {} {} {} {}", d.code, d.severity, d.span, d.message);
     }
     out

@@ -9,7 +9,7 @@
 
 use salam_ir::interp::RtVal;
 use salam_ir::{FunctionBuilder, Type};
-use salam_verify::{check_bounds, check_bounds_flow, to_sarif, MemRegion};
+use salam_verify::{check_bounds, to_sarif, MemRegion};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lint.sarif");
 
@@ -43,8 +43,7 @@ fn sarif_export_matches_the_golden_byte_for_byte() {
     // and the masked store [0x1040, 0x1060) lies entirely outside.
     let region = [MemRegion::new(0x1000, 0x1020, "spm")];
     let facts = salam_flow::analyze(&f, &args);
-    let mut diags = check_bounds(&f, &facts, &region);
-    diags.extend(check_bounds_flow(&f, &facts, &region));
+    let diags = check_bounds(&f, &facts, &region);
     assert!(!diags.is_empty(), "fixture must produce diagnostics");
     let got = to_sarif(&diags);
     if std::env::var_os("SALAM_UPDATE_GOLDENS").is_some() {

@@ -49,6 +49,20 @@ case "$flow_1" in
   *"flow: "*"bound base="*) ;;
   *) echo "ci: salam_lint --flow emitted no bound decomposition" >&2; exit 1 ;;
 esac
+# The schedule bounds too, on two kernels whose FU floors tie between pools:
+# the reported pool must not depend on hash order.
+echo "+ salam_lint --bounds determinism (two runs, byte-identical)"
+bounds_1="$(cargo run --release -q --offline -p salam-bench --bin salam_lint -- \
+  fft stencil2d --bounds)"
+bounds_2="$(cargo run --release -q --offline -p salam-bench --bin salam_lint -- \
+  fft stencil2d --bounds)"
+if [ "$bounds_1" != "$bounds_2" ]; then
+  echo "ci: schedule bounds differ between two identical runs" >&2; exit 1
+fi
+case "$bounds_1" in
+  *"bounds: "*"fu="*) ;;
+  *) echo "ci: salam_lint --bounds emitted no bound line" >&2; exit 1 ;;
+esac
 
 # Bottleneck-report smoke: one MachSuite kernel with profiling on. The
 # binary self-checks the accounting invariant (attribution buckets sum
