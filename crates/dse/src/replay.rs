@@ -23,11 +23,18 @@
 //! (`replay/<kernel>` for points, `replay-baseline/<kernel>` for the
 //! recorded bundles), so a replay row can never shadow — or be shadowed by
 //! — a full-simulation entry for the same configuration.
+//!
+//! Each schedule is computed once. A point whose caps a looser point's
+//! replay never met takes that replay's outcome without scheduling (cap
+//! reuse, [`ReplayOutcome::answers`]), and each kernel's prepared baseline
+//! is held once per process while its cache entry file is unchanged.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant, SystemTime};
 
+use hw_profile::FuKind;
 use machsuite::BuiltKernel;
 use salam::standalone::{run_kernel, try_run_kernel_profiled, StandaloneConfig};
 use salam::RunReport;
@@ -89,6 +96,10 @@ pub struct PointProvenance {
     pub err_pct: Option<f64>,
     /// Measured wall-clock speedup vs the event engine (check mode).
     pub speedup: Option<f64>,
+    /// The index of the point whose replay answered this one (cap reuse:
+    /// this point's caps were never met in that run, so its schedule is
+    /// that run's). Its engine is still [`EngineKind::Replay`].
+    pub reused_from: Option<usize>,
 }
 
 /// A completed replay-accelerated sweep: one outcome per point in the
@@ -101,16 +112,23 @@ pub struct ReplayRun {
     pub provenance: Vec<PointProvenance>,
     /// Points answered by analytic replay.
     pub replayed: usize,
-    /// Points answered by full simulation (unsafe axes or baseline reuse).
+    /// Of those, points another point's replay answered (cap reuse).
+    pub reused: usize,
+    /// Points answered by full simulation (unsafe axes, or equal to the
+    /// baseline).
     pub simulated: usize,
     /// Points where replay was rejected and simulation took over.
     pub fallbacks: usize,
     /// Baseline recordings that actually simulated (the rest were cached).
     pub baseline_misses: usize,
+    /// Baselines taken from the process-wide prepared map, their entry
+    /// files unchanged: each is also one of `hits`.
+    pub baseline_memo_hits: usize,
     /// Cache lookups that hit: one per point answered from the cache and
-    /// one per baseline loaded from it. A point equal to its kernel's
-    /// baseline makes no lookup of its own, so a warm sweep without such
-    /// a point reports one hit per point and no baseline hit.
+    /// one per baseline loaded from it or found in the prepared map. A
+    /// point equal to its kernel's baseline makes no lookup of its own, so
+    /// a warm sweep without such a point reports one hit per point and no
+    /// baseline hit.
     pub hits: usize,
     /// Replayed or simulated points that found no cache entry (baselines
     /// count in `baseline_misses`).
@@ -130,10 +148,11 @@ impl ReplayRun {
     /// stable line for logs.
     pub fn summary(&self) -> String {
         format!(
-            "points={} replayed={} simulated={} fallbacks={} failed={} invalid={} \
-             hits={} misses={} corrupt={} baseline_misses={} wall={:.3}s",
+            "points={} replayed={} reused={} simulated={} fallbacks={} failed={} invalid={} \
+             hits={} misses={} corrupt={} baseline_misses={} baseline_memo_hits={} wall={:.3}s",
             self.outcomes.len(),
             self.replayed,
+            self.reused,
             self.simulated,
             self.fallbacks,
             self.failed,
@@ -142,6 +161,7 @@ impl ReplayRun {
             self.misses,
             self.corrupt,
             self.baseline_misses,
+            self.baseline_memo_hits,
             self.wall.as_secs_f64()
         )
     }
@@ -334,6 +354,8 @@ impl CachePayload for ReplayedPoint {
 /// Records one kernel's baseline bundle (full simulation with dependence
 /// recording on), cached under `replay-baseline/<kernel>`.
 struct BaselineJob {
+    /// `replay-baseline/<kernel>` plus the baseline's canonical text.
+    id: CacheId,
     kernel: KernelSpec,
     config: StandaloneConfig,
 }
@@ -342,10 +364,7 @@ impl SweepJob for BaselineJob {
     type Output = ReplayBaseline;
 
     fn cache_id(&self) -> CacheId {
-        CacheId::new(
-            format!("replay-baseline/{}", self.kernel.id),
-            self.config.canonical_repr(),
-        )
+        self.id.clone()
     }
 
     fn validate(&self) -> Result<(), salam_verify::Diagnostic> {
@@ -362,10 +381,11 @@ impl SweepJob for BaselineJob {
     }
 }
 
-/// One kernel's sweep-wide replay state, built once after the baseline is
-/// recorded (or cache-loaded) and shared by every point of that kernel:
-/// the built kernel, the resolved scheduler form of the trace and the
-/// dynamic trip counts — none depends on the point's configuration.
+/// One kernel's replay state, built once after the baseline is recorded
+/// (or cache-loaded) and shared by every point of that kernel, across
+/// sweep calls through [`BASELINES`]: the built kernel, the resolved
+/// scheduler form of the trace and the dynamic trip counts — none depends
+/// on the point's configuration.
 struct PreparedBaseline {
     kernel: BuiltKernel,
     report: RunReport,
@@ -378,21 +398,124 @@ struct PreparedBaseline {
     bounds: Mutex<HashMap<String, u64>>,
 }
 
-impl PreparedBaseline {
-    /// Resolves a recorded bundle into its sweep-wide shared form; `None`
-    /// when the scheduler rejects the trace outright.
-    fn new(kernel: &KernelSpec, b: &ReplayBaseline) -> Option<Self> {
-        let prepared = salam_replay::Prepared::new(&b.trace).ok()?;
+/// One kernel's baseline as a sweep call holds it.
+enum Baseline {
+    /// Resolved for replay.
+    Prepared(Arc<PreparedBaseline>),
+    /// The scheduler rejects the recorded trace: only a baseline-equal
+    /// point can use it.
+    Unprepared(Box<RunReport>),
+}
+
+impl Baseline {
+    /// Resolves a recorded bundle into its shared form.
+    fn new(kernel: &KernelSpec, b: ReplayBaseline) -> Self {
+        let Ok(prepared) = salam_replay::Prepared::new(&b.trace) else {
+            return Baseline::Unprepared(Box::new(b.report));
+        };
         let kernel = kernel.build();
         let trips = trips_from_trace(&kernel.func, &b.trace);
-        Some(PreparedBaseline {
+        Baseline::Prepared(Arc::new(PreparedBaseline {
             kernel,
-            report: b.report.clone(),
+            report: b.report,
             prepared,
             trips,
             bounds: Mutex::new(HashMap::new()),
+        }))
+    }
+
+    fn report(&self) -> &RunReport {
+        match self {
+            Baseline::Prepared(b) => &b.report,
+            Baseline::Unprepared(report) => report,
+        }
+    }
+}
+
+/// Most kernels [`BASELINES`] holds (the nine MachSuite kernels, with room
+/// to spare); past it, the least recently used goes.
+const BASELINE_MAP_CAP: usize = 16;
+
+/// The process-wide prepared-baseline map: each kernel's
+/// [`PreparedBaseline`] by the path and identity of its cache entry, kept
+/// for as long as the entry file is the one it was read from or stored
+/// as. A sweep call that finds its entry unchanged skips the read, the
+/// decode, `Prepared::new`, the kernel build and the trip count.
+static BASELINES: Mutex<Vec<MappedBaseline>> = Mutex::new(Vec::new());
+
+/// One [`BASELINES`] entry; the most recently used is last.
+struct MappedBaseline {
+    path: PathBuf,
+    id: CacheId,
+    file: FileId,
+    baseline: Arc<PreparedBaseline>,
+}
+
+/// What tells an entry file's contents apart without reading them: a
+/// store renames a new file over the entry (a new inode), and a write in
+/// place changes the length or the modification time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileId {
+    dev: u64,
+    ino: u64,
+    len: u64,
+    mtime: Option<SystemTime>,
+}
+
+impl FileId {
+    fn of(path: &Path) -> Option<FileId> {
+        let md = std::fs::metadata(path).ok()?;
+        #[cfg(unix)]
+        let (dev, ino) = {
+            use std::os::unix::fs::MetadataExt;
+            (md.dev(), md.ino())
+        };
+        #[cfg(not(unix))]
+        let (dev, ino) = (0, 0);
+        Some(FileId {
+            dev,
+            ino,
+            len: md.len(),
+            mtime: md.modified().ok(),
         })
     }
+}
+
+fn baselines() -> MutexGuard<'static, Vec<MappedBaseline>> {
+    BASELINES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The baseline mapped to entry `path` of `id`, while the file is still
+/// the one it was mapped as; a stale mapping is dropped.
+fn mapped_baseline(path: &Path, id: &CacheId) -> Option<Arc<PreparedBaseline>> {
+    let file = FileId::of(path);
+    let mut map = baselines();
+    let at = map.iter().position(|e| e.path == path && e.id == *id)?;
+    let entry = map.remove(at);
+    if Some(entry.file) != file {
+        return None;
+    }
+    let baseline = entry.baseline.clone();
+    map.push(entry);
+    Some(baseline)
+}
+
+/// Maps entry `path` of `id`, as the file is now, to `baseline`.
+fn map_baseline(path: PathBuf, id: CacheId, baseline: Arc<PreparedBaseline>) {
+    let Some(file) = FileId::of(&path) else {
+        return;
+    };
+    let mut map = baselines();
+    map.retain(|e| e.path != path);
+    if map.len() == BASELINE_MAP_CAP {
+        map.remove(0);
+    }
+    map.push(MappedBaseline {
+        path,
+        id,
+        file,
+        baseline,
+    });
 }
 
 /// Re-schedules one point against its kernel's recorded baseline, cached
@@ -403,6 +526,60 @@ struct ReplayPointJob {
     config: StandaloneConfig,
     baseline: Arc<PreparedBaseline>,
     check: bool,
+    /// The point's elaboration, the scheduler knobs it lowers to and what
+    /// elaborating took (check mode counts it as replay time).
+    cdfg: StaticCdfg,
+    knobs: ReplayConfig,
+    elaborate: Duration,
+    /// A looser point's replay that [answers](ReplayOutcome::answers) this
+    /// one; the job then schedules nothing.
+    answer: Option<Arc<ReplayOutcome>>,
+    /// The job's own replay, once it ran and cleared the bound: what
+    /// answers the tighter points of its group.
+    replayed: OnceLock<Arc<ReplayOutcome>>,
+}
+
+impl ReplayPointJob {
+    /// Whether `other` is a point of this one's cap-reuse group: the same
+    /// baseline, and every knob but the caps the same.
+    fn shares_group(&self, other: &ReplayPointJob) -> bool {
+        Arc::ptr_eq(&self.baseline, &other.baseline)
+            && self.knobs.differs_in_caps_only(&other.knobs)
+    }
+
+    /// The point's static lower bound: derived from its own elaboration
+    /// and ports, with dynamic trip counts read off the recorded trace,
+    /// and memoized across the kernel's points on the knobs it reads.
+    fn bound(&self) -> u64 {
+        let cfg = &self.config;
+        let key = format!(
+            "r{}/w{}/p{}/{}",
+            cfg.spm_read_ports,
+            cfg.spm_write_ports,
+            cfg.engine.pipelined_fus,
+            cfg.constraints.canonical_repr()
+        );
+        let bounds = &self.baseline.bounds;
+        if let Some(b) = bounds.lock().ok().and_then(|m| m.get(&key).copied()) {
+            return b;
+        }
+        let b = static_lower_bound(
+            &self.baseline.kernel.func,
+            &self.cdfg,
+            &self.baseline.trips,
+            &BoundConfig {
+                read_ports: cfg.spm_read_ports,
+                write_ports: cfg.spm_write_ports,
+                pipelined_fus: cfg.engine.pipelined_fus,
+                reservation_entries: cfg.engine.reservation_entries,
+            },
+        )
+        .lower_bound;
+        if let Ok(mut m) = bounds.lock() {
+            m.insert(key, b);
+        }
+        b
+    }
 }
 
 impl SweepJob for ReplayPointJob {
@@ -420,64 +597,29 @@ impl SweepJob for ReplayPointJob {
         let kernel = &self.baseline.kernel;
         let cfg = &self.config;
         let t_replay = Instant::now();
-        let cdfg = StaticCdfg::elaborate(&kernel.func, &cfg.profile, &cfg.constraints);
-        let attempt =
-            salam_replay::replay_prepared(&self.baseline.prepared, &replay_config(cfg, &cdfg));
-        // Cross-check against the provable static floor — derived from the
-        // point's own elaboration and ports, with dynamic trip counts read
-        // off the recorded trace. Memoized across the kernel's points on
-        // the knobs the bound reads.
-        let bound_key = format!(
-            "r{}/w{}/p{}/{}",
-            cfg.spm_read_ports,
-            cfg.spm_write_ports,
-            cfg.engine.pipelined_fus,
-            cfg.constraints.canonical_repr()
-        );
-        let memoized = self
-            .baseline
-            .bounds
-            .lock()
-            .ok()
-            .and_then(|m| m.get(&bound_key).copied());
-        let bound = match memoized {
-            Some(b) => b,
-            None => {
-                let b = static_lower_bound(
-                    &kernel.func,
-                    &cdfg,
-                    &self.baseline.trips,
-                    &BoundConfig {
-                        read_ports: cfg.spm_read_ports,
-                        write_ports: cfg.spm_write_ports,
-                        pipelined_fus: cfg.engine.pipelined_fus,
-                        reservation_entries: cfg.engine.reservation_entries,
-                    },
-                )
-                .lower_bound;
-                if let Ok(mut m) = self.baseline.bounds.lock() {
-                    m.insert(bound_key, b);
-                }
-                b
-            }
+        let own = match self.answer {
+            Some(_) => None,
+            None => salam_replay::replay_prepared(&self.baseline.prepared, &self.knobs).ok(),
         };
-        let outcome = match attempt {
-            Ok(out) if out.cycles >= bound => out,
-            // Replay error or a cycle count below the provable floor: the
-            // analytic model is wrong for this point — full sim takes over.
-            _ => {
-                let report = run_kernel(kernel, cfg);
-                return ReplayedPoint {
-                    engine: EngineKind::SimFallback,
-                    report,
-                    bound,
-                    err_pct: None,
-                    speedup: None,
-                };
-            }
+        let bound = self.bound();
+        // Replay error or a cycle count below the provable floor: the
+        // analytic model is wrong for this point — full sim takes over.
+        let Some(outcome) = self
+            .answer
+            .as_deref()
+            .or(own.as_ref())
+            .filter(|out| out.cycles >= bound)
+        else {
+            return ReplayedPoint {
+                engine: EngineKind::SimFallback,
+                report: run_kernel(kernel, cfg),
+                bound,
+                err_pct: None,
+                speedup: None,
+            };
         };
-        let report = synthesize_report(kernel, cfg, &cdfg, &self.baseline.report, outcome);
-        let replay_wall = t_replay.elapsed();
+        let report = synthesize_report(kernel, cfg, &self.cdfg, &self.baseline.report, outcome);
+        let replay_wall = self.elaborate + t_replay.elapsed();
         let (err_pct, speedup) = if self.check {
             let t_sim = Instant::now();
             let sim = run_kernel(kernel, cfg);
@@ -489,6 +631,9 @@ impl SweepJob for ReplayPointJob {
         } else {
             (None, None)
         };
+        if let Some(own) = own {
+            let _ = self.replayed.set(Arc::new(own));
+        }
         ReplayedPoint {
             engine: EngineKind::Replay,
             report,
@@ -511,7 +656,7 @@ fn synthesize_report(
     cfg: &StandaloneConfig,
     cdfg: &StaticCdfg,
     baseline: &RunReport,
-    out: ReplayOutcome,
+    out: &ReplayOutcome,
 ) -> RunReport {
     let mut stats = baseline.stats.clone();
     stats.cycles = out.cycles;
@@ -519,7 +664,11 @@ fn synthesize_report(
     stats.stall_cycles = out.stall_cycles;
     stats.port_reject_cycles = out.port_reject_cycles;
     stats.attribution = out.attribution;
-    stats.fu_busy_cycle_sum = out.fu_busy_cycle_sum.into_iter().collect();
+    stats.fu_busy_cycle_sum = out
+        .fu_busy_cycle_sum
+        .iter()
+        .map(|(&k, &v)| (k, v))
+        .collect();
     stats.fu_pool = cdfg.fu_counts().collect();
     stats.depstream = None;
     stats.timeline = Vec::new();
@@ -576,7 +725,7 @@ pub fn replay_one(
         ));
     }
     Ok((
-        synthesize_report(kernel, cfg, &cdfg, &base_report, out),
+        synthesize_report(kernel, cfg, &cdfg, &base_report, &out),
         trace,
     ))
 }
@@ -592,9 +741,12 @@ pub fn replay_one(
 /// simulation.
 ///
 /// Replay points are looked up first, once each, so a sweep pays only for
-/// what it misses: a baseline is loaded or recorded only for kernels with
-/// a missed point or a point equal to the baseline, and only the missed
-/// points replay.
+/// what it misses: a baseline is fetched only for kernels with a missed
+/// point or a point equal to the baseline, from the process-wide prepared
+/// map while its entry file is unchanged. Of the missed points, the
+/// loosest of each group that differs only in caps replays first, and its
+/// run answers every point of the group whose caps it never met (cap
+/// reuse, outside check mode); the loosest point left replays next.
 ///
 /// [`SweepSpec::new`]: crate::SweepSpec::new
 pub fn run_replay_sweep(
@@ -613,13 +765,13 @@ pub fn run_replay_sweep(
     };
 
     // Partition, preserving submitted order: points off the baseline's
-    // unsafe axes simulate, points equal to the baseline reuse its report,
+    // unsafe axes simulate, points equal to the baseline take its report,
     // the rest are replay candidates. A baseline that cannot run leaves
     // nothing to replay. Each point's profile text — the costly part of
     // its canonical text — is rendered once.
     let replayable = config_diagnostic(&baseline_cfg).is_ok();
     let mut plain: Vec<usize> = Vec::new();
-    let mut reuse: Vec<usize> = Vec::new();
+    let mut at_baseline: Vec<usize> = Vec::new();
     let mut candidates: Vec<(usize, CacheId)> = Vec::new();
     for (i, p) in points.iter().enumerate() {
         let profile = p.config.profile.to_text();
@@ -631,7 +783,7 @@ pub fn run_replay_sweep(
         }
         let canon = p.config.canonical_repr_with_profile(&profile);
         if canon == base_key {
-            reuse.push(i);
+            at_baseline.push(i);
         } else {
             candidates.push((i, CacheId::new(format!("replay/{}", p.kernel.id), canon)));
         }
@@ -639,16 +791,18 @@ pub fn run_replay_sweep(
 
     // Look every candidate up once. As in `run_sweep`, an invalid point
     // reaches neither the cache nor a baseline.
+    let workers = replay_opts.resolve_workers();
     let cache = replay_opts.resolve_cache();
     let probes: Vec<Result<Lookup<ReplayedPoint>, Diagnostic>> =
-        run_parallel(candidates.len(), replay_opts.resolve_workers(), |k| {
+        run_parallel(candidates.len(), workers, |k| {
             let (i, id) = &candidates[k];
             config_diagnostic(&points[*i].config)?;
             Ok(cache.as_ref().map_or(Lookup::Miss, |c| c.lookup(id)))
         });
 
-    // Load or record one baseline per kernel that still needs one — for a
-    // missed candidate or a baseline-equal point — as one parallel
+    // Fetch one baseline per kernel that still needs one — for a missed
+    // candidate or a baseline-equal point: from the prepared map while its
+    // entry file is unchanged, else loaded or recorded as one parallel
     // sub-sweep. Baselines run at the *normalized* configuration so every
     // sweep over the same unsafe knobs shares them.
     let mut needy: Vec<usize> = candidates
@@ -656,40 +810,56 @@ pub fn run_replay_sweep(
         .zip(&probes)
         .filter(|(_, probe)| matches!(probe, Ok(Lookup::Miss | Lookup::Corrupt)))
         .map(|((i, _), _)| *i)
-        .chain(reuse.iter().copied())
+        .chain(at_baseline.iter().copied())
         .collect();
     needy.sort_unstable();
+    let baseline_cache = opts.inner.resolve_cache();
+    let mut baselines: HashMap<String, (Baseline, bool)> = HashMap::new();
     let mut baseline_jobs: Vec<BaselineJob> = Vec::new();
     for i in needy {
         let kernel = &points[i].kernel;
-        if !baseline_jobs.iter().any(|j| j.kernel.id == kernel.id) {
-            baseline_jobs.push(BaselineJob {
+        if baselines.contains_key(&kernel.id)
+            || baseline_jobs.iter().any(|j| j.kernel.id == kernel.id)
+        {
+            continue;
+        }
+        let id = CacheId::new(format!("replay-baseline/{}", kernel.id), base_key.clone());
+        match baseline_cache
+            .as_ref()
+            .and_then(|c| mapped_baseline(&c.entry_path(&id), &id))
+        {
+            Some(b) => drop(baselines.insert(kernel.id.clone(), (Baseline::Prepared(b), true))),
+            None => baseline_jobs.push(BaselineJob {
+                id,
                 kernel: kernel.clone(),
                 config: baseline_cfg.clone(),
-            });
+            }),
         }
     }
+    let baseline_memo_hits = baselines.len();
     let baseline_run = run_sweep(&baseline_jobs, &opts.inner);
-    let baselines: HashMap<&str, &PointOutcome<ReplayBaseline>> = baseline_jobs
-        .iter()
-        .map(|j| j.kernel.id.as_str())
-        .zip(&baseline_run.outcomes)
-        .collect();
+    for (job, outcome) in baseline_jobs.iter().zip(baseline_run.outcomes) {
+        let Ok(recorded) = outcome.result else {
+            continue;
+        };
+        let baseline = Baseline::new(&job.kernel, recorded);
+        if let (Some(c), Baseline::Prepared(b)) = (&baseline_cache, &baseline) {
+            map_baseline(c.entry_path(&job.id), job.id.clone(), b.clone());
+        }
+        baselines.insert(job.kernel.id.clone(), (baseline, outcome.from_cache));
+    }
 
     // Answer hits and invalid points now; queue misses for replay against
-    // their kernel's prepared baseline, built once per kernel. A kernel
-    // whose baseline failed, or whose trace the scheduler rejects, demotes
-    // its missed points to plain simulation.
+    // their kernel's prepared baseline. A kernel whose baseline failed, or
+    // whose trace the scheduler rejects, demotes its missed points to
+    // plain simulation.
     let mut slots: Vec<Option<(PointOutcome<RunReport>, PointProvenance)>> =
         (0..points.len()).map(|_| None).collect();
-    let mut hits = 0;
+    let mut hits = baseline_memo_hits;
     let mut invalid = 0;
-    let mut prepared: HashMap<&str, Option<Arc<PreparedBaseline>>> = HashMap::new();
-    let mut replay_jobs: Vec<ReplayPointJob> = Vec::new();
-    let mut replay_idx: Vec<usize> = Vec::new();
-    let mut corrupt: Vec<bool> = Vec::new();
+    let mut missed: Vec<(usize, CacheId, Arc<PreparedBaseline>, bool)> = Vec::new();
     for ((i, id), probe) in candidates.into_iter().zip(probes) {
-        let lookup = match probe {
+        let corrupt = match probe {
             Err(d) => {
                 invalid += 1;
                 slots[i] = Some(replayed_row(Err(PointError::Invalid(d)), false));
@@ -700,49 +870,135 @@ pub fn run_replay_sweep(
                 slots[i] = Some(replayed_row(Ok(p), true));
                 continue;
             }
-            Ok(lookup) => lookup,
+            Ok(lookup) => matches!(lookup, Lookup::Corrupt),
         };
-        let kernel = &points[i].kernel;
-        let baseline = prepared.entry(&kernel.id).or_insert_with(|| {
-            let b = baselines.get(kernel.id.as_str())?.payload()?;
-            PreparedBaseline::new(kernel, b).map(Arc::new)
-        });
-        match baseline {
-            Some(b) => {
-                replay_jobs.push(ReplayPointJob {
-                    id,
-                    config: points[i].config.clone(),
-                    baseline: b.clone(),
-                    check: opts.check,
-                });
-                replay_idx.push(i);
-                corrupt.push(matches!(lookup, Lookup::Corrupt));
-            }
-            None => plain.push(i),
+        match baselines.get(&points[i].kernel.id) {
+            Some((Baseline::Prepared(b), _)) => missed.push((i, id, b.clone(), corrupt)),
+            _ => plain.push(i),
         }
     }
-    let replay_run = sweep(&replay_jobs, &replay_opts, Some(&corrupt));
-    for (&i, outcome) in replay_idx.iter().zip(replay_run.outcomes) {
-        slots[i] = Some(replayed_row(outcome.result, outcome.from_cache));
+
+    // Elaborate each missed point once, in parallel: its FU pool is a cap
+    // that reuse compares, and its run reads the elaboration again.
+    let elaborated = run_parallel(missed.len(), workers, |k| {
+        let (i, _, b, _) = &missed[k];
+        let cfg = &points[*i].config;
+        let t = Instant::now();
+        let cdfg = StaticCdfg::elaborate(&b.kernel.func, &cfg.profile, &cfg.constraints);
+        let knobs = replay_config(cfg, &cdfg);
+        (cdfg, knobs, t.elapsed())
+    });
+    let mut point_of = Vec::with_capacity(missed.len());
+    let mut corrupt = Vec::with_capacity(missed.len());
+    let mut jobs: Vec<ReplayPointJob> = Vec::with_capacity(missed.len());
+    for ((i, id, baseline, was_corrupt), (cdfg, knobs, elaborate)) in
+        missed.into_iter().zip(elaborated)
+    {
+        point_of.push(i);
+        corrupt.push(was_corrupt);
+        jobs.push(ReplayPointJob {
+            id,
+            config: points[i].config.clone(),
+            baseline,
+            check: opts.check,
+            cdfg,
+            knobs,
+            elaborate,
+            answer: None,
+            replayed: OnceLock::new(),
+        });
+    }
+
+    // Cap reuse, in rounds. Each round replays the loosest point left of
+    // every group — one baseline, every knob but the caps equal — and
+    // spare workers take the tightest points left, which a looser run is
+    // least likely to answer (without them, a sweep of fewer groups than
+    // workers would leave workers idle in every round). Each replay
+    // answers the points of its group whose caps it never met. Check mode
+    // must time every point, so it replays all of them in one round.
+    let caps: Vec<([u32; 2], [u32; FuKind::ALL.len()])> = jobs
+        .iter()
+        .map(|j| {
+            let k = &j.knobs;
+            let pool = FuKind::ALL.map(|f| k.fu_pool.get(&f).copied().unwrap_or(0));
+            ([k.spm_read_ports, k.spm_write_ports], pool)
+        })
+        .collect();
+    let mut left: Vec<usize> = (0..jobs.len()).collect();
+    left.sort_by(|&a, &b| caps[b].cmp(&caps[a]));
+    let mut donor: Vec<Option<usize>> = vec![None; jobs.len()];
+    let (mut misses, mut corrupted, mut failed) = (0, 0, 0);
+    let mut run_round = |jobs: &[ReplayPointJob], round: &[usize], slots: &mut Vec<_>| {
+        let round_jobs: Vec<&ReplayPointJob> = round.iter().map(|&k| &jobs[k]).collect();
+        let round_corrupt: Vec<bool> = round.iter().map(|&k| corrupt[k]).collect();
+        let run = sweep(&round_jobs, &replay_opts, Some(&round_corrupt));
+        (misses, corrupted, failed, invalid) = (
+            misses + run.misses,
+            corrupted + run.corrupt,
+            failed + run.failed,
+            invalid + run.invalid,
+        );
+        for (&k, outcome) in round.iter().zip(run.outcomes) {
+            slots[point_of[k]] = Some(replayed_row(outcome.result, outcome.from_cache));
+        }
+    };
+    while !left.is_empty() {
+        let mut round: Vec<usize> = Vec::new();
+        for &k in &left {
+            if opts.check || !round.iter().any(|&d| jobs[d].shares_group(&jobs[k])) {
+                round.push(k);
+            }
+        }
+        for &k in left.iter().rev() {
+            if round.len() >= workers {
+                break;
+            }
+            if !round.contains(&k) {
+                round.push(k);
+            }
+        }
+        run_round(&jobs, &round, &mut slots);
+        left.retain(|k| !round.contains(k));
+        for &d in &round {
+            let Some(out) = jobs[d].replayed.get().cloned() else {
+                continue;
+            };
+            for &k in &left {
+                let (by, to) = (&jobs[d], &jobs[k]);
+                if donor[k].is_none() && by.shares_group(to) && out.answers(&by.knobs, &to.knobs) {
+                    donor[k] = Some(d);
+                    jobs[k].answer = Some(out.clone());
+                }
+            }
+        }
+        left.retain(|&k| donor[k].is_none());
+    }
+    let answered: Vec<usize> = (0..jobs.len()).filter(|&k| donor[k].is_some()).collect();
+    run_round(&jobs, &answered, &mut slots);
+    let mut reused = 0;
+    for &k in &answered {
+        if let Some((outcome, prov)) = &mut slots[point_of[k]] {
+            if prov.engine == EngineKind::Replay && outcome.payload().is_some() {
+                prov.reused_from = donor[k].map(|d| point_of[d]);
+                reused += 1;
+            }
+        }
     }
 
     // A baseline-equal point inherits the baseline's result *and* its
     // cache provenance: on a cold run it was simulated, not hit. Recording
     // never changes report fields, so the row is byte-identical to a
     // full-sim row.
-    for i in reuse {
-        match baselines.get(points[i].kernel.id.as_str()) {
-            Some(PointOutcome {
-                result: Ok(b),
-                from_cache,
-            }) => {
+    for i in at_baseline {
+        match baselines.get(&points[i].kernel.id) {
+            Some((b, from_cache)) => {
                 let outcome = PointOutcome {
-                    result: Ok(b.report.clone()),
+                    result: Ok(b.report().clone()),
                     from_cache: *from_cache,
                 };
                 slots[i] = Some((outcome, provenance(EngineKind::Sim)));
             }
-            _ => plain.push(i),
+            None => plain.push(i),
         }
     }
 
@@ -757,14 +1013,16 @@ pub fn run_replay_sweep(
         outcomes: Vec::with_capacity(points.len()),
         provenance: Vec::with_capacity(points.len()),
         replayed: 0,
+        reused,
         simulated: 0,
         fallbacks: 0,
         baseline_misses: baseline_run.misses + baseline_run.corrupt,
+        baseline_memo_hits,
         hits: hits + baseline_run.hits + plain_run.hits,
-        misses: replay_run.misses + plain_run.misses,
-        corrupt: replay_run.corrupt + plain_run.corrupt,
-        failed: baseline_run.failed + replay_run.failed + plain_run.failed,
-        invalid: invalid + replay_run.invalid + plain_run.invalid,
+        misses: misses + plain_run.misses,
+        corrupt: corrupted + plain_run.corrupt,
+        failed: baseline_run.failed + failed + plain_run.failed,
+        invalid: invalid + plain_run.invalid,
         wall: Duration::default(),
     };
     for slot in slots {
@@ -790,6 +1048,7 @@ fn provenance(engine: EngineKind) -> PointProvenance {
         bound: None,
         err_pct: None,
         speedup: None,
+        reused_from: None,
     }
 }
 
@@ -806,6 +1065,7 @@ fn replayed_row(
             bound: Some(p.bound),
             err_pct: p.err_pct,
             speedup: p.speedup,
+            reused_from: None,
         },
         Err(_) => provenance(EngineKind::Replay),
     };
@@ -877,7 +1137,7 @@ mod tests {
                 assert_eq!(got.stats.attribution.total(), got.cycles);
             }
         }
-        // The default-config point reuses the baseline simulation; the
+        // The default-config point takes the baseline simulation; the
         // others replay.
         assert_eq!(run.simulated, 1);
         assert_eq!(run.replayed, 3);
@@ -893,7 +1153,7 @@ mod tests {
         let run = run_replay_sweep(&points, &StandaloneConfig::default(), &no_cache());
         for (i, point) in points.iter().enumerate() {
             // Unsafe-axis points simulate; so does the point equal to its
-            // own baseline (it reuses the baseline's simulation).
+            // own baseline (it takes the baseline's simulation).
             let expected_engine = if point.config.engine.reservation_entries == 8
                 || point.config.canonical_repr() == baseline_config(&point.config).canonical_repr()
             {
@@ -962,6 +1222,54 @@ mod tests {
         assert_eq!(back.err_pct, Some(1.5));
         assert_eq!(back.speedup, None);
         assert_eq!(back.report.to_json(), p.report.to_json());
+    }
+
+    /// The prepared-baseline map holds at most [`BASELINE_MAP_CAP`]
+    /// kernels: storing one more drops the least recently used, whose next
+    /// sweep loads it from its entry file again.
+    #[test]
+    fn the_prepared_baseline_map_holds_its_cap() {
+        let dir = std::env::temp_dir().join(format!("salam-dse-map-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ReplayOptions {
+            inner: DseOptions::default().with_cache_dir(&dir).with_workers(1),
+            check: false,
+        };
+        let kernel = |i: usize| {
+            KernelSpec::custom(format!("gemm[n=4,u=1]#{i}"), || {
+                machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 })
+            })
+        };
+        let sweep_of = |i: usize, ports: u32| {
+            let points = SweepSpec::new("t", StandaloneConfig::default())
+                .kernel(kernel(i))
+                .axis(Axis::spm_ports(&[ports]))
+                .points();
+            run_replay_sweep(&points, &StandaloneConfig::default(), &opts)
+        };
+        for i in 0..=BASELINE_MAP_CAP {
+            assert_eq!(sweep_of(i, 1).baseline_misses, 1);
+        }
+        let mapped = |i: usize| {
+            let id = CacheId::new(
+                format!("replay-baseline/{}", kernel(i).id),
+                baseline_config(&StandaloneConfig::default()).canonical_repr(),
+            );
+            let path = crate::ResultCache::at(&dir).entry_path(&id);
+            baselines().iter().any(|e| e.path == path)
+        };
+        assert!(baselines().len() <= BASELINE_MAP_CAP);
+        assert!(!mapped(0), "the least recently used kernel was dropped");
+        assert!(mapped(BASELINE_MAP_CAP));
+        // A point not yet cached, so the sweep needs the baseline.
+        let reloaded = sweep_of(0, 4);
+        assert_eq!(
+            (reloaded.baseline_memo_hits, reloaded.hits, reloaded.misses),
+            (0, 1, 1)
+        );
+        assert!(mapped(0));
+        assert!(baselines().len() <= BASELINE_MAP_CAP);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Each import group of a recorded stream is one execution of one

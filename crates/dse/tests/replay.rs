@@ -2,16 +2,21 @@
 //! against the event engine across every MachSuite kernel on a
 //! three-axis grid, the engine selector's sim/replay split on mixed
 //! sweeps, cache-domain separation between replayed and simulated
-//! results, and the lookup-first order: a sweep loads a baseline and
-//! replays only for the points its cache misses.
+//! results, the lookup-first order (a sweep loads a baseline and replays
+//! only for the points its cache misses), cap reuse (a point answered by
+//! a looser point's replay is byte for byte its own replay) and the
+//! process-wide prepared-baseline map (a changed entry file is never
+//! served from it).
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
+use hw_profile::FuKind;
 use machsuite::Bench;
-use salam::standalone::{run_kernel, StandaloneConfig};
+use salam::standalone::{run_kernel, try_run_kernel_profiled, StandaloneConfig};
 use salam_dse::{
-    run_replay_sweep, Axis, CacheId, DseOptions, EngineKind, KernelSpec, ReplayOptions, ReplayRun,
-    ResultCache, SweepSpec,
+    run_replay_sweep, Axis, CacheId, DseOptions, EngineKind, KernelSpec, ReplayBaseline,
+    ReplayOptions, ReplayRun, ResultCache, StandalonePoint, SweepSpec,
 };
 
 /// A fresh scratch cache directory unique to this test.
@@ -122,7 +127,7 @@ fn mixed_sweep_selector_splits_sim_and_replay() {
         };
         assert_eq!(run.provenance[i].engine, expected, "at {}", point.label());
         if expected == EngineKind::Sim {
-            // Unsafe-axis (and baseline-reuse) rows are byte-identical to
+            // Unsafe-axis (and baseline-equal) rows are byte-identical to
             // a from-scratch full simulation.
             let sim = run_kernel(&point.kernel.build(), &point.config);
             assert_eq!(
@@ -379,4 +384,275 @@ fn check_mode_replays_every_point_on_a_warm_cache() {
     assert_eq!(run.hits, 1, "only the baseline comes from the cache");
     assert_eq!(run.misses, points.len());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- cap reuse and the prepared-baseline map --------------------------------
+
+/// The `sweep_replay` benchmark's grid for one kernel: SPM ports × SPM
+/// latency × two adder limits, every point off the baseline.
+fn bench_grid(kernel: KernelSpec) -> Vec<StandalonePoint> {
+    SweepSpec::new("sweep_replay", StandaloneConfig::default())
+        .kernel(kernel)
+        .axis(Axis::spm_ports(&[1, 2, 4, 8]))
+        .axis(Axis::spm_latency(&[1, 2, 3, 4]))
+        .axis(Axis::fu_limit(FuKind::IntAdder, &[2, 8]))
+        .points()
+}
+
+/// One worker and a cache directory, as the benchmark runs its sweeps.
+fn one_worker(dir: &Path) -> ReplayOptions {
+    ReplayOptions {
+        inner: DseOptions::default().with_cache_dir(dir).with_workers(1),
+        check: false,
+    }
+}
+
+/// Names of the files in a directory.
+fn entry_files(dir: &Path) -> BTreeSet<std::ffi::OsString> {
+    std::fs::read_dir(dir)
+        .map(|rd| rd.filter_map(Result::ok).map(|e| e.file_name()).collect())
+        .unwrap_or_default()
+}
+
+/// Deletes every file of `dir` not in `keep`.
+fn restore(dir: &Path, keep: &BTreeSet<std::ffi::OsString>) {
+    for name in entry_files(dir).difference(keep) {
+        std::fs::remove_file(dir.join(name)).expect("entry removable");
+    }
+}
+
+/// Requires every point `run` answered by cap reuse to be its own replay:
+/// the point swept alone, against `solo_dir`, gives the same row, and
+/// writes the same cache entry file as the reused point wrote to `dir`.
+/// Returns how many points were reused.
+fn assert_reused_points_are_their_own_replays(
+    points: &[StandalonePoint],
+    run: &ReplayRun,
+    dir: &Path,
+    solo_dir: &Path,
+) -> usize {
+    let (cache, solo_cache) = (ResultCache::at(dir), ResultCache::at(solo_dir));
+    let all = rows(run);
+    let mut reused = 0;
+    for (i, prov) in run.provenance.iter().enumerate() {
+        let Some(from) = prov.reused_from else {
+            continue;
+        };
+        reused += 1;
+        let label = points[i].label();
+        assert_eq!(prov.engine, EngineKind::Replay, "{label}");
+        assert!(!run.outcomes[i].from_cache, "{label}");
+        assert!(run.provenance[from].reused_from.is_none(), "{label}");
+        let solo = run_replay_sweep(
+            &points[i..=i],
+            &StandaloneConfig::default(),
+            &one_worker(solo_dir),
+        );
+        assert_eq!(solo.reused, 0);
+        assert_eq!(
+            rows(&solo)[0],
+            all[i],
+            "{label} reused from {}",
+            points[from].label()
+        );
+        let read = |c: &ResultCache| std::fs::read(point_entry(c, &points[i])).expect("stored");
+        assert!(
+            read(&cache) == read(&solo_cache),
+            "{label}: cache entry bytes differ"
+        );
+    }
+    assert_eq!(reused, run.reused);
+    reused
+}
+
+/// The benchmark's contract on a reusing sweep, over three small kernels:
+/// set-up records one baseline per kernel into a fresh directory and
+/// leaves only the baselines there; each pass deletes the point entries
+/// and sweeps the grid, and every point must come back labelled `replay`
+/// and not from the cache. The counts are the ones a sweep without reuse
+/// or the prepared map reports: one hit (the baseline, from the map or
+/// from its file, since the other tests of this binary share the map and
+/// may evict it), no baseline recorded, 32 replayed. Sweeping all kernels
+/// in one call gives the same rows: a point is never answered from
+/// another kernel's replay, even one whose knobs are equal point for
+/// point. (`tests/baseline_map.rs`, a binary of its own, checks that the
+/// hit comes from the map.)
+#[test]
+fn reusing_sweeps_keep_the_benchmark_contract() {
+    let dir = scratch_cache("contract");
+    let solo_dir = scratch_cache("contract-solo");
+    let kernels = [
+        KernelSpec::custom("gemm[n=8,u=1]", || {
+            machsuite::gemm::build(&machsuite::gemm::Params { n: 8, unroll: 1 })
+        }),
+        // The same datapath, so its knobs equal gemm[n=8]'s point for point.
+        KernelSpec::custom("gemm[n=4,u=1]", || {
+            machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 })
+        }),
+        KernelSpec::custom("stencil2d[8x8]", || {
+            machsuite::stencil2d::build(&machsuite::stencil2d::Params { rows: 8, cols: 8 })
+        }),
+    ];
+    for kernel in &kernels {
+        let at_baseline = [StandalonePoint {
+            kernel: kernel.clone(),
+            config: StandaloneConfig::default(),
+            coords: Vec::new(),
+        }];
+        let run = run_replay_sweep(
+            &at_baseline,
+            &StandaloneConfig::default(),
+            &one_worker(&dir),
+        );
+        assert_eq!(
+            (run.baseline_misses, run.failed),
+            (1, 0),
+            "{}",
+            run.summary()
+        );
+    }
+    let baselines = entry_files(&dir);
+    assert_eq!(baselines.len(), kernels.len());
+
+    let mut first_pass = Vec::new();
+    let mut reused = 0;
+    for pass in 0..2 {
+        restore(&dir, &baselines);
+        for (k, kernel) in kernels.iter().enumerate() {
+            let points = bench_grid(kernel.clone());
+            let run = run_replay_sweep(&points, &StandaloneConfig::default(), &one_worker(&dir));
+            assert!(run
+                .outcomes
+                .iter()
+                .zip(&run.provenance)
+                .all(|(o, p)| p.engine == EngineKind::Replay
+                    && !o.from_cache
+                    && o.payload().is_some()));
+            assert_eq!(
+                (run.baseline_misses, run.hits, run.replayed, run.misses),
+                (0, 1, points.len(), points.len()),
+                "{}",
+                run.summary()
+            );
+            if pass == 0 {
+                reused +=
+                    assert_reused_points_are_their_own_replays(&points, &run, &dir, &solo_dir);
+                first_pass.push(rows(&run));
+            } else {
+                assert_eq!(rows(&run), first_pass[k]);
+            }
+        }
+    }
+    assert!(reused > 0, "no point was answered by a looser one");
+
+    // Every grid in one call, on two workers: the rows are the ones above.
+    let both: Vec<StandalonePoint> = kernels.iter().flat_map(|k| bench_grid(k.clone())).collect();
+    let mixed_dir = scratch_cache("contract-mixed");
+    let run = run_replay_sweep(&both, &StandaloneConfig::default(), &cached(&mixed_dir));
+    assert_eq!(rows(&run), first_pass.concat());
+    assert!(assert_reused_points_are_their_own_replays(&both, &run, &mixed_dir, &solo_dir) > 0);
+    for (i, prov) in run.provenance.iter().enumerate() {
+        if let Some(from) = prov.reused_from {
+            assert_eq!(both[from].kernel.id, both[i].kernel.id);
+        }
+    }
+    for d in [&dir, &solo_dir, &mixed_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// On the benchmark's 288-point grid, every point answered by a looser
+/// point's replay is byte for byte its own replay, row and cache entry;
+/// at least 90 points are answered so.
+#[test]
+fn reused_points_equal_their_replays_on_the_benchmark_grid() {
+    let dir = scratch_cache("grid288");
+    let solo_dir = scratch_cache("grid288-solo");
+    let mut reused = 0;
+    for bench in Bench::ALL {
+        let points = bench_grid(KernelSpec::bench(bench));
+        let run = run_replay_sweep(&points, &StandaloneConfig::default(), &one_worker(&dir));
+        assert_eq!(run.replayed, points.len(), "{}", run.summary());
+        let n = assert_reused_points_are_their_own_replays(&points, &run, &dir, &solo_dir);
+        println!("{bench:?}: {n} of {} points reused", points.len());
+        reused += n;
+    }
+    println!("reused {reused} of 288 points");
+    assert!(reused >= 90, "only {reused} of 288 points reused");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&solo_dir);
+}
+
+/// Counts and rows of a sweep, for comparing two sweeps.
+fn counts_and_rows(run: &ReplayRun) -> (Vec<usize>, Vec<String>) {
+    let counts = vec![
+        run.hits,
+        run.misses,
+        run.corrupt,
+        run.baseline_misses,
+        run.replayed,
+        run.fallbacks,
+        run.failed,
+    ];
+    (counts, rows(run))
+}
+
+/// Changes a baseline entry file the way `how` names: `store` a new
+/// baseline over it, `delete` it or `truncate` it.
+fn change_entry(how: &str, path: &Path) {
+    match how {
+        "store" => {
+            let built = machsuite::gemm::build(&machsuite::gemm::Params { n: 8, unroll: 1 });
+            let base = salam_dse::baseline_config(&StandaloneConfig::default());
+            let (mut report, trace) = try_run_kernel_profiled(&built, &base).expect("records");
+            // A report the rows inherit from, so a stale baseline shows.
+            report.verified = !report.verified;
+            let dir = path.parent().expect("in the cache directory");
+            let id = CacheId::new("replay-baseline/gemm[n=8,u=1]", base.canonical_repr());
+            ResultCache::at(dir)
+                .store(&id, &ReplayBaseline { report, trace })
+                .expect("stored");
+        }
+        "delete" => std::fs::remove_file(path).expect("removed"),
+        _ => {
+            let text = std::fs::read(path).expect("read");
+            std::fs::write(path, &text[..text.len() / 2]).expect("truncated");
+        }
+    }
+}
+
+/// A baseline entry changed between two sweeps is never served from the
+/// prepared map: whether a new baseline was stored over it, it was
+/// deleted or it was truncated, the second sweep counts and answers what
+/// a sweep of a process that never saw the entry does — a sweep against
+/// a copy of the directory, whose path the map has never held.
+#[test]
+fn a_changed_baseline_entry_is_not_served_from_the_map() {
+    let kernel = "gemm[n=8,u=1]";
+    let points = warm_grid();
+    for name in ["store", "delete", "truncate"] {
+        let dir = scratch_cache(&format!("map-{name}"));
+        let fresh = scratch_cache(&format!("map-{name}-fresh"));
+        let cache = ResultCache::at(&dir);
+        let cold = run_replay_sweep(&points, &StandaloneConfig::default(), &cached(&dir));
+        assert_eq!(cold.baseline_misses, 1);
+        for p in &points {
+            std::fs::remove_file(point_entry(&cache, p)).expect("stored");
+        }
+        change_entry(name, &baseline_entry(&cache, kernel));
+        std::fs::create_dir_all(&fresh).expect("fresh directory");
+        for file in entry_files(&dir) {
+            std::fs::copy(dir.join(&file), fresh.join(&file)).expect("copied");
+        }
+
+        let warm = run_replay_sweep(&points, &StandaloneConfig::default(), &cached(&dir));
+        let want = run_replay_sweep(&points, &StandaloneConfig::default(), &cached(&fresh));
+        assert_eq!(warm.baseline_memo_hits, 0, "{name}");
+        assert_eq!(counts_and_rows(&warm), counts_and_rows(&want), "{name}");
+        if name == "store" {
+            assert_ne!(rows(&warm), rows(&cold), "the stored baseline must show");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&fresh);
+    }
 }

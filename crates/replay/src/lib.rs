@@ -38,7 +38,7 @@ use std::fmt;
 use hw_profile::FuKind;
 use salam_obs::{Attribution, DepStream, OpKind};
 use salam_runtime::sched::{
-    LaneMasks, Limits, MemIssue, OpSource, Sched, LOAD, MAX_DEPS, NO_LANE, N_FU, STORE,
+    CapUse, LaneMasks, Limits, MemIssue, OpSource, Sched, LOAD, MAX_DEPS, NO_LANE, N_FU, STORE,
 };
 use salam_runtime::{EngineConfig, RefusalScope};
 
@@ -93,6 +93,18 @@ impl Default for ReplayConfig {
 }
 
 impl ReplayConfig {
+    /// Whether `other` differs from `self` at most in the caps a run's
+    /// [`CapUse`] speaks for: FU pools and SPM ports. (`want_retimed`
+    /// shapes the outcome, not the schedule, and is not compared.)
+    pub fn differs_in_caps_only(&self, other: &ReplayConfig) -> bool {
+        self.reservation_entries == other.reservation_entries
+            && self.max_outstanding_reads == other.max_outstanding_reads
+            && self.max_outstanding_writes == other.max_outstanding_writes
+            && self.pipelined_fus == other.pipelined_fus
+            && self.mem_latency == other.mem_latency
+            && self.max_cycles == other.max_cycles
+    }
+
     /// The knobs the cycle model reads; the SPM ports and latency stay
     /// with the recorded source, which stands in for the memory port.
     fn limits(&self) -> Limits {
@@ -129,10 +141,43 @@ pub struct ReplayOutcome {
     /// Cycles the driver advanced over in whole repeating periods instead
     /// of stepping them (included in `cycles`).
     pub skipped_cycles: u64,
+    /// What the run asked of its caps: see [`ReplayOutcome::answers`].
+    pub cap_use: CapUse,
     /// The input stream with issue/commit retimed to the replayed
     /// schedule (same ops, deps and metadata). `None` when the config
     /// set [`ReplayConfig::want_retimed`] to `false`.
     pub retimed: Option<DepStream>,
+}
+
+impl ReplayOutcome {
+    /// Whether this outcome, replayed at `ran`, is also the outcome at
+    /// `point`, cycle for cycle and counter for counter, so `point` needs
+    /// no schedule of its own. `point` may differ from `ran` only in caps
+    /// the run never met:
+    /// - an FU pool no ready op ever waited on, at least the run's peak;
+    /// - the SPM ports of a side that never refused an access, at least
+    ///   the most accesses the run took in one cycle (and at least one).
+    ///
+    /// Such a cap holds no op back, at `ran` or at `point`, so every op
+    /// issues on the same cycle at both (DESIGN.md §12, cap reuse). The stream must be the one
+    /// replayed, and the retimed stream is not part of the answer.
+    pub fn answers(&self, ran: &ReplayConfig, point: &ReplayConfig) -> bool {
+        if !ran.differs_in_caps_only(point) {
+            return false;
+        }
+        let used = &self.cap_use;
+        let (ran_pool, pool) = (ran.limits().fu_pool, point.limits().fu_pool);
+        let pools_fit = (0..N_FU).all(|k| {
+            ran_pool[k] == pool[k] || (used.fu_held & 1 << k == 0 && pool[k] >= used.fu_peak[k])
+        });
+        let ports = |c: &ReplayConfig| [c.spm_read_ports, c.spm_write_ports];
+        let (ran_ports, ports) = (ports(ran), ports(point));
+        let ports_fit = (0..2).all(|side| {
+            ran_ports[side] == ports[side]
+                || (!used.mem_refused[side] && ports[side] >= used.mem_peak[side].max(1))
+        });
+        pools_fit && ports_fit
+    }
 }
 
 /// Why a stream could not be replayed.
@@ -493,6 +538,8 @@ impl OpSource for Recorded<'_> {
     type Error = Infallible;
     /// The SPM model needs nothing outside this source.
     type Port<'p> = ();
+    /// [`ReplayOutcome::answers`] reads the record.
+    const RECORDS_CAP_USE: bool = true;
 
     fn lanes(&self) -> &LaneMasks {
         &self.prep.lanes
@@ -686,6 +733,7 @@ fn run(
         new_exec_cycles: counters.new_exec_cycles,
         port_reject_cycles: counters.port_reject_cycles,
         skipped_cycles: skip.skipped,
+        cap_use: *sched.cap_use(),
         retimed,
     })
 }

@@ -150,6 +150,11 @@ pub trait OpSource {
     /// from [`Sched::step`] to [`OpSource::issue_mem`].
     type Port<'p>: ?Sized;
 
+    /// Whether the scheduler keeps [`Sched::cap_use`] for this source.
+    /// Replay reads the record; the engine does not, and its step
+    /// compiles without it.
+    const RECORDS_CAP_USE: bool = false;
+
     /// The lane masks of every op admitted so far.
     fn lanes(&self) -> &LaneMasks;
 
@@ -389,6 +394,26 @@ pub struct Counters {
     pub port_reject_cycles: u64,
 }
 
+/// What a run asked of its caps, kept at O(1) per issue, walked word and
+/// pass: with it, a run answers every other set of caps under which it
+/// would have scheduled each op on the same cycle (DESIGN.md §5.1, cap
+/// use). A period skip or a fast-forward repeats cycles already stepped,
+/// so neither touches it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CapUse {
+    /// Per FU kind: the most units needed at once — the busy units after
+    /// a take, or one more than the busy units when a zero-latency op
+    /// issued (it needs a free unit, though it holds none).
+    pub fu_peak: [u32; N_FU],
+    /// The FU kinds (a bit per kind) a ready op waited on while every
+    /// unit was busy.
+    pub fu_held: u32,
+    /// Per memory side: the most accesses accepted in one cycle.
+    pub mem_peak: [u32; 2],
+    /// Per memory side: the port refused an access.
+    pub mem_refused: [bool; 2],
+}
+
 /// One word of the ready set.
 #[derive(Debug, Clone, Copy, Default)]
 struct ReadyWord {
@@ -471,6 +496,7 @@ pub struct Sched {
     /// that cannot launch, so its side counts as blocked every cycle.
     order_parked: [usize; 2],
     counters: Counters,
+    cap_use: CapUse,
 }
 
 impl Sched {
@@ -510,6 +536,7 @@ impl Sched {
             waiters: vec![0; n],
             order_parked: [0; 2],
             counters: Counters::default(),
+            cap_use: CapUse::default(),
         }
     }
 
@@ -632,6 +659,12 @@ impl Sched {
     /// The per-cycle counters so far.
     pub fn counters(&self) -> &Counters {
         &self.counters
+    }
+
+    /// What the run asked of its caps so far; all zero for a source that
+    /// does not ask for the record ([`OpSource::RECORDS_CAP_USE`]).
+    pub fn cap_use(&self) -> &CapUse {
+        &self.cap_use
     }
 
     /// Busy-unit cycle integral per kind: what summing [`Sched::fu_busy`]
@@ -800,7 +833,20 @@ impl Sched {
         imported: &mut bool,
     ) -> Result<(), S::Error> {
         let word = std::mem::replace(&mut self.ready_lo, usize::MAX);
+        // A pass only adds accesses in flight (they leave in the retire
+        // phase), so what it accepted is what it added.
+        let before = self.outstanding;
         self.walk::<S, false>((word, !0, usize::MAX), src, port, flags, imported)?;
+        if S::RECORDS_CAP_USE {
+            let used = &mut self.cap_use;
+            for (peak, (now, before)) in used
+                .mem_peak
+                .iter_mut()
+                .zip(self.outstanding.iter().zip(before))
+            {
+                *peak = (*peak).max((now - before) as u32);
+            }
+        }
         self.saturated &= FU_LANES;
         if self.scoped != 0 {
             (self.scope, self.scoped) = ([RefusalScope::Access; 2], 0);
@@ -889,8 +935,11 @@ impl Sched {
                 let waiting = self.ready[word].lanes;
                 if waiting != 0 {
                     lowest_left = lowest_left.min(word);
-                    let starved = waiting & self.saturated & FU_LANES != 0;
-                    flags.set(IssueFlags::COMPUTE_BLOCKED, starved);
+                    let starved = waiting & self.saturated & FU_LANES;
+                    flags.set(IssueFlags::COMPUTE_BLOCKED, starved != 0);
+                    if S::RECORDS_CAP_USE {
+                        self.cap_use.fu_held |= starved;
+                    }
                 }
                 word += 1;
                 unvisited = !0;
@@ -950,12 +999,22 @@ impl Sched {
                 if on_fu {
                     let sum = &mut self.busy_sum[lane as usize];
                     *sum = sum.wrapping_add(1);
+                    if S::RECORDS_CAP_USE {
+                        let k = lane as usize;
+                        let peak = &mut self.cap_use.fu_peak[k];
+                        *peak = (*peak).max(self.fu_busy[k] + 1);
+                    }
                 }
                 self.commit(i, src);
                 return Ok(false);
             }
             if on_fu {
                 self.fu_take(lane);
+                if S::RECORDS_CAP_USE {
+                    let k = lane as usize;
+                    let peak = &mut self.cap_use.fu_peak[k];
+                    *peak = (*peak).max(self.fu_busy[k]);
+                }
                 if self.limits.pipelined_fus {
                     self.pipelined_release.push(lane);
                 }
@@ -990,6 +1049,9 @@ impl Sched {
             MemIssue::Refused(scope) => {
                 flags.0 |= blocked | IssueFlags::MEM_LIMIT_BLOCKED | IssueFlags::PORT_REJECTED;
                 self.met[i as usize / 64] |= 1 << (i % 64);
+                if S::RECORDS_CAP_USE {
+                    self.cap_use.mem_refused[side] = true;
+                }
                 if scope != RefusalScope::Access && scope != self.scope[side] {
                     self.scope[side] = scope;
                     self.scoped |= 1 << lane;

@@ -824,3 +824,291 @@ fn refusal_scope_changes_host_time_only() {
     assert_eq!(scoped, per_attempt);
     assert!(spared > 300, "only {spared} calls spared");
 }
+
+// ---- cap reuse -------------------------------------------------------------------
+
+/// A generated kernel as a sweep kernel: `arrays` of `i64`s (base, length)
+/// behind its two pointer arguments, filled as `loaded_mem` fills them,
+/// and no output check.
+fn sweep_kernel(case: &str, f: Function, arrays: [(u64, i64); 2]) -> salam_dse::KernelSpec {
+    salam_dse::KernelSpec::custom(format!("props-reuse/{case}"), move || {
+        let init = arrays
+            .iter()
+            .zip(0i64..)
+            .map(|(&(base, len), i)| {
+                let data = (0..len).flat_map(|v| (v * 37 + i * 11 - 100).to_le_bytes());
+                (base, data.collect())
+            })
+            .collect();
+        let args = arrays.iter().map(|&(base, _)| RtVal::P(base)).collect();
+        machsuite::BuiltKernel::new("generated", f.clone(), args, init, Box::new(|_| Ok(())))
+    })
+}
+
+/// A random replay-safe sweep point: SPM ports, SPM latency, outstanding
+/// caps and limits on two FU kinds the kernel uses.
+fn gen_sweep_point(g: &mut SplitMix64, used: &[FuKind]) -> salam::standalone::StandaloneConfig {
+    let mut cfg = salam::standalone::StandaloneConfig {
+        spm_read_ports: g.range_u64(1, 3) as u32,
+        spm_write_ports: g.range_u64(1, 3) as u32,
+        spm_latency: g.range_u64(1, 6),
+        ..Default::default()
+    };
+    cfg.engine.max_outstanding_reads = g.range_usize(1, 17);
+    cfg.engine.max_outstanding_writes = g.range_usize(1, 17);
+    for _ in 0..2 {
+        let kind = *g.choose(used);
+        cfg.constraints = cfg.constraints.with_limit(kind, g.range_u64(1, 5) as u32);
+    }
+    cfg
+}
+
+/// A random point inside `q`'s reuse box, given what `q`'s run asked of
+/// its caps: a side that never refused takes any port count from its
+/// peak up; an FU kind no op waited on takes any limit from its peak up;
+/// every other knob is `q`'s.
+fn gen_point_in_box(
+    g: &mut SplitMix64,
+    q: &salam::standalone::StandaloneConfig,
+    used_kinds: &[FuKind],
+    cap_use: &salam_runtime::sched::CapUse,
+) -> salam::standalone::StandaloneConfig {
+    let mut p = q.clone();
+    let ports = |g: &mut SplitMix64, side: usize, own: u32| match cap_use.mem_refused[side] {
+        true => own,
+        false => {
+            let peak = cap_use.mem_peak[side].max(1) as u64;
+            g.range_u64(peak, peak + 4) as u32
+        }
+    };
+    p.spm_read_ports = ports(g, 0, q.spm_read_ports);
+    p.spm_write_ports = ports(g, 1, q.spm_write_ports);
+    for &kind in used_kinds {
+        if cap_use.fu_held & 1 << kind as u32 == 0 {
+            let peak = cap_use.fu_peak[kind as usize].max(1) as u64;
+            p.constraints = p
+                .constraints
+                .with_limit(kind, g.range_u64(peak, peak + 3) as u32);
+        }
+    }
+    p
+}
+
+/// Cap reuse against rescheduling: on generated loop kernels, the steady
+/// loops that period-skip among them, a random point Q is replayed and a
+/// random point P is drawn inside Q's reuse box. Q's outcome answers P,
+/// P's own replay is Q's outcome field for field (so is the replay of P
+/// with one cap moved anywhere, whenever Q's outcome claims to answer
+/// it), and in a sweep of Q and P the point answered by the other's
+/// replay has the report bytes, engine and bound of the same point swept
+/// alone.
+#[test]
+fn reuse_matches_rescheduling() {
+    use salam::standalone::{try_run_kernel_profiled, StandaloneConfig};
+    use salam_dse::{
+        baseline_config, replay_config, run_replay_sweep, DseOptions, ReplayOptions,
+        StandalonePoint,
+    };
+
+    let check = |g: &mut SplitMix64, kernel: salam_dse::KernelSpec| {
+        let built = kernel.build();
+        let base = baseline_config(&StandaloneConfig::default());
+        let (_, stream) = try_run_kernel_profiled(&built, &base).expect("records");
+        let profile = HardwareProfile::default_40nm();
+        let elaborate =
+            |cfg: &StandaloneConfig| StaticCdfg::elaborate(&built.func, &profile, &cfg.constraints);
+        let used: Vec<FuKind> = elaborate(&base).fu_counts().map(|(k, _)| k).collect();
+        let q = gen_sweep_point(g, &used);
+        let q_knobs = replay_config(&q, &elaborate(&q));
+        let q_out = salam_replay::replay(&stream, &q_knobs).expect("replayable");
+        let p = gen_point_in_box(g, &q, &used, &q_out.cap_use);
+        let p_knobs = replay_config(&p, &elaborate(&p));
+        assert!(
+            q_out.answers(&q_knobs, &p_knobs),
+            "{p_knobs:?} outside the box"
+        );
+        let p_out = salam_replay::replay(&stream, &p_knobs).expect("replayable");
+        let schedule = |o: &salam_replay::ReplayOutcome| {
+            let busy: BTreeMap<FuKind, u64> = o.fu_busy_cycle_sum.clone().into_iter().collect();
+            let counts = (o.stall_cycles, o.new_exec_cycles, o.port_reject_cycles);
+            (
+                o.cycles,
+                o.attribution,
+                counts,
+                busy,
+                o.skipped_cycles,
+                o.cap_use,
+            )
+        };
+        assert_eq!(
+            schedule(&p_out),
+            schedule(&q_out),
+            "{p_knobs:?} vs {q_knobs:?}"
+        );
+        // And the other way: P's knobs with one cap moved anywhere around
+        // the run's peak (below it, to zero, past a held pool or a refusing
+        // side) reschedule to Q's outcome whenever Q's outcome claims to
+        // answer them.
+        let mut r_knobs = p_knobs.clone();
+        let used_caps = q_out.cap_use;
+        if g.gen_bool(0.5) {
+            let kind = *g.choose(&used);
+            let peak = used_caps.fu_peak[kind as usize] as u64;
+            r_knobs
+                .fu_pool
+                .insert(kind, g.range_u64(0, peak + 3) as u32);
+        } else {
+            let side = g.range_usize(0, 2);
+            let ports = g.range_u64(1, used_caps.mem_peak[side] as u64 + 3) as u32;
+            *[&mut r_knobs.spm_read_ports, &mut r_knobs.spm_write_ports][side] = ports;
+        }
+        if q_out.answers(&q_knobs, &r_knobs) {
+            let r_out = salam_replay::replay(&stream, &r_knobs).expect("replayable");
+            assert_eq!(
+                schedule(&r_out),
+                schedule(&q_out),
+                "{r_knobs:?} vs {q_knobs:?}"
+            );
+        }
+
+        let opts = ReplayOptions {
+            inner: DseOptions::default().without_cache().with_workers(1),
+            check: false,
+        };
+        let point = |config: &StandaloneConfig| StandalonePoint {
+            kernel: kernel.clone(),
+            config: config.clone(),
+            coords: Vec::new(),
+        };
+        let points = [point(&q), point(&p)];
+        let run = run_replay_sweep(&points, &StandaloneConfig::default(), &opts);
+        assert_eq!(run.reused, 1, "{}", run.summary());
+        for (i, prov) in run.provenance.iter().enumerate() {
+            if prov.reused_from.is_none() {
+                continue;
+            }
+            let solo = run_replay_sweep(&points[i..=i], &StandaloneConfig::default(), &opts);
+            let row = |r: &salam_dse::ReplayRun, j: usize| {
+                let report = r.outcomes[j].payload().expect("point ran").to_json();
+                (report, r.provenance[j].engine, r.provenance[j].bound)
+            };
+            assert_eq!(row(&run, i), row(&solo, 0));
+        }
+    };
+    check_cases("reuse_matches_rescheduling", 120, 0xE7, |g| {
+        let f = build_loop_kernel(&gen_loop_kernel(g));
+        check(g, sweep_kernel("loops", f, [(0x1000, 16), (0x2000, 16)]));
+    });
+    for (pattern, seed) in [
+        (Pattern::Affine, 0x5E4),
+        (Pattern::Recurrence, 0x5E5),
+        (Pattern::LateOverlap, 0x5E6),
+    ] {
+        check_cases(
+            &format!("reuse_matches_rescheduling_{pattern:?}"),
+            8,
+            seed,
+            |g| {
+                let f = build_steady_loop(&gen_steady_loop(g, pattern));
+                check(g, sweep_kernel("steady", f, [(0x1000, 512), (0x8000, 256)]));
+            },
+        );
+    }
+}
+
+/// A one-block kernel whose multiplies can wait on a full pool only in
+/// cycles whose issue pass hands over to the refusal-scoped walk: `x =
+/// a[0]`, `muls` products of `x`, `loads` address computations on `b`
+/// (adders), then their loads, all past the 64th op. The products wait
+/// on `x`, so at an SPM latency of two or more none is ready before the
+/// read port has refused a load of `b` (at more adders than read ports);
+/// from then on each pass meets those refused loads a word of ops behind
+/// the waiting products.
+fn build_held_behind_refusals(muls: usize, loads: usize) -> Function {
+    let mut fb = FunctionBuilder::new("held", &[("a", Type::Ptr), ("b", Type::Ptr)]);
+    let (a, b) = (fb.arg(0), fb.arg(1));
+    let x = fb.load(Type::I64, a, "x");
+    for m in 0..muls {
+        let c = fb.i64c(3 + m as i64);
+        fb.mul(x, c, "m");
+    }
+    let ptrs: Vec<_> = (0..loads)
+        .map(|j| {
+            let j = fb.i64c(j as i64);
+            fb.gep1(Type::I64, b, j, "p")
+        })
+        .collect();
+    for p in ptrs {
+        fb.load(Type::I64, p, "y");
+    }
+    fb.ret();
+    fb.finish()
+}
+
+/// Cap reuse where pools wait only behind a refusing port. In every cycle
+/// a product waits on the multiplier pool, the issue walk has handed over
+/// to its scoped walk at the word of the refused loads, so the record
+/// must keep what the words before the hand-over found. A replay at a
+/// random point Q records the multiplier as held; every point that
+/// differs from Q in its multiplier and adder pools, and that Q's outcome
+/// claims to answer, reschedules every op to the cycle it had at Q.
+#[test]
+fn reuse_keeps_pools_held_before_a_refusal() {
+    use salam::standalone::{try_run_kernel_profiled, StandaloneConfig};
+    use salam_dse::{baseline_config, replay_config};
+
+    check_cases("reuse_keeps_pools_held_before_a_refusal", 12, 0xE8, |g| {
+        let muls = g.range_usize(4, 10);
+        let loads = g.range_usize(64 - muls, (126 - muls) / 2 + 1);
+        let f = build_held_behind_refusals(muls, loads);
+        let built = sweep_kernel("held", f, [(0x1000, 1), (0x2000, loads as i64)]).build();
+        let base = baseline_config(&StandaloneConfig::default());
+        let (_, stream) = try_run_kernel_profiled(&built, &base).expect("records");
+        let profile = HardwareProfile::default_40nm();
+        let knobs = |cfg: &StandaloneConfig| {
+            let cdfg = StaticCdfg::elaborate(&built.func, &profile, &cfg.constraints);
+            let knobs = replay_config(cfg, &cdfg);
+            ReplayConfig {
+                want_retimed: true,
+                ..knobs
+            }
+        };
+        let limits = |cfg: &StandaloneConfig, mul: u64, add: u64| {
+            let mut cfg = cfg.clone();
+            cfg.constraints = (cfg.constraints)
+                .with_limit(FuKind::IntMultiplier, mul as u32)
+                .with_limit(FuKind::IntAdder, add as u32);
+            cfg
+        };
+        let q = StandaloneConfig {
+            spm_read_ports: g.range_u64(1, 3) as u32,
+            spm_latency: g.range_u64(2, 5),
+            ..Default::default()
+        };
+        let q = limits(&q, g.range_u64(1, 3), g.range_u64(3, 9));
+        let q_knobs = knobs(&q);
+        let q_out = salam_replay::replay(&stream, &q_knobs).expect("replayable");
+        let used = q_out.cap_use;
+        assert!(used.mem_refused[0], "the read port never refused");
+        let mul = 1 << FuKind::IntMultiplier as u32;
+        assert!(
+            used.fu_held & mul != 0,
+            "{used:?}: the multiplier never held"
+        );
+        let peak = |k: FuKind| used.fu_peak[k as usize] as u64;
+        for m in 1..=peak(FuKind::IntMultiplier) + 2 {
+            for a in 1..=peak(FuKind::IntAdder) + 2 {
+                let p_knobs = knobs(&limits(&q, m, a));
+                if q_out.answers(&q_knobs, &p_knobs) {
+                    let p_out = salam_replay::replay(&stream, &p_knobs).expect("replayable");
+                    // Op for op: the products' issue cycles are not in
+                    // the counters, since nothing waits on them.
+                    assert!(
+                        p_out.retimed == q_out.retimed,
+                        "{p_knobs:?} answered by {q_knobs:?}"
+                    );
+                }
+            }
+        }
+    });
+}
